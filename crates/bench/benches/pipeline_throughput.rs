@@ -194,7 +194,7 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
     for (label, batch_bases, queue_depth, shards) in [
         ("64k-d8", 64 * 1024, 8, 1),
         ("4k-d1", 4 * 1024, 1, 1),
-        // Sharded candidate generation: same output, fan-out cost/gain.
+        // Sharded candidate generation: same output, per-shard scan cost.
         ("64k-d8-s4", 64 * 1024, 8, 4),
     ] {
         let cfg = PipelineConfig {

@@ -21,6 +21,13 @@ pub mod throughput;
 
 pub use throughput::{aligned_bases_per_sec, BatchTiming};
 
+/// Worker threads a batch runs on: the global Rayon pool size
+/// (`--threads N`, else every available core). Exposed so stages in
+/// front of the aligner can size themselves to the same setting.
+pub fn worker_threads() -> usize {
+    rayon::current_num_threads()
+}
+
 /// Outcome of one batch run.
 #[derive(Debug)]
 pub struct BatchResult {

@@ -128,12 +128,23 @@ pub fn chain_anchors(anchors: &[Anchor], k: usize, params: &ChainParams) -> Vec<
     chains
 }
 
-fn chain_one_strand(
+/// Gap-cost score of extending the chain ending at `anchors[j]` with
+/// `anchors[i]`, given that chain's score (`dr`, `dq` both positive
+/// and within `max_gap`).
+fn extend_score(prev: f64, dr: i64, dq: i64, k: usize) -> f64 {
+    let dd = (dr - dq).unsigned_abs() as f64;
+    let gain = (dq.min(dr) as f64).min(k as f64);
+    let cost = 0.01 * k as f64 * dd + 0.5 * (dd.max(1.0)).log2();
+    prev + gain - cost
+}
+
+/// The chaining DP: best score of a chain ending at each anchor and
+/// its predecessor. `anchors` is sorted by `(ref_pos, sort_pos)`.
+fn chain_dp(
     anchors: &[DpAnchor],
     k: usize,
     params: &ChainParams,
-    strand: bool,
-) -> Vec<Chain> {
+) -> (Vec<f64>, Vec<Option<usize>>) {
     let n = anchors.len();
     let mut score = vec![0f64; n];
     let mut pred: Vec<Option<usize>> = vec![None; n];
@@ -142,23 +153,34 @@ fn chain_one_strand(
         let lo = i.saturating_sub(params.lookback);
         for j in (lo..i).rev() {
             let dr = anchors[i].ref_pos as i64 - anchors[j].ref_pos as i64;
+            // `ref_pos` ascends with the index and `j` walks down, so
+            // `dr` only grows: once it passes the gap limit no earlier
+            // predecessor can qualify.
+            if dr as usize > params.max_gap {
+                break;
+            }
             let dq = anchors[i].sort_pos as i64 - anchors[j].sort_pos as i64;
-            if dr <= 0 || dq <= 0 {
-                continue; // not collinear
+            if dr <= 0 || dq <= 0 || dq as usize > params.max_gap {
+                continue; // not collinear, or too far apart on the read
             }
-            if dr as usize > params.max_gap || dq as usize > params.max_gap {
-                continue;
-            }
-            let dd = (dr - dq).unsigned_abs() as f64;
-            let gain = (dq.min(dr) as f64).min(k as f64);
-            let cost = 0.01 * k as f64 * dd + 0.5 * (dd.max(1.0)).log2();
-            let s = score[j] + gain - cost;
+            let s = extend_score(score[j], dr, dq, k);
             if s > score[i] {
                 score[i] = s;
                 pred[i] = Some(j);
             }
         }
     }
+    (score, pred)
+}
+
+fn chain_one_strand(
+    anchors: &[DpAnchor],
+    k: usize,
+    params: &ChainParams,
+    strand: bool,
+) -> Vec<Chain> {
+    let n = anchors.len();
+    let (score, pred) = chain_dp(anchors, k, params);
     // Peel chains best-first; each anchor belongs to at most one chain,
     // but every chain above the floor is reported (the -P behaviour).
     let mut order: Vec<usize> = (0..n).collect();
@@ -208,6 +230,72 @@ fn chain_one_strand(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The DP loop as it was before the `dr > max_gap` early exit:
+    /// every predecessor in the lookback window is examined.
+    fn chain_dp_reference(
+        anchors: &[DpAnchor],
+        k: usize,
+        params: &ChainParams,
+    ) -> (Vec<f64>, Vec<Option<usize>>) {
+        let n = anchors.len();
+        let mut score = vec![0f64; n];
+        let mut pred: Vec<Option<usize>> = vec![None; n];
+        for i in 0..n {
+            score[i] = k as f64;
+            for j in (i.saturating_sub(params.lookback)..i).rev() {
+                let dr = anchors[i].ref_pos as i64 - anchors[j].ref_pos as i64;
+                let dq = anchors[i].sort_pos as i64 - anchors[j].sort_pos as i64;
+                if dr <= 0 || dq <= 0 {
+                    continue;
+                }
+                if dr as usize > params.max_gap || dq as usize > params.max_gap {
+                    continue;
+                }
+                let s = extend_score(score[j], dr, dq, k);
+                if s > score[i] {
+                    score[i] = s;
+                    pred[i] = Some(j);
+                }
+            }
+        }
+        (score, pred)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The early exit is exact: same scores, same predecessors, on
+        /// random anchor clouds and on periodic (tandem-repeat-like)
+        /// sets whose ref gaps straddle `max_gap`.
+        #[test]
+        fn early_exit_dp_equals_the_exhaustive_loop(
+            cloud in prop::collection::vec((0u32..600, 0u32..4_000), 0..120),
+            period in 1u32..400,
+            copies in 1u32..12,
+            max_gap in 1usize..1_500,
+            lookback in 1usize..60,
+        ) {
+            let mut anchors: Vec<DpAnchor> = cloud
+                .iter()
+                .map(|&(q, r)| DpAnchor { sort_pos: q, orig_pos: q, ref_pos: r })
+                .collect();
+            // Periodic part: the same read positions recur every
+            // `period` reference bases.
+            for c in 0..copies {
+                for q in (0..200).step_by(25) {
+                    anchors.push(DpAnchor { sort_pos: q, orig_pos: q, ref_pos: c * period + q });
+                }
+            }
+            anchors.sort_unstable_by_key(|a| (a.ref_pos, a.sort_pos));
+            let params = ChainParams { lookback, max_gap, ..ChainParams::default() };
+            prop_assert_eq!(
+                chain_dp(&anchors, 15, &params),
+                chain_dp_reference(&anchors, 15, &params)
+            );
+        }
+    }
 
     fn mk(read_pos: u32, ref_pos: u32) -> Anchor {
         Anchor {

@@ -13,9 +13,9 @@
 //! For genome-scale, multi-contig references, [`shard`] splits the
 //! reference into overlapping slices — never straddling a contig
 //! boundary — with one `MinimizerIndex` *and the only copy of the
-//! slice's bases* each, and fans anchor collection out across a
-//! persistent pool of per-shard workers; the merged candidate stream
-//! is guaranteed identical for every shard count.
+//! slice's bases* each; a query scans the shards on its own thread
+//! (`&self`, so callers parallelize across reads), and the merged
+//! candidate stream is guaranteed identical for every shard count.
 
 pub mod candidates;
 pub mod chain;

@@ -1,15 +1,16 @@
 //! Contig-aware sharded reference index with shard-local sequence
-//! storage and a persistent per-shard worker pool.
+//! storage.
 //!
-//! A single [`MinimizerIndex`] is the last monolithic stage in the
-//! streaming pipeline: it is built in one pass over one sequence and
-//! queried from one thread. [`ShardedIndex`] splits a multi-contig
-//! [`Reference`] into overlapping slices — **never straddling a contig
-//! boundary** — builds one `MinimizerIndex` per slice, fans anchor
-//! collection out across a persistent pool of per-shard workers, and
-//! merges the per-shard hits deterministically (global coordinate
-//! translation, stable sort, overlap dedup) before the chaining DP
-//! runs per contig over the merged set.
+//! [`ShardedIndex`] splits a multi-contig [`Reference`] into
+//! overlapping slices — **never straddling a contig boundary** —
+//! builds one `MinimizerIndex` per slice, collects a read's anchors
+//! shard by shard on the calling thread, and merges the per-shard hits
+//! deterministically (global coordinate translation, stable sort,
+//! overlap dedup) before the chaining DP runs per contig over the
+//! merged set. Queries take `&self` and share nothing mutable but
+//! relaxed telemetry counters, so the way to use more cores is to map
+//! *different reads* on different threads (the pipeline's map
+//! workers), never to split one read.
 //!
 //! **Shard-local residency.** Each shard owns the only copy of its
 //! slice of the reference (`tile + overlap` bases). The build consumes
@@ -51,11 +52,9 @@
 //!    then runs per contig (a chain can never span two contigs) and
 //!    chains merge by score with contig order as the stable tiebreak.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use align_core::{AlignTask, Reference, Seq};
@@ -106,12 +105,12 @@ impl Shard {
     }
 }
 
-/// One shard's share of the fan-out: scan the read's (already
-/// mask-filtered) minimizers against the shard index, translating hits
-/// to global coordinates.
-fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer]) -> Vec<Anchor> {
+/// One shard's share of a query: scan the read's (already
+/// mask-filtered) minimizers against the shard index, appending hits
+/// translated to global coordinates.
+fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer], out: &mut Vec<Anchor>) {
     let t0 = Instant::now();
-    let mut out = Vec::new();
+    let before = out.len();
     for m in read_mins {
         for &(pos, rflip) in shard.index.occurrences(m.hash) {
             out.push(Anchor {
@@ -123,78 +122,10 @@ fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer]) -> Vec<Anchor> {
     }
     shard
         .anchors_found
-        .fetch_add(out.len() as u64, Ordering::Relaxed);
+        .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
     shard
         .busy_ns
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    out
-}
-
-/// One anchor-collection request handed to a shard worker.
-struct Job {
-    /// The read's mask-filtered minimizers, shared across all shards.
-    mins: Arc<Vec<crate::Minimizer>>,
-    /// Where the worker sends `(shard index, anchors)`.
-    reply: mpsc::Sender<(usize, Vec<Anchor>)>,
-}
-
-/// A minimal MPSC job queue (`Mutex` + `Condvar`) feeding one shard
-/// worker. `std::sync::mpsc::Sender` is not `Sync` on all supported
-/// toolchains, and the index must be shareable across session threads,
-/// so the submit side is a plain `&self` method here.
-struct JobChan {
-    state: Mutex<(VecDeque<Job>, bool)>,
-    cv: Condvar,
-}
-
-impl JobChan {
-    fn new() -> JobChan {
-        JobChan {
-            state: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn send(&self, job: Job) {
-        let mut st = self.state.lock().unwrap();
-        debug_assert!(!st.1, "send after close");
-        st.0.push_back(job);
-        drop(st);
-        self.cv.notify_one();
-    }
-
-    fn recv(&self) -> Option<Job> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(job) = st.0.pop_front() {
-                return Some(job);
-            }
-            if st.1 {
-                return None;
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().1 = true;
-        self.cv.notify_all();
-    }
-}
-
-/// The persistent per-shard worker pool: one thread per shard, alive
-/// for the index's lifetime, fed by a per-shard [`JobChan`]. Replaces
-/// the per-read `thread::scope` spawn of the original fan-out — short
-/// reads no longer pay a thread spawn/join per shard per read.
-struct Pool {
-    chans: Vec<Arc<JobChan>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl core::fmt::Debug for Pool {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Pool({} workers)", self.handles.len())
-    }
 }
 
 /// One contig's identity inside the index: the sequence itself lives
@@ -286,13 +217,12 @@ pub struct ShardedIndex {
     /// `contig_shards[c]` is the range of shard indices slicing contig
     /// `c` (shards are laid out contig by contig, in order).
     contig_shards: Vec<std::ops::Range<usize>>,
-    shards: Arc<Vec<Shard>>,
+    shards: Vec<Shard>,
     /// Genome-wide occurrence count per hash (overlap-deduplicated,
     /// across every contig).
     counts: HashMap<u64, u32>,
     /// Duplicate anchors removed by the merge, across all queries.
     dup_anchors: AtomicU64,
-    pool: Option<Pool>,
 }
 
 impl ShardedIndex {
@@ -399,31 +329,6 @@ impl ShardedIndex {
             }
         }
 
-        let shards_arc = Arc::new(built);
-        // Persistent per-shard workers: worth a thread only when there
-        // is an actual fan-out.
-        let pool = if shards_arc.len() > 1 {
-            let mut chans = Vec::with_capacity(shards_arc.len());
-            let mut handles = Vec::with_capacity(shards_arc.len());
-            for idx in 0..shards_arc.len() {
-                let chan = Arc::new(JobChan::new());
-                let worker_chan = Arc::clone(&chan);
-                let worker_shards = Arc::clone(&shards_arc);
-                handles.push(std::thread::spawn(move || {
-                    while let Some(job) = worker_chan.recv() {
-                        let anchors = shard_anchors(&worker_shards[idx], &job.mins);
-                        // A dropped receiver just means the query was
-                        // abandoned; the worker keeps serving.
-                        let _ = job.reply.send((idx, anchors));
-                    }
-                }));
-                chans.push(chan);
-            }
-            Some(Pool { chans, handles })
-        } else {
-            None
-        };
-
         ShardedIndex {
             w,
             k,
@@ -431,10 +336,9 @@ impl ShardedIndex {
             overlap,
             contigs,
             contig_shards,
-            shards: shards_arc,
+            shards: built,
             counts,
             dup_anchors: AtomicU64::new(0),
-            pool,
         }
     }
 
@@ -553,44 +457,17 @@ impl ShardedIndex {
     /// contig, identical to [`crate::collect_anchors`] against the
     /// unsharded index).
     ///
-    /// With more than one shard the query fans out to the persistent
-    /// per-shard workers; the merge is deterministic regardless.
+    /// The shards are scanned in order on the calling thread; the
+    /// method is `&self` and safe to call from many threads at once.
     pub fn collect_anchors(&self, read: &Seq) -> Vec<Anchor> {
-        // Apply the global occurrence mask once, up front, so the S
-        // shard workers don't repeat the count lookups per minimizer.
+        // Apply the global occurrence mask once, up front, so the
+        // per-shard scans don't repeat the count lookups per minimizer.
         let mut read_mins = minimizers(read, self.w, self.k);
         read_mins.retain(|m| !self.is_masked(m.hash));
-        let per_shard: Vec<Vec<Anchor>> = match &self.pool {
-            None => self
-                .shards
-                .iter()
-                .map(|s| shard_anchors(s, &read_mins))
-                .collect(),
-            Some(pool) => {
-                let mins = Arc::new(read_mins);
-                let (reply, replies) = mpsc::channel();
-                for chan in &pool.chans {
-                    chan.send(Job {
-                        mins: Arc::clone(&mins),
-                        reply: reply.clone(),
-                    });
-                }
-                drop(reply);
-                let mut slots: Vec<Option<Vec<Anchor>>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                for _ in 0..self.shards.len() {
-                    let (idx, anchors) = replies.recv().expect("shard worker exited early");
-                    slots[idx] = Some(anchors);
-                }
-                // Flatten in shard order: the reply arrival order is
-                // nondeterministic, the merge is not.
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every shard replies exactly once"))
-                    .collect()
-            }
-        };
-        let mut anchors: Vec<Anchor> = per_shard.into_iter().flatten().collect();
+        let mut anchors = Vec::new();
+        for shard in &self.shards {
+            shard_anchors(shard, &read_mins, &mut anchors);
+        }
         anchors.sort_unstable_by_key(|a| (a.read_pos, a.ref_pos, a.reverse));
         let before = anchors.len();
         anchors.dedup();
@@ -646,7 +523,7 @@ impl ShardedIndex {
         merged
     }
 
-    /// Map one read through the sharded fan-out: merged anchors,
+    /// Map one read against every shard: merged anchors,
     /// per-contig chaining, candidate tasks in contig-local
     /// coordinates with targets stitched from shard-local storage.
     /// Output is shard-count invariant, and on a single contig
@@ -733,19 +610,6 @@ impl ShardedIndex {
     /// [`ShardedIndex::build_params`] clamps to it.
     pub fn min_overlap(w: usize, k: usize) -> usize {
         w + k
-    }
-}
-
-impl Drop for ShardedIndex {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            for chan in &pool.chans {
-                chan.close();
-            }
-            for h in pool.handles {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -1115,48 +979,31 @@ mod tests {
     }
 
     #[test]
-    fn persistent_workers_survive_many_queries_and_drop_cleanly() {
-        let s = mixed_seq(20_000, 3);
-        let idx = ShardedIndex::build_params(single(&s), 6, 64, 10, 15, 400);
-        let flat = MinimizerIndex::build_params(&s, 10, 15, 400);
-        // Many sequential queries through the same worker pool must
-        // stay correct (the per-read-spawn version trivially had this;
-        // the pool must too).
-        for i in 0..50 {
-            let read = s.slice((i * 311) % 15_000, 1_000);
-            assert_eq!(
-                idx.collect_anchors(&read),
-                collect_anchors(&read, &flat),
-                "query {i} diverged"
-            );
-        }
-        drop(idx); // Drop joins the worker threads; hangs would fail CI.
-    }
-
-    #[test]
-    fn concurrent_queries_share_one_worker_pool() {
+    fn concurrent_queries_on_one_index_get_the_serial_answers() {
         let s = mixed_seq(30_000, 5);
-        let idx = std::sync::Arc::new(ShardedIndex::build_params(single(&s), 5, 64, 10, 15, 400));
-        let flat = std::sync::Arc::new(MinimizerIndex::build_params(&s, 10, 15, 400));
-        let s = std::sync::Arc::new(s);
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let idx = std::sync::Arc::clone(&idx);
-            let flat = std::sync::Arc::clone(&flat);
-            let s = std::sync::Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..20 {
-                    let read = s.slice(((t * 7 + i) * 997) as usize % 25_000, 900);
-                    assert_eq!(
-                        idx.collect_anchors(&read),
-                        collect_anchors(&read, &flat),
-                        "thread {t} query {i} diverged"
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let idx = ShardedIndex::build_params(single(&s), 5, 64, 10, 15, 400);
+        let read_at = |t: usize, i: usize| s.slice((t * 7 + i) * 997 % 25_000, 900);
+        let serial: Vec<Vec<Vec<Anchor>>> = (0..4)
+            .map(|t| {
+                (0..20)
+                    .map(|i| idx.collect_anchors(&read_at(t, i)))
+                    .collect()
+            })
+            .collect();
+        assert!(serial.iter().flatten().all(|a| !a.is_empty()));
+        std::thread::scope(|scope| {
+            for (t, expected) in serial.iter().enumerate() {
+                let (idx, read_at) = (&idx, &read_at);
+                scope.spawn(move || {
+                    for (i, want) in expected.iter().enumerate() {
+                        assert_eq!(
+                            &idx.collect_anchors(&read_at(t, i)),
+                            want,
+                            "thread {t} query {i} diverged"
+                        );
+                    }
+                });
+            }
+        });
     }
 }

@@ -5,22 +5,23 @@
 //!
 //! ```text
 //!  session(s) ──► candidate generation ──► batch scheduler ──► router ──► dispatchers ──► ordered sink
-//!  (submit)       (sharded index fan-out    (one building      (auto:      (N threads,     (global reorder,
-//!                  ┌► shard 0 ─┐             batch per          metrics-    any Backend)    per-session rows)
-//!                  ├► shard …  ├─ merge)     backend choice)    driven          │
-//!                  └► shard S ─┘                 │              pick)      result queue
-//!                     │                          ▼                         (bounded)
-//!                 task queue                batch queue
-//!                (bounded, weighted          (bounded)
-//!                 by bases)
+//!  (submit, or    (sharded index, one      (one building      (auto:      (N threads,     (global reorder,
+//!   N one-shot     read per thread;         batch per          metrics-    any Backend)    per-session rows)
+//!   map workers)   enqueued in order)       backend choice)    driven          │
+//!                     │                          │              pick)      result queue
+//!                 task queue                     ▼                         (bounded)
+//!                (bounded, weighted          batch queue
+//!                 by bases)                   (bounded)
 //! ```
 //!
 //! [`run_pipeline`] — the one-shot batch entry point — is a thin
 //! wrapper that opens a single session on a private service and pumps
-//! the read iterator through it: the scheduler/dispatch/sink stages
-//! exist exactly once, in [`service`], so the one-shot path and the
-//! server share them *structurally* rather than by byte-equivalence
-//! testing. [`run_pipeline_auto`] is the same wrapper with
+//! the read iterator through it — on as many map workers as the CPU
+//! backend has threads, each mapping one read at a time and enqueueing
+//! it when its input sequence number comes up: the
+//! scheduler/dispatch/sink stages exist exactly once, in [`service`],
+//! so the one-shot path and the server share them *structurally*
+//! rather than by byte-equivalence testing. [`run_pipeline_auto`] is the same wrapper with
 //! [`BackendChoice::Auto`]: a [`route::Router`] assigns each batch to
 //! a backend from live metrics (see the module docs of [`route`]).
 //!
@@ -54,9 +55,10 @@
 //! contig boundary — each with its own minimizer index *and the only
 //! copy of its slice of the reference* (the monolithic reference is
 //! dropped after the build, so `resident_bases_bound` extends to the
-//! reference itself). Anchors are collected by a persistent pool of
-//! per-shard workers, and the merged stream is deterministic — output
-//! stays byte-identical across shard counts and overlap settings.
+//! reference itself). A read's anchors are collected shard by shard on
+//! the thread that maps it, and the merged stream is deterministic —
+//! output stays byte-identical across shard counts, overlap settings
+//! and map-worker counts.
 //! Records report contig names and contig-local coordinates.
 //!
 //! Backends implement [`backend::Backend`]; the Rayon CPU batch
@@ -74,7 +76,8 @@ pub mod reorder;
 pub mod route;
 pub mod service;
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use align_core::{AlignTask, Alignment, Reference, Seq};
@@ -123,8 +126,8 @@ pub struct PipelineConfig {
     /// parallelize internally (CPU/Rayon, GPU); more overlaps batches.
     pub dispatchers: usize,
     /// Reference shards for the candidate-generation stage: the
-    /// reference index is split into this many overlapping slices and
-    /// anchor collection fans out across them
+    /// reference index is split into this many overlapping slices,
+    /// each owning its part of the reference
     /// ([`mapper::ShardedIndex`]). Output is byte-identical for every
     /// shard count.
     pub shards: usize,
@@ -169,8 +172,6 @@ impl Default for PipelineConfig {
 pub(crate) mod tids {
     /// Per-read end-to-end spans.
     pub const READS: u64 = 0;
-    /// Read ingest / candidate generation.
-    pub const INGEST: u64 = 1;
     /// Batch scheduler.
     pub const SCHED: u64 = 2;
     /// Ordered sink.
@@ -179,12 +180,16 @@ pub(crate) mod tids {
     pub const SESSION: u64 = 4;
     /// First backend lane; backend `i` uses `BACKEND0 + i`.
     pub const BACKEND0: u64 = 8;
+    /// First candidate-generation lane: one-shot map worker `i` uses
+    /// `MAP0 + i`, so spans on one lane never overlap; server sessions
+    /// map on their connection threads and share `MAP0`.
+    pub const MAP0: u64 = 16;
 }
 
 /// Emit the lane-name metadata events every trace starts with.
 pub(crate) fn trace_lanes(trace: &TraceRecorder, backends: &[&str]) {
     trace.thread_name(tids::READS, "reads");
-    trace.thread_name(tids::INGEST, "ingest/map");
+    trace.thread_name(tids::MAP0, "map:0");
     trace.thread_name(tids::SCHED, "scheduler");
     trace.thread_name(tids::SINK, "sink");
     trace.thread_name(tids::SESSION, "sessions");
@@ -199,7 +204,10 @@ impl PipelineConfig {
     /// batch (plus the batch in construction and the reorder backlog),
     /// so residency is linear in `queue_depth × batch_bases` and
     /// independent of workload size — the property the streaming test
-    /// asserts.
+    /// asserts. The map stage in front of the task queue is not a
+    /// queue and is not counted: each of its workers holds the
+    /// candidate tasks of the one read it is mapping or waiting to
+    /// enqueue, at most `threads × max_per_read × max_task_bases` more.
     pub fn resident_bases_bound(&self, max_task_bases: usize) -> usize {
         let q = self.queue_depth.max(1);
         let d = self.dispatchers.max(1);
@@ -359,8 +367,9 @@ where
     )
 }
 
-/// The shared one-shot pump: private service, one session, stream the
-/// reads in, stream the rows out, abort on the first failure.
+/// The shared one-shot pump: private service, one session, map
+/// workers stream the reads in, the caller streams the rows out, abort
+/// on the first failure.
 fn run_oneshot<I, E, F>(
     reads: I,
     reference: Reference,
@@ -371,7 +380,7 @@ fn run_oneshot<I, E, F>(
     on_record: &mut F,
 ) -> Result<PipelineMetrics, PipelineError>
 where
-    I: Iterator<Item = Result<ReadInput, E>>,
+    I: Iterator<Item = Result<ReadInput, E>> + Send,
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
@@ -394,59 +403,141 @@ where
         router,
     };
     let service = PipelineService::start_with_backends("", reference, svc_cfg, backends);
-    let (mut session, rx) = service
+    let (session, rx) = service
         .open_session(choice)
         .expect("a fresh service admits its first session");
-    let mut failure: Option<PipelineError> = None;
-    'ingest: for item in reads {
-        let read = match item {
-            Ok(read) => read,
-            Err(e) => {
-                failure = Some(PipelineError::Input(e.to_string()));
-                break 'ingest;
-            }
-        };
-        if let Err(e) = session.submit(read) {
-            failure = Some(PipelineError::Input(e.to_string()));
-            break 'ingest;
-        }
-        // Stream out whatever the sink has already delivered, so rows
-        // flow to the caller while ingest continues.
-        while let Some(event) = rx.try_recv() {
-            if let Err(e) = deliver(&service, event, on_record) {
-                failure = Some(e);
-                break 'ingest;
-            }
+    // The map stage is as wide as the backend's own pool.
+    let workers = genasm_cpu::worker_threads().max(1);
+    if let Some(t) = &cfg.trace {
+        for lane in 1..workers {
+            t.thread_name(tids::MAP0 + lane as u64, &format!("map:{lane}"));
         }
     }
-    if let Some(e) = failure {
-        // First failure aborts the run. Dropping the session halves
-        // and the service closes every queue and joins the stage
-        // threads, so what was emitted stays a whole-reads-in-input-
-        // order prefix.
+    let (ingested, delivered, mut metrics) = std::thread::scope(|scope| {
+        let ingest = scope.spawn(|| {
+            // A panic in here (the caller's iterator, say) must still
+            // release the caller below, which waits for `End`; it
+            // resumes after the join.
+            let ingested = catch_unwind(AssertUnwindSafe(|| map_reads(&session, reads, workers)));
+            // Input over (or failed): release the session and drain
+            // the stages — shutdown closes the task queue, which
+            // flushes the scheduler's partial batches, and joins the
+            // threads — so `End` reaches the caller behind the last
+            // whole read.
+            session.finish();
+            (ingested, service.shutdown())
+        });
+        // The caller only streams rows out. The session channel is
+        // unbounded, so the stages never wait on `on_record`.
+        let mut delivered = Ok(());
+        while let Some(event) = rx.recv() {
+            match deliver(&service, event, on_record) {
+                Ok(true) => break,
+                Ok(false) => {}
+                Err(e) => {
+                    delivered = Err(e);
+                    break;
+                }
+            }
+        }
+        // First failure aborts the run: with the receiver gone every
+        // further enqueue is refused, the workers stop pulling, and
+        // what was emitted stays a whole-reads-in-input-order prefix.
         drop(rx);
-        drop(session);
-        drop(service);
-        return Err(e);
+        let (ingested, metrics) = ingest.join().expect("ingest thread never panics itself");
+        (
+            ingested.unwrap_or_else(|panic| resume_unwind(panic)),
+            delivered,
+            metrics,
+        )
+    });
+    delivered?;
+    ingested?;
+    metrics.map_workers = workers;
+    Ok(metrics)
+}
+
+/// The one-shot map stage: `workers` threads (the calling one
+/// included) each pull one read from `reads` under a lock, map it, and
+/// enqueue it when its input sequence number comes up. A worker holds
+/// at most one read and pulls the next only after handing its tasks
+/// over, so at most `workers` reads are ever mapped ahead of the task
+/// queue's backpressure, and the session sees the reads in input
+/// order. Returns the first input or submit failure, after which
+/// nothing further is pulled or enqueued.
+fn map_reads<I, E>(session: &Session, reads: I, workers: usize) -> Result<(), PipelineError>
+where
+    I: Iterator<Item = Result<ReadInput, E>> + Send,
+    E: core::fmt::Display,
+{
+    const POISONED: &str = "a map worker panicked";
+    /// The turnstile: whose turn it is to enqueue, or why nobody's.
+    struct Turn {
+        next: u64,
+        failure: Option<String>,
     }
-    session.finish();
-    // Drain the stages first: shutdown closes the task queue (flushing
-    // the scheduler's partial batches) and joins the threads. The
-    // session channel is unbounded, so every event — `End` included —
-    // is waiting for the drain loop below; nothing can be lost.
-    let metrics = service.shutdown();
-    while let Some(event) = rx.recv() {
-        match deliver(&service, event, on_record) {
-            Ok(true) => break,
-            Ok(false) => {}
-            Err(e) => {
-                drop(rx);
-                drop(service);
-                return Err(e);
+    // (input, reads pulled so far); `None` once it is exhausted or the
+    // run has failed.
+    let feed = Mutex::new(Some((reads, 0u64)));
+    let turn = Mutex::new(Turn {
+        next: 0,
+        failure: None,
+    });
+    let turned = Condvar::new();
+    let work = |lane: u64| loop {
+        let (seq, item) = {
+            let mut feed = feed.lock().expect(POISONED);
+            let Some((reads, pulled)) = feed.as_mut() else {
+                return;
+            };
+            let Some(item) = reads.next() else {
+                *feed = None;
+                return;
+            };
+            let seq = *pulled;
+            *pulled += 1;
+            if item.is_err() {
+                *feed = None;
+            }
+            (seq, item.map_err(|e| e.to_string()))
+        };
+        // A panic while mapping must not strand the workers queued
+        // behind this read's turn: it fails the run like a bad read
+        // (the panic hook has already reported it).
+        let mapped = item.and_then(|read| {
+            catch_unwind(AssertUnwindSafe(|| {
+                session.map(seq as u32, read, tids::MAP0 + lane)
+            }))
+            .map_err(|_| format!("candidate generation panicked on read {seq}"))
+        });
+        let mut turn = turn.lock().expect(POISONED);
+        while turn.next != seq && turn.failure.is_none() {
+            turn = turned.wait(turn).expect(POISONED);
+        }
+        if turn.failure.is_some() {
+            return; // an earlier read failed; this one is never enqueued
+        }
+        match mapped.and_then(|m| session.enqueue(m).map_err(|e| e.to_string())) {
+            Ok(_) => turn.next += 1,
+            Err(msg) => {
+                turn.failure = Some(msg);
+                *feed.lock().expect(POISONED) = None;
             }
         }
+        drop(turn);
+        turned.notify_all();
+    };
+    std::thread::scope(|scope| {
+        for lane in 1..workers as u64 {
+            let work = &work;
+            scope.spawn(move || work(lane));
+        }
+        work(0);
+    });
+    match turn.into_inner().expect(POISONED).failure {
+        Some(msg) => Err(PipelineError::Input(msg)),
+        None => Ok(()),
     }
-    Ok(metrics)
 }
 
 /// Handle one session event in the one-shot pump. `Ok(true)` = the
@@ -480,5 +571,91 @@ where
         // The output cap is disabled in the one-shot config, and
         // explain lines already flow through the config's sink.
         SessionEvent::Overflow { .. } | SessionEvent::Explain(_) => Ok(false),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A backend slow enough that the task queue in front of it is
+    /// full for the whole run.
+    struct SlowBackend(CpuBackend);
+
+    impl Backend for SlowBackend {
+        fn name(&self) -> &'static str {
+            "slow"
+        }
+
+        fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
+            std::thread::sleep(Duration::from_millis(2));
+            self.0.align_batch(tasks)
+        }
+    }
+
+    /// The map stage pulls a read only into a free worker: counted at
+    /// every pull, no more than `workers` reads are ever out of the
+    /// iterator and not yet enqueued — backpressure from a full task
+    /// queue reaches the input after at most one read per worker.
+    #[test]
+    fn map_stage_never_pulls_more_than_one_read_per_worker_ahead() {
+        let mut state = 7u64;
+        let genome: Seq = (0..40_000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                align_core::Base::from_code((state >> 33) as u8 & 3)
+            })
+            .collect();
+        const READS: u64 = 120;
+        for workers in [1, 3] {
+            let cfg = ServiceConfig {
+                pipeline: PipelineConfig {
+                    batch_bases: 2 * 1024,
+                    queue_depth: 1,
+                    ..PipelineConfig::default()
+                },
+                ..ServiceConfig::default()
+            };
+            let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![(
+                BackendKind::Cpu,
+                Box::new(SlowBackend(CpuBackend::improved())),
+            )];
+            let reference = Reference::single("ref", genome.clone());
+            let service = PipelineService::start_with_backends("", reference, cfg, backends);
+            let (session, rx) = service.open_session(BackendKind::Cpu).unwrap();
+            let (pulled, max_ahead) = (AtomicU64::new(0), AtomicU64::new(0));
+            let reads = (0..READS).map(|i| {
+                let pulled = pulled.fetch_add(1, Ordering::SeqCst) + 1;
+                // `reads_in` counts reads that have begun to enqueue.
+                let ahead = pulled - service.metrics().reads_in;
+                max_ahead.fetch_max(ahead, Ordering::SeqCst);
+                Ok::<_, std::convert::Infallible>(ReadInput {
+                    name: format!("r{i}"),
+                    seq: genome.slice(300 * i as usize, 400),
+                })
+            });
+            std::thread::scope(|scope| {
+                scope.spawn(move || rx.iter().for_each(drop));
+                map_reads(&session, reads, workers).unwrap();
+                session.finish(); // `End` releases the drain thread
+            });
+            let m = service.shutdown();
+            assert_eq!(m.reads_in, READS);
+            assert_eq!(m.reads_mapped, READS, "every exact read must map");
+            // Full = the next task did not fit.
+            assert!(
+                m.task_queue.high_water + m.max_task_bases > m.task_queue.capacity as u64,
+                "the task queue never filled: {:?}",
+                m.task_queue
+            );
+            let max_ahead = max_ahead.load(Ordering::SeqCst);
+            assert!(
+                (1..=workers as u64).contains(&max_ahead),
+                "{max_ahead} reads pulled ahead of the queue with {workers} workers"
+            );
+        }
     }
 }

@@ -508,8 +508,12 @@ pub struct PipelineMetrics {
     /// counts, plus how many duplicate anchors the overlap merge
     /// removed (see [`mapper::ShardedIndex`]).
     pub shard_index: ShardIndexMetrics,
-    /// Busy time of the read/map stage.
+    /// Time spent mapping, summed over reads — with more than one map
+    /// worker it can exceed `wall`.
     pub mapper_busy: Duration,
+    /// Map workers of a one-shot run (`--threads`); 0 in a service
+    /// snapshot, whose sessions map on their submitting threads.
+    pub map_workers: usize,
     /// Busy time of the batch scheduler stage.
     pub scheduler_busy: Duration,
     /// Busy time inside backend `align_batch` calls.
@@ -716,8 +720,10 @@ impl PipelineMetrics {
         );
         let _ = writeln!(
             s,
-            "busy:     map {:.1?}, schedule {:.1?}, backend {:.1?} ({:.0}% util), sink {:.1?}, wall {:.1?}",
+            "busy:     map {:.1?} (map_workers={}), schedule {:.1?}, backend {:.1?} ({:.0}% util), \
+             sink {:.1?}, wall {:.1?}",
             self.mapper_busy,
+            self.map_workers,
             self.scheduler_busy,
             self.backend_busy,
             100.0 * self.backend_utilization(),
@@ -981,6 +987,7 @@ impl PipelineMetrics {
             max_inflight_tasks: c.max_inflight_tasks.get(),
             shard_index,
             mapper_busy: Duration::from_nanos(c.mapper_ns.get()),
+            map_workers: 0,
             scheduler_busy: Duration::from_nanos(c.scheduler_ns.get()),
             backend_busy: Duration::from_nanos(c.backend_ns.get()),
             sink_busy: Duration::from_nanos(c.sink_ns.get()),

@@ -1001,6 +1001,18 @@ impl Drop for PipelineService {
     }
 }
 
+/// One read after candidate generation ([`Session::map`]), waiting
+/// for its turn to be [`Session::enqueue`]d.
+pub(crate) struct MappedRead {
+    name: String,
+    qlen: usize,
+    tasks: Vec<AlignTask>,
+    stats: mapper::ReadMapStats,
+    /// When mapping began: the start of the read's latency clock.
+    started: Instant,
+    map_ns: Duration,
+}
+
 /// The submitting half of a session. Dropping without
 /// [`Session::finish`] finishes it implicitly.
 pub struct Session {
@@ -1032,24 +1044,31 @@ impl Session {
     /// generated (0 = unmapped read; it completes immediately with no
     /// rows).
     pub fn submit(&mut self, read: ReadInput) -> Result<usize, SubmitError> {
-        self.gate.admit()?;
-        let sh = &self.shared;
-        let t0 = Instant::now();
-        let (tasks, map_stats) = sh.index.candidates_for_read_stats(
-            self.local_reads as u32,
-            &read.seq,
-            &sh.cfg.pipeline.params,
-        );
+        let mapped = self.map(self.local_reads as u32, read, tids::MAP0);
         self.local_reads += 1;
-        let map_ns = t0.elapsed();
+        self.enqueue(mapped)
+    }
+
+    /// The thread-safe half of [`Session::submit`]: candidate
+    /// generation against the shared index, timed, with its trace span
+    /// on `lane`. `read_id` is the read's ordinal in the session.
+    /// Touches no ordering state, so any number of threads may map
+    /// reads of one session at once — the order is made when the
+    /// results are handed to [`Session::enqueue`].
+    pub(crate) fn map(&self, read_id: u32, read: ReadInput, lane: u64) -> MappedRead {
+        let sh = &self.shared;
+        let started = Instant::now();
+        let (tasks, stats) =
+            sh.index
+                .candidates_for_read_stats(read_id, &read.seq, &sh.cfg.pipeline.params);
+        let map_ns = started.elapsed();
         StageCounters::add_ns(&sh.counters.mapper_ns, map_ns);
-        sh.counters.reads_in.inc();
         if let Some(t) = sh.trace() {
             t.span(
                 "map",
                 "service",
-                tids::INGEST,
-                t0,
+                lane,
+                started,
                 map_ns,
                 &[
                     ("read", read.name.as_str().into()),
@@ -1058,6 +1077,32 @@ impl Session {
                 ],
             );
         }
+        MappedRead {
+            name: read.name,
+            qlen: read.seq.len(),
+            tasks,
+            stats,
+            started,
+            map_ns,
+        }
+    }
+
+    /// The ordered half of [`Session::submit`]: admission, funnel and
+    /// session bookkeeping, and the contiguous task pushes under the
+    /// next global read sequence number. Reads of one session must be
+    /// enqueued one at a time, in submission order.
+    pub(crate) fn enqueue(&self, mapped: MappedRead) -> Result<usize, SubmitError> {
+        self.gate.admit()?;
+        let sh = &self.shared;
+        let MappedRead {
+            name,
+            qlen,
+            tasks,
+            stats: map_stats,
+            started: t0,
+            map_ns,
+        } = mapped;
+        sh.counters.reads_in.inc();
         let unmapped_reason = sh.counters.note_funnel(&map_stats);
         let provenance = Arc::new(ReadProvenance {
             anchors: map_stats.anchors,
@@ -1091,9 +1136,9 @@ impl Session {
                 sh.counters.read_latency_ns.record(provenance.map_ns);
                 sh.counters
                     .slow_reads
-                    .observe(&read.name, provenance.map_ns, &disp);
+                    .observe(&name, provenance.map_ns, &disp);
                 let rec = ExplainRecord {
-                    read: &read.name,
+                    read: &name,
                     disposition: &disp,
                     backend: None,
                     provenance: *provenance,
@@ -1115,8 +1160,7 @@ impl Session {
         // session's in-flight caps from the moment it can occupy queue
         // space; the sink's `read_done` is the matching credit.
         self.gate.register_read(total_bases as u64);
-        let qname: Arc<str> = Arc::from(read.name.as_str());
-        let qlen = read.seq.len();
+        let qname: Arc<str> = Arc::from(name);
         // Hold the ingest lock across all pushes: a read's tasks must
         // be contiguous in the shared task stream (the sink's per-read
         // accumulation depends on it), and the global read sequence

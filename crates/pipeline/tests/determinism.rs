@@ -13,13 +13,19 @@
 //!    (`PipelineConfig::shards`) never changes a single output byte,
 //!    for any shard count × overlap × batching geometry.
 //!
+//! 5. **Map-worker invariance** — the number of threads mapping reads
+//!    in parallel (`--threads`) never changes output bytes, funnel
+//!    counters or session totals, and never lets the map stage run
+//!    ahead of the residency bound.
+//!
 //! CI runs this suite in a matrix over `GENASM_TEST_SHARDS` (1 and 4)
 //! × `GENASM_TEST_CONTIGS` (1 and 3) × `GENASM_TEST_BACKEND` (unset
-//! and `auto`); tests that don't sweep those axes themselves use the
-//! env values, so every determinism property is exercised against a
-//! sharded index, a multi-contig index, *and* the adaptive router
-//! (which must leave every output byte untouched while it spreads
-//! batches across cpu and gpu-sim).
+//! and `auto`) × `GENASM_TEST_THREADS` (1 and 4); tests that don't
+//! sweep those axes themselves use the env values, so every
+//! determinism property is exercised against a sharded index, a
+//! multi-contig index, one and several map workers, *and* the adaptive
+//! router (which must leave every output byte untouched while it
+//! spreads batches across cpu and gpu-sim).
 
 use align_core::{Reference, Seq};
 use genasm_pipeline::{
@@ -55,6 +61,43 @@ fn env_contigs() -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
         .max(1)
+}
+
+/// Size of the global pool — map workers *and* Rayon batch workers —
+/// for tests that don't sweep it; the CI matrix sets
+/// `GENASM_TEST_THREADS` (unset or 0 = every core).
+fn env_threads() -> usize {
+    std::env::var("GENASM_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
+fn set_pool(threads: usize) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build_global()
+        .unwrap();
+}
+
+/// Size the global pool from `GENASM_TEST_THREADS`, once per process.
+fn init_pool() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| set_pool(env_threads()));
+}
+
+/// Run `f` with the global pool resized to `threads`. The tests that
+/// resize it are serialized, so each one really runs at the size it
+/// asked for (the others only ever observe *some* valid size, which
+/// by the properties tested here cannot change their results).
+fn with_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    static RESIZING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    init_pool();
+    let _guard = RESIZING.lock().unwrap_or_else(|e| e.into_inner());
+    set_pool(threads);
+    let out = f();
+    set_pool(env_threads());
+    out
 }
 
 /// Deterministic synthetic workload: (reference, named reads). With
@@ -121,6 +164,19 @@ fn run_stream(
     backend: &dyn Backend,
     cfg: &PipelineConfig,
 ) -> (String, genasm_pipeline::PipelineMetrics) {
+    let auto = env_auto() && backend.name() == "cpu";
+    run_stream_on(reads, reference, (!auto).then_some(backend), cfg)
+}
+
+/// [`run_stream`] on an explicit backend, or (`None`) under the
+/// adaptive router, whatever the environment says.
+fn run_stream_on(
+    reads: &[(String, Seq)],
+    reference: &Reference,
+    backend: Option<&dyn Backend>,
+    cfg: &PipelineConfig,
+) -> (String, genasm_pipeline::PipelineMetrics) {
+    init_pool();
     let stream = reads.iter().map(|(name, seq)| {
         Ok::<_, std::convert::Infallible>(ReadInput {
             name: name.clone(),
@@ -128,26 +184,20 @@ fn run_stream(
         })
     });
     let mut buf = String::new();
-    let on_record = |buf: &mut String, rec: &AlignRecord| {
+    let on_record = |rec: &AlignRecord| {
         buf.push_str(&rec.to_tsv());
         buf.push('\n');
+        Ok(())
     };
-    let metrics = if env_auto() && backend.name() == "cpu" {
-        run_pipeline_auto(
+    let metrics = match backend {
+        None => run_pipeline_auto(
             stream,
             reference.clone(),
             cfg,
             RouterConfig::default(),
-            |rec| {
-                on_record(&mut buf, rec);
-                Ok(())
-            },
-        )
-    } else {
-        run_pipeline(stream, reference.clone(), backend, cfg, |rec| {
-            on_record(&mut buf, rec);
-            Ok(())
-        })
+            on_record,
+        ),
+        Some(backend) => run_pipeline(stream, reference.clone(), backend, cfg, on_record),
     }
     .expect("pipeline run failed");
     (buf, metrics)
@@ -428,16 +478,119 @@ fn output_is_independent_of_rayon_thread_count() {
         ..PipelineConfig::default()
     };
     let (many, _) = run_stream(&reads, &reference, &backend, &cfg);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build_global()
-        .unwrap();
-    let (single, _) = run_stream(&reads, &reference, &backend, &cfg);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(0)
-        .build_global()
-        .unwrap();
+    let (single, _) = with_pool(1, || run_stream(&reads, &reference, &backend, &cfg));
     assert_eq!(single, many, "1-thread output diverged from many-thread");
+}
+
+/// Everything a run reports about *what* it did, as opposed to how
+/// long it took: must not depend on the number of map workers.
+fn run_facts(m: &genasm_pipeline::PipelineMetrics) -> (genasm_pipeline::FunnelCounts, [u64; 7]) {
+    (
+        m.funnel,
+        [
+            // The one session's totals (`SessionMetrics`)...
+            m.reads_in,
+            m.reads_mapped,
+            m.tasks_generated,
+            m.task_bases,
+            m.records_out,
+            // ...and the task stream's.
+            m.query_bases,
+            m.max_task_bases,
+        ],
+    )
+}
+
+#[test]
+fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
+    // The sharded multi-contig fixture, plus whatever the CI axes ask
+    // for; an empty read keeps an unmapped disposition in the funnel.
+    let fixed = workload_contigs(90_000, 24, 700, 3);
+    let env = workload(60_000, 24, 500);
+    for ((reference, mut reads), shards) in [(fixed, 4), (env, env_shards())] {
+        reads.insert(5, ("empty".to_string(), Seq::new()));
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 6 * 1024,
+            queue_depth: 2,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let run = |workers: usize, backend: Option<&dyn Backend>| {
+            with_pool(workers, || run_stream_on(&reads, &reference, backend, &cfg))
+        };
+        let (want, want_m) = run(1, Some(&backend));
+        assert_eq!(want_m.map_workers, 1);
+        assert!(want.lines().count() >= 24, "fixture must map");
+        assert_eq!(want_m.funnel.unmapped_no_anchors, 1);
+        for workers in [2, 5] {
+            for (label, (got, m)) in [
+                ("fixed", run(workers, Some(&backend))),
+                ("auto", run(workers, None)),
+            ] {
+                assert_eq!(m.map_workers, workers, "{label}: pool size not honoured");
+                assert_eq!(got, want, "{label}: output diverged at {workers} workers");
+                assert_eq!(
+                    run_facts(&m),
+                    run_facts(&want_m),
+                    "{label}: counters diverged at {workers} workers"
+                );
+            }
+        }
+    }
+}
+
+/// An input error at read `k` (here with four workers mid-flight)
+/// fails the run with `PipelineError::Input`, and what was emitted is
+/// a whole-reads-in-input-order prefix of the full output.
+#[test]
+fn input_error_mid_stream_leaves_an_ordered_whole_read_prefix() {
+    let (reference, reads) = workload(50_000, 16, 500);
+    let backend = CpuBackend::improved();
+    let cfg = PipelineConfig {
+        batch_bases: 2 * 1024,
+        queue_depth: 1,
+        shards: env_shards(),
+        ..PipelineConfig::default()
+    };
+    let (full, _) = run_stream(&reads, &reference, &backend, &cfg);
+    let k = 11;
+    let mut emitted = String::new();
+    let err = with_pool(4, || {
+        let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
+            if i == k {
+                return Err("disk on fire");
+            }
+            Ok(ReadInput {
+                name: name.clone(),
+                seq: seq.clone(),
+            })
+        });
+        run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
+            emitted.push_str(&rec.to_tsv());
+            emitted.push('\n');
+            Ok(())
+        })
+    })
+    .expect_err("input error must fail the run");
+    match err {
+        PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
+        other => panic!("unexpected error {other}"),
+    }
+    assert!(full.starts_with(&emitted), "not a prefix of the full run");
+    // The prefix ends on a read boundary, before read `k`.
+    let qname = |line: &str| line.split('\t').next().unwrap().to_string();
+    let next = full[emitted.len()..].lines().next().map(qname);
+    let last = emitted.lines().last().map(qname);
+    assert!(
+        last.is_none() || last != next,
+        "read {last:?} was cut in half"
+    );
+    let past_k: Vec<String> = reads[k..].iter().map(|(n, _)| n.clone()).collect();
+    assert!(
+        emitted.lines().all(|l| !past_k.contains(&qname(l))),
+        "a read at or after the failing one was emitted"
+    );
 }
 
 #[test]
@@ -454,9 +607,14 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
         params: CandidateParams::default(),
         ..PipelineConfig::default()
     };
-    let (out, metrics) = run_stream(&reads, &reference, &backend, &cfg);
-    assert!(!out.is_empty());
+    for workers in [env_threads(), 1, 4] {
+        let (out, metrics) = with_pool(workers, || run_stream(&reads, &reference, &backend, &cfg));
+        assert!(!out.is_empty());
+        assert_streaming_residency(&cfg, &metrics);
+    }
+}
 
+fn assert_streaming_residency(cfg: &PipelineConfig, metrics: &genasm_pipeline::PipelineMetrics) {
     let bound = cfg.resident_bases_bound(metrics.max_task_bases as usize) as u64;
     assert!(
         metrics.max_inflight_bases <= bound,
@@ -513,7 +671,7 @@ fn metrics_report_every_stage() {
     assert_eq!(m.batch_queue.pushed, m.batches);
     assert_eq!(m.result_queue.pushed, m.batches);
     assert!(m.task_queue.high_water > 0);
-    // Shard telemetry matches the configured fan-out (every contig
+    // Shard telemetry matches the configured shard count (every contig
     // gets at least one shard, so multi-contig runs may exceed the
     // target).
     assert_eq!(m.shard_index.contigs, env_contigs());
@@ -575,6 +733,30 @@ fn input_errors_propagate_and_unwind_cleanly() {
         PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
         other => panic!("unexpected error {other}"),
     }
+}
+
+/// A panic on the ingest side (here: the caller's own iterator, with
+/// other workers mid-flight) reaches the caller as a panic — the
+/// thread draining rows is released, not left waiting for the end of
+/// a session nobody will finish.
+#[test]
+fn a_panicking_input_iterator_propagates_instead_of_hanging() {
+    let (reference, reads) = workload(30_000, 8, 500);
+    let backend = CpuBackend::improved();
+    let cfg = PipelineConfig::default();
+    let outcome = with_pool(3, || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
+                assert!(i < 5, "input iterator blew up");
+                Ok::<_, std::convert::Infallible>(ReadInput {
+                    name: name.clone(),
+                    seq: seq.clone(),
+                })
+            });
+            run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(())).map(|_| ())
+        }))
+    });
+    assert!(outcome.is_err(), "the panic was swallowed: {outcome:?}");
 }
 
 #[test]
@@ -743,7 +925,7 @@ fn tracing_and_exposition_never_change_output_bytes() {
         trace: Some(Arc::clone(&trace)),
         ..plain_cfg.clone()
     };
-    let (traced, m) = run_stream(&reads, &reference, &backend, &traced_cfg);
+    let (traced, m) = with_pool(3, || run_stream(&reads, &reference, &backend, &traced_cfg));
     trace.finish().unwrap();
 
     assert_eq!(plain, traced, "tracing changed the output bytes");
@@ -764,6 +946,40 @@ fn tracing_and_exposition_never_change_output_bytes() {
         "no execute spans"
     );
     assert!(trace_text.contains("\"ph\":\"M\""), "no thread metadata");
+    // Each map worker has a lane of its own, named, on which its map
+    // spans (one read at a time) never overlap.
+    let field = |line: &str, key: &str| -> f64 {
+        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+        let end = line[at..].find([',', '}']).unwrap() + at;
+        line[at..end].parse().unwrap()
+    };
+    let mut lanes: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
+    for line in trace_text
+        .lines()
+        .filter(|l| l.contains("\"name\":\"map\""))
+    {
+        let span = (field(line, "\"ts\":"), field(line, "\"dur\":"));
+        lanes
+            .entry(field(line, "\"tid\":") as u64)
+            .or_default()
+            .push(span);
+    }
+    assert_eq!(lanes.values().map(Vec::len).sum::<usize>(), reads.len());
+    assert!(lanes.len() <= 3, "more map lanes than workers: {lanes:?}");
+    for (tid, spans) in &mut lanes {
+        let lane = tid - 16; // `tids::MAP0`, the lane of map worker 0
+        assert!(
+            trace_text.contains(&format!("\"name\":\"map:{lane}\"")),
+            "map lane {tid} has no thread name"
+        );
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in spans.windows(2) {
+            assert!(
+                pair[1].0 >= pair[0].0 + pair[0].1 - 0.002,
+                "map spans overlap on lane {tid}: {pair:?}"
+            );
+        }
+    }
 }
 
 /// `--explain` is passive: the identical workload run with an explain

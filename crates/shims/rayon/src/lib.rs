@@ -15,10 +15,19 @@ pub mod prelude {
     pub use crate::IntoParallelRefIterator;
 }
 
-/// Items claimed per atomic fetch: large enough to amortize contention,
-/// small enough to balance skewed workloads (alignment tasks vary in
-/// length).
-const CHUNK: usize = 8;
+/// Most items claimed per atomic fetch: large enough to amortize
+/// contention, small enough to balance skewed workloads (alignment
+/// tasks vary in length).
+const MAX_CHUNK: usize = 8;
+
+/// Worker count and items per claim for `n` items on a pool of
+/// `threads`: about four claims per worker, so a small batch still
+/// spreads over every worker and its tail stays short, capped at
+/// [`MAX_CHUNK`] for large ones.
+fn split(n: usize, threads: usize) -> (usize, usize) {
+    let workers = threads.min(n).max(1);
+    (workers, (n / (4 * workers)).clamp(1, MAX_CHUNK))
+}
 
 /// Global worker-count override installed by [`ThreadPoolBuilder::
 /// build_global`]; 0 means "use all available cores".
@@ -159,7 +168,12 @@ where
     /// Execute and collect results in item order.
     pub fn collect<C: FromParallel<R>>(self) -> C {
         let f = self.f;
-        C::from_vec(run_parallel(self.items, || (), move |_, item| f(item)))
+        C::from_vec(run_parallel(
+            current_num_threads(),
+            self.items,
+            || (),
+            move |_, item| f(item),
+        ))
     }
 }
 
@@ -180,7 +194,12 @@ where
 {
     /// Execute and collect results in item order.
     pub fn collect<C: FromParallel<R>>(self) -> C {
-        C::from_vec(run_parallel(self.items, self.init, self.f))
+        C::from_vec(run_parallel(
+            current_num_threads(),
+            self.items,
+            self.init,
+            self.f,
+        ))
     }
 }
 
@@ -219,7 +238,7 @@ impl<R> ResultsPtr<R> {
     }
 }
 
-fn run_parallel<'a, T, S, R, INIT, F>(items: &'a [T], init: INIT, f: F) -> Vec<R>
+fn run_parallel<'a, T, S, R, INIT, F>(threads: usize, items: &'a [T], init: INIT, f: F) -> Vec<R>
 where
     T: Sync,
     S: Send,
@@ -231,7 +250,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = current_num_threads().min(n.div_ceil(CHUNK)).max(1);
+    let (workers, chunk) = split(n, threads);
     if workers == 1 {
         let mut state = init();
         return items.iter().map(|t| f(&mut state, t)).collect();
@@ -249,11 +268,11 @@ where
             scope.spawn(move || {
                 let mut state = init();
                 loop {
-                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
+                    let start = next.fetch_add(chunk, Ordering::Relaxed);
                     if start >= n {
                         break;
                     }
-                    let end = (start + CHUNK).min(n);
+                    let end = (start + chunk).min(n);
                     for (i, item) in items[start..end].iter().enumerate() {
                         let out = f(&mut state, item);
                         // SAFETY: each index is claimed by exactly one
@@ -315,6 +334,60 @@ mod tests {
         let inits = INITS.load(Ordering::Relaxed);
         assert!(inits <= current_num_threads(), "{inits} inits");
         assert!(inits >= 1);
+    }
+
+    /// Run `n` lock-stepped items on a 2-thread pool and return how
+    /// many each worker got, larger share first. Item `i` does not
+    /// finish before its round partner (`i ^ 1`) has started, so the
+    /// items cost the same and a worker that claimed both halves of a
+    /// round would stall until the deadline.
+    fn lockstep_shares(n: usize) -> Vec<usize> {
+        let items: Vec<usize> = (0..n).collect();
+        let started = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let ids = run_parallel(
+            2,
+            &items,
+            || (),
+            |_, &i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                while started.load(Ordering::SeqCst) < (i / 2 * 2 + 2).min(n) {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "item {i} never saw its round partner start"
+                    );
+                    std::thread::yield_now();
+                }
+                std::thread::current().id()
+            },
+        );
+        let mut shares: Vec<usize> = Vec::new();
+        let mut seen = Vec::new();
+        for id in ids {
+            match seen.iter().position(|s| *s == id) {
+                Some(w) => shares[w] += 1,
+                None => {
+                    seen.push(id);
+                    shares.push(1);
+                }
+            }
+        }
+        shares.sort_unstable_by(|a, b| b.cmp(a));
+        shares
+    }
+
+    #[test]
+    fn small_batches_spread_over_every_worker() {
+        // clr-long's ~13-task batches: the fixed 8-item claim split
+        // them 8/5; one item per claim splits them 7/6.
+        assert_eq!(split(13, 2), (2, 1));
+        assert_eq!(lockstep_shares(13), vec![7, 6]);
+        // Two items are two workers' worth of work, not one chunk.
+        assert_eq!(split(2, 2), (2, 1));
+        assert_eq!(lockstep_shares(2), vec![1, 1]);
+        // Large batches keep the amortizing 8-item claim.
+        assert_eq!(split(10_000, 4), (4, MAX_CHUNK));
+        assert_eq!(split(1, 8), (1, 1));
     }
 
     #[test]

@@ -9,6 +9,8 @@ Six modes, one per exposition surface:
   thread-name metadata (``"ph": "M"``), and at least one ``read`` and
   one ``execute`` span (the per-read end-to-end span and the backend
   execute span — if either is missing, the pipeline ran untraced).
+  ``map`` spans must not overlap on a lane: every map worker maps one
+  read at a time on a lane of its own.
 
 * ``metrics FILE`` — the stderr of ``--metrics json``: the last
   non-empty line must be one ``genasm-pipeline-metrics/v1`` JSON
@@ -129,7 +131,7 @@ def mode_trace(path):
         events = json.load(fh)
     if not isinstance(events, list) or not events:
         fail("trace is not a non-empty JSON array")
-    span_names, meta = set(), 0
+    span_names, meta, map_lanes = set(), 0, {}
     for i, ev in enumerate(events):
         if not isinstance(ev, dict) or "ph" not in ev:
             fail(f"event {i} is not an object with 'ph'")
@@ -142,6 +144,8 @@ def mode_trace(path):
             if not isinstance(ev.get("tid"), int):
                 fail(f"span {i} ({ev.get('name')!r}) has no numeric tid")
             span_names.add(ev.get("name"))
+            if ev.get("name") == "map":
+                map_lanes.setdefault(ev["tid"], []).append((ev["ts"], ev["dur"]))
         elif ph != "i":
             fail(f"event {i} has unknown phase {ph!r}")
     if meta == 0:
@@ -149,9 +153,15 @@ def mode_trace(path):
     missing = EXPECTED_SPANS - span_names
     if missing:
         fail(f"missing expected span kinds: {sorted(missing)}")
+    for tid, spans in map_lanes.items():
+        spans.sort()
+        for (ts, dur), (nxt, _) in zip(spans, spans[1:]):
+            # ts/dur are printed to the nanosecond; allow the rounding.
+            if nxt < ts + dur - 0.002:
+                fail(f"map spans overlap on lane {tid}: {ts}+{dur} > {nxt}")
     print(
         f"validate-telemetry: trace OK: {len(events)} events, "
-        f"span kinds {sorted(span_names)}"
+        f"span kinds {sorted(span_names)}, {len(map_lanes)} map lane(s)"
     )
 
 
