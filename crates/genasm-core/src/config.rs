@@ -108,6 +108,17 @@ impl GenAsmConfig {
         self.w - self.o
     }
 
+    /// First text column a window of `n` columns stores: DENT's cut
+    /// (derived in [`crate::engine`]) for non-final windows, 0 for
+    /// final windows and when DENT is off.
+    pub fn dent_cut(&self, n: usize, keep: usize, final_window: bool) -> usize {
+        if final_window || !self.improvements.dent {
+            0
+        } else {
+            n.saturating_sub(keep + 1)
+        }
+    }
+
     /// Validate the geometry; panics with a clear message on invalid
     /// configurations (these are programming errors, not data errors).
     pub fn validate(&self) {

@@ -21,8 +21,7 @@
 //!   enabled, no further row is computed or stored.
 //! * **Entry compression.** Only the combined vector `R[d][i]` is
 //!   stored. The traceback re-derives edge existence from stored
-//!   neighbours and the pattern mask (see the private `traceback`
-//!   walk in this module).
+//!   neighbours and the pattern mask (see [`traceback`]).
 //! * **DENT.** The committed part of a non-final window's traceback
 //!   consumes at most `keep = W - O` pattern chars *and* at most `keep`
 //!   text chars (the walk stops at whichever bound is hit first). A walk
@@ -47,24 +46,34 @@
 //! exits ride along: the **infeasibility pre-flight** (a window whose
 //! pattern outruns `n + k` can never fire the solution bit, so it is
 //! abandoned before any row — hopeless windows cost O(1)), and the
-//! per-row counters feeding [`MemStats::band_cells_skipped`] /
-//! [`MemStats::peak_band_rows`].
+//! per-window accounting of [`MemStats::band_cells_skipped`] /
+//! [`MemStats::peak_band_rows`] — both [`MemStats`] methods, so every
+//! engine books them the same way.
 //!
 //! Banding the *text-column* dimension, by contrast, is unsound here:
 //! the single-word Bitap row has horizontal free propagation (the
 //! shifted-in active bit 0 encodes the free text prefix), so column
 //! activity reaches every column once `d >= m - n`, and dropping
 //! conservatively-dead columns can still flip a traceback edge pick —
-//! violating the same-ops invariant. The per-row `(first, len)` storage
-//! in [`TbTable`] generalizes DENT's cut mechanically, but the engine
-//! drives it at the uniform provably-safe cut.
+//! violating the same-ops invariant. That is why [`TbTable`] has
+//! nothing to store per row: every row keeps the columns from the
+//! uniform, provably safe DENT cut up.
+//!
+//! ## One traceback for every engine
+//!
+//! The distance pass below is the CPU's schedule (row-major, one row at
+//! a time); the simulated GPU sweeps the same recurrence along
+//! anti-diagonals. Everything after the sweep is shared: [`traceback`]
+//! reads the table through the two-method [`TableRead`] seam, so the
+//! workspace's counted arena and the device's shared/global table
+//! drive one walk with one edge-priority order.
 
 use align_core::{AlignError, CigarOp};
 
 use crate::bitvec::{init_row, step_row, step_row0, step_row_edges, PatternMask};
 use crate::config::GenAsmConfig;
 use crate::stats::MemStats;
-use crate::table::{slot, TbTable};
+use crate::table::{slot, TableRead, TbTable};
 use crate::workspace::AlignWorkspace;
 
 /// Result of aligning one window; the committed operations are left in
@@ -117,23 +126,11 @@ pub fn align_window(
     let n = ws.text_rev.len();
     assert!(n >= 1, "empty text window");
     assert!(keep >= 1, "keep must be positive");
-    // Infeasibility pre-flight: a solution consumes every pattern char
-    // via a text-consuming diagonal step or a 1-edit insertion, so it
-    // needs `m <= n + d*`. When even the full budget cannot bridge the
-    // length gap the window is hopeless — abandon it before computing
-    // a single row (O(1), not O(k·n)). This only fires under tight
-    // per-window edit bounds; `k = w >= m` windows always pass.
-    if ws.pm.len() > n + cfg.k {
-        ws.stats.windows_early_terminated += 1;
-        ws.stats.band_cells_skipped += ((cfg.k + 1) * n) as u64;
+    if ws.stats.abandon_infeasible(ws.pm.len(), n, cfg.k) {
         return Err(AlignError::NoAlignment);
     }
     let wpe = cfg.words_per_entry();
-    let cut = if final_window || !cfg.improvements.dent {
-        0
-    } else {
-        n.saturating_sub(keep + 1)
-    };
+    let cut = cfg.dent_cut(n, keep, final_window);
     ws.table.reset(wpe, n, cut);
     ws.ensure_scratch(n);
 
@@ -153,7 +150,6 @@ pub fn align_window(
     let mut d_star: Option<usize> = None;
 
     for d in 0..=cfg.k {
-        table.begin_row();
         // Tight row kernels: the whole row is computed into `cur_row`
         // with running `cur_prev`/`below_prev` registers and no
         // per-cell bookkeeping; accounting and table stores follow in
@@ -211,19 +207,12 @@ pub fn align_window(
     }
 
     let d_star = d_star.ok_or(AlignError::NoAlignment)?;
-    stats.windows += 1;
-    let rows = table.rows() as u64;
-    stats.rows_computed += rows;
-    stats.peak_band_rows = stats.peak_band_rows.max(rows);
-    let full_rows = cfg.k as u64 + 1;
-    if rows < full_rows {
-        stats.windows_early_terminated += 1;
-        stats.band_cells_skipped += (full_rows - rows) * n as u64;
-    }
+    stats.window_done(table.rows(), n, cfg.k);
     table.account_footprint(stats);
 
+    let mut table = CountedTable { table, stats };
     let (q_consumed, t_consumed) =
-        traceback(table, pm, text_rev, d_star, keep, final_window, ops, stats);
+        traceback(&mut table, pm, text_rev, d_star, keep, final_window, ops);
     Ok(WindowSummary {
         d_star,
         q_consumed,
@@ -258,14 +247,33 @@ pub fn align_window_fresh(
     })
 }
 
+/// The workspace's arena as the traceback reads it: every load is
+/// counted in [`MemStats::table_loads`].
+struct CountedTable<'a> {
+    table: &'a TbTable,
+    stats: &'a mut MemStats,
+}
+
+impl TableRead for CountedTable<'_> {
+    #[inline]
+    fn words_per_entry(&self) -> usize {
+        self.table.words_per_entry()
+    }
+
+    #[inline]
+    fn load(&mut self, d: usize, col: usize, slot: usize) -> u64 {
+        self.table.load(d, col, slot, self.stats)
+    }
+}
+
 /// Load `R[d][i]` for the compressed layout, folding in the virtual
 /// init column `i == -1` (represented here by `i_plus_1 == 0`).
 #[inline]
-fn load_r(table: &TbTable, d: usize, i_plus_1: usize, stats: &mut MemStats) -> u64 {
+fn load_r<T: TableRead>(table: &mut T, d: usize, i_plus_1: usize) -> u64 {
     if i_plus_1 == 0 {
         init_row(d)
     } else {
-        table.load(d, i_plus_1 - 1, 0, stats)
+        table.load(d, i_plus_1 - 1, 0)
     }
 }
 
@@ -285,16 +293,14 @@ fn active(word: u64, j: usize) -> bool {
 ///
 /// Edge priority is match > substitution > deletion > insertion; any
 /// active predecessor is cost-safe (DESIGN.md §5).
-#[allow(clippy::too_many_arguments)]
-fn traceback(
-    table: &TbTable,
+pub fn traceback<T: TableRead>(
+    table: &mut T,
     pm: &PatternMask,
     text_rev: &[u8],
     d_star: usize,
     keep: usize,
     final_window: bool,
     ops: &mut Vec<CigarOp>,
-    stats: &mut MemStats,
 ) -> (usize, usize) {
     let m = pm.len();
     let n = text_rev.len();
@@ -314,9 +320,9 @@ fn traceback(
             debug_assert!(d > 0 && active(init_row(d), j - 1));
             CigarOp::Ins
         } else if table.words_per_entry() == 4 {
-            pick_edge_stored(table, text_rev, pm, i, d, j, stats)
+            pick_edge_stored(table, text_rev, pm, i, d, j)
         } else {
-            pick_edge_derived(table, text_rev, pm, i, d, j, stats)
+            pick_edge_derived(table, text_rev, pm, i, d, j)
         };
         match op {
             CigarOp::Match | CigarOp::Mismatch => {
@@ -359,33 +365,32 @@ fn traceback(
 /// Edge selection for the unimproved 4-word layout: read the stored edge
 /// vectors of the current entry in priority order.
 #[inline]
-fn pick_edge_stored(
-    table: &TbTable,
+fn pick_edge_stored<T: TableRead>(
+    table: &mut T,
     text_rev: &[u8],
     pm: &PatternMask,
     i: usize,
     d: usize,
     j: usize,
-    stats: &mut MemStats,
 ) -> CigarOp {
     debug_assert!(i > 0, "stored-edge traceback positioned at init column");
     let col = i - 1;
-    let mword = table.load(d, col, slot::MATCH, stats);
+    let mword = table.load(d, col, slot::MATCH);
     if active(mword, j - 1) {
         // The match vector is (R<<1)|PM; an active bit means both a
         // pattern match here and an active diagonal predecessor.
         return CigarOp::Match;
     }
     if d > 0 {
-        let sword = table.load(d, col, slot::SUBST, stats);
+        let sword = table.load(d, col, slot::SUBST);
         if active(sword, j - 1) {
             return CigarOp::Mismatch;
         }
-        let dword = table.load(d, col, slot::DEL, stats);
+        let dword = table.load(d, col, slot::DEL);
         if active(dword, j - 1) {
             return CigarOp::Del;
         }
-        let iword = table.load(d, col, slot::INS, stats);
+        let iword = table.load(d, col, slot::INS);
         if active(iword, j - 1) {
             return CigarOp::Ins;
         }
@@ -401,21 +406,20 @@ fn pick_edge_stored(
 /// conditions from neighbouring stored entries and the pattern mask
 /// (improvement 1 — this is what makes storing only the AND sufficient).
 #[inline]
-fn pick_edge_derived(
-    table: &TbTable,
+fn pick_edge_derived<T: TableRead>(
+    table: &mut T,
     text_rev: &[u8],
     pm: &PatternMask,
     i: usize,
     d: usize,
     j: usize,
-    stats: &mut MemStats,
 ) -> CigarOp {
     // Match: needs a text column, a pattern match at (j-1), and an
     // active diagonal predecessor R[d][i-1] bit j-2 (or j == 1: the
     // shifted-in active bit).
     if i > 0 && active(pm.get(text_rev[i - 1]), j - 1) {
         let diag_ok = j == 1 || {
-            let r = load_r(table, d, i - 1, stats);
+            let r = load_r(table, d, i - 1);
             active(r, j - 2)
         };
         if diag_ok {
@@ -425,7 +429,7 @@ fn pick_edge_derived(
     if d > 0 {
         if i > 0 {
             // Substitution and deletion both read R[d-1][i-1].
-            let below_prev = load_r(table, d - 1, i - 1, stats);
+            let below_prev = load_r(table, d - 1, i - 1);
             if j == 1 || active(below_prev, j - 2) {
                 return CigarOp::Mismatch;
             }
@@ -434,7 +438,7 @@ fn pick_edge_derived(
             }
         }
         // Insertion reads R[d-1][i] (same column, one error fewer).
-        let below_cur = load_r(table, d - 1, i, stats);
+        let below_cur = load_r(table, d - 1, i);
         if j == 1 || active(below_cur, j - 2) {
             return CigarOp::Ins;
         }
@@ -651,6 +655,122 @@ mod tests {
         let (res, _) = align_once("ACGTTGCA", "ACGATGCA", &cfg_improved());
         let cost: usize = res.ops.iter().map(|o| o.cost()).sum();
         assert_eq!(cost, res.d_star);
+    }
+
+    /// A [`TableRead`] over a filled [`TbTable`] that records every
+    /// `(d, col, slot)` it is asked for.
+    struct Recording<'a> {
+        table: &'a TbTable,
+        log: Vec<(usize, usize, usize)>,
+    }
+
+    impl TableRead for Recording<'_> {
+        fn words_per_entry(&self) -> usize {
+            self.table.words_per_entry()
+        }
+
+        fn load(&mut self, d: usize, col: usize, slot: usize) -> u64 {
+            self.log.push((d, col, slot));
+            self.table.load(d, col, slot, &mut MemStats::new())
+        }
+    }
+
+    /// The loads the documented edge priority (match > substitution >
+    /// deletion > insertion) implies for a final-window walk that took
+    /// `ops`: the 4-word layout reads the current entry's slots up to
+    /// the one that is active; the compressed layout probes the
+    /// diagonal `R[d][i-1]` when the pattern matches, then `R[d-1][i-1]`
+    /// (substitution and deletion share it), then `R[d-1][i]`. The
+    /// virtual init column is never a table load.
+    fn expected_loads(
+        ops: &[CigarOp],
+        pm: &PatternMask,
+        text_rev: &[u8],
+        d_star: usize,
+        wpe: usize,
+    ) -> Vec<(usize, usize, usize)> {
+        let (mut i, mut j, mut d) = (text_rev.len(), pm.len(), d_star);
+        let mut log = Vec::new();
+        for &op in ops {
+            if i > 0 && wpe == 4 {
+                let last = match op {
+                    CigarOp::Match => slot::MATCH,
+                    CigarOp::Mismatch => slot::SUBST,
+                    CigarOp::Del => slot::DEL,
+                    CigarOp::Ins => slot::INS,
+                };
+                log.extend((slot::MATCH..=last).map(|s| (d, i - 1, s)));
+            } else if i > 0 {
+                if active(pm.get(text_rev[i - 1]), j - 1) && j > 1 && i > 1 {
+                    log.push((d, i - 2, 0));
+                }
+                if op != CigarOp::Match && i > 1 {
+                    log.push((d - 1, i - 2, 0));
+                }
+                if op == CigarOp::Ins {
+                    log.push((d - 1, i - 1, 0));
+                }
+            }
+            match op {
+                CigarOp::Match | CigarOp::Mismatch => (i, j) = (i - 1, j - 1),
+                CigarOp::Del => i -= 1,
+                CigarOp::Ins => j -= 1,
+            }
+            d -= op.cost();
+        }
+        log
+    }
+
+    #[test]
+    fn traceback_loads_follow_the_documented_priority_order() {
+        // One window whose walk takes every kind of edge.
+        let q = seq("ACGTTGCAGGATCCATACGTAGCTAGGT");
+        let t = seq("ACGTTGAAGGATCATACGTAGGCTAGGT");
+        for cfg in [cfg_improved(), cfg_baseline()] {
+            let mut ws = AlignWorkspace::new();
+            ws.set_window(&q, 0, q.len(), &t, 0, t.len());
+            let summary = align_window(&mut ws, &cfg, q.len(), true).unwrap();
+            for kind in [
+                CigarOp::Match,
+                CigarOp::Mismatch,
+                CigarOp::Del,
+                CigarOp::Ins,
+            ] {
+                assert!(
+                    ws.ops.contains(&kind),
+                    "walk never took {kind:?}: {:?}",
+                    ws.ops
+                );
+            }
+
+            let mut table = Recording {
+                table: &ws.table,
+                log: Vec::new(),
+            };
+            let mut ops = Vec::new();
+            let consumed = traceback(
+                &mut table,
+                &ws.pm,
+                &ws.text_rev,
+                summary.d_star,
+                q.len(),
+                true,
+                &mut ops,
+            );
+            assert_eq!(consumed, (summary.q_consumed, summary.t_consumed));
+            assert_eq!(ops, ws.ops, "{cfg:?}");
+            assert_eq!(
+                table.log.len() as u64,
+                ws.stats.table_loads,
+                "the seam sees every load the CPU path counts"
+            );
+            let wpe = cfg.words_per_entry();
+            assert_eq!(
+                table.log,
+                expected_loads(&ops, &ws.pm, &ws.text_rev, summary.d_star, wpe),
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -29,9 +29,13 @@
 //! `band_cells_skipped` / `windows_rescued` / `peak_band_rows`
 //! observability counters).
 //!
-//! The row recurrence in [`bitvec`] is shared with the GPU kernels in
-//! the `genasm-gpu` crate, so CPU and (simulated) GPU results cannot
-//! drift apart.
+//! The simulated GPU in the `genasm-gpu` crate runs the same code
+//! wherever the device does not differ: the row recurrence
+//! ([`bitvec`]), the window pipeline with its hint clamp and rescue
+//! ([`drive_hinted`] over a [`WindowEngine`]) and the traceback walk
+//! ([`traceback`] over a [`TableRead`]). Only the schedule of one
+//! window's sweep and the memory its table lives in are the device's
+//! own, so CPU and (simulated) GPU results cannot drift apart.
 //!
 //! ## The allocation-free hot path
 //!
@@ -97,10 +101,14 @@ pub mod workspace;
 
 pub use aligner::GenAsmAligner;
 pub use config::{GenAsmConfig, Improvements};
-pub use engine::{align_window, align_window_fresh, WindowResult, WindowSummary};
+pub use engine::{align_window, align_window_fresh, traceback, WindowResult, WindowSummary};
 pub use filter::{
     filter_distance, filter_distance_with, filter_occurrences, filter_occurrences_with, Occurrence,
 };
 pub use stats::MemStats;
-pub use window::{align_with_stats, align_with_workspace, align_with_workspace_hinted, MIN_HINT_K};
+pub use table::TableRead;
+pub use window::{
+    align_with_stats, align_with_workspace, align_with_workspace_hinted, drive_hinted,
+    WindowEngine, MIN_HINT_K,
+};
 pub use workspace::{AlignWorkspace, CapacitySignature};

@@ -89,6 +89,45 @@ impl MemStats {
         self.rows_computed as f64 / self.windows as f64
     }
 
+    /// Infeasibility pre-flight of one window: a solution consumes
+    /// every pattern char via a text-consuming diagonal step or a
+    /// 1-edit insertion, so it needs `m <= n + d*`. When even the full
+    /// budget `k` cannot bridge the length gap the window is hopeless;
+    /// this returns `true` and books the whole `(k+1) × n` sweep as
+    /// skipped, and the engine abandons the window before computing a
+    /// single row (O(1), not O(k·n)). Only fires under tight per-window
+    /// edit bounds; `k = w >= m` windows always pass.
+    pub fn abandon_infeasible(&mut self, m: usize, n: usize, k: usize) -> bool {
+        let hopeless = m > n + k;
+        if hopeless {
+            self.stopped_early(k + 1, n);
+        }
+        hopeless
+    }
+
+    /// Book one solved window of `n` text columns that computed `rows`
+    /// error rows of the `k + 1` its budget allows.
+    pub fn window_done(&mut self, rows: usize, n: usize, k: usize) {
+        self.windows += 1;
+        self.rows_computed += rows as u64;
+        self.peak_band_rows = self.peak_band_rows.max(rows as u64);
+        if rows < k + 1 {
+            self.stopped_early(k + 1 - rows, n);
+        }
+    }
+
+    /// Book `rows` error rows of an `n`-column window as never swept
+    /// (the window driver calls this for the rows a tight hint cut off
+    /// above the engine's budget).
+    pub fn rows_skipped(&mut self, rows: usize, n: usize) {
+        self.band_cells_skipped += (rows * n) as u64;
+    }
+
+    fn stopped_early(&mut self, rows_left: usize, n: usize) {
+        self.windows_early_terminated += 1;
+        self.rows_skipped(rows_left, n);
+    }
+
     /// Accumulate another counter set.
     pub fn merge(&mut self, other: &MemStats) {
         self.windows += other.windows;

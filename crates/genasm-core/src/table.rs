@@ -7,39 +7,36 @@
 //!   combined `R` vector per `(row, column)` entry; `words_per_entry ==
 //!   4` is the unimproved layout storing the four edge vectors
 //!   `(match, subst, del, ins)`;
-//! * **DENT** — each row stores only the columns `cut ..= n-1`; the
+//! * **DENT** — every row stores only the columns `cut ..= n-1`; the
 //!   traceback provably never reads columns below `cut` (see
 //!   [`crate::engine`] for the derivation of `cut`).
 //!
 //! Early termination manifests simply as the table containing fewer rows.
 //!
-//! ## Band-local rows
+//! ## Uniform rows
 //!
-//! Rows carry their own `(first column, stored length)` metadata rather
-//! than one table-wide cut, so each row stores exactly its live band:
-//! [`TbTable::begin_row_at`] opens a row at any first column, and
-//! [`TbTable::load`] checks the *per-row* bounds (an out-of-band read
-//! panics — that is a traceback bug, never a data condition). The
-//! engine currently drives every row at the uniform DENT cut — the only
-//! bound that is provably traceback-safe for this single-word Bitap
-//! formulation (a pure-insertion walk prefix can reach any row at
-//! column `n-2`, so per-row *upper* bounds tighter than `n` are
-//! unsound, and column activity cannot shrink the lower bound beyond
-//! the DENT argument without risking a changed edge pick). The band
-//! that *is* sound to narrow is the `d` dimension, which the hinted
-//! window driver exploits (see
+//! Every row stores the same columns, so entry `(d, i)` sits at
+//! `d · stride + (i − cut) · words_per_entry` — the formula the
+//! simulated GPU's table uses too — and there is nothing to keep per
+//! row. The uniform DENT cut is the only column bound that is provably
+//! traceback-safe for this single-word Bitap formulation: a
+//! pure-insertion walk prefix can reach any row at column `n-2`, so
+//! per-row *upper* bounds tighter than `n` are unsound, and column
+//! activity cannot shrink the lower bound beyond the DENT argument
+//! without risking a changed edge pick. [`TbTable::load`] checks both
+//! bounds (an out-of-band read panics — that is a traceback bug, never
+//! a data condition). The band that *is* sound to narrow is the `d`
+//! dimension, which the hinted window driver exploits (see
 //! [`crate::window::align_with_workspace_hinted`]).
 //!
 //! ## Arena layout and reuse
 //!
-//! Entries live in a single flat `Vec<u64>` arena with per-row
-//! metadata — no per-row `Vec`s, so a traceback step costs one offset
-//! lookup instead of a double pointer chase, and the whole table can be
-//! **reused across windows**: [`TbTable::reset`] reshapes the table for
-//! the next window while keeping both buffers' capacity, at a cost
-//! proportional to the rows actually written, not the window's
-//! worst-case size. After a few windows of warm-up, filling the table
-//! performs no heap allocation (this is what
+//! Entries live in a single flat `Vec<u64>` arena, rows back to back —
+//! no per-row `Vec`s, so a traceback step costs one multiply instead of
+//! a double pointer chase, and the whole table can be **reused across
+//! windows**: [`TbTable::reset`] reshapes the table for the next window
+//! while keeping the arena's capacity, in O(1). After a few windows of
+//! warm-up, filling the table performs no heap allocation (this is what
 //! [`crate::workspace::AlignWorkspace`] relies on).
 //!
 //! Every word moved in or out of the table is counted in [`MemStats`],
@@ -59,16 +56,17 @@ pub mod slot {
     pub const INS: usize = 3;
 }
 
-/// Placement of one stored row inside the arena.
-#[derive(Debug, Clone, Copy)]
-struct RowMeta {
-    /// Word offset of the row's first entry in the arena.
-    offset: usize,
-    /// First text column the row stores.
-    first: usize,
-    /// Stored columns (entries), so the row covers
-    /// `first .. first + len`.
-    len: usize,
+/// What [`crate::engine::traceback`] needs of a stored table. The
+/// workspace's [`TbTable`] (every load counted in [`MemStats`]) and the
+/// simulated GPU's shared/global table (every load charged to the
+/// device) both implement it, so one walk serves both engines.
+pub trait TableRead {
+    /// Words stored per entry (1 = compressed, 4 = edge vectors).
+    fn words_per_entry(&self) -> usize;
+
+    /// Load one word of the entry at error row `d`, text column `col`;
+    /// `slot` is 0 for compressed tables, or one of [`slot`].
+    fn load(&mut self, d: usize, col: usize, slot: usize) -> u64;
 }
 
 /// The materialized DP table of one window.
@@ -77,22 +75,23 @@ pub struct TbTable {
     words_per_entry: usize,
     n: usize,
     cut: usize,
+    /// Words per row, `(n - cut) * words_per_entry`; set once per
+    /// window so a load does not recompute it.
+    stride: usize,
     /// Flat entry arena: rows are appended back to back.
     words: Vec<u64>,
-    /// Placement of each stored row within `words`.
-    rows: Vec<RowMeta>,
 }
 
 impl TbTable {
-    /// Create an empty table for `n` text columns whose rows default to
-    /// storing columns `cut..n`, at `words_per_entry` words per entry.
+    /// Create an empty table for `n` text columns whose rows store
+    /// columns `cut..n`, at `words_per_entry` words per entry.
     pub fn new(words_per_entry: usize, n: usize, cut: usize) -> TbTable {
         let mut t = TbTable {
             words_per_entry: 1,
             n: 0,
             cut: 0,
+            stride: 0,
             words: Vec::new(),
-            rows: Vec::new(),
         };
         t.reset(words_per_entry, n, cut);
         t
@@ -110,8 +109,8 @@ impl TbTable {
         self.words_per_entry = words_per_entry;
         self.n = n;
         self.cut = cut;
+        self.stride = n.saturating_sub(cut) * words_per_entry;
         self.words.clear();
-        self.rows.clear();
     }
 
     /// Words stored per entry (1 = compressed, 4 = edge vectors).
@@ -119,9 +118,10 @@ impl TbTable {
         self.words_per_entry
     }
 
-    /// Number of stored rows (`d* + 1` with early termination).
+    /// Number of completely stored rows (`d* + 1` with early
+    /// termination).
     pub fn rows(&self) -> usize {
-        self.rows.len()
+        self.words.len().checked_div(self.stride).unwrap_or(0)
     }
 
     /// Number of text columns the window had.
@@ -129,15 +129,9 @@ impl TbTable {
         self.n
     }
 
-    /// Default first stored column of a row (the uniform DENT cut).
+    /// First stored column of every row (the DENT cut).
     pub fn cut(&self) -> usize {
         self.cut
-    }
-
-    /// Stored band of row `d` as `(first column, one-past-last)`.
-    pub fn row_band(&self, d: usize) -> (usize, usize) {
-        let r = self.rows[d];
-        (r.first, r.first + r.len)
     }
 
     /// Total stored words (the footprint experiment E8 measures).
@@ -151,44 +145,24 @@ impl TbTable {
         self.words.capacity()
     }
 
-    /// Begin a new row at the table's default cut; returns its index.
-    pub fn begin_row(&mut self) -> usize {
-        self.begin_row_at(self.cut)
-    }
-
-    /// Begin a new row whose first stored column is `first`; returns
-    /// its index. This is the band-local generalization of the DENT
-    /// cut: each row may store a different span of columns.
-    pub fn begin_row_at(&mut self, first: usize) -> usize {
-        debug_assert!(first < self.n || self.n == 0);
-        self.rows.push(RowMeta {
-            offset: self.words.len(),
-            first,
-            len: 0,
-        });
-        self.rows.len() - 1
-    }
-
-    /// Append the entry for the next column of the row under
-    /// construction. `words` must hold exactly `words_per_entry` values.
+    /// Append the entry for the next column (columns `cut..n` of row 0,
+    /// then of row 1, …). `words` must hold exactly `words_per_entry`
+    /// values.
     #[inline]
     pub fn push_entry(&mut self, words: &[u64], stats: &mut MemStats) {
         debug_assert_eq!(words.len(), self.words_per_entry);
-        debug_assert!(!self.rows.is_empty(), "begin_row before push_entry");
         self.words.extend_from_slice(words);
-        self.rows.last_mut().expect("open row").len += 1;
         stats.table_stores += self.words_per_entry as u64;
     }
 
-    /// Append a whole run of compressed entries to the row under
-    /// construction in one copy (the engine's bulk row store; identical
-    /// arena contents and store accounting to per-entry pushes).
+    /// Append a whole row of compressed entries in one copy (the
+    /// engine's bulk row store; identical arena contents and store
+    /// accounting to per-entry pushes).
     #[inline]
     pub fn push_row_compressed(&mut self, vals: &[u64], stats: &mut MemStats) {
         debug_assert_eq!(self.words_per_entry, 1, "bulk store is compressed-only");
-        debug_assert!(!self.rows.is_empty(), "begin_row before push");
+        debug_assert_eq!(vals.len(), self.stride, "a row stores columns cut..n");
         self.words.extend_from_slice(vals);
-        self.rows.last_mut().expect("open row").len += vals.len();
         stats.table_stores += vals.len() as u64;
     }
 
@@ -196,27 +170,25 @@ impl TbTable {
     /// tables, or one of [`slot`] for 4-word tables.
     ///
     /// # Panics
-    /// Panics if the entry lies outside row `d`'s stored band or was
-    /// never computed — both indicate a traceback bug, not a data
-    /// condition.
+    /// Panics if the entry lies outside the stored columns or was never
+    /// computed — both indicate a traceback bug, not a data condition.
     #[inline]
     pub fn load(&self, d: usize, i: usize, slot: usize, stats: &mut MemStats) -> u64 {
         debug_assert!(slot < self.words_per_entry);
-        let row = self.rows[d];
         assert!(
-            i >= row.first,
+            i >= self.cut,
             "traceback read column {i} below the stored band start {} of row {d} \
              (DENT unsoundness)",
-            row.first
+            self.cut
         );
         assert!(
-            i < row.first + row.len,
+            i < self.n,
             "traceback read column {i} past the stored band end {} of row {d} \
              (band unsoundness)",
-            row.first + row.len
+            self.n
         );
         stats.table_loads += 1;
-        self.words[row.offset + (i - row.first) * self.words_per_entry + slot]
+        self.words[d * self.stride + (i - self.cut) * self.words_per_entry + slot]
     }
 
     /// Finalize: record the footprint high-water mark into `stats`.
@@ -233,12 +205,7 @@ mod tests {
     fn compressed_layout_roundtrip() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 4, 1); // columns 1..4 stored
-        t.begin_row();
-        for v in [10u64, 20, 30] {
-            t.push_entry(&[v], &mut stats);
-        }
-        t.begin_row();
-        for v in [40u64, 50, 60] {
+        for v in [10u64, 20, 30, 40, 50, 60] {
             t.push_entry(&[v], &mut stats);
         }
         assert_eq!(t.rows(), 2);
@@ -254,9 +221,9 @@ mod tests {
     fn four_word_layout_roundtrip() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(4, 2, 0);
-        t.begin_row();
         t.push_entry(&[1, 2, 3, 4], &mut stats);
         t.push_entry(&[5, 6, 7, 8], &mut stats);
+        assert_eq!(t.rows(), 1);
         assert_eq!(t.footprint_words(), 8);
         assert_eq!(t.load(0, 1, slot::MATCH, &mut stats), 5);
         assert_eq!(t.load(0, 1, slot::SUBST, &mut stats), 6);
@@ -270,19 +237,20 @@ mod tests {
         let mut s2 = MemStats::new();
         let mut a = TbTable::new(1, 5, 2);
         let mut b = TbTable::new(1, 5, 2);
-        a.begin_row();
-        for v in [7u64, 8, 9] {
-            a.push_entry(&[v], &mut s1);
+        for row in [[7u64, 8, 9], [17, 18, 19]] {
+            for v in row {
+                a.push_entry(&[v], &mut s1);
+            }
+            b.push_row_compressed(&row, &mut s2);
         }
-        b.begin_row();
-        b.push_row_compressed(&[7, 8, 9], &mut s2);
         assert_eq!(s1.table_stores, s2.table_stores);
         assert_eq!(a.footprint_words(), b.footprint_words());
-        for i in 2..5 {
-            assert_eq!(a.load(0, i, 0, &mut s1), b.load(0, i, 0, &mut s2));
+        assert_eq!((a.rows(), b.rows()), (2, 2));
+        for d in 0..2 {
+            for i in 2..5 {
+                assert_eq!(a.load(d, i, 0, &mut s1), b.load(d, i, 0, &mut s2));
+            }
         }
-        assert_eq!(a.row_band(0), (2, 5));
-        assert_eq!(b.row_band(0), (2, 5));
     }
 
     #[test]
@@ -290,45 +258,15 @@ mod tests {
     fn reading_pruned_column_panics() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 4, 2);
-        t.begin_row();
         t.push_entry(&[1], &mut stats);
         t.push_entry(&[2], &mut stats);
         let _ = t.load(0, 1, 0, &mut stats);
     }
 
     #[test]
-    #[should_panic(expected = "band unsoundness")]
-    fn reading_past_the_band_end_panics() {
-        let mut stats = MemStats::new();
-        let mut t = TbTable::new(1, 8, 0);
-        // A band-local row covering columns 2..4 only.
-        t.begin_row_at(2);
-        t.push_entry(&[1], &mut stats);
-        t.push_entry(&[2], &mut stats);
-        assert_eq!(t.row_band(0), (2, 4));
-        let _ = t.load(0, 4, 0, &mut stats);
-    }
-
-    #[test]
-    fn rows_can_store_different_bands() {
-        let mut stats = MemStats::new();
-        let mut t = TbTable::new(1, 8, 0);
-        t.begin_row_at(0);
-        t.push_row_compressed(&[1, 2, 3], &mut stats); // columns 0..3
-        t.begin_row_at(4);
-        t.push_row_compressed(&[40, 50], &mut stats); // columns 4..6
-        assert_eq!(t.row_band(0), (0, 3));
-        assert_eq!(t.row_band(1), (4, 6));
-        assert_eq!(t.load(0, 2, 0, &mut stats), 3);
-        assert_eq!(t.load(1, 4, 0, &mut stats), 40);
-        assert_eq!(t.footprint_words(), 5);
-    }
-
-    #[test]
     fn footprint_accounting() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 3, 0);
-        t.begin_row();
         for v in [1u64, 2, 3] {
             t.push_entry(&[v], &mut stats);
         }
@@ -341,7 +279,6 @@ mod tests {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 8, 0);
         for _ in 0..3 {
-            t.begin_row();
             for v in 0..8u64 {
                 t.push_entry(&[v], &mut stats);
             }
@@ -356,7 +293,6 @@ mod tests {
         assert_eq!(t.cut(), 2);
         assert_eq!(t.capacity_words(), cap, "reset must not shrink the arena");
         // Smaller refill stays within the warmed capacity.
-        t.begin_row();
         for v in 0..3u64 {
             t.push_entry(&[v, v, v, v], &mut stats);
         }

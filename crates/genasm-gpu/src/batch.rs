@@ -150,7 +150,7 @@ mod tests {
         assert_eq!(ri.results[0].alignment.cigar, ca.cigar);
         assert_eq!(rb.results[0].alignment.cigar, ca.cigar);
         // The GPU rows-computed must agree with the CPU instrumentation.
-        assert_eq!(ri.results[0].rows_computed, stats.rows_computed);
+        assert_eq!(ri.results[0].stats.rows_computed, stats.rows_computed);
     }
 
     #[test]
@@ -207,14 +207,12 @@ mod tests {
             rp.results[0].alignment.cigar, rh.results[0].alignment.cigar,
             "hint must not change the output"
         );
-        assert!(!rh.results[0].rescued);
-        assert_eq!(rh.results[0].windows, rp.results[0].windows);
+        let (sp, sh) = (rp.results[0].stats, rh.results[0].stats);
+        assert_eq!(sh.windows_rescued, 0);
+        assert_eq!(sh.windows, sp.windows);
         // 9 rows per window under the clamped hint, 65 unhinted.
-        assert_eq!(
-            rh.results[0].rows_computed,
-            9 * rh.results[0].windows as u64
-        );
-        assert!(rh.results[0].rows_computed < rp.results[0].rows_computed / 5);
+        assert_eq!(sh.rows_computed, 9 * sh.windows);
+        assert!(sh.rows_computed < sp.rows_computed / 5);
         assert!(
             rh.totals.extra_warp_cycles < rp.totals.extra_warp_cycles,
             "tight band must cost fewer warp cycles"
@@ -230,7 +228,10 @@ mod tests {
         let hinted = plain.clone().with_edit_bound(1);
         let rp = gpu.align_batch(&[plain]).unwrap();
         let rh = gpu.align_batch(&[hinted]).unwrap();
-        assert!(rh.results[0].rescued, "all-mismatch input must rescue");
+        assert_eq!(
+            rh.results[0].stats.windows_rescued, 1,
+            "all-mismatch input must rescue"
+        );
         assert_eq!(
             rp.results[0].alignment.cigar, rh.results[0].alignment.cigar,
             "rescue must reproduce the unhinted result"

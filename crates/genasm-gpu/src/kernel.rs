@@ -1,36 +1,50 @@
-//! The GenASM GPU kernels.
+//! The GenASM GPU kernel: what of the algorithm is the device's own.
 //!
-//! One thread block aligns one (read, reference-window) pair, walking
-//! the same greedy window pipeline as the CPU implementation. Inside a
-//! window, the DP is computed by a **row-group wavefront**: rows are
-//! processed in groups of [`ROW_GROUP`] threads; within a group, thread
-//! `r` computes row `d0 + r` along an anti-diagonal front (cell
-//! `(d, i)` is computed at step `s = (d - d0) + i`), and the group's
-//! bottom row is written to a full-width boundary buffer for the next
-//! group. Early termination stops after the group containing `d*`.
+//! One thread block aligns one (read, reference-window) pair. The
+//! greedy window pipeline it walks — window loop, edit-bound hint,
+//! rescue, pre-flight — is `genasm_core`'s [`drive_hinted`], and the
+//! traceback is `genasm_core`'s [`traceback`]; this module implements
+//! the two seams they are generic over ([`WindowEngine`] per block,
+//! [`TableRead`] per window) and keeps exactly the three things that
+//! model the device:
 //!
-//! The only difference between the improved and the unimproved kernel
-//! is where the traceback table lives and how wide its entries are:
+//! * **The sweep schedule.** Inside a window the DP is computed by a
+//!   **row-group wavefront**: rows are processed in groups of
+//!   [`ROW_GROUP`] threads; within a group, thread `r` computes row
+//!   `d0 + r` along an anti-diagonal front (cell `(d, i)` is computed
+//!   at step `s = (d - d0) + i`), and the group's bottom row is written
+//!   to a full-width boundary buffer for the next group. Early
+//!   termination stops after the group containing `d*`. The CPU sweeps
+//!   the same recurrence (`genasm_core::bitvec`) row-major; the two
+//!   schedules stay apart on purpose, because the schedule is what the
+//!   simulator charges for.
+//! * **Where the table lives.** The only difference between the
+//!   improved and the unimproved kernel is the traceback table's home
+//!   and entry width:
+//!   * **improved** (1 word/entry, early termination, DENT cut): the
+//!     table fits in shared memory (~21 KB worst case), so DP traffic
+//!     stays on-chip; a rare high-error final window that outgrows the
+//!     static allocation *spills* — it restarts in global memory;
+//!   * **unimproved** (4 words/entry, all `k+1` rows, no cut): the
+//!     table is 4·65·64·8 B ≈ 133 KB per window — beyond the A6000's
+//!     99 KB per-block shared limit — so it lives in global memory, and
+//!     every DP store and every traceback load pays DRAM latency and
+//!     bandwidth.
 //!
-//! * **improved** (1 word/entry, early termination, DENT cut): the
-//!   table fits in shared memory (~21 KB worst case), so DP traffic
-//!   stays on-chip;
-//! * **unimproved** (4 words/entry, all `k+1` rows, no cut): the table
-//!   is 4·65·64·8 B ≈ 133 KB per window — beyond the A6000's 99 KB
-//!   per-block shared limit — so it lives in global memory, and every
-//!   DP store and every traceback load pays DRAM latency and bandwidth.
+//!   That asymmetry is the paper's central GPU claim (experiment E7).
+//! * **The charges.** Cycle costs of a wavefront step, a traceback step
+//!   and a window's control overhead, and the streamed input/output.
 //!
-//! That asymmetry is the paper's central GPU claim (experiment E7).
-//!
-//! Like the CPU driver, the kernel honours a task's `max_edits` hint:
-//! the block first runs the whole pipeline at the tightened budget
-//! `clamp(hint, MIN_HINT_K, k)` (fewer row groups per window, global
-//! staging sized to the band) and, if any window exceeds it, reruns at
-//! the full `k` — so hinted results are bit-identical to unhinted ones.
+//! A hinted block's tight attempt sweeps fewer row groups per window
+//! and stages a global table sized to its band; when it fails, its
+//! device-time charges stay on the books (that work really happened)
+//! and the rescue reuses the block's static shared allocations.
 
-use align_core::{Alignment, Cigar, CigarOp};
+use align_core::{Alignment, CigarOp, Seq};
 use genasm_core::bitvec::{init_row, step_row, step_row0, step_row_edges, PatternMask};
-use genasm_core::{GenAsmConfig, MIN_HINT_K};
+use genasm_core::{
+    drive_hinted, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine, WindowSummary,
+};
 use gpu_sim::{BlockCtx, GlobalBuf, Kernel, SharedBuf, SimError};
 
 /// Threads per row-group (and per block).
@@ -57,28 +71,66 @@ enum TableMem {
     Global(GlobalBuf),
 }
 
-impl TableMem {
+/// One window's traceback table on the device: uniform rows of the
+/// columns `cut..n`, entry `(d, col)` at word
+/// `(d · cols + (col − cut)) · wpe` (the CPU table's formula).
+struct WindowTable {
+    mem: TableMem,
+    cols: usize,
+    cut: usize,
+    wpe: usize,
+}
+
+impl WindowTable {
     #[inline]
-    fn store(&mut self, ctx: &mut BlockCtx, idx: usize, val: u64) {
-        match self {
+    fn index(&self, d: usize, col: usize, slot: usize) -> usize {
+        debug_assert!(col >= self.cut, "DENT cut violated on the device");
+        (d * self.cols + (col - self.cut)) * self.wpe + slot
+    }
+
+    #[inline]
+    fn store(&mut self, ctx: &mut BlockCtx, d: usize, col: usize, slot: usize, val: u64) {
+        let idx = self.index(d, col, slot);
+        match &mut self.mem {
             TableMem::Shared(b) => ctx.sh_store(b, idx, val),
             TableMem::Global(b) => ctx.gl_store(b, idx, val),
         }
     }
 
     #[inline]
-    fn load(&mut self, ctx: &mut BlockCtx, idx: usize) -> u64 {
-        match self {
+    fn load(&self, ctx: &mut BlockCtx, d: usize, col: usize, slot: usize) -> u64 {
+        let idx = self.index(d, col, slot);
+        match &self.mem {
             TableMem::Shared(b) => ctx.sh_load(b, idx),
             TableMem::Global(b) => ctx.gl_load(b, idx),
         }
     }
 
-    fn capacity(&self) -> usize {
-        match self {
+    /// Whether `rows` rows fit the backing buffer.
+    fn holds(&self, rows: usize) -> bool {
+        let capacity = match &self.mem {
             TableMem::Shared(b) => b.len(),
             TableMem::Global(b) => b.len(),
-        }
+        };
+        rows * self.cols * self.wpe <= capacity
+    }
+}
+
+/// A [`WindowTable`] as the shared traceback reads it: every load is
+/// charged to the memory the table lives in.
+struct DeviceTable<'a> {
+    ctx: &'a mut BlockCtx,
+    table: &'a WindowTable,
+}
+
+impl TableRead for DeviceTable<'_> {
+    fn words_per_entry(&self) -> usize {
+        self.table.wpe
+    }
+
+    #[inline]
+    fn load(&mut self, d: usize, col: usize, slot: usize) -> u64 {
+        self.table.load(self.ctx, d, col, slot)
     }
 }
 
@@ -100,18 +152,18 @@ pub struct GpuAlignment {
     /// The alignment (identical to the CPU result by construction;
     /// property-tested in `tests/gpu_vs_cpu.rs`).
     pub alignment: Alignment,
-    /// Windows processed in the accepted run (a rescued block's failed
-    /// tight attempt is not counted here, only its device-time charge).
-    pub windows: u32,
-    /// Error rows computed in the accepted run, summed over windows.
-    pub rows_computed: u64,
+    /// The block's window and band counters — `windows`,
+    /// `rows_computed`, `peak_band_rows`, `windows_early_terminated`,
+    /// `band_cells_skipped`, `windows_rescued` — booked by the same
+    /// code as on the CPU, a rescued block's failed tight attempt
+    /// included. `cells_computed` and the table/scratch traffic fields
+    /// stay 0: on the device that traffic is shared or global memory
+    /// traffic and lives in the launch's `BlockCounters`.
+    pub stats: MemStats,
     /// Windows whose table spilled from shared to global memory
-    /// (improved kernel only; rare high-error final windows).
+    /// (improved kernel only; rare high-error final windows), over
+    /// both attempts of a rescued block, like `stats`.
     pub spilled_windows: u32,
-    /// True when the task's edit-bound hint was too tight and the block
-    /// reran the whole pipeline at the full `k` (results stay
-    /// bit-identical to an unhinted run by construction).
-    pub rescued: bool,
 }
 
 /// The GenASM kernel; flavour chosen by `cfg.improvements`. Launch it
@@ -121,26 +173,24 @@ pub struct GenAsmKernel {
     pub cfg: GenAsmConfig,
 }
 
-/// Shared-memory words of the improved kernel's static table
-/// allocation (sized for the non-final window shape).
-pub fn improved_table_words(cfg: &GenAsmConfig) -> usize {
-    (cfg.k + 1) * (cfg.keep() + 1).min(cfg.w)
+/// Shared-memory words of a block's static table allocation: sized for
+/// the non-final window shape under DENT, for full rows without it, and
+/// 0 for 4-word entries, whose table lives in global memory.
+pub fn static_table_words(cfg: &GenAsmConfig) -> usize {
+    if cfg.words_per_entry() != 1 {
+        0
+    } else if cfg.improvements.dent {
+        (cfg.k + 1) * (cfg.keep() + 1).min(cfg.w)
+    } else {
+        (cfg.k + 1) * cfg.w
+    }
 }
 
 /// Total shared bytes per block for the given configuration (table if
 /// it can stay on-chip, plus the wavefront scratch buffers).
 pub fn shared_bytes_for(cfg: &GenAsmConfig) -> usize {
     let scratch = 2 * cfg.w + 3 * ROW_GROUP;
-    let table = if cfg.words_per_entry() == 1 {
-        if cfg.improvements.dent {
-            improved_table_words(cfg)
-        } else {
-            (cfg.k + 1) * cfg.w
-        }
-    } else {
-        0 // 4-word entries: table in global memory, shared holds scratch only
-    };
-    (table + scratch) * 8
+    (static_table_words(cfg) + scratch) * 8
 }
 
 impl Kernel for GenAsmKernel {
@@ -157,8 +207,7 @@ impl Kernel for GenAsmKernel {
         let task = &tasks[ctx.block_idx];
         let cfg = &self.cfg;
         cfg.validate();
-        let query = &task.query;
-        let target = &task.target;
+        let (query, target) = (&task.query, &task.target);
 
         // Stream the 2-bit packed input windows in.
         ctx.charge_global_stream(((query.len() + target.len()) / 4 + 2) as u64);
@@ -166,19 +215,10 @@ impl Kernel for GenAsmKernel {
         // Static shared allocations, reused across windows (and, for
         // hinted blocks, across the tight attempt and its rescue). The
         // table is sized for the full `k` so a rescue never re-allocates.
-        let wpe = cfg.words_per_entry();
-        let static_table_words = if wpe == 1 {
-            if cfg.improvements.dent {
-                improved_table_words(cfg)
-            } else {
-                (cfg.k + 1) * cfg.w
-            }
-        } else {
-            0
-        };
-        let mut sh = BlockShared {
-            table: if static_table_words > 0 {
-                Some(ctx.shared_alloc(static_table_words)?)
+        let table_words = static_table_words(cfg);
+        let sh = BlockShared {
+            table: if table_words > 0 {
+                Some(ctx.shared_alloc(table_words)?)
             } else {
                 None
             },
@@ -188,36 +228,36 @@ impl Kernel for GenAsmKernel {
             diag_b: ctx.shared_alloc(ROW_GROUP)?,
             diag_c: ctx.shared_alloc(ROW_GROUP)?,
         };
-
-        // The task's edit-bound hint caps the per-window row sweep, the
-        // same way the CPU driver's hinted path does. A tight run that
-        // succeeds is bit-identical to the full run (the budget never
-        // enters a bitvector value); one that fails is rerun at the
-        // full `k`, which *is* the unhinted computation.
-        let k_eff = match task.max_edits {
-            Some(h) => (h as usize).max(MIN_HINT_K).min(cfg.k),
-            None => cfg.k,
+        let mut engine = DeviceEngine {
+            ctx,
+            sh,
+            ws,
+            pm: None,
+            stats: MemStats::new(),
+            spilled: 0,
         };
-        if k_eff < cfg.k {
-            let tight = GenAsmConfig { k: k_eff, ..*cfg };
-            match pipeline_on_device(ctx, query, target, &tight, &mut sh, ws) {
-                Err(SimError::KernelFailed { .. }) => {
-                    // Rescue: the failed attempt's device-time charges
-                    // stay on the books (that work really happened).
-                    let mut g = pipeline_on_device(ctx, query, target, cfg, &mut sh, ws)?;
-                    g.rescued = true;
-                    Ok(g)
-                }
-                other => other,
-            }
-        } else {
-            pipeline_on_device(ctx, query, target, cfg, &mut sh, ws)
-        }
+        let hint = task.max_edits.map(|h| h as usize);
+        let alignment = drive_hinted(&mut engine, query, target, cfg, hint)?;
+        let DeviceEngine {
+            ctx,
+            stats,
+            spilled,
+            ..
+        } = engine;
+
+        // Stream the CIGAR out.
+        ctx.charge_global_stream(alignment.cigar.runs().len() as u64 * 5 + 8);
+        Ok(GpuAlignment {
+            alignment,
+            stats,
+            spilled_windows: spilled,
+        })
     }
 }
 
-/// The per-block shared-memory allocations, bundled so the greedy
-/// pipeline can run more than once per block (hinted attempt + rescue).
+/// The per-block shared-memory allocations. `table` is taken out while
+/// a window uses it and put back before the window returns, so a rescue
+/// finds it again.
 struct BlockShared {
     table: Option<SharedBuf>,
     boundary: SharedBuf,
@@ -227,427 +267,250 @@ struct BlockShared {
     diag_c: SharedBuf,
 }
 
-/// The whole greedy window pipeline for one task at one fixed budget
-/// (`cfg.k` is the effective budget; tightened for hinted attempts).
-fn pipeline_on_device(
-    ctx: &mut BlockCtx,
-    query: &align_core::Seq,
-    target: &align_core::Seq,
-    cfg: &GenAsmConfig,
-    sh: &mut BlockShared,
-    ws: &mut KernelWorkspace,
-) -> Result<GpuAlignment, SimError> {
-    let wpe = cfg.words_per_entry();
-    let mut cigar = Cigar::new();
-    let mut qpos = 0usize;
-    let mut tpos = 0usize;
-    let mut windows = 0u32;
-    let mut rows_total = 0u64;
-    let mut spilled = 0u32;
+/// One block as the shared window pipeline drives it.
+struct DeviceEngine<'a> {
+    ctx: &'a mut BlockCtx,
+    sh: BlockShared,
+    ws: &'a mut KernelWorkspace,
+    /// Bitmasks of the staged (reversed) pattern window.
+    pm: Option<PatternMask>,
+    stats: MemStats,
+    spilled: u32,
+}
 
-    loop {
-        let qrem = query.len() - qpos;
-        let trem = target.len() - tpos;
-        if qrem == 0 {
-            cigar.push_run(trem as u32, CigarOp::Del);
-            break;
-        }
-        if trem == 0 {
-            cigar.push_run(qrem as u32, CigarOp::Ins);
-            break;
-        }
-        let m = qrem.min(cfg.w);
-        let n = trem.min(cfg.w);
-        // Infeasibility pre-flight: a solution needs `m <= n + d`, so a
-        // hopeless window is abandoned before any row is swept (O(1)
-        // instead of O(k·n); mirrors the CPU engine's pre-flight).
-        if m > n + cfg.k {
-            return Err(SimError::KernelFailed {
-                reason: format!("window needs more than k={} edits", cfg.k),
-            });
-        }
-        let final_window = m == qrem && n == trem;
-        let keep = if final_window { m } else { cfg.keep() };
-        let cut = if final_window || !cfg.improvements.dent {
-            0
-        } else {
-            n.saturating_sub(keep + 1)
-        };
-        let cols = n - cut;
+impl WindowEngine for DeviceEngine<'_> {
+    type Error = SimError;
 
-        let pm = PatternMask::new_reversed_window(query, qpos, m);
-        ws.text_rev.clear();
-        ws.text_rev
+    fn set_window(
+        &mut self,
+        query: &Seq,
+        qpos: usize,
+        m: usize,
+        target: &Seq,
+        tpos: usize,
+        n: usize,
+    ) {
+        self.pm = Some(PatternMask::new_reversed_window(query, qpos, m));
+        self.ws.text_rev.clear();
+        self.ws
+            .text_rev
             .extend((0..n).rev().map(|i| target.get_code(tpos + i)));
+    }
+
+    fn align_window(
+        &mut self,
+        cfg: &GenAsmConfig,
+        keep: usize,
+        final_window: bool,
+    ) -> Result<WindowSummary, SimError> {
+        let m = self.pm.as_ref().expect("set_window stages the mask").len();
+        let n = self.ws.text_rev.len();
+        if self.stats.abandon_infeasible(m, n, cfg.k) {
+            return Err(over_budget(cfg.k));
+        }
+        let cut = cfg.dent_cut(n, keep, final_window);
+        let (cols, wpe) = (n - cut, cfg.words_per_entry());
+        let shape = |mem| WindowTable {
+            mem,
+            cols,
+            cut,
+            wpe,
+        };
+        // Global staging is sized to the *effective* band, not the
+        // configured worst case, so tight hinted attempts stage less
+        // DRAM.
+        let global_words = (cfg.k + 1) * cols * wpe;
 
         // Pick storage: start in the static shared table when one
         // exists; if early termination turns out to need more rows
         // than it can hold (possible on high-error final windows,
         // whose column count exceeds the static non-final shape),
-        // the window restarts in global memory. Global staging is
-        // sized to the *effective* band, not the configured worst
-        // case, so tight hinted attempts stage less DRAM.
-        let needs_worst = (cfg.k + 1) * cols * wpe;
-        let mut table = match sh.table.take() {
+        // the window restarts in global memory.
+        let mut table = shape(match self.sh.table.take() {
             Some(buf) => TableMem::Shared(buf),
-            None => TableMem::Global(ctx.global_alloc(needs_worst)),
-        };
-
-        let first = {
-            let io = WindowIo {
-                table: &mut table,
-                boundary: &mut sh.boundary,
-                boundary_next: &mut sh.boundary_next,
-                diag_a: &mut sh.diag_a,
-                diag_b: &mut sh.diag_b,
-                diag_c: &mut sh.diag_c,
-            };
-            window_on_device(
-                ctx,
-                io,
-                &pm,
-                &ws.text_rev,
-                cfg,
-                cut,
-                keep,
-                final_window,
-                &mut ws.ops,
-            )
-        };
+            None => TableMem::Global(self.ctx.global_alloc(global_words)),
+        });
+        let first = self.window(&mut table, cfg, keep, final_window);
         // Return the static shared table before any early exit: a
         // budget failure here must leave it available to the rescue
         // rerun, not drop it.
-        if let TableMem::Shared(buf) = table {
-            sh.table = Some(buf);
+        if let TableMem::Shared(buf) = table.mem {
+            self.sh.table = Some(buf);
         }
-        let mut win = first?;
-        if win.is_none() {
-            // Spill: redo this window with the table in DRAM.
-            spilled += 1;
-            let mut global = TableMem::Global(ctx.global_alloc(needs_worst));
-            let io = WindowIo {
-                table: &mut global,
-                boundary: &mut sh.boundary,
-                boundary_next: &mut sh.boundary_next,
-                diag_a: &mut sh.diag_a,
-                diag_b: &mut sh.diag_b,
-                diag_c: &mut sh.diag_c,
-            };
-            win = window_on_device(
-                ctx,
-                io,
-                &pm,
-                &ws.text_rev,
-                cfg,
-                cut,
-                keep,
-                final_window,
-                &mut ws.ops,
-            )?;
-        }
-        let win = win.expect("global table cannot run out of capacity");
-
-        windows += 1;
-        rows_total += win.rows as u64;
-        for &op in &ws.ops {
-            cigar.push(op);
-        }
-        qpos += win.qc;
-        tpos += win.tc;
-        if final_window {
-            let leftover = target.len() - tpos;
-            cigar.push_run(leftover as u32, CigarOp::Del);
-            break;
-        }
+        let win = match first? {
+            Some(win) => win,
+            None => {
+                // Spill: redo this window with the table in DRAM.
+                self.spilled += 1;
+                let mut global = shape(TableMem::Global(self.ctx.global_alloc(global_words)));
+                self.window(&mut global, cfg, keep, final_window)?
+                    .expect("global table cannot run out of capacity")
+            }
+        };
+        self.stats.window_done(win.rows, n, cfg.k);
+        Ok(win.summary)
     }
 
-    // Stream the CIGAR out.
-    ctx.charge_global_stream(cigar.runs().len() as u64 * 5 + 8);
-    Ok(GpuAlignment {
-        alignment: Alignment::from_cigar(cigar),
-        windows,
-        rows_computed: rows_total,
-        spilled_windows: spilled,
-        rescued: false,
-    })
+    fn over_budget(err: &SimError) -> bool {
+        matches!(err, SimError::KernelFailed { .. })
+    }
+
+    fn window_ops(&self) -> &[CigarOp] {
+        &self.ws.ops
+    }
+
+    fn stats(&mut self) -> &mut MemStats {
+        &mut self.stats
+    }
 }
 
-struct WindowIo<'a> {
-    table: &'a mut TableMem,
-    boundary: &'a mut SharedBuf,
-    boundary_next: &'a mut SharedBuf,
-    diag_a: &'a mut SharedBuf,
-    diag_b: &'a mut SharedBuf,
-    diag_c: &'a mut SharedBuf,
+fn over_budget(k: usize) -> SimError {
+    SimError::KernelFailed {
+        reason: format!("window needs more than k={k} edits"),
+    }
 }
 
 struct WindowOut {
-    qc: usize,
-    tc: usize,
+    summary: WindowSummary,
     rows: usize,
 }
 
-/// One window on the device: grouped-wavefront DC + serial traceback.
-/// Committed operations land in `ops` (cleared first; worker-reused).
-///
-/// Returns `Ok(None)` when the next row group would not fit the table's
-/// capacity — the caller then restarts the window in global memory.
-#[allow(clippy::too_many_arguments)]
-fn window_on_device(
-    ctx: &mut BlockCtx,
-    io: WindowIo<'_>,
-    pm: &PatternMask,
-    text_rev: &[u8],
-    cfg: &GenAsmConfig,
-    cut: usize,
-    keep: usize,
-    final_window: bool,
-    ops: &mut Vec<CigarOp>,
-) -> Result<Option<WindowOut>, SimError> {
-    let WindowIo {
-        table,
-        boundary,
-        boundary_next,
-        diag_a,
-        diag_b,
-        diag_c,
-    } = io;
-    let mut diag_a = diag_a;
-    let mut diag_b = diag_b;
-    let mut diag_c = diag_c;
+impl DeviceEngine<'_> {
+    /// The staged window on the device: grouped-wavefront DC into
+    /// `table`, then the serial traceback. Committed operations land in
+    /// the worker's op buffer.
+    ///
+    /// Returns `Ok(None)` when the next row group would not fit the
+    /// table's capacity — the caller then restarts the window in global
+    /// memory.
+    fn window(
+        &mut self,
+        table: &mut WindowTable,
+        cfg: &GenAsmConfig,
+        keep: usize,
+        final_window: bool,
+    ) -> Result<Option<WindowOut>, SimError> {
+        let ctx = &mut *self.ctx;
+        let pm = self.pm.as_ref().expect("set_window stages the mask");
+        let text_rev = &self.ws.text_rev[..];
+        let BlockShared {
+            boundary,
+            boundary_next,
+            diag_a,
+            diag_b,
+            diag_c,
+            ..
+        } = &mut self.sh;
+        let (mut diag_a, mut diag_b, mut diag_c) = (diag_a, diag_b, diag_c);
 
-    let n = text_rev.len();
-    let cols = n - cut;
-    let wpe = cfg.words_per_entry();
-    let solution = pm.solution_bit();
-    let total_rows = cfg.k + 1;
-    let groups = total_rows.div_ceil(ROW_GROUP);
+        let n = text_rev.len();
+        let cut = table.cut;
+        let wpe = table.wpe;
+        let solution = pm.solution_bit();
+        let total_rows = cfg.k + 1;
+        let groups = total_rows.div_ceil(ROW_GROUP);
 
-    let mut d_star: Option<usize> = None;
-    'groups: for g in 0..groups {
-        let d0 = g * ROW_GROUP;
-        let rows = ROW_GROUP.min(total_rows - d0);
-        if (d0 + rows) * cols * wpe > table.capacity() {
-            // The group would overflow the table: spill.
-            return Ok(None);
-        }
-        for s in 0..(n + rows - 1) {
-            let lo = s.saturating_sub(n - 1);
-            let hi = (rows - 1).min(s);
-            let mut solved: Option<usize> = None;
-            ctx.phase(lo..hi + 1, |r, c| {
-                let d = d0 + r;
-                let i = s - r;
-                let pmv = pm.get(text_rev[i]);
-                let cur_prev = if i == 0 {
-                    init_row(d)
-                } else {
-                    c.sh_load(diag_b, r)
-                };
-                let (val, edges) = if d == 0 {
-                    let v = step_row0(cur_prev, pmv);
-                    (v, [v, !0, !0, !0])
-                } else {
-                    let (below_prev, below_cur) = if r == 0 {
-                        let bp = if i == 0 {
-                            init_row(d - 1)
-                        } else {
-                            c.sh_load(boundary, i - 1)
-                        };
-                        (bp, c.sh_load(boundary, i))
+        let mut d_star: Option<usize> = None;
+        'groups: for g in 0..groups {
+            let d0 = g * ROW_GROUP;
+            let rows = ROW_GROUP.min(total_rows - d0);
+            if !table.holds(d0 + rows) {
+                // The group would overflow the table: spill.
+                return Ok(None);
+            }
+            for s in 0..(n + rows - 1) {
+                let lo = s.saturating_sub(n - 1);
+                let hi = (rows - 1).min(s);
+                let mut solved: Option<usize> = None;
+                ctx.phase(lo..hi + 1, |r, c| {
+                    let d = d0 + r;
+                    let i = s - r;
+                    let pmv = pm.get(text_rev[i]);
+                    let cur_prev = if i == 0 {
+                        init_row(d)
                     } else {
-                        let bp = if i == 0 {
-                            init_row(d - 1)
-                        } else {
-                            c.sh_load(diag_a, r - 1)
-                        };
-                        (bp, c.sh_load(diag_b, r - 1))
+                        c.sh_load(diag_b, r)
                     };
-                    let e = step_row_edges(below_prev, below_cur, cur_prev, pmv);
-                    (step_row(below_prev, below_cur, cur_prev, pmv), e)
-                };
-                c.sh_store(diag_c, r, val);
-                if i >= cut {
-                    let base = (d * cols + (i - cut)) * wpe;
-                    if wpe == 1 {
-                        table.store(c, base, val);
+                    let (val, edges) = if d == 0 {
+                        let v = step_row0(cur_prev, pmv);
+                        (v, [v, !0, !0, !0])
                     } else {
-                        for (slot, &w) in edges.iter().enumerate() {
-                            table.store(c, base + slot, w);
+                        let (below_prev, below_cur) = if r == 0 {
+                            let bp = if i == 0 {
+                                init_row(d - 1)
+                            } else {
+                                c.sh_load(boundary, i - 1)
+                            };
+                            (bp, c.sh_load(boundary, i))
+                        } else {
+                            let bp = if i == 0 {
+                                init_row(d - 1)
+                            } else {
+                                c.sh_load(diag_a, r - 1)
+                            };
+                            (bp, c.sh_load(diag_b, r - 1))
+                        };
+                        let e = step_row_edges(below_prev, below_cur, cur_prev, pmv);
+                        (step_row(below_prev, below_cur, cur_prev, pmv), e)
+                    };
+                    c.sh_store(diag_c, r, val);
+                    if i >= cut {
+                        if wpe == 1 {
+                            table.store(c, d, i, 0, val);
+                        } else {
+                            for (slot, &w) in edges.iter().enumerate() {
+                                table.store(c, d, i, slot, w);
+                            }
+                        }
+                    }
+                    if r == rows - 1 {
+                        c.sh_store(boundary_next, i, val);
+                    }
+                    if i == n - 1 && val & solution == 0 {
+                        solved = Some(d);
+                    }
+                });
+                // ALU cost of the recurrence for this step's active warps.
+                let warps = ((hi + 1 - lo) as u64).div_ceil(32);
+                ctx.charge_warp_cycles(warps.max(1) * CELL_COST_CYCLES);
+                // Rotate diagonals: a <- b, b <- c.
+                std::mem::swap(&mut diag_a, &mut diag_b);
+                std::mem::swap(&mut diag_b, &mut diag_c);
+                if let Some(d) = solved {
+                    if d_star.is_none() {
+                        d_star = Some(d);
+                        if cfg.improvements.early_term {
+                            break 'groups;
                         }
                     }
                 }
-                if r == rows - 1 {
-                    c.sh_store(boundary_next, i, val);
-                }
-                if i == n - 1 && val & solution == 0 {
-                    solved = Some(d);
-                }
-            });
-            // ALU cost of the recurrence for this step's active warps.
-            let warps = ((hi + 1 - lo) as u64).div_ceil(32);
-            ctx.charge_warp_cycles(warps.max(1) * CELL_COST_CYCLES);
-            // Rotate diagonals: a <- b, b <- c.
-            std::mem::swap(&mut diag_a, &mut diag_b);
-            std::mem::swap(&mut diag_b, &mut diag_c);
-            if let Some(d) = solved {
-                if d_star.is_none() {
-                    d_star = Some(d);
-                    if cfg.improvements.early_term {
-                        break 'groups;
-                    }
-                }
             }
+            std::mem::swap(boundary, boundary_next);
         }
-        std::mem::swap(boundary, boundary_next);
-    }
 
-    let d_star = d_star.ok_or_else(|| SimError::KernelFailed {
-        reason: format!("window needs more than k={} edits", cfg.k),
-    })?;
-    let rows = if cfg.improvements.early_term {
-        d_star + 1
-    } else {
-        total_rows
-    };
-
-    // Serial traceback by thread 0.
-    let mut out = WindowOut { qc: 0, tc: 0, rows };
-    ops.clear();
-    ctx.serial_phase(|c| {
-        traceback_on_device(
-            c,
-            table,
-            pm,
-            text_rev,
-            cfg,
-            cut,
-            keep,
-            final_window,
-            d_star,
-            ops,
-            &mut out,
-        );
-    });
-    ctx.charge_warp_cycles(ops.len() as u64 * TB_STEP_COST_CYCLES + WINDOW_OVERHEAD_CYCLES);
-    Ok(Some(out))
-}
-
-#[inline(always)]
-fn active(word: u64, j: usize) -> bool {
-    word & (1u64 << j) == 0
-}
-
-/// The traceback walk, reading the table through the simulator so every
-/// load is charged to the right memory.
-#[allow(clippy::too_many_arguments)]
-fn traceback_on_device(
-    ctx: &mut BlockCtx,
-    table: &mut TableMem,
-    pm: &PatternMask,
-    text_rev: &[u8],
-    cfg: &GenAsmConfig,
-    cut: usize,
-    keep: usize,
-    final_window: bool,
-    d_star: usize,
-    ops: &mut Vec<CigarOp>,
-    out: &mut WindowOut,
-) {
-    let m = pm.len();
-    let n = text_rev.len();
-    let cols = n - cut;
-    let wpe = cfg.words_per_entry();
-    let mut d = d_star;
-    let mut i = n; // column + 1 (0 = virtual init column)
-    let mut j = m; // pattern bit + 1
-
-    // R[d][i-1] with init folding, for the compressed layout.
-    macro_rules! load_r {
-        ($ctx:expr, $d:expr, $ip1:expr) => {{
-            if $ip1 == 0 {
-                init_row($d)
-            } else {
-                debug_assert!($ip1 > cut, "DENT cut violated in GPU traceback");
-                table.load($ctx, ($d * cols + ($ip1 - 1 - cut)) * wpe)
-            }
-        }};
-    }
-
-    while j > 0 && (final_window || (out.qc < keep && out.tc < keep)) {
-        let op = if i == 0 {
-            debug_assert!(d > 0 && active(init_row(d), j - 1));
-            CigarOp::Ins
-        } else if wpe == 4 {
-            // Unimproved: read the stored edge vectors in priority order.
-            let col = i - 1;
-            debug_assert!(col >= cut);
-            let base = (d * cols + (col - cut)) * wpe;
-            let mword = table.load(ctx, base);
-            if active(mword, j - 1) {
-                CigarOp::Match
-            } else {
-                debug_assert!(d > 0, "row 0 entry without a match edge");
-                let sword = table.load(ctx, base + 1);
-                if active(sword, j - 1) {
-                    CigarOp::Mismatch
-                } else {
-                    let dword = table.load(ctx, base + 2);
-                    if active(dword, j - 1) {
-                        CigarOp::Del
-                    } else {
-                        let iword = table.load(ctx, base + 3);
-                        debug_assert!(active(iword, j - 1), "no active edge (GPU baseline)");
-                        CigarOp::Ins
-                    }
-                }
-            }
+        let d_star = d_star.ok_or_else(|| over_budget(cfg.k))?;
+        let rows = if cfg.improvements.early_term {
+            d_star + 1
         } else {
-            // Improved: re-derive the edges from stored entries.
-            let mut op = None;
-            if active(pm.get(text_rev[i - 1]), j - 1) {
-                let diag_ok = j == 1 || active(load_r!(ctx, d, i - 1), j - 2);
-                if diag_ok {
-                    op = Some(CigarOp::Match);
-                }
-            }
-            if op.is_none() && d > 0 {
-                let below_prev = load_r!(ctx, d - 1, i - 1);
-                if j == 1 || active(below_prev, j - 2) {
-                    op = Some(CigarOp::Mismatch);
-                } else if active(below_prev, j - 1) {
-                    op = Some(CigarOp::Del);
-                } else {
-                    let below_cur = load_r!(ctx, d - 1, i);
-                    debug_assert!(j == 1 || active(below_cur, j - 2), "no active edge (GPU)");
-                    op = Some(CigarOp::Ins);
-                }
-            }
-            op.expect("DC/TB inconsistency in GPU kernel")
+            total_rows
         };
-        match op {
-            CigarOp::Match | CigarOp::Mismatch => {
-                ops.push(op);
-                i -= 1;
-                j -= 1;
-                out.qc += 1;
-                out.tc += 1;
-                if op == CigarOp::Mismatch {
-                    d -= 1;
-                }
-            }
-            CigarOp::Del => {
-                ops.push(CigarOp::Del);
-                i -= 1;
-                out.tc += 1;
-                d -= 1;
-            }
-            CigarOp::Ins => {
-                ops.push(CigarOp::Ins);
-                j -= 1;
-                out.qc += 1;
-                d -= 1;
-            }
-        }
+
+        // Serial traceback by thread 0: the shared walk, its loads
+        // charged through the simulator.
+        let ops = &mut self.ws.ops;
+        let mut consumed = (0, 0);
+        ctx.serial_phase(|c| {
+            let mut table = DeviceTable { ctx: c, table };
+            consumed = traceback(&mut table, pm, text_rev, d_star, keep, final_window, ops);
+        });
+        ctx.charge_warp_cycles(ops.len() as u64 * TB_STEP_COST_CYCLES + WINDOW_OVERHEAD_CYCLES);
+        Ok(Some(WindowOut {
+            summary: WindowSummary {
+                d_star,
+                q_consumed: consumed.0,
+                t_consumed: consumed.1,
+            },
+            rows,
+        }))
     }
 }

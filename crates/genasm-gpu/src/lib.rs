@@ -28,5 +28,5 @@ pub mod kernel;
 
 pub use batch::{GpuAligner, GpuBatchReport};
 pub use kernel::{
-    improved_table_words, shared_bytes_for, GenAsmKernel, GpuAlignment, KernelWorkspace, ROW_GROUP,
+    shared_bytes_for, static_table_words, GenAsmKernel, GpuAlignment, KernelWorkspace, ROW_GROUP,
 };

@@ -134,14 +134,12 @@ impl GpuSimBackend {
         }
     }
 
-    /// Fold per-task kernel outputs into the window/band counters the
-    /// kernel reports (a subset of the CPU engine's instrumentation).
+    /// Merge one launch's per-block counters into the accumulator under
+    /// one lock, so a concurrent reader sees all of the launch or none.
     fn absorb(&self, results: &[genasm_gpu::GpuAlignment]) {
         let mut s = self.stats.lock().expect("stats mutex poisoned");
         for r in results {
-            s.windows += r.windows as u64;
-            s.rows_computed += r.rows_computed;
-            s.windows_rescued += r.rescued as u64;
+            s.merge(&r.stats);
         }
     }
 }
@@ -472,6 +470,43 @@ mod tests {
         let out = backend.align_batch(&tasks).unwrap();
         assert_eq!(out[0].as_ref().unwrap().edit_distance, 0);
         assert!(out[1].is_none(), "impossible task must be None");
+    }
+
+    #[test]
+    fn cpu_and_gpu_sim_report_equal_window_and_band_counters() {
+        // Both engines run the one window pipeline, so on the same
+        // hinted tasks — a tight hint that holds, one that is rescued,
+        // and no hint — their window/band counters are equal.
+        let clean = "ACGTTGCAGGATCCAT".repeat(20);
+        let mut noisy = clean.clone().into_bytes();
+        for pos in (2..noisy.len()).step_by(5) {
+            noisy[pos] = if noisy[pos] == b'A' { b'C' } else { b'A' };
+        }
+        let noisy = String::from_utf8(noisy).unwrap();
+        let tasks = vec![
+            task(&clean, &clean).with_edit_bound(3),
+            task(&clean, &noisy).with_edit_bound(1),
+            task(&clean, &noisy),
+        ];
+        let counters = |backend: &dyn Backend| {
+            backend.align_batch(&tasks).unwrap();
+            let s = backend.engine_stats().unwrap();
+            [
+                s.windows,
+                s.rows_computed,
+                s.windows_early_terminated,
+                s.band_cells_skipped,
+                s.peak_band_rows,
+                s.windows_rescued,
+            ]
+        };
+        let cpu = counters(&CpuBackend::improved());
+        let gpu = counters(&GpuSimBackend::a6000());
+        assert_eq!(cpu, gpu);
+        assert!(
+            cpu.iter().all(|&c| c > 0),
+            "every counter exercised: {cpu:?}"
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@
 
 use align_core::{Reference, Seq};
 use genasm_pipeline::{
-    run_pipeline, run_pipeline_auto, AlignRecord, Backend, CpuBackend, PipelineConfig,
-    PipelineError, ReadInput, RouterConfig,
+    run_pipeline, run_pipeline_auto, AlignRecord, Backend, CpuBackend, GpuSimBackend,
+    PipelineConfig, PipelineError, ReadInput, RouterConfig,
 };
 use mapper::{CandidateParams, MinimizerIndex};
 use readsim::{contig_lengths, simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
@@ -708,6 +708,15 @@ fn metrics_report_every_stage() {
         engine.band_cells_skipped > 0,
         "hinted low-error reads must skip band cells"
     );
+    // The simulated GPU books them through the same code.
+    let gpu = GpuSimBackend::a6000();
+    let (gpu_out, gpu_m) = run_stream_on(&reads, &reference, Some(&gpu), &cfg);
+    assert_eq!(gpu_out, out);
+    let gpu_engine = gpu_m
+        .engine
+        .expect("GpuSimBackend must report engine stats");
+    assert!(gpu_engine.peak_band_rows > 0, "gpu-sim peak band width");
+    assert!(gpu_engine.band_cells_skipped > 0, "gpu-sim skipped cells");
     let summary = m.summary();
     assert!(summary.contains("batches"), "{summary}");
     assert!(summary.contains("band:"), "{summary}");
