@@ -168,6 +168,14 @@ impl Cigar {
         self.runs.push((count, op));
     }
 
+    /// Append individual operations in order, merging runs as
+    /// [`Cigar::push`] would, one run at a time instead of one op.
+    pub fn extend_from_ops(&mut self, ops: &[CigarOp]) {
+        for run in ops.chunk_by(|a, b| a == b) {
+            self.push_run(run.len() as u32, run[0]);
+        }
+    }
+
     /// Append another CIGAR.
     pub fn extend_cigar(&mut self, other: &Cigar) {
         for &(n, op) in &other.runs {
@@ -362,6 +370,26 @@ mod tests {
         assert_eq!(c.runs().len(), 3);
         assert_eq!(c.to_string(), "2M2I1M");
         assert_eq!(c.op_len(), 5);
+    }
+
+    #[test]
+    fn extend_from_ops_merges_like_push() {
+        use CigarOp::{Del, Ins, Match, Mismatch};
+        let windows: [&[CigarOp]; 5] = [
+            &[Match, Match, Ins],
+            &[Ins, Ins, Match],
+            &[],
+            &[Match, Mismatch, Del, Del, Match],
+            &[Match],
+        ];
+        let mut pushed = Cigar::new();
+        let mut extended = Cigar::new();
+        for ops in windows {
+            ops.iter().for_each(|&op| pushed.push(op));
+            extended.extend_from_ops(ops);
+        }
+        assert_eq!(extended, pushed);
+        assert_eq!(extended.to_string(), "2M3I2M1X2D2M");
     }
 
     #[test]

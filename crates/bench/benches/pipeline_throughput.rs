@@ -67,7 +67,7 @@ fn one_shot_records(
     }
     let mut n = 0;
     for per_read in &mut rows {
-        per_read.sort_by_cached_key(AlignRecord::sort_key);
+        per_read.sort_by(AlignRecord::cmp_best_first);
         n += per_read.len();
     }
     n

@@ -582,7 +582,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         ));
     }
     for per_read in &mut rows {
-        per_read.sort_by_cached_key(AlignRecord::sort_key);
+        per_read.sort_by(AlignRecord::cmp_best_first);
         for row in per_read.iter() {
             writeln!(out, "{}", format.line(row)).map_err(io_err)?;
         }

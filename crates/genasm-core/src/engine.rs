@@ -12,13 +12,24 @@
 //!
 //! ## Improvement mechanics
 //!
-//! * **Row-major evaluation + early termination.** Rows (error counts)
-//!   are computed in ascending order, an entire row across all text
-//!   columns at a time. This is legal because row `d` of column `i`
-//!   depends only on row `d-1` (columns `i-1`, `i`) and row `d`
-//!   (column `i-1`). The first row whose final column has the solution
-//!   bit active is the minimal edit count `d*`; with early termination
-//!   enabled, no further row is computed or stored.
+//! * **Row groups + early termination.** Row `d` of column `i` depends
+//!   only on row `d-1` (columns `i-1`, `i`) and row `d` (column `i-1`),
+//!   so rows are computed in ascending order. The compressed layout
+//!   sweeps row 0 alone (matches only: all a clean window needs), then
+//!   `GROUP = 4` rows at a time, column by column: per text column
+//!   `PM[T[i]]` and the boundary row are loaded once, the group's rows
+//!   step top to bottom in registers and go straight into the table,
+//!   and the bottom row becomes the next group's boundary. A row waits
+//!   on its own left neighbour, so one row at a time runs at that
+//!   chain's latency; a group keeps `GROUP` chains in flight. The first
+//!   row whose final column has the solution bit active is the minimal
+//!   edit count `d*`; with early termination enabled, no further group
+//!   is swept. **Overshoot** — the rows of the last group past `d*` or
+//!   past the budget — is truncated from the table unread and is not
+//!   booked: [`MemStats`] counts rows `0..=d*` (as the simulated GPU
+//!   does for its 8-row groups), so every counter reads as if rows were
+//!   swept one at a time — which the unimproved 4-word layout, the
+//!   ablation's denominator, still is.
 //! * **Entry compression.** Only the combined vector `R[d][i]` is
 //!   stored. The traceback re-derives edge existence from stored
 //!   neighbours and the pattern mask (see [`traceback`]).
@@ -61,8 +72,8 @@
 //!
 //! ## One traceback for every engine
 //!
-//! The distance pass below is the CPU's schedule (row-major, one row at
-//! a time); the simulated GPU sweeps the same recurrence along
+//! The distance pass below is the CPU's schedule (row groups, column by
+//! column); the simulated GPU sweeps the same recurrence along
 //! anti-diagonals. Everything after the sweep is shared: [`traceback`]
 //! reads the table through the two-method [`TableRead`] seam, so the
 //! workspace's counted arena and the device's shared/global table
@@ -148,66 +159,60 @@ pub fn align_window(
 
     let solution = pm.solution_bit();
     let mut d_star: Option<usize> = None;
-
-    for d in 0..=cfg.k {
-        // Tight row kernels: the whole row is computed into `cur_row`
-        // with running `cur_prev`/`below_prev` registers and no
-        // per-cell bookkeeping; accounting and table stores follow in
-        // bulk with totals identical to the former per-cell counting.
-        let mut cur_prev = init_row(d);
-        if d == 0 {
-            for i in 0..n {
-                let val = step_row0(cur_prev, pm.get(text_rev[i]));
-                cur_row[i] = val;
-                cur_prev = val;
+    if wpe == 1 {
+        d_star = sweep_grouped(pm, text_rev, &mut prev_row[..n], table, cfg, cut, stats);
+    } else {
+        // The unimproved layout, one row at a time: the whole row into
+        // `cur_row`, then its four edge vectors into the table.
+        for d in 0..=cfg.k {
+            let mut cur_prev = init_row(d);
+            if d == 0 {
+                for i in 0..n {
+                    cur_prev = step_row0(cur_prev, pm.get(text_rev[i]));
+                    cur_row[i] = cur_prev;
+                }
+                // Row 0 has only match edges; the other slots are
+                // inactive (all ones).
+                for &word in &cur_row[cut..n] {
+                    table.push_entry(&[word, !0, !0, !0], stats);
+                }
+            } else {
+                let mut below_prev = init_row(d - 1);
+                for i in 0..n {
+                    let below_cur = prev_row[i];
+                    cur_prev = step_row(below_prev, below_cur, cur_prev, pm.get(text_rev[i]));
+                    cur_row[i] = cur_prev;
+                    below_prev = below_cur;
+                }
+                let below_init = init_row(d - 1);
+                let cur_init = init_row(d);
+                for i in cut..n {
+                    let below_prev = if i == 0 { below_init } else { prev_row[i - 1] };
+                    let cur_prev = if i == 0 { cur_init } else { cur_row[i - 1] };
+                    let edges =
+                        step_row_edges(below_prev, prev_row[i], cur_prev, pm.get(text_rev[i]));
+                    table.push_entry(&edges, stats);
+                }
             }
-        } else {
-            let mut below_prev = init_row(d - 1);
-            for i in 0..n {
-                let below_cur = prev_row[i];
-                let val = step_row(below_prev, below_cur, cur_prev, pm.get(text_rev[i]));
-                cur_row[i] = val;
-                below_prev = below_cur;
-                cur_prev = val;
-            }
-        }
-        // Every cell stores once; rows d > 0 load `prev_row[i]` once
-        // per cell plus `prev_row[i-1]` for each i > 0.
-        stats.cells_computed += n as u64;
-        stats.scratch_stores += n as u64;
-        if d > 0 {
-            stats.scratch_loads += (2 * n - 1) as u64;
-        }
-        if wpe == 1 {
-            table.push_row_compressed(&cur_row[cut..n], stats);
-        } else if d == 0 {
-            // Row 0 has only match edges; the other slots are inactive
-            // (all ones).
-            for &word in &cur_row[cut..n] {
-                table.push_entry(&[word, !0, !0, !0], stats);
-            }
-        } else {
-            let below_init = init_row(d - 1);
-            let cur_init = init_row(d);
-            for i in cut..n {
-                let below_prev = if i == 0 { below_init } else { prev_row[i - 1] };
-                let cur_prev = if i == 0 { cur_init } else { cur_row[i - 1] };
-                let edges = step_row_edges(below_prev, prev_row[i], cur_prev, pm.get(text_rev[i]));
-                table.push_entry(&edges, stats);
+            std::mem::swap(prev_row, cur_row);
+            if d_star.is_none() && cur_prev & solution == 0 {
+                d_star = Some(d);
+                if cfg.improvements.early_term {
+                    break;
+                }
             }
         }
-        if d_star.is_none() && cur_row[n - 1] & solution == 0 {
-            d_star = Some(d);
-            if cfg.improvements.early_term {
-                std::mem::swap(prev_row, cur_row);
-                break;
-            }
-        }
-        std::mem::swap(prev_row, cur_row);
     }
+    // Booked in bulk with the totals of per-cell counting: every cell
+    // stores once; rows d > 0 load `prev_row[i]` once per cell plus
+    // `prev_row[i-1]` for each i > 0.
+    let rows = table.rows();
+    stats.cells_computed += (rows * n) as u64;
+    stats.scratch_stores += (rows * n) as u64;
+    stats.scratch_loads += ((rows - 1) * (2 * n - 1)) as u64;
 
     let d_star = d_star.ok_or(AlignError::NoAlignment)?;
-    stats.window_done(table.rows(), n, cfg.k);
+    stats.window_done(rows, n, cfg.k);
     table.account_footprint(stats);
 
     let mut table = CountedTable { table, stats };
@@ -218,6 +223,87 @@ pub fn align_window(
         q_consumed,
         t_consumed,
     })
+}
+
+/// Error rows the compressed sweep steps per text column: four
+/// `cur_prev → shl → or → and` chains in flight fill the out-of-order
+/// core, and more than that spills the registers they live in.
+const GROUP: usize = 4;
+
+/// Rows a window of budget `k` can sweep: row 0, then whole groups.
+pub(crate) const fn swept_rows(k: usize) -> usize {
+    1 + k.div_ceil(GROUP) * GROUP
+}
+
+/// GenASM-DC for the compressed layout: row 0 alone, then [`GROUP`]
+/// rows at a time. Leaves the rows that count in `table` and returns
+/// `d*`, if a row within the budget has it.
+fn sweep_grouped(
+    pm: &PatternMask,
+    text_rev: &[u8],
+    prev_row: &mut [u64],
+    table: &mut TbTable,
+    cfg: &GenAsmConfig,
+    cut: usize,
+    stats: &mut MemStats,
+) -> Option<usize> {
+    let solution = pm.solution_bit();
+    let early_term = cfg.improvements.early_term;
+
+    let mut cur_prev = init_row(0);
+    for (&c, boundary) in text_rev.iter().zip(prev_row.iter_mut()) {
+        cur_prev = step_row0(cur_prev, pm.get(c));
+        *boundary = cur_prev;
+    }
+    table.grow_rows(1).copy_from_slice(&prev_row[cut..]);
+    let mut d_star = (cur_prev & solution == 0).then_some(0);
+
+    // Columns below the cut are computed, not stored.
+    let (text_cut, text_kept) = text_rev.split_at(cut);
+    let (bound_cut, bound_kept) = prev_row.split_at_mut(cut);
+    let mut d0 = 1;
+    while d0 <= cfg.k && !(early_term && d_star.is_some()) {
+        let group = table.grow_rows(GROUP);
+        let mut stored = group.chunks_exact_mut(text_kept.len());
+        let stored: [&mut [u64]; GROUP] =
+            std::array::from_fn(|_| stored.next().expect("GROUP rows were grown"));
+        // `left[r]` is column i-1 of row `d0 - 1 + r`: the boundary row
+        // (`prev_row`) first, then the group's own rows.
+        let mut left: [u64; GROUP + 1] = std::array::from_fn(|r| init_row(d0 - 1 + r));
+        for (&c, boundary) in text_cut.iter().zip(bound_cut.iter_mut()) {
+            step_group(&mut left, boundary, pm.get(c));
+        }
+        for (j, (&c, boundary)) in text_kept.iter().zip(bound_kept.iter_mut()).enumerate() {
+            step_group(&mut left, boundary, pm.get(c));
+            for r in 0..GROUP {
+                stored[r][j] = left[r + 1];
+            }
+        }
+        if d_star.is_none() {
+            d_star = (d0..=cfg.k.min(d0 + GROUP - 1)).find(|d| left[d + 1 - d0] & solution == 0);
+        }
+        d0 += GROUP;
+    }
+    let rows = match d_star {
+        Some(d) if early_term => d + 1,
+        _ => cfg.k + 1,
+    };
+    table.keep_rows(rows, stats);
+    d_star
+}
+
+/// One text column of a row group: `left` holds column i-1 going in
+/// and column i coming out, and row r's old and new value are row
+/// r+1's `below_prev` and `below_cur`.
+#[inline(always)]
+fn step_group(left: &mut [u64; GROUP + 1], boundary: &mut u64, pmv: u64) {
+    let (mut below_prev, mut below_cur) = (left[0], *boundary);
+    left[0] = below_cur;
+    for cur in &mut left[1..] {
+        let val = step_row(below_prev, below_cur, *cur, pmv);
+        (below_prev, below_cur, *cur) = (*cur, val, val);
+    }
+    *boundary = below_cur;
 }
 
 /// One-shot convenience: align a single window from explicit inputs
@@ -770,6 +856,138 @@ mod tests {
                 expected_loads(&ops, &ws.pm, &ws.text_rev, summary.d_star, wpe),
                 "{cfg:?}"
             );
+        }
+    }
+
+    /// The sweep [`align_window`] ran before row groups, kept as the
+    /// oracle: one row at a time through `cur_row`, every row stored
+    /// and booked as it completes, nothing computed past `d*`.
+    fn align_window_rowwise(
+        ws: &mut AlignWorkspace,
+        cfg: &GenAsmConfig,
+        keep: usize,
+        final_window: bool,
+    ) -> Result<WindowSummary, AlignError> {
+        let n = ws.text_rev.len();
+        if ws.stats.abandon_infeasible(ws.pm.len(), n, cfg.k) {
+            return Err(AlignError::NoAlignment);
+        }
+        let wpe = cfg.words_per_entry();
+        let cut = cfg.dent_cut(n, keep, final_window);
+        ws.table.reset(wpe, n, cut);
+        ws.ensure_scratch(n);
+        let AlignWorkspace {
+            pm,
+            text_rev,
+            prev_row,
+            cur_row,
+            table,
+            ops,
+            stats,
+            ..
+        } = ws;
+        let mut d_star = None;
+        for d in 0..=cfg.k {
+            for i in 0..n {
+                let (below_prev, cur_prev) = match i {
+                    0 => (init_row(d.saturating_sub(1)), init_row(d)),
+                    _ => (prev_row[i - 1], cur_row[i - 1]),
+                };
+                let pmv = pm.get(text_rev[i]);
+                let edges = match d {
+                    0 => [step_row0(cur_prev, pmv), !0, !0, !0],
+                    _ => step_row_edges(below_prev, prev_row[i], cur_prev, pmv),
+                };
+                cur_row[i] = edges.iter().fold(!0, |acc, e| acc & e);
+                if i >= cut && wpe == 1 {
+                    table.push_entry(&[cur_row[i]], stats);
+                } else if i >= cut {
+                    table.push_entry(&edges, stats);
+                }
+            }
+            stats.cells_computed += n as u64;
+            stats.scratch_stores += n as u64;
+            if d > 0 {
+                stats.scratch_loads += (2 * n - 1) as u64;
+            }
+            std::mem::swap(prev_row, cur_row);
+            if d_star.is_none() && prev_row[n - 1] & pm.solution_bit() == 0 {
+                d_star = Some(d);
+                if cfg.improvements.early_term {
+                    break;
+                }
+            }
+        }
+        let d_star = d_star.ok_or(AlignError::NoAlignment)?;
+        stats.window_done(table.rows(), n, cfg.k);
+        table.account_footprint(stats);
+        let mut table = CountedTable { table, stats };
+        let (q_consumed, t_consumed) =
+            traceback(&mut table, pm, text_rev, d_star, keep, final_window, ops);
+        Ok(WindowSummary {
+            d_star,
+            q_consumed,
+            t_consumed,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Grouped ≡ row-at-a-time: for every improvement set, budgets
+        /// whose last group is full, partial or absent, final and
+        /// non-final windows of every shape, the row-group sweep gives
+        /// the oracle's `d*` (or its `NoAlignment`), its ops, its table
+        /// word for word and its counters field by field.
+        #[test]
+        fn grouped_sweep_matches_the_row_at_a_time_oracle(
+            pattern in proptest::collection::vec(0u8..4, 1..=64usize),
+            text in proptest::collection::vec(0u8..4, 1..=64usize),
+            keep in 1usize..=64,
+            all_mismatch in proptest::prelude::any::<bool>(),
+        ) {
+            // An all-mismatch pair needs the deepest rows there are.
+            let (pattern, text) = match all_mismatch {
+                true => (vec![0; pattern.len()], vec![3; text.len()]),
+                false => (pattern, text),
+            };
+            let q: Seq = pattern.into_iter().map(align_core::Base::from_code).collect();
+            let pm = PatternMask::new_reversed_window(&q, 0, q.len());
+            for improvements in crate::config::Improvements::all_combinations() {
+                for k in [0, 1, 2, 3, 4, 5, 8, 63, 64] {
+                    for final_window in [false, true] {
+                        let cfg = GenAsmConfig { k, improvements, ..GenAsmConfig::improved() };
+                        let keep = if final_window { q.len() } else { keep };
+                        let mut grouped = AlignWorkspace::new();
+                        let mut rowwise = AlignWorkspace::new();
+                        grouped.set_window_raw(pm.clone(), &text);
+                        rowwise.set_window_raw(pm.clone(), &text);
+                        let got = align_window(&mut grouped, &cfg, keep, final_window);
+                        let want = align_window_rowwise(&mut rowwise, &cfg, keep, final_window);
+                        let case = format!("{cfg:?} keep={keep} final={final_window}");
+                        proptest::prop_assert_eq!(got, want, "{}", case);
+                        proptest::prop_assert_eq!(grouped.stats, rowwise.stats, "{}", case);
+                        if got.is_err() {
+                            continue;
+                        }
+                        proptest::prop_assert_eq!(&grouped.ops, &rowwise.ops, "{}", case);
+                        let (a, b) = (&grouped.table, &rowwise.table);
+                        proptest::prop_assert_eq!(a.rows(), b.rows(), "{}", case);
+                        let mut uncounted = MemStats::new();
+                        for d in 0..b.rows() {
+                            for col in b.cut()..b.cols() {
+                                for slot in 0..b.words_per_entry() {
+                                    proptest::prop_assert_eq!(
+                                        a.load(d, col, slot, &mut uncounted),
+                                        b.load(d, col, slot, &mut uncounted),
+                                        "{} at d={} col={} slot={}", case, d, col, slot
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

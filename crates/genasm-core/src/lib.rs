@@ -109,6 +109,6 @@ pub use stats::MemStats;
 pub use table::TableRead;
 pub use window::{
     align_with_stats, align_with_workspace, align_with_workspace_hinted, drive_hinted,
-    WindowEngine, MIN_HINT_K,
+    stage_window, WindowEngine, MIN_HINT_K,
 };
 pub use workspace::{AlignWorkspace, CapacitySignature};

@@ -155,15 +155,29 @@ impl TbTable {
         stats.table_stores += self.words_per_entry as u64;
     }
 
-    /// Append a whole row of compressed entries in one copy (the
-    /// engine's bulk row store; identical arena contents and store
-    /// accounting to per-entry pushes).
+    /// Append `rows` zeroed compressed rows and hand them out, row
+    /// after row, for the engine's grouped sweep to fill in place.
+    /// Their stores are booked by [`TbTable::keep_rows`], once the
+    /// sweep knows how many of them count.
     #[inline]
-    pub fn push_row_compressed(&mut self, vals: &[u64], stats: &mut MemStats) {
-        debug_assert_eq!(self.words_per_entry, 1, "bulk store is compressed-only");
-        debug_assert_eq!(vals.len(), self.stride, "a row stores columns cut..n");
-        self.words.extend_from_slice(vals);
-        stats.table_stores += vals.len() as u64;
+    pub fn grow_rows(&mut self, rows: usize) -> &mut [u64] {
+        debug_assert_eq!(self.words_per_entry, 1, "in-place rows are compressed-only");
+        let filled = self.words.len();
+        self.words.resize(filled + rows * self.stride, 0);
+        &mut self.words[filled..]
+    }
+
+    /// Drop every row past the first `rows` — the overshoot of the
+    /// sweep's last group, never read — and book the stores of the
+    /// rows that stay.
+    pub fn keep_rows(&mut self, rows: usize, stats: &mut MemStats) {
+        self.words.truncate(rows * self.stride);
+        stats.table_stores += self.words.len() as u64;
+    }
+
+    /// Reserve arena capacity for `words` more words.
+    pub(crate) fn reserve_words(&mut self, words: usize) {
+        self.words.reserve(words);
     }
 
     /// Load one word of entry `(d, i)`. `slot` must be 0 for compressed
@@ -232,17 +246,20 @@ mod tests {
     }
 
     #[test]
-    fn bulk_row_store_matches_per_entry_pushes() {
+    fn rows_filled_in_place_match_per_entry_pushes() {
         let mut s1 = MemStats::new();
         let mut s2 = MemStats::new();
         let mut a = TbTable::new(1, 5, 2);
         let mut b = TbTable::new(1, 5, 2);
-        for row in [[7u64, 8, 9], [17, 18, 19]] {
-            for v in row {
-                a.push_entry(&[v], &mut s1);
-            }
-            b.push_row_compressed(&row, &mut s2);
+        for v in [7u64, 8, 9, 17, 18, 19] {
+            a.push_entry(&[v], &mut s1);
         }
+        b.grow_rows(1).copy_from_slice(&[7, 8, 9]);
+        // A group of three rows of which only the first counts.
+        b.grow_rows(3)
+            .copy_from_slice(&[17, 18, 19, 27, 28, 29, 37, 38, 39]);
+        assert_eq!(b.rows(), 4);
+        b.keep_rows(2, &mut s2);
         assert_eq!(s1.table_stores, s2.table_stores);
         assert_eq!(a.footprint_words(), b.footprint_words());
         assert_eq!((a.rows(), b.rows()), (2, 2));

@@ -9,7 +9,7 @@
 //! sequence runs out before the other.
 //!
 //! The pipeline is written once, in [`drive_hinted`], and every engine
-//! runs it: [`AlignWorkspace`] (the CPU's row-major sweep, via
+//! runs it: [`AlignWorkspace`] (the CPU's row-group sweep, via
 //! [`crate::engine::align_window`]) and the simulated GPU's per-block
 //! engine (`genasm-gpu`, anti-diagonal row groups) differ only in how
 //! they sweep one window and where its table lives.
@@ -33,6 +33,7 @@
 
 use align_core::{AlignError, Alignment, Cigar, CigarOp, Seq};
 
+use crate::bitvec::PatternMask;
 use crate::config::GenAsmConfig;
 use crate::engine::{align_window, WindowSummary};
 use crate::stats::MemStats;
@@ -80,6 +81,23 @@ pub trait WindowEngine {
 
     /// The engine's counters; the driver adds hint savings and rescues.
     fn stats(&mut self) -> &mut MemStats;
+}
+
+/// Stage the window `query[qpos..qpos+m]` vs `target[tpos..tpos+n]` as
+/// every engine sweeps it, both reversed: the pattern's bitmasks,
+/// returned, and the text's 2-bit codes, into `text_rev`.
+pub fn stage_window(
+    query: &Seq,
+    qpos: usize,
+    m: usize,
+    target: &Seq,
+    tpos: usize,
+    n: usize,
+    text_rev: &mut Vec<u8>,
+) -> PatternMask {
+    text_rev.clear();
+    text_rev.extend((0..n).rev().map(|i| target.get_code(tpos + i)));
+    PatternMask::new_reversed_window(query, qpos, m)
 }
 
 impl WindowEngine for AlignWorkspace {
@@ -222,9 +240,7 @@ fn drive<E: WindowEngine>(
             cfg.w,
             cfg.o
         );
-        for &op in engine.window_ops() {
-            cigar.push(op);
-        }
+        cigar.extend_from_ops(engine.window_ops());
         qpos += res.q_consumed;
         tpos += res.t_consumed;
 

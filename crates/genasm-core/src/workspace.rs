@@ -19,8 +19,10 @@
 use align_core::CigarOp;
 
 use crate::bitvec::PatternMask;
+use crate::engine::swept_rows;
 use crate::stats::MemStats;
 use crate::table::TbTable;
+use crate::window::stage_window;
 use align_core::Seq;
 
 /// Owns every buffer the aligner mutates, so the whole call chain can
@@ -67,16 +69,19 @@ impl AlignWorkspace {
     }
 
     /// A workspace pre-sized for window geometry `w`: the staging,
-    /// scratch-row and op buffers are allocated up front. The traceback
-    /// arena still grows to its high-water mark over the first few
-    /// windows (its worst-case size depends on the improvement set), so
-    /// the zero-allocation steady state begins after a short warm-up.
+    /// scratch-row and op buffers are allocated up front, and so is the
+    /// traceback arena for the compressed layout's worst case — every
+    /// row a budget of `w` can sweep, the last row group's overshoot
+    /// included, so a warm arena never grows because a window's `d*`
+    /// fell elsewhere in its group. Only the 4-word layout still grows
+    /// the arena to its high-water mark over the first few windows.
     pub fn with_capacity(w: usize) -> AlignWorkspace {
         let mut ws = AlignWorkspace::new();
         ws.text_rev.reserve(w);
         ws.prev_row.resize(w, 0);
         ws.cur_row.resize(w, 0);
         ws.ops.reserve(2 * w);
+        ws.table.reserve_words(swept_rows(w) * w);
         ws
     }
 
@@ -91,10 +96,7 @@ impl AlignWorkspace {
         tpos: usize,
         n: usize,
     ) {
-        self.pm = PatternMask::new_reversed_window(query, qpos, m);
-        self.text_rev.clear();
-        self.text_rev
-            .extend((0..n).rev().map(|i| target.get_code(tpos + i)));
+        self.pm = stage_window(query, qpos, m, target, tpos, n, &mut self.text_rev);
     }
 
     /// Stage an already-built pattern mask and reversed text window

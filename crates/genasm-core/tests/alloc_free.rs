@@ -122,8 +122,8 @@ fn reused_workspace_allocates_far_less_than_fresh() {
     // A warm workspace leaves only the returned CIGAR's allocations,
     // whatever the window count (the test above bounds them). A fresh
     // workspace allocates the same CIGAR and, on top, its own buffers
-    // once per alignment: the four that `with_capacity` sizes up front
-    // and the traceback arena growing to its high-water mark.
+    // once per alignment: the five that `with_capacity` sizes up front,
+    // the traceback arena among them.
     const WORKSPACE_BUFFERS: u64 = 5;
     assert!(
         fresh >= reused + RUNS * WORKSPACE_BUFFERS,

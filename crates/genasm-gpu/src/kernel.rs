@@ -15,9 +15,9 @@
 //!   at step `s = (d - d0) + i`), and the group's bottom row is written
 //!   to a full-width boundary buffer for the next group. Early
 //!   termination stops after the group containing `d*`. The CPU sweeps
-//!   the same recurrence (`genasm_core::bitvec`) row-major; the two
-//!   schedules stay apart on purpose, because the schedule is what the
-//!   simulator charges for.
+//!   the same recurrence (`genasm_core::bitvec`) in row groups too, but
+//!   column by column in registers; the two schedules stay apart on
+//!   purpose, because the schedule is what the simulator charges for.
 //! * **Where the table lives.** The only difference between the
 //!   improved and the unimproved kernel is the traceback table's home
 //!   and entry width:
@@ -43,7 +43,8 @@
 use align_core::{Alignment, CigarOp, Seq};
 use genasm_core::bitvec::{init_row, step_row, step_row0, step_row_edges, PatternMask};
 use genasm_core::{
-    drive_hinted, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine, WindowSummary,
+    drive_hinted, stage_window, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine,
+    WindowSummary,
 };
 use gpu_sim::{BlockCtx, GlobalBuf, Kernel, SharedBuf, SimError};
 
@@ -290,11 +291,8 @@ impl WindowEngine for DeviceEngine<'_> {
         tpos: usize,
         n: usize,
     ) {
-        self.pm = Some(PatternMask::new_reversed_window(query, qpos, m));
-        self.ws.text_rev.clear();
-        self.ws
-            .text_rev
-            .extend((0..n).rev().map(|i| target.get_code(tpos + i)));
+        let text_rev = &mut self.ws.text_rev;
+        self.pm = Some(stage_window(query, qpos, m, target, tpos, n, text_rev));
     }
 
     fn align_window(

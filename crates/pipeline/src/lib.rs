@@ -39,7 +39,7 @@
 //!   buffering.
 //! * **Deterministic output.** The scheduler numbers batches, a
 //!   [`reorder::ReorderBuffer`] restores that order at the sink, and
-//!   per-read rows are sorted by [`record::AlignRecord::sort_key`] —
+//!   per-read rows are sorted by [`record::AlignRecord::cmp_best_first`] —
 //!   so output is byte-identical for every batch size, queue depth and
 //!   thread count, and byte-identical to the one-shot `genasm align`
 //!   path.
@@ -292,7 +292,7 @@ impl Backend for BorrowedBackend {
 /// shard-local slices, so reference residency is bounded by the shard
 /// geometry for the whole run. Records are delivered to `on_record`
 /// in deterministic order (input read order; within a read, best
-/// alignment first — see [`AlignRecord::sort_key`]) and report contig
+/// alignment first — see [`AlignRecord::cmp_best_first`]) and report contig
 /// names and contig-local coordinates. The first failure (input error,
 /// poisoned batch, task with no alignment in budget, sink write error)
 /// aborts the run; the records already emitted are always whole reads

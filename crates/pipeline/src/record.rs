@@ -134,16 +134,14 @@ impl AlignRecord {
         }
     }
 
-    /// The deterministic per-read ordering: best distance first, then
-    /// reference position, then the CIGAR as a tiebreak so equal-cost
-    /// candidates have a total order.
-    pub fn sort_key(&self) -> (usize, usize, usize, String) {
-        (
-            self.edit_distance,
-            self.tstart,
-            self.tend,
-            self.cigar.to_string(),
-        )
+    /// The deterministic per-read ordering, for `sort_by`: best
+    /// distance first, then reference position. The CIGAR is rendered
+    /// only to break a tie between equal-cost candidates of one locus,
+    /// so the order is total without formatting every row.
+    pub fn cmp_best_first(&self, other: &AlignRecord) -> std::cmp::Ordering {
+        (self.edit_distance, self.tstart, self.tend)
+            .cmp(&(other.edit_distance, other.tstart, other.tend))
+            .then_with(|| self.cigar.to_string().cmp(&other.cigar.to_string()))
     }
 
     /// Format as one TSV row (no trailing newline). Name columns are
@@ -160,6 +158,28 @@ impl AlignRecord {
             self.cigar,
             self.identity
         )
+    }
+
+    /// `self.to_tsv().len()` without rendering the row: what the sink
+    /// books per delivered row, counted from the digits.
+    pub fn tsv_len(&self) -> usize {
+        let digits = |n: usize| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        // Each escaped character grows by the backslash before it.
+        let name = |s: &str| s.len() + s.matches(['\\', '\t', '\n', '\r']).count();
+        let cigar: usize = self
+            .cigar
+            .runs()
+            .iter()
+            .map(|&(n, _)| digits(n as usize) + 1)
+            .sum();
+        let numbers = [self.qlen, self.tstart, self.tend, self.edit_distance];
+        let tabs = 7;
+        name(&self.qname)
+            + name(&self.tname)
+            + numbers.into_iter().map(digits).sum::<usize>()
+            + cigar
+            + format!("{:.4}", self.identity).len()
+            + tabs
     }
 
     /// Parse a row produced by [`AlignRecord::to_tsv`]. The TSV row
@@ -521,12 +541,44 @@ mod tests {
     }
 
     #[test]
-    fn sort_key_orders_best_first() {
+    fn cmp_best_first_orders_by_distance_then_position_then_cigar() {
         let good = rec("r", 8, "t", 5, 8, &aligned("ACGTACGT", "ACGTACGT"));
         let bad = rec("r", 8, "t", 0, 8, &aligned("ACGTACGT", "ACCTACGA"));
         let mut rows = [bad.clone(), good.clone()];
-        rows.sort_by_key(AlignRecord::sort_key);
-        assert_eq!(rows[0], good);
-        assert_eq!(rows[1], bad);
+        rows.sort_by(AlignRecord::cmp_best_first);
+        assert_eq!(rows, [good.clone(), bad.clone()]);
+
+        // Same cost, same locus: the rendered CIGAR decides, whatever
+        // the input order.
+        let mut ins_first = bad.clone();
+        ins_first.cigar = Cigar::parse("1I6M1D1X").unwrap();
+        let mut del_first = bad.clone();
+        del_first.cigar = Cigar::parse("1D6M1I1X").unwrap();
+        for mut rows in [
+            [ins_first.clone(), del_first.clone(), good.clone()],
+            [del_first.clone(), good.clone(), ins_first.clone()],
+        ] {
+            rows.sort_by(AlignRecord::cmp_best_first);
+            assert_eq!(rows, [good.clone(), del_first.clone(), ins_first.clone()]);
+        }
+    }
+
+    #[test]
+    fn tsv_len_is_the_rendered_length() {
+        let aln = aligned("ACGTACGTACGTACGT", "ACGAACGTTACGTACG");
+        let mut long_runs = rec("r", 123_456, "t", 0, 1_000_000, &aln);
+        long_runs.cigar = Cigar::parse("9M10X99I100D4294967295M1X").unwrap();
+        let mut odd_identity = rec("r", 8, "t", 0, 8, &aln);
+        odd_identity.identity = 12.34567;
+        for r in [
+            rec("read1", 16, "chr1", 100, 16, &aln),
+            rec("r", 0, "t", 0, 0, &aligned("ACGT", "ACGT")),
+            rec("all\t\n\r\\of them", 16, "chr 1\twith tab", 99, 901, &aln),
+            rec("näme", 9, "t", 9, 10, &aln),
+            long_runs,
+            odd_identity,
+        ] {
+            assert_eq!(r.tsv_len(), r.to_tsv().len(), "{}", r.to_tsv());
+        }
     }
 }

@@ -28,7 +28,7 @@
 //! * **Per-session determinism.** Each session has a fixed backend and
 //!   its reads keep their submission order in the global sequence, so
 //!   the sink (global reorder by batch sequence, per-read completion,
-//!   per-read [`AlignRecord::sort_key`] ordering) delivers every
+//!   per-read [`AlignRecord::cmp_best_first`] ordering) delivers every
 //!   session's rows in exactly the order — and with exactly the bytes
 //!   — that a one-shot `genasm align` over that session's reads would
 //!   produce.
@@ -1578,6 +1578,13 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
             ],
         );
     }
+    // Sorted and sized before the registry lock: other sessions'
+    // submitters wait on it, and a long read's rows carry ~12 kB of
+    // CIGAR each. Accounted as the TSV rendering plus a newline per row
+    // — the bytes a server would buffer for this delivery.
+    let mut rows = acc.rows;
+    rows.sort_by(AlignRecord::cmp_best_first);
+    let bytes: u64 = rows.iter().map(|r| r.tsv_len() as u64 + 1).sum();
     let mut reg = sh.sessions.lock().unwrap();
     let Some(st) = reg.get_mut(&acc.session) else {
         return; // receiver side vanished; nothing to deliver to
@@ -1598,11 +1605,6 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
             BufferOutcome::Evict { .. } | BufferOutcome::Drop => {}
         }
     } else {
-        let mut rows = acc.rows;
-        rows.sort_by_cached_key(AlignRecord::sort_key);
-        // Accounted as the TSV rendering plus a newline per row — the
-        // bytes a server would buffer for this delivery.
-        let bytes: u64 = rows.iter().map(|r| r.to_tsv().len() as u64 + 1).sum();
         match st.gate.buffer(bytes) {
             BufferOutcome::Deliver => {
                 st.metrics.records_out += rows.len() as u64;

@@ -261,7 +261,7 @@ fn one_shot_cpu(
                 )
             })
             .collect();
-        rows.sort_by_cached_key(AlignRecord::sort_key);
+        rows.sort_by(AlignRecord::cmp_best_first);
         for r in &rows {
             out.push_str(&r.to_tsv());
             out.push('\n');

@@ -153,3 +153,107 @@ fn pipeline_is_deterministic() {
         assert_eq!(x.ref_pos, y.ref_pos);
     }
 }
+
+/// FNV-1a, 64-bit: the digest the cross-commit golden below pins.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The CPU backend with every third read's edit-bound hint cut to the
+/// floor. The mapper's own hints are loose enough that no simulated
+/// read ever needs the rescue, so this is how the golden workload gets
+/// some: at 9% error most such reads have a window over `MIN_HINT_K`
+/// edits and rerun at the full budget — with, by construction, the
+/// output the untouched hint would have given.
+struct TightHints(genasm_pipeline::CpuBackend);
+
+impl genasm_pipeline::Backend for TightHints {
+    fn name(&self) -> &'static str {
+        "cpu"
+    }
+
+    fn align_batch(
+        &self,
+        tasks: &[AlignTask],
+    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
+        let tasks: Vec<AlignTask> = tasks
+            .iter()
+            .map(|t| match t.read_id % 3 {
+                0 => t.clone().with_edit_bound(1),
+                _ => t.clone(),
+            })
+            .collect();
+        self.0.align_batch(&tasks)
+    }
+
+    fn engine_stats(&self) -> Option<MemStats> {
+        self.0.engine_stats()
+    }
+}
+
+/// The byte-identity suites compare configurations of *one* commit, so
+/// a kernel change that moved every CIGAR (or every counter) the same
+/// way would pass them all. This pins one workload's pipeline output
+/// and engine counters across commits: three unequal contigs, 9% CLR
+/// error, a few hundred windows with final windows and rescues among
+/// them. A change that moves either literal must say why.
+#[test]
+fn pipeline_output_matches_the_cross_commit_golden() {
+    use genasm_pipeline::{run_pipeline, CpuBackend, PipelineConfig, ReadInput};
+
+    let mut reference = align_core::Reference::new();
+    let mut reads = Vec::new();
+    for (ci, &len) in readsim::contig_lengths(90_000, 3).iter().enumerate() {
+        let genome = Genome::generate(&GenomeConfig::human_like(len, 41 + ci as u64));
+        let pool = simulate_reads(
+            &genome,
+            &ReadConfig {
+                count: 4,
+                length: 1_200 >> ci,
+                errors: ErrorModel::pacbio_clr(0.09),
+                rc_fraction: 0.5,
+                seed: 97 + ci as u64,
+            },
+        );
+        reference.push(&format!("chr{}", ci + 1), genome.seq);
+        reads.extend(pool.into_iter().map(|r| ReadInput {
+            name: format!("c{ci}r{}", r.id),
+            seq: r.seq,
+        }));
+    }
+    let n_reads = reads.len();
+
+    let mut out = String::new();
+    let metrics = run_pipeline(
+        reads.into_iter().map(Ok::<_, std::convert::Infallible>),
+        reference,
+        &TightHints(CpuBackend::improved()),
+        &PipelineConfig::default(),
+        |rec| {
+            out.push_str(&rec.to_tsv());
+            out.push('\n');
+            Ok(())
+        },
+    )
+    .expect("pipeline run failed");
+    let engine = metrics.engine.expect("the cpu backend reports its engine");
+    assert!(engine.windows >= 200, "{engine:?}");
+    assert!(engine.windows_rescued >= 1, "{engine:?}");
+    assert!(
+        out.lines().count() >= n_reads,
+        "every read aligns somewhere"
+    );
+
+    assert_eq!(
+        format!("{:016x}", fnv1a(out.as_bytes())),
+        "fe02be30d0964ccb",
+        "pipeline TSV output moved"
+    );
+    assert_eq!(
+        engine.to_json(),
+        r#"{"windows":250,"rows_computed":2002,"cells_computed":129180,"table_words":82073,"table_stores":83180,"table_loads":10333,"scratch_stores":129180,"scratch_loads":224780,"band_cells_skipped":893698,"windows_early_terminated":249,"windows_rescued":3,"peak_band_rows":37}"#,
+        "engine counters moved"
+    );
+}
