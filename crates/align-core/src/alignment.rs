@@ -74,30 +74,6 @@ pub trait GlobalAligner {
     fn name(&self) -> &'static str;
 }
 
-/// A [`GlobalAligner`] that can amortize its scratch allocations across
-/// alignments through a caller-owned workspace.
-///
-/// Batch drivers hold one workspace per worker thread and call
-/// [`ReusableAligner::align_reusing`] for every task that worker
-/// processes, so scratch buffers (DP rows, traceback tables, staging)
-/// are allocated once per worker instead of once per alignment — the
-/// standard production idiom (Scrooge, edlib). Aligners without
-/// reusable scratch use `Workspace = ()` and simply delegate to
-/// [`GlobalAligner::align`], which lets the bench harness drive every
-/// backend through one code path and measure the reuse win honestly.
-pub trait ReusableAligner: GlobalAligner {
-    /// The scratch state; `Default` gives each worker a cold workspace.
-    type Workspace: Default + Send;
-
-    /// Align one pair, borrowing all scratch from `ws`.
-    fn align_reusing(
-        &self,
-        ws: &mut Self::Workspace,
-        query: &Seq,
-        target: &Seq,
-    ) -> crate::Result<Alignment>;
-}
-
 /// A pretty-printer producing the classic three-row alignment view,
 /// useful in examples and debugging output.
 pub fn format_alignment(query: &Seq, target: &Seq, aln: &Alignment, width: usize) -> String {

@@ -1,6 +1,6 @@
 //! CIGAR strings: the alignment encoding shared by every aligner.
 //!
-//! Conventions (fixed for the whole suite, see DESIGN.md §5):
+//! Conventions (fixed for the whole suite):
 //!
 //! * the *query* is the read / pattern, the *target* is the reference /
 //!   text;

@@ -16,7 +16,7 @@
 //!   and accuracy experiments.
 //! * [`task`] — batch containers describing candidate (read, reference)
 //!   pairs flowing from the mapper into the aligners.
-//! * [`reference`] — multi-contig references ([`Reference`]): named
+//! * [`mod@reference`] — multi-contig references ([`Reference`]): named
 //!   contigs with the global-coordinate layout the sharded index uses.
 //!
 //! The crate is deliberately dependency-light; anything random or
@@ -29,7 +29,7 @@ pub mod reference;
 pub mod seq;
 pub mod task;
 
-pub use alignment::{Alignment, GlobalAligner, ReusableAligner};
+pub use alignment::{Alignment, GlobalAligner};
 pub use cigar::{Cigar, CigarOp};
 pub use nw::{banded_nw_distance, doubling_nw_distance, nw_align, nw_distance};
 pub use reference::{Contig, Reference};

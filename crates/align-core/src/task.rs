@@ -106,8 +106,8 @@ impl TaskBatch {
         self.tasks.iter().map(AlignTask::bases).sum()
     }
 
-    /// Total query bases (the throughput denominator used in
-    /// EXPERIMENTS.md: aligned read-bases per second).
+    /// Total query bases (the throughput denominator: aligned
+    /// read-bases per second).
     pub fn total_query_bases(&self) -> usize {
         self.tasks.iter().map(|t| t.query.len()).sum()
     }

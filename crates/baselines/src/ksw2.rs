@@ -294,21 +294,6 @@ impl Default for Ksw2Aligner {
     }
 }
 
-impl align_core::ReusableAligner for Ksw2Aligner {
-    // The quadratic DP allocates per (m, n) shape; a unit workspace
-    // keeps KSW2 drivable by the reuse-aware batch harness.
-    type Workspace = ();
-
-    fn align_reusing(
-        &self,
-        _ws: &mut (),
-        query: &Seq,
-        target: &Seq,
-    ) -> align_core::Result<Alignment> {
-        self.align(query, target)
-    }
-}
-
 impl GlobalAligner for Ksw2Aligner {
     fn align(&self, query: &Seq, target: &Seq) -> align_core::Result<Alignment> {
         self.align_scored(query, target).map(|(a, _)| a)

@@ -338,23 +338,6 @@ impl MyersAligner {
     }
 }
 
-impl align_core::ReusableAligner for MyersAligner {
-    // No cross-alignment scratch yet: the doubling search re-sizes its
-    // block columns per (k, n) anyway. The unit workspace still lets the
-    // batch harness drive Myers through the same reuse code path as
-    // GenASM.
-    type Workspace = ();
-
-    fn align_reusing(
-        &self,
-        _ws: &mut (),
-        query: &Seq,
-        target: &Seq,
-    ) -> align_core::Result<Alignment> {
-        self.align(query, target)
-    }
-}
-
 impl GlobalAligner for MyersAligner {
     fn align(&self, query: &Seq, target: &Seq) -> align_core::Result<Alignment> {
         let m = query.len();

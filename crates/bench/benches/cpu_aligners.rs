@@ -7,7 +7,7 @@
 use align_core::GlobalAligner;
 use baselines::{Ksw2Aligner, MyersAligner};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use genasm_cpu::CpuBatchAligner;
+use genasm_core::GenAsmAligner;
 
 fn bench_cpu_aligners(c: &mut Criterion) {
     let mut group = c.benchmark_group("E1-E3_cpu_aligners");
@@ -18,8 +18,8 @@ fn bench_cpu_aligners(c: &mut Criterion) {
     for &len in &[1_000usize, 4_000, 10_000] {
         let tasks = bench::task_batch(4, len, 0.10, 42);
         let contenders: Vec<(&str, Box<dyn GlobalAligner>)> = vec![
-            ("genasm-improved", Box::new(CpuBatchAligner::improved())),
-            ("genasm-unimproved", Box::new(CpuBatchAligner::baseline())),
+            ("genasm-improved", Box::new(GenAsmAligner::improved())),
+            ("genasm-unimproved", Box::new(GenAsmAligner::baseline())),
             ("edlib", Box::new(MyersAligner::new())),
             ("ksw2", Box::new(Ksw2Aligner::new())),
         ];

@@ -1,6 +1,6 @@
 //! Bench of the workload substrate: genome synthesis, read simulation,
 //! minimizer indexing and chaining — the pipeline stages in front of
-//! the aligners (supports the workload table in EXPERIMENTS.md).
+//! the aligners (the stages `repro workload` tabulates).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapper::{CandidateParams, MinimizerIndex};

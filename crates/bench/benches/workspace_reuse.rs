@@ -62,7 +62,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("batch", "fresh"), &tasks, |b, tasks| {
         // The pre-refactor batch shape: a workspace per task.
         b.iter(|| {
-            genasm_cpu::align_batch_with(tasks, &genasm_cpu::CpuBatchAligner::improved()).failures
+            genasm_cpu::align_batch_with(tasks, &genasm_core::GenAsmAligner::improved()).failures
         })
     });
     group.bench_with_input(BenchmarkId::new("batch", "reused"), &tasks, |b, tasks| {

@@ -1,8 +1,9 @@
 //! Shared workload builders for the Criterion benches.
 //!
 //! Every bench regenerates one row/family of the paper's evaluation;
-//! the mapping to experiment ids lives in DESIGN.md §4 and the results
-//! in EXPERIMENTS.md. The builders here are deterministic so bench
+//! the experiment ids (E1–E9, A1–A3) are tabulated in
+//! `genasm_suite::experiments`, whose `repro` harness prints the
+//! results. The builders here are deterministic so bench
 //! numbers are comparable across runs.
 
 use align_core::{AlignTask, Base, Seq};

@@ -32,9 +32,9 @@ use std::io::{BufReader, BufWriter, Write};
 
 use align_core::{Reference, Seq};
 use genasm_pipeline::{
-    disposition, AlignRecord, Backend, BackendChoice, CpuBackend, EdlibBackend, ExplainRecord,
-    ExplainSink, Ksw2Backend, OutputFormat, PipelineConfig, PipelineMetrics, ReadInput,
-    ReadProvenance, RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
+    disposition, AlignRecord, Backend, BackendChoice, BackendKind, CpuBackend, ExplainRecord,
+    ExplainSink, OutputFormat, PipelineConfig, PipelineMetrics, ReadInput, ReadProvenance,
+    RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
 };
 use genasm_server::client::SubmitOptions;
 use genasm_server::{Endpoint, Server, ServerConfig};
@@ -465,54 +465,16 @@ fn cmd_map(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The `--aligner` choices of `genasm align`, mirroring the
-/// [`BackendKind`] pattern: parse failures list every valid name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AlignerKind {
-    Genasm,
-    GenasmBase,
-    Edlib,
-    Ksw2,
-}
+type MakeBackend = fn() -> Box<dyn Backend>;
 
-impl AlignerKind {
-    const ALL: [(AlignerKind, &'static str); 4] = [
-        (AlignerKind::Genasm, "genasm"),
-        (AlignerKind::GenasmBase, "genasm-base"),
-        (AlignerKind::Edlib, "edlib"),
-        (AlignerKind::Ksw2, "ksw2"),
-    ];
-
-    fn create(&self) -> Box<dyn Backend> {
-        match self {
-            AlignerKind::Genasm => Box::new(CpuBackend::improved()),
-            AlignerKind::GenasmBase => Box::new(CpuBackend::baseline()),
-            AlignerKind::Edlib => Box::new(EdlibBackend::new()),
-            AlignerKind::Ksw2 => Box::new(Ksw2Backend::new()),
-        }
-    }
-}
-
-impl std::str::FromStr for AlignerKind {
-    type Err = CliError;
-
-    fn from_str(s: &str) -> Result<AlignerKind, CliError> {
-        AlignerKind::ALL
-            .iter()
-            .find(|(_, name)| *name == s)
-            .map(|&(kind, _)| kind)
-            .ok_or_else(|| {
-                let names: Vec<String> = AlignerKind::ALL
-                    .iter()
-                    .map(|(_, n)| format!("'{n}'"))
-                    .collect();
-                CliError::usage(format!(
-                    "unknown aligner '{s}'; valid aligners are {}",
-                    names.join(", ")
-                ))
-            })
-    }
-}
+/// The `--aligner` choices of `genasm align`: each name and the
+/// backend behind it.
+const ALIGNERS: [(&str, MakeBackend); 4] = [
+    ("genasm", || BackendKind::Cpu.create()),
+    ("genasm-base", || Box::new(CpuBackend::baseline())),
+    ("edlib", || BackendKind::Edlib.create()),
+    ("ksw2", || BackendKind::Ksw2.create()),
+];
 
 /// One-shot batch alignment: load every read, generate every candidate,
 /// align the whole batch through the chosen backend, print per-read
@@ -520,7 +482,16 @@ impl std::str::FromStr for AlignerKind {
 /// subcommand must match byte-for-byte.
 fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let aligner_name = flags.get("aligner").unwrap_or("genasm");
-    let aligner: AlignerKind = aligner_name.parse()?;
+    let (_, create_backend) = ALIGNERS
+        .iter()
+        .find(|(name, _)| *name == aligner_name)
+        .ok_or_else(|| {
+            let names: Vec<String> = ALIGNERS.iter().map(|(n, _)| format!("'{n}'")).collect();
+            CliError::usage(format!(
+                "unknown aligner '{aligner_name}'; valid aligners are {}",
+                names.join(", ")
+            ))
+        })?;
     let format = output_format(flags)?;
     let params = candidate_params(flags)?;
     let (shards, shard_overlap) = shard_params(flags)?;
@@ -528,7 +499,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     configure_threads(flags)?;
     let reference = load_reference(flags.req("ref")?)?;
     let reads = load_fastx(flags.req("reads")?)?;
-    let backend = aligner.create();
+    let backend = create_backend();
     // The build consumes the reference: candidate windows are cut from
     // the index's shard-local storage.
     let index = ShardedIndex::build(reference, shards, shard_overlap);
@@ -563,13 +534,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         })?;
         aln.check(&task.query, &task.target)
             .map_err(|e| CliError::runtime(format!("invalid alignment: {e}")))?;
-        task_detail[i].push(TaskExplain {
-            hint: task.max_edits,
-            edits: aln.edit_distance as u64,
-            rescued: task
-                .max_edits
-                .is_some_and(|k| aln.edit_distance > k as usize),
-        });
+        task_detail[i].push(TaskExplain::new(task.max_edits, aln));
         rows[i].push(AlignRecord::new(
             &reads[i].name,
             reads[i].seq.len(),
@@ -592,13 +557,8 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         // there is no per-read alignment latency to report.
         for (i, r) in reads.iter().enumerate() {
             let (stats, map_ns) = &funnel[i];
-            let disp = match stats.unmapped_reason() {
-                Some(reason) => disposition::unmapped(reason),
-                None if task_detail[i].iter().any(|t| t.rescued) => {
-                    disposition::RESCUED.to_string()
-                }
-                None => disposition::ALIGNED.to_string(),
-            };
+            // A failed candidate aborted the run above.
+            let disp = disposition::of(stats.unmapped_reason(), false, &task_detail[i]);
             x.emit(&ExplainRecord {
                 read: &r.name,
                 disposition: &disp,

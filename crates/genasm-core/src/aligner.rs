@@ -1,7 +1,6 @@
 //! The public aligner façade.
 
-use align_core::{AlignError, Alignment, GlobalAligner, ReusableAligner, Seq};
-use std::cell::RefCell;
+use align_core::{AlignError, Alignment, GlobalAligner, Seq};
 
 use crate::config::GenAsmConfig;
 use crate::stats::MemStats;
@@ -24,7 +23,6 @@ use crate::workspace::AlignWorkspace;
 #[derive(Debug, Clone)]
 pub struct GenAsmAligner {
     cfg: GenAsmConfig,
-    stats: RefCell<MemStats>,
 }
 
 impl GenAsmAligner {
@@ -42,10 +40,7 @@ impl GenAsmAligner {
     /// geometry).
     pub fn with_config(cfg: GenAsmConfig) -> GenAsmAligner {
         cfg.validate();
-        GenAsmAligner {
-            cfg,
-            stats: RefCell::new(MemStats::new()),
-        }
+        GenAsmAligner { cfg }
     }
 
     /// The active configuration.
@@ -53,8 +48,8 @@ impl GenAsmAligner {
         &self.cfg
     }
 
-    /// Align one pair, adding instrumentation to the provided counters
-    /// instead of the aligner's internal ones.
+    /// Align one pair, adding its instrumentation to `stats`
+    /// ([`GlobalAligner::align`] discards it).
     pub fn align_with_stats(
         &self,
         query: &Seq,
@@ -94,35 +89,11 @@ impl GenAsmAligner {
     pub fn new_workspace(&self) -> AlignWorkspace {
         AlignWorkspace::with_capacity(self.cfg.w)
     }
-
-    /// Instrumentation accumulated by [`GlobalAligner::align`] calls.
-    pub fn stats(&self) -> MemStats {
-        *self.stats.borrow()
-    }
-
-    /// Reset the accumulated instrumentation.
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = MemStats::new();
-    }
-}
-
-impl ReusableAligner for GenAsmAligner {
-    type Workspace = AlignWorkspace;
-
-    fn align_reusing(
-        &self,
-        ws: &mut AlignWorkspace,
-        query: &Seq,
-        target: &Seq,
-    ) -> align_core::Result<Alignment> {
-        GenAsmAligner::align_reusing(self, ws, query, target)
-    }
 }
 
 impl GlobalAligner for GenAsmAligner {
     fn align(&self, query: &Seq, target: &Seq) -> align_core::Result<Alignment> {
-        let mut stats = self.stats.borrow_mut();
-        align_with_stats(query, target, &self.cfg, &mut stats)
+        align_with_stats(query, target, &self.cfg, &mut MemStats::new())
     }
 
     fn name(&self) -> &'static str {
@@ -150,9 +121,20 @@ mod tests {
         let q = seq(&"ACGTACGT".repeat(20));
         let a = aligner.align(&q, &q).unwrap();
         assert_eq!(a.edit_distance, 0);
-        assert!(aligner.stats().windows > 0);
-        aligner.reset_stats();
-        assert_eq!(aligner.stats().windows, 0);
+        let mut stats = MemStats::new();
+        let b = aligner.align_with_stats(&q, &q, &mut stats).unwrap();
+        assert_eq!(a, b);
+        let once = stats.windows;
+        assert!(once > 0);
+        aligner.align_with_stats(&q, &q, &mut stats).unwrap();
+        assert_eq!(stats.windows, 2 * once);
+    }
+
+    #[test]
+    fn aligner_is_shareable_across_batch_workers() {
+        // `genasm_cpu::align_batch_with` needs `GlobalAligner + Sync`.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<GenAsmAligner>();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Bitap bitvector engine: pattern bitmasks and the GenASM-DC
 //! recurrence step.
 //!
-//! Conventions (GenASM, see DESIGN.md §5):
+//! Conventions (GenASM's):
 //!
 //! * a **0 bit is active**: bit `j` of `R[d]` is 0 iff the pattern prefix
 //!   `P[0..=j]` aligns to a suffix of the processed text with at most `d`
@@ -40,7 +40,7 @@ impl PatternMask {
 
     /// Build the masks for the **reverse** of `pattern[start..start+len]`
     /// without materializing the reversed sequence (the windowed aligner
-    /// processes reversed windows; see DESIGN.md §5).
+    /// processes reversed windows; see [`crate::engine`]).
     pub fn new_reversed_window(pattern: &Seq, start: usize, len: usize) -> PatternMask {
         Self::from_slice_fn(len, |j| pattern.get_code(start + len - 1 - j))
     }

@@ -3,7 +3,7 @@
 //!
 //! A window aligns a reversed pattern slice (≤ 64 chars, one bit each)
 //! against a reversed text slice. Reversal makes the backward traceback
-//! emit operations in forward order (GenASM's trick, DESIGN.md §5).
+//! emit operations in forward order (GenASM's trick).
 //!
 //! All mutable state — scratch rows, the traceback table, the staged
 //! window inputs, the op buffer, and the instrumentation counters —
@@ -378,7 +378,11 @@ fn active(word: u64, j: usize) -> bool {
 /// either `keep` pattern or `keep` text characters have been consumed.
 ///
 /// Edge priority is match > substitution > deletion > insertion; any
-/// active predecessor is cost-safe (DESIGN.md §5).
+/// active predecessor is cost-safe: an active bit of `R[d]` certifies
+/// its prefix within `d` edits, so whichever active edge the walk
+/// takes, the rest fits the budget that is left (how edges are
+/// re-derived from the stored words: "Improvement mechanics" in the
+/// module docs).
 pub fn traceback<T: TableRead>(
     table: &mut T,
     pm: &PatternMask,

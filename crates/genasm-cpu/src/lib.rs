@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use align_core::{AlignTask, Alignment, GlobalAligner, ReusableAligner, Seq};
+use align_core::{AlignTask, Alignment, GlobalAligner};
 use genasm_core::{AlignWorkspace, GenAsmConfig, MemStats};
 use rayon::prelude::*;
 
@@ -91,42 +91,6 @@ pub fn align_batch_genasm(tasks: &[AlignTask], cfg: &GenAsmConfig) -> BatchResul
     }
 }
 
-/// Align a batch with any [`ReusableAligner`]: one workspace per
-/// worker, reused across that worker's share of the batch. This is the
-/// code path the bench harness uses to compare backends under identical
-/// threading *and* identical allocation discipline.
-///
-/// The returned [`BatchResult::stats`] is zeroed — the generic
-/// workspace has no common instrumentation interface (same contract as
-/// [`align_batch_with`]). Use [`align_batch_genasm`] when GenASM
-/// [`MemStats`] are needed.
-pub fn align_batch_reusing<A: ReusableAligner + Sync>(
-    tasks: &[AlignTask],
-    aligner: &A,
-) -> BatchResult {
-    let start = Instant::now();
-    let failures = AtomicU64::new(0);
-    let alignments: Vec<Option<Alignment>> = tasks
-        .par_iter()
-        .map_init(A::Workspace::default, |ws, t| {
-            match aligner.align_reusing(ws, &t.query, &t.target) {
-                Ok(a) => Some(a),
-                Err(_) => {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            }
-        })
-        .collect();
-    let elapsed = start.elapsed();
-    BatchResult {
-        timing: BatchTiming::new(tasks, elapsed),
-        alignments,
-        stats: MemStats::new(),
-        failures: failures.load(Ordering::Relaxed) as usize,
-    }
-}
-
 /// Align a batch with an arbitrary aligner (used for the baselines).
 pub fn align_batch_with<A: GlobalAligner + Sync>(tasks: &[AlignTask], aligner: &A) -> BatchResult {
     let start = Instant::now();
@@ -150,69 +114,10 @@ pub fn align_batch_with<A: GlobalAligner + Sync>(tasks: &[AlignTask], aligner: &
     }
 }
 
-/// A GenASM batch aligner bound to a configuration, exposing the
-/// [`GlobalAligner`] interface for single pairs too.
-#[derive(Debug, Clone)]
-pub struct CpuBatchAligner {
-    /// The configuration used for every task.
-    pub cfg: GenAsmConfig,
-}
-
-impl CpuBatchAligner {
-    /// Improved GenASM.
-    pub fn improved() -> CpuBatchAligner {
-        CpuBatchAligner {
-            cfg: GenAsmConfig::improved(),
-        }
-    }
-
-    /// Unimproved GenASM.
-    pub fn baseline() -> CpuBatchAligner {
-        CpuBatchAligner {
-            cfg: GenAsmConfig::baseline(),
-        }
-    }
-
-    /// Run a batch.
-    pub fn run(&self, tasks: &[AlignTask]) -> BatchResult {
-        align_batch_genasm(tasks, &self.cfg)
-    }
-}
-
-impl ReusableAligner for CpuBatchAligner {
-    type Workspace = AlignWorkspace;
-
-    fn align_reusing(
-        &self,
-        ws: &mut AlignWorkspace,
-        query: &Seq,
-        target: &Seq,
-    ) -> align_core::Result<Alignment> {
-        genasm_core::align_with_workspace(query, target, &self.cfg, ws)
-    }
-}
-
-impl GlobalAligner for CpuBatchAligner {
-    fn align(&self, query: &Seq, target: &Seq) -> align_core::Result<Alignment> {
-        let mut stats = MemStats::new();
-        genasm_core::align_with_stats(query, target, &self.cfg, &mut stats)
-    }
-
-    fn name(&self) -> &'static str {
-        if self.cfg.improvements == genasm_core::Improvements::ALL {
-            "genasm-cpu-improved"
-        } else if self.cfg.improvements == genasm_core::Improvements::NONE {
-            "genasm-cpu-baseline"
-        } else {
-            "genasm-cpu-custom"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use align_core::TaskBatch;
+    use align_core::{Seq, TaskBatch};
 
     fn seq(s: &str) -> Seq {
         Seq::from_ascii(s.as_bytes()).unwrap()
@@ -305,25 +210,5 @@ mod tests {
             fresh_stats.merge(&s);
         }
         assert_eq!(reused.stats, fresh_stats, "instrumentation must not drift");
-    }
-
-    #[test]
-    fn reusable_trait_batch_works_for_genasm() {
-        let batch = small_batch();
-        let res = align_batch_reusing(&batch.tasks, &CpuBatchAligner::improved());
-        assert_eq!(res.failures, 0);
-        for (t, a) in batch.tasks.iter().zip(&res.alignments) {
-            a.as_ref().unwrap().check(&t.query, &t.target).unwrap();
-        }
-    }
-
-    #[test]
-    fn reusable_trait_batch_works_for_baselines() {
-        let batch = small_batch();
-        let res = align_batch_reusing(&batch.tasks, &baselines::MyersAligner::new());
-        assert_eq!(res.failures, 0);
-        for (t, a) in batch.tasks.iter().zip(&res.alignments) {
-            a.as_ref().unwrap().check(&t.query, &t.target).unwrap();
-        }
     }
 }

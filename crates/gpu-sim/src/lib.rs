@@ -1,7 +1,8 @@
 //! # gpu-sim
 //!
 //! A software SIMT execution substrate standing in for the paper's
-//! NVIDIA A6000 (see DESIGN.md §2 for the substitution argument).
+//! NVIDIA A6000 (what the substitution keeps, and what it does not, is
+//! spelled out below).
 //!
 //! Kernels ([`Kernel`]) are barrier-phase block programs executed on a
 //! host thread pool ([`Device::launch`]). The substrate enforces the

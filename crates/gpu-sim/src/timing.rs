@@ -18,8 +18,8 @@
 //! occupancy the kernel's shared-memory usage permits; the kernel time
 //! is `max(compute makespan, bandwidth time) + launch overhead`.
 //! Absolute numbers are estimates; the *ratios* between two kernels on
-//! the same device are the experimentally meaningful output
-//! (DESIGN.md §2).
+//! the same device are the experimentally meaningful output (the
+//! crate docs say what is faithful and what is not).
 
 use crate::ctx::BlockCounters;
 use crate::device::DeviceDescriptor;

@@ -12,10 +12,10 @@
 
 use std::sync::Mutex;
 
-use align_core::{AlignTask, Alignment};
+use align_core::{AlignTask, Alignment, GlobalAligner};
 use baselines::{Ksw2Aligner, MyersAligner};
-use genasm_core::MemStats;
-use genasm_cpu::{align_batch_genasm, align_batch_reusing, CpuBatchAligner};
+use genasm_core::{GenAsmConfig, MemStats};
+use genasm_cpu::{align_batch_genasm, align_batch_with};
 use genasm_gpu::GpuAligner;
 use gpu_sim::Device;
 
@@ -67,7 +67,7 @@ impl std::error::Error for BackendError {}
 
 /// The GenASM CPU batch aligner (Rayon, allocation-free hot path).
 pub struct CpuBackend {
-    aligner: CpuBatchAligner,
+    cfg: GenAsmConfig,
     name: &'static str,
     stats: Mutex<MemStats>,
 }
@@ -76,7 +76,7 @@ impl CpuBackend {
     /// Improved GenASM (the paper's contribution).
     pub fn improved() -> CpuBackend {
         CpuBackend {
-            aligner: CpuBatchAligner::improved(),
+            cfg: GenAsmConfig::improved(),
             name: "cpu",
             stats: Mutex::new(MemStats::new()),
         }
@@ -85,7 +85,7 @@ impl CpuBackend {
     /// Unimproved GenASM (Senol Cali et al. 2020).
     pub fn baseline() -> CpuBackend {
         CpuBackend {
-            aligner: CpuBatchAligner::baseline(),
+            cfg: GenAsmConfig::baseline(),
             name: "cpu-base",
             stats: Mutex::new(MemStats::new()),
         }
@@ -98,7 +98,7 @@ impl Backend for CpuBackend {
     }
 
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        let res = align_batch_genasm(tasks, &self.aligner.cfg);
+        let res = align_batch_genasm(tasks, &self.cfg);
         self.stats
             .lock()
             .expect("stats mutex poisoned")
@@ -191,63 +191,18 @@ impl Backend for GpuSimBackend {
     }
 }
 
-/// Myers' bit-parallel exact aligner (the Edlib baseline).
-pub struct EdlibBackend {
-    aligner: MyersAligner,
-}
+/// A baseline aligner (Edlib, KSW2) behind the batch interface: every
+/// task through [`GlobalAligner::align`] on the Rayon pool, no engine
+/// counters.
+struct BaselineBackend<A>(A);
 
-impl EdlibBackend {
-    /// Fresh baseline aligner.
-    pub fn new() -> EdlibBackend {
-        EdlibBackend {
-            aligner: MyersAligner::new(),
-        }
-    }
-}
-
-impl Default for EdlibBackend {
-    fn default() -> EdlibBackend {
-        EdlibBackend::new()
-    }
-}
-
-impl Backend for EdlibBackend {
+impl<A: GlobalAligner + Send + Sync> Backend for BaselineBackend<A> {
     fn name(&self) -> &'static str {
-        "edlib"
+        self.0.name()
     }
 
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        Ok(align_batch_reusing(tasks, &self.aligner).alignments)
-    }
-}
-
-/// The KSW2-style quadratic DP baseline.
-pub struct Ksw2Backend {
-    aligner: Ksw2Aligner,
-}
-
-impl Ksw2Backend {
-    /// Fresh baseline aligner.
-    pub fn new() -> Ksw2Backend {
-        Ksw2Backend {
-            aligner: Ksw2Aligner::new(),
-        }
-    }
-}
-
-impl Default for Ksw2Backend {
-    fn default() -> Ksw2Backend {
-        Ksw2Backend::new()
-    }
-}
-
-impl Backend for Ksw2Backend {
-    fn name(&self) -> &'static str {
-        "ksw2"
-    }
-
-    fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        Ok(align_batch_reusing(tasks, &self.aligner).alignments)
+        Ok(align_batch_with(tasks, &self.0).alignments)
     }
 }
 
@@ -278,8 +233,8 @@ impl BackendKind {
         match self {
             BackendKind::Cpu => Box::new(CpuBackend::improved()),
             BackendKind::GpuSim => Box::new(GpuSimBackend::a6000()),
-            BackendKind::Edlib => Box::new(EdlibBackend::new()),
-            BackendKind::Ksw2 => Box::new(Ksw2Backend::new()),
+            BackendKind::Edlib => Box::new(BaselineBackend(MyersAligner::new())),
+            BackendKind::Ksw2 => Box::new(BaselineBackend(Ksw2Aligner::new())),
         }
     }
 }
@@ -294,6 +249,7 @@ impl std::str::FromStr for BackendKind {
             .map(|&(kind, _)| kind)
             .ok_or_else(|| ParseBackendError {
                 given: s.to_string(),
+                auto: false,
             })
     }
 }
@@ -308,17 +264,23 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Error for an unrecognized backend name; lists the valid ones.
+/// Error for an unrecognized backend name; lists the valid ones —
+/// with `auto` last where a [`BackendChoice`] was being parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBackendError {
     /// What the user typed.
     pub given: String,
+    auto: bool,
 }
 
 impl std::fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "unknown backend '{}'; valid backends are ", self.given)?;
-        for (i, (_, name)) in BackendKind::ALL.iter().enumerate() {
+        let kinds = BackendKind::ALL.iter().map(|&(_, name)| name);
+        for (i, name) in kinds
+            .chain(self.auto.then_some(BackendChoice::AUTO_NAME))
+            .enumerate()
+        {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -364,15 +326,15 @@ impl From<BackendKind> for BackendChoice {
 }
 
 impl std::str::FromStr for BackendChoice {
-    type Err = ParseBackendChoiceError;
+    type Err = ParseBackendError;
 
-    fn from_str(s: &str) -> Result<BackendChoice, ParseBackendChoiceError> {
+    fn from_str(s: &str) -> Result<BackendChoice, ParseBackendError> {
         if s == BackendChoice::AUTO_NAME {
             return Ok(BackendChoice::Auto);
         }
         s.parse::<BackendKind>()
             .map(BackendChoice::Fixed)
-            .map_err(|e| ParseBackendChoiceError { given: e.given })
+            .map_err(|e| ParseBackendError { auto: true, ..e })
     }
 }
 
@@ -384,26 +346,6 @@ impl std::fmt::Display for BackendChoice {
         }
     }
 }
-
-/// Error for an unrecognized backend choice; lists the valid names
-/// including `auto`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBackendChoiceError {
-    /// What the user typed.
-    pub given: String,
-}
-
-impl std::fmt::Display for ParseBackendChoiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown backend '{}'; valid backends are ", self.given)?;
-        for (_, name) in BackendKind::ALL.iter() {
-            write!(f, "'{name}', ")?;
-        }
-        write!(f, "'{}'", BackendChoice::AUTO_NAME)
-    }
-}
-
-impl std::error::Error for ParseBackendChoiceError {}
 
 #[cfg(test)]
 mod tests {
@@ -450,7 +392,10 @@ mod tests {
     fn unknown_backend_lists_choices() {
         let err = "cuda".parse::<BackendKind>().unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("'cuda'"), "{msg}");
+        assert_eq!(
+            msg,
+            "unknown backend 'cuda'; valid backends are 'cpu', 'gpu-sim', 'edlib', 'ksw2'"
+        );
         for (_, name) in BackendKind::ALL {
             assert!(msg.contains(name), "missing {name} in {msg}");
         }
@@ -529,7 +474,8 @@ mod tests {
     #[test]
     fn unknown_choice_lists_names_including_auto() {
         let msg = "tpu".parse::<BackendChoice>().unwrap_err().to_string();
-        assert!(msg.contains("'tpu'"), "{msg}");
+        assert!(msg.starts_with("unknown backend 'tpu'; "), "{msg}");
+        assert!(msg.ends_with("'ksw2', 'auto'"), "{msg}");
         for (_, name) in BackendKind::ALL {
             assert!(msg.contains(&format!("'{name}'")), "missing {name}: {msg}");
         }

@@ -16,10 +16,15 @@
 use std::io::Write;
 use std::sync::Mutex;
 
+use align_core::Alignment;
 use genasm_telemetry::json;
 
 /// The closed disposition taxonomy. Every read ends in exactly one.
 pub mod disposition {
+    use std::borrow::Cow;
+
+    use super::TaskExplain;
+
     /// At least one record emitted; no accepted candidate needed
     /// rescue.
     pub const ALIGNED: &str = "aligned";
@@ -34,6 +39,19 @@ pub mod disposition {
     /// `no_candidates`).
     pub fn unmapped(reason: &str) -> String {
         format!("unmapped:{reason}")
+    }
+
+    /// The one rule that picks a read's disposition: `unmapped` is the
+    /// first empty funnel stage of a read that produced no candidate,
+    /// `failed` says a candidate came back without an alignment, and
+    /// `tasks` are the accepted candidates.
+    pub fn of(unmapped: Option<&str>, failed: bool, tasks: &[TaskExplain]) -> Cow<'static, str> {
+        match unmapped {
+            Some(reason) => self::unmapped(reason).into(),
+            None if failed => FAILED_NO_ALIGNMENT.into(),
+            None if tasks.iter().any(|t| t.rescued) => RESCUED.into(),
+            None => ALIGNED.into(),
+        }
     }
 }
 
@@ -64,6 +82,16 @@ pub struct TaskExplain {
 }
 
 impl TaskExplain {
+    /// The accounting of one accepted candidate dispatched with the
+    /// banding `hint`: the one place that says what "rescued" means.
+    pub fn new(hint: Option<u32>, aln: &Alignment) -> TaskExplain {
+        TaskExplain {
+            hint,
+            edits: aln.edit_distance as u64,
+            rescued: hint.is_some_and(|k| aln.edit_distance > k as usize),
+        }
+    }
+
     fn to_json(self) -> String {
         let hint = match self.hint {
             Some(k) => k.to_string(),
@@ -171,26 +199,22 @@ mod tests {
 
     #[test]
     fn record_renders_schema_funnel_and_tasks() {
+        let with_edits = |edit_distance| Alignment {
+            edit_distance,
+            cigar: align_core::Cigar::new(),
+        };
+        // Rescued means the accepted alignment needed more edits than
+        // its hint allowed; a hint that was exactly enough is not.
         let tasks = [
-            TaskExplain {
-                hint: Some(9),
-                edits: 3,
-                rescued: false,
-            },
-            TaskExplain {
-                hint: Some(2),
-                edits: 7,
-                rescued: true,
-            },
-            TaskExplain {
-                hint: None,
-                edits: 4,
-                rescued: false,
-            },
+            TaskExplain::new(Some(9), &with_edits(3)),
+            TaskExplain::new(Some(2), &with_edits(7)),
+            TaskExplain::new(None, &with_edits(4)),
         ];
+        assert_eq!(tasks.map(|t| t.rescued), [false, true, false], "{tasks:?}");
+        assert!(!TaskExplain::new(Some(7), &with_edits(7)).rescued);
         let rec = ExplainRecord {
             read: "r\t1",
-            disposition: disposition::RESCUED,
+            disposition: &disposition::of(None, false, &tasks),
             backend: Some("gpu-sim"),
             provenance: ReadProvenance {
                 anchors: 5,
@@ -229,6 +253,22 @@ mod tests {
             disposition::unmapped("no_candidates"),
             "unmapped:no_candidates"
         );
+        // The one choice: unmapped before failed before rescued.
+        let rescued = [TaskExplain {
+            hint: Some(1),
+            edits: 2,
+            rescued: true,
+        }];
+        assert_eq!(
+            disposition::of(Some("no_chain"), false, &[]),
+            "unmapped:no_chain"
+        );
+        assert_eq!(
+            disposition::of(None, true, &rescued),
+            disposition::FAILED_NO_ALIGNMENT
+        );
+        assert_eq!(disposition::of(None, false, &rescued), disposition::RESCUED);
+        assert_eq!(disposition::of(None, false, &[]), disposition::ALIGNED);
     }
 
     #[test]

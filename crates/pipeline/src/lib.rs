@@ -61,10 +61,13 @@
 //! and map-worker counts.
 //! Records report contig names and contig-local coordinates.
 //!
-//! Backends implement [`backend::Backend`]; the Rayon CPU batch
-//! aligner, the simulated GPU, and both baselines ship in
-//! [`backend`]. All reuse per-worker workspaces internally, so the hot
-//! path stays allocation-free in steady state.
+//! Backends implement [`backend::Backend`] — the one seam an engine
+//! plugs into: the impl plus a [`BackendKind`] row put it on the CLI,
+//! in the server and under the router. The Rayon CPU batch aligner, the
+//! simulated GPU, and both baselines ship in [`backend`]; the GenASM
+//! engines reuse per-worker workspaces, so their hot path stays
+//! allocation-free in steady state. A backend that panics fails its
+//! batch like one that returns an error; the stages keep running.
 
 pub mod backend;
 pub mod batcher;
@@ -84,8 +87,7 @@ use align_core::{AlignTask, Alignment, Reference, Seq};
 use mapper::CandidateParams;
 
 pub use backend::{
-    Backend, BackendChoice, BackendError, BackendKind, CpuBackend, EdlibBackend, GpuSimBackend,
-    Ksw2Backend, ParseBackendChoiceError, ParseBackendError,
+    Backend, BackendChoice, BackendError, BackendKind, CpuBackend, GpuSimBackend, ParseBackendError,
 };
 pub use batcher::{Batch, BatchBuilder, TaskMeta};
 pub use explain::{disposition, ExplainRecord, ExplainSink, ReadProvenance, TaskExplain};

@@ -26,7 +26,7 @@
 //! * **Eventual cross-field consistency.** Fields are updated by
 //!   different stages without a global lock, so relations like
 //!   `reads_mapped ≤ reads_in` or `batch_tasks ≤ tasks_generated`
-//!   hold *at rest* (after [`drain`](crate::PipelineService::drain) or
+//!   hold *at rest* (after [`shutdown`](crate::PipelineService::shutdown) or
 //!   run end) but may be transiently off by in-flight updates in a
 //!   mid-run snapshot. Within one histogram, `count == Σ buckets`
 //!   holds in every snapshot by construction; `sum` may lag.
@@ -36,12 +36,11 @@
 //!   snapshot never observes a half-merged batch — the engine
 //!   counters are always a consistent prefix of completed batches.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use genasm_telemetry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, SlowRead, SlowReads, Snapshot, BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, SlowRead, SlowReads, Snapshot,
 };
 use mapper::{ReadMapStats, ShardIndexMetrics};
 
@@ -49,12 +48,6 @@ use mapper::{ReadMapStats, ShardIndexMetrics};
 /// of the slowest reads seen so far), surfaced in `STATS JSON` and the
 /// server's `# stat-frame` stream.
 pub const SLOW_READS_CAPACITY: usize = 8;
-
-/// Number of power-of-two buckets in the legacy batch-size histogram
-/// view ([`PipelineMetrics::batch_size_hist`]). Bucket `i > 0` counts
-/// batches with total bases in `[2^(i-1), 2^i)`, bucket 0 counts empty
-/// batches; the last bucket absorbs everything larger.
-pub const HIST_BUCKETS: usize = 32;
 
 /// Latency handles for one backend: batch/task counts plus queue-wait
 /// and execute histograms, all labeled `backend="<name>"` in the
@@ -139,12 +132,8 @@ pub struct StageCounters {
     pub task_queue_wait_ns: Arc<Histogram>,
     pub batch_build_ns: Arc<Histogram>,
     pub reorder_wait_ns: Arc<Histogram>,
-    // Per-backend latency handles, created on first dispatch.
-    backend_lats: Mutex<BTreeMap<String, BackendLat>>,
-    // Adaptive-router decision counters, created on first routed
-    // batch: how many batches each backend was chosen for, and how
-    // many of those picks were exploration (not cost-model) picks.
-    router_batches: Mutex<BTreeMap<String, Arc<Counter>>>,
+    /// Router picks made by the exploration floor, not the cost model
+    /// (the per-backend pick counts are [`StageCounters::router_batch`]).
     pub router_explored: Arc<Counter>,
 }
 
@@ -201,8 +190,6 @@ impl StageCounters {
             task_queue_wait_ns: registry.histogram("task_queue_wait_ns"),
             batch_build_ns: registry.histogram("batch_build_ns"),
             reorder_wait_ns: registry.histogram("reorder_wait_ns"),
-            backend_lats: Mutex::new(BTreeMap::new()),
-            router_batches: Mutex::new(BTreeMap::new()),
             router_explored: registry.counter("router_explored"),
             registry,
         }
@@ -215,28 +202,15 @@ impl StageCounters {
 
     /// Latency handles for backend `name`, registered on first use.
     pub fn backend_lat(&self, name: &str) -> BackendLat {
-        let mut map = self.backend_lats.lock().expect("backend lat mutex");
-        map.entry(name.to_string())
-            .or_insert_with(|| BackendLat {
-                batches: self
-                    .registry
-                    .labeled_counter("backend_batches", "backend", name),
-                tasks: self
-                    .registry
-                    .labeled_counter("backend_tasks", "backend", name),
-                bases: self
-                    .registry
-                    .labeled_counter("backend_bases", "backend", name),
-                queue_wait_ns: self.registry.labeled_histogram(
-                    "backend_queue_wait_ns",
-                    "backend",
-                    name,
-                ),
-                execute_ns: self
-                    .registry
-                    .labeled_histogram("backend_execute_ns", "backend", name),
-            })
-            .clone()
+        let counter = |metric| self.registry.labeled_counter(metric, "backend", name);
+        let histogram = |metric| self.registry.labeled_histogram(metric, "backend", name);
+        BackendLat {
+            batches: counter("backend_batches"),
+            tasks: counter("backend_tasks"),
+            bases: counter("backend_bases"),
+            queue_wait_ns: histogram("backend_queue_wait_ns"),
+            execute_ns: histogram("backend_execute_ns"),
+        }
     }
 
     /// Record one read's pass through the candidate funnel stages
@@ -315,32 +289,8 @@ impl StageCounters {
     /// Router decision counter for backend `name`, registered on first
     /// use (rendered as `genasm_router_batches_total{backend="…"}`).
     pub fn router_batch(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.router_batches.lock().expect("router batch mutex");
-        map.entry(name.to_string())
-            .or_insert_with(|| {
-                self.registry
-                    .labeled_counter("router_batches", "backend", name)
-            })
-            .clone()
-    }
-
-    fn backend_snapshots(&self) -> Vec<BackendMetrics> {
-        let map = self.backend_lats.lock().expect("backend lat mutex");
-        map.iter()
-            .map(|(name, lat)| BackendMetrics {
-                name: name.clone(),
-                batches: lat.batches.get(),
-                tasks: lat.tasks.get(),
-                bases: lat.bases.get(),
-                queue_wait: lat.queue_wait_ns.snapshot(),
-                execute: lat.execute_ns.snapshot(),
-            })
-            .collect()
-    }
-
-    fn router_snapshots(&self) -> Vec<(String, u64)> {
-        let map = self.router_batches.lock().expect("router batch mutex");
-        map.iter().map(|(n, c)| (n.clone(), c.get())).collect()
+        self.registry
+            .labeled_counter("router_batches", "backend", name)
     }
 }
 
@@ -384,22 +334,6 @@ impl FunnelCounts {
     /// (`aligned + unmapped + failed`); equals `reads_in` at rest.
     pub fn accounted(&self) -> u64 {
         self.aligned + self.unmapped_total() + self.failed
-    }
-
-    /// Snapshot the funnel counters out of live [`StageCounters`].
-    pub fn from_counters(c: &StageCounters) -> FunnelCounts {
-        FunnelCounts {
-            reads_in: c.reads_in.get(),
-            anchored: c.reads_anchored.get(),
-            chained: c.reads_chained.get(),
-            candidates: c.reads_mapped.get(),
-            aligned: c.reads_aligned.get(),
-            rescued: c.reads_rescued.get(),
-            failed: c.reads_failed.get(),
-            unmapped_no_anchors: c.unmapped_no_anchors.get(),
-            unmapped_no_chain: c.unmapped_no_chain.get(),
-            unmapped_no_candidates: c.unmapped_no_candidates.get(),
-        }
     }
 
     /// Compact JSON object (shared by `--metrics json`, `STATS JSON`,
@@ -483,9 +417,8 @@ pub struct PipelineMetrics {
     pub batch_bases: u64,
     /// Largest dispatched batch, in bases.
     pub max_batch_bases: u64,
-    /// Power-of-two histogram of batch sizes in bases: entry `i`
-    /// counts batches in `[2^(i-1), 2^i)` (entry 0 counts empty).
-    pub batch_size_hist: Vec<u64>,
+    /// Sizes of the dispatched batches, in bases.
+    pub batch_size_bases: HistogramSnapshot,
     /// Records emitted by the sink.
     pub records_out: u64,
     /// Bytes buffered in session output channels right now (service
@@ -772,20 +705,11 @@ impl PipelineMetrics {
             genasm_telemetry::json::number(self.backend_utilization()),
         );
         let _ = write!(s, ",\"funnel\":{}", self.funnel.to_json());
-        s.push_str(",\"slow_reads\":[");
-        for (i, e) in self.slow_reads.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"read\":\"{}\",\"latency_ns\":{},\"disposition\":\"{}\"}}",
-                genasm_telemetry::json::escape(&e.name),
-                e.latency_ns,
-                genasm_telemetry::json::escape(&e.disposition)
-            );
-        }
-        s.push(']');
+        let _ = write!(
+            s,
+            ",\"slow_reads\":{}",
+            genasm_telemetry::slow::to_json(&self.slow_reads)
+        );
         let _ = write!(
             s,
             ",\"busy_ns\":{{\"mapper\":{},\"scheduler\":{},\"backend\":{},\"sink\":{}}}",
@@ -831,7 +755,7 @@ impl PipelineMetrics {
             self.task_queue_wait.to_json(),
             self.batch_build.to_json(),
             self.reorder_wait.to_json(),
-            self.batch_size_snapshot().to_json(),
+            self.batch_size_bases.to_json(),
         );
         s.push_str(",\"backends\":{");
         for (i, b) in self.backends.iter().enumerate() {
@@ -937,16 +861,6 @@ impl PipelineMetrics {
         out
     }
 
-    /// The batch-size histogram as a [`HistogramSnapshot`] (full
-    /// 64-bucket resolution, unlike the legacy 32-bucket
-    /// `batch_size_hist` view).
-    fn batch_size_snapshot(&self) -> HistogramSnapshot {
-        match self.registry.get("batch_size_bases") {
-            Some(genasm_telemetry::MetricValue::Histogram(h)) => h.clone(),
-            _ => HistogramSnapshot::default(),
-        }
-    }
-
     pub(crate) fn snapshot(
         c: &StageCounters,
         wall: Duration,
@@ -956,54 +870,79 @@ impl PipelineMetrics {
         result_queue: QueueMetrics,
         engine: Option<genasm_core::MemStats>,
     ) -> PipelineMetrics {
-        // Fold the 64-bucket histogram into the legacy 32-bucket view
-        // (same bucket boundaries; the last legacy bucket absorbs the
-        // tail, exactly as the old fixed array did).
-        let batch_snapshot = c.batch_size_bases.snapshot();
-        let mut batch_size_hist = vec![0u64; HIST_BUCKETS];
-        for (i, &n) in batch_snapshot.buckets.iter().enumerate().take(BUCKETS) {
-            batch_size_hist[i.min(HIST_BUCKETS - 1)] += n;
-        }
+        // One copy of the registry, taken first, fills every field
+        // below, so a field, its twin in the funnel and the Prometheus
+        // rendering of the same snapshot can never disagree. A name
+        // that is misspelt here reads as zero; the rendering golden
+        // below sets every metric and would show it.
+        let reg = c.registry.snapshot();
+        let n = |name: &str| reg.scalar(name, None);
+        let unmapped = |reason: &str| reg.scalar("reads_unmapped", Some(reason));
+        let funnel = FunnelCounts {
+            reads_in: n("reads_in"),
+            anchored: n("reads_anchored"),
+            chained: n("reads_chained"),
+            candidates: n("reads_mapped"),
+            aligned: n("reads_aligned"),
+            rescued: n("reads_rescued"),
+            failed: n("reads_failed"),
+            unmapped_no_anchors: unmapped("no_anchors"),
+            unmapped_no_chain: unmapped("no_chain"),
+            unmapped_no_candidates: unmapped("no_candidates"),
+        };
         PipelineMetrics {
-            reads_in: c.reads_in.get(),
-            reads_mapped: c.reads_mapped.get(),
-            funnel: FunnelCounts::from_counters(c),
+            reads_in: funnel.reads_in,
+            reads_mapped: funnel.candidates,
+            funnel,
             slow_reads: c.slow_reads.snapshot(),
-            tasks_generated: c.tasks_generated.get(),
-            task_bases: c.task_bases.get(),
-            query_bases: c.query_bases.get(),
-            max_task_bases: c.max_task_bases.get(),
-            batches: c.batches.get(),
-            batch_tasks: c.batch_tasks.get(),
-            batch_bases: c.batch_bases.get(),
-            max_batch_bases: c.max_batch_bases.get(),
-            batch_size_hist,
-            records_out: c.records_out.get(),
-            session_output_buffered_bytes: c.session_output_buffered.get(),
-            max_session_output_buffered_bytes: c.max_session_output_buffered.get(),
-            sessions_throttled: c.sessions_throttled.get(),
-            sessions_timed_out: c.sessions_timed_out.get(),
-            max_inflight_bases: c.max_inflight_bases.get(),
-            max_inflight_tasks: c.max_inflight_tasks.get(),
+            tasks_generated: n("tasks_generated"),
+            task_bases: n("task_bases"),
+            query_bases: n("query_bases"),
+            max_task_bases: n("max_task_bases"),
+            batches: n("batches"),
+            batch_tasks: n("batch_tasks"),
+            batch_bases: n("batch_bases"),
+            max_batch_bases: n("max_batch_bases"),
+            batch_size_bases: reg.histogram("batch_size_bases", None),
+            records_out: n("records_out"),
+            session_output_buffered_bytes: n("session_output_buffered_bytes"),
+            max_session_output_buffered_bytes: n("max_session_output_buffered_bytes"),
+            sessions_throttled: n("sessions_throttled"),
+            sessions_timed_out: n("sessions_timed_out"),
+            max_inflight_bases: n("max_inflight_bases"),
+            max_inflight_tasks: n("max_inflight_tasks"),
             shard_index,
-            mapper_busy: Duration::from_nanos(c.mapper_ns.get()),
+            mapper_busy: Duration::from_nanos(n("mapper_busy_ns")),
             map_workers: 0,
-            scheduler_busy: Duration::from_nanos(c.scheduler_ns.get()),
-            backend_busy: Duration::from_nanos(c.backend_ns.get()),
-            sink_busy: Duration::from_nanos(c.sink_ns.get()),
+            scheduler_busy: Duration::from_nanos(n("scheduler_busy_ns")),
+            backend_busy: Duration::from_nanos(n("backend_busy_ns")),
+            sink_busy: Duration::from_nanos(n("sink_busy_ns")),
             wall,
             task_queue,
             batch_queue,
             result_queue,
             engine,
-            read_latency: c.read_latency_ns.snapshot(),
-            task_queue_wait: c.task_queue_wait_ns.snapshot(),
-            batch_build: c.batch_build_ns.snapshot(),
-            reorder_wait: c.reorder_wait_ns.snapshot(),
-            backends: c.backend_snapshots(),
-            router_batches: c.router_snapshots(),
-            router_explored: c.router_explored.get(),
-            registry: c.registry.snapshot(),
+            read_latency: reg.histogram("read_latency_ns", None),
+            task_queue_wait: reg.histogram("task_queue_wait_ns", None),
+            batch_build: reg.histogram("batch_build_ns", None),
+            reorder_wait: reg.histogram("reorder_wait_ns", None),
+            backends: reg
+                .labels("backend_batches")
+                .map(|name| BackendMetrics {
+                    name: name.to_string(),
+                    batches: reg.scalar("backend_batches", Some(name)),
+                    tasks: reg.scalar("backend_tasks", Some(name)),
+                    bases: reg.scalar("backend_bases", Some(name)),
+                    queue_wait: reg.histogram("backend_queue_wait_ns", Some(name)),
+                    execute: reg.histogram("backend_execute_ns", Some(name)),
+                })
+                .collect(),
+            router_batches: reg
+                .labels("router_batches")
+                .map(|name| (name.to_string(), reg.scalar("router_batches", Some(name))))
+                .collect(),
+            router_explored: n("router_explored"),
+            registry: reg,
         }
     }
 }
@@ -1047,10 +986,11 @@ mod tests {
             q1(),
             None,
         );
-        assert_eq!(m.batch_size_hist[0], 1);
-        assert_eq!(m.batch_size_hist[1], 1);
-        assert_eq!(m.batch_size_hist[2], 2);
-        assert_eq!(m.batch_size_hist[13], 1);
+        assert_eq!(m.batch_size_bases.buckets[0], 1);
+        assert_eq!(m.batch_size_bases.buckets[1], 1);
+        assert_eq!(m.batch_size_bases.buckets[2], 2);
+        assert_eq!(m.batch_size_bases.buckets[13], 1);
+        assert_eq!(m.batch_size_bases.count, m.batches);
         assert_eq!(m.batches, 5);
         assert_eq!(m.max_batch_bases, 4096);
         assert!((m.mean_batch_bases() - 4102.0 / 5.0).abs() < 1e-9);
@@ -1352,6 +1292,159 @@ mod tests {
         );
         assert!(p.contains("genasm_reads_aligned_total 1"), "{p}");
         assert!(p.contains("genasm_tasks_rescued_total 1"), "{p}");
+    }
+
+    /// 64-bit FNV-1a, the digest the rendering golden pins.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A snapshot with every counter, gauge, histogram and labelled
+    /// series set to a fixed value of its own.
+    fn fully_populated() -> PipelineMetrics {
+        let c = StageCounters::default();
+        c.reads_in.add(13);
+        c.reads_anchored.add(12);
+        c.reads_chained.add(10);
+        c.reads_mapped.add(7);
+        c.reads_aligned.add(6);
+        c.reads_rescued.add(2);
+        c.reads_failed.add(1);
+        c.unmapped_no_anchors.add(1);
+        c.unmapped_no_chain.add(2);
+        c.unmapped_no_candidates.add(3);
+        c.tasks_rescued.add(4);
+        c.slow_reads.observe("slow\"one", 9_999_999, "rescued");
+        c.slow_reads.observe("quick", 1_234, "unmapped:no_chain");
+        c.task_in(1_800);
+        c.task_in(2_400);
+        c.task_in(700);
+        c.task_out(1_800);
+        c.query_bases.add(2_100);
+        c.batch_dispatched(2, 4_200);
+        c.batch_dispatched(1, 700);
+        c.batch_dispatched(0, 0);
+        c.records_out.add(7);
+        c.session_output_buffered.set(512);
+        c.max_session_output_buffered.set_max(4_096);
+        c.sessions_throttled.add(5);
+        c.sessions_timed_out.add(3);
+        StageCounters::add_ns(&c.mapper_ns, Duration::from_micros(3_100));
+        StageCounters::add_ns(&c.scheduler_ns, Duration::from_micros(45));
+        StageCounters::add_ns(&c.backend_ns, Duration::from_micros(1_700));
+        StageCounters::add_ns(&c.sink_ns, Duration::from_micros(230));
+        for ns in [0, 1_234, 800_000, 1_500_000, 9_999_999] {
+            c.read_latency_ns.record(ns);
+        }
+        for ns in [10_000, 12_000, 70_000] {
+            c.task_queue_wait_ns.record(ns);
+        }
+        c.batch_build_ns.record(3_000_000);
+        c.batch_build_ns.record(5);
+        c.reorder_wait_ns.record(20_000);
+        let cpu = c.backend_lat("cpu");
+        cpu.batches.add(2);
+        cpu.tasks.add(5);
+        cpu.bases.add(2_500);
+        cpu.queue_wait_ns.record(5_000);
+        cpu.queue_wait_ns.record(40_000);
+        cpu.execute_ns.record(900_000);
+        cpu.execute_ns.record(600_000);
+        let gpu = c.backend_lat("gpu-sim");
+        gpu.batches.add(1);
+        gpu.tasks.add(3);
+        gpu.bases.add(2_400);
+        gpu.queue_wait_ns.record(7_000);
+        gpu.execute_ns.record(200_000);
+        c.router_batch("cpu").add(4);
+        c.router_batch("gpu-sim").add(6);
+        c.router_explored.add(1);
+        let shard = |start, end, busy, anchors| mapper::ShardMetrics {
+            contig: 0,
+            start,
+            end,
+            busy: Duration::from_micros(busy),
+            anchors,
+        };
+        let queue = |capacity, pushed, high_water| QueueMetrics {
+            capacity,
+            pushed,
+            high_water,
+        };
+        let mut m = PipelineMetrics::snapshot(
+            &c,
+            Duration::from_micros(2_500),
+            ShardIndexMetrics {
+                shards: vec![shard(0, 600, 1_300, 11), shard(500, 1_000, 900, 7)],
+                contigs: 1,
+                dup_anchors_merged: 4,
+                overlap: 100,
+                reference_bytes: 250,
+            },
+            queue(8_192, 3, 4_200),
+            queue(8, 3, 2),
+            queue(4, 3, 1),
+            Some(genasm_core::MemStats {
+                windows: 90,
+                rows_computed: 466,
+                cells_computed: 29_512,
+                table_words: 19_139,
+                table_stores: 19_140,
+                table_loads: 3_652,
+                scratch_stores: 29_513,
+                scratch_loads: 47_336,
+                band_cells_skipped: 338_128,
+                windows_early_terminated: 88,
+                windows_rescued: 3,
+                peak_band_rows: 15,
+            }),
+        );
+        m.map_workers = 2;
+        m
+    }
+
+    /// The three renderings are an external format: `validate_telemetry.py`,
+    /// `ctl top` and `genasm-bench` parse them. Pin them byte for byte
+    /// (length + FNV-1a) for a snapshot with everything set and for an
+    /// empty one, so a change to how the snapshot is filled or rendered
+    /// shows up here.
+    #[test]
+    fn renderings_match_the_golden_digests() {
+        let empty = PipelineMetrics::snapshot(
+            &StageCounters::default(),
+            Duration::ZERO,
+            no_shards(),
+            q1(),
+            q1(),
+            q1(),
+            None,
+        );
+        let full = fully_populated();
+        let got: Vec<(usize, u64)> = [
+            full.summary(),
+            full.to_json(),
+            full.to_prometheus(),
+            empty.summary(),
+            empty.to_json(),
+            empty.to_prometheus(),
+        ]
+        .iter()
+        .map(|s| (s.len(), fnv1a(s)))
+        .collect();
+        let want = [
+            (1110, 8450301372521756953),
+            (2609, 8816117788336787189),
+            (14370, 3688714671879533724),
+            (598, 705414008153708396),
+            (1341, 3006101387275681922),
+            (3732, 9406438673907290),
+        ];
+        assert_eq!(
+            got, want,
+            "(bytes, FNV-1a) of full/empty summary, JSON, PROM"
+        );
     }
 
     #[test]

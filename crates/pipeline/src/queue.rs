@@ -15,7 +15,7 @@
 //!
 //! Closing: [`BoundedQueue::close`] wakes all blocked producers and
 //! consumers. Consumers drain the remaining items and then see `None`;
-//! producers get [`PushError::Closed`] (used to unwind the pipeline on
+//! producers get [`PushError`] (used to unwind the pipeline on
 //! error without deadlocking).
 
 use std::collections::VecDeque;

@@ -51,6 +51,7 @@
 //!   joins the stages, and returns the final [`PipelineMetrics`].
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -954,7 +955,7 @@ impl PipelineService {
             s,
             ",\"buffered_out_bytes\":{},\"slowest\":{}}}",
             m.session_output_buffered_bytes,
-            sh.counters.slow_reads.to_json(),
+            genasm_telemetry::slow::to_json(&m.slow_reads),
         );
         s
     }
@@ -1438,6 +1439,27 @@ fn scheduler_loop(sh: &Shared) {
     sh.batch_q.close();
 }
 
+/// Run one batch through `backend`, turning a panic inside it into
+/// the batch's [`BackendError`]. An unwinding dispatcher would never
+/// push the batch's results: the reorder buffer would wait on its
+/// sequence number forever and `shutdown` would never return.
+fn align_isolated(
+    backend: &dyn Backend,
+    tasks: &[AlignTask],
+) -> Result<Vec<Option<Alignment>>, BackendError> {
+    catch_unwind(AssertUnwindSafe(|| backend.align_batch(tasks))).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(no message)");
+        Err(BackendError {
+            backend: backend.name(),
+            reason: format!("panicked: {what}"),
+        })
+    })
+}
+
 fn dispatch_loop(sh: &Shared) {
     let mut lats: Vec<(BackendKind, BackendLat)> = Vec::new();
     while let Some((batch, kind)) = sh.batch_q.pop() {
@@ -1458,7 +1480,7 @@ fn dispatch_loop(sh: &Shared) {
         let lat = &lats[lat_idx].1;
         let queue_wait = t0.duration_since(batch.ready_at);
         lat.queue_wait_ns.record_duration(queue_wait);
-        let alignments = match backend.align_batch(&batch.tasks) {
+        let alignments = match align_isolated(backend, &batch.tasks) {
             Ok(a) => a,
             Err(e) => {
                 // Poisoned batch: fail its reads individually, keep
@@ -1539,24 +1561,21 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
     sh.counters.read_latency_ns.record_duration(latency);
     // Funnel disposition is global telemetry: it runs even when the
     // session (and its receiver) is already gone.
-    let disp = if acc.failed {
+    let disp = disposition::of(None, acc.failed, &acc.tasks);
+    if acc.failed {
         sh.counters.reads_failed.inc();
-        disposition::FAILED_NO_ALIGNMENT
     } else {
         sh.counters.reads_aligned.inc();
-        if acc.tasks.iter().any(|t| t.rescued) {
+        if disp == disposition::RESCUED {
             sh.counters.reads_rescued.inc();
-            disposition::RESCUED
-        } else {
-            disposition::ALIGNED
         }
-    };
+    }
     sh.counters
         .slow_reads
-        .observe(&acc.qname, latency.as_nanos() as u64, disp);
+        .observe(&acc.qname, latency.as_nanos() as u64, &disp);
     let rec = ExplainRecord {
         read: &acc.qname,
-        disposition: disp,
+        disposition: &disp,
         backend: acc.backend,
         provenance: *acc.provenance,
         tasks: &acc.tasks,
@@ -1693,17 +1712,11 @@ fn sink_loop(sh: &Shared) {
                 acc.backend = Some(backend_name);
                 match aln {
                     Some(aln) => {
-                        let rescued = meta
-                            .max_edits
-                            .is_some_and(|k| aln.edit_distance > k as usize);
-                        if rescued {
+                        let task = TaskExplain::new(meta.max_edits, &aln);
+                        if task.rescued {
                             sh.counters.tasks_rescued.inc();
                         }
-                        acc.tasks.push(TaskExplain {
-                            hint: meta.max_edits,
-                            edits: aln.edit_distance as u64,
-                            rescued,
-                        });
+                        acc.tasks.push(task);
                         acc.rows.push(AlignRecord::new(
                             &meta.qname,
                             meta.qlen,

@@ -1203,3 +1203,151 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
     assert!(f.reads_in >= f.anchored && f.anchored >= f.chained && f.chained >= f.candidates);
     assert!(f.rescued <= f.aligned);
 }
+
+/// Run `body` on its own thread and fail — instead of hanging the
+/// suite — when it has not returned within a minute.
+fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("watchdog: the service is wedged"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the body dropped its sender"))
+        }
+    }
+}
+
+/// The CPU backend, except that its second batch panics.
+struct PanicsOnSecondBatch {
+    inner: genasm_pipeline::CpuBackend,
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl PanicsOnSecondBatch {
+    fn new() -> PanicsOnSecondBatch {
+        PanicsOnSecondBatch {
+            inner: genasm_pipeline::CpuBackend::improved(),
+            calls: std::sync::atomic::AtomicUsize::new(0),
+        }
+    }
+}
+
+impl genasm_pipeline::Backend for PanicsOnSecondBatch {
+    fn name(&self) -> &'static str {
+        "panicky"
+    }
+
+    fn align_batch(
+        &self,
+        tasks: &[align_core::AlignTask],
+    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
+        if self
+            .calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            == 1
+        {
+            panic!("injected panic");
+        }
+        self.inner.align_batch(tasks)
+    }
+}
+
+/// One task per batch, so a run has many batches and the second one
+/// carries whole reads.
+fn tiny_batches() -> PipelineConfig {
+    PipelineConfig {
+        batch_bases: 1024,
+        ..PipelineConfig::default()
+    }
+}
+
+#[test]
+fn a_backend_panic_fails_its_batch_and_the_service_keeps_serving() {
+    within_a_minute(|| {
+        let w = workload(80_000, 8, 900, 31);
+        let expected = one_shot(&w.reads, &w.reference, BackendKind::Cpu);
+        let cfg = ServiceConfig {
+            pipeline: tiny_batches(),
+            ..ServiceConfig::default()
+        };
+        let service = PipelineService::start_with_backends(
+            "ref",
+            w.reference.clone(),
+            cfg,
+            vec![(BackendKind::Cpu, Box::new(PanicsOnSecondBatch::new()))],
+        );
+
+        // The session that meets the panic: the reads of that batch
+        // fail, every other read is delivered, and `End` arrives.
+        let (mut session, receiver) = service.open_session(BackendKind::Cpu).unwrap();
+        for (name, seq) in &w.reads {
+            session
+                .submit(ReadInput {
+                    name: name.clone(),
+                    seq: seq.clone(),
+                })
+                .unwrap();
+        }
+        session.finish();
+        let (mut failed, mut delivered, mut end) = (0, 0, None);
+        for event in receiver.iter() {
+            match event {
+                SessionEvent::ReadFailed { .. } => failed += 1,
+                SessionEvent::Rows(_) => delivered += 1,
+                SessionEvent::End(m) => end = Some(m),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        let end = end.expect("the session ends behind a panicked batch");
+        assert!(failed >= 1, "the panicked batch failed no read");
+        assert_eq!(end.reads_failed, failed);
+        assert_eq!(failed + delivered, end.reads_mapped);
+        assert_eq!(service.backend_errors(), 1);
+        let reason = service.last_backend_error().unwrap();
+        assert!(
+            reason.contains("panicky") && reason.contains("panicked: injected panic"),
+            "{reason}"
+        );
+
+        // The dispatcher survived: the next session is served in full.
+        let (got, m) = run_session(&service, BackendKind::Cpu, &w.reads);
+        assert_eq!(
+            got, expected,
+            "session after the panic diverged from one-shot"
+        );
+        assert_eq!(m.reads_failed, 0);
+        assert_eq!(service.shutdown().funnel.failed, failed);
+    });
+}
+
+#[test]
+fn a_backend_panic_fails_a_one_shot_run_with_a_backend_error() {
+    within_a_minute(|| {
+        let w = workload(80_000, 8, 900, 31);
+        let stream = w.reads.iter().map(|(name, seq)| {
+            Ok::<_, std::convert::Infallible>(ReadInput {
+                name: name.clone(),
+                seq: seq.clone(),
+            })
+        });
+        let err = run_pipeline(
+            stream,
+            w.reference.clone(),
+            &PanicsOnSecondBatch::new(),
+            &tiny_batches(),
+            |_| Ok(()),
+        )
+        .expect_err("a panicked batch must fail the run");
+        match err {
+            genasm_pipeline::PipelineError::Backend(e) => {
+                assert_eq!(e.backend, "panicky");
+                assert_eq!(e.reason, "panicked: injected panic");
+            }
+            other => panic!("unexpected error {other}"),
+        }
+    });
+}

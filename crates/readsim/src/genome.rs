@@ -2,8 +2,7 @@
 //!
 //! The paper maps simulated reads against the human genome. We cannot
 //! ship GRCh38, so we synthesize genomes that preserve the two
-//! properties the evaluation pipeline actually depends on
-//! (DESIGN.md §2):
+//! properties the evaluation pipeline actually depends on:
 //!
 //! 1. **local composition structure** — GC content drifts along the
 //!    genome (first-order Markov base process with a slowly wandering

@@ -8,8 +8,8 @@
 //! with PBSIM2 (Ono et al. 2020). We reproduce the workload *shape* —
 //! GC-structured repetitive reference, CLR-profile bursty errors, fixed
 //! 10 kbp read length, both strands — with deterministic seeds so every
-//! experiment is reproducible bit-for-bit (see DESIGN.md §2 for the
-//! substitution argument).
+//! experiment is reproducible bit-for-bit (the substitution argument
+//! is in [`genome`]'s module docs).
 
 pub mod fastx;
 pub mod genome;

@@ -25,7 +25,7 @@
 //! each client's record stream byte-identical to a one-shot
 //! `genasm align` over that client's reads. This crate adds the
 //! transport: the listener, the line protocol ([`protocol`]), the
-//! per-connection threads ([`session`]), graceful drain (`SHUTDOWN`
+//! per-connection threads (`session`), graceful drain (`SHUTDOWN`
 //! verb or [`Server::request_shutdown`]), and the [`client`] used by
 //! `genasm submit` / `genasm ctl` and CI.
 

@@ -196,7 +196,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`].
+    /// Sizes accepted by [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -225,7 +225,7 @@ pub mod collection {
         VecStrategy { elem, size }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     pub struct VecStrategy<S, R> {
         elem: S,
         size: R,

@@ -236,39 +236,39 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Look up an unlabeled entry by name.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
+    /// The series of `name` whose label value is `label` (`None`: the
+    /// unlabeled series).
+    fn get(&self, name: &str, label: Option<&str>) -> Option<&MetricValue> {
         self.entries
             .iter()
-            .find(|e| e.name == name && e.label.is_none())
+            .find(|e| e.name == name && e.label.as_ref().map(|(_, v)| v.as_str()) == label)
             .map(|e| &e.value)
     }
 
-    /// Unlabeled counter value by name (0 when absent — test helper).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.get(name) {
-            Some(MetricValue::Counter(v)) => *v,
+    /// Value of the counter or gauge `name{…=label}`; 0 when no such
+    /// series has been registered yet.
+    pub fn scalar(&self, name: &str, label: Option<&str>) -> u64 {
+        match self.get(name, label) {
+            Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => *v,
             _ => 0,
         }
     }
 
-    /// Single-line JSON object keyed by [`SnapshotEntry::key`].
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(&json::escape(&e.key()));
-            s.push_str("\":");
-            match &e.value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => s.push_str(&v.to_string()),
-                MetricValue::Histogram(h) => s.push_str(&h.to_json()),
-            }
+    /// Copy of the histogram `name{…=label}`; empty when no such
+    /// series has been registered yet.
+    pub fn histogram(&self, name: &str, label: Option<&str>) -> HistogramSnapshot {
+        match self.get(name, label) {
+            Some(MetricValue::Histogram(h)) => h.clone(),
+            _ => HistogramSnapshot::default(),
         }
-        s.push('}');
-        s
+    }
+
+    /// Label values of the labeled series of `name`, sorted.
+    pub fn labels<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.entries
+            .iter()
+            .filter(move |e| e.name == name)
+            .filter_map(|e| e.label.as_ref().map(|(_, v)| v.as_str()))
     }
 
     /// Prometheus text exposition. `prefix` is prepended to every
@@ -377,7 +377,7 @@ mod tests {
         a.add(2);
         b.inc();
         assert_eq!(r.counter("hits").get(), 3);
-        assert_eq!(r.snapshot().counter("hits"), 3);
+        assert_eq!(r.snapshot().scalar("hits", None), 3);
     }
 
     #[test]
@@ -388,11 +388,16 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.entries.len(), 2);
         assert_eq!(snap.entries[0].key(), "batches{backend=\"cpu\"}");
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"batches{backend=\\\"cpu\\\"}\":5"),
-            "{json}"
+        assert_eq!(
+            snap.labels("batches").collect::<Vec<_>>(),
+            ["cpu", "gpu-sim"]
         );
+        assert_eq!(snap.scalar("batches", Some("gpu-sim")), 7);
+        // Absent series read as zero: a label that is not there, and
+        // the unlabeled series of a name that only has labeled ones.
+        assert_eq!(snap.scalar("batches", Some("edlib")), 0);
+        assert_eq!(snap.scalar("batches", None), 0);
+        assert_eq!(snap.histogram("batches", Some("cpu")).count, 0);
     }
 
     #[test]

@@ -99,25 +99,25 @@ impl SlowReads {
             .expect("slow-read mutex poisoned")
             .clone()
     }
+}
 
-    /// JSON array of the current entries, slowest first:
-    /// `[{"read":…,"latency_ns":…,"disposition":…},…]`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, e) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"read\":\"{}\",\"latency_ns\":{},\"disposition\":\"{}\"}}",
-                json::escape(&e.name),
-                e.latency_ns,
-                json::escape(&e.disposition)
-            ));
+/// JSON array of `entries` (a [`SlowReads::snapshot`]), in their order:
+/// `[{"read":…,"latency_ns":…,"disposition":…},…]`.
+pub fn to_json(entries: &[SlowRead]) -> String {
+    let mut s = String::from("[");
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
         }
-        s.push(']');
-        s
+        s.push_str(&format!(
+            "{{\"read\":\"{}\",\"latency_ns\":{},\"disposition\":\"{}\"}}",
+            json::escape(&e.name),
+            e.latency_ns,
+            json::escape(&e.disposition)
+        ));
     }
+    s.push(']');
+    s
 }
 
 #[cfg(test)]
@@ -165,11 +165,11 @@ mod tests {
     fn json_escapes_hostile_names() {
         let ring = SlowReads::new(2);
         ring.observe("tab\tname\"quote", 9, "aligned");
-        let j = ring.to_json();
+        let j = to_json(&ring.snapshot());
         assert!(j.starts_with('[') && j.ends_with(']'), "{j}");
         assert!(j.contains("tab\\tname\\\"quote"), "{j}");
         assert!(j.contains("\"latency_ns\":9"), "{j}");
-        assert_eq!(SlowReads::new(2).to_json(), "[]");
+        assert_eq!(to_json(&[]), "[]");
     }
 
     #[test]

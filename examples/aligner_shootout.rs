@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use align_core::{AlignTask, Base, GlobalAligner, Seq};
 use baselines::{Ksw2Aligner, MyersAligner};
-use genasm_cpu::CpuBatchAligner;
+use genasm_core::GenAsmAligner;
 use rand::prelude::*;
 
 fn mutated_pair(rng: &mut StdRng, len: usize, error_rate: f64) -> (Seq, Seq) {
@@ -54,8 +54,8 @@ fn main() {
     );
 
     let aligners: Vec<Box<dyn GlobalAligner>> = vec![
-        Box::new(CpuBatchAligner::improved()),
-        Box::new(CpuBatchAligner::baseline()),
+        Box::new(GenAsmAligner::improved()),
+        Box::new(GenAsmAligner::baseline()),
         Box::new(MyersAligner::new()),
         Box::new(Ksw2Aligner::new()),
     ];

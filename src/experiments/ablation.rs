@@ -2,8 +2,8 @@
 //!
 //! The paper reports the three improvements' *collective* effect; this
 //! ablation attributes the footprint/traffic reductions to each of the
-//! 8 on/off combinations, which is the evidence DESIGN.md's design
-//! choices rest on.
+//! 8 on/off combinations, which is the evidence the design choices in
+//! `genasm_core::engine` ("Improvement mechanics") rest on.
 
 use std::time::Instant;
 

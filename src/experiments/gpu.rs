@@ -6,7 +6,7 @@
 //! respectively."
 //!
 //! The GPU here is the `gpu-sim` substrate configured as an RTX A6000;
-//! its times are *model estimates* (DESIGN.md §2). The CPU numbers are
+//! its times are *model estimates* (`gpu_sim::timing`). The CPU numbers are
 //! wall-clock on the host. Because the simulator executes kernels
 //! functionally, the GPU batch is a capped prefix of the candidate set;
 //! per-alignment throughput is what the ratios use.

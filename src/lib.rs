@@ -6,11 +6,11 @@
 //!
 //! This root crate ties the subsystem crates together:
 //!
-//! * [`pipeline`] — the evaluation workload (synthetic genome → PacBio
+//! * [`workload`] — the evaluation workload (synthetic genome → PacBio
 //!   CLR-style reads → minimap2-style all-chain candidates);
 //! * [`experiments`] — one driver per number in the paper's Section II
 //!   (E1–E9) plus extension experiments (A1–A3);
-//! * [`report`] — plain-text tables consumed by `EXPERIMENTS.md`.
+//! * [`report`] — the plain-text tables the `repro` harness prints.
 //!
 //! The individual systems live in their own crates and are re-exported
 //! here for convenience: [`genasm_core`] (the paper's contribution),
@@ -27,10 +27,10 @@
 //! ```
 
 pub mod experiments;
-pub mod pipeline;
 pub mod report;
+pub mod workload;
 
-pub use pipeline::{Scale, Workload};
+pub use workload::{Scale, Workload};
 
 pub use align_core;
 pub use baselines;

@@ -1,4 +1,4 @@
-//! The end-to-end evaluation pipeline, mirroring the paper's Section II:
+//! The evaluation workload, built as in the paper's Section II:
 //! simulate a genome → simulate PacBio-like reads (PBSIM2's role) →
 //! map them and collect **all** chains (minimap2 `-P`'s role) → hand
 //! the candidate (read, reference-window) pairs to the aligners.
@@ -127,7 +127,7 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Build the full pipeline deterministically.
+    /// Build the workload deterministically.
     pub fn build(scale: Scale, seed: u64) -> Workload {
         let genome = Genome::generate(&GenomeConfig::human_like(scale.genome_len(), seed));
         let read_cfg = ReadConfig::paper_like(scale.read_count(), seed ^ 0x5eed);

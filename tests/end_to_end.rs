@@ -44,8 +44,8 @@ fn tiny_workload() -> (Genome, Vec<AlignTask>) {
 fn every_aligner_validates_on_mapped_candidates() {
     let (_genome, tasks) = tiny_workload();
     let subset = &tasks[..tasks.len().min(12)];
-    let genasm = genasm_cpu::CpuBatchAligner::improved();
-    let genasm_base = genasm_cpu::CpuBatchAligner::baseline();
+    let genasm = genasm_core::GenAsmAligner::improved();
+    let genasm_base = genasm_core::GenAsmAligner::baseline();
     let myers = MyersAligner::new();
     let ksw2 = Ksw2Aligner::new();
     for t in subset {
@@ -63,7 +63,7 @@ fn every_aligner_validates_on_mapped_candidates() {
 fn genasm_cost_bounded_by_exact_distance() {
     let (_genome, tasks) = tiny_workload();
     let subset = &tasks[..tasks.len().min(12)];
-    let genasm = genasm_cpu::CpuBatchAligner::improved();
+    let genasm = genasm_core::GenAsmAligner::improved();
     let myers = MyersAligner::new();
     let mut good = 0;
     let mut near_optimal = 0;
