@@ -22,6 +22,8 @@
 //! The crate is deliberately dependency-light; anything random or
 //! parallel lives in the crates that need it.
 
+#![forbid(unsafe_code)]
+
 pub mod alignment;
 pub mod cigar;
 pub mod nw;

@@ -12,6 +12,8 @@
 //! Both implement [`align_core::GlobalAligner`], produce validated
 //! CIGARs, and are tested against the quadratic NW oracle.
 
+#![forbid(unsafe_code)]
+
 pub mod ksw2;
 pub mod myers;
 

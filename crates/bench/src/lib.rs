@@ -6,6 +6,8 @@
 //! results. The builders here are deterministic so bench
 //! numbers are comparable across runs.
 
+#![forbid(unsafe_code)]
+
 use align_core::{AlignTask, Base, Seq};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

@@ -27,6 +27,8 @@
 //! spawning processes (`serve` blocks until a client sends
 //! `ctl shutdown`, then drains gracefully).
 
+#![forbid(unsafe_code)]
+
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 
@@ -37,6 +39,7 @@ use genasm_pipeline::{
     RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
 };
 use genasm_server::client::SubmitOptions;
+use genasm_server::protocol::{StatsFormat, Verb, ERR_PREFIX};
 use genasm_server::{Endpoint, Server, ServerConfig};
 use mapper::{CandidateParams, ShardedIndex};
 use readsim::{
@@ -78,29 +81,78 @@ impl core::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Simple flag parser: `--name value` pairs plus positionals.
+/// The flags each subcommand reads, space-separated — all [`run`] lets
+/// through to it and all [`USAGE`] has to list. (`ctl top` is the one
+/// action of `ctl` with flags of its own.)
+pub const FLAGS: [(&str, &str); 9] = [
+    (
+        "simulate",
+        "genome-len reads read-len contigs error seed ref out",
+    ),
+    ("map", "ref reads max-per-read threads shards shard-overlap"),
+    (
+        "align",
+        "ref reads aligner max-per-read threads shards shard-overlap format explain",
+    ),
+    (
+        "pipeline",
+        "ref reads backend batch-bases queue-depth dispatchers max-per-read threads shards \
+         shard-overlap format metrics trace explain route-explore-every route-pinned",
+    ),
+    (
+        "serve",
+        "ref listen backend format max-sessions linger-ms batch-bases queue-depth dispatchers \
+         max-per-read threads shards shard-overlap metrics trace explain session-output-cap \
+         overflow session-inflight-reads session-inflight-bases idle-timeout-ms \
+         route-explore-every route-pinned",
+    ),
+    ("submit", "to reads backend format explain"),
+    ("ctl", "to"),
+    ("ctl top", "to interval-ms frames"),
+    ("filter", "pattern text k"),
+];
+
+/// Simple flag parser: `--name value` pairs, no positionals.
 struct Flags {
+    /// The subcommand's row of [`FLAGS`].
+    known: &'static str,
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, CliError> {
+    /// Parse the arguments of subcommand `cmd`. A flag its [`FLAGS`]
+    /// row does not name is a usage error: a mistyped flag must not
+    /// quietly run the defaults.
+    fn parse(cmd: &str, args: &[String]) -> Result<Flags, CliError> {
+        let (_, known) = FLAGS
+            .iter()
+            .find(|(name, _)| *name == cmd)
+            .expect("every subcommand has a FLAGS row");
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-                let value = it
-                    .next()
-                    .ok_or_else(|| CliError::usage(format!("flag --{name} needs a value")))?;
-                pairs.push((name.to_string(), value.clone()));
-            } else {
+            let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
                 return Err(CliError::usage(format!("unexpected argument {a:?}")));
+            };
+            if !known.split(' ').any(|flag| flag == name) {
+                return Err(CliError::usage(format!(
+                    "unknown flag --{name} for `genasm {cmd}`; valid flags are --{}",
+                    known.replace(' ', ", --")
+                )));
             }
+            let value = it
+                .next()
+                .ok_or_else(|| CliError::usage(format!("flag --{name} needs a value")))?;
+            pairs.push((name.to_string(), value.clone()));
         }
-        Ok(Flags { pairs })
+        Ok(Flags { known, pairs })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.known.split(' ').any(|flag| flag == name),
+            "--{name} is read but not in FLAGS"
+        );
         self.pairs
             .iter()
             .rev()
@@ -129,14 +181,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::usage(USAGE));
     };
     match cmd.as_str() {
-        "simulate" => cmd_simulate(&Flags::parse(rest)?, out),
-        "map" => cmd_map(&Flags::parse(rest)?, out),
-        "align" => cmd_align(&Flags::parse(rest)?, out),
-        "pipeline" => cmd_pipeline(&Flags::parse(rest)?, out),
-        "serve" => cmd_serve(&Flags::parse(rest)?, out),
-        "submit" => cmd_submit(&Flags::parse(rest)?, out),
+        "simulate" => cmd_simulate(&Flags::parse(cmd, rest)?, out),
+        "map" => cmd_map(&Flags::parse(cmd, rest)?, out),
+        "align" => cmd_align(&Flags::parse(cmd, rest)?, out),
+        "pipeline" => cmd_pipeline(&Flags::parse(cmd, rest)?, out),
+        "serve" => cmd_serve(&Flags::parse(cmd, rest)?, out),
+        "submit" => cmd_submit(&Flags::parse(cmd, rest)?, out),
         "ctl" => cmd_ctl(rest, out),
-        "filter" => cmd_filter(&Flags::parse(rest)?, out),
+        "filter" => cmd_filter(&Flags::parse(cmd, rest)?, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}").map_err(io_err)?;
             Ok(())
@@ -177,6 +229,7 @@ pub const USAGE: &str = "usage:
 ENDPOINT is unix:PATH, tcp:HOST:PORT, or HOST:PORT. `serve` runs until a
 client sends `genasm ctl shutdown`; record lines from `submit` are
 byte-identical to `align` on the same reads (status goes to stderr).
+A flag a subcommand does not read is an error (exit 2).
 References may be multi-contig FASTA: records report contig names and
 contig-local coordinates, and shards never straddle contig boundaries.
 `--metrics json` prints a single-line machine-readable snapshot to
@@ -431,6 +484,36 @@ fn shard_params(flags: &Flags) -> Result<(usize, usize), CliError> {
     Ok((shards, overlap))
 }
 
+/// `--backend` for `pipeline` and `serve` (default cpu).
+fn backend_choice(flags: &Flags) -> Result<BackendChoice, CliError> {
+    let name = flags.get("backend").unwrap_or("cpu");
+    name.parse().map_err(|e| CliError::usage(format!("{e}")))
+}
+
+/// The [`PipelineConfig`] of `pipeline` and `serve`: the batching and
+/// sharding flags, `--max-per-read`, `--trace` and `--explain`.
+fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
+    let (shards, shard_overlap) = shard_params(flags)?;
+    Ok(PipelineConfig {
+        batch_bases: flags.num("batch-bases", 256 * 1024)?,
+        queue_depth: flags.num("queue-depth", 8)?,
+        dispatchers: flags.num("dispatchers", 1)?,
+        shards,
+        shard_overlap,
+        params: candidate_params(flags)?,
+        trace: trace_recorder(flags)?,
+        explain: explain_sink(flags)?,
+    })
+}
+
+/// `--route-explore-every N` / `--route-pinned on` for `--backend auto`.
+fn router_config(flags: &Flags) -> Result<RouterConfig, CliError> {
+    Ok(RouterConfig {
+        explore_every: flags.num("route-explore-every", 16)?,
+        pinned: matches!(flags.get("route-pinned"), Some("on")),
+    })
+}
+
 fn cmd_map(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let reference = load_reference(flags.req("ref")?)?;
     let reads = load_fastx(flags.req("reads")?)?;
@@ -580,23 +663,8 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// Streaming alignment through the bounded-queue pipeline.
 fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    let backend: BackendChoice = flags
-        .get("backend")
-        .unwrap_or("cpu")
-        .parse()
-        .map_err(|e| CliError::usage(format!("{e}")))?;
-    let (shards, shard_overlap) = shard_params(flags)?;
-    let trace = trace_recorder(flags)?;
-    let cfg = PipelineConfig {
-        batch_bases: flags.num("batch-bases", 256 * 1024)?,
-        queue_depth: flags.num("queue-depth", 8)?,
-        dispatchers: flags.num("dispatchers", 1)?,
-        shards,
-        shard_overlap,
-        params: candidate_params(flags)?,
-        trace: trace.clone(),
-        explain: explain_sink(flags)?,
-    };
+    let backend = backend_choice(flags)?;
+    let cfg = pipeline_config(flags)?;
     let format = output_format(flags)?;
     let metrics_out = metrics_mode(flags);
     configure_threads(flags)?;
@@ -622,10 +690,7 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         // `--backend auto`: the router assigns each batch to cpu or
         // gpu-sim from live metrics; output bytes are identical.
         None => {
-            let router = RouterConfig {
-                explore_every: flags.num("route-explore-every", 16)?,
-                pinned: matches!(flags.get("route-pinned"), Some("on")),
-            };
+            let router = router_config(flags)?;
             genasm_pipeline::run_pipeline_auto(stream, reference, &cfg, router, |rec| {
                 writeln!(out, "{}", format.line(rec))
             })
@@ -633,7 +698,7 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     }
     .map_err(|e| CliError::runtime(e.to_string()))?;
 
-    finish_trace(&trace)?;
+    finish_trace(&cfg.trace)?;
     emit_metrics(metrics_out, &metrics);
     Ok(())
 }
@@ -647,27 +712,14 @@ fn endpoint_flag(flags: &Flags, name: &str) -> Result<Endpoint, CliError> {
 /// alignment server, and run until a client sends SHUTDOWN.
 fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let endpoint = endpoint_flag(flags, "listen")?;
-    let default_backend: BackendChoice = flags
-        .get("backend")
-        .unwrap_or("cpu")
-        .parse()
-        .map_err(|e| CliError::usage(format!("{e}")))?;
+    let default_backend = backend_choice(flags)?;
     let default_format = output_format(flags)?;
-    let (shards, shard_overlap) = shard_params(flags)?;
     let metrics_out = metrics_mode(flags);
-    let trace = trace_recorder(flags)?;
     configure_threads(flags)?;
+    let pipeline = pipeline_config(flags)?;
+    let trace = pipeline.trace.clone();
     let service = ServiceConfig {
-        pipeline: PipelineConfig {
-            batch_bases: flags.num("batch-bases", 256 * 1024)?,
-            queue_depth: flags.num("queue-depth", 8)?,
-            dispatchers: flags.num("dispatchers", 1)?,
-            shards,
-            shard_overlap,
-            params: candidate_params(flags)?,
-            trace: trace.clone(),
-            explain: explain_sink(flags)?,
-        },
+        pipeline,
         max_sessions: flags.num("max-sessions", 64)?,
         linger: std::time::Duration::from_millis(flags.num("linger-ms", 2)?),
         max_session_output_bytes: flags.num("session-output-cap", 64 << 20)?,
@@ -678,10 +730,7 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(CliError::usage)?,
         max_session_inflight_reads: flags.num("session-inflight-reads", 1024)?,
         max_session_inflight_bases: flags.num("session-inflight-bases", 0)?,
-        router: RouterConfig {
-            explore_every: flags.num("route-explore-every", 16)?,
-            pinned: matches!(flags.get("route-pinned"), Some("on")),
-        },
+        router: router_config(flags)?,
     };
     // 0 disables the idle timeout (and its heartbeats) entirely.
     let idle_timeout = match flags.num("idle-timeout-ms", 30_000u64)? {
@@ -710,20 +759,29 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Run a protocol conversation: records to `out`, status to stderr.
-/// Nonzero exit when the server reported any error line.
-fn run_submit(
-    endpoint: &Endpoint,
-    reads: Option<std::fs::File>,
-    opts: &SubmitOptions,
-    explain_path: Option<&str>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
+/// `genasm submit`: stream a read file to a running server; stdout is
+/// byte-identical to `genasm align` on the same reads, status goes to
+/// stderr. Nonzero exit when the server reported any error line.
+fn cmd_submit(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
+    let endpoint = endpoint_flag(flags, "to")?;
+    let explain_path = flags.get("explain");
+    let opts = SubmitOptions {
+        backend: flags
+            .get("backend")
+            .map(|v| v.parse().map_err(|e| CliError::usage(format!("{e}"))))
+            .transpose()?,
+        format: flags
+            .get("format")
+            .map(|v| v.parse().map_err(|e| CliError::usage(format!("{e}"))))
+            .transpose()?,
+        explain: explain_path.is_some(),
+    };
+    let reads_path = flags.req("reads")?;
+    let reads = File::open(reads_path)
+        .map_err(|e| CliError::runtime(format!("cannot open {reads_path}: {e}")))?;
     let mut status = std::io::stderr();
-    let reads_sent = reads.is_some();
-    let report =
-        genasm_server::client::submit(endpoint, reads.map(BufReader::new), opts, out, &mut status)
-            .map_err(|e| CliError::runtime(format!("server connection failed: {e}")))?;
+    let report = genasm_server::client::submit(&endpoint, reads, &opts, out, &mut status)
+        .map_err(|e| CliError::runtime(format!("server connection failed: {e}")))?;
     if let Some(path) = explain_path {
         // The server already streamed the `# explain` lines; this just
         // lands their JSON payloads in the requested file, same
@@ -742,38 +800,15 @@ fn run_submit(
             report.errors
         )));
     }
-    // A session that sent records must end with the server's `# done`
-    // summary; without it the output may be silently truncated (server
-    // died mid-stream) and must not exit 0.
-    if reads_sent && report.done.is_none() {
+    // The session must end with the server's `# done` summary; without
+    // it the output may be silently truncated (server died mid-stream)
+    // and must not exit 0.
+    if report.done.is_none() {
         return Err(CliError::runtime(
             "connection closed before the server reported completion; output may be truncated",
         ));
     }
     Ok(())
-}
-
-/// `genasm submit`: stream a read file to a running server; stdout is
-/// byte-identical to `genasm align` on the same reads.
-fn cmd_submit(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    let endpoint = endpoint_flag(flags, "to")?;
-    let explain_path = flags.get("explain");
-    let opts = SubmitOptions {
-        backend: flags
-            .get("backend")
-            .map(|v| v.parse().map_err(|e| CliError::usage(format!("{e}"))))
-            .transpose()?,
-        format: flags
-            .get("format")
-            .map(|v| v.parse().map_err(|e| CliError::usage(format!("{e}"))))
-            .transpose()?,
-        explain: explain_path.is_some(),
-        ..SubmitOptions::default()
-    };
-    let reads_path = flags.req("reads")?;
-    let f = File::open(reads_path)
-        .map_err(|e| CliError::runtime(format!("cannot open {reads_path}: {e}")))?;
-    run_submit(&endpoint, Some(f), &opts, explain_path, out)
 }
 
 /// `genasm ctl ping|stats|shutdown --to ENDPOINT`: control verbs
@@ -788,7 +823,7 @@ fn cmd_ctl(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // Live streaming view: one raw `genasm-stat-frame/v1` JSON
         // object per line on stdout (protocol chatter on stderr), so
         // the feed pipes into `jq` or a dashboard collector.
-        let flags = Flags::parse(rest)?;
+        let flags = Flags::parse("ctl top", rest)?;
         let endpoint = endpoint_flag(&flags, "to")?;
         let interval: u64 = flags.num("interval-ms", 1000)?;
         if interval == 0 {
@@ -805,27 +840,16 @@ fn cmd_ctl(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         }
         return Ok(());
     }
-    let opts = match action.as_str() {
-        "ping" => SubmitOptions {
-            ping: true,
-            ..SubmitOptions::default()
-        },
-        "stats" => SubmitOptions {
-            stats: true,
-            ..SubmitOptions::default()
-        },
-        "stats-json" => SubmitOptions {
-            stats_json: true,
-            ..SubmitOptions::default()
-        },
-        "stats-prom" => SubmitOptions {
-            stats_prom: true,
-            ..SubmitOptions::default()
-        },
-        "shutdown" => SubmitOptions {
-            shutdown: true,
-            ..SubmitOptions::default()
-        },
+    // `stats-json` and `stats-prom` are machine-readable: the protocol
+    // chatter goes to stderr and only the bare payload — what follows
+    // this prefix — lands on stdout, so the output pipes straight into
+    // `python -m json.tool` or a Prometheus scraper.
+    let (verb, payload_prefix) = match action.as_str() {
+        "ping" => (Verb::Ping, None),
+        "stats" => (Verb::Stats(StatsFormat::Line), None),
+        "stats-json" => (Verb::Stats(StatsFormat::Json), Some("# stats-json ")),
+        "stats-prom" => (Verb::Stats(StatsFormat::Prom), Some("# prom ")),
+        "shutdown" => (Verb::Shutdown, None),
         other => {
             return Err(CliError::usage(format!(
                 "unknown ctl action {other:?}; valid actions are ping, stats, \
@@ -833,53 +857,30 @@ fn cmd_ctl(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             )))
         }
     };
-    let endpoint = endpoint_flag(&Flags::parse(rest)?, "to")?;
-    // Control replies are this command's output. `stats-json` and
-    // `stats-prom` are machine-readable: the protocol chatter goes to
-    // stderr and only the bare payload lands on stdout, so the output
-    // pipes straight into `python -m json.tool` or a Prometheus
-    // scraper without stripping prefixes.
-    let machine = opts.stats_json || opts.stats_prom;
-    let mut status_buf = Vec::new();
-    let report = if machine {
-        genasm_server::client::submit(
-            &endpoint,
-            None::<BufReader<File>>,
-            &opts,
-            &mut std::io::sink(),
-            &mut status_buf,
-        )
-    } else {
-        genasm_server::client::submit(
-            &endpoint,
-            None::<BufReader<File>>,
-            &opts,
-            &mut std::io::sink(),
-            out,
-        )
-    }
-    .map_err(|e| CliError::runtime(format!("server connection failed: {e}")))?;
-    if machine {
-        std::io::stderr().write_all(&status_buf).map_err(io_err)?;
-        let payload = report
-            .stats_json
-            .as_deref()
-            .or(report.stats_prom.as_deref());
-        match payload {
-            Some(p) => {
-                write!(out, "{}{}", p, if p.ends_with('\n') { "" } else { "\n" }).map_err(io_err)?
-            }
-            None => {
-                return Err(CliError::runtime(
-                    "server did not return a stats payload; see stderr",
-                ))
+    let endpoint = endpoint_flag(&Flags::parse("ctl", rest)?, "to")?;
+    let lines = genasm_server::client::control(&endpoint, &verb)
+        .map_err(|e| CliError::runtime(format!("server connection failed: {e}")))?;
+    for line in &lines {
+        match payload_prefix {
+            // Control replies are this command's output.
+            None => writeln!(out, "{line}").map_err(io_err)?,
+            Some(prefix) => {
+                eprintln!("{line}");
+                if let Some(payload) = line.strip_prefix(prefix) {
+                    writeln!(out, "{payload}").map_err(io_err)?;
+                }
             }
         }
     }
-    if report.errors > 0 {
+    if payload_prefix.is_some_and(|prefix| !lines.iter().any(|l| l.starts_with(prefix))) {
+        return Err(CliError::runtime(
+            "server did not return a stats payload; see stderr",
+        ));
+    }
+    let errors = lines.iter().filter(|l| l.starts_with(ERR_PREFIX)).count();
+    if errors > 0 {
         return Err(CliError::runtime(format!(
-            "server reported {} error(s)",
-            report.errors
+            "server reported {errors} error(s)"
         )));
     }
     Ok(())

@@ -1,5 +1,7 @@
 //! `genasm` — the command-line entry point.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stdout = std::io::stdout();

@@ -1188,3 +1188,46 @@ fn serve_submit_explain_and_ctl_top_stream() {
     result.unwrap_or_else(|e| panic!("serve failed: {e}"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A mistyped flag must not quietly run the defaults: every
+/// subcommand refuses one it does not read, before doing anything.
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    for (cmd, flags) in genasm_cli::FLAGS {
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        if cmd == "ctl" {
+            args.push("ping");
+        }
+        args.extend(["--bogus", "7"]);
+        let e = run_err(&args);
+        assert_eq!(e.code, 2, "{cmd}: {}", e.message);
+        assert!(e.message.contains("--bogus"), "{cmd}: {}", e.message);
+        // ...and says what it would have taken.
+        let first = flags.split(' ').next().unwrap();
+        assert!(e.message.contains(&format!("--{first}")), "{}", e.message);
+    }
+}
+
+/// The help cannot drift from the parser: every flag a subcommand
+/// reads is in that subcommand's entry of `USAGE`.
+#[test]
+fn usage_lists_every_flag_of_every_subcommand() {
+    // One entry per "  genasm <subcommand> …" line, with its
+    // continuation lines.
+    let entries: Vec<&str> = genasm_cli::USAGE.split("\n  genasm ").skip(1).collect();
+    for (cmd, flags) in genasm_cli::FLAGS {
+        let words = cmd.split(' ').count();
+        let usage: String = entries
+            .iter()
+            .filter(|e| e.split_whitespace().take(words).eq(cmd.split(' ')))
+            .flat_map(|e| [e, "\n"])
+            .collect();
+        assert!(!usage.is_empty(), "no usage entry for `genasm {cmd}`");
+        for flag in flags.split(' ') {
+            assert!(
+                usage.contains(&format!("-{flag} ")),
+                "`genasm {cmd}` reads --{flag}, which its usage does not list:\n{usage}"
+            );
+        }
+    }
+}

@@ -89,6 +89,8 @@
 //! assert!(ws.stats.windows >= 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aligner;
 pub mod bitvec;
 pub mod config;

@@ -10,6 +10,8 @@
 //! batch, which is how the benchmark harness times KSW2 and Edlib under
 //! identical threading.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 

@@ -23,6 +23,8 @@
 //! assert_eq!(report.results[0].alignment.edit_distance, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod kernel;
 

@@ -82,9 +82,7 @@ struct Pinned {
 }
 
 fn check(cfg: GenAsmConfig, want: Pinned) {
-    let mut device = Device::a6000();
-    device.host_workers = 2;
-    let report = GpuAligner::with_config(device, cfg)
+    let report = GpuAligner::with_config(Device::a6000(), cfg)
         .align_batch(&batch())
         .unwrap();
     assert_eq!(report.totals, want.totals, "{}", cfg.improvements.label());

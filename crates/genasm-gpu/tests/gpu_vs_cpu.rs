@@ -39,10 +39,7 @@ fn arb_mutated_pair(max_len: usize, max_edits: usize) -> impl Strategy<Value = (
 }
 
 fn device() -> Device {
-    // Use a small host worker count for test determinism under load.
-    let mut d = Device::a6000();
-    d.host_workers = 2;
-    d
+    Device::a6000()
 }
 
 /// An arbitrary `max_edits`: a quarter of the cases unhinted, the rest

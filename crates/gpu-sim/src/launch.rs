@@ -1,8 +1,12 @@
-//! Kernel launch: distributing blocks over CPU workers and assembling
-//! the launch report.
+//! Kernel launch: running the blocks and assembling the launch report.
+//!
+//! The blocks are the items of one `rayon` parallel map, the fan-out
+//! the CPU batch aligners use: the pool `--threads` sizes is the
+//! simulator's host pool, and the launching thread is one of its workers.
 
-use std::sync::Mutex;
-use std::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use rayon::prelude::*;
 
 use crate::ctx::{BlockCounters, BlockCtx};
 use crate::device::DeviceDescriptor;
@@ -53,30 +57,27 @@ pub struct LaunchReport<O> {
 pub struct Device {
     /// Hardware description used for capacity checks and timing.
     pub desc: DeviceDescriptor,
-    /// Number of host worker threads used to simulate blocks.
-    pub host_workers: usize,
 }
 
 impl Device {
-    /// An RTX A6000-like device using all host cores.
+    /// An RTX A6000-like device.
     pub fn a6000() -> Device {
         Device::new(DeviceDescriptor::a6000())
     }
 
-    /// Wrap a descriptor, using all available host cores.
+    /// Wrap a descriptor.
     pub fn new(desc: DeviceDescriptor) -> Device {
-        let host_workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Device { desc, host_workers }
+        Device { desc }
     }
 
     /// Launch `grid_dim` blocks of `block_dim` threads, each allowed
     /// `shared_bytes` of shared memory.
     ///
-    /// Blocks execute on a host thread pool in any order (like real
+    /// Blocks execute on the host's worker pool in any order (like real
     /// blocks); outputs are returned in block order and counters are
-    /// deterministic regardless of scheduling.
+    /// deterministic regardless of scheduling. A failing launch returns
+    /// the error of its lowest-numbered failing block, whatever the
+    /// pool size.
     pub fn launch<K: Kernel>(
         &self,
         grid_dim: usize,
@@ -99,54 +100,34 @@ impl Device {
             });
         }
         let start = std::time::Instant::now();
-        let n_workers = self.host_workers.max(1).min(grid_dim.max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type BlockSlot<O> = Option<(BlockCounters, O)>;
-        let results: Mutex<Vec<BlockSlot<K::Output>>> =
-            Mutex::new((0..grid_dim).map(|_| None).collect());
-        let failure: Mutex<Option<SimError>> = Mutex::new(None);
+        // Lowest failed block so far (a hint; it publishes nothing).
+        // Blocks above it are skipped (`None`); blocks below it always
+        // run, so the lowest failure of all is always found.
+        let first_failed = AtomicUsize::new(usize::MAX);
+        let blocks: Vec<usize> = (0..grid_dim).collect();
+        let results: Vec<_> = blocks
+            .par_iter()
+            .map_init(K::Workspace::default, |ws, &b| {
+                if b > first_failed.load(Ordering::Relaxed) {
+                    return None;
+                }
+                let mut ctx =
+                    BlockCtx::new(b, grid_dim, block_dim, self.desc.warp_size, shared_bytes);
+                let out = kernel.block(&mut ctx, args, ws);
+                if out.is_err() {
+                    first_failed.fetch_min(b, Ordering::Relaxed);
+                }
+                Some(out.map(|out| (ctx.into_counters(), out)))
+            })
+            .collect();
 
-        thread::scope(|s| {
-            for _ in 0..n_workers {
-                s.spawn(|| {
-                    let mut ws = K::Workspace::default();
-                    loop {
-                        let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if b >= grid_dim || failure.lock().unwrap().is_some() {
-                            break;
-                        }
-                        let mut ctx = BlockCtx::new(
-                            b,
-                            grid_dim,
-                            block_dim,
-                            self.desc.warp_size,
-                            shared_bytes,
-                        );
-                        match kernel.block(&mut ctx, args, &mut ws) {
-                            Ok(out) => {
-                                results.lock().unwrap()[b] = Some((ctx.into_counters(), out));
-                            }
-                            Err(e) => {
-                                let mut f = failure.lock().unwrap();
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some(e) = failure.into_inner().unwrap() {
-            return Err(e);
-        }
         let mut totals = BlockCounters::default();
         let mut per_block = Vec::with_capacity(grid_dim);
         let mut outputs = Vec::with_capacity(grid_dim);
-        for slot in results.into_inner().unwrap() {
-            let (c, o) = slot.expect("every block completed");
+        // In block order the first entry that is not `Ok` is the lowest
+        // failure, and skipped blocks only come after it.
+        for block in results.into_iter().flatten() {
+            let (c, o) = block?;
             totals.merge(&c);
             per_block.push(c);
             outputs.push(o);

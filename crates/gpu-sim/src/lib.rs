@@ -4,8 +4,9 @@
 //! NVIDIA A6000 (what the substitution keeps, and what it does not, is
 //! spelled out below).
 //!
-//! Kernels ([`Kernel`]) are barrier-phase block programs executed on a
-//! host thread pool ([`Device::launch`]). The substrate enforces the
+//! Kernels ([`Kernel`]) are barrier-phase block programs executed on
+//! the host's worker pool — the one `--threads` sizes
+//! ([`Device::launch`]). The substrate enforces the
 //! GPU's *capacity* constraints (per-block shared memory, occupancy)
 //! and measures the *traffic* every block generates (warp issue slots,
 //! shared accesses, global accesses and bytes). An analytic
@@ -35,6 +36,8 @@
 //! let out = dev.launch(3, 1, 0, &Doubler, &vec![1, 2, 3]).unwrap();
 //! assert_eq!(out.outputs, vec![2, 4, 6]);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod ctx;
 pub mod device;

@@ -17,6 +17,8 @@
 //! (`&self`, so callers parallelize across reads), and the merged
 //! candidate stream is guaranteed identical for every shard count.
 
+#![forbid(unsafe_code)]
+
 pub mod candidates;
 pub mod chain;
 pub mod index;

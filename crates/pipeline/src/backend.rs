@@ -31,11 +31,11 @@ pub trait Backend: Send + Sync {
     /// Engine instrumentation accumulated across every batch this
     /// backend instance has aligned so far (cumulative, like the other
     /// pipeline counters), if the backend collects any, surfaced in
-    /// [`crate::PipelineMetrics`]. The one-shot pipeline pulls this
-    /// after the dispatch stages join; the resident service may call
-    /// it *at any moment of a live run*
-    /// ([`crate::PipelineService::metrics`] merges it across
-    /// backends), so implementations must be **batch-atomic**: stats
+    /// [`crate::PipelineMetrics`]. A dispatcher reads this after every
+    /// batch it ran — possibly while another dispatcher is mid-batch
+    /// on the same instance — and
+    /// [`crate::PipelineService::metrics`] merges the readings across
+    /// backends, so implementations must be **batch-atomic**: stats
     /// are merged into the accumulator under a lock, once per
     /// completed batch, and a concurrent reader sees either all of a
     /// batch's counts or none of them — never a partial merge. Two

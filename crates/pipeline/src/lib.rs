@@ -25,6 +25,14 @@
 //! [`BackendChoice::Auto`]: a [`route::Router`] assigns each batch to
 //! a backend from live metrics (see the module docs of [`route`]).
 //!
+//! Who spawns the stages: one function in [`service`], on a
+//! [`std::thread::Scope`], over a backend table the stages only borrow.
+//! [`run_pipeline`] calls it on the scope it opens for its ingest
+//! thread, over the caller's `&dyn Backend` as it came; a resident
+//! service calls it on one host thread that owns its boxed table.
+//! Engine work — a CPU batch, the simulated GPU's blocks — fans out on
+//! the `--threads` pool, the dispatcher being one of its workers.
+//!
 //! The paper's evaluation drives GenASM as a one-shot batch: load every
 //! read, generate every candidate, align, print. This crate gives the
 //! suite the shape a production service needs — a *continuous stream*
@@ -69,6 +77,8 @@
 //! allocation-free in steady state. A backend that panics fails its
 //! batch like one that returns an error; the stages keep running.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod batcher;
 pub mod explain;
@@ -83,7 +93,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use align_core::{AlignTask, Alignment, Reference, Seq};
+use align_core::{Reference, Seq};
 use mapper::CandidateParams;
 
 pub use backend::{
@@ -262,31 +272,14 @@ impl core::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// A caller-borrowed backend adapted into the service's owned-table
-/// shape: pure delegation to the wrapped `&dyn Backend`.
-struct BorrowedBackend(&'static dyn Backend);
-
-impl Backend for BorrowedBackend {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        self.0.align_batch(tasks)
-    }
-
-    fn engine_stats(&self) -> Option<genasm_core::MemStats> {
-        self.0.engine_stats()
-    }
-}
-
 /// Run the pipeline to completion.
 ///
-/// A thin wrapper over [`service::PipelineService`]: it starts a
-/// private single-session service around the caller's backend and
-/// pumps the read iterator through it, so the scheduler/dispatch/sink
-/// stages exist exactly once (in [`service`]) and the one-shot path is
-/// *structurally* identical to a server session over the same reads.
+/// A thin wrapper over [`service::PipelineService`]: it runs a
+/// private single-session service whose stages borrow the caller's
+/// backend for the length of the call, and pumps the read iterator
+/// through it, so the scheduler/dispatch/sink stages exist exactly
+/// once (in [`service`]) and the one-shot path is *structurally*
+/// identical to a server session over the same reads.
 ///
 /// `reads` is consumed incrementally — the whole read set is never
 /// materialized. The `reference` is consumed: the sharded index takes
@@ -311,20 +304,12 @@ where
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
-    // SAFETY: lifetime-only widening of the borrow handed to the
-    // service's backend table. The service's stage threads are the
-    // only holders, and `run_oneshot` drops the service — whose Drop
-    // joins every stage thread — before returning, including on
-    // unwind, so the 'static promise never outlives the real borrow.
-    let backend: &'static dyn Backend = unsafe { core::mem::transmute(backend) };
-    // The kind is a routing tag for the single-entry table; the
-    // session is fixed to it, so it never reaches the auto router.
-    let table: Vec<(BackendKind, Box<dyn Backend>)> =
-        vec![(BackendKind::Cpu, Box::new(BorrowedBackend(backend)))];
     run_oneshot(
         reads,
         reference,
-        table,
+        // The kind is a routing tag for the single-entry table; the
+        // session is fixed to it, so it never reaches the auto router.
+        &[(BackendKind::Cpu, backend)],
         BackendKind::Cpu.into(),
         cfg,
         RouterConfig::default(),
@@ -354,14 +339,11 @@ where
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
-    let table: Vec<(BackendKind, Box<dyn Backend>)> = vec![
-        (BackendKind::Cpu, BackendKind::Cpu.create()),
-        (BackendKind::GpuSim, BackendKind::GpuSim.create()),
-    ];
+    let (cpu, gpu_sim) = (BackendKind::Cpu.create(), BackendKind::GpuSim.create());
     run_oneshot(
         reads,
         reference,
-        table,
+        &[(BackendKind::Cpu, &*cpu), (BackendKind::GpuSim, &*gpu_sim)],
         BackendChoice::Auto,
         cfg,
         router,
@@ -369,13 +351,14 @@ where
     )
 }
 
-/// The shared one-shot pump: private service, one session, map
-/// workers stream the reads in, the caller streams the rows out, abort
-/// on the first failure.
+/// The shared one-shot pump: private service whose stages borrow
+/// `backends` for the length of this call, one session, map workers
+/// stream the reads in, the caller streams the rows out, abort on the
+/// first failure.
 fn run_oneshot<I, E, F>(
     reads: I,
     reference: Reference,
-    backends: Vec<(BackendKind, Box<dyn Backend>)>,
+    backends: &[(BackendKind, &dyn Backend)],
     choice: BackendChoice,
     cfg: &PipelineConfig,
     router: RouterConfig,
@@ -404,7 +387,7 @@ where
         max_session_inflight_bases: 0,
         router,
     };
-    let service = PipelineService::start_with_backends("", reference, svc_cfg, backends);
+    let service = PipelineService::stopped("", reference, svc_cfg, backends);
     let (session, rx) = service
         .open_session(choice)
         .expect("a fresh service admits its first session");
@@ -415,19 +398,20 @@ where
             t.thread_name(tids::MAP0 + lane as u64, &format!("map:{lane}"));
         }
     }
-    let (ingested, delivered, mut metrics) = std::thread::scope(|scope| {
+    let (ingested, delivered) = std::thread::scope(|scope| {
+        service::spawn_stages(scope, &service.shared, backends);
         let ingest = scope.spawn(|| {
             // A panic in here (the caller's iterator, say) must still
             // release the caller below, which waits for `End`; it
             // resumes after the join.
             let ingested = catch_unwind(AssertUnwindSafe(|| map_reads(&session, reads, workers)));
-            // Input over (or failed): release the session and drain
-            // the stages — shutdown closes the task queue, which
-            // flushes the scheduler's partial batches, and joins the
-            // threads — so `End` reaches the caller behind the last
-            // whole read.
+            // Input over (or failed): release the session and close
+            // the task queue, which flushes the scheduler's partial
+            // batches — so `End` reaches the caller behind the last
+            // whole read, and the stages exit for the scope to join.
             session.finish();
-            (ingested, service.shutdown())
+            service.shutdown();
+            ingested
         });
         // The caller only streams rows out. The session channel is
         // unbounded, so the stages never wait on `on_record`.
@@ -446,15 +430,16 @@ where
         // further enqueue is refused, the workers stop pulling, and
         // what was emitted stays a whole-reads-in-input-order prefix.
         drop(rx);
-        let (ingested, metrics) = ingest.join().expect("ingest thread never panics itself");
+        let ingested = ingest.join().expect("ingest thread never panics itself");
         (
             ingested.unwrap_or_else(|panic| resume_unwind(panic)),
             delivered,
-            metrics,
         )
     });
     delivered?;
     ingested?;
+    // Read with every stage joined: nothing is still counting.
+    let mut metrics = service.metrics();
     metrics.map_workers = workers;
     Ok(metrics)
 }
@@ -579,6 +564,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use align_core::{AlignTask, Alignment};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A backend slow enough that the task queue in front of it is

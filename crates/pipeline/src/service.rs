@@ -13,7 +13,7 @@
 //! tears them down when the read iterator ends. A server cannot afford
 //! that: the reference index must stay hot, and *admission control
 //! must span clients* — ten greedy sessions must share one memory
-//! budget, not multiply it. [`PipelineService`] therefore owns the
+//! budget, not multiply it. [`PipelineService`] therefore keeps the
 //! stages for its whole lifetime and lets any number of concurrent
 //! [`Session`]s feed the same bounded task queue:
 //!
@@ -49,13 +49,21 @@
 //! * **Graceful drain.** [`PipelineService::shutdown`] stops admitting
 //!   sessions, waits for the open ones to finish, drains every queue,
 //!   joins the stages, and returns the final [`PipelineMetrics`].
+//!
+//! The stages are scoped threads started by one function
+//! (`spawn_stages`): they borrow the shared state and the backend table
+//! (`&[(BackendKind, &dyn Backend)]`) and are joined by their scope. A
+//! resident service keeps that scope on one host thread, which owns the
+//! boxed table; [`run_pipeline`](crate::run_pipeline) opens it on its
+//! own stack over the backend its caller lent, so no backend has to be
+//! `'static`.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use align_core::{AlignTask, Alignment, Reference};
@@ -546,13 +554,16 @@ struct SvcDone {
     completed_at: Instant,
 }
 
-struct Shared {
+pub(crate) struct Shared {
     /// Display label for the loaded reference (banner / status lines);
     /// record contig names come from the index's contig table.
     ref_label: String,
     index: ShardedIndex,
     cfg: ServiceConfig,
-    backends: Vec<(BackendKind, Box<dyn Backend>)>,
+    /// Each backend's last [`Backend::engine_stats`], in table order:
+    /// only the stages see the table, so a dispatcher leaves them here
+    /// after every batch for [`PipelineService::metrics`].
+    engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
     task_q: BoundedQueue<(AlignTask, TaskMeta, BackendChoice)>,
     batch_q: BoundedQueue<(Batch, BackendKind)>,
     result_q: BoundedQueue<SvcDone>,
@@ -571,25 +582,16 @@ impl Shared {
     fn trace(&self) -> Option<&TraceRecorder> {
         self.cfg.pipeline.trace.as_deref()
     }
-
-    /// Trace lane for backend `kind` (stable: index into the resident
-    /// backend table).
-    fn backend_tid(&self, kind: BackendKind) -> u64 {
-        tids::BACKEND0
-            + self
-                .backends
-                .iter()
-                .position(|(k, _)| *k == kind)
-                .unwrap_or(0) as u64
-    }
 }
 
 /// The resident alignment service. See the module docs for the
 /// architecture; see [`PipelineService::open_session`] for the client
 /// side.
 pub struct PipelineService {
-    shared: Arc<Shared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    pub(crate) shared: Arc<Shared>,
+    /// The thread a resident service keeps its stages on. `None` once
+    /// joined, and in [`crate::run_pipeline`], which has a scope.
+    host: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl PipelineService {
@@ -607,15 +609,36 @@ impl PipelineService {
 
     /// [`PipelineService::start`] with an explicit backend table
     /// (kind tag → implementation). Sessions can only pick backends
-    /// present in the table; the one-shot wrapper uses this to run
-    /// against a caller-borrowed backend. The `auto` router routes
-    /// over the table's bit-identical engines (`cpu`, `gpu-sim`), or
-    /// over the whole table when neither is present.
+    /// present in the table. The `auto` router routes over the table's
+    /// bit-identical engines (`cpu`, `gpu-sim`), or over the whole
+    /// table when neither is present. One host thread owns the table
+    /// and keeps the stages on its scope until the service shuts down.
     pub fn start_with_backends(
         ref_label: &str,
         reference: Reference,
         cfg: ServiceConfig,
         backends: Vec<(BackendKind, Box<dyn Backend>)>,
+    ) -> PipelineService {
+        fn lend(owned: &[(BackendKind, Box<dyn Backend>)]) -> Vec<(BackendKind, &dyn Backend)> {
+            owned.iter().map(|(kind, b)| (*kind, &**b)).collect()
+        }
+        let mut service = PipelineService::stopped(ref_label, reference, cfg, &lend(&backends));
+        let sh = Arc::clone(&service.shared);
+        let host = std::thread::spawn(move || {
+            let table = lend(&backends);
+            std::thread::scope(|scope| spawn_stages(scope, &sh, &table));
+        });
+        service.host = Mutex::new(Some(host));
+        service
+    }
+
+    /// Everything of a service over `backends` but its stages, which
+    /// whoever holds the table starts with [`spawn_stages`].
+    pub(crate) fn stopped(
+        ref_label: &str,
+        reference: Reference,
+        cfg: ServiceConfig,
+        backends: &[(BackendKind, &dyn Backend)],
     ) -> PipelineService {
         assert!(!backends.is_empty(), "service needs at least one backend");
         let pcfg = &cfg.pipeline;
@@ -637,7 +660,7 @@ impl PipelineService {
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
             index,
-            backends,
+            engines: Mutex::new(backends.iter().map(|(_, b)| b.engine_stats()).collect()),
             task_q: BoundedQueue::new(pcfg.queue_depth.max(1) * pcfg.batch_bases.max(1)),
             batch_q: BoundedQueue::new(pcfg.queue_depth.max(1)),
             result_q: BoundedQueue::new(pcfg.queue_depth.max(1)),
@@ -660,20 +683,9 @@ impl PipelineService {
         if let Some(t) = shared.trace() {
             trace_lanes(t, &lane_names);
         }
-
-        let mut handles = Vec::new();
-        let sh = Arc::clone(&shared);
-        handles.push(std::thread::spawn(move || scheduler_loop(&sh)));
-        for _ in 0..shared.cfg.pipeline.dispatchers.max(1) {
-            let sh = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || dispatch_loop(&sh)));
-        }
-        let sh = Arc::clone(&shared);
-        handles.push(std::thread::spawn(move || sink_loop(&sh)));
-
         PipelineService {
             shared,
-            handles: Mutex::new(handles),
+            host: Mutex::new(None),
         }
     }
 
@@ -807,19 +819,12 @@ impl PipelineService {
                 pushed: sh.result_q.total_pushed(),
                 high_water: sh.result_q.high_water(),
             },
-            {
-                // Merge engine instrumentation across every resident
-                // backend (sessions may use different ones).
-                let mut engine = genasm_core::MemStats::new();
-                let mut any = false;
-                for (_, b) in &sh.backends {
-                    if let Some(s) = b.engine_stats() {
-                        engine.merge(&s);
-                        any = true;
-                    }
-                }
-                any.then_some(engine)
-            },
+            // Engine instrumentation merged across the backend table
+            // (sessions may use different ones).
+            (sh.engines.lock().unwrap().iter().flatten().copied()).reduce(|mut all, engine| {
+                all.merge(&engine);
+                all
+            }),
         )
     }
 
@@ -980,25 +985,26 @@ impl PipelineService {
                 ing = self.shared.drained_cv.wait(ing).unwrap();
             }
         }
-        self.shared.task_q.close();
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
+        self.close();
         self.metrics()
+    }
+
+    /// Close the task queue — the stages flush what they hold and exit
+    /// — and join the host thread, if this service has one.
+    fn close(&self) {
+        self.shared.task_q.close();
+        if let Some(host) = self.host.lock().unwrap().take() {
+            let _ = host.join();
+        }
     }
 }
 
 impl Drop for PipelineService {
     fn drop(&mut self) {
-        // Close the queues so stage threads exit even if the owner
-        // never called shutdown; detached sessions will see
+        // The stages must exit even if the owner never called
+        // shutdown; detached sessions will see
         // `SubmitError::ServiceStopped`.
-        self.shared.task_q.close();
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
-        }
+        self.close();
     }
 }
 
@@ -1319,6 +1325,24 @@ pub enum RecvOutcome {
     Closed,
 }
 
+/// Start the stages — scheduler, dispatchers, sink — on `scope`, over
+/// the backend table they borrow. The one place a stage thread is
+/// made: [`crate::run_pipeline`] calls it on the scope its run already
+/// lives in, over the caller's `&dyn Backend` as it came, a resident
+/// service on the host thread that owns its boxed table. The stages
+/// exit once the task queue is closed and drained.
+pub(crate) fn spawn_stages<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    sh: &'scope Shared,
+    backends: &'scope [(BackendKind, &'scope dyn Backend)],
+) {
+    scope.spawn(move || scheduler_loop(sh));
+    for _ in 0..sh.cfg.pipeline.dispatchers.max(1) {
+        scope.spawn(move || dispatch_loop(sh, backends));
+    }
+    scope.spawn(move || sink_loop(sh));
+}
+
 /// One per-choice building batch in the scheduler: the shared
 /// [`BatchBuilder`] accumulation rules plus an age stamp for the
 /// linger flush. An `auto` session gets one slot of its own (keyed by
@@ -1460,16 +1484,15 @@ fn align_isolated(
     })
 }
 
-fn dispatch_loop(sh: &Shared) {
+fn dispatch_loop(sh: &Shared, backends: &[(BackendKind, &dyn Backend)]) {
     let mut lats: Vec<(BackendKind, BackendLat)> = Vec::new();
     while let Some((batch, kind)) = sh.batch_q.pop() {
         let t0 = Instant::now();
-        let backend = sh
-            .backends
+        let row = backends
             .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, b)| b.as_ref())
+            .position(|(k, _)| *k == kind)
             .expect("every BackendKind is instantiated at start");
+        let backend = backends[row].1;
         let lat_idx = match lats.iter().position(|(k, _)| *k == kind) {
             Some(i) => i,
             None => {
@@ -1499,7 +1522,7 @@ fn dispatch_loop(sh: &Shared) {
         lat.tasks.add(batch.tasks.len() as u64);
         lat.bases.add(batch.bases as u64);
         if let Some(t) = sh.trace() {
-            let tid = sh.backend_tid(kind);
+            let tid = tids::BACKEND0 + row as u64;
             let args = [
                 ("batch", batch.seq.into()),
                 ("tasks", batch.tasks.len().into()),
@@ -1514,6 +1537,13 @@ fn dispatch_loop(sh: &Shared) {
                 &args,
             );
             t.span("execute", "service", tid, t0, execute, &args);
+        }
+        {
+            // Read under the lock, so a later reading is never
+            // overwritten by an earlier one, and before the results are
+            // pushed, so whoever sees a batch's rows finds it counted.
+            let mut engines = sh.engines.lock().unwrap();
+            engines[row] = backend.engine_stats();
         }
         let done = SvcDone {
             seq: batch.seq,

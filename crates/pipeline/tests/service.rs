@@ -1351,3 +1351,65 @@ fn a_backend_panic_fails_a_one_shot_run_with_a_backend_error() {
         }
     });
 }
+
+/// A backend that borrows a local. That `run_pipeline` takes it at all
+/// is the test: its stages are scoped to the call, so nothing asks the
+/// caller's backend to be `'static`.
+struct Counting<'a>(
+    &'a std::sync::atomic::AtomicU64,
+    genasm_pipeline::CpuBackend,
+);
+
+impl genasm_pipeline::Backend for Counting<'_> {
+    fn name(&self) -> &'static str {
+        self.1.name()
+    }
+
+    fn align_batch(
+        &self,
+        tasks: &[align_core::AlignTask],
+    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.1.align_batch(tasks)
+    }
+
+    fn engine_stats(&self) -> Option<genasm_core::MemStats> {
+        self.1.engine_stats()
+    }
+}
+
+#[test]
+fn one_shot_runs_a_backend_that_borrows_from_its_caller() {
+    let w = workload(60_000, 12, 500, 23);
+    let want = one_shot(&w.reads, &w.reference, BackendKind::Cpu);
+    let batches = std::sync::atomic::AtomicU64::new(0);
+    let backend = Counting(&batches, genasm_pipeline::CpuBackend::improved());
+    let stream = w.reads.iter().map(|(name, seq)| {
+        Ok::<_, std::convert::Infallible>(ReadInput {
+            name: name.clone(),
+            seq: seq.clone(),
+        })
+    });
+    let mut got = String::new();
+    let metrics = run_pipeline(
+        stream,
+        w.reference.clone(),
+        &backend,
+        &tiny_batches(),
+        |rec| {
+            got.push_str(&rec.to_tsv());
+            got.push('\n');
+            Ok(())
+        },
+    )
+    .expect("one-shot pipeline failed");
+    assert_eq!(got, want, "a borrowed backend emits CpuBackend's bytes");
+    let batches = batches.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(batches > 1, "tiny batches: {batches}");
+    assert_eq!(
+        batches, metrics.batches,
+        "every batch went through the borrow"
+    );
+    // The engine's counters come home from the borrowed table too.
+    assert!(metrics.engine.expect("cpu counts its windows").windows > 0);
+}

@@ -11,6 +11,8 @@
 //! experiment is reproducible bit-for-bit (the substitution argument
 //! is in [`genome`]'s module docs).
 
+#![forbid(unsafe_code)]
+
 pub mod fastx;
 pub mod genome;
 pub mod reads;

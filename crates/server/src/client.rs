@@ -1,43 +1,35 @@
 //! The protocol client behind `genasm submit` / `genasm ctl` (and the
 //! test suites).
 //!
-//! [`submit`] speaks the whole protocol over one connection: preamble
-//! verbs, `BEGIN`, raw record bytes, half-close, then the response.
-//! Record lines go to `out` verbatim — so a client's stdout is
-//! byte-identical to `genasm align` on the same reads — and every
-//! `# `-prefixed status line goes to `status`.
+//! [`submit`] speaks a whole session over one connection: `SET` verbs,
+//! `BEGIN`, raw record bytes, half-close, and the response, which it
+//! drains *while* it uploads — a server under its `throttle` policy
+//! stops reading the socket until the client has taken rows, so a
+//! client that sent everything first would wait on it forever. Record
+//! lines go to `out` verbatim — so a client's stdout is byte-identical
+//! to `genasm align` on the same reads — and every `# `-prefixed status
+//! line goes to `status`. [`control`] is the one-verb conversation of
+//! `genasm ctl`. The wire text of every verb comes from
+//! [`Verb`]'s `Display`.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
-use crate::endpoint::{connect, Endpoint};
-use crate::protocol::{DONE_PREFIX, ERR_PREFIX, HB_LINE, STATUS_PREFIX};
+use crate::endpoint::{connect, Conn, Endpoint};
+use crate::protocol::{Verb, DONE_PREFIX, ERR_PREFIX, HB_LINE, STATUS_PREFIX};
 use genasm_pipeline::{BackendChoice, OutputFormat};
 
-/// What to ask of the server.
+/// What a session sets before its `BEGIN`; `None`/`false` leave the
+/// server's default.
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
-    /// `SET backend …` before `BEGIN` (server default otherwise).
-    /// [`BackendChoice::Auto`] asks for the server's adaptive router.
+    /// `SET backend …`. [`BackendChoice::Auto`] asks for the server's
+    /// adaptive router.
     pub backend: Option<BackendChoice>,
-    /// `SET format …` before `BEGIN` (server default otherwise).
+    /// `SET format …`.
     pub format: Option<OutputFormat>,
-    /// Send `PING` (liveness probe) in the preamble.
-    pub ping: bool,
-    /// Send `STATS` in the preamble.
-    pub stats: bool,
-    /// Send `STATS JSON` in the preamble (one `# stats-json {…}` reply
-    /// line; the JSON payload is also captured in the report).
-    pub stats_json: bool,
-    /// Send `STATS PROM` in the preamble (a `# prom-begin` / `# prom …`
-    /// / `# prom-end` block; the bare exposition lines are captured in
-    /// the report).
-    pub stats_prom: bool,
-    /// Send `SET explain on` in the preamble: the session streams one
-    /// `# explain {json}` provenance line per read, captured in
-    /// [`SubmitReport::explain`].
+    /// `SET explain on`: the session streams one `# explain {json}`
+    /// provenance line per read, captured in [`SubmitReport::explain`].
     pub explain: bool,
-    /// Send `SHUTDOWN` and return (no records are sent).
-    pub shutdown: bool,
 }
 
 /// What came back.
@@ -49,155 +41,149 @@ pub struct SubmitReport {
     pub errors: u64,
     /// The final `# done …` line, when a session ran to completion.
     pub done: Option<String>,
-    /// The JSON payload of a `STATS JSON` reply (prefix stripped).
-    pub stats_json: Option<String>,
-    /// The Prometheus exposition of a `STATS PROM` reply (prefixes
-    /// stripped, one metric line per element).
-    pub stats_prom: Option<String>,
     /// The JSON payloads of `# explain …` provenance lines, in read
     /// order (prefix stripped; empty unless `SET explain on` ran).
     pub explain: Vec<String>,
 }
 
-/// Run one protocol conversation. `reads` supplies the raw FASTA/FASTQ
-/// bytes to stream after `BEGIN`; pass `None` for verb-only
-/// conversations (ping/stats/shutdown).
-pub fn submit<R: Read>(
-    endpoint: &Endpoint,
-    reads: Option<R>,
-    opts: &SubmitOptions,
-    out: &mut dyn Write,
-    status: &mut dyn Write,
-) -> io::Result<SubmitReport> {
-    let conn = connect(endpoint)?;
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = BufWriter::new(conn);
-    let mut report = SubmitReport::default();
+/// A connection in its verb phase.
+struct Preamble {
+    reader: BufReader<Conn>,
+    writer: BufWriter<Conn>,
+}
 
-    let read_status_line = |reader: &mut BufReader<_>,
-                            report: &mut SubmitReport,
-                            status: &mut dyn Write|
-     -> io::Result<String> {
+impl Preamble {
+    fn open(endpoint: &Endpoint) -> io::Result<Preamble> {
+        let conn = connect(endpoint)?;
+        Ok(Preamble {
+            reader: BufReader::new(conn.try_clone()?),
+            writer: BufWriter::new(conn),
+        })
+    }
+
+    /// The server's next line — its greeting, or (the rest of) a reply
+    /// — skipping heartbeats, which answer nothing.
+    fn line(&mut self) -> io::Result<String> {
         let mut line = String::new();
         loop {
             line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            if self.reader.read_line(&mut line)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection mid-handshake",
                 ));
             }
-            // Heartbeats are not replies; the real reply follows.
             if line.trim_end() != HB_LINE {
-                break;
+                return Ok(line.trim_end().to_string());
             }
         }
-        let line = line.trim_end().to_string();
-        if line.starts_with(ERR_PREFIX) {
+    }
+
+    /// Send one verb; returns the first line of its reply.
+    fn send(&mut self, verb: &Verb) -> io::Result<String> {
+        writeln!(self.writer, "{verb}")?;
+        self.writer.flush()?;
+        self.line()
+    }
+}
+
+/// Send one control verb on a connection of its own. Returns what the
+/// server said, one element per line: its greeting, then the reply —
+/// a single line, except for `STATS PROM`'s `# prom-begin` … `# prom-end`
+/// block. An `# err …` reply is returned like any other.
+pub fn control(endpoint: &Endpoint, verb: &Verb) -> io::Result<Vec<String>> {
+    let mut conn = Preamble::open(endpoint)?;
+    let mut lines = vec![conn.line()?, conn.send(verb)?];
+    if lines[1] == "# prom-begin" {
+        while lines.last().is_some_and(|l| l != "# prom-end") {
+            lines.push(conn.line()?);
+        }
+    }
+    Ok(lines)
+}
+
+/// Run one session: `reads` supplies the raw FASTA/FASTQ bytes to
+/// stream after `BEGIN`.
+pub fn submit<R: Read + Send>(
+    endpoint: &Endpoint,
+    mut reads: R,
+    opts: &SubmitOptions,
+    out: &mut dyn Write,
+    status: &mut dyn Write,
+) -> io::Result<SubmitReport> {
+    let mut conn = Preamble::open(endpoint)?;
+    let mut report = SubmitReport::default();
+    writeln!(status, "{}", conn.line()?)?; // greeting
+
+    let settings = [
+        opts.backend.map(Verb::SetBackend),
+        opts.format.map(Verb::SetFormat),
+        opts.explain.then_some(Verb::SetExplain(true)),
+    ];
+    for verb in settings.into_iter().flatten().chain([Verb::Begin]) {
+        let reply = conn.send(&verb)?;
+        writeln!(status, "{reply}")?;
+        if reply.starts_with(ERR_PREFIX) {
             report.errors += 1;
-        }
-        writeln!(status, "{line}")?;
-        Ok(line)
-    };
-
-    // Greeting.
-    read_status_line(&mut reader, &mut report, status)?;
-
-    let verb = |writer: &mut BufWriter<_>,
-                reader: &mut BufReader<_>,
-                report: &mut SubmitReport,
-                status: &mut dyn Write,
-                line: &str|
-     -> io::Result<String> {
-        writeln!(writer, "{line}")?;
-        writer.flush()?;
-        read_status_line(reader, report, status)
-    };
-
-    if opts.ping {
-        verb(&mut writer, &mut reader, &mut report, status, "PING")?;
-    }
-    if opts.stats {
-        verb(&mut writer, &mut reader, &mut report, status, "STATS")?;
-    }
-    if opts.stats_json {
-        let reply = verb(&mut writer, &mut reader, &mut report, status, "STATS JSON")?;
-        if let Some(json) = reply.strip_prefix("# stats-json ") {
-            report.stats_json = Some(json.to_string());
-        }
-    }
-    if opts.stats_prom {
-        let first = verb(&mut writer, &mut reader, &mut report, status, "STATS PROM")?;
-        // The exposition is multi-line: `# prom-begin`, one `# prom …`
-        // per metric line, `# prom-end`. An `# err …` reply is a single
-        // line and is already handled by `verb`.
-        if first == "# prom-begin" {
-            let mut body = String::new();
-            loop {
-                let line = read_status_line(&mut reader, &mut report, status)?;
-                if line == "# prom-end" {
-                    break;
-                }
-                if let Some(metric) = line.strip_prefix("# prom ") {
-                    body.push_str(metric);
-                    body.push('\n');
-                }
+            if verb == Verb::Begin {
+                return Ok(report); // admission refused; server closes
             }
-            report.stats_prom = Some(body);
         }
-    }
-    if opts.shutdown {
-        verb(&mut writer, &mut reader, &mut report, status, "SHUTDOWN")?;
-        return Ok(report);
-    }
-    if let Some(backend) = opts.backend {
-        let line = format!("SET backend {backend}");
-        verb(&mut writer, &mut reader, &mut report, status, &line)?;
-    }
-    if let Some(format) = opts.format {
-        let line = format!("SET format {format}");
-        verb(&mut writer, &mut reader, &mut report, status, &line)?;
-    }
-    if opts.explain {
-        verb(
-            &mut writer,
-            &mut reader,
-            &mut report,
-            status,
-            "SET explain on",
-        )?;
-    }
-    let Some(mut reads) = reads else {
-        return Ok(report); // verb-only conversation
-    };
-    let begin_reply = verb(&mut writer, &mut reader, &mut report, status, "BEGIN")?;
-    if begin_reply.starts_with(ERR_PREFIX) {
-        return Ok(report); // admission refused; server closes
     }
 
     // Stream the payload, then half-close: that is the end-of-records
-    // framing. The server streams rows back the whole time; they wait
-    // in socket buffers until the drain loop below. An upload error is
-    // tolerated, not propagated: it usually means the server aborted
-    // the session (e.g. a parse error) and its diagnostic — plus any
-    // rows already produced — is waiting on the read side; bailing out
-    // here would throw that away for a bare "broken pipe".
-    let upload: io::Result<()> = (|| {
-        io::copy(&mut reads, &mut writer)?;
-        writer.flush()?;
-        writer.get_ref().shutdown_write()
-    })();
+    // framing. The server streams rows back the whole time, and stops
+    // reading once too many wait unread, so the upload has a thread of
+    // its own and this one drains until the server closes.
+    let Preamble {
+        mut reader,
+        mut writer,
+    } = conn;
+    let (upload, drained) = std::thread::scope(|scope| {
+        let upload = scope.spawn(move || -> io::Result<()> {
+            io::copy(&mut reads, &mut writer)?;
+            writer.flush()?;
+            writer.get_ref().shutdown_write()
+        });
+        let drained = drain_response(&mut reader, &mut report, out, status);
+        if drained.is_err() {
+            // Nobody takes the response any more, so the server may
+            // stop taking the upload: fail its next write, not block.
+            let _ = reader.get_ref().shutdown_write();
+        }
+        let upload = upload
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        (upload, drained)
+    });
+    drained?;
+    // An upload error is tolerated, not propagated: it usually means
+    // the server aborted the session (e.g. a parse error), and its
+    // diagnostic — plus any rows already produced — has been drained;
+    // a bare "broken pipe" would throw that away.
     if upload.is_err() {
         report.errors += 1;
-        writeln!(status, "# err upload interrupted; draining server response")?;
+        writeln!(
+            status,
+            "# err upload interrupted; see the server's response"
+        )?;
     }
+    Ok(report)
+}
 
-    // Drain the response until the server closes the connection.
+/// Forward the response of a session until the server closes the
+/// connection: records to `out`, status lines to `status`.
+fn drain_response(
+    reader: &mut BufReader<Conn>,
+    report: &mut SubmitReport,
+    out: &mut dyn Write,
+    status: &mut dyn Write,
+) -> io::Result<()> {
     let mut line = String::new();
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
-            break;
+            return Ok(());
         }
         let trimmed = line.trim_end();
         if trimmed.starts_with(STATUS_PREFIX) {
@@ -216,7 +202,6 @@ pub fn submit<R: Read>(
             writeln!(out, "{trimmed}")?;
         }
     }
-    Ok(report)
 }
 
 /// Consume a `STATS STREAM` push feed (the `genasm ctl top` client):
@@ -236,10 +221,11 @@ pub fn stream_stats(
     out: &mut dyn Write,
     status: &mut dyn Write,
 ) -> io::Result<u64> {
-    let conn = connect(endpoint)?;
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = BufWriter::new(conn);
-    writeln!(writer, "STATS STREAM {interval_ms}")?;
+    let Preamble {
+        mut reader,
+        mut writer,
+    } = Preamble::open(endpoint)?;
+    writeln!(writer, "{}", Verb::StatsStream(interval_ms))?;
     writer.flush()?;
 
     let mut frames = 0u64;

@@ -29,6 +29,8 @@
 //! verb or [`Server::request_shutdown`]), and the [`client`] used by
 //! `genasm submit` / `genasm ctl` and CI.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod endpoint;
 pub mod protocol;

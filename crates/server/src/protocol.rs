@@ -39,7 +39,9 @@
 //! server's `evict` output-overflow policy. Free-text payloads of
 //! `# err read`/`# err input` lines (read names, parser messages) are
 //! backslash-escaped like record name columns (`\t`, `\n`, `\r`, `\\`)
-//! so hostile content cannot forge a line boundary.
+//! so hostile content cannot forge a line boundary. A preamble line
+//! of more than 4096 bytes is answered `# err line too long` and the
+//! server closes the connection.
 //!
 //! `SET explain on` opts the session into per-read provenance: after
 //! `BEGIN`, one `# explain {json}` status line per submitted read
@@ -105,6 +107,25 @@ pub enum Verb {
     StatsStream(u64),
     /// `SHUTDOWN` — drain and exit.
     Shutdown,
+}
+
+/// The verb's wire text: the one line [`parse_verb`] reads it back
+/// from. (`STATS STREAM 0` is writable but refused by the parser.)
+impl core::fmt::Display for Verb {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Verb::SetBackend(choice) => write!(f, "SET backend {choice}"),
+            Verb::SetFormat(format) => write!(f, "SET format {format}"),
+            Verb::SetExplain(on) => write!(f, "SET explain {}", if *on { "on" } else { "off" }),
+            Verb::Begin => f.write_str("BEGIN"),
+            Verb::Ping => f.write_str("PING"),
+            Verb::Stats(StatsFormat::Line) => f.write_str("STATS"),
+            Verb::Stats(StatsFormat::Json) => f.write_str("STATS JSON"),
+            Verb::Stats(StatsFormat::Prom) => f.write_str("STATS PROM"),
+            Verb::StatsStream(ms) => write!(f, "STATS STREAM {ms}"),
+            Verb::Shutdown => f.write_str("SHUTDOWN"),
+        }
+    }
 }
 
 /// Parse one preamble line.
@@ -175,6 +196,7 @@ pub fn parse_verb(line: &str) -> Result<Verb, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn verbs_parse() {
@@ -214,6 +236,90 @@ mod tests {
             parse_verb("STATS STREAM 250").unwrap(),
             Verb::StatsStream(250)
         );
+    }
+
+    /// Every verb the protocol has (streams at a few intervals).
+    fn every_verb() -> Vec<Verb> {
+        use genasm_pipeline::BackendKind;
+        let mut verbs = vec![
+            Verb::SetBackend(BackendChoice::Auto),
+            Verb::SetExplain(true),
+            Verb::SetExplain(false),
+            Verb::Begin,
+            Verb::Ping,
+            Verb::Stats(StatsFormat::Line),
+            Verb::Stats(StatsFormat::Json),
+            Verb::Stats(StatsFormat::Prom),
+            Verb::Shutdown,
+        ];
+        verbs.extend(BackendKind::ALL.map(|(kind, _)| Verb::SetBackend(kind.into())));
+        verbs.extend(OutputFormat::ALL.map(|(format, _)| Verb::SetFormat(format)));
+        verbs.extend([1, 2, 250, 60_000, u64::MAX].map(Verb::StatsStream));
+        verbs
+    }
+
+    #[test]
+    fn every_verb_parses_back_from_its_wire_text() {
+        for verb in every_verb() {
+            assert_eq!(parse_verb(&verb.to_string()), Ok(verb.clone()), "{verb}");
+        }
+    }
+
+    /// Protocol words and near misses for the mutations below.
+    const WORDS: [&str; 16] = [
+        "SET", "BEGIN", "STATS", "JSON", "STREAM", "backend", "format", "explain", "gpu-sim",
+        "auto", "paf", "off", "007", "+7", "0", "set",
+    ];
+
+    proptest! {
+        /// A valid verb's text under up to three token edits (replace,
+        /// insert, delete; by a protocol word or by arbitrary scalar
+        /// values — control, combining, astral) and arbitrary spacing.
+        #[test]
+        fn parse_verb_never_panics_and_accepts_only_what_round_trips(
+            verb in 0usize..64,
+            edits in prop::collection::vec(
+                (0usize..8, 0usize..24, prop::collection::vec(any::<u32>(), 0..4)),
+                0..4,
+            ),
+            gaps in prop::collection::vec(0usize..4, 8),
+        ) {
+            let verbs = every_verb();
+            let text = verbs[verb % verbs.len()].to_string();
+            let mut tokens: Vec<String> = text.split(' ').map(String::from).collect();
+            for (at, word, noise) in edits {
+                let new = match WORDS.get(word) {
+                    Some(w) => w.to_string(),
+                    None => noise.iter().filter_map(|c| char::from_u32(c % 0x11_0000)).collect(),
+                };
+                let at = at % (tokens.len() + 1);
+                match (at < tokens.len(), word % 3) {
+                    (true, 0) => tokens[at] = new,
+                    (true, 1) => drop(tokens.remove(at)),
+                    _ => tokens.insert(at, new),
+                }
+            }
+            let mut line = String::new();
+            for (token, gap) in tokens.iter().zip(gaps.iter().cycle()) {
+                line.push_str(["", " ", "\t ", "\u{a0}"][*gap]);
+                line.push_str(token);
+                line.push(' ');
+            }
+            if let Ok(verb) = parse_verb(&line) {
+                let text = verb.to_string();
+                prop_assert_eq!(parse_verb(&text), Ok(verb), "{:?}", line);
+                // Nothing in the line was ignored: word for word it is
+                // the canonical text, up to how a number is written.
+                let same = |(a, b): (&str, &str)| {
+                    a == b || a.parse::<u64>().is_ok_and(|n| Ok(n) == b.parse())
+                };
+                prop_assert!(
+                    line.split_whitespace().count() == text.split(' ').count()
+                        && line.split_whitespace().zip(text.split(' ')).all(same),
+                    "{:?} parsed as {:?}", line, text
+                );
+            }
+        }
     }
 
     #[test]

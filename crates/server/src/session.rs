@@ -14,8 +14,10 @@
 //! evicts the session per `ServiceConfig::overflow` — the sink itself
 //! never blocks on one slow client.
 //!
-//! Adversarial clients are bounded in time as well as space. With an
-//! idle timeout configured, a client that goes silent in the verb loop
+//! Adversarial clients are bounded in time as well as space. A verb
+//! line longer than `MAX_VERB_LINE` gets `# err line too long` and the
+//! connection is closed, however many bytes follow. With an idle
+//! timeout configured, a client that goes silent in the verb loop
 //! gets `# hb` heartbeats (a failed heartbeat ends the connection),
 //! one that goes silent mid-upload has its session aborted
 //! (`# err input: idle timeout …`, then the usual `# done` framing),
@@ -23,7 +25,7 @@
 //! timeout — which this thread notices and stops submitting, so a dead
 //! client cannot keep burning backend time on work no one will see.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -37,6 +39,10 @@ use readsim::{FastxError, FastxReader};
 use crate::endpoint::Conn;
 use crate::protocol::{parse_verb, StatsFormat, Verb, HB_LINE};
 use crate::ServerShared;
+
+/// Most bytes of one verb line the server buffers before it gives up
+/// on the connection; the longest valid verb is under 40.
+const MAX_VERB_LINE: usize = 4096;
 
 /// What the connection asked of the server beyond its own session.
 pub(crate) enum ConnOutcome {
@@ -93,8 +99,11 @@ pub(crate) fn handle_conn(conn: Conn, srv: &ServerShared) -> io::Result<ConnOutc
         line.clear();
         // A timed-out read_line may leave a partial line in `line`;
         // the retry appends the rest, so framing survives heartbeats.
+        // Every attempt reads into what is left of one line's cap: a
+        // client that never sends a newline must not grow `line`.
         let n = loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_VERB_LINE + 1 - line.len()) as u64;
+            match (&mut reader).take(room).read_line(&mut line) {
                 Ok(n) => break n,
                 Err(e) if is_timeout(&e) => {
                     writeln!(writer, "{HB_LINE}")?;
@@ -105,6 +114,11 @@ pub(crate) fn handle_conn(conn: Conn, srv: &ServerShared) -> io::Result<ConnOutc
         };
         if n == 0 {
             return Ok(ConnOutcome::Done); // client left without a session
+        }
+        if line.len() > MAX_VERB_LINE && !line.ends_with('\n') {
+            writeln!(writer, "# err line too long")?;
+            writer.flush()?;
+            return Ok(ConnOutcome::Done);
         }
         let trimmed = line.trim_end();
         if trimmed.is_empty() {

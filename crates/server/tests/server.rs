@@ -13,7 +13,8 @@ use align_core::{Reference, Seq};
 use genasm_pipeline::{
     run_pipeline, BackendKind, OutputFormat, PipelineConfig, ReadInput, ServiceConfig,
 };
-use genasm_server::client::{submit, SubmitOptions};
+use genasm_server::client::{control, submit, SubmitOptions};
+use genasm_server::protocol::{StatsFormat, Verb};
 use genasm_server::{connect, Endpoint, Server, ServerConfig};
 use readsim::{
     simulate_reads, write_fastq, ErrorModel, FastxRecord, Genome, GenomeConfig, ReadConfig,
@@ -135,7 +136,7 @@ fn run_client(
     let mut status = Vec::new();
     let report = submit(
         endpoint,
-        Some(Cursor::new(fastq_bytes(reads))),
+        Cursor::new(fastq_bytes(reads)),
         opts,
         &mut out,
         &mut status,
@@ -152,6 +153,19 @@ fn run_client(
         String::from_utf8(out).unwrap(),
         String::from_utf8(status).unwrap(),
     )
+}
+
+/// One control verb; returns the server's lines, none of them `# err`.
+fn ctl(endpoint: &Endpoint, verb: Verb) -> Vec<String> {
+    let lines = control(endpoint, &verb).expect("control failed");
+    assert!(!lines.iter().any(|l| l.starts_with("# err")), "{lines:?}");
+    lines
+}
+
+/// The bare exposition of a `STATS PROM` reply.
+fn prom_payload(lines: &[String]) -> String {
+    let metrics = lines.iter().filter_map(|l| l.strip_prefix("# prom "));
+    metrics.flat_map(|l| [l, "\n"]).collect()
 }
 
 #[test]
@@ -269,26 +283,15 @@ fn control_verbs_ping_stats_and_errors() {
     let fx = Fixture::new(40_000);
     let server = fx.start_server(ServiceConfig::default());
 
-    let mut out = Vec::new();
-    let mut status = Vec::new();
-    let report = submit(
-        server.endpoint(),
-        None::<Cursor<Vec<u8>>>,
-        &SubmitOptions {
-            ping: true,
-            stats: true,
-            ..SubmitOptions::default()
-        },
-        &mut out,
-        &mut status,
-    )
-    .unwrap();
-    let status = String::from_utf8(status).unwrap();
-    assert_eq!(report.errors, 0, "{status}");
-    assert!(status.contains("# genasm-server v1 ref=ref"), "{status}");
-    assert!(status.contains("# pong"), "{status}");
-    assert!(status.contains("# stats sessions=0"), "{status}");
-    assert!(out.is_empty(), "verb-only conversation emitted records");
+    let pong = ctl(server.endpoint(), Verb::Ping);
+    assert!(
+        pong[0].starts_with("# genasm-server v1 ref=ref"),
+        "{pong:?}"
+    );
+    assert_eq!(pong[1..], ["# pong"], "{pong:?}");
+    let stats = ctl(server.endpoint(), Verb::Stats(StatsFormat::Line));
+    assert_eq!(stats.len(), 2, "{stats:?}");
+    assert!(stats[1].starts_with("# stats sessions=0"), "{stats:?}");
 
     // Raw conversation: bad verbs and bad settings get described errors
     // without killing the connection.
@@ -349,21 +352,7 @@ fn shutdown_verb_drains_in_flight_sessions_and_rejects_new_ones() {
     writer.flush().unwrap();
 
     // Ask for shutdown from a second connection.
-    let mut out = Vec::new();
-    let mut status = Vec::new();
-    let report = submit(
-        &endpoint,
-        None::<Cursor<Vec<u8>>>,
-        &SubmitOptions {
-            shutdown: true,
-            ..SubmitOptions::default()
-        },
-        &mut out,
-        &mut status,
-    )
-    .unwrap();
-    assert_eq!(report.errors, 0);
-    assert!(String::from_utf8_lossy(&status).contains("# ok draining"));
+    assert_eq!(ctl(&endpoint, Verb::Shutdown)[1], "# ok draining");
 
     // While A is still in flight, a new session must be refused.
     let service = server.service();
@@ -374,7 +363,7 @@ fn shutdown_verb_drains_in_flight_sessions_and_rejects_new_ones() {
     let mut status = Vec::new();
     let report = submit(
         &endpoint,
-        Some(Cursor::new(fastq_bytes(&fx.reads(1, 500, 99)))),
+        Cursor::new(fastq_bytes(&fx.reads(1, 500, 99))),
         &SubmitOptions::default(),
         &mut out,
         &mut status,
@@ -524,7 +513,7 @@ fn session_cap_rejects_over_admission() {
     let mut status = Vec::new();
     let report = submit(
         &endpoint,
-        Some(Cursor::new(fastq_bytes(&fx.reads(1, 500, 41)))),
+        Cursor::new(fastq_bytes(&fx.reads(1, 500, 41))),
         &SubmitOptions::default(),
         &mut out,
         &mut status,
@@ -568,28 +557,11 @@ fn stats_json_and_prom_expose_the_live_registry() {
     let (got, _) = run_client(server.endpoint(), &reads, &SubmitOptions::default());
     assert_eq!(got, expected);
 
-    let mut out = Vec::new();
-    let mut status = Vec::new();
-    let report = submit(
-        server.endpoint(),
-        None::<Cursor<Vec<u8>>>,
-        &SubmitOptions {
-            stats: true,
-            stats_json: true,
-            stats_prom: true,
-            ..SubmitOptions::default()
-        },
-        &mut out,
-        &mut status,
-    )
-    .unwrap();
-    let status = String::from_utf8(status).unwrap();
-    assert_eq!(report.errors, 0, "{status}");
-
     // Classic line, now with the window-engine band counters (the CPU
     // backend ran, so `windows=` must be non-zero).
-    let stats_line = status
-        .lines()
+    let stats = ctl(server.endpoint(), Verb::Stats(StatsFormat::Line));
+    let stats_line = stats
+        .iter()
         .find(|l| l.starts_with("# stats "))
         .expect("no # stats line");
     assert!(stats_line.contains("reads_in=5"), "{stats_line}");
@@ -604,7 +576,10 @@ fn stats_json_and_prom_expose_the_live_registry() {
 
     // JSON: captured payload parses far enough to carry the schema tag,
     // the server block, and the pipeline counters.
-    let json = report.stats_json.as_deref().expect("no stats-json payload");
+    let reply = ctl(server.endpoint(), Verb::Stats(StatsFormat::Json));
+    let json = reply[1]
+        .strip_prefix("# stats-json ")
+        .expect("no stats-json payload");
     assert!(
         json.starts_with("{\"schema\":\"genasm-stats/v1\""),
         "{json}"
@@ -616,7 +591,8 @@ fn stats_json_and_prom_expose_the_live_registry() {
 
     // Prometheus: bare exposition lines, counters with _total, the
     // latency histogram with cumulative buckets.
-    let prom = report.stats_prom.as_deref().expect("no stats-prom payload");
+    let reply = ctl(server.endpoint(), Verb::Stats(StatsFormat::Prom));
+    let prom = prom_payload(&reply);
     assert!(prom.contains("genasm_reads_in_total 5"), "{prom}");
     assert!(
         prom.contains("# TYPE genasm_read_latency_ns histogram"),
@@ -624,8 +600,8 @@ fn stats_json_and_prom_expose_the_live_registry() {
     );
     assert!(prom.contains("genasm_read_latency_ns_count 5"), "{prom}");
     assert!(prom.contains("genasm_sessions_active 0"), "{prom}");
-    assert!(status.contains("# prom-begin"), "{status}");
-    assert!(status.contains("# prom-end"), "{status}");
+    assert_eq!(reply[1], "# prom-begin", "{reply:?}");
+    assert_eq!(reply.last().unwrap(), "# prom-end", "{reply:?}");
 
     server.request_shutdown();
     server.wait();
@@ -743,20 +719,7 @@ fn stalled_client_session_times_out_and_is_reported() {
     let expected = fx.expected(&reads, BackendKind::Cpu, OutputFormat::Tsv);
     let (got, _) = run_client(server.endpoint(), &reads, &SubmitOptions::default());
     assert_eq!(got, expected);
-    let mut out = Vec::new();
-    let mut status = Vec::new();
-    let report = submit(
-        server.endpoint(),
-        None::<Cursor<Vec<u8>>>,
-        &SubmitOptions {
-            stats_prom: true,
-            ..SubmitOptions::default()
-        },
-        &mut out,
-        &mut status,
-    )
-    .unwrap();
-    let prom = report.stats_prom.as_deref().expect("no stats-prom payload");
+    let prom = prom_payload(&ctl(server.endpoint(), Verb::Stats(StatsFormat::Prom)));
     assert!(prom.contains("genasm_sessions_timed_out_total 1"), "{prom}");
 
     server.request_shutdown();
@@ -820,7 +783,7 @@ fn explain_sessions_stream_provenance_without_perturbing_records() {
     let mut status = Vec::new();
     let report = submit(
         server.endpoint(),
-        Some(Cursor::new(fastq_bytes(&reads))),
+        Cursor::new(fastq_bytes(&reads)),
         &SubmitOptions {
             explain: true,
             ..SubmitOptions::default()
@@ -906,20 +869,7 @@ fn stats_stream_pushes_parseable_frames_and_survives_unsubscribe() {
 
     // Dropping the stream connection is the unsubscribe; the server
     // must keep serving afterwards.
-    let mut status2 = Vec::new();
-    let report = submit(
-        server.endpoint(),
-        None::<Cursor<Vec<u8>>>,
-        &SubmitOptions {
-            ping: true,
-            ..SubmitOptions::default()
-        },
-        &mut std::io::sink(),
-        &mut status2,
-    )
-    .expect("ping after unsubscribe");
-    assert_eq!(report.errors, 0);
-    assert!(String::from_utf8(status2).unwrap().contains("# pong"));
+    assert_eq!(ctl(server.endpoint(), Verb::Ping)[1], "# pong");
 
     server.request_shutdown();
     server.wait();
@@ -944,4 +894,106 @@ fn stats_stream_ends_politely_when_the_server_drains() {
     let (n, status) = streamer.join().unwrap();
     assert!(n >= 1, "no frames before the drain");
     assert!(status.contains("# ok stream-end"), "{status}");
+}
+
+/// A Unix-socket server on a path of its own.
+fn start_unix_server(fx: &Fixture, tag: &str, service: ServiceConfig) -> Server {
+    let path =
+        std::env::temp_dir().join(format!("genasm-server-{tag}-{}.sock", std::process::id()));
+    Server::start(
+        ServerConfig {
+            endpoint: Endpoint::Unix(path),
+            default_backend: BackendKind::Cpu.into(),
+            default_format: OutputFormat::Tsv,
+            idle_timeout: None,
+            service,
+        },
+        "ref",
+        Reference::single("ref", fx.reference.clone()),
+    )
+    .expect("unix server start")
+}
+
+/// Run `f` on a thread of its own and fail if it is not done in
+/// `secs` seconds, so a client and a server waiting on each other show
+/// as a failure and not as a hung suite.
+fn watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    rx.recv_timeout(std::time::Duration::from_secs(secs))
+        .expect("watchdog: client and server are waiting on each other")
+}
+
+/// A session whose upload and response each outgrow a socket buffer,
+/// against an output cap far below either: under `throttle` the server
+/// stops reading the socket until the client has taken rows, so this
+/// only ends for a client that reads while it writes.
+#[test]
+fn throttled_session_completes_for_a_client_that_reads_while_it_writes() {
+    let fx = Fixture::new(60_000);
+    let reads = fx.reads(700, 1_000, 71);
+    let payload = fastq_bytes(&reads);
+    let expected = fx.expected(&reads, BackendKind::Cpu, OutputFormat::Tsv);
+    // Well past a Unix socket's buffer (~200 kB), in both directions.
+    assert!(payload.len() > 1 << 20 && expected.len() > 1 << 20);
+
+    let server = start_unix_server(
+        &fx,
+        "throttle",
+        ServiceConfig {
+            max_session_output_bytes: 4096,
+            ..ServiceConfig::default()
+        },
+    );
+    let endpoint = server.endpoint().clone();
+    let (report, out, status) = watchdog(60, move || {
+        let (mut out, mut status) = (Vec::new(), Vec::new());
+        let report = submit(
+            &endpoint,
+            Cursor::new(payload),
+            &SubmitOptions::default(),
+            &mut out,
+            &mut status,
+        )
+        .expect("submit failed");
+        (report, out, String::from_utf8(status).unwrap())
+    });
+    assert_eq!(report.errors, 0, "{status}");
+    assert!(report.done.is_some(), "missing # done line: {status}");
+    assert!(
+        String::from_utf8(out).unwrap() == expected,
+        "throttled session diverged"
+    );
+
+    server.request_shutdown();
+    let metrics = server.wait();
+    assert!(metrics.sessions_throttled > 0, "the cap never bit");
+}
+
+/// A preamble that never ends its line: the server stops buffering at
+/// its cap, says so, hangs up, and keeps serving.
+#[test]
+fn endless_verb_line_is_refused_and_the_server_keeps_serving() {
+    let fx = Fixture::new(30_000);
+    let server = start_unix_server(&fx, "longline", ServiceConfig::default());
+    let endpoint = server.endpoint().clone();
+
+    let lines = watchdog(60, move || {
+        let conn = connect(&endpoint).unwrap();
+        let reader = BufReader::new(conn.try_clone().unwrap());
+        let mut writer = conn;
+        // The server hangs up long before the megabyte is through.
+        let _ = writer.write_all(&vec![b'A'; 1 << 20]);
+        // Lines until the server's close (which may read as a reset).
+        reader
+            .lines()
+            .map_while(Result::ok)
+            .collect::<Vec<String>>()
+    });
+    assert!(lines[0].starts_with("# genasm-server"), "{lines:?}");
+    assert_eq!(lines[1..], ["# err line too long"], "{lines:?}");
+
+    assert_eq!(ctl(server.endpoint(), Verb::Ping)[1], "# pong");
+    server.request_shutdown();
+    server.wait();
 }

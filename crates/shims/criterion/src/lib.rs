@@ -13,6 +13,8 @@
 //! across runs on the same machine, which is all the bench trajectory
 //! needs.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

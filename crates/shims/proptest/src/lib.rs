@@ -14,6 +14,8 @@
 //!   from the test name, so failures reproduce exactly; set
 //!   `PROPTEST_CASES` to change the case count without recompiling.
 
+#![forbid(unsafe_code)]
+
 use rand::prelude::*;
 
 pub mod prelude {

@@ -12,6 +12,8 @@
 //! `StdRng` is SplitMix64, and `rand_chacha`'s `ChaCha8Rng` (a sibling
 //! shim) is a faithful ChaCha8 implementation.
 
+#![forbid(unsafe_code)]
+
 pub mod prelude {
     pub use crate::{Rng, RngCore, SeedableRng, StdRng};
 }

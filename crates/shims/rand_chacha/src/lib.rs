@@ -7,6 +7,8 @@
 //! instead of taking a 256-bit seed array), so streams are deterministic
 //! within this workspace but not bit-compatible with crates.io builds.
 
+#![forbid(unsafe_code)]
+
 use rand::{RngCore, SeedableRng};
 
 /// Deterministic ChaCha8-based generator.

@@ -3,11 +3,17 @@
 //! The build environment has no crates.io access, so this shim provides
 //! the subset the suite uses — `par_iter().map(..).collect()` and
 //! `par_iter().map_init(..).collect()` — on real OS threads via
-//! `std::thread::scope`. Work is distributed by chunked atomic index
-//! claiming, which gives the same key property as rayon's thread pools:
-//! with `map_init`, each worker thread creates its per-worker state
-//! **once** and reuses it for every item that worker claims. That is
-//! the contract the batch aligners rely on for workspace reuse.
+//! `std::thread::scope`, the thread that calls `collect` being one of
+//! the workers. It is the suite's one fan-out: CPU batches and the
+//! blocks of a simulated-GPU launch both run on it, so `--threads`
+//! ([`ThreadPoolBuilder`]) sizes them alike. Work is distributed by
+//! chunked atomic index claiming, which gives the same key property as
+//! rayon's thread pools: with `map_init`, each worker thread creates its
+//! per-worker state **once** and reuses it for every item that worker
+//! claims. That is the contract the batch aligners rely on for
+//! workspace reuse.
+
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -215,29 +221,10 @@ impl<R> FromParallel<R> for Vec<R> {
     }
 }
 
-/// Raw base pointer into the results vector, captured once on the main
-/// thread so workers never materialize a `&mut Vec` (overlapping unique
-/// references across threads would be undefined behavior even with
-/// disjoint element writes).
-struct ResultsPtr<R> {
-    base: *mut Option<R>,
-    len: usize,
-}
-unsafe impl<R: Send> Sync for ResultsPtr<R> {}
-
-impl<R> ResultsPtr<R> {
-    /// Write slot `idx`.
-    ///
-    /// # Safety
-    /// Each index must be written by at most one thread, the backing
-    /// vector must outlive all writers, and the owner must not touch
-    /// the vector until the writers have joined.
-    unsafe fn write(&self, idx: usize, val: R) {
-        assert!(idx < self.len);
-        self.base.add(idx).write(Some(val));
-    }
-}
-
+/// The fan-out: `workers` threads — the calling one included, so a pool
+/// of one spawns nothing — claim chunks of `items` off an atomic
+/// counter and hand back what they claimed, stitched by start index
+/// after the join. A worker's panic is re-raised with its own payload.
 fn run_parallel<'a, T, S, R, INIT, F>(threads: usize, items: &'a [T], init: INIT, f: F) -> Vec<R>
 where
     T: Sync,
@@ -247,50 +234,36 @@ where
     F: Fn(&mut S, &'a T) -> R + Sync,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let (workers, chunk) = split(n, threads);
-    if workers == 1 {
-        let mut state = init();
-        return items.iter().map(|t| f(&mut state, t)).collect();
-    }
-
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let results_ptr = ResultsPtr {
-        base: results.as_mut_ptr(),
-        len: results.len(),
-    };
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let (results_ptr, next, init, f) = (&results_ptr, &next, &init, &f);
-        for _ in 0..workers {
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    for (i, item) in items[start..end].iter().enumerate() {
-                        let out = f(&mut state, item);
-                        // SAFETY: each index is claimed by exactly one
-                        // worker via the atomic counter, so writes are
-                        // disjoint; `results` outlives the scope and is
-                        // not touched until the scope joins.
-                        unsafe {
-                            results_ptr.write(start + i, out);
-                        }
-                    }
-                }
-            });
+    let work = || {
+        let mut state = init();
+        let mut claimed: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let start = next.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                return claimed;
+            }
+            let end = (start + chunk).min(n);
+            let out = items[start..end].iter().map(|t| f(&mut state, t));
+            claimed.push((start, out.collect()));
         }
+    };
+    let mut chunks = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut chunks = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(claimed) => chunks.extend(claimed),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        chunks
     });
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    let mut results = Vec::with_capacity(n);
+    results.extend(chunks.into_iter().flat_map(|(_, out)| out));
     results
-        .into_iter()
-        .map(|slot| slot.expect("worker missed an index"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -300,9 +273,38 @@ mod tests {
 
     #[test]
     fn map_preserves_order() {
+        // Results that own heap memory, on either side of one claim
+        // and with fewer, as many and more items than workers.
+        for n in [1, MAX_CHUNK, MAX_CHUNK + 1, 10_000] {
+            let v: Vec<usize> = (0..n).collect();
+            let want: Vec<String> = v.iter().map(|x| format!("#{}", x * 2)).collect();
+            for threads in [1, 2, 5] {
+                let out = run_parallel(threads, &v, || (), |_, &x| format!("#{}", x * 2));
+                assert_eq!(out, want, "{n} items on {threads} threads");
+            }
+        }
         let v: Vec<usize> = (0..10_000).collect();
-        let out: Vec<usize> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(out, (0..10_000).map(|x| x * 2).collect::<Vec<_>>());
+        let out: Vec<Vec<usize>> = v.par_iter().map(|&x| vec![x * 2]).collect();
+        assert!(out.iter().enumerate().all(|(i, o)| *o == [i * 2]));
+    }
+
+    #[test]
+    fn a_panicking_item_surfaces_its_own_payload() {
+        fn poisoned(x: &usize) -> usize {
+            assert!(*x != 41, "item {x} is poisoned");
+            *x
+        }
+        let v: Vec<usize> = (0..100).collect();
+        let runs: [&(dyn Fn() -> Vec<usize> + std::panic::RefUnwindSafe); 3] = [
+            &|| run_parallel(1, &v, || (), |_, x| poisoned(x)),
+            &|| run_parallel(3, &v, || (), |_, x| poisoned(x)),
+            &|| v.par_iter().map(poisoned).collect(),
+        ];
+        for run in runs {
+            let panic = std::panic::catch_unwind(run).expect_err("item 41 panics");
+            let msg = panic.downcast_ref::<String>().expect("the item's message");
+            assert_eq!(msg, "item 41 is poisoned");
+        }
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! The crate is dependency-free (std only) so every layer of the
 //! workspace can use it, including benches.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod json;
 pub mod registry;

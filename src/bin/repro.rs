@@ -6,6 +6,8 @@
 //!       [--scale small|medium|paper] [--seed N]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use genasm_suite::experiments::{ablation, accuracy, cpu, gpu, memory, sweep};

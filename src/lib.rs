@@ -26,6 +26,8 @@
 //! cargo run --release --bin repro -- all --scale small
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 pub mod workload;
