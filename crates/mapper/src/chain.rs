@@ -7,6 +7,8 @@
 //! that is what produced the paper's 138,929 candidate locations from
 //! 500 reads.
 
+use std::sync::OnceLock;
+
 use align_core::Seq;
 
 use crate::index::{minimizers, MinimizerIndex};
@@ -132,10 +134,22 @@ pub fn chain_anchors(anchors: &[Anchor], k: usize, params: &ChainParams) -> Vec<
 /// `anchors[i]`, given that chain's score (`dr`, `dq` both positive
 /// and within `max_gap`).
 fn extend_score(prev: f64, dr: i64, dq: i64, k: usize) -> f64 {
-    let dd = (dr - dq).unsigned_abs() as f64;
+    let dd = (dr - dq).unsigned_abs();
     let gain = (dq.min(dr) as f64).min(k as f64);
-    let cost = 0.01 * k as f64 * dd + 0.5 * (dd.max(1.0)).log2();
+    let cost = 0.01 * k as f64 * dd as f64 + 0.5 * gap_log2(dd);
     prev + gain - cost
+}
+
+/// `log2(max(dd, 1))`. A gap difference is a small integer (below
+/// `max_gap`), so the common ones are read from a table filled by the
+/// same `f64::log2` that computes the rest: every score is the `f64`
+/// the closed formula gives.
+fn gap_log2(dd: u64) -> f64 {
+    const TABLE: usize = 8192;
+    static LOG2: OnceLock<Vec<f64>> = OnceLock::new();
+    let log2 = |x: u64| (x.max(1) as f64).log2();
+    let table = LOG2.get_or_init(|| (0..TABLE as u64).map(log2).collect());
+    table.get(dd as usize).copied().unwrap_or_else(|| log2(dd))
 }
 
 /// The chaining DP: best score of a chain ending at each anchor and
@@ -183,12 +197,14 @@ fn chain_one_strand(
     let (score, pred) = chain_dp(anchors, k, params);
     // Peel chains best-first; each anchor belongs to at most one chain,
     // but every chain above the floor is reported (the -P behaviour).
-    let mut order: Vec<usize> = (0..n).collect();
+    // Only ends above the floor start a chain; the stable sort visits
+    // them in the order a sort of all `n` would.
+    let mut order: Vec<usize> = (0..n).filter(|&i| score[i] >= params.min_score).collect();
     order.sort_by(|&a, &b| score[b].total_cmp(&score[a]));
     let mut used = vec![false; n];
     let mut out = Vec::new();
     for &end in &order {
-        if used[end] || score[end] < params.min_score {
+        if used[end] {
             continue;
         }
         let mut members = Vec::new();
@@ -294,6 +310,25 @@ mod tests {
                 chain_dp(&anchors, 15, &params),
                 chain_dp_reference(&anchors, 15, &params)
             );
+        }
+    }
+
+    /// The table changes where `log2` is computed, not what it
+    /// returns: bit for bit the closed formula, on both sides of the
+    /// table's end.
+    #[test]
+    fn extend_score_equals_the_closed_formula_bit_for_bit() {
+        for k in [11usize, 15, 19, 28] {
+            for dd in 0..=20_000i64 {
+                let (prev, dq) = (37.25 + dd as f64 * 0.5, 1 + dd % 40);
+                for (dr, dq) in [(dq + dd, dq), (dq, dq + dd)] {
+                    let d = (dr - dq).unsigned_abs() as f64;
+                    let closed = prev + (dq.min(dr) as f64).min(k as f64)
+                        - (0.01 * k as f64 * d + 0.5 * (d.max(1.0)).log2());
+                    let got = extend_score(prev, dr, dq, k);
+                    assert_eq!(got.to_bits(), closed.to_bits(), "dd={dd} k={k}");
+                }
+            }
         }
     }
 

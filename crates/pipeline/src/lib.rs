@@ -5,9 +5,9 @@
 //!
 //! ```text
 //!  session(s) ──► candidate generation ──► batch scheduler ──► router ──► dispatchers ──► ordered sink
-//!  (submit, or    (sharded index, one      (one building      (auto:      (N threads,     (global reorder,
-//!   N one-shot     read per thread;         batch per          metrics-    any Backend)    per-session rows)
-//!   map workers)   enqueued in order)       backend choice)    driven          │
+//!  (submit, or    (sharded index; mapped   (one building      (auto:      (N threads,     (global reorder,
+//!   N one-shot     ≤ 4 reads per thread     batch per          metrics-    any Backend)    per-session rows)
+//!   map workers)   ahead, enqueued in order) backend choice)   driven          │
 //!                     │                          │              pick)      result queue
 //!                 task queue                     ▼                         (bounded)
 //!                (bounded, weighted          batch queue
@@ -17,8 +17,11 @@
 //! [`run_pipeline`] — the one-shot batch entry point — is a thin
 //! wrapper that opens a single session on a private service and pumps
 //! the read iterator through it — on as many map workers as the CPU
-//! backend has threads, each mapping one read at a time and enqueueing
-//! it when its input sequence number comes up: the
+//! backend has threads, each mapping one read at a time and parking it
+//! for a bounded, ordered hand-off (a worker runs at most four reads
+//! per worker ahead of the read whose turn it is, one while the task
+//! queue is full; whoever holds that read enqueues it and the parked
+//! ones behind it, in input order): the
 //! scheduler/dispatch/sink stages exist exactly once, in [`service`],
 //! so the one-shot path and the server share them *structurally*
 //! rather than by byte-equivalence testing. [`run_pipeline_auto`] is the same wrapper with
@@ -89,12 +92,14 @@ pub mod reorder;
 pub mod route;
 pub mod service;
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use align_core::{Reference, Seq};
 use mapper::CandidateParams;
+use service::MappedRead;
 
 pub use backend::{
     Backend, BackendChoice, BackendError, BackendKind, CpuBackend, GpuSimBackend, ParseBackendError,
@@ -217,9 +222,12 @@ impl PipelineConfig {
     /// so residency is linear in `queue_depth × batch_bases` and
     /// independent of workload size — the property the streaming test
     /// asserts. The map stage in front of the task queue is not a
-    /// queue and is not counted: each of its workers holds the
-    /// candidate tasks of the one read it is mapping or waiting to
-    /// enqueue, at most `threads × max_per_read × max_task_bases` more.
+    /// queue and is not counted: it holds the candidate tasks of the
+    /// reads being mapped or parked for the ordered hand-off — four
+    /// reads per worker (`AHEAD`) — at most
+    /// `threads × 4 × max_per_read × max_task_bases` more, and
+    /// `threads × max_per_read × max_task_bases` while the task queue
+    /// is full.
     pub fn resident_bases_bound(&self, max_task_bases: usize) -> usize {
         let q = self.queue_depth.max(1);
         let d = self.dispatchers.max(1);
@@ -444,32 +452,76 @@ where
     Ok(metrics)
 }
 
+/// Mapped reads the one-shot map stage may hold ahead of the task
+/// queue, per worker (see [`map_reads`]). Measured on two lanes over
+/// 12 500 × 300 bp reads, pipeline phase 1.6–1.8 s without a window:
+/// 2 → 1.0–1.4 s, 4 → 0.99–1.2 s, 8 → 1.0–1.2 s — 4 has the gain, 8
+/// adds residency for nothing.
+const AHEAD: u64 = 4;
+
+/// The admission rule of [`map_reads`]: may a worker pull input read
+/// number `pulled` while read `next` is the first one not enqueued
+/// yet? Inside the run-ahead window, yes — unless a drainer is inside
+/// `enqueue`, which is where a full task queue holds it: then the
+/// bound is one read per worker, as it was before there was a window
+/// (why: see [`map_reads`]).
+fn may_pull(pulled: u64, next: u64, draining: bool, workers: u64) -> bool {
+    pulled - next < if draining { workers } else { workers * AHEAD }
+}
+
 /// The one-shot map stage: `workers` threads (the calling one
-/// included) each pull one read from `reads` under a lock, map it, and
-/// enqueue it when its input sequence number comes up. A worker holds
-/// at most one read and pulls the next only after handing its tasks
-/// over, so at most `workers` reads are ever mapped ahead of the task
-/// queue's backpressure, and the session sees the reads in input
-/// order. Returns the first input or submit failure, after which
-/// nothing further is pulled or enqueued.
+/// included) each pull one read from `reads` under a lock and map it,
+/// and a bounded run-ahead hand-off passes the results to the session
+/// in input order. A worker that has mapped a read *parks* it under
+/// its input sequence number and pulls the next one instead of
+/// sleeping until its turn; the worker that parks the read whose turn
+/// it is becomes the *drainer* and enqueues parked reads in order,
+/// outside the lock, until the next one is missing. So
+/// [`Session::enqueue`] is called one read at a time in input order,
+/// and the task stream is the one a single worker produces.
+///
+/// Two bounds hold between the input and the task queue
+/// ([`may_pull`]). Never more than `workers ×` [`AHEAD`] reads are
+/// pulled and not yet enqueued: map time is heavy-tailed (p50 62 µs,
+/// p95 590 µs on 300 bp reads), and with one read per worker the lanes
+/// ran in lock step at the pace of the slower read, each busy half the
+/// time. And never more than `workers` reads while a drainer is inside
+/// `enqueue`, i.e. blocked behind a full task queue: the backend is
+/// the bottleneck then, and running ahead of it buys no throughput and
+/// costs latency — without this clause `clr-long` read
+/// `latency_p95_ms` went 210 → 248 and 210 → 246 ms (+18%) for the
+/// same reads/s; with it, it stays where it was.
+///
+/// Returns the first failure — an input error, a panic while mapping
+/// or enqueueing, a refused enqueue — raised when its read's turn
+/// comes: every read before it has been enqueued, nothing after it is,
+/// and nothing further is pulled.
 fn map_reads<I, E>(session: &Session, reads: I, workers: usize) -> Result<(), PipelineError>
 where
     I: Iterator<Item = Result<ReadInput, E>> + Send,
     E: core::fmt::Display,
 {
     const POISONED: &str = "a map worker panicked";
-    /// The turnstile: whose turn it is to enqueue, or why nobody's.
+    /// The hand-off: whose turn it is to be enqueued, the reads mapped
+    /// ahead of it, whether somebody is enqueueing right now, and why
+    /// nobody will again.
     struct Turn {
         next: u64,
+        parked: BTreeMap<u64, Result<MappedRead, String>>,
+        draining: bool,
         failure: Option<String>,
     }
-    // (input, reads pulled so far); `None` once it is exhausted or the
-    // run has failed.
+    // (input, reads pulled so far); `None` once it is exhausted or has
+    // failed. Locked before `hand_off`, never after it.
     let feed = Mutex::new(Some((reads, 0u64)));
-    let turn = Mutex::new(Turn {
+    let hand_off = Mutex::new(Turn {
         next: 0,
+        parked: BTreeMap::new(),
+        draining: false,
         failure: None,
     });
+    // Signalled when `next`, `draining` or `failure` changes: all that
+    // a worker waiting for `may_pull` looks at.
     let turned = Condvar::new();
     let work = |lane: u64| loop {
         let (seq, item) = {
@@ -477,6 +529,18 @@ where
             let Some((reads, pulled)) = feed.as_mut() else {
                 return;
             };
+            // Waiting with `feed` held queues the other pullers behind
+            // this one; the window they would wait for is the same.
+            let mut turn = hand_off.lock().expect(POISONED);
+            while turn.failure.is_none()
+                && !may_pull(*pulled, turn.next, turn.draining, workers as u64)
+            {
+                turn = turned.wait(turn).expect(POISONED);
+            }
+            if turn.failure.is_some() {
+                return;
+            }
+            drop(turn);
             let Some(item) = reads.next() else {
                 *feed = None;
                 return;
@@ -488,8 +552,8 @@ where
             }
             (seq, item.map_err(|e| e.to_string()))
         };
-        // A panic while mapping must not strand the workers queued
-        // behind this read's turn: it fails the run like a bad read
+        // A panic while mapping (or, below, enqueueing) must not
+        // strand the other workers: it fails the run like a bad read
         // (the panic hook has already reported it).
         let mapped = item.and_then(|read| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -497,22 +561,40 @@ where
             }))
             .map_err(|_| format!("candidate generation panicked on read {seq}"))
         });
-        let mut turn = turn.lock().expect(POISONED);
-        while turn.next != seq && turn.failure.is_none() {
-            turn = turned.wait(turn).expect(POISONED);
-        }
+        let mut turn = hand_off.lock().expect(POISONED);
         if turn.failure.is_some() {
             return; // an earlier read failed; this one is never enqueued
         }
-        match mapped.and_then(|m| session.enqueue(m).map_err(|e| e.to_string())) {
-            Ok(_) => turn.next += 1,
-            Err(msg) => {
-                turn.failure = Some(msg);
-                *feed.lock().expect(POISONED) = None;
+        turn.parked.insert(seq, mapped);
+        if turn.draining {
+            continue; // the drainer will find it
+        }
+        // Nobody is draining, so this worker does: from the read whose
+        // turn it is (its own or none, at this point) for as long as
+        // the next one is parked.
+        loop {
+            let next = turn.next;
+            let Some(mapped) = turn.parked.remove(&next) else {
+                break;
+            };
+            turn.draining = true;
+            drop(turn);
+            let sent = mapped.and_then(|m| {
+                catch_unwind(AssertUnwindSafe(|| session.enqueue(m)))
+                    .map_err(|_| format!("enqueue panicked on read {next}"))?
+                    .map_err(|e| e.to_string())
+            });
+            turn = hand_off.lock().expect(POISONED);
+            turn.draining = false;
+            turned.notify_all();
+            match sent {
+                Ok(_) => turn.next = next + 1,
+                Err(msg) => {
+                    turn.failure = Some(msg);
+                    return;
+                }
             }
         }
-        drop(turn);
-        turned.notify_all();
     };
     std::thread::scope(|scope| {
         for lane in 1..workers as u64 {
@@ -521,7 +603,7 @@ where
         }
         work(0);
     });
-    match turn.into_inner().expect(POISONED).failure {
+    match hand_off.into_inner().expect(POISONED).failure {
         Some(msg) => Err(PipelineError::Input(msg)),
         None => Ok(()),
     }
@@ -582,68 +664,117 @@ mod tests {
         }
     }
 
-    /// The map stage pulls a read only into a free worker: counted at
-    /// every pull, no more than `workers` reads are ever out of the
-    /// iterator and not yet enqueued — backpressure from a full task
-    /// queue reaches the input after at most one read per worker.
-    #[test]
-    fn map_stage_never_pulls_more_than_one_read_per_worker_ahead() {
+    fn random_genome(len: usize) -> Seq {
         let mut state = 7u64;
-        let genome: Seq = (0..40_000)
+        (0..len)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 align_core::Base::from_code((state >> 33) as u8 & 3)
             })
-            .collect();
-        const READS: u64 = 120;
+            .collect()
+    }
+
+    /// Map `reads` (exact slices of `genome`) on `workers` threads in
+    /// front of a task queue of one 2 kb batch and a [`SlowBackend`];
+    /// returns the most reads ever pulled from the input and not yet
+    /// enqueued, sampled at every pull, with the run's metrics.
+    fn max_pulled_ahead(genome: &Seq, reads: Vec<Seq>, workers: usize) -> (u64, PipelineMetrics) {
+        let cfg = ServiceConfig {
+            pipeline: PipelineConfig {
+                batch_bases: 2 * 1024,
+                queue_depth: 1,
+                ..PipelineConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![(
+            BackendKind::Cpu,
+            Box::new(SlowBackend(CpuBackend::improved())),
+        )];
+        let reference = Reference::single("ref", genome.clone());
+        let service = PipelineService::start_with_backends("", reference, cfg, backends);
+        let (session, rx) = service.open_session(BackendKind::Cpu).unwrap();
+        let (pulled, max_ahead) = (AtomicU64::new(0), AtomicU64::new(0));
+        let n = reads.len() as u64;
+        let reads = reads.into_iter().enumerate().map(|(i, seq)| {
+            let pulled = pulled.fetch_add(1, Ordering::SeqCst) + 1;
+            // `reads_in` counts reads that have begun to enqueue.
+            let ahead = pulled - service.metrics().reads_in;
+            max_ahead.fetch_max(ahead, Ordering::SeqCst);
+            Ok::<_, std::convert::Infallible>(ReadInput {
+                name: format!("r{i}"),
+                seq,
+            })
+        });
+        std::thread::scope(|scope| {
+            scope.spawn(move || rx.iter().for_each(drop));
+            map_reads(&session, reads, workers).unwrap();
+            session.finish(); // `End` releases the drain thread
+        });
+        let m = service.shutdown();
+        assert_eq!(m.reads_in, n);
+        assert_eq!(m.reads_mapped, n, "every exact read must map");
+        (max_ahead.load(Ordering::SeqCst), m)
+    }
+
+    /// The hard bound of the hand-off: counted at every pull, never
+    /// more than `workers × AHEAD` reads are out of the iterator and
+    /// not yet enqueued, with the task queue full for the whole run —
+    /// backpressure reaches the input after a fixed number of reads.
+    #[test]
+    fn map_stage_never_pulls_more_than_the_window_ahead() {
+        let genome = random_genome(40_000);
         for workers in [1, 3] {
-            let cfg = ServiceConfig {
-                pipeline: PipelineConfig {
-                    batch_bases: 2 * 1024,
-                    queue_depth: 1,
-                    ..PipelineConfig::default()
-                },
-                ..ServiceConfig::default()
-            };
-            let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![(
-                BackendKind::Cpu,
-                Box::new(SlowBackend(CpuBackend::improved())),
-            )];
-            let reference = Reference::single("ref", genome.clone());
-            let service = PipelineService::start_with_backends("", reference, cfg, backends);
-            let (session, rx) = service.open_session(BackendKind::Cpu).unwrap();
-            let (pulled, max_ahead) = (AtomicU64::new(0), AtomicU64::new(0));
-            let reads = (0..READS).map(|i| {
-                let pulled = pulled.fetch_add(1, Ordering::SeqCst) + 1;
-                // `reads_in` counts reads that have begun to enqueue.
-                let ahead = pulled - service.metrics().reads_in;
-                max_ahead.fetch_max(ahead, Ordering::SeqCst);
-                Ok::<_, std::convert::Infallible>(ReadInput {
-                    name: format!("r{i}"),
-                    seq: genome.slice(300 * i as usize, 400),
-                })
-            });
-            std::thread::scope(|scope| {
-                scope.spawn(move || rx.iter().for_each(drop));
-                map_reads(&session, reads, workers).unwrap();
-                session.finish(); // `End` releases the drain thread
-            });
-            let m = service.shutdown();
-            assert_eq!(m.reads_in, READS);
-            assert_eq!(m.reads_mapped, READS, "every exact read must map");
+            let reads = (0..120).map(|i| genome.slice(300 * i, 400)).collect();
+            let (max_ahead, m) = max_pulled_ahead(&genome, reads, workers);
             // Full = the next task did not fit.
             assert!(
                 m.task_queue.high_water + m.max_task_bases > m.task_queue.capacity as u64,
                 "the task queue never filled: {:?}",
                 m.task_queue
             );
-            let max_ahead = max_ahead.load(Ordering::SeqCst);
             assert!(
-                (1..=workers as u64).contains(&max_ahead),
+                (1..=workers as u64 * AHEAD).contains(&max_ahead),
                 "{max_ahead} reads pulled ahead of the queue with {workers} workers"
             );
+        }
+    }
+
+    /// Run-ahead happens: while one worker maps a read 250× longer
+    /// than the rest, the others keep pulling and parking instead of
+    /// waiting for its turn, so more than one read per worker is out.
+    #[test]
+    fn map_workers_run_ahead_of_a_slow_read() {
+        let genome = random_genome(140_000);
+        for workers in [2, 3] {
+            let reads = std::iter::once(genome.slice(20_000, 100_000))
+                .chain((0..60).map(|i| genome.slice(300 * i, 400)))
+                .collect();
+            let (max_ahead, _) = max_pulled_ahead(&genome, reads, workers);
+            assert!(
+                (workers as u64 + 1..=workers as u64 * AHEAD).contains(&max_ahead),
+                "{max_ahead} reads pulled ahead of the queue with {workers} workers"
+            );
+        }
+    }
+
+    /// The admission rule: the window while nobody is inside
+    /// `enqueue`, one read per worker while somebody is.
+    #[test]
+    fn a_blocked_drainer_narrows_the_window_to_one_read_per_worker() {
+        for workers in [1, 2, 5] {
+            for next in [0, 1_000] {
+                for ahead in 0..=workers * AHEAD + 1 {
+                    let pulled = next + ahead;
+                    assert_eq!(
+                        may_pull(pulled, next, false, workers),
+                        ahead < workers * AHEAD
+                    );
+                    assert_eq!(may_pull(pulled, next, true, workers), ahead < workers);
+                }
+            }
         }
     }
 }

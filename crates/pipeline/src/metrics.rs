@@ -497,6 +497,18 @@ impl PipelineMetrics {
         (self.backend_busy.as_secs_f64() / self.wall.as_secs_f64()).min(1.0)
     }
 
+    /// Fraction of the map lanes' time (`map_workers × wall`) spent
+    /// mapping, in `[0, 1]`: what is missing from 1 is lanes waiting —
+    /// for the hand-off window, a full task queue or the input. 0 for a
+    /// service snapshot, which has no map workers of its own.
+    pub fn map_utilization(&self) -> f64 {
+        let lanes = self.map_workers as f64 * self.wall.as_secs_f64();
+        if lanes == 0.0 {
+            return 0.0;
+        }
+        (self.mapper_busy.as_secs_f64() / lanes).min(1.0)
+    }
+
     /// Mean bases per dispatched batch.
     pub fn mean_batch_bases(&self) -> f64 {
         if self.batches == 0 {
@@ -653,10 +665,11 @@ impl PipelineMetrics {
         );
         let _ = writeln!(
             s,
-            "busy:     map {:.1?} (map_workers={}), schedule {:.1?}, backend {:.1?} ({:.0}% util), \
-             sink {:.1?}, wall {:.1?}",
+            "busy:     map {:.1?} (map_workers={}, {:.0}% util), schedule {:.1?}, backend {:.1?} \
+             ({:.0}% util), sink {:.1?}, wall {:.1?}",
             self.mapper_busy,
             self.map_workers,
+            100.0 * self.map_utilization(),
             self.scheduler_busy,
             self.backend_busy,
             100.0 * self.backend_utilization(),
@@ -686,7 +699,8 @@ impl PipelineMetrics {
              \"max_batch_bases\":{},\"records_out\":{},\
              \"max_inflight_bases\":{},\"max_inflight_tasks\":{},\
              \"wall_ns\":{},\
-             \"query_bases_per_sec\":{},\"backend_utilization\":{}",
+             \"query_bases_per_sec\":{},\"backend_utilization\":{},\
+             \"map_utilization\":{}",
             self.reads_in,
             self.reads_mapped,
             self.tasks_generated,
@@ -703,6 +717,7 @@ impl PipelineMetrics {
             self.wall.as_nanos(),
             genasm_telemetry::json::number(self.query_bases_per_sec()),
             genasm_telemetry::json::number(self.backend_utilization()),
+            genasm_telemetry::json::number(self.map_utilization()),
         );
         let _ = write!(s, ",\"funnel\":{}", self.funnel.to_json());
         let _ = write!(
@@ -1012,9 +1027,18 @@ mod tests {
     fn utilization_is_clamped() {
         let c = StageCounters::default();
         StageCounters::add_ns(&c.backend_ns, Duration::from_secs(10));
+        StageCounters::add_ns(&c.mapper_ns, Duration::from_secs(3));
         let q = q1();
-        let m = PipelineMetrics::snapshot(&c, Duration::from_secs(2), no_shards(), q, q, q, None);
+        let mut m =
+            PipelineMetrics::snapshot(&c, Duration::from_secs(2), no_shards(), q, q, q, None);
         assert_eq!(m.backend_utilization(), 1.0);
+        // A service snapshot has no map lanes; 3 s of mapping is all of
+        // one lane's 2 s and three eighths of four lanes'.
+        assert_eq!(m.map_utilization(), 0.0);
+        m.map_workers = 1;
+        assert_eq!(m.map_utilization(), 1.0);
+        m.map_workers = 4;
+        assert_eq!(m.map_utilization(), 0.375);
         assert!(!m.summary().is_empty());
         // Without engine stats the band line is absent entirely.
         assert!(!m.summary().contains("band:"), "{}", m.summary());
@@ -1434,11 +1458,11 @@ mod tests {
         .map(|s| (s.len(), fnv1a(s)))
         .collect();
         let want = [
-            (1110, 8450301372521756953),
-            (2609, 8816117788336787189),
+            (1120, 1455893828760431602),
+            (2633, 588969777154772792),
             (14370, 3688714671879533724),
-            (598, 705414008153708396),
-            (1341, 3006101387275681922),
+            (607, 8422501793149290353),
+            (1365, 13860830792235985399),
             (3732, 9406438673907290),
         ];
         assert_eq!(

@@ -27,7 +27,10 @@
 //! router (which must leave every output byte untouched while it
 //! spreads batches across cpu and gpu-sim).
 
+mod common;
+
 use align_core::{Reference, Seq};
+use common::within_a_minute;
 use genasm_pipeline::{
     run_pipeline, run_pipeline_auto, AlignRecord, Backend, CpuBackend, GpuSimBackend,
     PipelineConfig, PipelineError, ReadInput, RouterConfig,
@@ -507,7 +510,18 @@ fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
     // for; an empty read keeps an unmapped disposition in the funnel.
     let fixed = workload_contigs(90_000, 24, 700, 3);
     let env = workload(60_000, 24, 500);
-    for ((reference, mut reads), shards) in [(fixed, 4), (env, env_shards())] {
+    // Skewed lengths: every 7th read is 30× longer than its
+    // neighbours, which park behind it while it maps.
+    let skewed = {
+        let (reference, short) = workload_contigs(90_000, 24, 300, 1);
+        let (_, long) = workload_contigs(90_000, 4, 9_000, 1);
+        let mut reads = short;
+        for (i, (name, seq)) in long.into_iter().enumerate() {
+            reads.insert(7 * i, (format!("long-{name}"), seq));
+        }
+        (reference, reads)
+    };
+    for ((reference, mut reads), shards) in [(fixed, 4), (env, env_shards()), (skewed, 1)] {
         reads.insert(5, ("empty".to_string(), Seq::new()));
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
@@ -540,12 +554,16 @@ fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
     }
 }
 
-/// An input error at read `k` (here with four workers mid-flight)
-/// fails the run with `PipelineError::Input`, and what was emitted is
-/// a whole-reads-in-input-order prefix of the full output.
+/// An input error at read `k` (here with four workers mid-flight, and
+/// a long read three places earlier, so the error arrives while the
+/// reads in between are parked behind it) fails the run with
+/// `PipelineError::Input`, and what was emitted is a
+/// whole-reads-in-input-order prefix of the full output.
 #[test]
 fn input_error_mid_stream_leaves_an_ordered_whole_read_prefix() {
-    let (reference, reads) = workload(50_000, 16, 500);
+    let (reference, mut reads) = workload(50_000, 16, 500);
+    reads[8] = workload(50_000, 1, 8_000).1.remove(0);
+    reads[8].0 = "long".to_string();
     let backend = CpuBackend::improved();
     let cfg = PipelineConfig {
         batch_bases: 2 * 1024,
@@ -745,25 +763,29 @@ fn input_errors_propagate_and_unwind_cleanly() {
 }
 
 /// A panic on the ingest side (here: the caller's own iterator, with
-/// other workers mid-flight) reaches the caller as a panic — the
-/// thread draining rows is released, not left waiting for the end of
-/// a session nobody will finish.
+/// other workers mid-flight and reads parked behind a long one)
+/// reaches the caller as a panic — the thread draining rows is
+/// released, not left waiting for the end of a session nobody will
+/// finish, and no worker is left waiting for a turn that never comes.
 #[test]
 fn a_panicking_input_iterator_propagates_instead_of_hanging() {
-    let (reference, reads) = workload(30_000, 8, 500);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig::default();
-    let outcome = with_pool(3, || {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
-                assert!(i < 5, "input iterator blew up");
-                Ok::<_, std::convert::Infallible>(ReadInput {
-                    name: name.clone(),
-                    seq: seq.clone(),
-                })
-            });
-            run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(())).map(|_| ())
-        }))
+    let (reference, mut reads) = workload(30_000, 8, 500);
+    reads[2] = workload(30_000, 1, 8_000).1.remove(0);
+    let outcome = within_a_minute(move || {
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig::default();
+        with_pool(3, || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
+                    assert!(i < 5, "input iterator blew up");
+                    Ok::<_, std::convert::Infallible>(ReadInput {
+                        name: name.clone(),
+                        seq: seq.clone(),
+                    })
+                });
+                run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(())).map(|_| ())
+            }))
+        })
     });
     assert!(outcome.is_err(), "the panic was swallowed: {outcome:?}");
 }

@@ -11,9 +11,12 @@
 //! 4. **Graceful drain** — shutdown waits for in-flight sessions,
 //!    delivers every row, then refuses new work.
 
+mod common;
+
 use std::sync::Arc;
 
 use align_core::{Reference, Seq};
+use common::within_a_minute;
 use genasm_pipeline::{
     run_pipeline, AdmissionError, BackendKind, OverflowPolicy, PipelineConfig, PipelineService,
     ReadInput, ServiceConfig, SessionEvent, SubmitError,
@@ -1202,23 +1205,6 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
     assert_eq!(f.candidates, f.aligned + f.failed);
     assert!(f.reads_in >= f.anchored && f.anchored >= f.chained && f.chained >= f.candidates);
     assert!(f.rescued <= f.aligned);
-}
-
-/// Run `body` on its own thread and fail — instead of hanging the
-/// suite — when it has not returned within a minute.
-fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
-    use std::sync::mpsc::{channel, RecvTimeoutError};
-    let (tx, rx) = channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(body());
-    });
-    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-        Ok(value) => value,
-        Err(RecvTimeoutError::Timeout) => panic!("watchdog: the service is wedged"),
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(worker.join().expect_err("the body dropped its sender"))
-        }
-    }
 }
 
 /// The CPU backend, except that its second batch panics.

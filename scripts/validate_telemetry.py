@@ -15,8 +15,9 @@ Six modes, one per exposition surface:
 * ``metrics FILE`` — the stderr of ``--metrics json``: the last
   non-empty line must be one ``genasm-pipeline-metrics/v1`` JSON
   object whose latency histograms are internally consistent (bucket
-  counts sum to ``count``, quantiles ordered) and whose read-latency
-  count matches ``reads_in``.
+  counts sum to ``count``, quantiles ordered), whose read-latency
+  count matches ``reads_in`` and whose ``backend_utilization`` and
+  ``map_utilization`` are shares in ``[0, 1]``.
 
 * ``stats-json FILE`` — the stdout of ``genasm ctl stats-json``: one
   ``genasm-stats/v1`` object embedding a server block, a session list,
@@ -105,9 +106,13 @@ def check_pipeline_metrics(m, require_read_count=True):
     if m.get("schema") != "genasm-pipeline-metrics/v1":
         fail(f"unexpected metrics schema {m.get('schema')!r}")
     for key in ("reads_in", "records_out", "latency", "backends", "funnel",
-                "slow_reads", "busy_ns"):
+                "slow_reads", "busy_ns", "backend_utilization",
+                "map_utilization"):
         if key not in m:
             fail(f"metrics object missing {key!r}")
+    for key in ("backend_utilization", "map_utilization"):
+        if not 0 <= m[key] <= 1:
+            fail(f"{key} {m[key]} outside [0, 1]")
     check_funnel(m["funnel"], "pipeline", at_rest=require_read_count)
     lat = m["latency"]
     for key in ("read", "task_queue_wait", "batch_build", "reorder_wait"):
