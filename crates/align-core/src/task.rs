@@ -27,11 +27,8 @@ pub struct AlignTask {
     /// read (the mapper orients queries to the mapping strand; this
     /// records which strand that was, for reporting only).
     pub reverse: bool,
-    /// Optional upper-bound hint on the edit distance of this pair,
-    /// derived by the mapper from chain quality. Purely a performance
-    /// hint: engines may run a tighter error band first, but must fall
-    /// back to their full budget when the band comes up empty, so the
-    /// reported alignment never depends on this value.
+    /// Kept for the frozen `genasm-bench`: nobody sets it, every engine
+    /// ignores it.
     pub max_edits: Option<u32>,
 }
 
@@ -58,12 +55,6 @@ impl AlignTask {
     /// Record which contig the target slice belongs to.
     pub fn in_contig(mut self, contig: u32) -> AlignTask {
         self.contig = contig;
-        self
-    }
-
-    /// Attach an edit-distance upper-bound hint (see [`AlignTask::max_edits`]).
-    pub fn with_edit_bound(mut self, max_edits: u32) -> AlignTask {
-        self.max_edits = Some(max_edits);
         self
     }
 

@@ -70,41 +70,6 @@ fn bench_workspace_reuse(c: &mut Criterion) {
         b.iter(|| genasm_cpu::align_batch_genasm(tasks, &cfg).failures)
     });
     group.finish();
-
-    // Hinted vs full-budget error bands over whole reads: the same
-    // batch driven once with no hint (every window sweeps k = w rows)
-    // and once with a mapper-style edit bound (tight band first, full
-    // rerun only when it comes up empty). Identical accepted
-    // alignments; the delta is the banding win at each error weight.
-    let mut group = c.benchmark_group("hinted_error_band");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    for &edits in &[0usize, 4, 16, 48] {
-        let tasks = bench::task_batch(64, 2_000, edits as f64 / 2_000.0, 42);
-        let hint = edits + 8;
-        for (label, hint) in [("full", None), ("hinted", Some(hint))] {
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{edits}edits")),
-                &tasks,
-                |b, tasks| {
-                    let mut ws = AlignWorkspace::with_capacity(cfg.w);
-                    b.iter(|| {
-                        let mut d = 0usize;
-                        for t in tasks {
-                            d += genasm_core::align_with_workspace_hinted(
-                                &t.query, &t.target, &cfg, hint, &mut ws,
-                            )
-                            .expect("k=W")
-                            .edit_distance;
-                        }
-                        d
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
 }
 
 criterion_group!(benches, bench_workspace_reuse);

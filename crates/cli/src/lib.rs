@@ -235,7 +235,7 @@ contig-local coordinates, and shards never straddle contig boundaries.
 `--metrics json` prints a single-line machine-readable snapshot to
 stderr; `--trace FILE` records a Chrome trace-event timeline (open in
 Perfetto or about://tracing). `--explain FILE` streams one
-genasm-explain/v1 JSON line per read (funnel counts, hint-vs-edits per
+genasm-explain/v2 JSON line per read (funnel counts, edits per
 candidate, final disposition) without changing record output.
 `--backend auto` routes each batch to cpu or gpu-sim from live latency
 metrics; output stays byte-identical to a fixed backend
@@ -456,9 +456,9 @@ fn finish_trace(trace: &Option<std::sync::Arc<TraceRecorder>>) -> Result<(), Cli
     Ok(())
 }
 
-/// `--explain FILE`: stream one `genasm-explain/v1` JSON line per
-/// read — the per-read decision funnel, candidate hint-vs-edits
-/// accounting, and final disposition. Returns `None` when the flag is
+/// `--explain FILE`: stream one `genasm-explain/v2` JSON line per
+/// read — the per-read decision funnel, each candidate's edits, and
+/// final disposition. Returns `None` when the flag is
 /// absent; record output is byte-identical either way (the sink
 /// flushes every line itself, so there is nothing to finalize).
 fn explain_sink(flags: &Flags) -> Result<Option<std::sync::Arc<ExplainSink>>, CliError> {
@@ -617,7 +617,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         })?;
         aln.check(&task.query, &task.target)
             .map_err(|e| CliError::runtime(format!("invalid alignment: {e}")))?;
-        task_detail[i].push(TaskExplain::new(task.max_edits, aln));
+        task_detail[i].push(TaskExplain::new(aln));
         rows[i].push(AlignRecord::new(
             &reads[i].name,
             reads[i].seq.len(),
@@ -641,7 +641,7 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         for (i, r) in reads.iter().enumerate() {
             let (stats, map_ns) = &funnel[i];
             // A failed candidate aborted the run above.
-            let disp = disposition::of(stats.unmapped_reason(), false, &task_detail[i]);
+            let disp = disposition::of(stats.unmapped_reason(), false);
             x.emit(&ExplainRecord {
                 read: &r.name,
                 disposition: &disp,

@@ -1110,7 +1110,7 @@ fn explain_flag_writes_jsonl_and_never_changes_records() {
     );
     for line in align_text.lines().chain(pipe_text.lines()) {
         assert!(
-            line.starts_with("{\"schema\":\"genasm-explain/v1\""),
+            line.starts_with("{\"schema\":\"genasm-explain/v2\""),
             "{line}"
         );
         assert!(line.contains("\"tasks\":["), "{line}");
@@ -1154,7 +1154,7 @@ fn serve_submit_explain_and_ctl_top_stream() {
     assert_eq!(text.lines().count(), 4, "{text}");
     for line in text.lines() {
         assert!(
-            line.starts_with("{\"schema\":\"genasm-explain/v1\""),
+            line.starts_with("{\"schema\":\"genasm-explain/v2\""),
             "{line}"
         );
     }

@@ -47,19 +47,17 @@
 //!
 //! The engine's *sound* band is the **`d` (error) dimension**: `cfg.k`
 //! only bounds the row loop — it never enters a bitvector value — so
-//! running a window at a tight `k` produces bit-identical rows, the
-//! same `d*`, and the same traceback whenever `d* <= k`, and a clean
-//! [`AlignError::NoAlignment`] otherwise. The hinted driver
-//! ([`crate::window::align_with_workspace_hinted`]) exploits exactly
-//! this: mapper-derived edit bounds shrink the row sweep, and a failed
-//! tight run is *rescued* by rerunning at the full budget, preserving
-//! bit-identity with the unbanded engine by construction. Two cheap
-//! exits ride along: the **infeasibility pre-flight** (a window whose
-//! pattern outruns `n + k` can never fire the solution bit, so it is
-//! abandoned before any row — hopeless windows cost O(1)), and the
-//! per-window accounting of [`MemStats::band_cells_skipped`] /
-//! [`MemStats::peak_band_rows`] — both [`MemStats`] methods, so every
-//! engine books them the same way.
+//! a window produces bit-identical rows, the same `d*`, and the same
+//! traceback under any `k >= d*`, and a clean
+//! [`AlignError::NoAlignment`] otherwise. Early termination is that
+//! band taken all the way: the sweep stops at `d*`, so no budget
+//! between `d*` and `k` could save a further row. One cheap exit rides
+//! along for callers that set `k < W`: the **infeasibility pre-flight**
+//! (a window whose pattern outruns `n + k` can never fire the solution
+//! bit, so it is abandoned before any row — hopeless windows cost
+//! O(1)). It and the per-window accounting of
+//! [`MemStats::band_cells_skipped`] / [`MemStats::peak_band_rows`] are
+//! [`MemStats`] methods, so every engine books them the same way.
 //!
 //! Banding the *text-column* dimension, by contrast, is unsound here:
 //! the single-word Bitap row has horizontal free propagation (the

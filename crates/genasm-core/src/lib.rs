@@ -18,21 +18,18 @@
 //! counters between [`GenAsmConfig::baseline`] and
 //! [`GenAsmConfig::improved`] runs.
 //!
-//! On top of the paper's improvements, the window engine is **banded in
-//! the error dimension**: [`align_with_workspace_hinted`] accepts a
-//! per-alignment edit bound (derived by the mapper from chain quality)
-//! that caps each window's row sweep, an infeasibility pre-flight
-//! abandons hopeless windows in O(1), and a too-tight bound falls back
-//! to a full-budget *rescue* rerun — so accepted alignments are always
-//! bit-identical to the unbanded engine (see [`engine`] for why the
-//! `d` dimension is the sound place to band, and [`MemStats`] for the
-//! `band_cells_skipped` / `windows_rescued` / `peak_band_rows`
-//! observability counters).
+//! Every window runs at one edit budget, [`GenAsmConfig::k`]: early
+//! termination stops its row sweep at `d*`, and for a caller that sets
+//! `k < W` an infeasibility pre-flight abandons a window that cannot
+//! fit the budget in O(1) (see [`engine`] for why the `d` dimension is
+//! the sound place to cut, and [`MemStats`] for the
+//! `band_cells_skipped` / `windows_early_terminated` /
+//! `peak_band_rows` observability counters).
 //!
 //! The simulated GPU in the `genasm-gpu` crate runs the same code
 //! wherever the device does not differ: the row recurrence
-//! ([`bitvec`]), the window pipeline with its hint clamp and rescue
-//! ([`drive_hinted`] over a [`WindowEngine`]) and the traceback walk
+//! ([`bitvec`]), the window pipeline
+//! ([`drive`] over a [`WindowEngine`]) and the traceback walk
 //! ([`traceback`] over a [`TableRead`]). Only the schedule of one
 //! window's sweep and the memory its table lives in are the device's
 //! own, so CPU and (simulated) GPU results cannot drift apart.
@@ -110,7 +107,7 @@ pub use filter::{
 pub use stats::MemStats;
 pub use table::TableRead;
 pub use window::{
-    align_with_stats, align_with_workspace, align_with_workspace_hinted, drive_hinted,
-    stage_window, WindowEngine, MIN_HINT_K,
+    align_with_stats, align_with_workspace, align_with_workspace_hinted, drive, stage_window,
+    WindowEngine, MIN_HINT_K,
 };
 pub use workspace::{AlignWorkspace, CapacitySignature};

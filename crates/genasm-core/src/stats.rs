@@ -35,17 +35,14 @@ pub struct MemStats {
     /// Word loads from the rolling scratch rows of the distance pass.
     pub scratch_loads: u64,
     /// DP cells *not* evaluated relative to the full `(k+1) × n` sweep
-    /// of each window's configured edit budget. Early termination, the
-    /// infeasibility pre-flight, and tight per-window edit bounds all
-    /// contribute (see `crate::window::align_with_workspace_hinted`).
+    /// of each window's edit budget: early termination's saving, plus
+    /// whole windows the infeasibility pre-flight abandoned.
     pub band_cells_skipped: u64,
     /// Windows whose error-row loop stopped before the full budget:
     /// the solution bit fired early, or the pre-flight proved the
     /// window hopeless before any row was computed.
     pub windows_early_terminated: u64,
-    /// Hinted alignments whose tight edit band came up empty and were
-    /// rerun at the full `k` (the rescue path; each rescue reruns the
-    /// whole alignment, so results stay bit-identical to unbanded).
+    /// Kept for the frozen `genasm-bench`: always 0, in no rendering.
     pub windows_rescued: u64,
     /// Widest error band actually computed for any single window, in
     /// rows of the `d` dimension. **Max-merged**, not summed.
@@ -95,8 +92,8 @@ impl MemStats {
     /// budget `k` cannot bridge the length gap the window is hopeless;
     /// this returns `true` and books the whole `(k+1) × n` sweep as
     /// skipped, and the engine abandons the window before computing a
-    /// single row (O(1), not O(k·n)). Only fires under tight per-window
-    /// edit bounds; `k = w >= m` windows always pass.
+    /// single row (O(1), not O(k·n)). Only fires for a caller that
+    /// sets `k < w`; `k = w >= m` windows always pass.
     pub fn abandon_infeasible(&mut self, m: usize, n: usize, k: usize) -> bool {
         let hopeless = m > n + k;
         if hopeless {
@@ -116,16 +113,9 @@ impl MemStats {
         }
     }
 
-    /// Book `rows` error rows of an `n`-column window as never swept
-    /// (the window driver calls this for the rows a tight hint cut off
-    /// above the engine's budget).
-    pub fn rows_skipped(&mut self, rows: usize, n: usize) {
-        self.band_cells_skipped += (rows * n) as u64;
-    }
-
     fn stopped_early(&mut self, rows_left: usize, n: usize) {
         self.windows_early_terminated += 1;
-        self.rows_skipped(rows_left, n);
+        self.band_cells_skipped += (rows_left * n) as u64;
     }
 
     /// Accumulate another counter set.
@@ -140,19 +130,18 @@ impl MemStats {
         self.scratch_loads += other.scratch_loads;
         self.band_cells_skipped += other.band_cells_skipped;
         self.windows_early_terminated += other.windows_early_terminated;
-        self.windows_rescued += other.windows_rescued;
         self.peak_band_rows = self.peak_band_rows.max(other.peak_band_rows);
     }
 
-    /// Single-line JSON object with every counter (used by the
-    /// pipeline's machine-readable metrics expositions).
+    /// Single-line JSON object with every counter an engine books
+    /// (used by the pipeline's machine-readable metrics expositions).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"windows\":{},\"rows_computed\":{},\"cells_computed\":{},\
              \"table_words\":{},\"table_stores\":{},\"table_loads\":{},\
              \"scratch_stores\":{},\"scratch_loads\":{},\
              \"band_cells_skipped\":{},\"windows_early_terminated\":{},\
-             \"windows_rescued\":{},\"peak_band_rows\":{}}}",
+             \"peak_band_rows\":{}}}",
             self.windows,
             self.rows_computed,
             self.cells_computed,
@@ -163,7 +152,6 @@ impl MemStats {
             self.scratch_loads,
             self.band_cells_skipped,
             self.windows_early_terminated,
-            self.windows_rescued,
             self.peak_band_rows
         )
     }
@@ -224,21 +212,18 @@ mod tests {
         let mut a = MemStats {
             band_cells_skipped: 100,
             windows_early_terminated: 2,
-            windows_rescued: 1,
             peak_band_rows: 5,
             ..MemStats::default()
         };
         let b = MemStats {
             band_cells_skipped: 50,
             windows_early_terminated: 3,
-            windows_rescued: 0,
             peak_band_rows: 9,
             ..MemStats::default()
         };
         a.merge(&b);
         assert_eq!(a.band_cells_skipped, 150);
         assert_eq!(a.windows_early_terminated, 5);
-        assert_eq!(a.windows_rescued, 1);
         assert_eq!(a.peak_band_rows, 9, "peak is a high-water mark");
     }
 

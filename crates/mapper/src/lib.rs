@@ -25,8 +25,7 @@ pub mod index;
 pub mod shard;
 
 pub use candidates::{
-    candidates_for_read, chain_window, edit_bound_hint, generate_batch, task_from_chain,
-    CandidateParams,
+    candidates_for_read, chain_window, generate_batch, task_from_chain, CandidateParams,
 };
 pub use chain::{chain_anchors, collect_anchors, Anchor, Chain, ChainParams};
 pub use index::{hash64, minimizers, minimizers_windowed, Minimizer, MinimizerIndex};

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use align_core::{AlignTask, Reference, Seq};
 
-use crate::candidates::{chain_window, edit_bound_hint, CandidateParams};
+use crate::candidates::{chain_window, CandidateParams};
 use crate::chain::{chain_anchors, Anchor, Chain, ChainParams};
 use crate::index::{minimizers, minimizers_windowed, MinimizerIndex};
 
@@ -565,15 +565,9 @@ impl ShardedIndex {
                 } else {
                     read.clone()
                 };
-                // Same estimator as the unsharded path: chain scores,
-                // spans, and window lengths are shard-count invariant,
-                // so the hint is too (the invariance tests compare
-                // whole tasks, hint included).
-                let hint = edit_bound_hint(chain, read.len(), target.len());
                 AlignTask::new(read_id, start, query, target)
                     .oriented(chain.reverse)
                     .in_contig(*ci)
-                    .with_edit_bound(hint)
             })
             .collect();
         let stats = ReadMapStats {

@@ -41,11 +41,6 @@ pub struct TaskMeta {
     pub tlen: usize,
     /// Strand the task's query was oriented to (for PAF output).
     pub reverse: bool,
-    /// Banding hint the task was dispatched with
-    /// ([`align_core::AlignTask::max_edits`]); an accepted alignment
-    /// whose edit distance exceeds it was produced by the engine's
-    /// full-budget rescue.
-    pub max_edits: Option<u32>,
     /// Funnel counts captured at candidate generation, shared across
     /// the read's tasks (the sink's half of the `--explain` record).
     pub provenance: std::sync::Arc<crate::explain::ReadProvenance>,
@@ -158,7 +153,6 @@ mod tests {
                 tstart: 0,
                 tlen: n,
                 reverse: false,
-                max_edits: None,
                 provenance: Arc::new(crate::explain::ReadProvenance::default()),
                 submitted_at: Instant::now(),
                 enqueued_at: Instant::now(),

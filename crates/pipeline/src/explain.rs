@@ -1,12 +1,10 @@
 //! Per-read provenance: the `--explain` JSONL stream.
 //!
 //! Every read that enters the pipeline leaves exactly one line in the
-//! explain stream (schema `genasm-explain/v1`): how far it got through
-//! the candidate funnel (anchors → chains → candidates), how each
-//! accepted candidate's banding hint compared to the edits actually
-//! needed (and whether the engine's full-budget rescue produced it),
-//! stage timings, and the final disposition from the closed taxonomy
-//! in [`disposition`].
+//! explain stream (schema `genasm-explain/v2`): how far it got through
+//! the candidate funnel (anchors → chains → candidates), the edits of
+//! each accepted candidate, stage timings, and the final disposition
+//! from the closed taxonomy in [`disposition`].
 //!
 //! Explaining is **strictly passive**: the sink is fed from data the
 //! pipeline already computes, and enabling it never changes output
@@ -23,15 +21,8 @@ use genasm_telemetry::json;
 pub mod disposition {
     use std::borrow::Cow;
 
-    use super::TaskExplain;
-
-    /// At least one record emitted; no accepted candidate needed
-    /// rescue.
+    /// At least one record emitted.
     pub const ALIGNED: &str = "aligned";
-    /// At least one record emitted, and at least one accepted
-    /// candidate exceeded its banding hint — the engine's full-budget
-    /// rescue pass produced it.
-    pub const RESCUED: &str = "rescued";
     /// No record: alignment failed within the backend's edit budget.
     pub const FAILED_NO_ALIGNMENT: &str = "failed:no_alignment";
     /// No record: the read produced no candidates. `reason` is the
@@ -43,13 +34,11 @@ pub mod disposition {
 
     /// The one rule that picks a read's disposition: `unmapped` is the
     /// first empty funnel stage of a read that produced no candidate,
-    /// `failed` says a candidate came back without an alignment, and
-    /// `tasks` are the accepted candidates.
-    pub fn of(unmapped: Option<&str>, failed: bool, tasks: &[TaskExplain]) -> Cow<'static, str> {
+    /// and `failed` says a candidate came back without an alignment.
+    pub fn of(unmapped: Option<&str>, failed: bool) -> Cow<'static, str> {
         match unmapped {
             Some(reason) => self::unmapped(reason).into(),
             None if failed => FAILED_NO_ALIGNMENT.into(),
-            None if tasks.iter().any(|t| t.rescued) => RESCUED.into(),
             None => ALIGNED.into(),
         }
     }
@@ -69,38 +58,23 @@ pub struct ReadProvenance {
     pub map_ns: u64,
 }
 
-/// One accepted candidate's hint-vs-actual accounting.
+/// One accepted candidate on a read's explain line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskExplain {
-    /// Banding hint the task was dispatched with (`None` = unbounded).
-    pub hint: Option<u32>,
     /// Edit distance of the accepted alignment.
     pub edits: u64,
-    /// True when `edits` exceeded `hint`: the tight band came up
-    /// empty and the full-budget rescue produced the result.
-    pub rescued: bool,
 }
 
 impl TaskExplain {
-    /// The accounting of one accepted candidate dispatched with the
-    /// banding `hint`: the one place that says what "rescued" means.
-    pub fn new(hint: Option<u32>, aln: &Alignment) -> TaskExplain {
+    /// The explain entry of one accepted candidate.
+    pub fn new(aln: &Alignment) -> TaskExplain {
         TaskExplain {
-            hint,
             edits: aln.edit_distance as u64,
-            rescued: hint.is_some_and(|k| aln.edit_distance > k as usize),
         }
     }
 
     fn to_json(self) -> String {
-        let hint = match self.hint {
-            Some(k) => k.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"hint\":{},\"edits\":{},\"rescued\":{}}}",
-            hint, self.edits, self.rescued
-        )
+        format!("{{\"edits\":{}}}", self.edits)
     }
 }
 
@@ -118,8 +92,8 @@ pub struct ExplainRecord<'a> {
     pub backend: Option<&'a str>,
     /// Funnel counts and candidate-generation timing.
     pub provenance: ReadProvenance,
-    /// Per-accepted-candidate hint/edits/rescue detail (empty for
-    /// unmapped and failed reads).
+    /// Per-accepted-candidate detail (empty for unmapped and failed
+    /// reads).
     pub tasks: &'a [TaskExplain],
     /// Nanoseconds from pipeline entry to the read's last record
     /// (0 for reads that never reached the alignment stage).
@@ -127,7 +101,7 @@ pub struct ExplainRecord<'a> {
 }
 
 impl ExplainRecord<'_> {
-    /// The read's single `genasm-explain/v1` JSON line (no trailing
+    /// The read's single `genasm-explain/v2` JSON line (no trailing
     /// newline).
     pub fn to_json(&self) -> String {
         let backend = match self.backend {
@@ -135,9 +109,9 @@ impl ExplainRecord<'_> {
             None => "null".to_string(),
         };
         let mut s = format!(
-            "{{\"schema\":\"genasm-explain/v1\",\"read\":\"{}\",\"disposition\":\"{}\",\
+            "{{\"schema\":\"genasm-explain/v2\",\"read\":\"{}\",\"disposition\":\"{}\",\
              \"backend\":{},\
-             \"anchors\":{},\"chains\":{},\"candidates\":{},\"rescued_tasks\":{},\
+             \"anchors\":{},\"chains\":{},\"candidates\":{},\
              \"map_ns\":{},\"align_ns\":{},\"tasks\":[",
             json::escape(self.read),
             json::escape(self.disposition),
@@ -145,7 +119,6 @@ impl ExplainRecord<'_> {
             self.provenance.anchors,
             self.provenance.chains,
             self.provenance.candidates,
-            self.tasks.iter().filter(|t| t.rescued).count(),
             self.provenance.map_ns,
             self.align_ns,
         );
@@ -203,18 +176,13 @@ mod tests {
             edit_distance,
             cigar: align_core::Cigar::new(),
         };
-        // Rescued means the accepted alignment needed more edits than
-        // its hint allowed; a hint that was exactly enough is not.
         let tasks = [
-            TaskExplain::new(Some(9), &with_edits(3)),
-            TaskExplain::new(Some(2), &with_edits(7)),
-            TaskExplain::new(None, &with_edits(4)),
+            TaskExplain::new(&with_edits(3)),
+            TaskExplain::new(&with_edits(7)),
         ];
-        assert_eq!(tasks.map(|t| t.rescued), [false, true, false], "{tasks:?}");
-        assert!(!TaskExplain::new(Some(7), &with_edits(7)).rescued);
         let rec = ExplainRecord {
             read: "r\t1",
-            disposition: &disposition::of(None, false, &tasks),
+            disposition: &disposition::of(None, false),
             backend: Some("gpu-sim"),
             provenance: ReadProvenance {
                 anchors: 5,
@@ -226,20 +194,16 @@ mod tests {
             align_ns: 2_000,
         };
         let j = rec.to_json();
-        assert!(j.starts_with("{\"schema\":\"genasm-explain/v1\""), "{j}");
+        assert!(j.starts_with("{\"schema\":\"genasm-explain/v2\""), "{j}");
         assert!(j.contains("\"read\":\"r\\t1\""), "{j}");
-        assert!(j.contains("\"disposition\":\"rescued\""), "{j}");
+        assert!(j.contains("\"disposition\":\"aligned\""), "{j}");
         assert!(j.contains("\"backend\":\"gpu-sim\""), "{j}");
         assert!(
-            j.contains("\"anchors\":5,\"chains\":2,\"candidates\":3,\"rescued_tasks\":1"),
+            j.contains("\"anchors\":5,\"chains\":2,\"candidates\":3,\"map_ns\":1000"),
             "{j}"
         );
         assert!(
-            j.contains("\"tasks\":[{\"hint\":9,\"edits\":3,\"rescued\":false}"),
-            "{j}"
-        );
-        assert!(
-            j.contains("{\"hint\":null,\"edits\":4,\"rescued\":false}"),
+            j.ends_with("\"tasks\":[{\"edits\":3},{\"edits\":7}]}"),
             "{j}"
         );
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
@@ -253,22 +217,16 @@ mod tests {
             disposition::unmapped("no_candidates"),
             "unmapped:no_candidates"
         );
-        // The one choice: unmapped before failed before rescued.
-        let rescued = [TaskExplain {
-            hint: Some(1),
-            edits: 2,
-            rescued: true,
-        }];
+        // The one choice: unmapped before failed before aligned.
         assert_eq!(
-            disposition::of(Some("no_chain"), false, &[]),
+            disposition::of(Some("no_chain"), false),
             "unmapped:no_chain"
         );
         assert_eq!(
-            disposition::of(None, true, &rescued),
+            disposition::of(None, true),
             disposition::FAILED_NO_ALIGNMENT
         );
-        assert_eq!(disposition::of(None, false, &rescued), disposition::RESCUED);
-        assert_eq!(disposition::of(None, false, &[]), disposition::ALIGNED);
+        assert_eq!(disposition::of(None, false), disposition::ALIGNED);
     }
 
     #[test]

@@ -160,7 +160,7 @@ pub struct PipelineConfig {
     /// bytes (the determinism suite asserts this).
     pub trace: Option<Arc<TraceRecorder>>,
     /// Optional per-read provenance stream: when set, every read
-    /// leaves exactly one `genasm-explain/v1` JSON line describing its
+    /// leaves exactly one `genasm-explain/v2` JSON line describing its
     /// pass through the decision funnel and its final disposition
     /// ([`explain::ExplainRecord`]). Like tracing, explaining is
     /// passive — output records stay byte-identical with it on or off

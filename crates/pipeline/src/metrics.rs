@@ -84,15 +84,10 @@ pub struct StageCounters {
     pub reads_anchored: Arc<Counter>,
     pub reads_chained: Arc<Counter>,
     pub reads_aligned: Arc<Counter>,
-    pub reads_rescued: Arc<Counter>,
     pub reads_failed: Arc<Counter>,
     pub unmapped_no_anchors: Arc<Counter>,
     pub unmapped_no_chain: Arc<Counter>,
     pub unmapped_no_candidates: Arc<Counter>,
-    /// Accepted candidate alignments whose edit distance exceeded
-    /// their banding hint — the tight band came up empty and the
-    /// engine's full-budget rescue produced the result.
-    pub tasks_rescued: Arc<Counter>,
     /// Ring of the slowest completed reads (not a registry metric:
     /// entries carry names, so it is rendered separately).
     pub slow_reads: Arc<SlowReads>,
@@ -153,7 +148,6 @@ impl StageCounters {
             reads_anchored: registry.counter("reads_anchored"),
             reads_chained: registry.counter("reads_chained"),
             reads_aligned: registry.counter("reads_aligned"),
-            reads_rescued: registry.counter("reads_rescued"),
             reads_failed: registry.counter("reads_failed"),
             unmapped_no_anchors: registry.labeled_counter("reads_unmapped", "reason", "no_anchors"),
             unmapped_no_chain: registry.labeled_counter("reads_unmapped", "reason", "no_chain"),
@@ -162,7 +156,6 @@ impl StageCounters {
                 "reason",
                 "no_candidates",
             ),
-            tasks_rescued: registry.counter("tasks_rescued"),
             slow_reads: Arc::new(SlowReads::new(SLOW_READS_CAPACITY)),
             tasks_generated: registry.counter("tasks_generated"),
             task_bases: registry.counter("task_bases"),
@@ -311,9 +304,6 @@ pub struct FunnelCounts {
     pub candidates: u64,
     /// Reads that finished with at least one output record.
     pub aligned: u64,
-    /// Aligned reads where at least one accepted candidate needed the
-    /// engine's full-budget rescue (a subset of `aligned`).
-    pub rescued: u64,
     /// Reads that finished with no record because alignment failed.
     pub failed: u64,
     /// Unmapped reads whose anchor stage came up empty.
@@ -341,14 +331,13 @@ impl FunnelCounts {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"reads_in\":{},\"anchored\":{},\"chained\":{},\"candidates\":{},\
-             \"aligned\":{},\"rescued\":{},\"failed\":{},\
+             \"aligned\":{},\"failed\":{},\
              \"unmapped\":{{\"no_anchors\":{},\"no_chain\":{},\"no_candidates\":{}}}}}",
             self.reads_in,
             self.anchored,
             self.chained,
             self.candidates,
             self.aligned,
-            self.rescued,
             self.failed,
             self.unmapped_no_anchors,
             self.unmapped_no_chain,
@@ -465,7 +454,7 @@ pub struct PipelineMetrics {
     /// the run (`None` for backends that collect none, e.g. the
     /// baselines): window counts, DP traffic, and the error-band
     /// counters (`band_cells_skipped`, `windows_early_terminated`,
-    /// `windows_rescued`, `peak_band_rows`).
+    /// `peak_band_rows`).
     pub engine: Option<genasm_core::MemStats>,
     /// Per-read end-to-end latency (submit → last record emitted), ns.
     pub read_latency: HistogramSnapshot,
@@ -558,14 +547,13 @@ impl PipelineMetrics {
         let f = &self.funnel;
         let _ = writeln!(
             s,
-            "funnel:   in={} anchored={} chained={} candidates={} aligned={} (rescued {}) \
+            "funnel:   in={} anchored={} chained={} candidates={} aligned={} \
              unmapped={} (no_anchors {}, no_chain {}, no_candidates {}) failed={}",
             f.reads_in,
             f.anchored,
             f.chained,
             f.candidates,
             f.aligned,
-            f.rescued,
             f.unmapped_total(),
             f.unmapped_no_anchors,
             f.unmapped_no_chain,
@@ -637,13 +625,9 @@ impl PipelineMetrics {
         if let Some(e) = &self.engine {
             let _ = writeln!(
                 s,
-                "band:     {} windows ({} early-terminated, {} rescued), \
+                "band:     {} windows ({} early-terminated), \
                  {} cells skipped, peak band {} rows",
-                e.windows,
-                e.windows_early_terminated,
-                e.windows_rescued,
-                e.band_cells_skipped,
-                e.peak_band_rows
+                e.windows, e.windows_early_terminated, e.band_cells_skipped, e.peak_band_rows
             );
         }
         let shard_busy: Vec<String> = self
@@ -856,12 +840,6 @@ impl PipelineMetrics {
             );
             line(
                 &mut out,
-                "genasm_engine_windows_rescued_total",
-                "counter",
-                e.windows_rescued,
-            );
-            line(
-                &mut out,
                 "genasm_engine_band_cells_skipped_total",
                 "counter",
                 e.band_cells_skipped,
@@ -899,7 +877,6 @@ impl PipelineMetrics {
             chained: n("reads_chained"),
             candidates: n("reads_mapped"),
             aligned: n("reads_aligned"),
-            rescued: n("reads_rescued"),
             failed: n("reads_failed"),
             unmapped_no_anchors: unmapped("no_anchors"),
             unmapped_no_chain: unmapped("no_chain"),
@@ -1051,7 +1028,6 @@ mod tests {
         let engine = genasm_core::MemStats {
             windows: 10,
             windows_early_terminated: 7,
-            windows_rescued: 1,
             band_cells_skipped: 1234,
             peak_band_rows: 65,
             ..genasm_core::MemStats::default()
@@ -1067,7 +1043,7 @@ mod tests {
         );
         let s = m.summary();
         assert!(
-            s.contains("band:     10 windows (7 early-terminated, 1 rescued)"),
+            s.contains("band:     10 windows (7 early-terminated)"),
             "{s}"
         );
         assert!(s.contains("1234 cells skipped, peak band 65 rows"), "{s}");
@@ -1235,7 +1211,7 @@ mod tests {
     #[test]
     fn funnel_counts_render_in_summary_json_and_prometheus() {
         let c = StageCounters::default();
-        // Three reads: mapped+aligned (rescued), unmapped(no_chain),
+        // Three reads: mapped+aligned, unmapped(no_chain),
         // mapped+failed.
         c.reads_in.add(3);
         assert_eq!(
@@ -1247,8 +1223,6 @@ mod tests {
             None
         );
         c.reads_aligned.inc();
-        c.reads_rescued.inc();
-        c.tasks_rescued.inc();
         assert_eq!(
             c.note_funnel(&ReadMapStats {
                 anchors: 1,
@@ -1283,14 +1257,13 @@ mod tests {
         assert_eq!(f.chained, 2);
         assert_eq!(f.candidates, 2);
         assert_eq!(f.aligned, 1);
-        assert_eq!(f.rescued, 1);
         assert_eq!(f.failed, 1);
         assert_eq!(f.unmapped_total(), 1);
         assert_eq!(f.accounted(), f.reads_in);
         let s = m.summary();
         assert!(
             s.contains(
-                "funnel:   in=3 anchored=3 chained=2 candidates=2 aligned=1 (rescued 1) \
+                "funnel:   in=3 anchored=3 chained=2 candidates=2 aligned=1 \
                  unmapped=1 (no_anchors 0, no_chain 1, no_candidates 0) failed=1"
             ),
             "{s}"
@@ -1315,7 +1288,6 @@ mod tests {
             "{p}"
         );
         assert!(p.contains("genasm_reads_aligned_total 1"), "{p}");
-        assert!(p.contains("genasm_tasks_rescued_total 1"), "{p}");
     }
 
     /// 64-bit FNV-1a, the digest the rendering golden pins.
@@ -1334,13 +1306,11 @@ mod tests {
         c.reads_chained.add(10);
         c.reads_mapped.add(7);
         c.reads_aligned.add(6);
-        c.reads_rescued.add(2);
         c.reads_failed.add(1);
         c.unmapped_no_anchors.add(1);
         c.unmapped_no_chain.add(2);
         c.unmapped_no_candidates.add(3);
-        c.tasks_rescued.add(4);
-        c.slow_reads.observe("slow\"one", 9_999_999, "rescued");
+        c.slow_reads.observe("slow\"one", 9_999_999, "aligned");
         c.slow_reads.observe("quick", 1_234, "unmapped:no_chain");
         c.task_in(1_800);
         c.task_in(2_400);
@@ -1421,8 +1391,8 @@ mod tests {
                 scratch_loads: 47_336,
                 band_cells_skipped: 338_128,
                 windows_early_terminated: 88,
-                windows_rescued: 3,
                 peak_band_rows: 15,
+                ..genasm_core::MemStats::default()
             }),
         );
         m.map_workers = 2;
@@ -1458,12 +1428,12 @@ mod tests {
         .map(|s| (s.len(), fnv1a(s)))
         .collect();
         let want = [
-            (1120, 1455893828760431602),
-            (2633, 588969777154772792),
-            (14370, 3688714671879533724),
-            (607, 8422501793149290353),
-            (1365, 13860830792235985399),
-            (3732, 9406438673907290),
+            (1097, 10186444547936801186),
+            (2601, 12191928896663716408),
+            (14139, 8921332712209784910),
+            (595, 18072272378923627135),
+            (1353, 12567697116748810572),
+            (3590, 11911278381058232122),
         ];
         assert_eq!(
             got, want,

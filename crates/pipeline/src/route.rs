@@ -12,12 +12,9 @@
 //! * the per-backend **execute-latency** histograms and base counters
 //!   (`execute_ns.sum / bases` → an observed ns-per-base cost),
 //! * the per-backend **queue-wait** mean (an in-flight congestion
-//!   proxy — a backlogged backend pays its queue before it computes),
+//!   proxy — a backlogged backend pays its queue before it computes), and
 //! * the **batch shape** (mean task size vs. the largest task seen:
-//!   heterogeneous batches penalize the wide engine), and
-//! * the funnel **rescue rate** (`tasks_rescued / tasks_generated`:
-//!   rescue-heavy workloads defeat the wide engine's early
-//!   termination, so its effective cost rises),
+//!   heterogeneous batches penalize the wide engine),
 //!
 //! and dispatched to the cheapest. Two mechanisms keep the loop
 //! honest:
@@ -177,23 +174,16 @@ impl Router {
             bases.max(1) as f64
         };
         let hetero = (max_task as f64 / mean_task).max(1.0);
-        let generated = counters.tasks_generated.get();
-        let rescue_rate = if generated > 0 {
-            counters.tasks_rescued.get() as f64 / generated as f64
-        } else {
-            0.0
-        };
         let mut best = 0;
         let mut best_score = f64::INFINITY;
         for (i, lat) in lats.iter().enumerate() {
             let exec = lat.execute_ns.snapshot();
             let ns_per_base = exec.sum as f64 / lat.bases.get() as f64;
             let wait = lat.queue_wait_ns.snapshot().mean();
-            // The wide engine pays for heterogeneity (idle lanes) and
-            // for rescue-heavy workloads (no early termination win);
+            // The wide engine pays for heterogeneity (idle lanes);
             // the latency-oriented paths do not.
             let shape = match self.enabled[i].0 {
-                BackendKind::GpuSim => hetero * (1.0 + rescue_rate),
+                BackendKind::GpuSim => hetero,
                 _ => 1.0,
             };
             let score = bases as f64 * ns_per_base * shape + wait;

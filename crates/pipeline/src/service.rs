@@ -317,7 +317,7 @@ pub enum SessionEvent {
         /// The configured [`ServiceConfig::max_session_output_bytes`].
         cap: u64,
     },
-    /// One read's `genasm-explain/v1` provenance line. Sent only when
+    /// One read's `genasm-explain/v2` provenance line. Sent only when
     /// the session opted in via [`Session::set_explain`]; follows the
     /// read's [`SessionEvent::Rows`] / [`SessionEvent::ReadFailed`]
     /// (unmapped reads, which get neither, still get their explain
@@ -1190,7 +1190,6 @@ impl Session {
                 tstart: task.ref_pos,
                 tlen: task.target.len(),
                 reverse: task.reverse,
-                max_edits: task.max_edits,
                 provenance: Arc::clone(&provenance),
                 submitted_at: t0,
                 enqueued_at: Instant::now(),
@@ -1206,7 +1205,7 @@ impl Session {
 
     /// Opt this session in (or out) of per-read provenance events:
     /// while on, every read is followed by a [`SessionEvent::Explain`]
-    /// carrying its `genasm-explain/v1` JSON line. Strictly passive —
+    /// carrying its `genasm-explain/v2` JSON line. Strictly passive —
     /// record delivery and ordering are unchanged.
     pub fn set_explain(&mut self, on: bool) {
         if let Some(st) = self.shared.sessions.lock().unwrap().get_mut(&self.id) {
@@ -1568,8 +1567,7 @@ struct ReadAcc {
     expected: u32,
     got: u32,
     rows: Vec<AlignRecord>,
-    /// Hint-vs-actual accounting per accepted candidate (explain and
-    /// rescue telemetry).
+    /// One entry per accepted candidate (explain).
     tasks: Vec<TaskExplain>,
     failed: bool,
     submitted_at: Instant,
@@ -1591,14 +1589,11 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
     sh.counters.read_latency_ns.record_duration(latency);
     // Funnel disposition is global telemetry: it runs even when the
     // session (and its receiver) is already gone.
-    let disp = disposition::of(None, acc.failed, &acc.tasks);
+    let disp = disposition::of(None, acc.failed);
     if acc.failed {
         sh.counters.reads_failed.inc();
     } else {
         sh.counters.reads_aligned.inc();
-        if disp == disposition::RESCUED {
-            sh.counters.reads_rescued.inc();
-        }
     }
     sh.counters
         .slow_reads
@@ -1742,11 +1737,7 @@ fn sink_loop(sh: &Shared) {
                 acc.backend = Some(backend_name);
                 match aln {
                     Some(aln) => {
-                        let task = TaskExplain::new(meta.max_edits, &aln);
-                        if task.rescued {
-                            sh.counters.tasks_rescued.inc();
-                        }
-                        acc.tasks.push(task);
+                        acc.tasks.push(TaskExplain::new(&aln));
                         acc.rows.push(AlignRecord::new(
                             &meta.qname,
                             meta.qlen,

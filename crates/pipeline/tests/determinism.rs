@@ -714,7 +714,7 @@ fn metrics_report_every_stage() {
     // Nothing is left in flight after a clean finish.
     assert!(m.max_inflight_tasks >= 1);
     // The CPU backend surfaces its engine instrumentation, including
-    // the error-band counters fed by the mapper's edit-bound hints.
+    // the error-band counters.
     let engine = m.engine.expect("CpuBackend must report engine stats");
     assert!(engine.windows > 0, "no windows counted");
     assert!(engine.rows_computed > 0);
@@ -724,7 +724,7 @@ fn metrics_report_every_stage() {
     );
     assert!(
         engine.band_cells_skipped > 0,
-        "hinted low-error reads must skip band cells"
+        "early termination on low-error reads must skip band cells"
     );
     // The simulated GPU books them through the same code.
     let gpu = GpuSimBackend::a6000();
@@ -1015,7 +1015,7 @@ fn tracing_and_exposition_never_change_output_bytes() {
 
 /// `--explain` is passive: the identical workload run with an explain
 /// sink attached produces byte-identical records, and the explain
-/// stream carries exactly one well-formed `genasm-explain/v1` line per
+/// stream carries exactly one well-formed `genasm-explain/v2` line per
 /// input read — including reads that never produce a record. The
 /// funnel counters partition `reads_in` exactly.
 #[test]
@@ -1064,7 +1064,7 @@ fn explain_stream_is_passive_and_covers_every_read() {
     );
     for line in &lines {
         assert!(
-            line.starts_with("{\"schema\":\"genasm-explain/v1\""),
+            line.starts_with("{\"schema\":\"genasm-explain/v2\""),
             "{line}"
         );
         assert_eq!(

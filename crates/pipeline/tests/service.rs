@@ -1159,7 +1159,7 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
         );
         for line in explain {
             assert!(
-                line.starts_with("{\"schema\":\"genasm-explain/v1\""),
+                line.starts_with("{\"schema\":\"genasm-explain/v2\""),
                 "{line}"
             );
             assert_eq!(line.lines().count(), 1, "forged line boundary: {line}");
@@ -1204,7 +1204,6 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
     assert_eq!(f.unmapped_no_anchors, 4);
     assert_eq!(f.candidates, f.aligned + f.failed);
     assert!(f.reads_in >= f.anchored && f.anchored >= f.chained && f.chained >= f.candidates);
-    assert!(f.rescued <= f.aligned);
 }
 
 /// The CPU backend, except that its second batch panics.

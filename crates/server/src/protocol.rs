@@ -45,7 +45,7 @@
 //!
 //! `SET explain on` opts the session into per-read provenance: after
 //! `BEGIN`, one `# explain {json}` status line per submitted read
-//! (schema `genasm-explain/v1`), interleaved with the record stream.
+//! (schema `genasm-explain/v2`), interleaved with the record stream.
 //! Explaining is passive — the record lines stay byte-identical to a
 //! session without it.
 //!

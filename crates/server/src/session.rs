@@ -236,7 +236,7 @@ pub(crate) fn handle_conn(conn: Conn, srv: &ServerShared) -> io::Result<ConnOutc
 /// Answer one `STATS` verb in the requested exposition format.
 ///
 /// The classic line format includes the engine's band counters
-/// (`windows=`, `early_term=`, `rescued=`, `band_skipped=`) so an
+/// (`windows=`, `early_term=`, `band_skipped=`) so an
 /// operator can see early-termination effectiveness without opening a
 /// JSON snapshot; they read zero until the first batch completes (the
 /// engine merges stats batch-atomically).
@@ -253,8 +253,7 @@ fn write_stats(
                 writer,
                 "# stats sessions={} contigs={} reads_in={} mapped={} tasks={} records_out={} \
                  inflight_bases_peak={} out_buffered={} throttled={} timed_out={} \
-                 backend_errors={} uptime_ms={} windows={} early_term={} rescued={} \
-                 band_skipped={}",
+                 backend_errors={} uptime_ms={} windows={} early_term={} band_skipped={}",
                 srv.service.active_sessions(),
                 srv.service.ref_contigs(),
                 m.reads_in,
@@ -269,7 +268,6 @@ fn write_stats(
                 m.wall.as_millis(),
                 eng.windows,
                 eng.windows_early_terminated,
-                eng.windows_rescued,
                 eng.band_cells_skipped,
             )?;
         }

@@ -567,7 +567,6 @@ fn stats_json_and_prom_expose_the_live_registry() {
     assert!(stats_line.contains("reads_in=5"), "{stats_line}");
     assert!(stats_line.contains("windows="), "{stats_line}");
     assert!(stats_line.contains("early_term="), "{stats_line}");
-    assert!(stats_line.contains("rescued="), "{stats_line}");
     assert!(stats_line.contains("band_skipped="), "{stats_line}");
     assert!(
         !stats_line.contains("windows=0 "),
@@ -807,7 +806,7 @@ fn explain_sessions_stream_provenance_without_perturbing_records() {
     );
     for line in &report.explain {
         assert!(
-            line.starts_with("{\"schema\":\"genasm-explain/v1\""),
+            line.starts_with("{\"schema\":\"genasm-explain/v2\""),
             "{line}"
         );
     }

@@ -24,8 +24,8 @@ pub struct SlowRead {
     pub name: String,
     /// End-to-end latency in nanoseconds.
     pub latency_ns: u64,
-    /// Final disposition string (`aligned`, `rescued`,
-    /// `unmapped:no_anchors`, `failed`, …).
+    /// Final disposition string (`aligned`, `unmapped:no_anchors`,
+    /// `failed:no_alignment`, …).
     pub disposition: String,
 }
 
@@ -129,7 +129,7 @@ mod tests {
         let ring = SlowReads::new(3);
         ring.observe("a", 10, "aligned");
         ring.observe("b", 50, "aligned");
-        ring.observe("c", 30, "rescued");
+        ring.observe("c", 30, "failed:no_alignment");
         ring.observe("d", 5, "aligned"); // evicted immediately: ring full? no — room check
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 3);

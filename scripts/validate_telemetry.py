@@ -25,11 +25,9 @@ Six modes, one per exposition surface:
   read-count check — a live server may be mid-stream).
 
 * ``explain FILE`` — a ``--explain`` JSONL stream: every line is one
-  ``genasm-explain/v1`` object with the full funnel/task key set, a
-  disposition from the closed taxonomy, and internally consistent
-  rescue accounting (``rescued_tasks`` matches the per-task flags; a
-  ``rescued`` disposition has at least one rescued task; unmapped
-  reads carry zero candidates and no tasks).
+  ``genasm-explain/v2`` object with the full funnel/task key set and
+  a disposition from the closed taxonomy; unmapped reads carry zero
+  candidates and no tasks.
 
 * ``router FILE`` — the stderr of ``--metrics json`` from a
   ``--backend auto`` run: the metrics object (validated as in
@@ -82,7 +80,7 @@ def check_histogram(h, where):
 
 def check_funnel(f, where, at_rest):
     for key in ("reads_in", "anchored", "chained", "candidates", "aligned",
-                "rescued", "failed", "unmapped"):
+                "failed", "unmapped"):
         if key not in f:
             fail(f"{where}: funnel missing {key!r}")
     for key in ("no_anchors", "no_chain", "no_candidates"):
@@ -98,8 +96,6 @@ def check_funnel(f, where, at_rest):
         )
     if accounted > f["reads_in"]:
         fail(f"{where}: funnel accounts for more reads than entered: {f}")
-    if f["rescued"] > f["aligned"]:
-        fail(f"{where}: rescued {f['rescued']} exceeds aligned {f['aligned']}")
 
 
 def check_pipeline_metrics(m, require_read_count=True):
@@ -240,7 +236,7 @@ def mode_stats_json(path):
     )
 
 
-DISPOSITIONS = {"aligned", "rescued", "failed:no_alignment",
+DISPOSITIONS = {"aligned", "failed:no_alignment",
                 "unmapped:no_anchors", "unmapped:no_chain",
                 "unmapped:no_candidates"}
 
@@ -257,29 +253,20 @@ def mode_explain(path):
     recs = json_lines(path)
     for i, r in enumerate(recs):
         where = f"explain line {i}"
-        if r.get("schema") != "genasm-explain/v1":
+        if r.get("schema") != "genasm-explain/v2":
             fail(f"{where}: unexpected schema {r.get('schema')!r}")
         for key in ("read", "disposition", "anchors", "chains", "candidates",
-                    "rescued_tasks", "map_ns", "align_ns", "tasks"):
+                    "map_ns", "align_ns", "tasks"):
             if key not in r:
                 fail(f"{where}: missing {key!r}")
         disp = r["disposition"]
         if disp not in DISPOSITIONS:
             fail(f"{where}: disposition {disp!r} outside the closed taxonomy")
-        rescued = sum(1 for t in r["tasks"] if t.get("rescued"))
-        if rescued != r["rescued_tasks"]:
-            fail(
-                f"{where}: rescued_tasks {r['rescued_tasks']} but "
-                f"{rescued} tasks carry the flag"
-            )
-        if disp == "rescued" and rescued == 0:
-            fail(f"{where}: rescued disposition with no rescued task")
         if disp.startswith("unmapped:") and (r["candidates"] or r["tasks"]):
             fail(f"{where}: unmapped read carries candidates/tasks")
         for t in r["tasks"]:
-            for key in ("hint", "edits", "rescued"):
-                if key not in t:
-                    fail(f"{where}: task missing {key!r}")
+            if "edits" not in t:
+                fail(f"{where}: task missing 'edits'")
     by_disp = {}
     for r in recs:
         by_disp[r["disposition"]] = by_disp.get(r["disposition"], 0) + 1

@@ -161,44 +161,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The CPU backend with every third read's edit-bound hint cut to the
-/// floor. The mapper's own hints are loose enough that no simulated
-/// read ever needs the rescue, so this is how the golden workload gets
-/// some: at 9% error most such reads have a window over `MIN_HINT_K`
-/// edits and rerun at the full budget — with, by construction, the
-/// output the untouched hint would have given.
-struct TightHints(genasm_pipeline::CpuBackend);
-
-impl genasm_pipeline::Backend for TightHints {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn align_batch(
-        &self,
-        tasks: &[AlignTask],
-    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
-        let tasks: Vec<AlignTask> = tasks
-            .iter()
-            .map(|t| match t.read_id % 3 {
-                0 => t.clone().with_edit_bound(1),
-                _ => t.clone(),
-            })
-            .collect();
-        self.0.align_batch(&tasks)
-    }
-
-    fn engine_stats(&self) -> Option<MemStats> {
-        self.0.engine_stats()
-    }
-}
-
 /// The byte-identity suites compare configurations of *one* commit, so
 /// a kernel change that moved every CIGAR (or every counter) the same
 /// way would pass them all. This pins one workload's pipeline output
 /// and engine counters across commits: three unequal contigs, 9% CLR
-/// error, a few hundred windows with final windows and rescues among
-/// them. A change that moves either literal must say why.
+/// error, a few hundred windows with final windows among them. A
+/// change that moves either literal must say why.
 #[test]
 fn pipeline_output_matches_the_cross_commit_golden() {
     use genasm_pipeline::{run_pipeline, CpuBackend, PipelineConfig, ReadInput};
@@ -229,7 +197,7 @@ fn pipeline_output_matches_the_cross_commit_golden() {
     let metrics = run_pipeline(
         reads.into_iter().map(Ok::<_, std::convert::Infallible>),
         reference,
-        &TightHints(CpuBackend::improved()),
+        &CpuBackend::improved(),
         &PipelineConfig::default(),
         |rec| {
             out.push_str(&rec.to_tsv());
@@ -240,7 +208,6 @@ fn pipeline_output_matches_the_cross_commit_golden() {
     .expect("pipeline run failed");
     let engine = metrics.engine.expect("the cpu backend reports its engine");
     assert!(engine.windows >= 200, "{engine:?}");
-    assert!(engine.windows_rescued >= 1, "{engine:?}");
     assert!(
         out.lines().count() >= n_reads,
         "every read aligns somewhere"
@@ -253,7 +220,7 @@ fn pipeline_output_matches_the_cross_commit_golden() {
     );
     assert_eq!(
         engine.to_json(),
-        r#"{"windows":250,"rows_computed":2002,"cells_computed":129180,"table_words":82073,"table_stores":83180,"table_loads":10333,"scratch_stores":129180,"scratch_loads":224780,"band_cells_skipped":893698,"windows_early_terminated":249,"windows_rescued":3,"peak_band_rows":37}"#,
+        r#"{"windows":234,"rows_computed":1919,"cells_computed":122140,"table_words":78670,"table_stores":78670,"table_loads":9664,"scratch_stores":122140,"scratch_loads":213223,"band_cells_skipped":832450,"windows_early_terminated":234,"peak_band_rows":37}"#,
         "engine counters moved"
     );
 }
