@@ -64,8 +64,8 @@ impl Alignment {
 }
 
 /// The interface every global aligner in the suite implements, so the
-/// harness, the examples and the benches can treat GenASM, the baselines
-/// and the GPU path uniformly.
+/// harness and the examples can treat GenASM, the baselines and the GPU
+/// path uniformly.
 pub trait GlobalAligner {
     /// Align `query` against `target` end-to-end and return the alignment.
     fn align(&self, query: &Seq, target: &Seq) -> crate::Result<Alignment>;

@@ -25,7 +25,7 @@ use crate::stats::MemStats;
 use crate::workspace::AlignWorkspace;
 
 /// Kept for the frozen `genasm-bench`: the floor of the `cfg.k` its
-/// `banded-*` window cases (and `crates/bench`'s) set directly.
+/// `banded-*` window cases set directly.
 pub const MIN_HINT_K: usize = 8;
 
 /// What the window pipeline needs of an engine: align one staged window

@@ -27,7 +27,7 @@
 //!   change a consumer's output bytes.
 //!
 //! The crate is dependency-free (std only) so every layer of the
-//! workspace can use it, including benches.
+//! workspace can use it.
 
 #![forbid(unsafe_code)]
 

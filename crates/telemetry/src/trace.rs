@@ -94,7 +94,7 @@ impl TraceRecorder {
         Ok(TraceRecorder::to_writer(Box::new(BufWriter::new(f))))
     }
 
-    /// Record into an arbitrary writer (tests, benches, `io::sink`).
+    /// Record into an arbitrary writer (tests, `io::sink`).
     pub fn to_writer(mut w: Box<dyn Write + Send>) -> TraceRecorder {
         // A write failure here surfaces on finish(), which checks the
         // writer again; trace output is best-effort until then.

@@ -8,40 +8,13 @@
 
 use std::time::Instant;
 
-use align_core::{AlignTask, Base, GlobalAligner, Seq};
+use align_core::GlobalAligner;
 use baselines::{Ksw2Aligner, MyersAligner};
 use genasm_core::GenAsmAligner;
-use rand::prelude::*;
-
-fn mutated_pair(rng: &mut StdRng, len: usize, error_rate: f64) -> (Seq, Seq) {
-    let q: Vec<Base> = (0..len)
-        .map(|_| Base::from_code(rng.gen_range(0..4)))
-        .collect();
-    let mut t = q.clone();
-    let mut i = 0;
-    while i < t.len() {
-        if rng.gen_bool(error_rate) {
-            match rng.gen_range(0..3) {
-                0 => t[i] = Base::from_code(rng.gen_range(0..4)),
-                1 => t.insert(i, Base::from_code(rng.gen_range(0..4))),
-                _ => {
-                    t.remove(i);
-                }
-            }
-        }
-        i += 1;
-    }
-    (q.into_iter().collect(), t.into_iter().collect())
-}
+use genasm_suite::workload::mutated_tasks;
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let tasks: Vec<AlignTask> = (0..40)
-        .map(|i| {
-            let (q, t) = mutated_pair(&mut rng, 4_000, 0.10);
-            AlignTask::new(i, 0, q, t)
-        })
-        .collect();
+    let tasks = mutated_tasks(40, 4_000, 0.10, 7);
     let bases: usize = tasks.iter().map(|t| t.query.len()).sum();
     println!(
         "aligning {} pairs ({} kb of query) at ~10% error\n",

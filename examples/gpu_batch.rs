@@ -6,40 +6,12 @@
 //! cargo run --release --example gpu_batch
 //! ```
 
-use align_core::{AlignTask, Base, Seq};
 use genasm_gpu::GpuAligner;
+use genasm_suite::workload::mutated_tasks;
 use gpu_sim::Device;
-use rand::prelude::*;
-
-fn mutated_pair(rng: &mut StdRng, len: usize, error_rate: f64) -> (Seq, Seq) {
-    let q: Vec<Base> = (0..len)
-        .map(|_| Base::from_code(rng.gen_range(0..4)))
-        .collect();
-    let mut t = q.clone();
-    let mut i = 0;
-    while i < t.len() {
-        if rng.gen_bool(error_rate) {
-            match rng.gen_range(0..3) {
-                0 => t[i] = Base::from_code(rng.gen_range(0..4)),
-                1 => t.insert(i, Base::from_code(rng.gen_range(0..4))),
-                _ => {
-                    t.remove(i);
-                }
-            }
-        }
-        i += 1;
-    }
-    (q.into_iter().collect(), t.into_iter().collect())
-}
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(2022);
-    let tasks: Vec<AlignTask> = (0..64)
-        .map(|i| {
-            let (q, t) = mutated_pair(&mut rng, 2_000, 0.10);
-            AlignTask::new(i, 0, q, t)
-        })
-        .collect();
+    let tasks = mutated_tasks(64, 2_000, 0.10, 2022);
     println!("batch: {} pairs of ~2 kbp at 10% error\n", tasks.len());
 
     let device = Device::a6000();

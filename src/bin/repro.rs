@@ -14,10 +14,18 @@ use genasm_suite::experiments::{ablation, accuracy, cpu, gpu, memory, sweep};
 use genasm_suite::report::Table;
 use genasm_suite::{Scale, Workload};
 
+/// Every command; the usage line and the check in `main` both read
+/// this list.
+const COMMANDS: [&str; 8] = [
+    "all", "cpu", "gpu", "memory", "ablation", "accuracy", "sweep", "workload",
+];
+
 fn usage() -> ! {
+    let scales: Vec<&str> = Scale::ALL.iter().map(|&(_, name)| name).collect();
     eprintln!(
-        "usage: repro [all|cpu|gpu|memory|ablation|accuracy|sweep|workload] \
-         [--scale small|medium|paper] [--seed N]"
+        "usage: repro [{}] [--scale {}] [--seed N]",
+        COMMANDS.join("|"),
+        scales.join("|")
     );
     std::process::exit(2);
 }
@@ -49,6 +57,12 @@ fn main() {
             _ => usage(),
         }
     }
+    // Refuse an unknown command before the workload (minutes at
+    // `--scale paper`) is built for it.
+    if !COMMANDS.contains(&cmd.as_str()) {
+        eprintln!("repro: unknown command '{cmd}'");
+        usage();
+    }
 
     println!("# GenASM reproduction harness");
     println!("# scale={scale:?} seed={seed}");
@@ -63,59 +77,53 @@ fn main() {
     let gpu_tasks = &timed[..timed.len().min(scale.gpu_task_cap())];
     let run_all = cmd == "all";
 
-    match cmd.as_str() {
-        "workload" => {}
-        "cpu" | "gpu" | "memory" | "ablation" | "accuracy" | "sweep" | "all" => {
-            if run_all || cmd == "cpu" {
-                section("E1-E3 (CPU)", || cpu::report(&cpu::run(timed)));
-            }
-            if run_all || cmd == "gpu" {
-                section("E4-E7 (GPU)", || gpu::report(&gpu::run(gpu_tasks)));
-            }
-            if run_all || cmd == "memory" {
-                // True-locus tasks come from the full candidate set
-                // (the timed subset is a stride sample and its indices
-                // do not line up with `true_locus`).
-                let true_tasks: Vec<_> = workload
-                    .true_locus
-                    .iter()
-                    .take(200)
-                    .map(|&i| workload.batch.tasks[i].clone())
-                    .collect();
-                section("E8-E9 (memory)", || {
-                    memory::report(&memory::run(timed, &true_tasks))
-                });
-            }
-            if run_all || cmd == "ablation" {
-                let subset = &timed[..timed.len().min(200)];
-                section("A1 (ablation)", || ablation::report(&ablation::run(subset)));
-            }
-            if run_all || cmd == "accuracy" {
-                // Primary mappings (one per read) carry the quality
-                // story; the stride sample shows behaviour on the full
-                // -P candidate mix including off-target windows.
-                let primary = workload.primary_tasks();
-                let primary = &primary[..primary.len().min(50)];
-                let subset = &timed[..timed.len().min(150)];
-                section("A2 (accuracy)", || {
-                    let mut s = String::from("(primary mappings, one per read)\n");
-                    s.push_str(&accuracy::report(&accuracy::run(primary)));
-                    s.push_str("\n(all -P candidates, stride sample)\n");
-                    s.push_str(&accuracy::report(&accuracy::run(subset)));
-                    s
-                });
-            }
-            if run_all || cmd == "sweep" {
-                section("A3 (sweeps)", || {
-                    let rates = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20];
-                    let errors = sweep::error_sweep(&rates, 30, 2_000, seed);
-                    let geoms = [(64, 8), (64, 16), (64, 24), (64, 32), (64, 48), (32, 12)];
-                    let geometry = sweep::geometry_sweep(&geoms, 30, 2_000, seed);
-                    sweep::report(&errors, &geometry)
-                });
-            }
-        }
-        _ => usage(),
+    if run_all || cmd == "cpu" {
+        section("E1-E3 (CPU)", || cpu::report(&cpu::run(timed)));
+    }
+    if run_all || cmd == "gpu" {
+        section("E4-E7 (GPU)", || gpu::report(&gpu::run(gpu_tasks)));
+    }
+    if run_all || cmd == "memory" {
+        // True-locus tasks come from the full candidate set
+        // (the timed subset is a stride sample and its indices
+        // do not line up with `true_locus`).
+        let true_tasks: Vec<_> = workload
+            .true_locus
+            .iter()
+            .take(200)
+            .map(|&i| workload.batch.tasks[i].clone())
+            .collect();
+        section("E8-E9 (memory)", || {
+            memory::report(&memory::run(timed, &true_tasks))
+        });
+    }
+    if run_all || cmd == "ablation" {
+        let subset = &timed[..timed.len().min(200)];
+        section("A1 (ablation)", || ablation::report(&ablation::run(subset)));
+    }
+    if run_all || cmd == "accuracy" {
+        // Primary mappings (one per read) carry the quality
+        // story; the stride sample shows behaviour on the full
+        // -P candidate mix including off-target windows.
+        let primary = workload.primary_tasks();
+        let primary = &primary[..primary.len().min(50)];
+        let subset = &timed[..timed.len().min(150)];
+        section("A2 (accuracy)", || {
+            let mut s = String::from("(primary mappings, one per read)\n");
+            s.push_str(&accuracy::report(&accuracy::run(primary)));
+            s.push_str("\n(all -P candidates, stride sample)\n");
+            s.push_str(&accuracy::report(&accuracy::run(subset)));
+            s
+        });
+    }
+    if run_all || cmd == "sweep" {
+        section("A3 (sweeps)", || {
+            let rates = [0.01, 0.02, 0.05, 0.10, 0.15, 0.20];
+            let errors = sweep::error_sweep(&rates, 30, 2_000, seed);
+            let geoms = [(64, 8), (64, 16), (64, 24), (64, 32), (64, 48), (32, 12)];
+            let geometry = sweep::geometry_sweep(&geoms, 30, 2_000, seed);
+            sweep::report(&errors, &geometry)
+        });
     }
     println!("# total harness time: {:.1}s", t0.elapsed().as_secs_f64());
 }

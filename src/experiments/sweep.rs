@@ -10,11 +10,11 @@
 //! * **window-geometry sweep** — the W/O trade-off: larger overlap
 //!   costs recomputation but improves quality near window borders.
 
-use align_core::{Base, Seq};
 use genasm_core::{GenAsmConfig, Improvements, MemStats};
 use rand::prelude::*;
 
 use crate::report::{f, x, Table};
+use crate::workload::mutated_pair;
 
 /// One point of the error-rate sweep.
 #[derive(Debug, Clone)]
@@ -42,35 +42,6 @@ pub struct GeometryPoint {
     pub windows_per_pair: f64,
     /// Fraction of pairs aligned at optimal cost.
     pub optimal_rate: f64,
-}
-
-fn mutated_pair(rng: &mut StdRng, len: usize, error_rate: f64) -> (Seq, Seq) {
-    let q: Vec<Base> = (0..len)
-        .map(|_| Base::from_code(rng.gen_range(0..4)))
-        .collect();
-    let mut t = q.clone();
-    // sub:ins:del at the CLR-ish 6:50:44 mix
-    let mut i = 0;
-    while i < t.len() {
-        if rng.gen_bool(error_rate) {
-            let r: f64 = rng.gen();
-            if r < 0.06 {
-                t[i] = Base::from_code(rng.gen_range(0..4));
-                i += 1;
-            } else if r < 0.56 {
-                t.insert(i, Base::from_code(rng.gen_range(0..4)));
-                i += 2;
-            } else {
-                t.remove(i);
-            }
-        } else {
-            i += 1;
-        }
-    }
-    if t.is_empty() {
-        t.push(Base::A);
-    }
-    (q.into_iter().collect(), t.into_iter().collect())
 }
 
 /// Sweep the error rate at fixed geometry.

@@ -2,9 +2,12 @@
 //! simulate a genome → simulate PacBio-like reads (PBSIM2's role) →
 //! map them and collect **all** chains (minimap2 `-P`'s role) → hand
 //! the candidate (read, reference-window) pairs to the aligners.
+//! Beside it, [`mutated_tasks`]: synthetic pairs at a chosen error rate,
+//! for the sweeps, the smoke tests and the examples.
 
-use align_core::{AlignTask, TaskBatch};
+use align_core::{AlignTask, Base, Seq, TaskBatch};
 use mapper::{CandidateParams, MinimizerIndex};
+use rand::prelude::*;
 use readsim::{simulate_reads, Genome, GenomeConfig, ReadConfig, SimRead};
 
 /// Workload scale presets.
@@ -203,6 +206,48 @@ impl Workload {
     }
 }
 
+/// A (query, target) pair where the target is a CLR-style mutated copy
+/// of the query (sub:ins:del ≈ 6:50:44).
+pub fn mutated_pair(rng: &mut impl Rng, len: usize, error_rate: f64) -> (Seq, Seq) {
+    let q: Vec<Base> = (0..len)
+        .map(|_| Base::from_code(rng.gen_range(0..4)))
+        .collect();
+    let mut t = q.clone();
+    let mut i = 0;
+    while i < t.len() {
+        if rng.gen_bool(error_rate) {
+            let r: f64 = rng.gen();
+            if r < 0.06 {
+                t[i] = Base::from_code(rng.gen_range(0..4));
+                i += 1;
+            } else if r < 0.56 {
+                t.insert(i, Base::from_code(rng.gen_range(0..4)));
+                i += 2;
+            } else {
+                t.remove(i);
+            }
+        } else {
+            i += 1;
+        }
+    }
+    if t.is_empty() {
+        t.push(Base::A);
+    }
+    (q.into_iter().collect(), t.into_iter().collect())
+}
+
+/// `n` [`mutated_pair`]s drawn from one `StdRng` seeded with `seed`, as
+/// tasks numbered from 0.
+pub fn mutated_tasks(n: usize, len: usize, error_rate: f64, seed: u64) -> Vec<AlignTask> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let (q, t) = mutated_pair(&mut rng, len, error_rate);
+            AlignTask::new(i as u32, 0, q, t)
+        })
+        .collect()
+}
+
 /// Indices of tasks whose reference window overlaps at least half of
 /// the read's true origin interval.
 fn classify_true_locus(tasks: &[AlignTask], reads: &[SimRead]) -> Vec<usize> {
@@ -244,6 +289,20 @@ mod tests {
         for (scale, name) in Scale::ALL {
             assert_eq!(scale.to_string(), name);
             assert_eq!(name.parse::<Scale>(), Ok(scale));
+        }
+    }
+
+    #[test]
+    fn mutated_tasks_repeat_per_seed_and_carry_their_error_rate() {
+        let a = mutated_tasks(4, 2_000, 0.10, 3);
+        let b = mutated_tasks(4, 2_000, 0.10, 3);
+        assert_eq!(a.len(), 4);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.query, y.query);
+            assert_eq!(x.target, y.target);
+            let d = align_core::doubling_nw_distance(&x.query, &x.target);
+            assert!(d > 50, "10% errors over 2kb must leave d > 50, got {d}");
+            assert!(d < 600, "distance {d} implausibly high");
         }
     }
 

@@ -169,7 +169,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// change that moves either literal must say why.
 #[test]
 fn pipeline_output_matches_the_cross_commit_golden() {
-    use genasm_pipeline::{run_pipeline, CpuBackend, PipelineConfig, ReadInput};
+    use genasm_pipeline::{run_pipeline, AlignRecord, CpuBackend, PipelineConfig, ReadInput};
 
     let mut reference = align_core::Reference::new();
     let mut reads = Vec::new();
@@ -192,8 +192,10 @@ fn pipeline_output_matches_the_cross_commit_golden() {
         }));
     }
     let n_reads = reads.len();
+    let (contigs, originals) = (reference.clone(), reads.clone());
 
     let mut out = String::new();
+    let mut paf = Vec::new();
     let metrics = run_pipeline(
         reads.into_iter().map(Ok::<_, std::convert::Infallible>),
         reference,
@@ -202,6 +204,7 @@ fn pipeline_output_matches_the_cross_commit_golden() {
         |rec| {
             out.push_str(&rec.to_tsv());
             out.push('\n');
+            paf.push(rec.to_paf());
             Ok(())
         },
     )
@@ -223,4 +226,36 @@ fn pipeline_output_matches_the_cross_commit_golden() {
         r#"{"windows":234,"rows_computed":1919,"cells_computed":122140,"table_words":78670,"table_stores":78670,"table_loads":9664,"scratch_stores":122140,"scratch_loads":213223,"band_cells_skipped":832450,"windows_early_terminated":234,"peak_band_rows":37}"#,
         "engine counters moved"
     );
+
+    // The digests say the bytes did not move, not that they are right:
+    // read every emitted row back and hold it against the sequences it
+    // names and an exact aligner.
+    let mut optimal = 0;
+    for line in &paf {
+        let rec = AlignRecord::parse_paf(line).expect("emitted PAF parses");
+        let contig = contigs
+            .contigs()
+            .iter()
+            .find(|c| *c.name == *rec.tname)
+            .expect("record names a contig");
+        let target = contig.seq.slice(rec.tstart, rec.tend - rec.tstart);
+        let read = &originals
+            .iter()
+            .find(|r| r.name == rec.qname)
+            .expect("record names a read")
+            .seq;
+        let query = if rec.reverse {
+            read.reverse_complement()
+        } else {
+            read.clone()
+        };
+        rec.cigar
+            .validate(&query, &target)
+            .unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(rec.edit_distance, rec.cigar.edit_cost(), "{line}");
+        let exact = align_core::doubling_nw_distance(&query, &target);
+        assert!(rec.edit_distance >= exact, "beat the optimum: {line}");
+        optimal += usize::from(rec.edit_distance == exact);
+    }
+    println!("{optimal}/{} records at the exact distance", paf.len());
 }

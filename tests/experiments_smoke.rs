@@ -2,37 +2,11 @@
 //! task set and produce a report containing its paper row.
 
 use genasm_suite::experiments::{ablation, accuracy, cpu, gpu, memory, sweep};
+use genasm_suite::genasm_core::MemStats;
+use genasm_suite::workload::mutated_tasks;
 
 fn tasks(n: usize, len: usize) -> Vec<align_core::AlignTask> {
-    // Reuse the bench workload builder through a local copy to avoid a
-    // dev-dependency cycle: simple mutated pairs at 10% error.
-    use align_core::{AlignTask, Base, Seq};
-    use rand::prelude::*;
-    let mut rng = StdRng::seed_from_u64(77);
-    (0..n)
-        .map(|i| {
-            let q: Vec<Base> = (0..len)
-                .map(|_| Base::from_code(rng.gen_range(0..4)))
-                .collect();
-            let mut t = q.clone();
-            let mut j = 0;
-            while j < t.len() {
-                if rng.gen_bool(0.10) {
-                    match rng.gen_range(0..3) {
-                        0 => t[j] = Base::from_code(rng.gen_range(0..4)),
-                        1 => t.insert(j, Base::from_code(rng.gen_range(0..4))),
-                        _ => {
-                            t.remove(j);
-                        }
-                    }
-                }
-                j += 1;
-            }
-            let q: Seq = q.into_iter().collect();
-            let t: Seq = t.into_iter().collect();
-            AlignTask::new(i as u32, 0, q, t)
-        })
-        .collect()
+    mutated_tasks(n, len, 0.10, 77)
 }
 
 #[test]
@@ -72,6 +46,16 @@ fn memory_experiment_reports_reductions() {
     let res = memory::run(&all, &all[..3]);
     assert!(res.footprint_reduction > 8.0);
     assert!(res.access_reduction > 4.0);
+    // E8/E9 are ratios of these counters, which depend on nothing but
+    // the input: a change that moves one must say why.
+    let counters = |s: &MemStats| (s.windows, s.table_words, s.table_accesses());
+    let (base, imp) = &res.all;
+    assert_eq!(
+        counters(&base.stats),
+        (120, 1_987_960, 1_993_922),
+        "baseline()"
+    );
+    assert_eq!(counters(&imp.stats), (120, 39_503, 44_656), "improved()");
     let report = memory::report(&res);
     for needle in ["E8", "E9", "24x", "12x", "true locus"] {
         assert!(report.contains(needle), "missing {needle} in:\n{report}");
@@ -94,6 +78,24 @@ fn ablation_covers_all_combinations() {
     assert!(rows
         .iter()
         .all(|r| improved.stats.table_words <= r.stats.table_words));
+    // Pure counters of a fixed input, largest footprint first.
+    let words: Vec<(&str, u64)> = rows
+        .iter()
+        .map(|r| (r.label.as_str(), r.stats.table_words))
+        .collect();
+    assert_eq!(
+        words,
+        [
+            ("baseline", 626_080),
+            ("+dent", 410_800),
+            ("+compress", 156_520),
+            ("+compress+dent", 102_700),
+            ("+et", 73_592),
+            ("+et+dent", 47_740),
+            ("+compress+et", 18_398),
+            ("+compress+et+dent", 11_935),
+        ]
+    );
 }
 
 #[test]
