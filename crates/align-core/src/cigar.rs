@@ -176,13 +176,6 @@ impl Cigar {
         }
     }
 
-    /// Append another CIGAR.
-    pub fn extend_cigar(&mut self, other: &Cigar) {
-        for &(n, op) in &other.runs {
-            self.push_run(n, op);
-        }
-    }
-
     /// The run-length encoded form.
     pub fn runs(&self) -> &[(u32, CigarOp)] {
         &self.runs

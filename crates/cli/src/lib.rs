@@ -34,9 +34,9 @@ use std::io::{BufReader, BufWriter, Write};
 
 use align_core::{Reference, Seq};
 use genasm_pipeline::{
-    disposition, AlignRecord, Backend, BackendChoice, BackendKind, CpuBackend, ExplainRecord,
-    ExplainSink, OutputFormat, PipelineConfig, PipelineMetrics, ReadInput, ReadProvenance,
-    RouterConfig, ServiceConfig, TaskExplain, TraceRecorder,
+    disposition, AlignRecord, Backend, BackendKind, CpuBackend, ExplainRecord, ExplainSink,
+    OutputFormat, PipelineConfig, PipelineMetrics, ReadInput, ReadProvenance, ServiceConfig,
+    TaskExplain, TraceRecorder,
 };
 use genasm_server::client::SubmitOptions;
 use genasm_server::protocol::{StatsFormat, Verb, ERR_PREFIX};
@@ -97,14 +97,13 @@ pub const FLAGS: [(&str, &str); 9] = [
     (
         "pipeline",
         "ref reads backend batch-bases queue-depth dispatchers max-per-read threads shards \
-         shard-overlap format metrics trace explain route-explore-every route-pinned",
+         shard-overlap format metrics trace explain",
     ),
     (
         "serve",
         "ref listen backend format max-sessions linger-ms batch-bases queue-depth dispatchers \
          max-per-read threads shards shard-overlap metrics trace explain session-output-cap \
-         overflow session-inflight-reads session-inflight-bases idle-timeout-ms \
-         route-explore-every route-pinned",
+         overflow session-inflight-reads session-inflight-bases idle-timeout-ms",
     ),
     ("submit", "to reads backend format explain"),
     ("ctl", "to"),
@@ -208,19 +207,18 @@ pub const USAGE: &str = "usage:
   genasm align    --ref FILE --reads FILE [--aligner genasm|genasm-base|edlib|ksw2] [--max-per-read N]
                   [--threads N] [--shards N] [--shard-overlap BASES] [--format tsv|paf]
                   [--explain FILE]
-  genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2|auto] [--batch-bases N]
+  genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--batch-bases N]
                   [--queue-depth N] [--dispatchers N] [--max-per-read N] [--threads N]
                   [--shards N] [--shard-overlap BASES] [--format tsv|paf]
-                  [--metrics on|json] [--trace FILE] [--explain FILE]
-                  [--route-explore-every N] [--route-pinned on]
-  genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2|auto] [--format tsv|paf]
+                  [--metrics off|on|json] [--trace FILE] [--explain FILE]
+  genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--max-sessions N] [--linger-ms N] [--batch-bases N] [--queue-depth N]
                   [--dispatchers N] [--max-per-read N] [--threads N] [--shards N]
-                  [--shard-overlap BASES] [--metrics on|json] [--trace FILE] [--explain FILE]
+                  [--shard-overlap BASES] [--metrics off|on|json] [--trace FILE] [--explain FILE]
                   [--session-output-cap BYTES] [--overflow throttle|evict]
                   [--session-inflight-reads N] [--session-inflight-bases N]
-                  [--idle-timeout-ms N] [--route-explore-every N] [--route-pinned on]
-  genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2|auto] [--format tsv|paf]
+                  [--idle-timeout-ms N]
+  genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--explain FILE]
   genasm ctl      ping|stats|stats-json|stats-prom|shutdown --to ENDPOINT
   genasm ctl      top --to ENDPOINT [--interval-ms N] [--frames N]
@@ -237,10 +235,6 @@ stderr; `--trace FILE` records a Chrome trace-event timeline (open in
 Perfetto or about://tracing). `--explain FILE` streams one
 genasm-explain/v2 JSON line per read (funnel counts, edits per
 candidate, final disposition) without changing record output.
-`--backend auto` routes each batch to cpu or gpu-sim from live latency
-metrics; output stays byte-identical to a fixed backend
-(`--route-pinned on` makes the routing trace itself deterministic,
-`--route-explore-every N` bounds how stale a backend's estimate may go).
 `ctl stats-json` / `ctl stats-prom` print a live server snapshot as
 JSON / Prometheus text on stdout; `ctl top` streams one
 genasm-stat-frame/v1 JSON object per line (every --interval-ms,
@@ -408,10 +402,10 @@ fn output_format(flags: &Flags) -> Result<OutputFormat, CliError> {
         .map_err(|e| CliError::usage(format!("{e}")))
 }
 
-/// `--metrics off|on|json` for `pipeline` and `serve`. Any value other
-/// than `off` or `json` keeps the historical behaviour (human-readable
-/// summary). Both go to stderr, so stdout stays byte-identical with
-/// and without metrics.
+/// `--metrics off|on|json` for `pipeline` and `serve` (default off):
+/// the human-readable summary or one JSON line, both on stderr, so
+/// stdout stays byte-identical with and without metrics. Any other
+/// value is a usage error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MetricsMode {
     Off,
@@ -419,11 +413,14 @@ enum MetricsMode {
     Json,
 }
 
-fn metrics_mode(flags: &Flags) -> MetricsMode {
+fn metrics_mode(flags: &Flags) -> Result<MetricsMode, CliError> {
     match flags.get("metrics") {
-        None | Some("off") => MetricsMode::Off,
-        Some("json") => MetricsMode::Json,
-        Some(_) => MetricsMode::Summary,
+        None | Some("off") => Ok(MetricsMode::Off),
+        Some("on") => Ok(MetricsMode::Summary),
+        Some("json") => Ok(MetricsMode::Json),
+        Some(other) => Err(CliError::usage(format!(
+            "bad value for --metrics: {other:?}; valid values are off, on, json"
+        ))),
     }
 }
 
@@ -485,7 +482,7 @@ fn shard_params(flags: &Flags) -> Result<(usize, usize), CliError> {
 }
 
 /// `--backend` for `pipeline` and `serve` (default cpu).
-fn backend_choice(flags: &Flags) -> Result<BackendChoice, CliError> {
+fn backend_kind(flags: &Flags) -> Result<BackendKind, CliError> {
     let name = flags.get("backend").unwrap_or("cpu");
     name.parse().map_err(|e| CliError::usage(format!("{e}")))
 }
@@ -503,14 +500,6 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
         params: candidate_params(flags)?,
         trace: trace_recorder(flags)?,
         explain: explain_sink(flags)?,
-    })
-}
-
-/// `--route-explore-every N` / `--route-pinned on` for `--backend auto`.
-fn router_config(flags: &Flags) -> Result<RouterConfig, CliError> {
-    Ok(RouterConfig {
-        explore_every: flags.num("route-explore-every", 16)?,
-        pinned: matches!(flags.get("route-pinned"), Some("on")),
     })
 }
 
@@ -663,10 +652,10 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// Streaming alignment through the bounded-queue pipeline.
 fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
-    let backend = backend_choice(flags)?;
+    let backend = backend_kind(flags)?;
     let cfg = pipeline_config(flags)?;
     let format = output_format(flags)?;
-    let metrics_out = metrics_mode(flags);
+    let metrics_out = metrics_mode(flags)?;
     configure_threads(flags)?;
     let reference = load_reference(flags.req("ref")?)?;
     let reads_path = flags.req("reads")?;
@@ -680,22 +669,10 @@ fn cmd_pipeline(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         })
     });
 
-    let metrics = match backend.fixed() {
-        Some(kind) => {
-            let backend = kind.create();
-            genasm_pipeline::run_pipeline(stream, reference, backend.as_ref(), &cfg, |rec| {
-                writeln!(out, "{}", format.line(rec))
-            })
-        }
-        // `--backend auto`: the router assigns each batch to cpu or
-        // gpu-sim from live metrics; output bytes are identical.
-        None => {
-            let router = router_config(flags)?;
-            genasm_pipeline::run_pipeline_auto(stream, reference, &cfg, router, |rec| {
-                writeln!(out, "{}", format.line(rec))
-            })
-        }
-    }
+    let backend = backend.create();
+    let metrics = genasm_pipeline::run_pipeline(stream, reference, backend.as_ref(), &cfg, |rec| {
+        writeln!(out, "{}", format.line(rec))
+    })
     .map_err(|e| CliError::runtime(e.to_string()))?;
 
     finish_trace(&cfg.trace)?;
@@ -712,9 +689,9 @@ fn endpoint_flag(flags: &Flags, name: &str) -> Result<Endpoint, CliError> {
 /// alignment server, and run until a client sends SHUTDOWN.
 fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let endpoint = endpoint_flag(flags, "listen")?;
-    let default_backend = backend_choice(flags)?;
+    let default_backend = backend_kind(flags)?;
     let default_format = output_format(flags)?;
-    let metrics_out = metrics_mode(flags);
+    let metrics_out = metrics_mode(flags)?;
     configure_threads(flags)?;
     let pipeline = pipeline_config(flags)?;
     let trace = pipeline.trace.clone();
@@ -730,7 +707,6 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(CliError::usage)?,
         max_session_inflight_reads: flags.num("session-inflight-reads", 1024)?,
         max_session_inflight_bases: flags.num("session-inflight-bases", 0)?,
-        router: router_config(flags)?,
     };
     // 0 disables the idle timeout (and its heartbeats) entirely.
     let idle_timeout = match flags.num("idle-timeout-ms", 30_000u64)? {
@@ -811,13 +787,25 @@ fn cmd_submit(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `genasm ctl ping|stats|shutdown --to ENDPOINT`: control verbs
-/// against a running server (replies go to stdout).
+/// Every action of `genasm ctl`; both of its usage errors list them
+/// from here.
+const CTL_ACTIONS: [&str; 6] = [
+    "ping",
+    "stats",
+    "stats-json",
+    "stats-prom",
+    "top",
+    "shutdown",
+];
+
+/// `genasm ctl <action> --to ENDPOINT`: control verbs against a running
+/// server (replies go to stdout).
 fn cmd_ctl(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let valid = CTL_ACTIONS.join(", ");
     let Some((action, rest)) = args.split_first() else {
-        return Err(CliError::usage(
-            "ctl needs an action: ping, stats, or shutdown",
-        ));
+        return Err(CliError::usage(format!(
+            "ctl needs an action; valid actions are {valid}"
+        )));
     };
     if action == "top" {
         // Live streaming view: one raw `genasm-stat-frame/v1` JSON
@@ -852,8 +840,7 @@ fn cmd_ctl(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "shutdown" => (Verb::Shutdown, None),
         other => {
             return Err(CliError::usage(format!(
-                "unknown ctl action {other:?}; valid actions are ping, stats, \
-                 stats-json, stats-prom, top, shutdown"
+                "unknown ctl action {other:?}; valid actions are {valid}"
             )))
         }
     };

@@ -265,18 +265,54 @@ fn unknown_aligner_and_backend_list_valid_choices() {
         assert!(e.message.contains(name), "missing {name}: {}", e.message);
     }
 
-    let e = run_err(&[
-        "pipeline",
-        "--ref",
-        "/nope",
-        "--reads",
-        "/nope",
-        "--backend",
-        "tpu",
-    ]);
-    assert_eq!(e.code, 2);
-    for name in ["cpu", "gpu-sim", "edlib", "ksw2"] {
-        assert!(e.message.contains(name), "missing {name}: {}", e.message);
+    // `auto` is no backend: rejected like any unknown name.
+    for args in [
+        [
+            "pipeline",
+            "--ref",
+            "/nope",
+            "--reads",
+            "/nope",
+            "--backend",
+            "tpu",
+        ],
+        [
+            "pipeline",
+            "--ref",
+            "/nope",
+            "--reads",
+            "/nope",
+            "--backend",
+            "auto",
+        ],
+        [
+            "serve",
+            "--ref",
+            "/nope",
+            "--listen",
+            "127.0.0.1:0",
+            "--backend",
+            "auto",
+        ],
+        [
+            "submit",
+            "--to",
+            "127.0.0.1:1",
+            "--reads",
+            "/nope",
+            "--backend",
+            "auto",
+        ],
+    ] {
+        let e = run_err(&args);
+        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+        assert_eq!(
+            e.message,
+            format!(
+                "unknown backend '{}'; valid backends are 'cpu', 'gpu-sim', 'edlib', 'ksw2'",
+                args[6]
+            )
+        );
     }
 }
 
@@ -401,6 +437,25 @@ fn pipeline_usage_mentions_backends_and_metrics_go_to_stderr() {
     ]);
     assert_eq!(plain, with_metrics);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A mistyped `--metrics` value is a usage error naming the valid
+/// ones, not a silent summary.
+#[test]
+fn metrics_flag_accepts_only_off_on_json() {
+    for (args, value) in [
+        (["pipeline", "--ref", "/nope", "--reads", "/nope"], "jsno"),
+        (["serve", "--ref", "/nope", "--listen", "127.0.0.1:0"], "1"),
+    ] {
+        let mut args = args.to_vec();
+        args.extend(["--metrics", value]);
+        let e = run_err(&args);
+        assert_eq!(e.code, 2, "{args:?}: {}", e.message);
+        assert_eq!(
+            e.message,
+            format!("bad value for --metrics: {value:?}; valid values are off, on, json")
+        );
+    }
 }
 
 #[test]
@@ -884,12 +939,22 @@ fn submit_fails_nonzero_when_server_dies_before_done() {
 
 #[test]
 fn ctl_usage_errors() {
-    let e = run_err(&["ctl"]);
-    assert_eq!(e.code, 2);
-    assert!(e.message.contains("ping"), "{}", e.message);
-    let e = run_err(&["ctl", "reboot", "--to", "127.0.0.1:1"]);
-    assert_eq!(e.code, 2);
-    assert!(e.message.contains("reboot"), "{}", e.message);
+    let missing = run_err(&["ctl"]);
+    let unknown = run_err(&["ctl", "reboot", "--to", "127.0.0.1:1"]);
+    assert!(unknown.message.contains("reboot"), "{}", unknown.message);
+    for e in [missing, unknown] {
+        assert_eq!(e.code, 2);
+        for action in [
+            "ping",
+            "stats",
+            "stats-json",
+            "stats-prom",
+            "top",
+            "shutdown",
+        ] {
+            assert!(e.message.contains(action), "{action}: {}", e.message);
+        }
+    }
     let e = run_err(&["serve", "--ref", "/nope", "--listen", "nonsense"]);
     assert_eq!(e.code, 2);
     assert!(e.message.contains("endpoint"), "{}", e.message);

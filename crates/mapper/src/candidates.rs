@@ -7,7 +7,7 @@
 //! anchor k-mer boundaries, not alignment boundaries), orients the read,
 //! and emits an [`AlignTask`].
 
-use align_core::{AlignTask, Seq, TaskBatch};
+use align_core::{AlignTask, Seq};
 
 use crate::chain::{chain_anchors, collect_anchors, Chain, ChainParams};
 use crate::index::MinimizerIndex;
@@ -97,22 +97,6 @@ pub fn task_from_chain(
     AlignTask::new(read_id, start, query, target).oriented(chain.reverse)
 }
 
-/// Map a whole read set into one batch of candidate tasks.
-pub fn generate_batch(
-    reads: &[(u32, Seq)],
-    reference: &Seq,
-    index: &MinimizerIndex,
-    params: &CandidateParams,
-) -> TaskBatch {
-    let mut batch = TaskBatch::new();
-    for (id, read) in reads {
-        for t in candidates_for_read(*id, read, reference, index, params) {
-            batch.push(t);
-        }
-    }
-    batch
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,17 +176,5 @@ mod tests {
             "unrelated read should rarely chain, got {}",
             tasks.len()
         );
-    }
-
-    #[test]
-    fn batch_generation_counts() {
-        let reference = random_seq(60_000, 6);
-        let index = MinimizerIndex::build(&reference);
-        let reads: Vec<(u32, Seq)> = (0..5u32)
-            .map(|i| (i, reference.slice(5_000 + i as usize * 9_000, 1_200)))
-            .collect();
-        let batch = generate_batch(&reads, &reference, &index, &CandidateParams::default());
-        assert!(batch.len() >= 5);
-        assert!(batch.total_query_bases() >= 5 * 1_200);
     }
 }

@@ -249,7 +249,6 @@ impl std::str::FromStr for BackendKind {
             .map(|&(kind, _)| kind)
             .ok_or_else(|| ParseBackendError {
                 given: s.to_string(),
-                auto: false,
             })
     }
 }
@@ -264,23 +263,17 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Error for an unrecognized backend name; lists the valid ones —
-/// with `auto` last where a [`BackendChoice`] was being parsed.
+/// Error for an unrecognized backend name; lists the valid ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseBackendError {
     /// What the user typed.
     pub given: String,
-    auto: bool,
 }
 
 impl std::fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "unknown backend '{}'; valid backends are ", self.given)?;
-        let kinds = BackendKind::ALL.iter().map(|&(_, name)| name);
-        for (i, name) in kinds
-            .chain(self.auto.then_some(BackendChoice::AUTO_NAME))
-            .enumerate()
-        {
+        for (i, (_, name)) in BackendKind::ALL.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -291,61 +284,6 @@ impl std::fmt::Display for ParseBackendError {
 }
 
 impl std::error::Error for ParseBackendError {}
-
-/// What a session (or the CLI `--backend` flag) selects: a pinned
-/// [`BackendKind`], or adaptive routing. Under [`BackendChoice::Auto`]
-/// the scheduler's [`crate::route::Router`] picks a concrete backend
-/// per batch from live telemetry, restricted to the engines that
-/// produce bit-identical GenASM output (`cpu`, `gpu-sim`) — so routing
-/// never changes output bytes, only where the work runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// Adaptive per-batch routing among the bit-identical engines.
-    Auto,
-    /// A pinned backend.
-    Fixed(BackendKind),
-}
-
-impl BackendChoice {
-    /// The CLI/protocol spelling of [`BackendChoice::Auto`].
-    pub const AUTO_NAME: &'static str = "auto";
-
-    /// The pinned kind, or `None` for [`BackendChoice::Auto`].
-    pub fn fixed(&self) -> Option<BackendKind> {
-        match self {
-            BackendChoice::Auto => None,
-            BackendChoice::Fixed(kind) => Some(*kind),
-        }
-    }
-}
-
-impl From<BackendKind> for BackendChoice {
-    fn from(kind: BackendKind) -> BackendChoice {
-        BackendChoice::Fixed(kind)
-    }
-}
-
-impl std::str::FromStr for BackendChoice {
-    type Err = ParseBackendError;
-
-    fn from_str(s: &str) -> Result<BackendChoice, ParseBackendError> {
-        if s == BackendChoice::AUTO_NAME {
-            return Ok(BackendChoice::Auto);
-        }
-        s.parse::<BackendKind>()
-            .map(BackendChoice::Fixed)
-            .map_err(|e| ParseBackendError { auto: true, ..e })
-    }
-}
-
-impl std::fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendChoice::Auto => f.write_str(BackendChoice::AUTO_NAME),
-            BackendChoice::Fixed(kind) => kind.fmt(f),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -449,31 +387,12 @@ mod tests {
     }
 
     #[test]
-    fn choice_round_trips_and_accepts_auto() {
+    fn auto_is_an_unknown_backend() {
+        let msg = "auto".parse::<BackendKind>().unwrap_err().to_string();
         assert_eq!(
-            "auto".parse::<BackendChoice>().unwrap(),
-            BackendChoice::Auto
+            msg,
+            "unknown backend 'auto'; valid backends are 'cpu', 'gpu-sim', 'edlib', 'ksw2'"
         );
-        assert_eq!(BackendChoice::Auto.to_string(), "auto");
-        assert_eq!(BackendChoice::Auto.fixed(), None);
-        for (kind, name) in BackendKind::ALL {
-            let choice = name.parse::<BackendChoice>().unwrap();
-            assert_eq!(choice, BackendChoice::Fixed(kind));
-            assert_eq!(choice, kind.into());
-            assert_eq!(choice.to_string(), name);
-            assert_eq!(choice.fixed(), Some(kind));
-        }
-    }
-
-    #[test]
-    fn unknown_choice_lists_names_including_auto() {
-        let msg = "tpu".parse::<BackendChoice>().unwrap_err().to_string();
-        assert!(msg.starts_with("unknown backend 'tpu'; "), "{msg}");
-        assert!(msg.ends_with("'ksw2', 'auto'"), "{msg}");
-        for (_, name) in BackendKind::ALL {
-            assert!(msg.contains(&format!("'{name}'")), "missing {name}: {msg}");
-        }
-        assert!(msg.contains("'auto'"), "{msg}");
     }
 
     #[test]

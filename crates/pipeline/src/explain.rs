@@ -87,8 +87,7 @@ pub struct ExplainRecord<'a> {
     pub disposition: &'a str,
     /// Name of the backend that aligned the read (`None` for reads
     /// that never reached a backend — unmapped reads — or when the
-    /// caller does not track it). Under `--backend auto` this is the
-    /// router's pick, making routing visible per read.
+    /// caller does not track it).
     pub backend: Option<&'a str>,
     /// Funnel counts and candidate-generation timing.
     pub provenance: ReadProvenance,

@@ -4,12 +4,12 @@
 //! core — the resident [`service::PipelineService`]:
 //!
 //! ```text
-//!  session(s) ──► candidate generation ──► batch scheduler ──► router ──► dispatchers ──► ordered sink
-//!  (submit, or    (sharded index; mapped   (one building      (auto:      (N threads,     (global reorder,
-//!   N one-shot     ≤ 4 reads per thread     batch per          metrics-    any Backend)    per-session rows)
-//!   map workers)   ahead, enqueued in order) backend choice)   driven          │
-//!                     │                          │              pick)      result queue
-//!                 task queue                     ▼                         (bounded)
+//!  session(s) ──► candidate generation ──► batch scheduler ──► dispatchers ──► ordered sink
+//!  (submit, or    (sharded index; mapped   (one building      (N threads,     (global reorder,
+//!   N one-shot     ≤ 4 reads per thread     batch per          any Backend)    per-session rows)
+//!   map workers)   ahead, enqueued in order) backend in use)       │
+//!                     │                          │             result queue
+//!                 task queue                     ▼             (bounded)
 //!                (bounded, weighted          batch queue
 //!                 by bases)                   (bounded)
 //! ```
@@ -24,9 +24,7 @@
 //! ones behind it, in input order): the
 //! scheduler/dispatch/sink stages exist exactly once, in [`service`],
 //! so the one-shot path and the server share them *structurally*
-//! rather than by byte-equivalence testing. [`run_pipeline_auto`] is the same wrapper with
-//! [`BackendChoice::Auto`]: a [`route::Router`] assigns each batch to
-//! a backend from live metrics (see the module docs of [`route`]).
+//! rather than by byte-equivalence testing.
 //!
 //! Who spawns the stages: one function in [`service`], on a
 //! [`std::thread::Scope`], over a backend table the stages only borrow.
@@ -73,8 +71,8 @@
 //! Records report contig names and contig-local coordinates.
 //!
 //! Backends implement [`backend::Backend`] — the one seam an engine
-//! plugs into: the impl plus a [`BackendKind`] row put it on the CLI,
-//! in the server and under the router. The Rayon CPU batch aligner, the
+//! plugs into: the impl plus a [`BackendKind`] row put it on the CLI
+//! and in the server. The Rayon CPU batch aligner, the
 //! simulated GPU, and both baselines ship in [`backend`]; the GenASM
 //! engines reuse per-worker workspaces, so their hot path stays
 //! allocation-free in steady state. A backend that panics fails its
@@ -89,7 +87,6 @@ pub mod metrics;
 pub mod queue;
 pub mod record;
 pub mod reorder;
-pub mod route;
 pub mod service;
 
 use std::collections::BTreeMap;
@@ -102,7 +99,7 @@ use mapper::CandidateParams;
 use service::MappedRead;
 
 pub use backend::{
-    Backend, BackendChoice, BackendError, BackendKind, CpuBackend, GpuSimBackend, ParseBackendError,
+    Backend, BackendError, BackendKind, CpuBackend, GpuSimBackend, ParseBackendError,
 };
 pub use batcher::{Batch, BatchBuilder, TaskMeta};
 pub use explain::{disposition, ExplainRecord, ExplainSink, ReadProvenance, TaskExplain};
@@ -115,7 +112,6 @@ pub use metrics::{
 pub use queue::BoundedQueue;
 pub use record::{escape_name, unescape_name, AlignRecord, OutputFormat, ParseFormatError};
 pub use reorder::ReorderBuffer;
-pub use route::{Router, RouterConfig};
 pub use service::{
     AdmissionError, OverflowPolicy, PipelineService, RecvOutcome, ServiceConfig, Session,
     SessionEvent, SessionMetrics, SessionReceiver, SessionStat, SubmitError,
@@ -312,71 +308,8 @@ where
     E: core::fmt::Display,
     F: FnMut(&AlignRecord) -> std::io::Result<()>,
 {
-    run_oneshot(
-        reads,
-        reference,
-        // The kind is a routing tag for the single-entry table; the
-        // session is fixed to it, so it never reaches the auto router.
-        &[(BackendKind::Cpu, backend)],
-        BackendKind::Cpu.into(),
-        cfg,
-        RouterConfig::default(),
-        &mut on_record,
-    )
-}
-
-/// [`run_pipeline`] under adaptive routing: a one-shot run whose
-/// session is [`BackendChoice::Auto`], so each dispatched batch is
-/// assigned to `cpu` or `gpu-sim` by the metrics-driven
-/// [`route::Router`]. Output is byte-identical to a fixed-backend run
-/// over the same reads — the two engines are bit-identical
-/// implementations of the improved GenASM algorithm, and the ordered
-/// sink restores submission order across them — while the routing
-/// itself surfaces in the returned metrics (`router_batches`,
-/// `genasm_router_batches_total{backend=…}`) and per-read `--explain`
-/// lines.
-pub fn run_pipeline_auto<I, E, F>(
-    reads: I,
-    reference: Reference,
-    cfg: &PipelineConfig,
-    router: RouterConfig,
-    mut on_record: F,
-) -> Result<PipelineMetrics, PipelineError>
-where
-    I: Iterator<Item = Result<ReadInput, E>> + Send,
-    E: core::fmt::Display,
-    F: FnMut(&AlignRecord) -> std::io::Result<()>,
-{
-    let (cpu, gpu_sim) = (BackendKind::Cpu.create(), BackendKind::GpuSim.create());
-    run_oneshot(
-        reads,
-        reference,
-        &[(BackendKind::Cpu, &*cpu), (BackendKind::GpuSim, &*gpu_sim)],
-        BackendChoice::Auto,
-        cfg,
-        router,
-        &mut on_record,
-    )
-}
-
-/// The shared one-shot pump: private service whose stages borrow
-/// `backends` for the length of this call, one session, map workers
-/// stream the reads in, the caller streams the rows out, abort on the
-/// first failure.
-fn run_oneshot<I, E, F>(
-    reads: I,
-    reference: Reference,
-    backends: &[(BackendKind, &dyn Backend)],
-    choice: BackendChoice,
-    cfg: &PipelineConfig,
-    router: RouterConfig,
-    on_record: &mut F,
-) -> Result<PipelineMetrics, PipelineError>
-where
-    I: Iterator<Item = Result<ReadInput, E>> + Send,
-    E: core::fmt::Display,
-    F: FnMut(&AlignRecord) -> std::io::Result<()>,
-{
+    // The kind only tags the single-entry table the session is fixed to.
+    let backends = &[(BackendKind::Cpu, backend)];
     let svc_cfg = ServiceConfig {
         pipeline: cfg.clone(),
         max_sessions: 1,
@@ -393,11 +326,10 @@ where
         overflow: OverflowPolicy::Throttle,
         max_session_inflight_reads: 0,
         max_session_inflight_bases: 0,
-        router,
     };
     let service = PipelineService::stopped("", reference, svc_cfg, backends);
     let (session, rx) = service
-        .open_session(choice)
+        .open_session(BackendKind::Cpu)
         .expect("a fresh service admits its first session");
     // The map stage is as wide as the backend's own pool.
     let workers = genasm_cpu::worker_threads().max(1);
@@ -425,7 +357,7 @@ where
         // unbounded, so the stages never wait on `on_record`.
         let mut delivered = Ok(());
         while let Some(event) = rx.recv() {
-            match deliver(&service, event, on_record) {
+            match deliver(&service, event, &mut on_record) {
                 Ok(true) => break,
                 Ok(false) => {}
                 Err(e) => {

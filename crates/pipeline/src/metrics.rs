@@ -58,8 +58,7 @@ pub struct BackendLat {
     pub batches: Arc<Counter>,
     /// Tasks across those batches.
     pub tasks: Arc<Counter>,
-    /// Bases across those batches (the denominator the adaptive
-    /// router's per-base cost model divides `execute_ns.sum` by).
+    /// Bases across those batches.
     pub bases: Arc<Counter>,
     /// Nanoseconds each batch waited between scheduler dispatch and
     /// the backend picking it up.
@@ -127,9 +126,6 @@ pub struct StageCounters {
     pub task_queue_wait_ns: Arc<Histogram>,
     pub batch_build_ns: Arc<Histogram>,
     pub reorder_wait_ns: Arc<Histogram>,
-    /// Router picks made by the exploration floor, not the cost model
-    /// (the per-backend pick counts are [`StageCounters::router_batch`]).
-    pub router_explored: Arc<Counter>,
 }
 
 impl Default for StageCounters {
@@ -183,7 +179,6 @@ impl StageCounters {
             task_queue_wait_ns: registry.histogram("task_queue_wait_ns"),
             batch_build_ns: registry.histogram("batch_build_ns"),
             reorder_wait_ns: registry.histogram("reorder_wait_ns"),
-            router_explored: registry.counter("router_explored"),
             registry,
         }
     }
@@ -277,13 +272,6 @@ impl StageCounters {
     /// Add busy time to a stage counter.
     pub fn add_ns(counter: &Counter, d: Duration) {
         counter.add(d.as_nanos() as u64);
-    }
-
-    /// Router decision counter for backend `name`, registered on first
-    /// use (rendered as `genasm_router_batches_total{backend="…"}`).
-    pub fn router_batch(&self, name: &str) -> Arc<Counter> {
-        self.registry
-            .labeled_counter("router_batches", "backend", name)
     }
 }
 
@@ -466,12 +454,6 @@ pub struct PipelineMetrics {
     pub reorder_wait: HistogramSnapshot,
     /// Per-backend batch counts and latency histograms, name-sorted.
     pub backends: Vec<BackendMetrics>,
-    /// Adaptive-router decisions: batches assigned per backend,
-    /// name-sorted. Empty unless a session ran with `--backend auto`.
-    pub router_batches: Vec<(String, u64)>,
-    /// Router picks made by the exploration floor rather than the
-    /// cost model (a subset of the total routed batches).
-    pub router_explored: u64,
     /// Raw registry snapshot backing the fields above (the source for
     /// [`PipelineMetrics::to_prometheus`] and `le_monotonic`).
     pub registry: Snapshot,
@@ -606,20 +588,6 @@ impl PipelineMetrics {
                 fmt(b.queue_wait.p99()),
                 fmt(b.execute.p50()),
                 fmt(b.execute.p99()),
-            );
-        }
-        if !self.router_batches.is_empty() {
-            let picks: Vec<String> = self
-                .router_batches
-                .iter()
-                .map(|(name, n)| format!("{name} {n}"))
-                .collect();
-            let _ = writeln!(
-                s,
-                "router:   {} batches routed [{}], {} explored",
-                self.router_batches.iter().map(|(_, n)| n).sum::<u64>(),
-                picks.join(", "),
-                self.router_explored
             );
         }
         if let Some(e) = &self.engine {
@@ -772,16 +740,7 @@ impl PipelineMetrics {
                 b.execute.to_json()
             );
         }
-        s.push('}');
-        let _ = write!(s, ",\"router\":{{\"explored\":{},", self.router_explored);
-        s.push_str("\"batches\":{");
-        for (i, (name, n)) in self.router_batches.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", genasm_telemetry::json::escape(name), n);
-        }
-        s.push_str("}}}");
+        s.push_str("}}");
         s
     }
 
@@ -929,11 +888,6 @@ impl PipelineMetrics {
                     execute: reg.histogram("backend_execute_ns", Some(name)),
                 })
                 .collect(),
-            router_batches: reg
-                .labels("router_batches")
-                .map(|name| (name.to_string(), reg.scalar("router_batches", Some(name))))
-                .collect(),
-            router_explored: n("router_explored"),
             registry: reg,
         }
     }
@@ -1123,62 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn router_counters_render_in_summary_json_and_prometheus() {
-        let c = StageCounters::default();
-        // No routed batches: the summary line is absent, the JSON
-        // block renders empty.
-        let m = PipelineMetrics::snapshot(
-            &c,
-            Duration::from_secs(1),
-            no_shards(),
-            q1(),
-            q1(),
-            q1(),
-            None,
-        );
-        assert!(!m.summary().contains("router:"), "{}", m.summary());
-        assert!(
-            m.to_json()
-                .contains("\"router\":{\"explored\":0,\"batches\":{}}"),
-            "{}",
-            m.to_json()
-        );
-        c.router_batch("cpu").add(3);
-        c.router_batch("gpu-sim").add(5);
-        c.router_explored.add(2);
-        let m = PipelineMetrics::snapshot(
-            &c,
-            Duration::from_secs(1),
-            no_shards(),
-            q1(),
-            q1(),
-            q1(),
-            None,
-        );
-        let s = m.summary();
-        assert!(
-            s.contains("router:   8 batches routed [cpu 3, gpu-sim 5], 2 explored"),
-            "{s}"
-        );
-        let j = m.to_json();
-        assert!(
-            j.contains("\"router\":{\"explored\":2,\"batches\":{\"cpu\":3,\"gpu-sim\":5}}"),
-            "{j}"
-        );
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        let p = m.to_prometheus();
-        assert!(
-            p.contains("genasm_router_batches_total{backend=\"cpu\"} 3"),
-            "{p}"
-        );
-        assert!(
-            p.contains("genasm_router_batches_total{backend=\"gpu-sim\"} 5"),
-            "{p}"
-        );
-        assert!(p.contains("genasm_router_explored_total 2"), "{p}");
-    }
-
-    #[test]
     fn prometheus_exposition_covers_registry_and_context() {
         let c = StageCounters::default();
         c.reads_in.add(3);
@@ -1352,9 +1250,6 @@ mod tests {
         gpu.bases.add(2_400);
         gpu.queue_wait_ns.record(7_000);
         gpu.execute_ns.record(200_000);
-        c.router_batch("cpu").add(4);
-        c.router_batch("gpu-sim").add(6);
-        c.router_explored.add(1);
         let shard = |start, end, busy, anchors| mapper::ShardMetrics {
             contig: 0,
             start,
@@ -1428,12 +1323,12 @@ mod tests {
         .map(|s| (s.len(), fnv1a(s)))
         .collect();
         let want = [
-            (1097, 10186444547936801186),
-            (2601, 12191928896663716408),
-            (14139, 8921332712209784910),
+            (1038, 16816805822447170167),
+            (2545, 13473555210379143951),
+            (13927, 3881250364738899186),
             (595, 18072272378923627135),
-            (1353, 12567697116748810572),
-            (3590, 11911278381058232122),
+            (1316, 7034534145494408574),
+            (3515, 3928322599079546661),
         ];
         assert_eq!(
             got, want,

@@ -70,14 +70,13 @@ use align_core::{AlignTask, Alignment, Reference};
 use genasm_telemetry::TraceRecorder;
 use mapper::ShardedIndex;
 
-use crate::backend::{Backend, BackendChoice, BackendError, BackendKind};
+use crate::backend::{Backend, BackendError, BackendKind};
 use crate::batcher::{Batch, BatchBuilder, TaskMeta};
 use crate::explain::{disposition, ExplainRecord, ReadProvenance, TaskExplain};
 use crate::metrics::{BackendLat, PipelineMetrics, QueueMetrics, StageCounters};
 use crate::queue::{BoundedQueue, PopTimeout};
 use crate::record::AlignRecord;
 use crate::reorder::ReorderBuffer;
-use crate::route::{Router, RouterConfig};
 use crate::{tids, trace_lanes, PipelineConfig, ReadInput};
 
 /// Tuning for the long-lived service.
@@ -114,10 +113,6 @@ pub struct ServiceConfig {
     /// [`ServiceConfig::max_session_inflight_reads`]. `0` means
     /// unlimited.
     pub max_session_inflight_bases: usize,
-    /// Tuning for the adaptive router behind
-    /// [`BackendChoice::Auto`] sessions (exploration floor, pinned
-    /// deterministic mode). Ignored by fixed-backend sessions.
-    pub router: RouterConfig,
 }
 
 impl Default for ServiceConfig {
@@ -130,7 +125,6 @@ impl Default for ServiceConfig {
             overflow: OverflowPolicy::Throttle,
             max_session_inflight_reads: 1024,
             max_session_inflight_bases: 0,
-            router: RouterConfig::default(),
         }
     }
 }
@@ -504,9 +498,8 @@ struct SessionState {
     tx: Sender<(SessionEvent, u64)>,
     /// Flow control shared with the session's submitter and receiver.
     gate: Arc<SessionGate>,
-    /// The backend choice this session dispatches to (status
-    /// reporting).
-    backend: BackendChoice,
+    /// The backend this session dispatches to (status reporting).
+    backend: BackendKind,
     /// When the session was admitted (session-span telemetry).
     opened_at: Instant,
     /// Mapped reads submitted (reads with ≥ 1 task).
@@ -527,8 +520,8 @@ struct SessionState {
 pub struct SessionStat {
     /// Service-assigned session id.
     pub id: u64,
-    /// The session's backend choice (`auto` or a fixed kind).
-    pub backend: BackendChoice,
+    /// The session's backend.
+    pub backend: BackendKind,
     /// Live counters (monotonic while the session is open).
     pub metrics: SessionMetrics,
     /// Output bytes buffered for this session's receiver right now.
@@ -549,7 +542,7 @@ struct SvcDone {
     metas: Vec<TaskMeta>,
     alignments: Vec<Option<Alignment>>,
     /// Name of the backend that executed the batch (per-read
-    /// provenance; under `auto` routing this is the router's pick).
+    /// provenance).
     backend_name: &'static str,
     completed_at: Instant,
 }
@@ -564,11 +557,10 @@ pub(crate) struct Shared {
     /// only the stages see the table, so a dispatcher leaves them here
     /// after every batch for [`PipelineService::metrics`].
     engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
-    task_q: BoundedQueue<(AlignTask, TaskMeta, BackendChoice)>,
+    task_q: BoundedQueue<(AlignTask, TaskMeta, BackendKind)>,
     batch_q: BoundedQueue<(Batch, BackendKind)>,
     result_q: BoundedQueue<SvcDone>,
     counters: StageCounters,
-    router: Router,
     ingest: Mutex<Ingest>,
     drained_cv: Condvar,
     sessions: Mutex<HashMap<u64, SessionState>>,
@@ -609,10 +601,8 @@ impl PipelineService {
 
     /// [`PipelineService::start`] with an explicit backend table
     /// (kind tag → implementation). Sessions can only pick backends
-    /// present in the table. The `auto` router routes over the table's
-    /// bit-identical engines (`cpu`, `gpu-sim`), or over the whole
-    /// table when neither is present. One host thread owns the table
-    /// and keeps the stages on its scope until the service shuts down.
+    /// present in the table. One host thread owns the table and keeps
+    /// the stages on its scope until the service shuts down.
     pub fn start_with_backends(
         ref_label: &str,
         reference: Reference,
@@ -643,19 +633,6 @@ impl PipelineService {
         assert!(!backends.is_empty(), "service needs at least one backend");
         let pcfg = &cfg.pipeline;
         let index = ShardedIndex::build(reference, pcfg.shards, pcfg.shard_overlap);
-        // `auto` may only route among backends that produce identical
-        // bytes for the same task — the improved-GenASM pair — so
-        // routing can never change output. A custom table without
-        // that pair degenerates to routing over whatever is there.
-        let mut auto_kinds: Vec<BackendKind> = backends
-            .iter()
-            .map(|(kind, _)| *kind)
-            .filter(|kind| matches!(kind, BackendKind::Cpu | BackendKind::GpuSim))
-            .collect();
-        if auto_kinds.is_empty() {
-            auto_kinds = backends.iter().map(|(kind, _)| *kind).collect();
-        }
-        let router = Router::new(auto_kinds, cfg.router);
         let lane_names: Vec<&str> = backends.iter().map(|(_, b)| b.name()).collect();
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
@@ -665,7 +642,6 @@ impl PipelineService {
             batch_q: BoundedQueue::new(pcfg.queue_depth.max(1)),
             result_q: BoundedQueue::new(pcfg.queue_depth.max(1)),
             counters: StageCounters::default(),
-            router,
             ingest: Mutex::new(Ingest {
                 next_read_seq: 0,
                 next_session: 0,
@@ -747,9 +723,8 @@ impl PipelineService {
     /// another drains the receiver.
     pub fn open_session(
         &self,
-        backend: impl Into<BackendChoice>,
+        backend: BackendKind,
     ) -> Result<(Session, SessionReceiver), AdmissionError> {
-        let backend = backend.into();
         let id = {
             let mut ing = self.shared.ingest.lock().unwrap();
             if ing.draining {
@@ -1026,7 +1001,7 @@ pub struct Session {
     shared: Arc<Shared>,
     gate: Arc<SessionGate>,
     id: u64,
-    backend: BackendChoice,
+    backend: BackendKind,
     local_reads: u64,
     closed: bool,
 }
@@ -1037,8 +1012,8 @@ impl Session {
         self.id
     }
 
-    /// The backend choice this session's tasks are dispatched to.
-    pub fn backend(&self) -> BackendChoice {
+    /// The backend this session's tasks are dispatched to.
+    pub fn backend(&self) -> BackendKind {
         self.backend
     }
 
@@ -1273,12 +1248,6 @@ impl SessionReceiver {
         self.rx.recv().ok().map(|item| self.credit(item))
     }
 
-    /// Next event if one is already buffered; never blocks (`None`
-    /// both when the session is quiet and when it is over).
-    pub fn try_recv(&self) -> Option<SessionEvent> {
-        self.rx.try_recv().ok().map(|item| self.credit(item))
-    }
-
     /// Like [`SessionReceiver::recv`] with a deadline; `None` on
     /// timeout or service death.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<SessionEvent> {
@@ -1342,39 +1311,22 @@ pub(crate) fn spawn_stages<'scope>(
     scope.spawn(move || sink_loop(sh));
 }
 
-/// One per-choice building batch in the scheduler: the shared
+/// One per-backend building batch in the scheduler: the shared
 /// [`BatchBuilder`] accumulation rules plus an age stamp for the
-/// linger flush. An `auto` session gets one slot of its own (keyed by
-/// [`BackendChoice::Auto`]) whose flushed batches are routed to a
-/// concrete backend at dispatch time, so a read's tasks still occupy
-/// one FIFO building batch and complete in submission order. Batch
-/// sequence numbers are assigned globally at dispatch so the sink's
-/// reorder buffer sees one ordered stream.
+/// linger flush. A read's tasks all go to its session's backend, so
+/// they occupy one FIFO building batch and complete in submission
+/// order. Batch sequence numbers are assigned globally at dispatch so
+/// the sink's reorder buffer sees one ordered stream.
 struct Slot {
-    choice: BackendChoice,
+    kind: BackendKind,
     builder: BatchBuilder,
     /// When the oldest task of the building batch arrived.
     since: Instant,
 }
 
-/// Hand one finished batch to the dispatchers — resolving an `auto`
-/// batch to a concrete backend via the router first; false when the
-/// batch queue closed (service shutting down).
-fn dispatch_batch(
-    sh: &Shared,
-    choice: BackendChoice,
-    mut batch: Batch,
-    next_seq: &mut u64,
-) -> bool {
-    let kind = match choice.fixed() {
-        Some(kind) => kind,
-        None => sh.router.route(
-            &sh.counters,
-            batch.bases as u64,
-            batch.tasks.len() as u64,
-            sh.counters.max_task_bases.get(),
-        ),
-    };
+/// Hand one finished batch to the dispatchers; false when the batch
+/// queue closed (service shutting down).
+fn dispatch_batch(sh: &Shared, kind: BackendKind, mut batch: Batch, next_seq: &mut u64) -> bool {
     batch.seq = *next_seq;
     *next_seq += 1;
     sh.counters.batch_dispatched(batch.tasks.len(), batch.bases);
@@ -1406,16 +1358,16 @@ fn scheduler_loop(sh: &Shared) {
     let mut next_seq: u64 = 0;
     loop {
         match sh.task_q.pop_timeout(linger) {
-            PopTimeout::Item((task, meta, choice)) => {
+            PopTimeout::Item((task, meta, kind)) => {
                 let t0 = Instant::now();
                 sh.counters
                     .task_queue_wait_ns
                     .record_duration(t0.duration_since(meta.enqueued_at));
-                let idx = match slots.iter().position(|s| s.choice == choice) {
+                let idx = match slots.iter().position(|s| s.kind == kind) {
                     Some(i) => i,
                     None => {
                         slots.push(Slot {
-                            choice,
+                            kind,
                             builder: BatchBuilder::new(target),
                             since: Instant::now(),
                         });
@@ -1429,7 +1381,7 @@ fn scheduler_loop(sh: &Shared) {
                 let flushed = slot.builder.push(task, meta);
                 StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
                 if let Some(batch) = flushed {
-                    if !dispatch_batch(sh, choice, batch, &mut next_seq) {
+                    if !dispatch_batch(sh, kind, batch, &mut next_seq) {
                         return;
                     }
                 }
@@ -1445,7 +1397,7 @@ fn scheduler_loop(sh: &Shared) {
         for slot in &mut slots {
             if !slot.builder.is_empty() && slot.since.elapsed() >= linger {
                 if let Some(batch) = slot.builder.take() {
-                    if !dispatch_batch(sh, slot.choice, batch, &mut next_seq) {
+                    if !dispatch_batch(sh, slot.kind, batch, &mut next_seq) {
                         return;
                     }
                 }
@@ -1454,7 +1406,7 @@ fn scheduler_loop(sh: &Shared) {
     }
     for slot in &mut slots {
         if let Some(batch) = slot.builder.take() {
-            if !dispatch_batch(sh, slot.choice, batch, &mut next_seq) {
+            if !dispatch_batch(sh, slot.kind, batch, &mut next_seq) {
                 return;
             }
         }
@@ -1576,10 +1528,9 @@ struct ReadAcc {
     /// Task bases accumulated as the read's tasks arrive — the credit
     /// handed back to the session gate at completion.
     bases: u64,
-    /// Backend that executed the read's tasks (explain provenance).
-    /// When a read spans batches routed to different — bit-identical —
-    /// backends, the last batch wins.
-    backend: Option<&'static str>,
+    /// Backend that executed the read's tasks (explain provenance):
+    /// its session's one backend.
+    backend: &'static str,
 }
 
 /// Deliver one completed read to its session and update completion
@@ -1601,7 +1552,7 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
     let rec = ExplainRecord {
         read: &acc.qname,
         disposition: &disp,
-        backend: acc.backend,
+        backend: Some(acc.backend),
         provenance: *acc.provenance,
         tasks: &acc.tasks,
         align_ns: latency.as_nanos() as u64,
@@ -1731,10 +1682,9 @@ fn sink_loop(sh: &Shared) {
                     submitted_at: meta.submitted_at,
                     provenance: Arc::clone(&meta.provenance),
                     bases: 0,
-                    backend: None,
+                    backend: backend_name,
                 });
                 acc.bases += (meta.qlen + meta.tlen) as u64;
-                acc.backend = Some(backend_name);
                 match aln {
                     Some(aln) => {
                         acc.tasks.push(TaskExplain::new(&aln));

@@ -19,21 +19,19 @@
 //!    ahead of the residency bound.
 //!
 //! CI runs this suite in a matrix over `GENASM_TEST_SHARDS` (1 and 4)
-//! × `GENASM_TEST_CONTIGS` (1 and 3) × `GENASM_TEST_BACKEND` (unset
-//! and `auto`) × `GENASM_TEST_THREADS` (1 and 4); tests that don't
-//! sweep those axes themselves use the env values, so every
-//! determinism property is exercised against a sharded index, a
-//! multi-contig index, one and several map workers, *and* the adaptive
-//! router (which must leave every output byte untouched while it
-//! spreads batches across cpu and gpu-sim).
+//! × `GENASM_TEST_CONTIGS` (1 and 3) × `GENASM_TEST_THREADS` (1 and
+//! 4); tests that don't sweep those axes themselves use the env
+//! values, so every determinism property is exercised against a
+//! sharded index, a multi-contig index, and one and several map
+//! workers.
 
 mod common;
 
 use align_core::{Reference, Seq};
 use common::within_a_minute;
 use genasm_pipeline::{
-    run_pipeline, run_pipeline_auto, AlignRecord, Backend, CpuBackend, GpuSimBackend,
-    PipelineConfig, PipelineError, ReadInput, RouterConfig,
+    run_pipeline, AlignRecord, Backend, CpuBackend, GpuSimBackend, PipelineConfig, PipelineError,
+    ReadInput,
 };
 use mapper::{CandidateParams, MinimizerIndex};
 use readsim::{contig_lengths, simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
@@ -45,15 +43,6 @@ fn env_shards() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
-}
-
-/// `GENASM_TEST_BACKEND=auto` re-runs the suite with every
-/// `run_stream` call going through the adaptive router instead of the
-/// fixed CPU backend — the byte-identity assertions then prove routing
-/// never leaks into output. Tests that inject a custom backend (error
-/// injection) keep their fixed path regardless.
-fn env_auto() -> bool {
-    std::env::var("GENASM_TEST_BACKEND").is_ok_and(|v| v == "auto")
 }
 
 /// Contig count used by the workload builder; the CI matrix sets
@@ -167,18 +156,6 @@ fn run_stream(
     backend: &dyn Backend,
     cfg: &PipelineConfig,
 ) -> (String, genasm_pipeline::PipelineMetrics) {
-    let auto = env_auto() && backend.name() == "cpu";
-    run_stream_on(reads, reference, (!auto).then_some(backend), cfg)
-}
-
-/// [`run_stream`] on an explicit backend, or (`None`) under the
-/// adaptive router, whatever the environment says.
-fn run_stream_on(
-    reads: &[(String, Seq)],
-    reference: &Reference,
-    backend: Option<&dyn Backend>,
-    cfg: &PipelineConfig,
-) -> (String, genasm_pipeline::PipelineMetrics) {
     init_pool();
     let stream = reads.iter().map(|(name, seq)| {
         Ok::<_, std::convert::Infallible>(ReadInput {
@@ -192,17 +169,8 @@ fn run_stream_on(
         buf.push('\n');
         Ok(())
     };
-    let metrics = match backend {
-        None => run_pipeline_auto(
-            stream,
-            reference.clone(),
-            cfg,
-            RouterConfig::default(),
-            on_record,
-        ),
-        Some(backend) => run_pipeline(stream, reference.clone(), backend, cfg, on_record),
-    }
-    .expect("pipeline run failed");
+    let metrics = run_pipeline(stream, reference.clone(), backend, cfg, on_record)
+        .expect("pipeline run failed");
     (buf, metrics)
 }
 
@@ -530,26 +498,21 @@ fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
             shards,
             ..PipelineConfig::default()
         };
-        let run = |workers: usize, backend: Option<&dyn Backend>| {
-            with_pool(workers, || run_stream_on(&reads, &reference, backend, &cfg))
-        };
-        let (want, want_m) = run(1, Some(&backend));
+        let run =
+            |workers: usize| with_pool(workers, || run_stream(&reads, &reference, &backend, &cfg));
+        let (want, want_m) = run(1);
         assert_eq!(want_m.map_workers, 1);
         assert!(want.lines().count() >= 24, "fixture must map");
         assert_eq!(want_m.funnel.unmapped_no_anchors, 1);
         for workers in [2, 5] {
-            for (label, (got, m)) in [
-                ("fixed", run(workers, Some(&backend))),
-                ("auto", run(workers, None)),
-            ] {
-                assert_eq!(m.map_workers, workers, "{label}: pool size not honoured");
-                assert_eq!(got, want, "{label}: output diverged at {workers} workers");
-                assert_eq!(
-                    run_facts(&m),
-                    run_facts(&want_m),
-                    "{label}: counters diverged at {workers} workers"
-                );
-            }
+            let (got, m) = run(workers);
+            assert_eq!(m.map_workers, workers, "pool size not honoured");
+            assert_eq!(got, want, "output diverged at {workers} workers");
+            assert_eq!(
+                run_facts(&m),
+                run_facts(&want_m),
+                "counters diverged at {workers} workers"
+            );
         }
     }
 }
@@ -728,7 +691,7 @@ fn metrics_report_every_stage() {
     );
     // The simulated GPU books them through the same code.
     let gpu = GpuSimBackend::a6000();
-    let (gpu_out, gpu_m) = run_stream_on(&reads, &reference, Some(&gpu), &cfg);
+    let (gpu_out, gpu_m) = run_stream(&reads, &reference, &gpu, &cfg);
     assert_eq!(gpu_out, out);
     let gpu_engine = gpu_m
         .engine
@@ -1116,36 +1079,12 @@ fn latency_histograms_cover_the_read_lifecycle() {
     assert_eq!(m.reorder_wait.count, m.batches);
     assert!(m.read_latency.p50() <= m.read_latency.p99());
     assert!(m.read_latency.sum > 0, "reads cannot take zero time");
-    // Under a fixed backend the breakdown has one entry; under the
-    // `auto` axis batches split across cpu and gpu-sim — either way
-    // every dispatched batch is accounted to exactly one backend.
-    assert!(!m.backends.is_empty(), "backend breakdown missing");
-    assert_eq!(m.backends.iter().map(|b| b.batches).sum::<u64>(), m.batches);
-    assert_eq!(
-        m.backends.iter().map(|b| b.tasks).sum::<u64>(),
-        m.batch_tasks
-    );
-    assert_eq!(
-        m.backends.iter().map(|b| b.execute.count).sum::<u64>(),
-        m.batches
-    );
-    assert_eq!(
-        m.backends.iter().map(|b| b.queue_wait.count).sum::<u64>(),
-        m.batches
-    );
-    if !env_auto() {
-        let be = m
-            .backends
-            .iter()
-            .find(|b| b.name == backend.name())
-            .expect("fixed backend missing from the breakdown");
-        assert_eq!(be.batches, m.batches);
-    } else {
-        // The router's decisions surface as first-class telemetry.
-        assert_eq!(
-            m.router_batches.iter().map(|(_, n)| n).sum::<u64>(),
-            m.batches,
-            "every batch must be accounted to a routing decision"
-        );
-    }
+    // One backend, so the breakdown has one entry carrying every batch.
+    assert_eq!(m.backends.len(), 1, "backend breakdown");
+    let be = &m.backends[0];
+    assert_eq!(be.name, backend.name());
+    assert_eq!(be.batches, m.batches);
+    assert_eq!(be.tasks, m.batch_tasks);
+    assert_eq!(be.execute.count, m.batches);
+    assert_eq!(be.queue_wait.count, m.batches);
 }

@@ -89,7 +89,7 @@ fn one_shot(reads: &[(String, Seq)], reference: &Reference, backend: BackendKind
 /// the end-of-session metrics.
 fn run_session(
     service: &PipelineService,
-    backend: impl Into<genasm_pipeline::BackendChoice>,
+    backend: BackendKind,
     reads: &[(String, Seq)],
 ) -> (String, genasm_pipeline::SessionMetrics) {
     let (mut session, receiver) = service.open_session(backend).expect("admission");
@@ -479,95 +479,6 @@ fn lightly_loaded_session_is_not_starved_by_steady_traffic() {
 // (`multi_contig_runs_are_shard_invariant_and_contig_correct`), and
 // `single_session_matches_one_shot_pipeline` above stays as the one
 // equivalence canary.
-
-/// Adaptive routing under concurrency: four sessions with deliberately
-/// mixed read lengths all ask for `auto`, so the router interleaves
-/// cpu and gpu-sim dispatch across their shared batches — and every
-/// session's output must still be byte-identical to a fixed-cpu
-/// one-shot over its reads (cpu and gpu-sim are bit-identical
-/// engines; the ordered sink restores submission order).
-#[test]
-fn concurrent_auto_sessions_stay_byte_identical_to_one_shot() {
-    use genasm_pipeline::BackendChoice;
-
-    let base = workload(90_000, 0, 0, 1);
-    let reference = base.reference;
-    // Distinct read lengths per session: short and long reads force
-    // heterogeneous batch shapes through the router's cost model.
-    let sessions: Vec<Vec<(String, Seq)>> = [(21u64, 400usize), (22, 700), (23, 1_000), (24, 600)]
-        .iter()
-        .map(|&(seed, length)| {
-            let genome = Genome {
-                seq: base.seq.clone(),
-                planted: Vec::new(),
-            };
-            simulate_reads(
-                &genome,
-                &ReadConfig {
-                    count: 5,
-                    length,
-                    errors: ErrorModel::pacbio_clr(0.08),
-                    rc_fraction: 0.5,
-                    seed,
-                },
-            )
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (format!("s{seed}read{i}"), r.seq))
-            .collect()
-        })
-        .collect();
-
-    let expected: Vec<String> = sessions
-        .iter()
-        .map(|reads| one_shot(reads, &reference, BackendKind::Cpu))
-        .collect();
-
-    // Small batches so routing decisions happen many times per session.
-    let cfg = ServiceConfig {
-        pipeline: PipelineConfig {
-            batch_bases: 4 * 1024,
-            queue_depth: 4,
-            dispatchers: 2,
-            ..PipelineConfig::default()
-        },
-        ..ServiceConfig::default()
-    };
-    let service = Arc::new(PipelineService::start("ref", reference.clone(), cfg));
-    let outputs: Vec<(String, genasm_pipeline::SessionMetrics)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .iter()
-            .map(|reads| {
-                let service = Arc::clone(&service);
-                scope.spawn(move || run_session(&service, BackendChoice::Auto, reads))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    for (i, ((got, m), want)) in outputs.iter().zip(&expected).enumerate() {
-        assert!(!want.is_empty(), "session {i} produced nothing");
-        assert_eq!(
-            got, want,
-            "auto session {i} diverged from the fixed-cpu one-shot"
-        );
-        assert_eq!(m.reads_failed, 0, "session {i}");
-    }
-    let metrics = service.shutdown();
-    assert_eq!(metrics.reads_in, 20);
-    // Every dispatched batch carries a routing decision, and the
-    // decisions surface in the metrics snapshot.
-    assert_eq!(
-        metrics.router_batches.iter().map(|(_, n)| n).sum::<u64>(),
-        metrics.batches,
-        "router accounting must cover every batch"
-    );
-    assert!(
-        metrics.summary().contains("router:"),
-        "{}",
-        metrics.summary()
-    );
-}
 
 #[test]
 fn unmapped_reads_complete_without_rows() {

@@ -16,15 +16,14 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 use crate::endpoint::{connect, Conn, Endpoint};
 use crate::protocol::{Verb, DONE_PREFIX, ERR_PREFIX, HB_LINE, STATUS_PREFIX};
-use genasm_pipeline::{BackendChoice, OutputFormat};
+use genasm_pipeline::{BackendKind, OutputFormat};
 
 /// What a session sets before its `BEGIN`; `None`/`false` leave the
 /// server's default.
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
-    /// `SET backend …`. [`BackendChoice::Auto`] asks for the server's
-    /// adaptive router.
-    pub backend: Option<BackendChoice>,
+    /// `SET backend …`.
+    pub backend: Option<BackendKind>,
     /// `SET format …`.
     pub format: Option<OutputFormat>,
     /// `SET explain on`: the session streams one `# explain {json}`

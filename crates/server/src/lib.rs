@@ -42,9 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use align_core::Reference;
-use genasm_pipeline::{
-    BackendChoice, OutputFormat, PipelineMetrics, PipelineService, ServiceConfig,
-};
+use genasm_pipeline::{BackendKind, OutputFormat, PipelineMetrics, PipelineService, ServiceConfig};
 
 pub use endpoint::{connect, Conn, Endpoint};
 
@@ -53,9 +51,8 @@ pub use endpoint::{connect, Conn, Endpoint};
 pub struct ServerConfig {
     /// Where to listen.
     pub endpoint: Endpoint,
-    /// Backend choice used by sessions that don't `SET backend`
-    /// (a fixed kind, or `auto` for adaptive routing).
-    pub default_backend: BackendChoice,
+    /// Backend used by sessions that don't `SET backend`.
+    pub default_backend: BackendKind,
     /// Output format for sessions that don't `SET format`.
     pub default_format: OutputFormat,
     /// How long a connection may go silent before the server acts:
@@ -74,7 +71,7 @@ pub struct ServerConfig {
 /// owner waiting in [`Server::wait`].
 pub(crate) struct ServerShared {
     pub(crate) service: PipelineService,
-    pub(crate) default_backend: BackendChoice,
+    pub(crate) default_backend: BackendKind,
     pub(crate) default_format: OutputFormat,
     pub(crate) idle_timeout: Option<std::time::Duration>,
     endpoint: Endpoint,

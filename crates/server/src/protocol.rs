@@ -8,7 +8,7 @@
 //! payloads can never collide with protocol framing):
 //!
 //! ```text
-//! SET backend cpu|gpu-sim|edlib|ksw2|auto     pick this session's backend
+//! SET backend cpu|gpu-sim|edlib|ksw2          pick this session's backend
 //! SET format tsv|paf                          pick this session's output format
 //! SET explain on|off                          stream per-read provenance lines
 //! PING                                        liveness probe
@@ -58,7 +58,7 @@
 //! feed then ends with `# ok stream-end`). Records cannot follow —
 //! the stream replaces the session.
 
-use genasm_pipeline::{BackendChoice, OutputFormat};
+use genasm_pipeline::{BackendKind, OutputFormat};
 
 /// Prefix of every non-record line the server emits.
 pub const STATUS_PREFIX: &str = "# ";
@@ -89,9 +89,8 @@ pub enum StatsFormat {
 /// A parsed client control verb.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verb {
-    /// `SET backend <kind|auto>`. `auto` hands the session's batches
-    /// to the server's adaptive router.
-    SetBackend(BackendChoice),
+    /// `SET backend <kind>`.
+    SetBackend(BackendKind),
     /// `SET format <fmt>`.
     SetFormat(OutputFormat),
     /// `SET explain on|off`.
@@ -114,7 +113,7 @@ pub enum Verb {
 impl core::fmt::Display for Verb {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Verb::SetBackend(choice) => write!(f, "SET backend {choice}"),
+            Verb::SetBackend(kind) => write!(f, "SET backend {kind}"),
             Verb::SetFormat(format) => write!(f, "SET format {format}"),
             Verb::SetExplain(on) => write!(f, "SET explain {}", if *on { "on" } else { "off" }),
             Verb::Begin => f.write_str("BEGIN"),
@@ -214,11 +213,7 @@ mod tests {
         assert_eq!(parse_verb("SHUTDOWN").unwrap(), Verb::Shutdown);
         assert_eq!(
             parse_verb("SET backend edlib").unwrap(),
-            Verb::SetBackend(genasm_pipeline::BackendKind::Edlib.into())
-        );
-        assert_eq!(
-            parse_verb("SET backend auto").unwrap(),
-            Verb::SetBackend(BackendChoice::Auto)
+            Verb::SetBackend(BackendKind::Edlib)
         );
         assert_eq!(
             parse_verb("SET format paf").unwrap(),
@@ -240,9 +235,7 @@ mod tests {
 
     /// Every verb the protocol has (streams at a few intervals).
     fn every_verb() -> Vec<Verb> {
-        use genasm_pipeline::BackendKind;
         let mut verbs = vec![
-            Verb::SetBackend(BackendChoice::Auto),
             Verb::SetExplain(true),
             Verb::SetExplain(false),
             Verb::Begin,
@@ -252,7 +245,7 @@ mod tests {
             Verb::Stats(StatsFormat::Prom),
             Verb::Shutdown,
         ];
-        verbs.extend(BackendKind::ALL.map(|(kind, _)| Verb::SetBackend(kind.into())));
+        verbs.extend(BackendKind::ALL.map(|(kind, _)| Verb::SetBackend(kind)));
         verbs.extend(OutputFormat::ALL.map(|(format, _)| Verb::SetFormat(format)));
         verbs.extend([1, 2, 250, 60_000, u64::MAX].map(Verb::StatsStream));
         verbs
@@ -329,6 +322,8 @@ mod tests {
         assert!(parse_verb("SET backend").unwrap_err().contains("value"));
         let e = parse_verb("SET backend tpu").unwrap_err();
         assert!(e.contains("'cpu'") && e.contains("'gpu-sim'"), "{e}");
+        let e = parse_verb("SET backend auto").unwrap_err();
+        assert!(e.starts_with("unknown backend 'auto'; "), "{e}");
         let e = parse_verb("SET format sam").unwrap_err();
         assert!(e.contains("'tsv'") && e.contains("'paf'"), "{e}");
         assert!(parse_verb("SET color blue").unwrap_err().contains("color"));

@@ -83,7 +83,7 @@ impl Fixture {
         Server::start(
             ServerConfig {
                 endpoint: Endpoint::parse("127.0.0.1:0").unwrap(),
-                default_backend: BackendKind::Cpu.into(),
+                default_backend: BackendKind::Cpu,
                 default_format: OutputFormat::Tsv,
                 idle_timeout: None,
                 service,
@@ -103,7 +103,7 @@ impl Fixture {
         Server::start(
             ServerConfig {
                 endpoint: Endpoint::parse("127.0.0.1:0").unwrap(),
-                default_backend: BackendKind::Cpu.into(),
+                default_backend: BackendKind::Cpu,
                 default_format: OutputFormat::Tsv,
                 idle_timeout: Some(idle_timeout),
                 service,
@@ -198,7 +198,7 @@ fn paf_format_and_backend_are_session_scoped() {
         server.endpoint(),
         &reads_a,
         &SubmitOptions {
-            backend: Some(BackendKind::Edlib.into()),
+            backend: Some(BackendKind::Edlib),
             format: Some(OutputFormat::Paf),
             ..SubmitOptions::default()
         },
@@ -258,7 +258,7 @@ fn concurrent_clients_each_get_one_shot_bytes() {
                         &endpoint,
                         reads,
                         &SubmitOptions {
-                            backend: Some(backend.into()),
+                            backend: Some(backend),
                             ..SubmitOptions::default()
                         },
                     )
@@ -314,14 +314,38 @@ fn control_verbs_ping_stats_and_errors() {
         line.contains("'cpu'"),
         "bad backend must list choices: {line}"
     );
+    // `auto` is an unknown backend like any other.
+    writeln!(writer, "SET backend auto").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        line.trim_end(),
+        "# err unknown backend 'auto'; valid backends are 'cpu', 'gpu-sim', 'edlib', 'ksw2'"
+    );
     writeln!(writer, "PING").unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert_eq!(line.trim_end(), "# pong", "connection survived the errors");
-    // Close both halves before wait(): the server joins this
-    // connection's thread, which is blocked reading from us.
+    // ...and a session begun after the errors runs on the default
+    // backend to its `# done`; the server then closes the connection.
+    let reads = fx.reads(2, 600, 4);
+    let expected = fx.expected(&reads, BackendKind::Cpu, OutputFormat::Tsv);
+    writeln!(writer, "BEGIN").unwrap();
+    writer.write_all(&fastq_bytes(&reads)).unwrap();
+    writer.shutdown_write().unwrap();
+    let rest: Vec<String> = reader.lines().map(Result::unwrap).collect();
+    assert_eq!(rest[0], "# ok begin backend=cpu format=tsv", "{rest:?}");
+    assert!(
+        rest.last().unwrap().starts_with("# done reads=2"),
+        "{rest:?}"
+    );
+    let records: String = rest
+        .iter()
+        .filter(|l| !l.starts_with("# "))
+        .flat_map(|l| [l.as_str(), "\n"])
+        .collect();
+    assert_eq!(records, expected);
     drop(writer);
-    drop(reader);
 
     server.request_shutdown();
     server.wait();
@@ -473,7 +497,7 @@ fn unix_socket_round_trip() {
     let server = Server::start(
         ServerConfig {
             endpoint: Endpoint::Unix(path.clone()),
-            default_backend: BackendKind::Cpu.into(),
+            default_backend: BackendKind::Cpu,
             default_format: OutputFormat::Tsv,
             idle_timeout: None,
             service: ServiceConfig::default(),
@@ -902,7 +926,7 @@ fn start_unix_server(fx: &Fixture, tag: &str, service: ServiceConfig) -> Server 
     Server::start(
         ServerConfig {
             endpoint: Endpoint::Unix(path),
-            default_backend: BackendKind::Cpu.into(),
+            default_backend: BackendKind::Cpu,
             default_format: OutputFormat::Tsv,
             idle_timeout: None,
             service,

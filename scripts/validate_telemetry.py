@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate genasm telemetry output in CI (stdlib only).
 
-Six modes, one per exposition surface:
+Five modes, one per exposition surface:
 
 * ``trace FILE`` — a ``--trace`` Chrome trace-event JSON file. Must be
   a well-formed JSON array of event objects: complete spans (``"ph":
@@ -28,14 +28,6 @@ Six modes, one per exposition surface:
   ``genasm-explain/v2`` object with the full funnel/task key set and
   a disposition from the closed taxonomy; unmapped reads carry zero
   candidates and no tasks.
-
-* ``router FILE`` — the stderr of ``--metrics json`` from a
-  ``--backend auto`` run: the metrics object (validated as in
-  ``metrics``) must carry a ``router`` block whose per-backend batch
-  counts are non-negative, cover at least one batch, name only
-  backends present in the snapshot, and sum to exactly the number of
-  batches the backends executed — every batch was routed, and every
-  routed batch ran.
 
 * ``stat-frames FILE`` — the stdout of ``genasm ctl top``: every line
   is one ``genasm-stat-frame/v1`` object whose funnel stages are
@@ -184,38 +176,6 @@ def mode_metrics(path):
     )
 
 
-def mode_router(path):
-    m = last_json_line(path)
-    check_pipeline_metrics(m, require_read_count=True)
-    r = m.get("router")
-    if not isinstance(r, dict):
-        fail("metrics object missing the 'router' block")
-    for key in ("explored", "batches"):
-        if key not in r:
-            fail(f"router block missing {key!r}")
-    batches = r["batches"]
-    if not batches:
-        fail("router block routed no batches (did this run use --backend auto?)")
-    for name, n in batches.items():
-        if not isinstance(n, int) or n < 0:
-            fail(f"router batch count for {name!r} is not a non-negative int: {n}")
-        if name not in m["backends"]:
-            fail(f"router routed to {name!r}, absent from the backends snapshot")
-    routed = sum(batches.values())
-    executed = sum(b["batches"] for b in m["backends"].values())
-    if routed != executed:
-        fail(
-            f"router assigned {routed} batches but backends executed {executed}"
-        )
-    if r["explored"] > routed:
-        fail(f"explored {r['explored']} exceeds routed batches {routed}")
-    split = ", ".join(f"{k}={v}" for k, v in sorted(batches.items()))
-    print(
-        f"validate-telemetry: router OK: {routed} batches [{split}], "
-        f"{r['explored']} explored"
-    )
-
-
 def mode_stats_json(path):
     s = last_json_line(path)
     if s.get("schema") != "genasm-stats/v1":
@@ -308,7 +268,6 @@ def mode_stat_frames(path):
 MODES = {
     "trace": mode_trace,
     "metrics": mode_metrics,
-    "router": mode_router,
     "stats-json": mode_stats_json,
     "explain": mode_explain,
     "stat-frames": mode_stat_frames,
