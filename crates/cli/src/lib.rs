@@ -103,7 +103,7 @@ pub const FLAGS: [(&str, &str); 9] = [
         "serve",
         "ref listen backend format max-sessions linger-ms batch-bases queue-depth dispatchers \
          max-per-read threads shards shard-overlap metrics trace explain session-output-cap \
-         overflow session-inflight-reads session-inflight-bases idle-timeout-ms",
+         session-inflight-reads idle-timeout-ms",
     ),
     ("submit", "to reads backend format explain"),
     ("ctl", "to"),
@@ -215,9 +215,7 @@ pub const USAGE: &str = "usage:
                   [--max-sessions N] [--linger-ms N] [--batch-bases N] [--queue-depth N]
                   [--dispatchers N] [--max-per-read N] [--threads N] [--shards N]
                   [--shard-overlap BASES] [--metrics off|on|json] [--trace FILE] [--explain FILE]
-                  [--session-output-cap BYTES] [--overflow throttle|evict]
-                  [--session-inflight-reads N] [--session-inflight-bases N]
-                  [--idle-timeout-ms N]
+                  [--session-output-cap BYTES] [--session-inflight-reads N] [--idle-timeout-ms N]
   genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--explain FILE]
   genasm ctl      ping|stats|stats-json|stats-prom|shutdown --to ENDPOINT
@@ -700,13 +698,7 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         max_sessions: flags.num("max-sessions", 64)?,
         linger: std::time::Duration::from_millis(flags.num("linger-ms", 2)?),
         max_session_output_bytes: flags.num("session-output-cap", 64 << 20)?,
-        overflow: flags
-            .get("overflow")
-            .unwrap_or("throttle")
-            .parse()
-            .map_err(CliError::usage)?,
         max_session_inflight_reads: flags.num("session-inflight-reads", 1024)?,
-        max_session_inflight_bases: flags.num("session-inflight-bases", 0)?,
     };
     // 0 disables the idle timeout (and its heartbeats) entirely.
     let idle_timeout = match flags.num("idle-timeout-ms", 30_000u64)? {

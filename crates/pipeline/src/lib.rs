@@ -113,8 +113,8 @@ pub use queue::BoundedQueue;
 pub use record::{escape_name, unescape_name, AlignRecord, OutputFormat, ParseFormatError};
 pub use reorder::ReorderBuffer;
 pub use service::{
-    AdmissionError, OverflowPolicy, PipelineService, RecvOutcome, ServiceConfig, Session,
-    SessionEvent, SessionMetrics, SessionReceiver, SessionStat, SubmitError,
+    AdmissionError, PipelineService, RecvOutcome, ServiceConfig, Session, SessionEvent,
+    SessionMetrics, SessionReceiver, SessionStat, SubmitError,
 };
 
 /// One read entering the pipeline.
@@ -323,9 +323,7 @@ where
         // its own only tenant, and its memory is already bounded by
         // the stage queues.
         max_session_output_bytes: 0,
-        overflow: OverflowPolicy::Throttle,
         max_session_inflight_reads: 0,
-        max_session_inflight_bases: 0,
     };
     let service = PipelineService::stopped("", reference, svc_cfg, backends);
     let (session, rx) = service
@@ -569,9 +567,8 @@ where
             })
         }
         SessionEvent::End(_) => Ok(true),
-        // The output cap is disabled in the one-shot config, and
-        // explain lines already flow through the config's sink.
-        SessionEvent::Overflow { .. } | SessionEvent::Explain(_) => Ok(false),
+        // Explain lines already flow through the config's sink.
+        SessionEvent::Explain(_) => Ok(false),
     }
 }
 

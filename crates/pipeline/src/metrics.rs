@@ -405,8 +405,7 @@ pub struct PipelineMetrics {
     /// channels (service only).
     pub max_session_output_buffered_bytes: u64,
     /// Times a session's `submit` blocked on one of its per-session
-    /// caps (in-flight reads/bases or, under the throttle overflow
-    /// policy, buffered output bytes).
+    /// caps: in-flight reads or buffered output bytes (service only).
     pub sessions_throttled: u64,
     /// Sessions aborted by the serving layer's idle timeout.
     pub sessions_timed_out: u64,

@@ -95,24 +95,20 @@ pub struct ServiceConfig {
     pub linger: Duration,
     /// Cap on one session's buffered, not-yet-received output, in
     /// bytes (each delivered row is accounted as its TSV rendering
-    /// plus a newline). When a session's receiver falls behind by more
-    /// than this, [`ServiceConfig::overflow`] decides what happens —
-    /// the sink itself never blocks on a slow receiver. `0` means
-    /// unlimited.
+    /// plus a newline). At the cap the session is throttled: its
+    /// [`Session::submit`] blocks until the receiver catches up. In the
+    /// server, the blocked submit stops the connection thread reading
+    /// the socket, so backpressure reaches the client's TCP window —
+    /// the same path a full task queue uses. The sink itself never
+    /// blocks on a slow receiver, and buffered bytes stay within
+    /// [`ServiceConfig::session_output_bound`]. `0` means unlimited.
     pub max_session_output_bytes: usize,
-    /// What happens to a session whose buffered output exceeds
-    /// [`ServiceConfig::max_session_output_bytes`].
-    pub overflow: OverflowPolicy,
     /// Cap on one session's in-flight reads (submitted, not yet fully
     /// delivered). [`Session::submit`] blocks the submitting thread —
     /// and only it — while the session is at the cap, so a greedy
     /// client cannot monopolize the shared task queue. `0` means
     /// unlimited.
     pub max_session_inflight_reads: usize,
-    /// Cap on one session's in-flight task bases, enforced like
-    /// [`ServiceConfig::max_session_inflight_reads`]. `0` means
-    /// unlimited.
-    pub max_session_inflight_bases: usize,
 }
 
 impl Default for ServiceConfig {
@@ -122,54 +118,7 @@ impl Default for ServiceConfig {
             max_sessions: 64,
             linger: Duration::from_millis(2),
             max_session_output_bytes: 64 << 20,
-            overflow: OverflowPolicy::Throttle,
             max_session_inflight_reads: 1024,
-            max_session_inflight_bases: 0,
-        }
-    }
-}
-
-/// What the sink does when a session's buffered output exceeds
-/// [`ServiceConfig::max_session_output_bytes`]. Either way the sink
-/// keeps draining the shared reorder path — one slow receiver never
-/// stalls other sessions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Stop admitting the session's *own* reads: [`Session::submit`]
-    /// blocks until the receiver catches up. In the server, the
-    /// blocked submit stops the connection thread reading the socket,
-    /// so backpressure reaches the client's TCP window — the same path
-    /// a full task queue uses. Output bytes stay bounded by
-    /// [`ServiceConfig::session_output_bound`].
-    #[default]
-    Throttle,
-    /// Evict the session: the receiver gets one
-    /// [`SessionEvent::Overflow`], the overflowing read's rows (and
-    /// everything after) are dropped, and further submits fail with
-    /// [`SubmitError::SessionEvicted`]. The session still ends with
-    /// [`SessionEvent::End`] once its in-flight reads drain.
-    Evict,
-}
-
-impl core::fmt::Display for OverflowPolicy {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            OverflowPolicy::Throttle => write!(f, "throttle"),
-            OverflowPolicy::Evict => write!(f, "evict"),
-        }
-    }
-}
-
-impl core::str::FromStr for OverflowPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<OverflowPolicy, String> {
-        match s {
-            "throttle" => Ok(OverflowPolicy::Throttle),
-            "evict" => Ok(OverflowPolicy::Evict),
-            other => Err(format!(
-                "unknown overflow policy {other:?} (expected throttle|evict)"
-            )),
         }
     }
 }
@@ -187,10 +136,10 @@ impl ServiceConfig {
             + active_backends.saturating_sub(1) * per_batch
     }
 
-    /// Upper bound on one session's buffered output bytes under
-    /// [`OverflowPolicy::Throttle`], given the largest rendered output
-    /// of any single read. The throttle gate admits a read only while
-    /// buffered output is *below* the cap, and at most
+    /// Upper bound on one session's buffered output bytes, given the
+    /// largest rendered output of any single read. The throttle gate
+    /// admits a read only while buffered output is *below* the cap,
+    /// and at most
     /// [`ServiceConfig::max_session_inflight_reads`] already-admitted
     /// reads can still deliver after the gate closes, so:
     ///
@@ -241,11 +190,6 @@ impl std::error::Error for AdmissionError {}
 pub enum SubmitError {
     /// The service's queues closed underneath the session.
     ServiceStopped,
-    /// The session's buffered output exceeded
-    /// [`ServiceConfig::max_session_output_bytes`] under
-    /// [`OverflowPolicy::Evict`]; the receiver got
-    /// [`SessionEvent::Overflow`] and no further reads are accepted.
-    SessionEvicted,
     /// The session's [`SessionReceiver`] was dropped before the
     /// session finished — there is no one left to deliver to, so
     /// submitting more work would only be wasted backend time.
@@ -256,9 +200,6 @@ impl core::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SubmitError::ServiceStopped => write!(f, "pipeline service stopped"),
-            SubmitError::SessionEvicted => {
-                write!(f, "session evicted: buffered output exceeded the cap")
-            }
             SubmitError::ReceiverGone => {
                 write!(f, "session receiver dropped; no consumer for results")
             }
@@ -301,16 +242,6 @@ pub enum SessionEvent {
         /// Name of the failed read.
         read: String,
     },
-    /// The session's buffered output exceeded its cap under
-    /// [`OverflowPolicy::Evict`]. Sent at most once; the overflowing
-    /// read's rows and everything after it are dropped, and the
-    /// session still closes with [`SessionEvent::End`].
-    Overflow {
-        /// Buffered bytes the overflowing delivery would have reached.
-        buffered_bytes: u64,
-        /// The configured [`ServiceConfig::max_session_output_bytes`].
-        cap: u64,
-    },
     /// One read's `genasm-explain/v2` provenance line. Sent only when
     /// the session opted in via [`Session::set_explain`]; follows the
     /// read's [`SessionEvent::Rows`] / [`SessionEvent::ReadFailed`]
@@ -321,27 +252,14 @@ pub enum SessionEvent {
     End(SessionMetrics),
 }
 
-/// What the sink should do with one event it wants to deliver.
-enum BufferOutcome {
-    /// Deliver: the bytes were debited against the session's budget.
-    Deliver,
-    /// The event would blow the cap under [`OverflowPolicy::Evict`]:
-    /// drop it and send [`SessionEvent::Overflow`] instead.
-    Evict {
-        /// Buffered bytes the delivery would have reached.
-        buffered_bytes: u64,
-    },
-    /// The session is already evicted or its receiver is gone: drop
-    /// the event (completion accounting still runs).
-    Drop,
-}
-
 /// Per-session flow-control gate, shared by the submitter (admission),
 /// the sink (output accounting — never blocking), and the receiver
 /// (drain credits). This is what turns the formerly unbounded event
 /// channel into a budgeted one: the channel itself stays unbounded,
 /// but every byte in it is debited here, and the *ingest* side blocks
-/// when the budget runs out.
+/// when the budget runs out. It is the one place that decides what
+/// happens to a session whose reader falls behind: its submits wait,
+/// and none of its output is dropped while the receiver is there.
 struct SessionGate {
     st: Mutex<GateState>,
     cv: Condvar,
@@ -349,10 +267,6 @@ struct SessionGate {
     out_cap: u64,
     /// In-flight read cap (0 = unlimited).
     read_cap: u64,
-    /// In-flight task-base cap (0 = unlimited).
-    base_cap: u64,
-    /// Evict instead of throttling when the output cap is exceeded.
-    evict_on_overflow: bool,
     /// Service-wide gauge of buffered output bytes (all sessions).
     buffered_gauge: Arc<genasm_telemetry::Gauge>,
     /// High water of `buffered_gauge`.
@@ -365,8 +279,6 @@ struct SessionGate {
 struct GateState {
     buffered_bytes: u64,
     inflight_reads: u64,
-    inflight_bases: u64,
-    evicted: bool,
     receiver_gone: bool,
 }
 
@@ -377,8 +289,6 @@ impl SessionGate {
             cv: Condvar::new(),
             out_cap: cfg.max_session_output_bytes as u64,
             read_cap: cfg.max_session_inflight_reads as u64,
-            base_cap: cfg.max_session_inflight_bases as u64,
-            evict_on_overflow: cfg.overflow == OverflowPolicy::Evict,
             buffered_gauge: Arc::clone(&counters.session_output_buffered),
             max_buffered_gauge: Arc::clone(&counters.max_session_output_buffered),
             throttled: Arc::clone(&counters.sessions_throttled),
@@ -386,24 +296,18 @@ impl SessionGate {
     }
 
     /// Submit-side admission: block the submitting thread (only) while
-    /// the session is at any of its caps. Errors once the session is
-    /// evicted or its receiver is gone — both of which also wake any
-    /// blocked waiter, so a dead client cannot deadlock a drain.
+    /// the session is at either of its caps. Errors once the receiver
+    /// is gone — which also wakes any blocked waiter, so a dead client
+    /// cannot deadlock a drain.
     fn admit(&self) -> Result<(), SubmitError> {
         let mut st = self.st.lock().unwrap();
         let mut waited = false;
         loop {
-            if st.evicted {
-                return Err(SubmitError::SessionEvicted);
-            }
             if st.receiver_gone {
                 return Err(SubmitError::ReceiverGone);
             }
             let at_cap = (self.read_cap > 0 && st.inflight_reads >= self.read_cap)
-                || (self.base_cap > 0 && st.inflight_bases >= self.base_cap)
-                || (!self.evict_on_overflow
-                    && self.out_cap > 0
-                    && st.buffered_bytes >= self.out_cap);
+                || (self.out_cap > 0 && st.buffered_bytes >= self.out_cap);
             if !at_cap {
                 return Ok(());
             }
@@ -416,46 +320,34 @@ impl SessionGate {
     }
 
     /// A mapped read passed admission and is entering the pipeline.
-    fn register_read(&self, bases: u64) {
-        let mut st = self.st.lock().unwrap();
-        st.inflight_reads += 1;
-        st.inflight_bases += bases;
+    fn register_read(&self) {
+        self.st.lock().unwrap().inflight_reads += 1;
     }
 
     /// A registered read fully completed (its delivery, if any, was
     /// already debited — ordering matters for the output bound).
-    fn read_done(&self, bases: u64) {
+    fn read_done(&self) {
         let mut st = self.st.lock().unwrap();
         st.inflight_reads = st.inflight_reads.saturating_sub(1);
-        st.inflight_bases = st.inflight_bases.saturating_sub(bases);
         drop(st);
         self.cv.notify_all();
     }
 
-    /// Sink-side accounting for one event carrying `bytes` of payload.
-    /// Takes the brief gate mutex but never waits: the shared reorder
-    /// path must not stall on one slow receiver.
-    fn buffer(&self, bytes: u64) -> BufferOutcome {
+    /// Sink-side accounting for one delivery of `bytes`: debit it and
+    /// return true, or return false when the receiver is gone and there
+    /// is no one to deliver to. Takes the brief gate mutex but never
+    /// waits: the shared reorder path must not stall on one slow
+    /// receiver.
+    fn buffer(&self, bytes: u64) -> bool {
         let mut st = self.st.lock().unwrap();
-        if st.receiver_gone || st.evicted {
-            return BufferOutcome::Drop;
-        }
-        if self.evict_on_overflow
-            && self.out_cap > 0
-            && bytes > 0
-            && st.buffered_bytes + bytes > self.out_cap
-        {
-            let buffered_bytes = st.buffered_bytes + bytes;
-            st.evicted = true;
-            drop(st);
-            self.cv.notify_all(); // a throttled submitter must see the eviction
-            return BufferOutcome::Evict { buffered_bytes };
+        if st.receiver_gone {
+            return false;
         }
         st.buffered_bytes += bytes;
         drop(st);
         let total = self.buffered_gauge.add(bytes);
         self.max_buffered_gauge.set_max(total);
-        BufferOutcome::Deliver
+        true
     }
 
     /// Receiver-side: one event of `bytes` payload was consumed.
@@ -1020,11 +912,10 @@ impl Session {
     /// Map one read and push its candidate tasks into the shared
     /// pipeline. Blocks while the task queue is full (the server-wide
     /// admission valve) or while this session is at one of its own
-    /// caps (in-flight reads/bases, or buffered output under
-    /// [`OverflowPolicy::Throttle`]) — per-session backpressure that
-    /// blocks only the submitting thread. Returns the number of tasks
-    /// generated (0 = unmapped read; it completes immediately with no
-    /// rows).
+    /// caps (in-flight reads, or buffered output) — per-session
+    /// backpressure that blocks only the submitting thread. Returns
+    /// the number of tasks generated (0 = unmapped read; it completes
+    /// immediately with no rows).
     pub fn submit(&mut self, read: ReadInput) -> Result<usize, SubmitError> {
         let mapped = self.map(self.local_reads as u32, read, tids::MAP0);
         self.local_reads += 1;
@@ -1139,9 +1030,9 @@ impl Session {
             return Ok(0);
         }
         // Registered before the pushes so the read counts against the
-        // session's in-flight caps from the moment it can occupy queue
+        // session's in-flight cap from the moment it can occupy queue
         // space; the sink's `read_done` is the matching credit.
-        self.gate.register_read(total_bases as u64);
+        self.gate.register_read();
         let qname: Arc<str> = Arc::from(name);
         // Hold the ingest lock across all pushes: a read's tasks must
         // be contiguous in the shared task stream (the sink's per-read
@@ -1248,18 +1139,9 @@ impl SessionReceiver {
         self.rx.recv().ok().map(|item| self.credit(item))
     }
 
-    /// Like [`SessionReceiver::recv`] with a deadline; `None` on
-    /// timeout or service death.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<SessionEvent> {
-        self.rx
-            .recv_timeout(timeout)
-            .ok()
-            .map(|item| self.credit(item))
-    }
-
-    /// Like [`SessionReceiver::recv_timeout`], but distinguishes a
-    /// quiet session from a dead service — what a serving loop needs
-    /// to choose between emitting a heartbeat and giving up.
+    /// Like [`SessionReceiver::recv`] with a deadline, telling a quiet
+    /// session from a dead service — what a serving loop needs to
+    /// choose between emitting a heartbeat and giving up.
     pub fn recv_deadline(&self, timeout: Duration) -> RecvOutcome {
         use std::sync::mpsc::RecvTimeoutError;
         match self.rx.recv_timeout(timeout) {
@@ -1414,25 +1296,37 @@ fn scheduler_loop(sh: &Shared) {
     sh.batch_q.close();
 }
 
-/// Run one batch through `backend`, turning a panic inside it into
-/// the batch's [`BackendError`]. An unwinding dispatcher would never
-/// push the batch's results: the reorder buffer would wait on its
-/// sequence number forever and `shutdown` would never return.
+/// Run one batch through `backend`, turning a panic inside it, or a
+/// result vector that is not one entry per task, into the batch's
+/// [`BackendError`]. An unwinding dispatcher would never push the
+/// batch's results: the reorder buffer would wait on its sequence
+/// number forever and `shutdown` would never return. A short vector
+/// would leave the reads of its missing tasks waiting for them at the
+/// sink, and their sessions would never end.
 fn align_isolated(
     backend: &dyn Backend,
     tasks: &[AlignTask],
 ) -> Result<Vec<Option<Alignment>>, BackendError> {
-    catch_unwind(AssertUnwindSafe(|| backend.align_batch(tasks))).unwrap_or_else(|panic| {
-        let what = panic
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("(no message)");
-        Err(BackendError {
-            backend: backend.name(),
-            reason: format!("panicked: {what}"),
-        })
-    })
+    let fail = |reason| BackendError {
+        backend: backend.name(),
+        reason,
+    };
+    match catch_unwind(AssertUnwindSafe(|| backend.align_batch(tasks))) {
+        Ok(Ok(alignments)) if alignments.len() != tasks.len() => Err(fail(format!(
+            "returned {} results for {} tasks",
+            alignments.len(),
+            tasks.len()
+        ))),
+        Ok(result) => result,
+        Err(panic) => {
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("(no message)");
+            Err(fail(format!("panicked: {what}")))
+        }
+    }
 }
 
 fn dispatch_loop(sh: &Shared, backends: &[(BackendKind, &dyn Backend)]) {
@@ -1525,9 +1419,6 @@ struct ReadAcc {
     submitted_at: Instant,
     /// Funnel counts captured at candidate generation.
     provenance: Arc<ReadProvenance>,
-    /// Task bases accumulated as the read's tasks arrive — the credit
-    /// handed back to the session gate at completion.
-    bases: u64,
     /// Backend that executed the read's tasks (explain provenance):
     /// its session's one backend.
     backend: &'static str,
@@ -1587,36 +1478,18 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
     st.completed += 1;
     if acc.failed {
         st.metrics.reads_failed += 1;
-        match st.gate.buffer(0) {
-            BufferOutcome::Deliver => {
-                let _ = st.tx.send((
-                    SessionEvent::ReadFailed {
-                        read: acc.qname.to_string(),
-                    },
-                    0,
-                ));
-            }
-            // A zero-byte event can never overflow the cap.
-            BufferOutcome::Evict { .. } | BufferOutcome::Drop => {}
-        }
-    } else {
-        match st.gate.buffer(bytes) {
-            BufferOutcome::Deliver => {
-                st.metrics.records_out += rows.len() as u64;
-                sh.counters.records_out.add(rows.len() as u64);
-                let _ = st.tx.send((SessionEvent::Rows(rows), bytes));
-            }
-            BufferOutcome::Evict { buffered_bytes } => {
-                let _ = st.tx.send((
-                    SessionEvent::Overflow {
-                        buffered_bytes,
-                        cap: sh.cfg.max_session_output_bytes as u64,
-                    },
-                    0,
-                ));
-            }
-            BufferOutcome::Drop => {}
-        }
+        // Zero bytes, nothing to debit; a send to a dropped receiver
+        // is a no-op.
+        let _ = st.tx.send((
+            SessionEvent::ReadFailed {
+                read: acc.qname.to_string(),
+            },
+            0,
+        ));
+    } else if st.gate.buffer(bytes) {
+        st.metrics.records_out += rows.len() as u64;
+        sh.counters.records_out.add(rows.len() as u64);
+        let _ = st.tx.send((SessionEvent::Rows(rows), bytes));
     }
     if st.explain_on {
         let _ = st.tx.send((SessionEvent::Explain(rec.to_json()), 0));
@@ -1625,7 +1498,7 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
     // its in-flight slot frees, so a throttled submitter can never be
     // admitted in a window where completed output is unaccounted —
     // that ordering is what makes `session_output_bound` exact.
-    st.gate.read_done(acc.bases);
+    st.gate.read_done();
     if st.finished && st.completed == st.mapped_submitted {
         let st = reg.remove(&acc.session).unwrap();
         trace_session_end(sh, acc.session, &st);
@@ -1681,10 +1554,8 @@ fn sink_loop(sh: &Shared) {
                     failed: false,
                     submitted_at: meta.submitted_at,
                     provenance: Arc::clone(&meta.provenance),
-                    bases: 0,
                     backend: backend_name,
                 });
-                acc.bases += (meta.qlen + meta.tlen) as u64;
                 match aln {
                     Some(aln) => {
                         acc.tasks.push(TaskExplain::new(&aln));

@@ -1,5 +1,14 @@
 //! Helpers shared by the integration suites of this crate.
 
+// Each suite compiles its own copy of this module and uses part of it.
+#![allow(dead_code)]
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+
+use align_core::{AlignTask, Alignment};
+use genasm_pipeline::{Backend, BackendError, CpuBackend};
+
 /// Run `body` on its own thread and fail — instead of hanging the
 /// suite — when it has not returned within a minute.
 pub fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
@@ -13,6 +22,72 @@ pub fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'sta
         Err(RecvTimeoutError::Timeout) => panic!("watchdog: the pipeline is wedged"),
         Err(RecvTimeoutError::Disconnected) => {
             std::panic::resume_unwind(worker.join().expect_err("the body dropped its sender"))
+        }
+    }
+}
+
+/// What a [`FaultBackend`] does with one batch.
+#[derive(Debug, Clone, Copy)]
+pub enum Fault {
+    /// Align it as the CPU backend does.
+    Ok,
+    /// Fail it with a `BackendError` whose reason is
+    /// `injected failure`.
+    Error,
+    /// Panic with `injected panic`.
+    Panic,
+    /// Sleep this many milliseconds, then align it.
+    Stall(u64),
+    /// Align it, then return one result fewer than it has tasks.
+    Short,
+}
+
+/// The CPU backend under a per-batch script: the `i`-th batch it is
+/// handed does what `script[i]` says, and every batch past the end of
+/// the script does what `then` says.
+pub struct FaultBackend {
+    name: &'static str,
+    inner: CpuBackend,
+    script: Vec<Fault>,
+    then: Fault,
+    calls: AtomicUsize,
+}
+
+impl FaultBackend {
+    pub fn new(name: &'static str, script: &[Fault], then: Fault) -> FaultBackend {
+        FaultBackend {
+            name,
+            inner: CpuBackend::improved(),
+            script: script.to_vec(),
+            then,
+            calls: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl Backend for FaultBackend {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        match self.script.get(call).copied().unwrap_or(self.then) {
+            Fault::Ok => self.inner.align_batch(tasks),
+            Fault::Error => Err(BackendError {
+                backend: self.name,
+                reason: "injected failure".to_string(),
+            }),
+            Fault::Panic => panic!("injected panic"),
+            Fault::Stall(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                self.inner.align_batch(tasks)
+            }
+            Fault::Short => {
+                let mut alignments = self.inner.align_batch(tasks)?;
+                alignments.pop();
+                Ok(alignments)
+            }
         }
     }
 }

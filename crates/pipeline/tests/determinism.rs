@@ -28,7 +28,7 @@
 mod common;
 
 use align_core::{Reference, Seq};
-use common::within_a_minute;
+use common::{within_a_minute, Fault, FaultBackend};
 use genasm_pipeline::{
     run_pipeline, AlignRecord, Backend, CpuBackend, GpuSimBackend, PipelineConfig, PipelineError,
     ReadInput,
@@ -778,43 +778,14 @@ fn sink_errors_propagate_and_unwind_cleanly() {
     }
 }
 
+/// A backend that fails every batch after the first: later batches
+/// strand in the reorder buffer and the current read is left
+/// incomplete — the abort path must surface the backend error, not a
+/// panic or a partially emitted read.
 #[test]
 fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
-    /// Fails every batch after the first: later batches strand in the
-    /// reorder buffer and the current read is left incomplete — the
-    /// abort path must surface the backend error, not a panic or a
-    /// partially emitted read.
-    struct FlakyBackend {
-        inner: CpuBackend,
-        calls: std::sync::atomic::AtomicUsize,
-    }
-    impl Backend for FlakyBackend {
-        fn name(&self) -> &'static str {
-            "flaky"
-        }
-        fn align_batch(
-            &self,
-            tasks: &[align_core::AlignTask],
-        ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
-            if self
-                .calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                >= 1
-            {
-                return Err(genasm_pipeline::BackendError {
-                    backend: "flaky",
-                    reason: "injected failure".to_string(),
-                });
-            }
-            self.inner.align_batch(tasks)
-        }
-    }
-
     let (reference, reads) = workload(40_000, 10, 600);
-    let backend = FlakyBackend {
-        inner: CpuBackend::improved(),
-        calls: std::sync::atomic::AtomicUsize::new(0),
-    };
+    let backend = FaultBackend::new("flaky", &[Fault::Ok], Fault::Error);
     let cfg = PipelineConfig {
         batch_bases: 2 * 1024, // several batches, so reads span the failure
         queue_depth: 2,

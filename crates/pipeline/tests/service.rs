@@ -10,16 +10,20 @@
 //!    refuse new sessions with typed errors.
 //! 4. **Graceful drain** — shutdown waits for in-flight sessions,
 //!    delivers every row, then refuses new work.
+//! 5. **Contained faults** — a slow reader is throttled, and a backend
+//!    that errors, panics, stalls or returns too few results fails
+//!    only the reads of its batches; no session is wedged or dropped.
 
 mod common;
 
 use std::sync::Arc;
 
 use align_core::{Reference, Seq};
-use common::within_a_minute;
+use common::{within_a_minute, Fault, FaultBackend};
 use genasm_pipeline::{
-    run_pipeline, AdmissionError, BackendKind, OverflowPolicy, PipelineConfig, PipelineService,
-    ReadInput, ServiceConfig, SessionEvent, SubmitError,
+    run_pipeline, AdmissionError, Backend, BackendKind, PipelineConfig, PipelineError,
+    PipelineService, ReadInput, RecvOutcome, ServiceConfig, SessionEvent, SessionMetrics,
+    SessionReceiver,
 };
 use readsim::{simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
 
@@ -91,7 +95,7 @@ fn run_session(
     service: &PipelineService,
     backend: BackendKind,
     reads: &[(String, Seq)],
-) -> (String, genasm_pipeline::SessionMetrics) {
+) -> (String, SessionMetrics) {
     let (mut session, receiver) = service.open_session(backend).expect("admission");
     for (name, seq) in reads {
         session
@@ -102,9 +106,16 @@ fn run_session(
             .expect("submit");
     }
     session.finish();
+    drain_tsv(receiver.iter())
+}
+
+/// Collect a session's rows as TSV up to its `End`, with the
+/// end-of-session metrics; a failed read fails the test. Takes the
+/// events rather than the receiver so a caller can pace the drain or
+/// look at the events on the way.
+fn drain_tsv(events: impl Iterator<Item = SessionEvent>) -> (String, SessionMetrics) {
     let mut out = String::new();
-    let mut metrics = None;
-    while let Some(event) = receiver.recv() {
+    for event in events {
         match event {
             SessionEvent::Rows(rows) => {
                 for r in &rows {
@@ -114,19 +125,20 @@ fn run_session(
             }
             SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
             SessionEvent::Explain(_) => {}
-            SessionEvent::Overflow {
-                buffered_bytes,
-                cap,
-            } => {
-                panic!("unexpected overflow: {buffered_bytes} buffered, cap {cap}")
-            }
-            SessionEvent::End(m) => {
-                metrics = Some(m);
-                break;
-            }
+            SessionEvent::End(m) => return (out, m),
         }
     }
-    (out, metrics.expect("End event delivered"))
+    panic!("End event never delivered")
+}
+
+/// [`drain_tsv`] at one event per millisecond: a receiver far slower
+/// than the backend, so a small output cap has to throttle.
+fn drain_tsv_slowly(receiver: &SessionReceiver) -> (String, SessionMetrics) {
+    drain_tsv(
+        receiver
+            .iter()
+            .inspect(|_| std::thread::sleep(std::time::Duration::from_millis(1))),
+    )
 }
 
 #[test]
@@ -198,7 +210,7 @@ fn concurrent_sessions_each_match_one_shot_across_backends() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(PipelineService::start("ref", reference.clone(), cfg));
-    let outputs: Vec<(String, genasm_pipeline::SessionMetrics)> = std::thread::scope(|scope| {
+    let outputs: Vec<(String, SessionMetrics)> = std::thread::scope(|scope| {
         let handles: Vec<_> = sessions
             .iter()
             .map(|(backend, reads)| {
@@ -346,31 +358,8 @@ fn graceful_drain_finishes_in_flight_sessions_and_refuses_new_ones() {
 
     // The in-flight session still completes with full, correct output.
     session.finish();
-    let mut got = String::new();
-    let mut ended = false;
-    while let Some(event) = receiver.recv() {
-        match event {
-            SessionEvent::Rows(rows) => {
-                for r in &rows {
-                    got.push_str(&r.to_tsv());
-                    got.push('\n');
-                }
-            }
-            SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
-            SessionEvent::Explain(_) => {}
-            SessionEvent::Overflow {
-                buffered_bytes,
-                cap,
-            } => {
-                panic!("unexpected overflow: {buffered_bytes} buffered, cap {cap}")
-            }
-            SessionEvent::End(_) => {
-                ended = true;
-                break;
-            }
-        }
-    }
-    assert!(ended, "drain must deliver the End event");
+    // `drain_tsv` fails unless the drain delivers the End event.
+    let (got, _) = drain_tsv(receiver.iter());
     assert_eq!(got, expected, "drained session lost or reordered rows");
 
     let metrics = shutdown_thread.join().unwrap();
@@ -455,13 +444,15 @@ fn lightly_loaded_session_is_not_starved_by_steady_traffic() {
     let mut got_rows = false;
     let deadline = std::time::Duration::from_secs(20);
     loop {
-        match a_receiver.recv_timeout(deadline) {
-            Some(SessionEvent::Rows(rows)) => got_rows = !rows.is_empty(),
-            Some(SessionEvent::ReadFailed { read }) => panic!("read {read} failed"),
-            Some(SessionEvent::Explain(_)) => {}
-            Some(SessionEvent::Overflow { .. }) => panic!("unexpected overflow for session A"),
-            Some(SessionEvent::End(_)) => break,
-            None => panic!("session A starved: no event within {deadline:?} while B streams"),
+        match a_receiver.recv_deadline(deadline) {
+            RecvOutcome::Event(SessionEvent::Rows(rows)) => got_rows = !rows.is_empty(),
+            RecvOutcome::Event(SessionEvent::ReadFailed { read }) => panic!("read {read} failed"),
+            RecvOutcome::Event(SessionEvent::Explain(_)) => {}
+            RecvOutcome::Event(SessionEvent::End(_)) => break,
+            RecvOutcome::TimedOut => {
+                panic!("session A starved: no event within {deadline:?} while B streams")
+            }
+            RecvOutcome::Closed => panic!("the service died before session A ended"),
         }
     }
     assert!(got_rows, "session A's read produced no rows");
@@ -509,12 +500,6 @@ fn unmapped_reads_complete_without_rows() {
             SessionEvent::Rows(r) => rows += r.len(),
             SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
             SessionEvent::Explain(_) => {}
-            SessionEvent::Overflow {
-                buffered_bytes,
-                cap,
-            } => {
-                panic!("unexpected overflow: {buffered_bytes} buffered, cap {cap}")
-            }
             SessionEvent::End(m) => {
                 metrics = Some(m);
                 break;
@@ -614,9 +599,7 @@ fn interleaved_session_counters_sum_to_global_and_snapshots_are_monotonic() {
 
     // Per-session counters sum exactly to the global registry.
     let global = service.metrics();
-    let sum = |f: fn(&genasm_pipeline::SessionMetrics) -> u64| {
-        per_session.iter().map(|(_, m)| f(m)).sum::<u64>()
-    };
+    let sum = |f: fn(&SessionMetrics) -> u64| per_session.iter().map(|(_, m)| f(m)).sum::<u64>();
     assert_eq!(global.reads_in, sum(|m| m.reads_in));
     assert_eq!(global.reads_mapped, sum(|m| m.reads_mapped));
     assert_eq!(global.tasks_generated, sum(|m| m.tasks));
@@ -713,48 +696,9 @@ fn slow_receiver_buffered_output_stays_within_the_session_bound() {
     );
 
     let service = PipelineService::start("ref", w.reference.clone(), cfg);
-    let (mut session, receiver) = service.open_session(BackendKind::Cpu).expect("admission");
-    let reads = w.reads.clone();
-    let submitter = std::thread::spawn(move || {
-        for (name, seq) in &reads {
-            session
-                .submit(ReadInput {
-                    name: name.clone(),
-                    seq: seq.clone(),
-                })
-                .expect("submit");
-        }
-        session.finish();
-    });
-
-    // Drain deliberately slowly, so the gate has to throttle.
-    let mut got = String::new();
-    let mut metrics = None;
-    while let Some(event) = receiver.recv() {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        match event {
-            SessionEvent::Rows(rows) => {
-                for r in &rows {
-                    got.push_str(&r.to_tsv());
-                    got.push('\n');
-                }
-            }
-            SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
-            SessionEvent::Explain(_) => {}
-            SessionEvent::Overflow {
-                buffered_bytes,
-                cap,
-            } => {
-                panic!("throttle policy must never evict: {buffered_bytes}/{cap}")
-            }
-            SessionEvent::End(m) => {
-                metrics = Some(m);
-                break;
-            }
-        }
-    }
-    submitter.join().unwrap();
-    assert!(metrics.is_some(), "End event delivered");
+    // Drain deliberately slowly, so the gate has to throttle; the
+    // helper fails unless the End event is delivered.
+    let (got, _) = submit_while_draining(&service, BackendKind::Cpu, &w.reads, drain_tsv_slowly);
     assert_eq!(got, expected, "slow-receiver session output diverged");
 
     let global = service.metrics();
@@ -829,120 +773,30 @@ fn greedy_slow_reader_does_not_starve_a_light_session() {
     let mut light_got = String::new();
     let deadline = std::time::Duration::from_secs(20);
     loop {
-        match light_rx.recv_timeout(deadline) {
-            Some(SessionEvent::Rows(rows)) => {
+        match light_rx.recv_deadline(deadline) {
+            RecvOutcome::Event(SessionEvent::Rows(rows)) => {
                 for r in &rows {
                     light_got.push_str(&r.to_tsv());
                     light_got.push('\n');
                 }
             }
-            Some(SessionEvent::ReadFailed { read }) => panic!("read {read} failed"),
-            Some(SessionEvent::Explain(_)) => {}
-            Some(SessionEvent::Overflow { .. }) => panic!("light session evicted"),
-            Some(SessionEvent::End(_)) => break,
-            None => panic!("light session starved: no event within {deadline:?}"),
+            RecvOutcome::Event(SessionEvent::ReadFailed { read }) => panic!("read {read} failed"),
+            RecvOutcome::Event(SessionEvent::Explain(_)) => {}
+            RecvOutcome::Event(SessionEvent::End(_)) => break,
+            RecvOutcome::TimedOut => {
+                panic!("light session starved: no event within {deadline:?}")
+            }
+            RecvOutcome::Closed => panic!("the service died before the light session ended"),
         }
     }
     assert_eq!(light_got, light_expected, "light session output diverged");
 
     // Now drain the greedy session; its bytes must be intact too.
-    let mut greedy_got = String::new();
-    while let Some(event) = greedy_rx.recv() {
-        match event {
-            SessionEvent::Rows(rows) => {
-                for r in &rows {
-                    greedy_got.push_str(&r.to_tsv());
-                    greedy_got.push('\n');
-                }
-            }
-            SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
-            SessionEvent::Explain(_) => {}
-            SessionEvent::Overflow { .. } => panic!("throttle policy must never evict"),
-            SessionEvent::End(_) => break,
-        }
-    }
+    let (greedy_got, _) = drain_tsv(greedy_rx.iter());
     submitter.join().unwrap();
     assert_eq!(
         greedy_got, greedy_expected,
         "greedy session output diverged"
-    );
-    service.shutdown();
-}
-
-#[test]
-fn evict_policy_sends_one_overflow_then_end_and_fails_further_submits() {
-    let w = workload(60_000, 0, 0, 23);
-    let reads = extra_reads(&w.seq, 48, 700, 95);
-    let cap = 2 * 1024usize;
-    let cfg = ServiceConfig {
-        max_session_output_bytes: cap,
-        overflow: OverflowPolicy::Evict,
-        max_session_inflight_reads: 2,
-        ..ServiceConfig::default()
-    };
-    let service = PipelineService::start("ref", w.reference.clone(), cfg);
-    let (mut session, receiver) = service.open_session(BackendKind::Cpu).expect("admission");
-
-    // Nobody drains the receiver, so the buffered output crosses the
-    // cap after a few reads and the session is evicted. The in-flight
-    // read cap keeps submit in lockstep with the sink, so the typed
-    // error is observed by the submitter (not just the receiver).
-    let mut evicted = false;
-    'submit: for _ in 0..64 {
-        for (name, seq) in &reads {
-            match session.submit(ReadInput {
-                name: name.clone(),
-                seq: seq.clone(),
-            }) {
-                Ok(_) => {}
-                Err(SubmitError::SessionEvicted) => {
-                    evicted = true;
-                    break 'submit;
-                }
-                Err(e) => panic!("unexpected submit error: {e}"),
-            }
-        }
-    }
-    assert!(evicted, "submit never observed the eviction");
-    session.finish();
-
-    let mut delivered_bytes = 0usize;
-    let mut overflows = 0usize;
-    let mut rows_after_overflow = false;
-    let mut ended = false;
-    while let Some(event) = receiver.recv() {
-        match event {
-            SessionEvent::Rows(rows) => {
-                if overflows > 0 {
-                    rows_after_overflow = true;
-                }
-                delivered_bytes += rows.iter().map(|r| r.to_tsv().len() + 1).sum::<usize>();
-            }
-            SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
-            SessionEvent::Explain(_) => {}
-            SessionEvent::Overflow {
-                buffered_bytes,
-                cap: evt_cap,
-            } => {
-                overflows += 1;
-                assert_eq!(evt_cap as usize, cap);
-                assert!(
-                    buffered_bytes as usize > cap,
-                    "overflow reported below the cap: {buffered_bytes} <= {cap}"
-                );
-            }
-            SessionEvent::End(_) => {
-                ended = true;
-                break;
-            }
-        }
-    }
-    assert_eq!(overflows, 1, "exactly one Overflow event");
-    assert!(!rows_after_overflow, "rows delivered after eviction");
-    assert!(ended, "End still closes an evicted session");
-    assert!(
-        delivered_bytes <= cap,
-        "delivered {delivered_bytes} bytes despite the {cap}-byte cap"
     );
     service.shutdown();
 }
@@ -1004,7 +858,7 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(PipelineService::start("ref", reference.clone(), cfg));
-    type SessionRun = (String, Vec<String>, genasm_pipeline::SessionMetrics);
+    type SessionRun = (String, Vec<String>, SessionMetrics);
     let outputs: Vec<SessionRun> = std::thread::scope(|scope| {
         let handles: Vec<_> = sessions
             .iter()
@@ -1023,27 +877,13 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
                             .expect("submit");
                     }
                     session.finish();
-                    let mut out = String::new();
                     let mut explain = Vec::new();
-                    let mut metrics = None;
-                    while let Some(event) = receiver.recv() {
-                        match event {
-                            SessionEvent::Rows(rows) => {
-                                for r in &rows {
-                                    out.push_str(&r.to_tsv());
-                                    out.push('\n');
-                                }
-                            }
-                            SessionEvent::ReadFailed { read } => panic!("read {read} failed"),
-                            SessionEvent::Explain(line) => explain.push(line),
-                            SessionEvent::Overflow { .. } => panic!("unexpected overflow"),
-                            SessionEvent::End(m) => {
-                                metrics = Some(m);
-                                break;
-                            }
+                    let (out, metrics) = drain_tsv(receiver.iter().inspect(|event| {
+                        if let SessionEvent::Explain(line) = event {
+                            explain.push(line.clone());
                         }
-                    }
-                    (out, explain, metrics.expect("End event delivered"))
+                    }));
+                    (out, explain, metrics)
                 })
             })
             .collect();
@@ -1117,41 +957,6 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
     assert!(f.reads_in >= f.anchored && f.anchored >= f.chained && f.chained >= f.candidates);
 }
 
-/// The CPU backend, except that its second batch panics.
-struct PanicsOnSecondBatch {
-    inner: genasm_pipeline::CpuBackend,
-    calls: std::sync::atomic::AtomicUsize,
-}
-
-impl PanicsOnSecondBatch {
-    fn new() -> PanicsOnSecondBatch {
-        PanicsOnSecondBatch {
-            inner: genasm_pipeline::CpuBackend::improved(),
-            calls: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-}
-
-impl genasm_pipeline::Backend for PanicsOnSecondBatch {
-    fn name(&self) -> &'static str {
-        "panicky"
-    }
-
-    fn align_batch(
-        &self,
-        tasks: &[align_core::AlignTask],
-    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
-        if self
-            .calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            == 1
-        {
-            panic!("injected panic");
-        }
-        self.inner.align_batch(tasks)
-    }
-}
-
 /// One task per batch, so a run has many batches and the second one
 /// carries whole reads.
 fn tiny_batches() -> PipelineConfig {
@@ -1161,9 +966,18 @@ fn tiny_batches() -> PipelineConfig {
     }
 }
 
-#[test]
-fn a_backend_panic_fails_its_batch_and_the_service_keeps_serving() {
-    within_a_minute(|| {
+/// The CPU backend, except that its second batch does what `fault`
+/// says; `name` is the backend name the error must carry.
+fn faulty_second_batch(name: &'static str, fault: Fault) -> FaultBackend {
+    FaultBackend::new(name, &[Fault::Ok, fault], Fault::Ok)
+}
+
+/// A service whose backend faults on its second batch: the session
+/// that meets the fault has the reads of that batch fail, gets every
+/// other read, and ends; the error names the backend and `reason`; the
+/// next session is served in full.
+fn a_faulty_batch_spares_the_service(name: &'static str, fault: Fault, reason: &'static str) {
+    within_a_minute(move || {
         let w = workload(80_000, 8, 900, 31);
         let expected = one_shot(&w.reads, &w.reference, BackendKind::Cpu);
         let cfg = ServiceConfig {
@@ -1174,10 +988,10 @@ fn a_backend_panic_fails_its_batch_and_the_service_keeps_serving() {
             "ref",
             w.reference.clone(),
             cfg,
-            vec![(BackendKind::Cpu, Box::new(PanicsOnSecondBatch::new()))],
+            vec![(BackendKind::Cpu, Box::new(faulty_second_batch(name, fault)))],
         );
 
-        // The session that meets the panic: the reads of that batch
+        // The session that meets the fault: the reads of that batch
         // fail, every other read is delivered, and `End` arrives.
         let (mut session, receiver) = service.open_session(BackendKind::Cpu).unwrap();
         for (name, seq) in &w.reads {
@@ -1198,31 +1012,29 @@ fn a_backend_panic_fails_its_batch_and_the_service_keeps_serving() {
                 other => panic!("unexpected event {other:?}"),
             }
         }
-        let end = end.expect("the session ends behind a panicked batch");
-        assert!(failed >= 1, "the panicked batch failed no read");
+        let end = end.expect("the session ends behind a faulty batch");
+        assert!(failed >= 1, "the faulty batch failed no read");
         assert_eq!(end.reads_failed, failed);
         assert_eq!(failed + delivered, end.reads_mapped);
         assert_eq!(service.backend_errors(), 1);
-        let reason = service.last_backend_error().unwrap();
-        assert!(
-            reason.contains("panicky") && reason.contains("panicked: injected panic"),
-            "{reason}"
-        );
+        let error = service.last_backend_error().unwrap();
+        assert!(error.contains(name) && error.contains(reason), "{error}");
 
         // The dispatcher survived: the next session is served in full.
         let (got, m) = run_session(&service, BackendKind::Cpu, &w.reads);
         assert_eq!(
             got, expected,
-            "session after the panic diverged from one-shot"
+            "session after the fault diverged from one-shot"
         );
         assert_eq!(m.reads_failed, 0);
         assert_eq!(service.shutdown().funnel.failed, failed);
     });
 }
 
-#[test]
-fn a_backend_panic_fails_a_one_shot_run_with_a_backend_error() {
-    within_a_minute(|| {
+/// A one-shot run whose backend faults on its second batch fails with
+/// that backend's error, carrying `reason`.
+fn a_faulty_batch_fails_a_one_shot_run(name: &'static str, fault: Fault, reason: &'static str) {
+    within_a_minute(move || {
         let w = workload(80_000, 8, 900, 31);
         let stream = w.reads.iter().map(|(name, seq)| {
             Ok::<_, std::convert::Infallible>(ReadInput {
@@ -1233,19 +1045,160 @@ fn a_backend_panic_fails_a_one_shot_run_with_a_backend_error() {
         let err = run_pipeline(
             stream,
             w.reference.clone(),
-            &PanicsOnSecondBatch::new(),
+            &faulty_second_batch(name, fault),
             &tiny_batches(),
             |_| Ok(()),
         )
-        .expect_err("a panicked batch must fail the run");
+        .expect_err("a faulty batch must fail the run");
         match err {
-            genasm_pipeline::PipelineError::Backend(e) => {
-                assert_eq!(e.backend, "panicky");
-                assert_eq!(e.reason, "panicked: injected panic");
+            PipelineError::Backend(e) => {
+                assert_eq!(e.backend, name);
+                assert_eq!(e.reason, reason);
             }
             other => panic!("unexpected error {other}"),
         }
     });
+}
+
+#[test]
+fn a_backend_panic_fails_its_batch_and_the_service_keeps_serving() {
+    a_faulty_batch_spares_the_service("panicky", Fault::Panic, "panicked: injected panic");
+}
+
+#[test]
+fn a_backend_panic_fails_a_one_shot_run_with_a_backend_error() {
+    a_faulty_batch_fails_a_one_shot_run("panicky", Fault::Panic, "panicked: injected panic");
+}
+
+/// A backend that returns fewer results than its batch has tasks used
+/// to leave the reads of the missing tasks waiting at the sink for
+/// ever: their sessions never ended and a one-shot run hung.
+#[test]
+fn a_short_result_vector_fails_its_batch_and_the_service_keeps_serving() {
+    a_faulty_batch_spares_the_service("short", Fault::Short, "returned 0 results for 1 tasks");
+}
+
+#[test]
+fn a_short_result_vector_fails_a_one_shot_run_with_a_backend_error() {
+    a_faulty_batch_fails_a_one_shot_run("short", Fault::Short, "returned 0 results for 1 tasks");
+}
+
+/// Four sessions at once on one service, under an output cap small
+/// enough to throttle: one on a backend slot whose batches error,
+/// stall, panic and come back short; one behind a slow receiver; two
+/// that read promptly. Every session but the faulty one is
+/// byte-identical to one-shot, the faulty one ends with failed reads,
+/// and `shutdown` returns.
+#[test]
+fn faults_and_a_slow_reader_stay_inside_their_own_sessions() {
+    within_a_minute(|| {
+        let base = workload(90_000, 0, 0, 1);
+        let reference = base.reference;
+        let [prompt_cpu, prompt_edlib, slow, faulty] =
+            [51, 52, 53, 54].map(|seed| extra_reads(&base.seq, 12, 700, seed));
+        let want_cpu = one_shot(&prompt_cpu, &reference, BackendKind::Cpu);
+        let want_edlib = one_shot(&prompt_edlib, &reference, BackendKind::Edlib);
+        let want_slow = one_shot(&slow, &reference, BackendKind::Cpu);
+
+        let cfg = ServiceConfig {
+            pipeline: PipelineConfig {
+                batch_bases: 2 * 1024, // several batches per session
+                ..PipelineConfig::default()
+            },
+            max_session_output_bytes: 2 * 1024,
+            max_session_inflight_reads: 4,
+            ..ServiceConfig::default()
+        };
+        let script = [Fault::Error, Fault::Stall(50), Fault::Panic, Fault::Short];
+        let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![
+            (BackendKind::Cpu, BackendKind::Cpu.create()),
+            (BackendKind::Edlib, BackendKind::Edlib.create()),
+            (
+                BackendKind::GpuSim,
+                Box::new(FaultBackend::new("fault", &script, Fault::Ok)),
+            ),
+        ];
+        let service = PipelineService::start_with_backends("ref", reference, cfg, backends);
+
+        let service = &service;
+        let (got_cpu, got_edlib, got_slow, (failed, delivered, end)) =
+            std::thread::scope(|scope| {
+                let cpu = scope.spawn(|| {
+                    submit_while_draining(service, BackendKind::Cpu, &prompt_cpu, |rx| {
+                        drain_tsv(rx.iter())
+                    })
+                });
+                let edlib = scope.spawn(|| {
+                    submit_while_draining(service, BackendKind::Edlib, &prompt_edlib, |rx| {
+                        drain_tsv(rx.iter())
+                    })
+                });
+                let slow = scope.spawn(|| {
+                    submit_while_draining(service, BackendKind::Cpu, &slow, drain_tsv_slowly)
+                });
+                let faulty = scope.spawn(|| {
+                    submit_while_draining(service, BackendKind::GpuSim, &faulty, |rx| {
+                        let (mut failed, mut delivered) = (0, 0);
+                        for event in rx.iter() {
+                            match event {
+                                SessionEvent::ReadFailed { .. } => failed += 1,
+                                SessionEvent::Rows(_) => delivered += 1,
+                                SessionEvent::Explain(_) => {}
+                                SessionEvent::End(m) => return (failed, delivered, m),
+                            }
+                        }
+                        panic!("the faulty session never ended")
+                    })
+                });
+                (
+                    cpu.join().unwrap().0,
+                    edlib.join().unwrap().0,
+                    slow.join().unwrap().0,
+                    faulty.join().unwrap(),
+                )
+            });
+
+        assert_eq!(got_cpu, want_cpu, "prompt cpu session diverged");
+        assert_eq!(got_edlib, want_edlib, "prompt edlib session diverged");
+        assert_eq!(got_slow, want_slow, "slow-reader session diverged");
+        assert!(failed >= 1, "the faulty script failed no read");
+        assert_eq!(end.reads_failed, failed);
+        assert_eq!(failed + delivered, end.reads_mapped);
+        // The error, the panic and the short vector; the stall is slow,
+        // not wrong.
+        assert_eq!(service.backend_errors(), 3);
+
+        let metrics = service.shutdown();
+        assert_eq!(metrics.funnel.failed, failed);
+        assert!(metrics.sessions_throttled >= 1, "the output cap never bit");
+        assert_eq!(metrics.session_output_buffered_bytes, 0, "fully drained");
+    });
+}
+
+/// Submit `reads` to a new session on a thread of its own while
+/// `drain` reads the session's events on this one — what a session
+/// needs once its output cap can throttle it.
+fn submit_while_draining<T>(
+    service: &PipelineService,
+    backend: BackendKind,
+    reads: &[(String, Seq)],
+    drain: impl FnOnce(&SessionReceiver) -> T,
+) -> T {
+    let (mut session, receiver) = service.open_session(backend).expect("admission");
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for (name, seq) in reads {
+                session
+                    .submit(ReadInput {
+                        name: name.clone(),
+                        seq: seq.clone(),
+                    })
+                    .expect("submit");
+            }
+            session.finish();
+        });
+        drain(&receiver)
+    })
 }
 
 /// A backend that borrows a local. That `run_pipeline` takes it at all

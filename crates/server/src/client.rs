@@ -3,7 +3,7 @@
 //!
 //! [`submit`] speaks a whole session over one connection: `SET` verbs,
 //! `BEGIN`, raw record bytes, half-close, and the response, which it
-//! drains *while* it uploads — a server under its `throttle` policy
+//! drains *while* it uploads — a server at a session's output cap
 //! stops reading the socket until the client has taken rows, so a
 //! client that sent everything first would wait on it forever. Record
 //! lines go to `out` verbatim — so a client's stdout is byte-identical

@@ -21,12 +21,13 @@
 //! one bounded task queue shared by every session gives *server-wide*
 //! admission control (peak resident bases obey
 //! [`genasm_pipeline::ServiceConfig::resident_bases_bound`] no matter
-//! how many clients connect), and the per-session reorder seam keeps
-//! each client's record stream byte-identical to a one-shot
-//! `genasm align` over that client's reads. This crate adds the
-//! transport: the listener, the line protocol ([`protocol`]), the
-//! per-connection threads (`session`), graceful drain (`SHUTDOWN`
-//! verb or [`Server::request_shutdown`]), and the [`client`] used by
+//! how many clients connect), and one global reorder at the sink, with
+//! each completed read routed to its session, keeps each client's
+//! record stream byte-identical to a one-shot `genasm align` over that
+//! client's reads. This crate adds the transport: the listener, the
+//! line protocol ([`protocol`]), the per-connection threads
+//! (`session`), graceful drain (`SHUTDOWN` verb or
+//! [`Server::request_shutdown`]), and the [`client`] used by
 //! `genasm submit` / `genasm ctl` and CI.
 
 #![forbid(unsafe_code)]

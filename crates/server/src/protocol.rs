@@ -32,11 +32,12 @@
 //! heartbeat lines at any point — in the verb loop while waiting for a
 //! slow preamble, or in the response stream while the pipeline is
 //! quiet. Clients must ignore them (they are not a reply to any verb).
-//! The timeout also adds `# err` variants a robust client should
+//! The timeout also adds an `# err` variant a robust client should
 //! expect: `# err input: idle timeout …` when the client went silent
-//! mid-upload (the session is aborted but still ends with `# done`),
-//! and `# err overflow: …` when the session was evicted under the
-//! server's `evict` output-overflow policy. Free-text payloads of
+//! mid-upload (the session is aborted but still ends with `# done`).
+//! A client that reads its rows more slowly than the server makes them
+//! gets no error: the server stops reading its upload until it catches
+//! up, so it must read while it writes. Free-text payloads of
 //! `# err read`/`# err input` lines (read names, parser messages) are
 //! backslash-escaped like record name columns (`\t`, `\n`, `\r`, `\\`)
 //! so hostile content cannot forge a line boundary. A preamble line

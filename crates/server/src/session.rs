@@ -7,12 +7,12 @@
 //! the session's events back to the client. The two halves are
 //! independent, so responses stream while the client is still
 //! uploading, and both directions are backpressured: a full shared
-//! task queue (or this session hitting one of its per-session caps)
-//! blocks `submit`, which stops this thread reading the socket and
-//! propagates to the client's TCP window; a receiver that falls behind
-//! by more than `ServiceConfig::max_session_output_bytes` throttles or
-//! evicts the session per `ServiceConfig::overflow` — the sink itself
-//! never blocks on one slow client.
+//! task queue blocks `submit`, and so does this session reaching
+//! `ServiceConfig::max_session_inflight_reads` or falling behind its
+//! reader by more than `ServiceConfig::max_session_output_bytes`. A
+//! blocked `submit` stops this thread reading the socket, which
+//! propagates to the client's TCP window; the sink itself never blocks
+//! on one slow client.
 //!
 //! Adversarial clients are bounded in time as well as space. A verb
 //! line longer than `MAX_VERB_LINE` gets `# err line too long` and the
@@ -380,17 +380,6 @@ fn drain_events(
                 // a single line by construction, safe to frame as a
                 // status line.
                 writeln!(writer, "# explain {json}")?;
-                writer.flush()?;
-            }
-            SessionEvent::Overflow {
-                buffered_bytes,
-                cap,
-            } => {
-                writeln!(
-                    writer,
-                    "# err overflow: buffered output would reach {buffered_bytes} bytes \
-                     (cap {cap}); session evicted, remaining rows dropped"
-                )?;
                 writer.flush()?;
             }
             SessionEvent::End(m) => {

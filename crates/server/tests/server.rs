@@ -948,7 +948,7 @@ fn watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static
 }
 
 /// A session whose upload and response each outgrow a socket buffer,
-/// against an output cap far below either: under `throttle` the server
+/// against an output cap far below either: at the cap the server
 /// stops reading the socket until the client has taken rows, so this
 /// only ends for a client that reads while it writes.
 #[test]
