@@ -222,22 +222,28 @@ impl Cigar {
             .sum()
     }
 
-    /// Reverse the CIGAR in place (used when an aligner produced the
-    /// operations back-to-front).
-    pub fn reverse(&mut self) {
-        self.runs.reverse();
-    }
-
-    /// A reversed copy.
-    pub fn reversed(&self) -> Cigar {
-        let mut c = self.clone();
-        c.reverse();
-        // Merge runs that became adjacent after the reversal.
-        let mut merged = Cigar::new();
-        for &(n, op) in &c.runs {
-            merged.push_run(n, op);
+    /// Append the textual form (e.g. `"12M1X3D"`) to `out`. This is
+    /// the one CIGAR renderer: [`Display`](core::fmt::Display) and every
+    /// record formatter call it. Each run is a digit loop and a symbol,
+    /// not a trip through `core::fmt` — a 10 kb noisy read has thousands
+    /// of runs.
+    pub fn write_to(&self, out: &mut String) {
+        out.reserve(4 * self.runs.len());
+        let mut digits = [0u8; 10]; // u32::MAX has 10 digits
+        for &(n, op) in &self.runs {
+            let mut rest = n;
+            let mut at = digits.len();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            out.extend(digits[at..].iter().map(|&d| char::from(d)));
+            out.push(op.symbol());
         }
-        merged
     }
 
     /// Validate this CIGAR against a concrete sequence pair:
@@ -320,10 +326,9 @@ impl Cigar {
 
 impl core::fmt::Display for Cigar {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        for &(n, op) in &self.runs {
-            write!(f, "{n}{}", op.symbol())?;
-        }
-        Ok(())
+        let mut text = String::new();
+        self.write_to(&mut text);
+        f.write_str(&text)
     }
 }
 
@@ -395,6 +400,31 @@ mod tests {
     }
 
     #[test]
+    fn digit_loop_renders_like_core_fmt() {
+        let ops = [
+            CigarOp::Match,
+            CigarOp::Mismatch,
+            CigarOp::Ins,
+            CigarOp::Del,
+        ];
+        let mut c = Cigar::new();
+        let mut expected = String::from("prefix:");
+        for (i, n) in [1, 9, 10, 99, 100, 12_345, 1_000_000_000, u32::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let op = ops[i % ops.len()];
+            c.push_run(n, op);
+            expected.push_str(&format!("{n}{}", op.symbol()));
+        }
+        let mut got = String::from("prefix:");
+        c.write_to(&mut got);
+        assert_eq!(got, expected);
+        assert_eq!(format!("prefix:{c}"), expected);
+        assert_eq!(Cigar::new().to_string(), "");
+    }
+
+    #[test]
     fn parse_rejects_malformed() {
         assert!(Cigar::parse("M").is_err());
         assert!(Cigar::parse("3").is_err());
@@ -446,16 +476,6 @@ mod tests {
         assert!(c.validate(&seq("A"), &seq("A")).is_err());
         let c = Cigar::parse("1M1D").unwrap();
         assert!(c.validate(&seq("A"), &seq("A")).is_err());
-    }
-
-    #[test]
-    fn reversed_merges_adjacent_runs() {
-        let mut c = Cigar::new();
-        c.push_run(2, CigarOp::Match);
-        c.push_run(1, CigarOp::Ins);
-        c.push_run(3, CigarOp::Match);
-        let r = c.reversed();
-        assert_eq!(r.to_string(), "3M1I2M");
     }
 
     #[test]

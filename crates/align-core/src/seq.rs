@@ -236,15 +236,6 @@ impl Seq {
         }
     }
 
-    /// Reverse of this sequence (not complemented).
-    pub fn reversed(&self) -> Seq {
-        let mut out = Seq::with_capacity(self.len);
-        for i in (0..self.len).rev() {
-            out.push(self.get(i));
-        }
-        out
-    }
-
     /// Reverse complement.
     pub fn reverse_complement(&self) -> Seq {
         let mut out = Seq::with_capacity(self.len);
@@ -387,7 +378,6 @@ mod tests {
         let s = Seq::from_ascii(b"ACGTAC").unwrap();
         assert_eq!(s.slice(1, 3).to_string(), "CGT");
         assert_eq!(s.slice(4, 100).to_string(), "AC");
-        assert_eq!(s.reversed().to_string(), "CATGCA");
         assert_eq!(s.reverse_complement().to_string(), "GTACGT");
     }
 

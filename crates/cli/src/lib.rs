@@ -595,8 +595,8 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
 
     let mut rows: Vec<Vec<AlignRecord>> = reads.iter().map(|_| Vec::new()).collect();
     let mut task_detail: Vec<Vec<TaskExplain>> = reads.iter().map(|_| Vec::new()).collect();
-    for ((&i, task), aln) in read_of_task.iter().zip(&tasks).zip(&alignments) {
-        let aln = aln.as_ref().ok_or_else(|| {
+    for ((&i, task), aln) in read_of_task.iter().zip(&tasks).zip(alignments) {
+        let aln = aln.ok_or_else(|| {
             CliError::runtime(format!(
                 "alignment failed for read {}: no alignment within the edit budget",
                 reads[i].name
@@ -604,8 +604,8 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         })?;
         aln.check(&task.query, &task.target)
             .map_err(|e| CliError::runtime(format!("invalid alignment: {e}")))?;
-        task_detail[i].push(TaskExplain::new(aln));
-        rows[i].push(AlignRecord::new(
+        task_detail[i].push(TaskExplain::new(&aln));
+        rows[i].push(AlignRecord::from_alignment(
             &reads[i].name,
             reads[i].seq.len(),
             index.contig_name(task.contig),

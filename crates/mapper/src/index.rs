@@ -5,9 +5,15 @@
 //! k-mers (the smaller of the k-mer and its reverse complement) so a
 //! read and its reverse complement sample the same positions, and an
 //! invertible 64-bit mix as the ordering hash, like minimap2.
+//!
+//! The index is flat, like minimap2's: every minimizer's `(pos,
+//! flipped)` sits in one array sorted by `(hash, pos)`, and a key table
+//! maps each hash to its run in that array — two allocations per index,
+//! not one per distinct hash.
 
 use align_core::Seq;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One extracted minimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,60 +73,83 @@ fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<M
     let shift = 2 * (k - 1) as u64;
     let mut fwd: u64 = 0;
     let mut rev: u64 = 0;
-    // Rolling hashes of every k-mer.
-    let nk = n - k + 1;
-    let mut hashes: Vec<(u64, bool)> = Vec::with_capacity(nk);
-    for i in 0..n {
-        let c = seq.get_code(i) as u64;
-        fwd = ((fwd << 2) | c) & mask;
-        rev = (rev >> 2) | ((3 - c) << shift);
-        if i + 1 >= k {
-            let (canon, flipped) = if fwd <= rev {
-                (fwd, false)
-            } else {
-                (rev, true)
-            };
-            hashes.push((hash64(canon, mask), flipped));
-        }
-    }
-    // Winnowing with a monotone deque over windows of `w` k-mers.
+    // Winnowing with a monotone deque over windows of `w` k-mers, fed by
+    // the rolling hash: a k-mer's hash lives only while it sits in the
+    // deque, so extraction keeps at most `w` of them, not one per base.
     let mut out: Vec<Minimizer> = Vec::new();
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let push_out = |out: &mut Vec<Minimizer>, idx: usize, hashes: &[(u64, bool)]| {
-        let m = Minimizer {
-            pos: idx as u32,
-            hash: hashes[idx].0,
-            flipped: hashes[idx].1,
-        };
+    let mut deque: VecDeque<Minimizer> = VecDeque::with_capacity(w);
+    let push_out = |out: &mut Vec<Minimizer>, m: Minimizer| {
         if out.last() != Some(&m) {
             out.push(m);
         }
     };
-    for i in 0..nk {
-        while let Some(&back) = deque.back() {
-            // `>=` keeps the rightmost minimum on ties.
-            if hashes[back].0 >= hashes[i].0 {
-                deque.pop_back();
-            } else {
-                break;
-            }
+    for i in 0..n {
+        let c = seq.get_code(i) as u64;
+        fwd = ((fwd << 2) | c) & mask;
+        rev = (rev >> 2) | ((3 - c) << shift);
+        let Some(j) = (i + 1).checked_sub(k) else {
+            continue;
+        };
+        let (canon, flipped) = if fwd <= rev {
+            (fwd, false)
+        } else {
+            (rev, true)
+        };
+        let m = Minimizer {
+            pos: j as u32,
+            hash: hash64(canon, mask),
+            flipped,
+        };
+        // `>=` keeps the rightmost minimum on ties.
+        while deque.back().is_some_and(|b| b.hash >= m.hash) {
+            deque.pop_back();
         }
-        deque.push_back(i);
-        let win_start = i + 1;
-        if win_start >= w {
-            while *deque.front().expect("nonempty deque") + w <= i {
+        deque.push_back(m);
+        if j + 1 >= w {
+            while deque[0].pos as usize + w <= j {
                 deque.pop_front();
             }
-            push_out(&mut out, *deque.front().unwrap(), &hashes);
+            push_out(&mut out, deque[0]);
         }
     }
-    if nk < w && nk > 0 && short_fallback {
+    if n - k + 1 < w && short_fallback {
         // Sequence shorter than one full window: keep its global minimum
         // so short sequences are still indexable.
-        push_out(&mut out, *deque.front().unwrap(), &hashes);
+        push_out(&mut out, deque[0]);
     }
     out
 }
+
+/// The key table's hasher: one multiply by an odd 64-bit constant.
+///
+/// Keys are [`hash64`] outputs masked to `2k` bits, already well mixed
+/// in their low bits but zero above bit `2k`. The identity would leave
+/// the top bits — the ones the table's probe control bytes read — zero
+/// for every key; one multiply spreads the key over all 64 bits, at a
+/// fraction of SipHash's cost. SipHash's protection is not needed: the
+/// table is filled once from the reference, and reads only probe it,
+/// so a client cannot lengthen a probe chain.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A set of minimizer hashes, hashed with [`MulHasher`].
+pub(crate) type HashKeySet = HashSet<u64, BuildHasherDefault<MulHasher>>;
 
 /// A minimizer index over a reference sequence.
 #[derive(Debug)]
@@ -131,8 +160,11 @@ pub struct MinimizerIndex {
     pub k: usize,
     /// Reference length.
     pub ref_len: usize,
-    /// hash -> positions/orientations in the reference.
-    buckets: HashMap<u64, Vec<(u32, bool)>>,
+    /// Every minimizer's position/orientation, sorted by `(hash, pos)`:
+    /// each hash owns one contiguous, position-ascending run.
+    hits: Vec<(u32, bool)>,
+    /// hash -> `(start, len)` of its run in `hits`.
+    keys: HashMap<u64, (u32, u32), BuildHasherDefault<MulHasher>>,
     /// Occurrence cutoff: hashes hit more often than this are masked
     /// (minimap2's high-frequency filter, `-f`).
     pub max_occ: usize,
@@ -153,34 +185,42 @@ impl MinimizerIndex {
     /// Build from a precomputed minimizer list (the sharded build path,
     /// where slices are extracted with [`minimizers_windowed`]).
     pub fn from_minimizers(
-        ms: Vec<Minimizer>,
+        mut ms: Vec<Minimizer>,
         w: usize,
         k: usize,
         ref_len: usize,
         max_occ: usize,
     ) -> MinimizerIndex {
-        let mut buckets: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
-        for m in ms {
-            buckets.entry(m.hash).or_default().push((m.pos, m.flipped));
+        // Positions are unique, so the unstable sort is deterministic.
+        ms.sort_unstable_by_key(|m| (m.hash, m.pos));
+        let runs = || ms.chunk_by(|a, b| a.hash == b.hash);
+        let mut keys = HashMap::with_capacity_and_hasher(runs().count(), Default::default());
+        let mut start = 0u32;
+        for run in runs() {
+            let len = run.len() as u32;
+            keys.insert(run[0].hash, (start, len));
+            start += len;
         }
+        let hits = ms.iter().map(|m| (m.pos, m.flipped)).collect();
         MinimizerIndex {
             w,
             k,
             ref_len,
-            buckets,
+            hits,
+            keys,
             max_occ,
         }
     }
 
     /// Number of distinct indexed minimizer hashes.
     pub fn distinct_minimizers(&self) -> usize {
-        self.buckets.len()
+        self.keys.len()
     }
 
     /// Look up a hash; respects the occurrence cutoff.
     pub fn lookup(&self, hash: u64) -> &[(u32, bool)] {
-        match self.buckets.get(&hash) {
-            Some(v) if v.len() <= self.max_occ => v,
+        match self.occurrences(hash) {
+            v if v.len() <= self.max_occ => v,
             _ => &[],
         }
     }
@@ -189,13 +229,17 @@ impl MinimizerIndex {
     /// are ascending (minimizers are extracted left to right). The
     /// sharded index uses this and applies its own *global* cutoff.
     pub fn occurrences(&self, hash: u64) -> &[(u32, bool)] {
-        self.buckets.get(&hash).map_or(&[], Vec::as_slice)
+        self.keys.get(&hash).map_or(&[], |&run| self.run(run))
     }
 
     /// Iterate every `(hash, occurrences)` bucket, ignoring the cutoff.
     /// Iteration order is unspecified (callers must not depend on it).
     pub fn buckets(&self) -> impl Iterator<Item = (u64, &[(u32, bool)])> {
-        self.buckets.iter().map(|(&h, v)| (h, v.as_slice()))
+        self.keys.iter().map(|(&h, &run)| (h, self.run(run)))
+    }
+
+    fn run(&self, (start, len): (u32, u32)) -> &[(u32, bool)] {
+        &self.hits[start as usize..(start + len) as usize]
     }
 }
 
@@ -274,11 +318,11 @@ mod tests {
         let s = seq(&"ACGTACGTACGTACGTACGTACGT".repeat(50));
         let idx = MinimizerIndex::build_params(&s, 4, 8, 2);
         // The dominant periodic minimizer occurs way more than twice.
-        let over_cutoff = idx.buckets.values().filter(|v| v.len() > 2).count();
+        let over_cutoff = idx.buckets().filter(|(_, v)| v.len() > 2).count();
         assert!(over_cutoff > 0, "expected repetitive hashes in this input");
-        for (h, v) in &idx.buckets {
+        for (h, v) in idx.buckets() {
             if v.len() > 2 {
-                assert!(idx.lookup(*h).is_empty());
+                assert!(idx.lookup(h).is_empty());
             }
         }
     }

@@ -43,7 +43,10 @@
 //!    counts (a repeat spread over shards or contigs could slip under
 //!    a local cutoff). The build counts each distinct reference
 //!    position once — overlap duplicates are detected against earlier
-//!    shards — and lookups consult the global count.
+//!    shards — by sorting the hashes of the shards' own tables in one
+//!    transient array, keeps the set of hashes over the cutoff, and
+//!    lookups consult that set. No genome-wide hash map exists, not
+//!    even during the build.
 //! 3. **The merge is canonical.** Per-shard anchors are translated to
 //!    global coordinates, concatenated in shard order, sorted by
 //!    `(read_pos, ref_pos, strand)` and deduplicated, which reproduces
@@ -52,7 +55,6 @@
 //!    then runs per contig (a chain can never span two contigs) and
 //!    chains merge by score with contig order as the stable tiebreak.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,7 +63,7 @@ use align_core::{AlignTask, Reference, Seq};
 
 use crate::candidates::{chain_window, CandidateParams};
 use crate::chain::{chain_anchors, Anchor, Chain, ChainParams};
-use crate::index::{minimizers, minimizers_windowed, MinimizerIndex};
+use crate::index::{minimizers, minimizers_windowed, HashKeySet, MinimizerIndex};
 
 /// One reference shard: a slice of a single contig with its own
 /// minimizer index and the only copy of the slice's bases.
@@ -218,9 +220,11 @@ pub struct ShardedIndex {
     /// `c` (shards are laid out contig by contig, in order).
     contig_shards: Vec<std::ops::Range<usize>>,
     shards: Vec<Shard>,
-    /// Genome-wide occurrence count per hash (overlap-deduplicated,
-    /// across every contig).
-    counts: HashMap<u64, u32>,
+    /// Hashes whose genome-wide occurrence count (overlap-deduplicated,
+    /// across every contig) exceeds `max_occ`.
+    masked: HashKeySet,
+    /// Number of distinct hashes, genome-wide.
+    distinct: usize,
     /// Duplicate anchors removed by the merge, across all queries.
     dup_anchors: AtomicU64,
 }
@@ -307,24 +311,45 @@ impl ShardedIndex {
             // copy of these bases is the shard slices above.
         }
 
-        // Global occurrence counts: each distinct reference position
-        // counts once. A position inside an overlap appears in more
-        // than one shard; it is counted by the first shard that holds
-        // it and skipped when a later shard sees it again. (Shards of
-        // different contigs never overlap, so the backward walk stops
-        // at the contig boundary by construction.)
-        let mut counts: HashMap<u64, u32> = HashMap::new();
-        for si in 0..built.len() {
-            for (hash, hits) in built[si].index.buckets() {
-                for &(pos, _) in hits {
-                    let gpos = (built[si].start + pos as usize) as u32;
-                    let dup = (0..si)
-                        .rev()
-                        .take_while(|&j| built[j].end > gpos as usize)
-                        .any(|j| built[j].contains(hash, gpos));
-                    if !dup {
-                        *counts.entry(hash).or_insert(0) += 1;
+        // The global cutoff and the distinct count, from the shards' own
+        // tables: each distinct reference position puts its hash in a
+        // transient array, which sorts into one run per hash. A position
+        // inside an overlap appears in more than one shard; it is counted
+        // by the first shard that holds it and skipped when a later shard
+        // sees it again. (Shards of different contigs never overlap, so
+        // the backward walk stops at the contig boundary by
+        // construction.) The hashes go through in `PARTS` residue
+        // classes, so the array holds about an eighth of the hits at a
+        // time instead of adding 8 bytes per hit to the build's peak.
+        const PARTS: u64 = 8;
+        let mut masked = HashKeySet::default();
+        let mut distinct = 0;
+        let mut hashes: Vec<u64> = Vec::new();
+        for part in 0..PARTS {
+            hashes.clear();
+            for (si, shard) in built.iter().enumerate() {
+                for (hash, hits) in shard.index.buckets() {
+                    if hash % PARTS != part {
+                        continue;
                     }
+                    for &(pos, _) in hits {
+                        let gpos = (shard.start + pos as usize) as u32;
+                        let dup = built[..si]
+                            .iter()
+                            .rev()
+                            .take_while(|earlier| earlier.end > gpos as usize)
+                            .any(|earlier| earlier.contains(hash, gpos));
+                        if !dup {
+                            hashes.push(hash);
+                        }
+                    }
+                }
+            }
+            hashes.sort_unstable();
+            for run in hashes.chunk_by(|a, b| a == b) {
+                distinct += 1;
+                if run.len() > max_occ {
+                    masked.insert(run[0]);
                 }
             }
         }
@@ -337,7 +362,8 @@ impl ShardedIndex {
             contigs,
             contig_shards,
             shards: built,
-            counts,
+            masked,
+            distinct,
             dup_anchors: AtomicU64::new(0),
         }
     }
@@ -442,14 +468,12 @@ impl ShardedIndex {
     /// [`MinimizerIndex::distinct_minimizers`] of the unsharded index
     /// over the same sequence).
     pub fn distinct_minimizers(&self) -> usize {
-        self.counts.len()
+        self.distinct
     }
 
     /// Is this hash masked by the **global** occurrence cutoff?
     pub fn is_masked(&self, hash: u64) -> bool {
-        self.counts
-            .get(&hash)
-            .is_some_and(|&c| c as usize > self.max_occ)
+        self.masked.contains(&hash)
     }
 
     /// Collect the anchors of `read` against every shard and merge
@@ -461,7 +485,7 @@ impl ShardedIndex {
     /// method is `&self` and safe to call from many threads at once.
     pub fn collect_anchors(&self, read: &Seq) -> Vec<Anchor> {
         // Apply the global occurrence mask once, up front, so the
-        // per-shard scans don't repeat the count lookups per minimizer.
+        // per-shard scans don't repeat the mask lookups per minimizer.
         let mut read_mins = minimizers(read, self.w, self.k);
         read_mins.retain(|m| !self.is_masked(m.hash));
         let mut anchors = Vec::new();

@@ -1,15 +1,134 @@
 //! Property tests of the mapper: minimizer and chaining invariants on
 //! random references.
 
+use std::collections::HashMap;
+
 use align_core::{Base, Seq};
 use mapper::{
-    chain_anchors, collect_anchors, minimizers, CandidateParams, ChainParams, MinimizerIndex,
+    chain_anchors, collect_anchors, hash64, minimizers, minimizers_windowed, CandidateParams,
+    ChainParams, Minimizer, MinimizerIndex,
 };
 use proptest::prelude::*;
 
 fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = Seq> {
     prop::collection::vec(0u8..4, min..=max)
         .prop_map(|codes| codes.into_iter().map(Base::from_code).collect())
+}
+
+/// The extraction the flat index replaced, kept as its oracle: hash
+/// every k-mer into one vector first, then winnow over it.
+fn collect_every_hash_minimizers(
+    seq: &Seq,
+    w: usize,
+    k: usize,
+    short_fallback: bool,
+) -> Vec<Minimizer> {
+    let n = seq.len();
+    if n < k {
+        return Vec::new();
+    }
+    let mask: u64 = (1u64 << (2 * k)) - 1;
+    let shift = 2 * (k - 1) as u64;
+    let (mut fwd, mut rev) = (0u64, 0u64);
+    let mut hashes: Vec<(u64, bool)> = Vec::new();
+    for i in 0..n {
+        let c = seq.get_code(i) as u64;
+        fwd = ((fwd << 2) | c) & mask;
+        rev = (rev >> 2) | ((3 - c) << shift);
+        if i + 1 >= k {
+            let (canon, flipped) = if fwd <= rev {
+                (fwd, false)
+            } else {
+                (rev, true)
+            };
+            hashes.push((hash64(canon, mask), flipped));
+        }
+    }
+    let nk = hashes.len();
+    let mut out: Vec<Minimizer> = Vec::new();
+    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+    let push_out = |out: &mut Vec<Minimizer>, idx: usize| {
+        let m = Minimizer {
+            pos: idx as u32,
+            hash: hashes[idx].0,
+            flipped: hashes[idx].1,
+        };
+        if out.last() != Some(&m) {
+            out.push(m);
+        }
+    };
+    for i in 0..nk {
+        while deque.back().is_some_and(|&b| hashes[b].0 >= hashes[i].0) {
+            deque.pop_back();
+        }
+        deque.push_back(i);
+        if i + 1 >= w {
+            while deque[0] + w <= i {
+                deque.pop_front();
+            }
+            push_out(&mut out, deque[0]);
+        }
+    }
+    if nk < w && short_fallback {
+        push_out(&mut out, deque[0]);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The old index — one `Vec` per hash in a `HashMap` — is the flat
+    /// index's oracle: same occurrence slice for every hash (order
+    /// included), same cutoff, same distinct count, nothing for an
+    /// absent hash. Half the sequences are tandem repeats of a short
+    /// unit, whose minimizers pile up on a few hashes and cross any
+    /// `max_occ`.
+    #[test]
+    fn flat_index_equals_the_hashmap_of_vecs(
+        random in arb_seq(0, 3_000),
+        unit in prop::collection::vec(0u8..4, 1..=12),
+        copies in 1usize..400,
+        periodic in proptest::any::<bool>(),
+        preset in 0usize..4,
+        w in 1usize..16,
+        k in 1usize..=31,
+        max_occ in 0usize..40,
+    ) {
+        let s: Seq = if periodic {
+            let period = unit.iter().map(|&c| Base::from_code(c));
+            period.cycle().take(unit.len() * copies).collect()
+        } else {
+            random
+        };
+        let (w, k, max_occ) = [(10, 15, 400), (4, 8, 2), (5, 9, 1), (w, k, max_occ)][preset];
+        let ms = minimizers(&s, w, k);
+        prop_assert_eq!(&ms, &collect_every_hash_minimizers(&s, w, k, true));
+        prop_assert_eq!(
+            minimizers_windowed(&s, w, k),
+            collect_every_hash_minimizers(&s, w, k, false)
+        );
+
+        let mut old: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
+        for m in &ms {
+            old.entry(m.hash).or_default().push((m.pos, m.flipped));
+        }
+        let idx = MinimizerIndex::build_params(&s, w, k, max_occ);
+        prop_assert_eq!(idx.distinct_minimizers(), old.len());
+        for (&hash, hits) in &old {
+            prop_assert_eq!(idx.occurrences(hash), hits.as_slice());
+            let expected: &[(u32, bool)] = if hits.len() <= max_occ { hits } else { &[] };
+            prop_assert_eq!(idx.lookup(hash), expected);
+        }
+        let buckets: HashMap<u64, Vec<(u32, bool)>> =
+            idx.buckets().map(|(h, hits)| (h, hits.to_vec())).collect();
+        prop_assert_eq!(&buckets, &old);
+        let mask = (1u64 << (2 * k)) - 1;
+        for absent in (0..64).map(|x| hash64(x, mask)).filter(|h| !old.contains_key(h)) {
+            prop_assert!(idx.occurrences(absent).is_empty());
+            prop_assert!(idx.lookup(absent).is_empty());
+        }
+    }
 }
 
 proptest! {

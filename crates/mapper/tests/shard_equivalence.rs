@@ -10,8 +10,10 @@
 //! overlap grid on larger inputs; CI runs them in a dedicated
 //! `cargo test -- --ignored` job.
 
+use std::collections::HashMap;
+
 use align_core::{Base, Reference, Seq};
-use mapper::{collect_anchors, CandidateParams, MinimizerIndex, ShardedIndex};
+use mapper::{collect_anchors, minimizers, CandidateParams, MinimizerIndex, ShardedIndex};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -122,6 +124,33 @@ proptest! {
             collect_anchors(&read, &flat)
         );
         prop_assert_eq!(sharded.distinct_minimizers(), flat.distinct_minimizers());
+
+        // The mask agrees with a genome-wide count per hash — the map
+        // the sharded index used to keep — for every shard count, on a
+        // worn copy of the repeat whose hash counts spread around the
+        // cutoffs, so an overlap position counted twice would flip one.
+        let worn = mutate(&s, 0.05, repeats as u64);
+        let mut counts: HashMap<u64, usize> = HashMap::new();
+        for m in minimizers(&worn, 4, 8) {
+            *counts.entry(m.hash).or_default() += 1;
+        }
+        let absent = minimizers(&mutate(&read, 0.3, period as u64), 4, 8);
+        for shards in 1..=8 {
+            for max_occ in [1, 2, 3, 5] {
+                let sharded = ShardedIndex::build_params(single(&worn), shards, 64, 4, 8, max_occ);
+                prop_assert_eq!(sharded.distinct_minimizers(), counts.len());
+                for (&hash, &count) in &counts {
+                    prop_assert_eq!(
+                        sharded.is_masked(hash),
+                        count > max_occ,
+                        "shards={} max_occ={} count={}", shards, max_occ, count
+                    );
+                }
+                for m in absent.iter().filter(|m| !counts.contains_key(&m.hash)) {
+                    prop_assert!(!sharded.is_masked(m.hash));
+                }
+            }
+        }
     }
 
     /// Multi-contig: the sharded result must be invariant in the shard
@@ -250,6 +279,45 @@ fn boundary_adversarial_reference_is_shard_invariant() {
             t.ref_pos + t.target.len() <= baseline_idx.contig_len(t.contig),
             "task leaks past its contig boundary"
         );
+    }
+}
+
+/// Many contigs: 300 worn copies of one repeat, so most hashes recur
+/// across contigs and shards. The global mask and the distinct count
+/// must agree with a genome-wide count per hash (each contig's own
+/// minimizers, summed) whether a contig is one shard or split in many.
+#[test]
+fn masking_counts_each_position_once_across_many_contigs() {
+    let unit: Vec<u8> = (0..9).map(|i| (i * 7 % 4) as u8).collect();
+    let repeat: Seq = unit
+        .iter()
+        .cycle()
+        .take(180)
+        .map(|&c| Base::from_code(c))
+        .collect();
+    let contigs: Vec<Seq> = (0..300).map(|i| mutate(&repeat, 0.05, i)).collect();
+    let mut counts: HashMap<u64, usize> = HashMap::new();
+    for contig in &contigs {
+        for m in minimizers(contig, 4, 8) {
+            *counts.entry(m.hash).or_default() += 1;
+        }
+    }
+    for shards in [1, 300, 1_000] {
+        for max_occ in [1, 5, 40] {
+            let mut reference = Reference::new();
+            for (i, contig) in contigs.iter().enumerate() {
+                reference.push(&format!("c{i}"), contig.clone());
+            }
+            let idx = ShardedIndex::build_params(reference, shards, 0, 4, 8, max_occ);
+            assert_eq!(idx.distinct_minimizers(), counts.len(), "shards={shards}");
+            for (&hash, &count) in &counts {
+                assert_eq!(
+                    idx.is_masked(hash),
+                    count > max_occ,
+                    "shards={shards} max_occ={max_occ} count={count}"
+                );
+            }
+        }
     }
 }
 

@@ -29,6 +29,8 @@
 //! emitted byte-for-byte unchanged, so the escaping is invisible to
 //! the determinism contract.
 
+use std::fmt::Write;
+
 use align_core::{Alignment, Cigar};
 
 /// Escape a name field for TSV: `\` → `\\`, tab → `\t`, newline →
@@ -108,7 +110,8 @@ pub struct AlignRecord {
 }
 
 impl AlignRecord {
-    /// Build a record from an alignment and its task coordinates.
+    /// Build a record from a borrowed alignment and its task
+    /// coordinates (clones the CIGAR; see [`AlignRecord::from_alignment`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         qname: &str,
@@ -120,6 +123,31 @@ impl AlignRecord {
         reverse: bool,
         aln: &Alignment,
     ) -> AlignRecord {
+        AlignRecord::from_alignment(
+            qname,
+            qlen,
+            tname,
+            tsize,
+            tstart,
+            tlen,
+            reverse,
+            aln.clone(),
+        )
+    }
+
+    /// Build a record from an alignment it takes over, moving the CIGAR
+    /// instead of copying it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_alignment(
+        qname: &str,
+        qlen: usize,
+        tname: &str,
+        tsize: usize,
+        tstart: usize,
+        tlen: usize,
+        reverse: bool,
+        aln: Alignment,
+    ) -> AlignRecord {
         AlignRecord {
             qname: qname.to_string(),
             qlen,
@@ -130,7 +158,7 @@ impl AlignRecord {
             reverse,
             edit_distance: aln.edit_distance,
             identity: aln.column_identity(),
-            cigar: aln.cigar.clone(),
+            cigar: aln.cigar,
         }
     }
 
@@ -147,17 +175,20 @@ impl AlignRecord {
     /// Format as one TSV row (no trailing newline). Name columns are
     /// escaped so tabs/newlines in read names cannot break the row.
     pub fn to_tsv(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}",
+        let mut row = String::with_capacity(64 + 4 * self.cigar.runs().len());
+        let _ = write!(
+            row,
+            "{}\t{}\t{}\t{}\t{}\t{}\t",
             escape_name(&self.qname),
             self.qlen,
             escape_name(&self.tname),
             self.tstart,
             self.tend,
             self.edit_distance,
-            self.cigar,
-            self.identity
-        )
+        );
+        self.cigar.write_to(&mut row);
+        let _ = write!(row, "\t{:.4}", self.identity);
+        row
     }
 
     /// `self.to_tsv().len()` without rendering the row: what the sink
@@ -221,8 +252,10 @@ impl AlignRecord {
     /// the PAF "missing" value 255.
     pub fn to_paf(&self) -> String {
         let (m, x, i, d) = self.cigar.op_counts();
-        format!(
-            "{}\t{}\t0\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t255\tNM:i:{}\tcg:Z:{}",
+        let mut row = String::with_capacity(96 + 4 * self.cigar.runs().len());
+        let _ = write!(
+            row,
+            "{}\t{}\t0\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t255\tNM:i:{}\tcg:Z:",
             escape_name(&self.qname),
             self.qlen,
             self.cigar.query_len(),
@@ -234,8 +267,9 @@ impl AlignRecord {
             m,
             m + x + i + d,
             self.edit_distance,
-            self.cigar
-        )
+        );
+        self.cigar.write_to(&mut row);
+        row
     }
 
     /// Parse a row produced by [`AlignRecord::to_paf`]. Requires the

@@ -1559,7 +1559,7 @@ fn sink_loop(sh: &Shared) {
                 match aln {
                     Some(aln) => {
                         acc.tasks.push(TaskExplain::new(&aln));
-                        acc.rows.push(AlignRecord::new(
+                        acc.rows.push(AlignRecord::from_alignment(
                             &meta.qname,
                             meta.qlen,
                             &meta.tname,
@@ -1567,7 +1567,7 @@ fn sink_loop(sh: &Shared) {
                             meta.tstart,
                             meta.tlen,
                             meta.reverse,
-                            &aln,
+                            aln,
                         ))
                     }
                     None => acc.failed = true,

@@ -163,10 +163,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The byte-identity suites compare configurations of *one* commit, so
 /// a kernel change that moved every CIGAR (or every counter) the same
-/// way would pass them all. This pins one workload's pipeline output
-/// and engine counters across commits: three unequal contigs, 9% CLR
-/// error, a few hundred windows with final windows among them. A
-/// change that moves either literal must say why.
+/// way would pass them all. This pins one workload's pipeline output,
+/// as TSV and as PAF, and its engine counters across commits: three
+/// unequal contigs, 9% CLR error, a few hundred windows with final
+/// windows among them. A change that moves any literal must say why.
 #[test]
 fn pipeline_output_matches_the_cross_commit_golden() {
     use genasm_pipeline::{run_pipeline, AlignRecord, CpuBackend, PipelineConfig, ReadInput};
@@ -220,6 +220,12 @@ fn pipeline_output_matches_the_cross_commit_golden() {
         format!("{:016x}", fnv1a(out.as_bytes())),
         "fe02be30d0964ccb",
         "pipeline TSV output moved"
+    );
+    let paf_text: String = paf.iter().map(|line| format!("{line}\n")).collect();
+    assert_eq!(
+        format!("{:016x}", fnv1a(paf_text.as_bytes())),
+        "1fa09b1733c321ae",
+        "pipeline PAF output moved"
     );
     assert_eq!(
         engine.to_json(),
