@@ -143,6 +143,24 @@ pub fn step_row_edges(below_prev: u64, below_cur: u64, cur_prev: u64, pm: u64) -
     ]
 }
 
+/// One text column of a row group: `left` holds column i-1 of a
+/// boundary row (`left[0]`) and of the `N - 1` rows below it going in,
+/// and column i coming out; `boundary` is the boundary row's column i
+/// going in and the group's bottom row coming out. Row r's old and new
+/// value are row r+1's `below_prev` and `below_cur`. The CPU sweep and
+/// the simulated GPU's host computation both step their groups with
+/// it.
+#[inline(always)]
+pub fn step_group<const N: usize>(left: &mut [u64; N], boundary: &mut u64, pmv: u64) {
+    let (mut below_prev, mut below_cur) = (left[0], *boundary);
+    left[0] = below_cur;
+    for cur in &mut left[1..] {
+        let val = step_row(below_prev, below_cur, *cur, pmv);
+        (below_prev, below_cur, *cur) = (*cur, val, val);
+    }
+    *boundary = below_cur;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

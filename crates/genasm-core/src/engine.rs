@@ -71,15 +71,17 @@
 //! ## One traceback for every engine
 //!
 //! The distance pass below is the CPU's schedule (row groups, column by
-//! column); the simulated GPU sweeps the same recurrence along
-//! anti-diagonals. Everything after the sweep is shared: [`traceback`]
+//! column). The simulated GPU computes its values with the same column
+//! step ([`step_group`]) on its own 8-row groups, and charges the
+//! device for the anti-diagonal wavefront it would run, in closed form
+//! per group. Everything after the sweep is shared: [`traceback`]
 //! reads the table through the two-method [`TableRead`] seam, so the
 //! workspace's counted arena and the device's shared/global table
 //! drive one walk with one edge-priority order.
 
 use align_core::{AlignError, CigarOp};
 
-use crate::bitvec::{init_row, step_row, step_row0, step_row_edges, PatternMask};
+use crate::bitvec::{init_row, step_group, step_row, step_row0, step_row_edges, PatternMask};
 use crate::config::GenAsmConfig;
 use crate::stats::MemStats;
 use crate::table::{slot, TableRead, TbTable};
@@ -288,20 +290,6 @@ fn sweep_grouped(
     };
     table.keep_rows(rows, stats);
     d_star
-}
-
-/// One text column of a row group: `left` holds column i-1 going in
-/// and column i coming out, and row r's old and new value are row
-/// r+1's `below_prev` and `below_cur`.
-#[inline(always)]
-fn step_group(left: &mut [u64; GROUP + 1], boundary: &mut u64, pmv: u64) {
-    let (mut below_prev, mut below_cur) = (left[0], *boundary);
-    left[0] = below_cur;
-    for cur in &mut left[1..] {
-        let val = step_row(below_prev, below_cur, *cur, pmv);
-        (below_prev, below_cur, *cur) = (*cur, val, val);
-    }
-    *boundary = below_cur;
 }
 
 /// One-shot convenience: align a single window from explicit inputs

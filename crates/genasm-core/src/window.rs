@@ -11,8 +11,9 @@
 //! The pipeline is written once, in [`drive`], and every engine runs
 //! it: [`AlignWorkspace`] (the CPU's row-group sweep, via
 //! [`crate::engine::align_window`]) and the simulated GPU's per-block
-//! engine (`genasm-gpu`, anti-diagonal row groups) differ only in how
-//! they sweep one window and where its table lives. Every window runs
+//! engine (`genasm-gpu`, 8-row groups charged as an anti-diagonal
+//! wavefront) differ only in how they sweep one window, what they
+//! charge for it and where its table lives. Every window runs
 //! at the one budget `cfg.k`; a window that needs more edits fails the
 //! alignment with the engine's own error.
 

@@ -8,16 +8,23 @@
 //! [`TableRead`] per window) and keeps exactly the three things that
 //! model the device:
 //!
-//! * **The sweep schedule.** Inside a window the DP is computed by a
-//!   **row-group wavefront**: rows are processed in groups of
+//! * **The sweep schedule.** Inside a window the device computes the
+//!   DP as a **row-group wavefront**: rows are processed in groups of
 //!   [`ROW_GROUP`] threads; within a group, thread `r` computes row
 //!   `d0 + r` along an anti-diagonal front (cell `(d, i)` is computed
 //!   at step `s = (d - d0) + i`), and the group's bottom row is written
 //!   to a full-width boundary buffer for the next group. Early
-//!   termination stops after the group containing `d*`. The CPU sweeps
-//!   the same recurrence (`genasm_core::bitvec`) in row groups too, but
-//!   column by column in registers; the two schedules stay apart on
-//!   purpose, because the schedule is what the simulator charges for.
+//!   termination stops the front at step `r* + n`, `r*` being the
+//!   group's first row with the solution bit (that row's last cell),
+//!   and sweeps no further group. The schedule decides what the device
+//!   is charged, not the order in which the host computes the values,
+//!   so the two are apart: the host sweeps each group column by column
+//!   with its rows in registers (`genasm_core::bitvec::step_group`, the
+//!   CPU's column step) and writes the table words uncounted, and the
+//!   group's phases, cycles and shared/global words are booked in
+//!   closed form from the shape of the front the device would run.
+//!   The stepwise wavefront, every access counted, is this module's
+//!   test oracle: the booking must equal it counter for counter.
 //! * **Where the table lives.** The only difference between the
 //!   improved and the unimproved kernel is the traceback table's home
 //!   and entry width:
@@ -36,7 +43,7 @@
 //!   and a window's control overhead, and the streamed input/output.
 
 use align_core::{Alignment, CigarOp, Seq};
-use genasm_core::bitvec::{init_row, step_row, step_row0, step_row_edges, PatternMask};
+use genasm_core::bitvec::{init_row, step_group, step_row0, step_row_edges, PatternMask};
 use genasm_core::{
     drive, stage_window, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine, WindowSummary,
 };
@@ -83,12 +90,11 @@ impl WindowTable {
         (d * self.cols + (col - self.cut)) * self.wpe + slot
     }
 
-    #[inline]
-    fn store(&mut self, ctx: &mut BlockCtx, d: usize, col: usize, slot: usize, val: u64) {
-        let idx = self.index(d, col, slot);
+    /// The backing words, uncounted: the sweep books its stores.
+    fn words_mut(&mut self) -> &mut [u64] {
         match &mut self.mem {
-            TableMem::Shared(b) => ctx.sh_store(b, idx, val),
-            TableMem::Global(b) => ctx.gl_store(b, idx, val),
+            TableMem::Shared(b) => b.words_mut(),
+            TableMem::Global(b) => b.words_mut(),
         }
     }
 
@@ -137,6 +143,9 @@ impl TableRead for DeviceTable<'_> {
 pub struct KernelWorkspace {
     /// Reversed 2-bit text codes of the current window.
     text_rev: Vec<u8>,
+    /// The boundary row between row groups: the bottom row of the last
+    /// group swept, column by column.
+    boundary: Vec<u64>,
     /// Committed operations of the current window, forward order.
     ops: Vec<CigarOp>,
 }
@@ -179,11 +188,17 @@ pub fn static_table_words(cfg: &GenAsmConfig) -> usize {
     }
 }
 
+/// Shared-memory words of the wavefront's scratch: the boundary row
+/// and the next group's, both full width, and three diagonals of a
+/// group (previous, current, next).
+fn scratch_words(cfg: &GenAsmConfig) -> usize {
+    2 * cfg.w + 3 * ROW_GROUP
+}
+
 /// Total shared bytes per block for the given configuration (table if
 /// it can stay on-chip, plus the wavefront scratch buffers).
 pub fn shared_bytes_for(cfg: &GenAsmConfig) -> usize {
-    let scratch = 2 * cfg.w + 3 * ROW_GROUP;
-    (static_table_words(cfg) + scratch) * 8
+    (static_table_words(cfg) + scratch_words(cfg)) * 8
 }
 
 impl Kernel for GenAsmKernel {
@@ -205,23 +220,19 @@ impl Kernel for GenAsmKernel {
         // Stream the 2-bit packed input windows in.
         ctx.charge_global_stream(((query.len() + target.len()) / 4 + 2) as u64);
 
-        // Static shared allocations, reused across windows.
+        // Static shared allocations, reused across windows. The scratch
+        // is reserved, not touched: the wavefront's accesses to it are
+        // booked per row group.
         let table_words = static_table_words(cfg);
-        let sh = BlockShared {
-            table: if table_words > 0 {
-                Some(ctx.shared_alloc(table_words)?)
-            } else {
-                None
-            },
-            boundary: ctx.shared_alloc(cfg.w)?,
-            boundary_next: ctx.shared_alloc(cfg.w)?,
-            diag_a: ctx.shared_alloc(ROW_GROUP)?,
-            diag_b: ctx.shared_alloc(ROW_GROUP)?,
-            diag_c: ctx.shared_alloc(ROW_GROUP)?,
+        let shared_table = if table_words > 0 {
+            Some(ctx.shared_alloc(table_words)?)
+        } else {
+            None
         };
+        ctx.shared_alloc(scratch_words(cfg))?;
         let mut engine = DeviceEngine {
             ctx,
-            sh,
+            shared_table,
             ws,
             pm: None,
             stats: MemStats::new(),
@@ -245,22 +256,13 @@ impl Kernel for GenAsmKernel {
     }
 }
 
-/// The per-block shared-memory allocations. `table` is taken out while
-/// a window uses it and put back before the window returns, so the next
-/// window finds it again.
-struct BlockShared {
-    table: Option<SharedBuf>,
-    boundary: SharedBuf,
-    boundary_next: SharedBuf,
-    diag_a: SharedBuf,
-    diag_b: SharedBuf,
-    diag_c: SharedBuf,
-}
-
 /// One block as the shared window pipeline drives it.
 struct DeviceEngine<'a> {
     ctx: &'a mut BlockCtx,
-    sh: BlockShared,
+    /// The static shared table, if the flavour has one: taken out while
+    /// a window uses it and put back before the window returns, so the
+    /// next window finds it again.
+    shared_table: Option<SharedBuf>,
     ws: &'a mut KernelWorkspace,
     /// Bitmasks of the staged (reversed) pattern window.
     pm: Option<PatternMask>,
@@ -310,13 +312,13 @@ impl WindowEngine for DeviceEngine<'_> {
         // than it can hold (possible on high-error final windows,
         // whose column count exceeds the static non-final shape),
         // the window restarts in global memory.
-        let mut table = shape(match self.sh.table.take() {
+        let mut table = shape(match self.shared_table.take() {
             Some(buf) => TableMem::Shared(buf),
             None => TableMem::Global(self.ctx.global_alloc(global_words)),
         });
         let first = self.window(&mut table, cfg, keep, final_window)?;
         if let TableMem::Shared(buf) = table.mem {
-            self.sh.table = Some(buf);
+            self.shared_table = Some(buf);
         }
         let win = match first {
             Some(win) => win,
@@ -349,7 +351,7 @@ struct WindowOut {
 }
 
 impl DeviceEngine<'_> {
-    /// The staged window on the device: grouped-wavefront DC into
+    /// The staged window on the device: the grouped wavefront's DC into
     /// `table`, then the serial traceback. Committed operations land in
     /// the worker's op buffer.
     ///
@@ -365,15 +367,267 @@ impl DeviceEngine<'_> {
     ) -> Result<Option<WindowOut>, SimError> {
         let ctx = &mut *self.ctx;
         let pm = self.pm.as_ref().expect("set_window stages the mask");
-        let text_rev = &self.ws.text_rev[..];
-        let BlockShared {
+        let KernelWorkspace {
+            text_rev,
+            boundary,
+            ops,
+        } = &mut *self.ws;
+        let n = text_rev.len();
+        boundary.resize(n, 0);
+        let solution = pm.solution_bit();
+        let early_term = cfg.improvements.early_term;
+        let total_rows = cfg.k + 1;
+        let row_words = table.cols * table.wpe;
+
+        let mut d_star: Option<usize> = None;
+        for g in 0..total_rows.div_ceil(ROW_GROUP) {
+            let d0 = g * ROW_GROUP;
+            let rows = ROW_GROUP.min(total_rows - d0);
+            if !table.holds(d0 + rows) {
+                // The group would overflow the table: spill.
+                return Ok(None);
+            }
+            let (cut, wpe) = (table.cut, table.wpe);
+            let words = &mut table.words_mut()[d0 * row_words..(d0 + rows) * row_words];
+            // The group's first row with the solution bit, if any.
+            let fired = if g == 0 {
+                // Row 0 alone, then the group's other rows below it.
+                let (row0, below) = words.split_at_mut(row_words);
+                let row0_fired = sweep_row0(pm, text_rev, boundary, row0, cut, wpe) & solution == 0;
+                let mut left: [u64; ROW_GROUP] = std::array::from_fn(init_row);
+                if !(row0_fired && early_term) {
+                    sweep_rows(&mut left, boundary, pm, text_rev, below, cut, wpe);
+                }
+                if row0_fired {
+                    Some(0)
+                } else {
+                    (1..rows).find(|&r| left[r] & solution == 0)
+                }
+            } else {
+                let mut left: [u64; ROW_GROUP + 1] = std::array::from_fn(|r| init_row(d0 - 1 + r));
+                sweep_rows(&mut left, boundary, pm, text_rev, words, cut, wpe);
+                (0..rows).find(|&r| left[r + 1] & solution == 0)
+            };
+            let steps = match fired {
+                Some(r) if early_term => r + n,
+                _ => n + rows - 1,
+            };
+            book_group(ctx, table, n, d0 == 0, rows, steps);
+            if let Some(r) = fired {
+                d_star.get_or_insert(d0 + r);
+                if early_term {
+                    break;
+                }
+            }
+        }
+
+        let d_star = d_star.ok_or_else(|| over_budget(cfg.k))?;
+        let rows = if early_term { d_star + 1 } else { total_rows };
+
+        // Serial traceback by thread 0: the shared walk, its loads
+        // charged through the simulator.
+        let mut consumed = (0, 0);
+        ctx.serial_phase(|c| {
+            let mut table = DeviceTable { ctx: c, table };
+            consumed = traceback(&mut table, pm, text_rev, d_star, keep, final_window, ops);
+        });
+        ctx.charge_warp_cycles(ops.len() as u64 * TB_STEP_COST_CYCLES + WINDOW_OVERHEAD_CYCLES);
+        Ok(Some(WindowOut {
+            summary: WindowSummary {
+                d_star,
+                q_consumed: consumed.0,
+                t_consumed: consumed.1,
+            },
+            rows,
+        }))
+    }
+}
+
+/// Row 0 of a window (matches only), column by column into `boundary`
+/// and its entries at columns `cut..` into `words`; returns its last
+/// column.
+fn sweep_row0(
+    pm: &PatternMask,
+    text_rev: &[u8],
+    boundary: &mut [u64],
+    words: &mut [u64],
+    cut: usize,
+    wpe: usize,
+) -> u64 {
+    let mut cur = init_row(0);
+    for (&c, b) in text_rev.iter().zip(boundary.iter_mut()) {
+        cur = step_row0(cur, pm.get(c));
+        *b = cur;
+    }
+    // Row 0 has only match edges; the other slots are inactive.
+    for (entry, &v) in words.chunks_exact_mut(wpe).zip(&boundary[cut..]) {
+        entry[0] = v;
+        entry[1..].fill(!0);
+    }
+    cur
+}
+
+/// The rows below a boundary row, column by column with the rows in
+/// registers: `left` holds column -1 of the boundary row and of the
+/// `N - 1` rows below it going in (their init values) and column n-1
+/// coming out; `boundary` is the boundary row going in and the bottom
+/// row coming out. The entries at columns `cut..` of the rows `words`
+/// has room for — all of them, or fewer for a window's last group —
+/// go straight into it.
+fn sweep_rows<const N: usize>(
+    left: &mut [u64; N],
+    boundary: &mut [u64],
+    pm: &PatternMask,
+    text_rev: &[u8],
+    words: &mut [u64],
+    cut: usize,
+    wpe: usize,
+) {
+    let row_words = (text_rev.len() - cut) * wpe;
+    let stored = words.len() / row_words;
+    debug_assert!(stored < N, "more table rows than the group sweeps");
+    for (i, (&c, b)) in text_rev.iter().zip(boundary.iter_mut()).enumerate() {
+        let pmv = pm.get(c);
+        let prev = *left;
+        step_group(left, b, pmv);
+        let Some(col) = i.checked_sub(cut) else {
+            continue;
+        };
+        for r in 0..stored {
+            let entry = &mut words[r * row_words + col * wpe..][..wpe];
+            if wpe == 1 {
+                entry[0] = left[r + 1];
+            } else {
+                entry.copy_from_slice(&step_row_edges(prev[r], left[r], prev[r + 1], pmv));
+            }
+        }
+    }
+}
+
+/// Book what the device's wavefront over one row group costs: `steps`
+/// anti-diagonal steps over `rows` rows (`n + rows - 1` for the whole
+/// front, fewer if early termination stops it), row `r` computing its
+/// first `min(n, steps - r)` cells. Per cell the device loads its left
+/// neighbour (past column 0) and, below row 0, its two neighbours in
+/// the row above (one at column 0) from the diagonals or the boundary;
+/// it stores the cell to the next diagonal, to the table from column
+/// `cut` on, and, in the group's bottom row, to the next boundary.
+fn book_group(
+    ctx: &mut BlockCtx,
+    table: &WindowTable,
+    n: usize,
+    first_group: bool,
+    rows: usize,
+    steps: usize,
+) {
+    // Active threads per step: the front widens by one thread a step up
+    // to `width`, holds, and narrows by one a step at the end.
+    let full = n + rows - 1;
+    let width = rows.min(n);
+    for active in 1..width {
+        let count = usize::from(active - 1 < steps) + usize::from(full - active < steps);
+        ctx.book_phases(active, count as u64);
+    }
+    let widest = steps.min(full + 1 - width).saturating_sub(width - 1);
+    ctx.book_phases(width, widest as u64);
+    // ALU cost of the recurrence: one warp per step (a group's threads
+    // fit one).
+    ctx.charge_warp_cycles(steps as u64 * CELL_COST_CYCLES);
+
+    let (mut loads, mut stores, mut table_words) = (0, 0, 0);
+    for r in 0..rows {
+        let cells = n.min(steps.saturating_sub(r)) as u64;
+        if cells == 0 {
+            continue;
+        }
+        loads += if first_group && r == 0 {
+            cells - 1
+        } else {
+            3 * cells - 2
+        };
+        stores += cells;
+        if r == rows - 1 {
+            stores += cells;
+        }
+        table_words += cells.saturating_sub(table.cut as u64) * table.wpe as u64;
+    }
+    match table.mem {
+        TableMem::Shared(_) => ctx.book_shared(loads, stores + table_words),
+        TableMem::Global(_) => {
+            ctx.book_shared(loads, stores);
+            ctx.book_global(0, table_words);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The stepwise wavefront — one counted `phase` per anti-diagonal
+    //! step, every diagonal, boundary and table word through a counted
+    //! accessor — is the oracle the closed-form booking must equal.
+
+    use super::*;
+    use align_core::Base;
+    use genasm_core::bitvec::step_row;
+    use genasm_core::Improvements;
+    use gpu_sim::{Device, LaunchReport};
+    use proptest::prelude::*;
+
+    impl WindowTable {
+        fn store(&mut self, ctx: &mut BlockCtx, d: usize, col: usize, slot: usize, val: u64) {
+            let idx = self.index(d, col, slot);
+            match &mut self.mem {
+                TableMem::Shared(b) => ctx.sh_store(b, idx, val),
+                TableMem::Global(b) => ctx.gl_store(b, idx, val),
+            }
+        }
+
+        fn words(&mut self) -> Vec<u64> {
+            self.words_mut().to_vec()
+        }
+    }
+
+    /// The wavefront's shared scratch, as the stepwise loop uses it.
+    struct Scratch {
+        boundary: SharedBuf,
+        boundary_next: SharedBuf,
+        diag_a: SharedBuf,
+        diag_b: SharedBuf,
+        diag_c: SharedBuf,
+    }
+
+    impl Scratch {
+        fn alloc(ctx: &mut BlockCtx, cfg: &GenAsmConfig) -> Result<Scratch, SimError> {
+            Ok(Scratch {
+                boundary: ctx.shared_alloc(cfg.w)?,
+                boundary_next: ctx.shared_alloc(cfg.w)?,
+                diag_a: ctx.shared_alloc(ROW_GROUP)?,
+                diag_b: ctx.shared_alloc(ROW_GROUP)?,
+                diag_c: ctx.shared_alloc(ROW_GROUP)?,
+            })
+        }
+    }
+
+    /// [`DeviceEngine::window`] as the device schedule runs it, step by
+    /// step.
+    fn window_stepwise(
+        engine: &mut DeviceEngine,
+        scratch: &mut Scratch,
+        table: &mut WindowTable,
+        cfg: &GenAsmConfig,
+        keep: usize,
+        final_window: bool,
+    ) -> Result<Option<WindowOut>, SimError> {
+        let ctx = &mut *engine.ctx;
+        let pm = engine.pm.as_ref().expect("set_window stages the mask");
+        let text_rev = &engine.ws.text_rev[..];
+        let Scratch {
             boundary,
             boundary_next,
             diag_a,
             diag_b,
             diag_c,
-            ..
-        } = &mut self.sh;
+        } = scratch;
         let (mut diag_a, mut diag_b, mut diag_c) = (diag_a, diag_b, diag_c);
 
         let n = text_rev.len();
@@ -470,7 +724,7 @@ impl DeviceEngine<'_> {
 
         // Serial traceback by thread 0: the shared walk, its loads
         // charged through the simulator.
-        let ops = &mut self.ws.ops;
+        let ops = &mut engine.ws.ops;
         let mut consumed = (0, 0);
         ctx.serial_phase(|c| {
             let mut table = DeviceTable { ctx: c, table };
@@ -485,5 +739,199 @@ impl DeviceEngine<'_> {
             },
             rows,
         }))
+    }
+
+    /// What one window left behind: its summary, committed ops, the
+    /// table words of rows `0..=d*`, and whether it spilled.
+    #[derive(Debug, PartialEq)]
+    struct WindowRun {
+        summary: WindowSummary,
+        rows: usize,
+        ops: Vec<CigarOp>,
+        table: Vec<u64>,
+        spilled: bool,
+    }
+
+    /// One block aligning one whole-sequence window, through the
+    /// closed-form booking or through the stepwise oracle, with the
+    /// shared-then-global spill of [`DeviceEngine::align_window`].
+    struct OneWindow {
+        cfg: GenAsmConfig,
+        final_window: bool,
+        stepwise: bool,
+    }
+
+    impl Kernel for OneWindow {
+        type Args = (Seq, Seq);
+        type Output = WindowRun;
+        type Workspace = KernelWorkspace;
+
+        fn block(
+            &self,
+            ctx: &mut BlockCtx,
+            (query, target): &(Seq, Seq),
+            ws: &mut KernelWorkspace,
+        ) -> Result<WindowRun, SimError> {
+            let cfg = &self.cfg;
+            let table_words = static_table_words(cfg);
+            let shared_table = if table_words > 0 {
+                Some(ctx.shared_alloc(table_words)?)
+            } else {
+                None
+            };
+            let mut scratch = Scratch::alloc(ctx, cfg)?;
+            let mut engine = DeviceEngine {
+                ctx,
+                shared_table,
+                ws,
+                pm: None,
+                stats: MemStats::new(),
+                spilled: 0,
+            };
+            let (m, n) = (query.len(), target.len());
+            engine.set_window(query, 0, m, target, 0, n);
+            let keep = if self.final_window { m } else { cfg.keep() };
+            let cut = cfg.dent_cut(n, keep, self.final_window);
+            let (cols, wpe) = (n - cut, cfg.words_per_entry());
+            let shape = |mem| WindowTable {
+                mem,
+                cols,
+                cut,
+                wpe,
+            };
+            let mut run = |engine: &mut DeviceEngine, table: &mut WindowTable| {
+                if self.stepwise {
+                    window_stepwise(engine, &mut scratch, table, cfg, keep, self.final_window)
+                } else {
+                    engine.window(table, cfg, keep, self.final_window)
+                }
+            };
+            let global_words = (cfg.k + 1) * cols * wpe;
+            let mut table = shape(match engine.shared_table.take() {
+                Some(buf) => TableMem::Shared(buf),
+                None => TableMem::Global(engine.ctx.global_alloc(global_words)),
+            });
+            let (win, spilled) = match run(&mut engine, &mut table)? {
+                Some(win) => (win, false),
+                None => {
+                    table = shape(TableMem::Global(engine.ctx.global_alloc(global_words)));
+                    (
+                        run(&mut engine, &mut table)?.expect("global table fits"),
+                        true,
+                    )
+                }
+            };
+            let mut words = table.words();
+            words.truncate((win.summary.d_star + 1) * cols * wpe);
+            Ok(WindowRun {
+                summary: win.summary,
+                rows: win.rows,
+                ops: engine.ws.ops.clone(),
+                table: words,
+                spilled,
+            })
+        }
+    }
+
+    fn launch(
+        cfg: GenAsmConfig,
+        pair: &(Seq, Seq),
+        final_window: bool,
+        stepwise: bool,
+    ) -> LaunchReport<WindowRun> {
+        let kernel = OneWindow {
+            cfg,
+            final_window,
+            stepwise,
+        };
+        Device::a6000()
+            .launch(1, ROW_GROUP, shared_bytes_for(&cfg), &kernel, pair)
+            .unwrap()
+    }
+
+    fn configs() -> [GenAsmConfig; 3] {
+        [
+            GenAsmConfig::improved(),
+            GenAsmConfig::baseline(),
+            GenAsmConfig {
+                improvements: Improvements {
+                    early_term: false,
+                    ..Improvements::ALL
+                },
+                ..GenAsmConfig::improved()
+            },
+        ]
+    }
+
+    /// Booking equals the stepwise oracle under every pinned flavour;
+    /// returns whether any flavour spilled.
+    fn assert_booking_matches_oracle(pair: &(Seq, Seq), final_window: bool) -> bool {
+        let mut spilled = false;
+        for cfg in configs() {
+            let booked = launch(cfg, pair, final_window, false);
+            let oracle = launch(cfg, pair, final_window, true);
+            let label = cfg.improvements.label();
+            assert_eq!(booked.outputs, oracle.outputs, "{label}");
+            assert_eq!(booked.totals, oracle.totals, "{label}");
+            spilled |= booked.outputs[0].spilled;
+        }
+        spilled
+    }
+
+    /// A pattern of `m` random bases and a text of `n`: the pattern with
+    /// roughly `error_pct`% substitutions, insertions and deletions,
+    /// cut or padded with random bases to length `n`.
+    fn arb_window() -> impl Strategy<Value = (Seq, Seq)> {
+        (
+            1usize..=64,
+            1usize..=64,
+            0u32..=60,
+            prop::collection::vec((0u32..100, 0u8..3, 0u8..4), 128),
+        )
+            .prop_map(|(m, n, error_pct, draws)| {
+                let mut draws = draws.into_iter().cycle();
+                let q: Vec<Base> = (0..m)
+                    .map(|_| Base::from_code(draws.next().unwrap().2))
+                    .collect();
+                let mut t = Vec::with_capacity(n);
+                for &b in &q {
+                    let (roll, kind, code) = draws.next().unwrap();
+                    match (roll < error_pct, kind) {
+                        (false, _) => t.push(b),
+                        (true, 0) => t.push(Base::from_code((b.code() + 1 + code % 3) % 4)),
+                        (true, 1) => t.extend([b, Base::from_code(code)]),
+                        (true, _) => {}
+                    }
+                }
+                t.resize_with(n, || Base::from_code(draws.next().unwrap().2));
+                (q.into_iter().collect(), t.into_iter().collect())
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn closed_form_booking_equals_the_stepwise_wavefront(
+            pair in arb_window(),
+            final_window in any::<bool>(),
+        ) {
+            assert_booking_matches_oracle(&pair, final_window);
+        }
+    }
+
+    #[test]
+    fn closed_form_booking_equals_the_stepwise_wavefront_on_spills() {
+        let mut spills = 0;
+        for (m, n) in [(64, 64), (64, 60), (50, 64), (64, 1), (1, 64), (7, 3)] {
+            let pair = (
+                std::iter::repeat_n(Base::A, m).collect(),
+                std::iter::repeat_n(Base::T, n).collect(),
+            );
+            for final_window in [true, false] {
+                spills += usize::from(assert_booking_matches_oracle(&pair, final_window));
+            }
+        }
+        assert!(spills > 0, "no all-mismatch window spilled");
     }
 }

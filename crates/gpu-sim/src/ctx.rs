@@ -8,6 +8,17 @@
 //! `__syncthreads()`. This keeps kernels deterministic while the
 //! counters capture exactly the quantities the timing model needs:
 //! warp-steps of compute, shared-memory traffic, and global traffic.
+//!
+//! A kernel whose schedule is a known shape may instead compute its
+//! values however the host computes them fastest and *book* what the
+//! device would have done: [`BlockCtx::book_phases`] for the phases,
+//! [`BlockCtx::book_shared`] / [`BlockCtx::book_global`] for the
+//! traffic. Booking and counting feed the same [`BlockCounters`] (a
+//! phase books itself through [`BlockCtx::book_phase`]), so the timing
+//! model cannot tell them apart. Only such a kernel may write a buffer
+//! through the uncounted [`SharedBuf::words_mut`] /
+//! [`GlobalBuf::words_mut`], and it must book every word it models as
+//! moved; everything else goes through the counted accessors.
 
 use crate::error::SimError;
 
@@ -62,7 +73,7 @@ impl BlockCounters {
 
 /// A capacity-checked shared-memory buffer of 64-bit words.
 ///
-/// Created through [`BlockCtx::shared_alloc`]; all accesses go through
+/// Created through [`BlockCtx::shared_alloc`]; accesses go through
 /// the context so they are counted.
 #[derive(Debug)]
 pub struct SharedBuf {
@@ -73,6 +84,12 @@ impl SharedBuf {
     /// Number of words.
     pub fn len(&self) -> usize {
         self.data.len()
+    }
+
+    /// The words, uncounted: the caller books the traffic it models
+    /// with [`BlockCtx::book_shared`].
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.data
     }
 
     /// True when the buffer has no words.
@@ -93,6 +110,12 @@ impl GlobalBuf {
     /// Number of words.
     pub fn len(&self) -> usize {
         self.data.len()
+    }
+
+    /// The words, uncounted: the caller books the traffic it models
+    /// with [`BlockCtx::book_global`].
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.data
     }
 
     /// True when the buffer has no words.
@@ -208,6 +231,25 @@ impl BlockCtx {
         buf.data[idx] = val;
     }
 
+    /// Book `loads` and `stores` shared-memory words, as that many
+    /// [`sh_load`](Self::sh_load)s and [`sh_store`](Self::sh_store)s
+    /// would count them.
+    #[inline]
+    pub fn book_shared(&mut self, loads: u64, stores: u64) {
+        self.counters.shared_loads += loads;
+        self.counters.shared_stores += stores;
+    }
+
+    /// Book `loads` and `stores` global-memory words, 8 bytes each, as
+    /// that many [`gl_load`](Self::gl_load)s and
+    /// [`gl_store`](Self::gl_store)s would count them.
+    #[inline]
+    pub fn book_global(&mut self, loads: u64, stores: u64) {
+        self.counters.global_loads += loads;
+        self.counters.global_stores += stores;
+        self.counters.global_bytes += 8 * (loads + stores);
+    }
+
     /// Charge a streaming global transfer (e.g. loading the sequence
     /// windows at kernel start, writing results at the end).
     pub fn charge_global_stream(&mut self, bytes: u64) {
@@ -239,13 +281,34 @@ impl BlockCtx {
             active.end,
             self.block_dim
         );
-        self.counters.phases += 1;
-        let n = active.len() as u64;
-        self.counters.thread_steps += n;
-        self.counters.warp_steps += n.div_ceil(self.warp_size as u64);
+        self.book_phase(active.len());
         for tid in active {
             f(tid, self);
         }
+    }
+
+    /// Book one phase of `active` threads without running it.
+    #[inline]
+    pub fn book_phase(&mut self, active: usize) {
+        self.book_phases(active, 1);
+    }
+
+    /// Book `count` phases of `active` threads each without running
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if `active` exceeds the block's thread count.
+    #[inline]
+    pub fn book_phases(&mut self, active: usize, count: u64) {
+        assert!(
+            active <= self.block_dim,
+            "phase activates thread {active} but block has {} threads",
+            self.block_dim
+        );
+        let active = active as u64;
+        self.counters.phases += count;
+        self.counters.thread_steps += active * count;
+        self.counters.warp_steps += active.div_ceil(self.warp_size as u64) * count;
     }
 
     /// A single-thread phase (e.g. the traceback walk).
@@ -331,6 +394,51 @@ mod tests {
     fn oversized_phase_panics() {
         let mut c = ctx(0);
         c.phase(0..65, |_, _| {});
+    }
+
+    #[test]
+    fn booking_equals_counting() {
+        // Per thread: two shared loads, one shared store, one global
+        // load and two global stores.
+        let shapes = [1, 5, 32, 33, 64];
+        let mut counted = ctx(4096);
+        let mut sh = counted.shared_alloc(64).unwrap();
+        let mut gl = counted.global_alloc(128);
+        for &active in &shapes {
+            counted.phase(0..active, |tid, c| {
+                let v = c.sh_load(&sh, tid) + c.sh_load(&sh, 63 - tid);
+                c.sh_store(&mut sh, tid, v);
+                let g = c.gl_load(&gl, tid);
+                c.gl_store(&mut gl, tid, g + v);
+                c.gl_store(&mut gl, 64 + tid, g);
+            });
+        }
+        let mut booked = ctx(4096);
+        for &active in &shapes {
+            booked.book_phase(active);
+            let n = active as u64;
+            booked.book_shared(2 * n, n);
+            booked.book_global(n, 2 * n);
+        }
+        assert_eq!(booked.counters(), counted.counters());
+
+        // `count` phases at once book as `count` single phases.
+        let mut single = ctx(0);
+        let mut batched = ctx(0);
+        for &active in &shapes {
+            for _ in 0..3 {
+                single.book_phase(active);
+            }
+            batched.book_phases(active, 3);
+        }
+        assert_eq!(batched.counters(), single.counters());
+        assert_eq!(batched.counters().warp_steps, 3 * (1 + 1 + 1 + 2 + 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "phase activates thread")]
+    fn oversized_booked_phase_panics() {
+        ctx(0).book_phase(65);
     }
 
     #[test]

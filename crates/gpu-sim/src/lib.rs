@@ -9,7 +9,8 @@
 //! ([`Device::launch`]). The substrate enforces the
 //! GPU's *capacity* constraints (per-block shared memory, occupancy)
 //! and measures the *traffic* every block generates (warp issue slots,
-//! shared accesses, global accesses and bytes). An analytic
+//! shared accesses, global accesses and bytes), whether it counts them
+//! access by access or books them in closed form. An analytic
 //! roofline+latency model ([`timing`]) turns those counters into a
 //! device-time estimate.
 //!
