@@ -13,8 +13,11 @@
 //!   `!0 << d`: the first `d` pattern characters may be consumed by
 //!   pattern-only edits.
 //!
-//! These functions are shared verbatim by the CPU aligner and the GPU
-//! kernels, so the two implementations cannot drift apart.
+//! These functions are shared verbatim by the CPU aligner, the GPU
+//! kernel and the occurrence filter, so they cannot drift apart: the
+//! recurrence steps and the one sweep built on them ([`sweep_row0`],
+//! [`sweep_rows`]: row 0, then row groups column by column) are the
+//! only code outside the test oracles that computes GenASM-DC rows.
 
 use align_core::Seq;
 
@@ -131,8 +134,8 @@ pub fn step_row(below_prev: u64, below_cur: u64, cur_prev: u64, pm: u64) -> u64 
 }
 
 /// The four edge contributions separately, in `(match, subst, del, ins)`
-/// order. Used by the *unimproved* GenASM-TB, which stores all of them,
-/// and by tests that check `AND(edges) == step_row`.
+/// order: what [`sweep_rows`] stores for the *unimproved* GenASM-TB,
+/// which reads all of them. Tests check `AND(edges) == step_row`.
 #[inline(always)]
 pub fn step_row_edges(below_prev: u64, below_cur: u64, cur_prev: u64, pm: u64) -> [u64; 4] {
     [
@@ -147,9 +150,7 @@ pub fn step_row_edges(below_prev: u64, below_cur: u64, cur_prev: u64, pm: u64) -
 /// boundary row (`left[0]`) and of the `N - 1` rows below it going in,
 /// and column i coming out; `boundary` is the boundary row's column i
 /// going in and the group's bottom row coming out. Row r's old and new
-/// value are row r+1's `below_prev` and `below_cur`. The CPU sweep and
-/// the simulated GPU's host computation both step their groups with
-/// it.
+/// value are row r+1's `below_prev` and `below_cur`.
 #[inline(always)]
 pub fn step_group<const N: usize>(left: &mut [u64; N], boundary: &mut u64, pmv: u64) {
     let (mut below_prev, mut below_cur) = (left[0], *boundary);
@@ -159,6 +160,73 @@ pub fn step_group<const N: usize>(left: &mut [u64; N], boundary: &mut u64, pmv: 
         (below_prev, below_cur, *cur) = (*cur, val, val);
     }
     *boundary = below_cur;
+}
+
+// In both sweeps a stored entry is `W` words: the row's value
+// (`W == 1`, the compressed layout) or its `(match, subst, del, ins)`
+// edge vectors (`W == 4`, the unimproved layout).
+
+/// Row 0 of a window (matches only), column by column into `boundary`;
+/// its entries at columns `cut..` go into `stored`, where the other
+/// edge slots are inactive (all ones). Returns its last column.
+#[inline]
+pub fn sweep_row0<const W: usize>(
+    boundary: &mut [u64],
+    pm: &PatternMask,
+    text_rev: &[u8],
+    cut: usize,
+    stored: &mut [[u64; W]],
+) -> u64 {
+    let mut cur = init_row(0);
+    for (&c, b) in text_rev.iter().zip(boundary.iter_mut()) {
+        cur = step_row0(cur, pm.get(c));
+        *b = cur;
+    }
+    for (entry, &v) in stored.iter_mut().zip(&boundary[cut..]) {
+        *entry = [!0; W];
+        entry[0] = v;
+    }
+    cur
+}
+
+/// The `N - 1` rows below a boundary row, column by column with the
+/// rows in registers ([`step_group`]): `left` holds column -1 of the
+/// boundary row and of the rows below it going in (their init values)
+/// and the last column coming out; `boundary` is the boundary row going
+/// in and the bottom row coming out. The columns below `cut` are
+/// computed, not stored; row `r + 1`'s entries at columns `cut..` go
+/// into `stored[r]`.
+#[inline]
+pub fn sweep_rows<const N: usize, const S: usize, const W: usize>(
+    left: &mut [u64; N],
+    boundary: &mut [u64],
+    pm: &PatternMask,
+    text_rev: &[u8],
+    cut: usize,
+    stored: [&mut [[u64; W]]; S],
+) {
+    const { assert!(S + 1 == N && (W == 1 || W == 4)) };
+    let (text_cut, text_kept) = text_rev.split_at(cut);
+    let (bound_cut, bound_kept) = boundary.split_at_mut(cut);
+    for (&c, b) in text_cut.iter().zip(bound_cut) {
+        step_group(left, b, pm.get(c));
+    }
+    for (j, (&c, b)) in text_kept.iter().zip(bound_kept).enumerate() {
+        let pmv = pm.get(c);
+        if W == 1 {
+            step_group(left, b, pmv);
+            for r in 0..S {
+                stored[r][j][0] = left[r + 1];
+            }
+        } else {
+            let prev = *left;
+            step_group(left, b, pmv);
+            for r in 0..S {
+                let edges = step_row_edges(prev[r], left[r], prev[r + 1], pmv);
+                stored[r][j].copy_from_slice(&edges);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

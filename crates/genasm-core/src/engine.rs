@@ -5,7 +5,7 @@
 //! against a reversed text slice. Reversal makes the backward traceback
 //! emit operations in forward order (GenASM's trick).
 //!
-//! All mutable state — scratch rows, the traceback table, the staged
+//! All mutable state — the boundary row, the traceback table, the staged
 //! window inputs, the op buffer, and the instrumentation counters —
 //! lives in a caller-provided [`AlignWorkspace`], so a warm workspace
 //! aligns windows without a single heap allocation.
@@ -14,22 +14,22 @@
 //!
 //! * **Row groups + early termination.** Row `d` of column `i` depends
 //!   only on row `d-1` (columns `i-1`, `i`) and row `d` (column `i-1`),
-//!   so rows are computed in ascending order. The compressed layout
-//!   sweeps row 0 alone (matches only: all a clean window needs), then
+//!   so rows are computed in ascending order. Both table layouts sweep
+//!   row 0 alone (matches only: all a clean window needs), then
 //!   `GROUP = 4` rows at a time, column by column: per text column
 //!   `PM[T[i]]` and the boundary row are loaded once, the group's rows
-//!   step top to bottom in registers and go straight into the table,
-//!   and the bottom row becomes the next group's boundary. A row waits
-//!   on its own left neighbour, so one row at a time runs at that
-//!   chain's latency; a group keeps `GROUP` chains in flight. The first
-//!   row whose final column has the solution bit active is the minimal
-//!   edit count `d*`; with early termination enabled, no further group
-//!   is swept. **Overshoot** — the rows of the last group past `d*` or
-//!   past the budget — is truncated from the table unread and is not
-//!   booked: [`MemStats`] counts rows `0..=d*` (as the simulated GPU
-//!   does for its 8-row groups), so every counter reads as if rows were
-//!   swept one at a time — which the unimproved 4-word layout, the
-//!   ablation's denominator, still is.
+//!   step top to bottom in registers and their entries (the row's value,
+//!   or its four edge vectors) go straight into the table, and the
+//!   bottom row becomes the next group's boundary. A row waits on its
+//!   own left neighbour, so one row at a time would run at that chain's
+//!   latency; a group keeps `GROUP` chains in flight. The first row
+//!   whose final column has the solution bit active is the minimal edit
+//!   count `d*`; with early termination enabled, no further group is
+//!   swept. **Overshoot** — the rows of the last group past `d*` or past
+//!   the budget — is truncated from the table unread and is not booked:
+//!   [`MemStats`] counts rows `0..=d*` (as the simulated GPU does for
+//!   its 8-row groups), so every counter reads as if rows were swept one
+//!   at a time.
 //! * **Entry compression.** Only the combined vector `R[d][i]` is
 //!   stored. The traceback re-derives edge existence from stored
 //!   neighbours and the pattern mask (see [`traceback`]).
@@ -68,20 +68,21 @@
 //! nothing to store per row: every row keeps the columns from the
 //! uniform, provably safe DENT cut up.
 //!
-//! ## One traceback for every engine
+//! ## One sweep and one traceback for every engine
 //!
-//! The distance pass below is the CPU's schedule (row groups, column by
-//! column). The simulated GPU computes its values with the same column
-//! step ([`step_group`]) on its own 8-row groups, and charges the
-//! device for the anti-diagonal wavefront it would run, in closed form
-//! per group. Everything after the sweep is shared: [`traceback`]
-//! reads the table through the two-method [`TableRead`] seam, so the
-//! workspace's counted arena and the device's shared/global table
-//! drive one walk with one edge-priority order.
+//! The distance pass is [`sweep_row0`] and [`sweep_rows`], for either
+//! entry width. The CPU runs them on 4-row groups; the simulated GPU
+//! runs them on its own 8-row groups and charges the device for the
+//! anti-diagonal wavefront it would run, in closed form per group; the
+//! occurrence filter ([`crate::filter`]) runs them with no table.
+//! Everything after the sweep is shared too: [`traceback`] reads the
+//! table through the two-method [`TableRead`] seam, so the workspace's
+//! counted arena and the device's shared/global table drive one walk
+//! with one edge-priority order.
 
 use align_core::{AlignError, CigarOp};
 
-use crate::bitvec::{init_row, step_group, step_row, step_row0, step_row_edges, PatternMask};
+use crate::bitvec::{init_row, sweep_row0, sweep_rows, PatternMask};
 use crate::config::GenAsmConfig;
 use crate::stats::MemStats;
 use crate::table::{slot, TableRead, TbTable};
@@ -150,59 +151,18 @@ pub fn align_window(
         pm,
         text_rev,
         prev_row,
-        cur_row,
         table,
         ops,
         stats,
         ..
     } = ws;
 
-    let solution = pm.solution_bit();
-    let mut d_star: Option<usize> = None;
-    if wpe == 1 {
-        d_star = sweep_grouped(pm, text_rev, &mut prev_row[..n], table, cfg, cut, stats);
+    let prev_row = &mut prev_row[..n];
+    let d_star = if wpe == 1 {
+        sweep_grouped::<1>(pm, text_rev, prev_row, table, cfg, cut, stats)
     } else {
-        // The unimproved layout, one row at a time: the whole row into
-        // `cur_row`, then its four edge vectors into the table.
-        for d in 0..=cfg.k {
-            let mut cur_prev = init_row(d);
-            if d == 0 {
-                for i in 0..n {
-                    cur_prev = step_row0(cur_prev, pm.get(text_rev[i]));
-                    cur_row[i] = cur_prev;
-                }
-                // Row 0 has only match edges; the other slots are
-                // inactive (all ones).
-                for &word in &cur_row[cut..n] {
-                    table.push_entry(&[word, !0, !0, !0], stats);
-                }
-            } else {
-                let mut below_prev = init_row(d - 1);
-                for i in 0..n {
-                    let below_cur = prev_row[i];
-                    cur_prev = step_row(below_prev, below_cur, cur_prev, pm.get(text_rev[i]));
-                    cur_row[i] = cur_prev;
-                    below_prev = below_cur;
-                }
-                let below_init = init_row(d - 1);
-                let cur_init = init_row(d);
-                for i in cut..n {
-                    let below_prev = if i == 0 { below_init } else { prev_row[i - 1] };
-                    let cur_prev = if i == 0 { cur_init } else { cur_row[i - 1] };
-                    let edges =
-                        step_row_edges(below_prev, prev_row[i], cur_prev, pm.get(text_rev[i]));
-                    table.push_entry(&edges, stats);
-                }
-            }
-            std::mem::swap(prev_row, cur_row);
-            if d_star.is_none() && cur_prev & solution == 0 {
-                d_star = Some(d);
-                if cfg.improvements.early_term {
-                    break;
-                }
-            }
-        }
-    }
+        sweep_grouped::<4>(pm, text_rev, prev_row, table, cfg, cut, stats)
+    };
     // Booked in bulk with the totals of per-cell counting: every cell
     // stores once; rows d > 0 load `prev_row[i]` once per cell plus
     // `prev_row[i-1]` for each i > 0.
@@ -225,20 +185,20 @@ pub fn align_window(
     })
 }
 
-/// Error rows the compressed sweep steps per text column: four
+/// Error rows the CPU sweeps per text column: four
 /// `cur_prev → shl → or → and` chains in flight fill the out-of-order
 /// core, and more than that spills the registers they live in.
-const GROUP: usize = 4;
+pub(crate) const GROUP: usize = 4;
 
 /// Rows a window of budget `k` can sweep: row 0, then whole groups.
 pub(crate) const fn swept_rows(k: usize) -> usize {
     1 + k.div_ceil(GROUP) * GROUP
 }
 
-/// GenASM-DC for the compressed layout: row 0 alone, then [`GROUP`]
-/// rows at a time. Leaves the rows that count in `table` and returns
-/// `d*`, if a row within the budget has it.
-fn sweep_grouped(
+/// GenASM-DC for a table of `W`-word entries: row 0 alone, then
+/// [`GROUP`] rows at a time. Leaves the rows that count in `table` and
+/// returns `d*`, if a row within the budget has it.
+fn sweep_grouped<const W: usize>(
     pm: &PatternMask,
     text_rev: &[u8],
     prev_row: &mut [u64],
@@ -249,36 +209,25 @@ fn sweep_grouped(
 ) -> Option<usize> {
     let solution = pm.solution_bit();
     let early_term = cfg.improvements.early_term;
+    let cols = text_rev.len() - cut;
 
-    let mut cur_prev = init_row(0);
-    for (&c, boundary) in text_rev.iter().zip(prev_row.iter_mut()) {
-        cur_prev = step_row0(cur_prev, pm.get(c));
-        *boundary = cur_prev;
-    }
-    table.grow_rows(1).copy_from_slice(&prev_row[cut..]);
-    let mut d_star = (cur_prev & solution == 0).then_some(0);
+    let row0 = table.grow_rows(1).as_chunks_mut().0;
+    let last = sweep_row0::<W>(prev_row, pm, text_rev, cut, row0);
+    let mut d_star = (last & solution == 0).then_some(0);
 
-    // Columns below the cut are computed, not stored.
-    let (text_cut, text_kept) = text_rev.split_at(cut);
-    let (bound_cut, bound_kept) = prev_row.split_at_mut(cut);
     let mut d0 = 1;
     while d0 <= cfg.k && !(early_term && d_star.is_some()) {
-        let group = table.grow_rows(GROUP);
-        let mut stored = group.chunks_exact_mut(text_kept.len());
-        let stored: [&mut [u64]; GROUP] =
-            std::array::from_fn(|_| stored.next().expect("GROUP rows were grown"));
-        // `left[r]` is column i-1 of row `d0 - 1 + r`: the boundary row
-        // (`prev_row`) first, then the group's own rows.
+        let mut rows = table
+            .grow_rows(GROUP)
+            .as_chunks_mut::<W>()
+            .0
+            .chunks_exact_mut(cols);
+        let stored: [_; GROUP] =
+            std::array::from_fn(|_| rows.next().expect("GROUP rows were grown"));
+        // `left[r]` is row `d0 - 1 + r`: the boundary row (`prev_row`)
+        // first, then the group's own rows.
         let mut left: [u64; GROUP + 1] = std::array::from_fn(|r| init_row(d0 - 1 + r));
-        for (&c, boundary) in text_cut.iter().zip(bound_cut.iter_mut()) {
-            step_group(&mut left, boundary, pm.get(c));
-        }
-        for (j, (&c, boundary)) in text_kept.iter().zip(bound_kept.iter_mut()).enumerate() {
-            step_group(&mut left, boundary, pm.get(c));
-            for r in 0..GROUP {
-                stored[r][j] = left[r + 1];
-            }
-        }
+        sweep_rows(&mut left, prev_row, pm, text_rev, cut, stored);
         if d_star.is_none() {
             d_star = (d0..=cfg.k.min(d0 + GROUP - 1)).find(|d| left[d + 1 - d0] & solution == 0);
         }
@@ -529,6 +478,7 @@ fn pick_edge_derived<T: TableRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitvec::{step_row0, step_row_edges};
     use align_core::Seq;
 
     fn seq(s: &str) -> Seq {
@@ -850,8 +800,8 @@ mod tests {
     }
 
     /// The sweep [`align_window`] ran before row groups, kept as the
-    /// oracle: one row at a time through `cur_row`, every row stored
-    /// and booked as it completes, nothing computed past `d*`.
+    /// oracle: one row at a time through two rows of its own, every row
+    /// stored as it completes, nothing computed past `d*`.
     fn align_window_rowwise(
         ws: &mut AlignWorkspace,
         cfg: &GenAsmConfig,
@@ -865,19 +815,18 @@ mod tests {
         let wpe = cfg.words_per_entry();
         let cut = cfg.dent_cut(n, keep, final_window);
         ws.table.reset(wpe, n, cut);
-        ws.ensure_scratch(n);
         let AlignWorkspace {
             pm,
             text_rev,
-            prev_row,
-            cur_row,
             table,
             ops,
             stats,
             ..
         } = ws;
+        let (mut prev_row, mut cur_row) = (vec![0; n], vec![0; n]);
         let mut d_star = None;
         for d in 0..=cfg.k {
+            let row = table.grow_rows(1);
             for i in 0..n {
                 let (below_prev, cur_prev) = match i {
                     0 => (init_row(d.saturating_sub(1)), init_row(d)),
@@ -890,9 +839,9 @@ mod tests {
                 };
                 cur_row[i] = edges.iter().fold(!0, |acc, e| acc & e);
                 if i >= cut && wpe == 1 {
-                    table.push_entry(&[cur_row[i]], stats);
+                    row[i - cut] = cur_row[i];
                 } else if i >= cut {
-                    table.push_entry(&edges, stats);
+                    row[(i - cut) * 4..][..4].copy_from_slice(&edges);
                 }
             }
             stats.cells_computed += n as u64;
@@ -900,7 +849,7 @@ mod tests {
             if d > 0 {
                 stats.scratch_loads += (2 * n - 1) as u64;
             }
-            std::mem::swap(prev_row, cur_row);
+            std::mem::swap(&mut prev_row, &mut cur_row);
             if d_star.is_none() && prev_row[n - 1] & pm.solution_bit() == 0 {
                 d_star = Some(d);
                 if cfg.improvements.early_term {
@@ -908,6 +857,7 @@ mod tests {
                 }
             }
         }
+        table.keep_rows(table.rows(), stats);
         let d_star = d_star.ok_or(AlignError::NoAlignment)?;
         stats.window_done(table.rows(), n, cfg.k);
         table.account_footprint(stats);

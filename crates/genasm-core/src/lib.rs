@@ -36,7 +36,7 @@
 //!
 //! ## The allocation-free hot path
 //!
-//! All mutable per-alignment state — the rolling scratch rows, the
+//! All mutable per-alignment state — the sweep's boundary row, the
 //! traceback table arena, the staged window inputs, the traceback op
 //! buffer, and the instrumentation counters — lives in an
 //! [`AlignWorkspace`]. Create one per worker, reuse it for every
@@ -101,9 +101,7 @@ pub mod workspace;
 pub use aligner::GenAsmAligner;
 pub use config::{GenAsmConfig, Improvements};
 pub use engine::{align_window, align_window_fresh, traceback, WindowResult, WindowSummary};
-pub use filter::{
-    filter_distance, filter_distance_with, filter_occurrences, filter_occurrences_with, Occurrence,
-};
+pub use filter::{filter_occurrences, filter_occurrences_with, Occurrence};
 pub use stats::MemStats;
 pub use table::TableRead;
 pub use window::{

@@ -144,23 +144,13 @@ impl TbTable {
         self.words.capacity()
     }
 
-    /// Append the entry for the next column (columns `cut..n` of row 0,
-    /// then of row 1, …). `words` must hold exactly `words_per_entry`
-    /// values.
-    #[inline]
-    pub fn push_entry(&mut self, words: &[u64], stats: &mut MemStats) {
-        debug_assert_eq!(words.len(), self.words_per_entry);
-        self.words.extend_from_slice(words);
-        stats.table_stores += self.words_per_entry as u64;
-    }
-
-    /// Append `rows` zeroed compressed rows and hand them out, row
-    /// after row, for the engine's grouped sweep to fill in place.
-    /// Their stores are booked by [`TbTable::keep_rows`], once the
-    /// sweep knows how many of them count.
+    /// Append `rows` zeroed rows and hand out their words, row after
+    /// row (columns `cut..n`, `words_per_entry` words per entry), for
+    /// the engine's sweep to fill in place. Their stores are booked by
+    /// [`TbTable::keep_rows`], once the sweep knows how many of them
+    /// count.
     #[inline]
     pub fn grow_rows(&mut self, rows: usize) -> &mut [u64] {
-        debug_assert_eq!(self.words_per_entry, 1, "in-place rows are compressed-only");
         let filled = self.words.len();
         self.words.resize(filled + rows * self.stride, 0);
         &mut self.words[filled..]
@@ -218,9 +208,12 @@ mod tests {
     fn compressed_layout_roundtrip() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 4, 1); // columns 1..4 stored
-        for v in [10u64, 20, 30, 40, 50, 60] {
-            t.push_entry(&[v], &mut stats);
-        }
+        t.grow_rows(1).copy_from_slice(&[10, 20, 30]);
+        // A group of three rows of which only the first counts.
+        t.grow_rows(3)
+            .copy_from_slice(&[40, 50, 60, 70, 80, 90, 11, 12, 13]);
+        assert_eq!(t.rows(), 4);
+        t.keep_rows(2, &mut stats);
         assert_eq!(t.rows(), 2);
         assert_eq!(t.footprint_words(), 6);
         assert_eq!(stats.table_stores, 6);
@@ -234,10 +227,11 @@ mod tests {
     fn four_word_layout_roundtrip() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(4, 2, 0);
-        t.push_entry(&[1, 2, 3, 4], &mut stats);
-        t.push_entry(&[5, 6, 7, 8], &mut stats);
+        t.grow_rows(1).copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        t.keep_rows(1, &mut stats);
         assert_eq!(t.rows(), 1);
         assert_eq!(t.footprint_words(), 8);
+        assert_eq!(stats.table_stores, 8);
         assert_eq!(t.load(0, 1, slot::MATCH, &mut stats), 5);
         assert_eq!(t.load(0, 1, slot::SUBST, &mut stats), 6);
         assert_eq!(t.load(0, 1, slot::DEL, &mut stats), 7);
@@ -245,37 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn rows_filled_in_place_match_per_entry_pushes() {
-        let mut s1 = MemStats::new();
-        let mut s2 = MemStats::new();
-        let mut a = TbTable::new(1, 5, 2);
-        let mut b = TbTable::new(1, 5, 2);
-        for v in [7u64, 8, 9, 17, 18, 19] {
-            a.push_entry(&[v], &mut s1);
-        }
-        b.grow_rows(1).copy_from_slice(&[7, 8, 9]);
-        // A group of three rows of which only the first counts.
-        b.grow_rows(3)
-            .copy_from_slice(&[17, 18, 19, 27, 28, 29, 37, 38, 39]);
-        assert_eq!(b.rows(), 4);
-        b.keep_rows(2, &mut s2);
-        assert_eq!(s1.table_stores, s2.table_stores);
-        assert_eq!(a.footprint_words(), b.footprint_words());
-        assert_eq!((a.rows(), b.rows()), (2, 2));
-        for d in 0..2 {
-            for i in 2..5 {
-                assert_eq!(a.load(d, i, 0, &mut s1), b.load(d, i, 0, &mut s2));
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "DENT unsoundness")]
     fn reading_pruned_column_panics() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 4, 2);
-        t.push_entry(&[1], &mut stats);
-        t.push_entry(&[2], &mut stats);
+        t.grow_rows(1).copy_from_slice(&[1, 2]);
         let _ = t.load(0, 1, 0, &mut stats);
     }
 
@@ -283,9 +251,7 @@ mod tests {
     fn footprint_accounting() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 3, 0);
-        for v in [1u64, 2, 3] {
-            t.push_entry(&[v], &mut stats);
-        }
+        t.grow_rows(1).copy_from_slice(&[1, 2, 3]);
         t.account_footprint(&mut stats);
         assert_eq!(stats.table_words, 3);
     }
@@ -294,11 +260,7 @@ mod tests {
     fn reset_reshapes_but_keeps_capacity() {
         let mut stats = MemStats::new();
         let mut t = TbTable::new(1, 8, 0);
-        for _ in 0..3 {
-            for v in 0..8u64 {
-                t.push_entry(&[v], &mut stats);
-            }
-        }
+        t.grow_rows(3);
         let cap = t.capacity_words();
         assert!(cap >= 24);
         t.reset(4, 5, 2);
@@ -309,9 +271,8 @@ mod tests {
         assert_eq!(t.cut(), 2);
         assert_eq!(t.capacity_words(), cap, "reset must not shrink the arena");
         // Smaller refill stays within the warmed capacity.
-        for v in 0..3u64 {
-            t.push_entry(&[v, v, v, v], &mut stats);
-        }
+        t.grow_rows(1)
+            .copy_from_slice(&[0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]);
         assert_eq!(t.load(0, 3, slot::SUBST, &mut stats), 1);
         assert_eq!(t.capacity_words(), cap);
     }

@@ -35,12 +35,12 @@ use align_core::Seq;
 pub struct AlignWorkspace {
     /// Bitmasks of the current (reversed) pattern window.
     pub(crate) pm: PatternMask,
-    /// 2-bit codes of the current reversed text window.
+    /// 2-bit codes of the current reversed text window (the occurrence
+    /// filter stages its whole text here, forward).
     pub(crate) text_rev: Vec<u8>,
-    /// Rolling scratch row `R[d-1][..]` of the distance pass.
+    /// The distance pass's boundary row: the bottom row of the last
+    /// row group swept, column by column.
     pub(crate) prev_row: Vec<u64>,
-    /// Rolling scratch row `R[d][..]` of the distance pass.
-    pub(crate) cur_row: Vec<u64>,
     /// The materialized traceback table (flat arena, reused).
     pub(crate) table: TbTable,
     /// Committed operations of the most recent window, forward order.
@@ -60,7 +60,6 @@ impl AlignWorkspace {
             pm: PatternMask::placeholder(),
             text_rev: Vec::new(),
             prev_row: Vec::new(),
-            cur_row: Vec::new(),
             table: TbTable::new(1, 1, 0),
             ops: Vec::new(),
             occ_best: Vec::new(),
@@ -69,17 +68,17 @@ impl AlignWorkspace {
     }
 
     /// A workspace pre-sized for window geometry `w`: the staging,
-    /// scratch-row and op buffers are allocated up front, and so is the
+    /// boundary-row and op buffers are allocated up front, and so is the
     /// traceback arena for the compressed layout's worst case — every
     /// row a budget of `w` can sweep, the last row group's overshoot
     /// included, so a warm arena never grows because a window's `d*`
-    /// fell elsewhere in its group. Only the 4-word layout still grows
-    /// the arena to its high-water mark over the first few windows.
+    /// fell elsewhere in its group. The 4-word layout, four times that,
+    /// grows the arena to its high-water mark over the first few
+    /// windows.
     pub fn with_capacity(w: usize) -> AlignWorkspace {
         let mut ws = AlignWorkspace::new();
         ws.text_rev.reserve(w);
         ws.prev_row.resize(w, 0);
-        ws.cur_row.resize(w, 0);
         ws.ops.reserve(2 * w);
         ws.table.reserve_words(swept_rows(w) * w);
         ws
@@ -112,12 +111,11 @@ impl AlignWorkspace {
         &self.ops
     }
 
-    /// Grow the rolling scratch rows to at least `n` columns.
+    /// Grow the boundary row to at least `n` columns.
     #[inline]
     pub(crate) fn ensure_scratch(&mut self, n: usize) {
         if self.prev_row.len() < n {
             self.prev_row.resize(n, 0);
-            self.cur_row.resize(n, 0);
         }
     }
 
@@ -134,7 +132,7 @@ impl AlignWorkspace {
     pub fn capacity_signature(&self) -> CapacitySignature {
         CapacitySignature {
             text_rev: self.text_rev.capacity(),
-            rows: self.prev_row.capacity() + self.cur_row.capacity(),
+            rows: self.prev_row.capacity(),
             table_words: self.table.capacity_words(),
             ops: self.ops.capacity(),
             occ_best: self.occ_best.capacity(),
@@ -154,7 +152,7 @@ impl Default for AlignWorkspace {
 pub struct CapacitySignature {
     /// Reversed-text staging capacity.
     pub text_rev: usize,
-    /// Combined rolling-row capacity.
+    /// Boundary-row capacity.
     pub rows: usize,
     /// Traceback arena capacity in words.
     pub table_words: usize,
@@ -180,7 +178,7 @@ mod tests {
         let ws = AlignWorkspace::with_capacity(64);
         let sig = ws.capacity_signature();
         assert!(sig.text_rev >= 64);
-        assert!(sig.rows >= 128);
+        assert!(sig.rows >= 64);
         assert!(sig.ops >= 128);
     }
 

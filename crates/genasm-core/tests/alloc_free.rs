@@ -122,9 +122,9 @@ fn reused_workspace_allocates_far_less_than_fresh() {
     // A warm workspace leaves only the returned CIGAR's allocations,
     // whatever the window count (the test above bounds them). A fresh
     // workspace allocates the same CIGAR and, on top, its own buffers
-    // once per alignment: the five that `with_capacity` sizes up front,
+    // once per alignment: the four that `with_capacity` sizes up front,
     // the traceback arena among them.
-    const WORKSPACE_BUFFERS: u64 = 5;
+    const WORKSPACE_BUFFERS: u64 = 4;
     assert!(
         fresh >= reused + RUNS * WORKSPACE_BUFFERS,
         "a fresh workspace should cost its buffers on top of the reused path: \

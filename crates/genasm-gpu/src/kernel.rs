@@ -18,11 +18,12 @@
 //!   group's first row with the solution bit (that row's last cell),
 //!   and sweeps no further group. The schedule decides what the device
 //!   is charged, not the order in which the host computes the values,
-//!   so the two are apart: the host sweeps each group column by column
-//!   with its rows in registers (`genasm_core::bitvec::step_group`, the
-//!   CPU's column step) and writes the table words uncounted, and the
-//!   group's phases, cycles and shared/global words are booked in
-//!   closed form from the shape of the front the device would run.
+//!   so the two are apart: the host computes each group's values with
+//!   `genasm_core`'s sweep ([`sweep_row0`], [`sweep_rows`] — the CPU's,
+//!   on 8-row groups), column by column with the rows in registers,
+//!   writing the table words uncounted, and the group's phases, cycles
+//!   and shared/global words are booked in closed form from the shape
+//!   of the front the device would run.
 //!   The stepwise wavefront, every access counted, is this module's
 //!   test oracle: the booking must equal it counter for counter.
 //! * **Where the table lives.** The only difference between the
@@ -43,7 +44,7 @@
 //!   and a window's control overhead, and the streamed input/output.
 
 use align_core::{Alignment, CigarOp, Seq};
-use genasm_core::bitvec::{init_row, step_group, step_row0, step_row_edges, PatternMask};
+use genasm_core::bitvec::{init_row, sweep_row0, sweep_rows, PatternMask};
 use genasm_core::{
     drive, stage_window, traceback, GenAsmConfig, MemStats, TableRead, WindowEngine, WindowSummary,
 };
@@ -146,6 +147,9 @@ pub struct KernelWorkspace {
     /// The boundary row between row groups: the bottom row of the last
     /// group swept, column by column.
     boundary: Vec<u64>,
+    /// Where a group's rows past the table's room go, unread: those of
+    /// a window's last group past row `k`.
+    spare: Vec<u64>,
     /// Committed operations of the current window, forward order.
     ops: Vec<CigarOp>,
 }
@@ -367,17 +371,13 @@ impl DeviceEngine<'_> {
     ) -> Result<Option<WindowOut>, SimError> {
         let ctx = &mut *self.ctx;
         let pm = self.pm.as_ref().expect("set_window stages the mask");
-        let KernelWorkspace {
-            text_rev,
-            boundary,
-            ops,
-        } = &mut *self.ws;
-        let n = text_rev.len();
-        boundary.resize(n, 0);
-        let solution = pm.solution_bit();
+        let ws = &mut *self.ws;
+        let n = ws.text_rev.len();
+        ws.boundary.resize(n, 0);
         let early_term = cfg.improvements.early_term;
         let total_rows = cfg.k + 1;
-        let row_words = table.cols * table.wpe;
+        let (cut, wpe) = (table.cut, table.wpe);
+        let row_words = table.cols * wpe;
 
         let mut d_star: Option<usize> = None;
         for g in 0..total_rows.div_ceil(ROW_GROUP) {
@@ -387,26 +387,10 @@ impl DeviceEngine<'_> {
                 // The group would overflow the table: spill.
                 return Ok(None);
             }
-            let (cut, wpe) = (table.cut, table.wpe);
             let words = &mut table.words_mut()[d0 * row_words..(d0 + rows) * row_words];
-            // The group's first row with the solution bit, if any.
-            let fired = if g == 0 {
-                // Row 0 alone, then the group's other rows below it.
-                let (row0, below) = words.split_at_mut(row_words);
-                let row0_fired = sweep_row0(pm, text_rev, boundary, row0, cut, wpe) & solution == 0;
-                let mut left: [u64; ROW_GROUP] = std::array::from_fn(init_row);
-                if !(row0_fired && early_term) {
-                    sweep_rows(&mut left, boundary, pm, text_rev, below, cut, wpe);
-                }
-                if row0_fired {
-                    Some(0)
-                } else {
-                    (1..rows).find(|&r| left[r] & solution == 0)
-                }
-            } else {
-                let mut left: [u64; ROW_GROUP + 1] = std::array::from_fn(|r| init_row(d0 - 1 + r));
-                sweep_rows(&mut left, boundary, pm, text_rev, words, cut, wpe);
-                (0..rows).find(|&r| left[r + 1] & solution == 0)
+            let fired = match wpe {
+                1 => ws.sweep_group::<1>(pm, words, cut, d0, rows, early_term),
+                _ => ws.sweep_group::<4>(pm, words, cut, d0, rows, early_term),
             };
             let steps = match fired {
                 Some(r) if early_term => r + n,
@@ -426,6 +410,7 @@ impl DeviceEngine<'_> {
 
         // Serial traceback by thread 0: the shared walk, its loads
         // charged through the simulator.
+        let (text_rev, ops) = (&ws.text_rev, &mut ws.ops);
         let mut consumed = (0, 0);
         ctx.serial_phase(|c| {
             let mut table = DeviceTable { ctx: c, table };
@@ -443,63 +428,53 @@ impl DeviceEngine<'_> {
     }
 }
 
-/// Row 0 of a window (matches only), column by column into `boundary`
-/// and its entries at columns `cut..` into `words`; returns its last
-/// column.
-fn sweep_row0(
-    pm: &PatternMask,
-    text_rev: &[u8],
-    boundary: &mut [u64],
-    words: &mut [u64],
-    cut: usize,
-    wpe: usize,
-) -> u64 {
-    let mut cur = init_row(0);
-    for (&c, b) in text_rev.iter().zip(boundary.iter_mut()) {
-        cur = step_row0(cur, pm.get(c));
-        *b = cur;
-    }
-    // Row 0 has only match edges; the other slots are inactive.
-    for (entry, &v) in words.chunks_exact_mut(wpe).zip(&boundary[cut..]) {
-        entry[0] = v;
-        entry[1..].fill(!0);
-    }
-    cur
-}
-
-/// The rows below a boundary row, column by column with the rows in
-/// registers: `left` holds column -1 of the boundary row and of the
-/// `N - 1` rows below it going in (their init values) and column n-1
-/// coming out; `boundary` is the boundary row going in and the bottom
-/// row coming out. The entries at columns `cut..` of the rows `words`
-/// has room for — all of them, or fewer for a window's last group —
-/// go straight into it.
-fn sweep_rows<const N: usize>(
-    left: &mut [u64; N],
-    boundary: &mut [u64],
-    pm: &PatternMask,
-    text_rev: &[u8],
-    words: &mut [u64],
-    cut: usize,
-    wpe: usize,
-) {
-    let row_words = (text_rev.len() - cut) * wpe;
-    let stored = words.len() / row_words;
-    debug_assert!(stored < N, "more table rows than the group sweeps");
-    for (i, (&c, b)) in text_rev.iter().zip(boundary.iter_mut()).enumerate() {
-        let pmv = pm.get(c);
-        let prev = *left;
-        step_group(left, b, pmv);
-        let Some(col) = i.checked_sub(cut) else {
-            continue;
-        };
-        for r in 0..stored {
-            let entry = &mut words[r * row_words + col * wpe..][..wpe];
-            if wpe == 1 {
-                entry[0] = left[r + 1];
-            } else {
-                entry.copy_from_slice(&step_row_edges(prev[r], left[r], prev[r + 1], pmv));
+impl KernelWorkspace {
+    /// The values of rows `d0..d0 + rows`, one row group, through
+    /// `genasm_core`'s sweep: row 0 alone in group 0, the boundary row
+    /// carried to the next group, the entries at columns `cut..` into
+    /// `words` — the group's rows of the table — and those of the rows
+    /// the group computes past them into the spare rows. Returns the
+    /// group's first row with the solution bit, if any.
+    fn sweep_group<const W: usize>(
+        &mut self,
+        pm: &PatternMask,
+        words: &mut [u64],
+        cut: usize,
+        d0: usize,
+        rows: usize,
+        early_term: bool,
+    ) -> Option<usize> {
+        let Self {
+            text_rev,
+            boundary,
+            spare,
+            ..
+        } = self;
+        let solution = pm.solution_bit();
+        let cols = text_rev.len() - cut;
+        spare.resize(ROW_GROUP * cols * W, 0);
+        let table_rows = words.as_chunks_mut::<W>().0.chunks_exact_mut(cols);
+        let mut stored = table_rows.chain(spare.as_chunks_mut::<W>().0.chunks_exact_mut(cols));
+        let mut next = || stored.next().expect("spare rows complete the group");
+        if d0 == 0 {
+            // Row 0 alone, then the group's other rows below it.
+            let row0 = sweep_row0(boundary, pm, text_rev, cut, next()) & solution == 0;
+            if row0 && early_term {
+                return Some(0);
             }
+            let mut left: [u64; ROW_GROUP] = std::array::from_fn(init_row);
+            let below: [_; ROW_GROUP - 1] = std::array::from_fn(|_| next());
+            sweep_rows(&mut left, boundary, pm, text_rev, cut, below);
+            if row0 {
+                Some(0)
+            } else {
+                (1..rows).find(|&r| left[r] & solution == 0)
+            }
+        } else {
+            let mut left: [u64; ROW_GROUP + 1] = std::array::from_fn(|r| init_row(d0 - 1 + r));
+            let group: [_; ROW_GROUP] = std::array::from_fn(|_| next());
+            sweep_rows(&mut left, boundary, pm, text_rev, cut, group);
+            (0..rows).find(|&r| left[r + 1] & solution == 0)
         }
     }
 }
@@ -568,7 +543,7 @@ mod tests {
 
     use super::*;
     use align_core::Base;
-    use genasm_core::bitvec::step_row;
+    use genasm_core::bitvec::{step_row, step_row0, step_row_edges};
     use genasm_core::Improvements;
     use gpu_sim::{Device, LaunchReport};
     use proptest::prelude::*;
