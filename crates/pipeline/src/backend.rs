@@ -125,23 +125,6 @@ impl GpuSimBackend {
             stats: Mutex::new(MemStats::new()),
         }
     }
-
-    /// Any configured GPU aligner.
-    pub fn new(gpu: GpuAligner) -> GpuSimBackend {
-        GpuSimBackend {
-            gpu,
-            stats: Mutex::new(MemStats::new()),
-        }
-    }
-
-    /// Merge one launch's per-block counters into the accumulator under
-    /// one lock, so a concurrent reader sees all of the launch or none.
-    fn absorb(&self, results: &[genasm_gpu::GpuAlignment]) {
-        let mut s = self.stats.lock().expect("stats mutex poisoned");
-        for r in results {
-            s.merge(&r.stats);
-        }
-    }
 }
 
 impl Backend for GpuSimBackend {
@@ -149,41 +132,25 @@ impl Backend for GpuSimBackend {
         "gpu-sim"
     }
 
+    /// Every simulator error poisons the batch. That includes
+    /// `KernelFailed`, which only a window over its edit budget
+    /// raises: at the shipped `k = W` no window is.
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
-        match self.gpu.align_batch(tasks) {
-            Ok(report) => {
-                self.absorb(&report.results);
-                Ok(report
-                    .results
-                    .into_iter()
-                    .map(|r| Some(r.alignment))
-                    .collect())
-            }
-            // A data-dependent failure (edit budget exhausted) poisons
-            // the whole simulated launch; retry task-by-task so the
-            // Backend contract holds — only the offending tasks become
-            // `None`, matching the CPU backend. Unreachable with the
-            // default `k = W` configuration, so the retry never costs
-            // anything in the shipped backends.
-            Err(gpu_sim::SimError::KernelFailed { .. }) => tasks
-                .iter()
-                .map(|t| match self.gpu.align_batch(core::slice::from_ref(t)) {
-                    Ok(report) => {
-                        self.absorb(&report.results);
-                        Ok(report.results.into_iter().next().map(|r| r.alignment))
-                    }
-                    Err(gpu_sim::SimError::KernelFailed { .. }) => Ok(None),
-                    Err(e) => Err(BackendError {
-                        backend: "gpu-sim",
-                        reason: e.to_string(),
-                    }),
-                })
-                .collect(),
-            Err(e) => Err(BackendError {
-                backend: "gpu-sim",
-                reason: e.to_string(),
-            }),
+        let report = self.gpu.align_batch(tasks).map_err(|e| BackendError {
+            backend: "gpu-sim",
+            reason: e.to_string(),
+        })?;
+        // One lock per launch, so a concurrent reader sees all of it
+        // or none.
+        let mut stats = self.stats.lock().expect("stats mutex poisoned");
+        for r in &report.results {
+            stats.merge(&r.stats);
         }
+        Ok(report
+            .results
+            .into_iter()
+            .map(|r| Some(r.alignment))
+            .collect())
     }
 
     fn engine_stats(&self) -> Option<MemStats> {
@@ -337,22 +304,6 @@ mod tests {
         for (_, name) in BackendKind::ALL {
             assert!(msg.contains(name), "missing {name} in {msg}");
         }
-    }
-
-    #[test]
-    fn gpu_budget_exhaustion_yields_none_not_batch_poisoning() {
-        // k = 2 makes the all-mismatch task impossible; the good task
-        // in the same batch must still align (per-task None contract).
-        let mut cfg = genasm_core::GenAsmConfig::improved();
-        cfg.k = 2;
-        let backend = GpuSimBackend::new(GpuAligner::with_config(Device::a6000(), cfg));
-        let tasks = vec![
-            task("ACGTACGTAC", "ACGTACGTAC"),
-            task("AAAAAAAAAA", "TTTTTTTTTT"),
-        ];
-        let out = backend.align_batch(&tasks).unwrap();
-        assert_eq!(out[0].as_ref().unwrap().edit_distance, 0);
-        assert!(out[1].is_none(), "impossible task must be None");
     }
 
     #[test]

@@ -55,7 +55,8 @@ pub struct TaskMeta {
 /// A scheduled batch: a contiguous run of tasks plus their metadata.
 #[derive(Debug)]
 pub struct Batch {
-    /// Scheduler-assigned sequence number (reorder key).
+    /// Sequence number, the sink's reorder key: the scheduler assigns
+    /// it at dispatch, across every backend's builder (0 until then).
     pub seq: u64,
     /// The alignment tasks, contiguous for backend dispatch.
     pub tasks: Vec<AlignTask>,
@@ -74,7 +75,6 @@ pub struct Batch {
 #[derive(Debug)]
 pub struct BatchBuilder {
     target_bases: usize,
-    next_seq: u64,
     tasks: Vec<AlignTask>,
     metas: Vec<TaskMeta>,
     bases: usize,
@@ -86,7 +86,6 @@ impl BatchBuilder {
     pub fn new(target_bases: usize) -> BatchBuilder {
         BatchBuilder {
             target_bases: target_bases.max(1),
-            next_seq: 0,
             tasks: Vec::new(),
             metas: Vec::new(),
             bases: 0,
@@ -113,16 +112,20 @@ impl BatchBuilder {
         self.tasks.is_empty()
     }
 
+    /// When the first task of the building batch arrived; `None` while
+    /// nothing is accumulated.
+    pub fn started(&self) -> Option<Instant> {
+        self.started
+    }
+
     /// Flush whatever is accumulated (end of stream).
     pub fn take(&mut self) -> Option<Batch> {
         if self.tasks.is_empty() {
             return None;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let now = Instant::now();
         Some(Batch {
-            seq,
+            seq: 0,
             tasks: std::mem::take(&mut self.tasks),
             metas: std::mem::take(&mut self.metas),
             bases: std::mem::replace(&mut self.bases, 0),
@@ -169,7 +172,6 @@ mod tests {
         assert!(b.push(t, m).is_none());
         let (t, m) = task(20); // 120 bases total -> flush
         let batch = b.push(t, m).unwrap();
-        assert_eq!(batch.seq, 0);
         assert_eq!(batch.tasks.len(), 3);
         assert_eq!(batch.bases, 120);
         assert!(b.take().is_none(), "builder was drained");
@@ -187,14 +189,12 @@ mod tests {
     #[test]
     fn sequences_are_consecutive_and_order_preserved() {
         let mut b = BatchBuilder::new(1); // every task its own batch
-        let mut seqs = Vec::new();
         for i in 1..=5 {
             let (t, m) = task(i);
             let batch = b.push(t, m).unwrap();
+            assert_eq!(batch.tasks.len(), 1);
             assert_eq!(batch.tasks[0].query.len(), i);
-            seqs.push(batch.seq);
         }
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -202,8 +202,9 @@ mod tests {
         let mut b = BatchBuilder::new(1_000_000);
         let (t, m) = task(10);
         assert!(b.push(t, m).is_none());
+        assert!(b.started().is_some());
         let batch = b.take().unwrap();
         assert_eq!(batch.tasks.len(), 1);
-        assert_eq!(batch.seq, 0);
+        assert!(b.started().is_none(), "the next batch has not started");
     }
 }

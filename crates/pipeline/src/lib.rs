@@ -21,7 +21,10 @@
 //! for a bounded, ordered hand-off (a worker runs at most four reads
 //! per worker ahead of the read whose turn it is, one while the task
 //! queue is full; whoever holds that read enqueues it and the parked
-//! ones behind it, in input order): the
+//! ones behind it, in input order). That hand-off is one private
+//! value, `HandOff`, with no lock or thread inside: its methods are
+//! the only transitions, and a unit test runs them over every
+//! schedule of up to 3 workers and 6 reads. The
 //! scheduler/dispatch/sink stages exist exactly once, in [`service`],
 //! so the one-shot path and the server share them *structurally*
 //! rather than by byte-equivalence testing.
@@ -389,29 +392,123 @@ where
 /// adds residency for nothing.
 const AHEAD: u64 = 4;
 
-/// The admission rule of [`map_reads`]: may a worker pull input read
-/// number `pulled` while read `next` is the first one not enqueued
-/// yet? Inside the run-ahead window, yes — unless a drainer is inside
-/// `enqueue`, which is where a full task queue holds it: then the
-/// bound is one read per worker, as it was before there was a window
-/// (why: see [`map_reads`]).
-fn may_pull(pulled: u64, next: u64, draining: bool, workers: u64) -> bool {
-    pulled - next < if draining { workers } else { workers * AHEAD }
+/// What [`HandOff::may_pull`] tells a worker about to pull a read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admit {
+    /// Pull it.
+    Pull,
+    /// Sleep until a transition asks for a wake-up, then ask again.
+    Wait,
+    /// The run has failed: pull nothing more.
+    Stop,
+}
+
+/// The ordered, bounded hand-off of [`map_reads`], as a value: whose
+/// turn it is to be enqueued (`next`), the reads mapped ahead of it
+/// (`parked`, each an item or the error it failed with), whether a
+/// drainer holds the turn, and why nobody will enqueue again. It owns
+/// no lock, condvar or thread: its caller keeps it under one mutex,
+/// changes it only through its methods, and wakes the workers waiting
+/// on [`may_pull`](HandOff::may_pull) exactly when a method says so. So every schedule of the map stage is a sequence of these
+/// calls, and the tests enumerate them.
+#[cfg_attr(test, derive(Debug, Clone, PartialEq, Eq, Hash))]
+struct HandOff<T> {
+    /// Reads that may be out while a drainer is inside `enqueue`.
+    workers: u64,
+    /// Reads per worker that may be out otherwise.
+    ahead: u64,
+    next: u64,
+    parked: BTreeMap<u64, Result<T, String>>,
+    draining: bool,
+    failure: Option<String>,
+}
+
+impl<T> HandOff<T> {
+    fn new(workers: u64, ahead: u64) -> HandOff<T> {
+        HandOff {
+            workers,
+            ahead,
+            next: 0,
+            parked: BTreeMap::new(),
+            draining: false,
+            failure: None,
+        }
+    }
+
+    /// May a worker pull input read number `pulled`? Inside the
+    /// run-ahead window, yes — unless a drainer is inside `enqueue`,
+    /// which is where a full task queue holds it: then the bound is
+    /// one read per worker, as it was before there was a window (why:
+    /// see [`map_reads`]). A question, not a transition: it wakes
+    /// nobody.
+    fn may_pull(&self, pulled: u64) -> Admit {
+        let bound = self.workers * if self.draining { 1 } else { self.ahead };
+        if self.failure.is_some() {
+            Admit::Stop
+        } else if pulled - self.next < bound {
+            Admit::Pull
+        } else {
+            Admit::Wait
+        }
+    }
+
+    /// Park read `seq`, mapped or failed. Returns whether the caller
+    /// becomes the drainer: nobody else is, and the read whose turn it
+    /// is has arrived. After a failure the read is dropped, never to
+    /// be enqueued. Parking only ever narrows the window, so it wakes
+    /// nobody.
+    fn park(&mut self, seq: u64, item: Result<T, String>) -> bool {
+        if self.failure.is_some() {
+            return false;
+        }
+        self.parked.insert(seq, item);
+        if self.draining {
+            return false; // the drainer will find it
+        }
+        self.draining = self.parked.contains_key(&self.next);
+        self.draining
+    }
+
+    /// The drainer's next read to enqueue, outside the lock: the one
+    /// whose turn it is, with its sequence number. Wakes nobody.
+    fn take_next(&mut self) -> (u64, Result<T, String>) {
+        debug_assert!(self.draining, "only the drainer takes the turn");
+        let item = self.parked.remove(&self.next).expect("the turn is parked");
+        (self.next, item)
+    }
+
+    /// The drainer's `enqueue` of the read from [`take_next`]
+    /// returned `sent` (a failed read is its error, never enqueued).
+    /// Returns whether the caller drains on — the next read is already
+    /// parked — and whether waiters must be woken: always, because
+    /// the turn moved on or the run failed.
+    ///
+    /// [`take_next`]: HandOff::take_next
+    fn enqueued(&mut self, sent: Result<(), String>) -> (bool, bool) {
+        match sent {
+            Ok(()) => self.next += 1,
+            Err(msg) => self.failure = Some(msg),
+        }
+        self.draining = self.failure.is_none() && self.parked.contains_key(&self.next);
+        (self.draining, true)
+    }
 }
 
 /// The one-shot map stage: `workers` threads (the calling one
 /// included) each pull one read from `reads` under a lock and map it,
-/// and a bounded run-ahead hand-off passes the results to the session
-/// in input order. A worker that has mapped a read *parks* it under
-/// its input sequence number and pulls the next one instead of
+/// and a bounded run-ahead [`HandOff`] passes the results to the
+/// session in input order. A worker that has mapped a read *parks* it
+/// under its input sequence number and pulls the next one instead of
 /// sleeping until its turn; the worker that parks the read whose turn
 /// it is becomes the *drainer* and enqueues parked reads in order,
 /// outside the lock, until the next one is missing. So
 /// [`Session::enqueue`] is called one read at a time in input order,
-/// and the task stream is the one a single worker produces.
+/// and the task stream is the one a single worker produces. Every
+/// decision about the hand-off is a [`HandOff`] method; this function
+/// only adds the threads, the locks and the condvar.
 ///
 /// Two bounds hold between the input and the task queue
-/// ([`may_pull`]). Never more than `workers ×` [`AHEAD`] reads are
+/// ([`HandOff::may_pull`]). Never more than `workers ×` [`AHEAD`] reads are
 /// pulled and not yet enqueued: map time is heavy-tailed (p50 62 µs,
 /// p95 590 µs on 300 bp reads), and with one read per worker the lanes
 /// ran in lock step at the pace of the slower read, each busy half the
@@ -432,26 +529,11 @@ where
     E: core::fmt::Display,
 {
     const POISONED: &str = "a map worker panicked";
-    /// The hand-off: whose turn it is to be enqueued, the reads mapped
-    /// ahead of it, whether somebody is enqueueing right now, and why
-    /// nobody will again.
-    struct Turn {
-        next: u64,
-        parked: BTreeMap<u64, Result<MappedRead, String>>,
-        draining: bool,
-        failure: Option<String>,
-    }
     // (input, reads pulled so far); `None` once it is exhausted or has
     // failed. Locked before `hand_off`, never after it.
     let feed = Mutex::new(Some((reads, 0u64)));
-    let hand_off = Mutex::new(Turn {
-        next: 0,
-        parked: BTreeMap::new(),
-        draining: false,
-        failure: None,
-    });
-    // Signalled when `next`, `draining` or `failure` changes: all that
-    // a worker waiting for `may_pull` looks at.
+    let hand_off = Mutex::new(HandOff::<MappedRead>::new(workers as u64, AHEAD));
+    // Signalled when a `HandOff` transition asks for it.
     let turned = Condvar::new();
     let work = |lane: u64| loop {
         let (seq, item) = {
@@ -462,13 +544,12 @@ where
             // Waiting with `feed` held queues the other pullers behind
             // this one; the window they would wait for is the same.
             let mut turn = hand_off.lock().expect(POISONED);
-            while turn.failure.is_none()
-                && !may_pull(*pulled, turn.next, turn.draining, workers as u64)
-            {
-                turn = turned.wait(turn).expect(POISONED);
-            }
-            if turn.failure.is_some() {
-                return;
+            loop {
+                match turn.may_pull(*pulled) {
+                    Admit::Pull => break,
+                    Admit::Wait => turn = turned.wait(turn).expect(POISONED),
+                    Admit::Stop => return,
+                }
             }
             drop(turn);
             let Some(item) = reads.next() else {
@@ -492,37 +573,21 @@ where
             .map_err(|_| format!("candidate generation panicked on read {seq}"))
         });
         let mut turn = hand_off.lock().expect(POISONED);
-        if turn.failure.is_some() {
-            return; // an earlier read failed; this one is never enqueued
-        }
-        turn.parked.insert(seq, mapped);
-        if turn.draining {
-            continue; // the drainer will find it
-        }
-        // Nobody is draining, so this worker does: from the read whose
-        // turn it is (its own or none, at this point) for as long as
-        // the next one is parked.
-        loop {
-            let next = turn.next;
-            let Some(mapped) = turn.parked.remove(&next) else {
-                break;
-            };
-            turn.draining = true;
+        let mut drain = turn.park(seq, mapped);
+        while drain {
+            let (next, mapped) = turn.take_next();
             drop(turn);
             let sent = mapped.and_then(|m| {
                 catch_unwind(AssertUnwindSafe(|| session.enqueue(m)))
                     .map_err(|_| format!("enqueue panicked on read {next}"))?
+                    .map(drop)
                     .map_err(|e| e.to_string())
             });
             turn = hand_off.lock().expect(POISONED);
-            turn.draining = false;
-            turned.notify_all();
-            match sent {
-                Ok(_) => turn.next = next + 1,
-                Err(msg) => {
-                    turn.failure = Some(msg);
-                    return;
-                }
+            let wake;
+            (drain, wake) = turn.enqueued(sent);
+            if wake {
+                turned.notify_all();
             }
         }
     };
@@ -696,14 +761,246 @@ mod tests {
         for workers in [1, 2, 5] {
             for next in [0, 1_000] {
                 for ahead in 0..=workers * AHEAD + 1 {
+                    let mut turn = HandOff::<()>::new(workers, AHEAD);
+                    turn.next = next;
+                    let admit = |ok| if ok { Admit::Pull } else { Admit::Wait };
                     let pulled = next + ahead;
-                    assert_eq!(
-                        may_pull(pulled, next, false, workers),
-                        ahead < workers * AHEAD
-                    );
-                    assert_eq!(may_pull(pulled, next, true, workers), ahead < workers);
+                    assert_eq!(turn.may_pull(pulled), admit(ahead < workers * AHEAD));
+                    turn.draining = true;
+                    assert_eq!(turn.may_pull(pulled), admit(ahead < workers));
                 }
             }
         }
+    }
+
+    /// Where one modelled worker of [`map_reads`] is in its loop.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum At {
+        /// At the top of its loop, about to lock `feed`.
+        Top,
+        /// Holding `feed`, asleep on the condvar.
+        Asleep,
+        /// Holding `feed`, woken; it asks `may_pull` again.
+        Woken,
+        /// Has pulled and mapped read `seq`; it parks it next.
+        Mapped(u64),
+        /// The drainer, inside `enqueue` with read `seq`.
+        Enqueuing(u64),
+        Done,
+    }
+
+    /// How a modelled run fails, if it does.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        None,
+        /// Read `j` is an input error: it fails at map.
+        Input(u64),
+        /// The session refuses read `j` at enqueue.
+        Refused(u64),
+    }
+
+    /// One state of the map stage, modelled: the hand-off, where each
+    /// worker is, the input, and what the session has accepted. Each
+    /// step is one critical section of [`map_reads`], or an `enqueue`
+    /// returning.
+    #[derive(Clone, PartialEq, Eq, Hash)]
+    struct World {
+        turn: HandOff<u64>,
+        at: Vec<At>,
+        pulled: u64,
+        feed_open: bool,
+        enqueued: u64,
+        failed: bool,
+    }
+
+    /// One modelled run: `workers` workers, `reads` reads, a window of
+    /// `ahead` reads per worker.
+    struct Run {
+        workers: u64,
+        reads: u64,
+        ahead: u64,
+        fault: Fault,
+    }
+
+    impl Run {
+        fn mapped(&self, seq: u64) -> Result<u64, String> {
+            if self.fault == Fault::Input(seq) {
+                Err("input error".into())
+            } else {
+                Ok(seq)
+            }
+        }
+
+        /// Worker `w` takes one step from `s`; `Err` names the broken
+        /// rule.
+        fn step(&self, s: &World, w: usize) -> Result<World, String> {
+            let mut s = s.clone();
+            let inside = s.at.iter().position(|a| matches!(a, At::Enqueuing(_)));
+            match s.at[w] {
+                At::Top if !s.feed_open => s.at[w] = At::Done,
+                At::Top | At::Woken => match s.turn.may_pull(s.pulled) {
+                    Admit::Wait => s.at[w] = At::Asleep,
+                    Admit::Stop => s.at[w] = At::Done,
+                    Admit::Pull if s.pulled == self.reads => {
+                        s.feed_open = false;
+                        s.at[w] = At::Done;
+                    }
+                    Admit::Pull => {
+                        let (seq, out) = (s.pulled, s.pulled - s.enqueued);
+                        if s.failed {
+                            return Err(format!("read {seq} pulled after the failure"));
+                        }
+                        if out >= self.workers * self.ahead {
+                            return Err(format!("read {seq} pulled with {out} out"));
+                        }
+                        if inside.is_some() && out >= self.workers {
+                            return Err(format!("read {seq} pulled with {out} out, drainer in"));
+                        }
+                        s.pulled += 1;
+                        if self.fault == Fault::Input(seq) {
+                            s.feed_open = false;
+                        }
+                        s.at[w] = At::Mapped(seq);
+                    }
+                },
+                At::Mapped(seq) => {
+                    if !s.turn.park(seq, self.mapped(seq)) {
+                        s.at[w] = At::Top;
+                    } else if let Some(other) = inside {
+                        return Err(format!("worker {w} drains beside worker {other}"));
+                    } else {
+                        self.take(&mut s, w)?;
+                    }
+                }
+                At::Enqueuing(seq) => {
+                    // A read that failed at map never reaches `enqueue`.
+                    let fails =
+                        matches!(self.fault, Fault::Input(j) | Fault::Refused(j) if j == seq);
+                    let sent = if fails {
+                        s.failed = true;
+                        Err("refused".into())
+                    } else {
+                        s.enqueued += 1;
+                        Ok(())
+                    };
+                    let (drain, wake) = s.turn.enqueued(sent);
+                    if wake {
+                        for a in s.at.iter_mut().filter(|a| **a == At::Asleep) {
+                            *a = At::Woken;
+                        }
+                    }
+                    if drain {
+                        self.take(&mut s, w)?;
+                    } else {
+                        s.at[w] = At::Top;
+                    }
+                }
+                At::Asleep | At::Done => unreachable!("worker {w} cannot step"),
+            }
+            // Lost even if a later wake-up would rescue it.
+            if s.at.contains(&At::Asleep) && s.turn.may_pull(s.pulled) != Admit::Wait {
+                return Err("a worker sleeps through a change nobody woke it for".into());
+            }
+            Ok(s)
+        }
+
+        /// Worker `w`, the drainer, takes the turn into `enqueue`.
+        fn take(&self, s: &mut World, w: usize) -> Result<(), String> {
+            let (seq, item) = s.turn.take_next();
+            if seq != s.enqueued || item != self.mapped(seq) {
+                return Err(format!("read {seq} enqueued after {} reads", s.enqueued));
+            }
+            s.at[w] = At::Enqueuing(seq);
+            Ok(())
+        }
+
+        /// Explore every schedule; returns the states seen.
+        fn explore(&self) -> Result<usize, String> {
+            let start = World {
+                turn: HandOff::new(self.workers, self.ahead),
+                at: vec![At::Top; self.workers as usize],
+                pulled: 0,
+                feed_open: true,
+                enqueued: 0,
+                failed: false,
+            };
+            let mut seen = std::collections::HashSet::new();
+            let mut todo = vec![start];
+            while let Some(s) = todo.pop() {
+                if seen.contains(&s) {
+                    continue;
+                }
+                // `feed` is held by a worker that waits on the condvar.
+                let feed_free = !s.at.iter().any(|a| matches!(a, At::Asleep | At::Woken));
+                let runnable: Vec<usize> = (0..s.at.len())
+                    .filter(|&w| match s.at[w] {
+                        At::Top => feed_free,
+                        At::Asleep | At::Done => false,
+                        _ => true,
+                    })
+                    .collect();
+                if runnable.is_empty() {
+                    self.check_end(&s)?;
+                }
+                for w in runnable {
+                    todo.push(self.step(&s, w)?);
+                }
+                seen.insert(s);
+            }
+            Ok(seen.len())
+        }
+
+        /// Nobody can step: every worker must be done, with every read
+        /// enqueued or exactly those before the failing one.
+        fn check_end(&self, s: &World) -> Result<(), String> {
+            if s.at.iter().any(|a| *a != At::Done) {
+                return Err(format!("stuck: {:?}", s.at));
+            }
+            let want = match self.fault {
+                Fault::None => (self.reads, false),
+                Fault::Input(j) | Fault::Refused(j) => (j, true),
+            };
+            if (s.enqueued, s.failed) != want {
+                return Err(format!("ended at {:?}", (s.enqueued, s.failed)));
+            }
+            Ok(())
+        }
+    }
+
+    /// The hand-off is proven over every schedule of up to 3 workers
+    /// and 6 reads: every read succeeds, read `j` fails at map, or
+    /// read `j` is refused at enqueue. An `enqueue` returning is a
+    /// step of its own, so the search covers a queue that takes a
+    /// read at once and one that holds the drainer while every other
+    /// worker moves. Reads are enqueued in input order, once; one
+    /// drainer at most; no pull past the window, or past one read per
+    /// worker while a drainer is inside; a sleeping worker resumes
+    /// only when a transition asks for it, so a lost wake-up is a
+    /// stuck state; and every run ends with all reads enqueued, or
+    /// exactly those before the failure and nothing pulled after it.
+    #[test]
+    fn the_hand_off_is_proven_over_every_schedule() {
+        let mut states = 0;
+        for workers in 1..=3 {
+            for ahead in [1, 2, AHEAD] {
+                for reads in 0..=6 {
+                    let faults = (0..reads).flat_map(|j| [Fault::Input(j), Fault::Refused(j)]);
+                    for fault in std::iter::once(Fault::None).chain(faults) {
+                        let run = Run {
+                            workers,
+                            reads,
+                            ahead,
+                            fault,
+                        };
+                        states += run.explore().unwrap_or_else(|e| {
+                            panic!(
+                                "{workers} workers, {ahead} ahead, {reads} reads, {fault:?}: {e}"
+                            )
+                        });
+                    }
+                }
+            }
+        }
+        println!("hand-off: {states} states explored");
     }
 }

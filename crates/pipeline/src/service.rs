@@ -1193,19 +1193,6 @@ pub(crate) fn spawn_stages<'scope>(
     scope.spawn(move || sink_loop(sh));
 }
 
-/// One per-backend building batch in the scheduler: the shared
-/// [`BatchBuilder`] accumulation rules plus an age stamp for the
-/// linger flush. A read's tasks all go to its session's backend, so
-/// they occupy one FIFO building batch and complete in submission
-/// order. Batch sequence numbers are assigned globally at dispatch so
-/// the sink's reorder buffer sees one ordered stream.
-struct Slot {
-    kind: BackendKind,
-    builder: BatchBuilder,
-    /// When the oldest task of the building batch arrived.
-    since: Instant,
-}
-
 /// Hand one finished batch to the dispatchers; false when the batch
 /// queue closed (service shutting down).
 fn dispatch_batch(sh: &Shared, kind: BackendKind, mut batch: Batch, next_seq: &mut u64) -> bool {
@@ -1236,7 +1223,12 @@ fn scheduler_loop(sh: &Shared) {
     let target = sh.cfg.pipeline.batch_bases.max(1);
     // A zero linger would busy-spin pop_timeout on an idle queue.
     let linger = sh.cfg.linger.max(Duration::from_millis(1));
-    let mut slots: Vec<Slot> = Vec::new();
+    // One building batch per backend in use; the linger flush reads
+    // its age off the builder. A read's tasks all go to its session's
+    // backend, so they occupy one FIFO building batch and complete in
+    // submission order. Batch sequence numbers are assigned globally at
+    // dispatch so the sink's reorder buffer sees one ordered stream.
+    let mut slots: Vec<(BackendKind, BatchBuilder)> = Vec::new();
     let mut next_seq: u64 = 0;
     loop {
         match sh.task_q.pop_timeout(linger) {
@@ -1245,22 +1237,14 @@ fn scheduler_loop(sh: &Shared) {
                 sh.counters
                     .task_queue_wait_ns
                     .record_duration(t0.duration_since(meta.enqueued_at));
-                let idx = match slots.iter().position(|s| s.kind == kind) {
+                let idx = match slots.iter().position(|(k, _)| *k == kind) {
                     Some(i) => i,
                     None => {
-                        slots.push(Slot {
-                            kind,
-                            builder: BatchBuilder::new(target),
-                            since: Instant::now(),
-                        });
+                        slots.push((kind, BatchBuilder::new(target)));
                         slots.len() - 1
                     }
                 };
-                let slot = &mut slots[idx];
-                if slot.builder.is_empty() {
-                    slot.since = Instant::now();
-                }
-                let flushed = slot.builder.push(task, meta);
+                let flushed = slots[idx].1.push(task, meta);
                 StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
                 if let Some(batch) = flushed {
                     if !dispatch_batch(sh, kind, batch, &mut next_seq) {
@@ -1276,19 +1260,19 @@ fn scheduler_loop(sh: &Shared) {
         // keeps the queue from ever going idle — one slow session must
         // not be starved by another's throughput. Flush timing never
         // changes output (batch-geometry determinism).
-        for slot in &mut slots {
-            if !slot.builder.is_empty() && slot.since.elapsed() >= linger {
-                if let Some(batch) = slot.builder.take() {
-                    if !dispatch_batch(sh, slot.kind, batch, &mut next_seq) {
+        for (kind, builder) in &mut slots {
+            if builder.started().is_some_and(|t| t.elapsed() >= linger) {
+                if let Some(batch) = builder.take() {
+                    if !dispatch_batch(sh, *kind, batch, &mut next_seq) {
                         return;
                     }
                 }
             }
         }
     }
-    for slot in &mut slots {
-        if let Some(batch) = slot.builder.take() {
-            if !dispatch_batch(sh, slot.kind, batch, &mut next_seq) {
+    for (kind, builder) in &mut slots {
+        if let Some(batch) = builder.take() {
+            if !dispatch_batch(sh, *kind, batch, &mut next_seq) {
                 return;
             }
         }

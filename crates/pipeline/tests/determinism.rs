@@ -18,12 +18,12 @@
 //!    counters or session totals, and never lets the map stage run
 //!    ahead of the residency bound.
 //!
-//! CI runs this suite in a matrix over `GENASM_TEST_SHARDS` (1 and 4)
-//! × `GENASM_TEST_CONTIGS` (1 and 3) × `GENASM_TEST_THREADS` (1 and
-//! 4); tests that don't sweep those axes themselves use the env
-//! values, so every determinism property is exercised against a
-//! sharded index, a multi-contig index, and one and several map
-//! workers.
+//! The configuration matrix runs in process: the byte-identity
+//! goldens sweep shards {1, 4} × contigs {1, 3} × threads {1, 4}
+//! ([`at_every_config`]), and every other test runs at the default
+//! index shape and at 4 shards over 3 contigs ([`at_both_shapes`]), so
+//! every determinism property is exercised against a sharded index, a
+//! multi-contig index, and one and several map workers.
 
 mod common;
 
@@ -36,35 +36,6 @@ use genasm_pipeline::{
 use mapper::{CandidateParams, MinimizerIndex};
 use readsim::{contig_lengths, simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
 
-/// Shard count used by tests that don't sweep it themselves; the CI
-/// matrix sets `GENASM_TEST_SHARDS` to re-run the suite sharded.
-fn env_shards() -> usize {
-    std::env::var("GENASM_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Contig count used by the workload builder; the CI matrix sets
-/// `GENASM_TEST_CONTIGS` to re-run the whole suite multi-contig.
-fn env_contigs() -> usize {
-    std::env::var("GENASM_TEST_CONTIGS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Size of the global pool — map workers *and* Rayon batch workers —
-/// for tests that don't sweep it; the CI matrix sets
-/// `GENASM_TEST_THREADS` (unset or 0 = every core).
-fn env_threads() -> usize {
-    std::env::var("GENASM_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 fn set_pool(threads: usize) {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -72,35 +43,63 @@ fn set_pool(threads: usize) {
         .unwrap();
 }
 
-/// Size the global pool from `GENASM_TEST_THREADS`, once per process.
-fn init_pool() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| set_pool(env_threads()));
-}
-
-/// Run `f` with the global pool resized to `threads`. The tests that
+/// Run `f` with the global pool — map workers *and* Rayon batch
+/// workers — resized to `threads` (0 = every core). The tests that
 /// resize it are serialized, so each one really runs at the size it
 /// asked for (the others only ever observe *some* valid size, which
 /// by the properties tested here cannot change their results).
 fn with_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     static RESIZING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    init_pool();
     let _guard = RESIZING.lock().unwrap_or_else(|e| e.into_inner());
     set_pool(threads);
     let out = f();
-    set_pool(env_threads());
+    set_pool(0);
     out
 }
 
-/// Deterministic synthetic workload: (reference, named reads). With
-/// `GENASM_TEST_CONTIGS > 1` the reference splits into that many
-/// unequal contigs (a single contig keeps the historical name `ref`)
-/// and reads are drawn round-robin across contigs.
-fn workload(genome_len: usize, n_reads: usize, read_len: usize) -> (Reference, Vec<(String, Seq)>) {
-    workload_contigs(genome_len, n_reads, read_len, env_contigs())
+/// Run `test(shards, contigs)` at the default index shape, one shard
+/// of one contig, and at a sharded multi-contig one: 4 shards over 3
+/// contigs. A failure names the shape.
+fn at_both_shapes(test: impl Fn(usize, usize)) {
+    for (shards, contigs) in [(1, 1), (4, 3)] {
+        named(&format!("{shards} shard(s), {contigs} contig(s)"), || {
+            test(shards, contigs)
+        });
+    }
 }
 
-fn workload_contigs(
+/// Run `test(fixture, shards, threads)` at every shards {1, 4} ×
+/// contigs {1, 3} × threads {1, 4} configuration, the pool sized to
+/// `threads`, on `fixture(contigs)` made once per contig count. A
+/// failure names the configuration.
+fn at_every_config<F>(fixture: impl Fn(usize) -> F, test: impl Fn(&F, usize, usize)) {
+    for contigs in [1, 3] {
+        let fixture = fixture(contigs);
+        for shards in [1, 4] {
+            for threads in [1, 4] {
+                let config = format!("{shards} shard(s), {contigs} contig(s), {threads} thread(s)");
+                named(&config, || {
+                    with_pool(threads, || test(&fixture, shards, threads))
+                });
+            }
+        }
+    }
+}
+
+/// Run `body`; if it panics, say under which `config` and panic on.
+fn named(config: &str, body: impl FnOnce()) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    if let Err(panic) = outcome {
+        eprintln!("failed at {config}");
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// Deterministic synthetic workload: (reference, named reads). With
+/// `contigs > 1` the reference splits into that many unequal contigs
+/// (a single contig keeps the historical name `ref`) and reads are
+/// drawn round-robin across contigs.
+fn workload(
     genome_len: usize,
     n_reads: usize,
     read_len: usize,
@@ -156,7 +155,6 @@ fn run_stream(
     backend: &dyn Backend,
     cfg: &PipelineConfig,
 ) -> (String, genasm_pipeline::PipelineMetrics) {
-    init_pool();
     let stream = reads.iter().map(|(name, seq)| {
         Ok::<_, std::convert::Infallible>(ReadInput {
             name: name.clone(),
@@ -241,109 +239,107 @@ fn one_shot_cpu(
     out
 }
 
+/// The goldens' fixture for `contigs` contigs: (reference, reads,
+/// the one-shot oracle's output).
+fn golden(contigs: usize) -> (Reference, Vec<(String, Seq)>, String) {
+    let (reference, reads) = workload(60_000, 12, 800, contigs);
+    let expected = one_shot_cpu(&reads, &reference, &CandidateParams::default());
+    assert!(!expected.is_empty(), "workload produced no alignments");
+    (reference, reads, expected)
+}
+
+/// Every batch size, at every configuration of the matrix. The queue
+/// depth follows the thread count and the dispatcher count the shard
+/// count, so each of the 12 geometries runs at two configurations.
 #[test]
 fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
-    let (reference, reads) = workload(60_000, 12, 800);
-    let params = CandidateParams::default();
-    let expected = one_shot_cpu(&reads, &reference, &params);
-    assert!(!expected.is_empty(), "workload produced no alignments");
-
-    let backend = CpuBackend::improved();
-    // batch_bases = 1 degenerates to one task per batch; 1 MiB puts
-    // the whole workload in one or two batches.
-    for batch_bases in [1usize, 4 * 1024, 1024 * 1024] {
-        for queue_depth in [1usize, 8] {
-            for dispatchers in [1usize, 3] {
-                let cfg = PipelineConfig {
-                    batch_bases,
-                    queue_depth,
-                    dispatchers,
-                    shards: env_shards(),
-                    params,
-                    ..PipelineConfig::default()
-                };
-                let (got, metrics) = run_stream(&reads, &reference, &backend, &cfg);
-                assert_eq!(
-                    got, expected,
-                    "diverged at batch_bases={batch_bases} queue_depth={queue_depth} \
-                     dispatchers={dispatchers}"
-                );
-                assert_eq!(metrics.records_out as usize, expected.lines().count());
-                if batch_bases == 1 {
-                    // Degenerate batching really happened: one task per batch.
-                    assert_eq!(metrics.batches, metrics.tasks_generated);
-                }
+    at_every_config(golden, |(reference, reads, expected), shards, threads| {
+        let backend = CpuBackend::improved();
+        let queue_depth = if threads == 1 { 1 } else { 8 };
+        let dispatchers = if shards == 1 { 1 } else { 3 };
+        // batch_bases = 1 degenerates to one task per batch; 1 MiB puts
+        // the whole workload in one or two batches.
+        for batch_bases in [1usize, 4 * 1024, 1024 * 1024] {
+            let cfg = PipelineConfig {
+                batch_bases,
+                queue_depth,
+                dispatchers,
+                shards,
+                ..PipelineConfig::default()
+            };
+            let (got, metrics) = run_stream(reads, reference, &backend, &cfg);
+            assert_eq!(
+                &got, expected,
+                "diverged at batch_bases={batch_bases} queue_depth={queue_depth} \
+                 dispatchers={dispatchers}"
+            );
+            assert_eq!(metrics.records_out as usize, expected.lines().count());
+            if batch_bases == 1 {
+                // Degenerate batching really happened: one task per batch.
+                assert_eq!(metrics.batches, metrics.tasks_generated);
             }
         }
-    }
+    });
 }
 
-/// The golden shard-determinism suite: `shards ∈ {1, 2, 7}` ×
-/// `batch_bases` × `dispatchers`, plus overlap settings, must all be
-/// byte-identical to the unsharded one-shot seed path.
+/// The golden shard-determinism suite: `shards ∈ {1, 2, 7}` and the
+/// matrix's 4, at every configuration, plus overlap settings, must all
+/// be byte-identical to the unsharded one-shot seed path. The batch
+/// size follows the thread count and the dispatcher count the contig
+/// count, so the matrix covers every pair of them.
 #[test]
 fn output_is_byte_identical_across_shard_counts_and_overlaps() {
-    let (reference, reads) = workload(60_000, 12, 800);
-    let params = CandidateParams::default();
-    // Golden: the unsharded MinimizerIndex one-shot path (the seed
-    // behaviour this PR must preserve bit-for-bit).
-    let expected = one_shot_cpu(&reads, &reference, &params);
-    assert!(!expected.is_empty(), "workload produced no alignments");
-
-    let backend = CpuBackend::improved();
-    for shards in [1usize, 2, 7] {
-        for batch_bases in [4 * 1024usize, 1024 * 1024] {
-            for dispatchers in [1usize, 3] {
-                let cfg = PipelineConfig {
-                    batch_bases,
-                    dispatchers,
-                    shards,
-                    params,
-                    ..PipelineConfig::default()
-                };
-                let (got, metrics) = run_stream(&reads, &reference, &backend, &cfg);
-                assert_eq!(
-                    got, expected,
-                    "diverged at shards={shards} batch_bases={batch_bases} \
-                     dispatchers={dispatchers}"
-                );
-                // Contig-aware sharding gives every contig at least one
-                // shard, so the target is exact only for one contig.
-                assert_eq!(metrics.shard_index.contigs, reference.num_contigs());
-                assert!(
-                    metrics.shard_index.shards.len() >= shards.max(reference.num_contigs())
-                        || reference.num_contigs() == 1,
-                    "shard metrics missing at shards={shards}"
-                );
-                if reference.num_contigs() == 1 {
-                    assert_eq!(metrics.shard_index.shards.len(), shards);
-                }
+    at_every_config(golden, |(reference, reads, expected), shards, threads| {
+        let backend = CpuBackend::improved();
+        let batch_bases = if threads == 1 { 4 * 1024 } else { 1024 * 1024 };
+        let dispatchers = if reference.num_contigs() == 1 { 1 } else { 3 };
+        for shards in [shards, 2, 7] {
+            let cfg = PipelineConfig {
+                batch_bases,
+                dispatchers,
+                shards,
+                ..PipelineConfig::default()
+            };
+            let (got, metrics) = run_stream(reads, reference, &backend, &cfg);
+            assert_eq!(&got, expected, "diverged at shards={shards}");
+            // Contig-aware sharding gives every contig at least one
+            // shard, so the target is exact only for one contig.
+            assert_eq!(metrics.shard_index.contigs, reference.num_contigs());
+            assert!(
+                metrics.shard_index.shards.len() >= shards.max(reference.num_contigs())
+                    || reference.num_contigs() == 1,
+                "shard metrics missing at shards={shards}"
+            );
+            if reference.num_contigs() == 1 {
+                assert_eq!(metrics.shard_index.shards.len(), shards);
             }
         }
-    }
 
-    // Overlap settings (including one below the exactness floor, which
-    // the build clamps) must not change output either.
-    for shard_overlap in [0usize, 40, 999] {
-        let cfg = PipelineConfig {
-            shards: 7,
-            shard_overlap,
-            params,
-            ..PipelineConfig::default()
-        };
-        let (got, _) = run_stream(&reads, &reference, &backend, &cfg);
-        assert_eq!(got, expected, "diverged at shard_overlap={shard_overlap}");
-    }
+        // Overlap settings (including one below the exactness floor,
+        // which the build clamps) must not change output either: once
+        // per contig count.
+        if (shards, threads) == (1, 1) {
+            for shard_overlap in [0usize, 40, 999] {
+                let cfg = PipelineConfig {
+                    shards: 7,
+                    shard_overlap,
+                    ..PipelineConfig::default()
+                };
+                let (got, _) = run_stream(reads, reference, &backend, &cfg);
+                assert_eq!(&got, expected, "diverged at shard_overlap={shard_overlap}");
+            }
+        }
+    });
 }
 
-/// Multi-contig end-to-end, independent of the CI env axes: a 3-contig
+/// Multi-contig end-to-end, at its own fixed shape: a 3-contig
 /// reference with unequal contig sizes must (a) match the per-contig
 /// one-shot oracle, (b) be byte-identical across shard counts 1/2/7,
 /// and (c) report contig names, contig-local coordinates, and the
 /// *contig* length as PAF column 7 in every record.
 #[test]
 fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
-    let (reference, reads) = workload_contigs(90_000, 9, 800, 3);
+    let (reference, reads) = workload(90_000, 9, 800, 3);
     let params = CandidateParams::default();
     let expected = one_shot_cpu(&reads, &reference, &params);
     assert!(!expected.is_empty(), "workload produced no alignments");
@@ -409,7 +405,7 @@ fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
 fn sharded_runs_report_per_shard_metrics() {
     // Pinned to one contig: the consecutive-span overlap assertions
     // below only hold within a contig.
-    let (reference, reads) = workload_contigs(50_000, 8, 700, 1);
+    let (reference, reads) = workload(50_000, 8, 700, 1);
     let backend = CpuBackend::improved();
     let cfg = PipelineConfig {
         shards: 4,
@@ -439,18 +435,20 @@ fn sharded_runs_report_per_shard_metrics() {
 
 #[test]
 fn output_is_independent_of_rayon_thread_count() {
-    let (reference, reads) = workload(40_000, 6, 700);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        batch_bases: 8 * 1024,
-        queue_depth: 2,
-        dispatchers: 2,
-        shards: env_shards(),
-        ..PipelineConfig::default()
-    };
-    let (many, _) = run_stream(&reads, &reference, &backend, &cfg);
-    let (single, _) = with_pool(1, || run_stream(&reads, &reference, &backend, &cfg));
-    assert_eq!(single, many, "1-thread output diverged from many-thread");
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(40_000, 6, 700, contigs);
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 8 * 1024,
+            queue_depth: 2,
+            dispatchers: 2,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let (many, _) = run_stream(&reads, &reference, &backend, &cfg);
+        let (single, _) = with_pool(1, || run_stream(&reads, &reference, &backend, &cfg));
+        assert_eq!(single, many, "1-thread output diverged from many-thread");
+    });
 }
 
 /// Everything a run reports about *what* it did, as opposed to how
@@ -474,22 +472,22 @@ fn run_facts(m: &genasm_pipeline::PipelineMetrics) -> (genasm_pipeline::FunnelCo
 
 #[test]
 fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
-    // The sharded multi-contig fixture, plus whatever the CI axes ask
-    // for; an empty read keeps an unmapped disposition in the funnel.
-    let fixed = workload_contigs(90_000, 24, 700, 3);
-    let env = workload(60_000, 24, 500);
+    // Both index shapes: 4 shards over 3 contigs here, one shard of
+    // one contig in the skewed fixture below. An empty read keeps an
+    // unmapped disposition in the funnel.
+    let fixed = workload(90_000, 24, 700, 3);
     // Skewed lengths: every 7th read is 30× longer than its
     // neighbours, which park behind it while it maps.
     let skewed = {
-        let (reference, short) = workload_contigs(90_000, 24, 300, 1);
-        let (_, long) = workload_contigs(90_000, 4, 9_000, 1);
+        let (reference, short) = workload(90_000, 24, 300, 1);
+        let (_, long) = workload(90_000, 4, 9_000, 1);
         let mut reads = short;
         for (i, (name, seq)) in long.into_iter().enumerate() {
             reads.insert(7 * i, (format!("long-{name}"), seq));
         }
         (reference, reads)
     };
-    for ((reference, mut reads), shards) in [(fixed, 4), (env, env_shards()), (skewed, 1)] {
+    for ((reference, mut reads), shards) in [(fixed, 4), (skewed, 1)] {
         reads.insert(5, ("empty".to_string(), Seq::new()));
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
@@ -524,75 +522,80 @@ fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
 /// whole-reads-in-input-order prefix of the full output.
 #[test]
 fn input_error_mid_stream_leaves_an_ordered_whole_read_prefix() {
-    let (reference, mut reads) = workload(50_000, 16, 500);
-    reads[8] = workload(50_000, 1, 8_000).1.remove(0);
-    reads[8].0 = "long".to_string();
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        batch_bases: 2 * 1024,
-        queue_depth: 1,
-        shards: env_shards(),
-        ..PipelineConfig::default()
-    };
-    let (full, _) = run_stream(&reads, &reference, &backend, &cfg);
-    let k = 11;
-    let mut emitted = String::new();
-    let err = with_pool(4, || {
-        let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
-            if i == k {
-                return Err("disk on fire");
-            }
-            Ok(ReadInput {
-                name: name.clone(),
-                seq: seq.clone(),
+    at_both_shapes(|shards, contigs| {
+        let (reference, mut reads) = workload(50_000, 16, 500, contigs);
+        reads[8] = workload(50_000, 1, 8_000, contigs).1.remove(0);
+        reads[8].0 = "long".to_string();
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 2 * 1024,
+            queue_depth: 1,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let (full, _) = run_stream(&reads, &reference, &backend, &cfg);
+        let k = 11;
+        let mut emitted = String::new();
+        let err = with_pool(4, || {
+            let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
+                if i == k {
+                    return Err("disk on fire");
+                }
+                Ok(ReadInput {
+                    name: name.clone(),
+                    seq: seq.clone(),
+                })
+            });
+            run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
+                emitted.push_str(&rec.to_tsv());
+                emitted.push('\n');
+                Ok(())
             })
-        });
-        run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
-            emitted.push_str(&rec.to_tsv());
-            emitted.push('\n');
-            Ok(())
         })
-    })
-    .expect_err("input error must fail the run");
-    match err {
-        PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
-        other => panic!("unexpected error {other}"),
-    }
-    assert!(full.starts_with(&emitted), "not a prefix of the full run");
-    // The prefix ends on a read boundary, before read `k`.
-    let qname = |line: &str| line.split('\t').next().unwrap().to_string();
-    let next = full[emitted.len()..].lines().next().map(qname);
-    let last = emitted.lines().last().map(qname);
-    assert!(
-        last.is_none() || last != next,
-        "read {last:?} was cut in half"
-    );
-    let past_k: Vec<String> = reads[k..].iter().map(|(n, _)| n.clone()).collect();
-    assert!(
-        emitted.lines().all(|l| !past_k.contains(&qname(l))),
-        "a read at or after the failing one was emitted"
-    );
+        .expect_err("input error must fail the run");
+        match err {
+            PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
+            other => panic!("unexpected error {other}"),
+        }
+        assert!(full.starts_with(&emitted), "not a prefix of the full run");
+        // The prefix ends on a read boundary, before read `k`.
+        let qname = |line: &str| line.split('\t').next().unwrap().to_string();
+        let next = full[emitted.len()..].lines().next().map(qname);
+        let last = emitted.lines().last().map(qname);
+        assert!(
+            last.is_none() || last != next,
+            "read {last:?} was cut in half"
+        );
+        let past_k: Vec<String> = reads[k..].iter().map(|(n, _)| n.clone()).collect();
+        assert!(
+            emitted.lines().all(|l| !past_k.contains(&qname(l))),
+            "a read at or after the failing one was emitted"
+        );
+    });
 }
 
 #[test]
 fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
-    // Workload far larger than the queue capacity: 150 reads stream
-    // through a pipeline configured to hold ~one 2 KB batch per stage.
-    let (reference, reads) = workload(50_000, 150, 500);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        batch_bases: 2 * 1024,
-        queue_depth: 1,
-        dispatchers: 1,
-        shards: env_shards(),
-        params: CandidateParams::default(),
-        ..PipelineConfig::default()
-    };
-    for workers in [env_threads(), 1, 4] {
-        let (out, metrics) = with_pool(workers, || run_stream(&reads, &reference, &backend, &cfg));
-        assert!(!out.is_empty());
-        assert_streaming_residency(&cfg, &metrics);
-    }
+    at_both_shapes(|shards, contigs| {
+        // Workload far larger than the queue capacity: 150 reads stream
+        // through a pipeline configured to hold ~one 2 KB batch per stage.
+        let (reference, reads) = workload(50_000, 150, 500, contigs);
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 2 * 1024,
+            queue_depth: 1,
+            dispatchers: 1,
+            shards,
+            params: CandidateParams::default(),
+            ..PipelineConfig::default()
+        };
+        for workers in [1, 4] {
+            let (out, metrics) =
+                with_pool(workers, || run_stream(&reads, &reference, &backend, &cfg));
+            assert!(!out.is_empty());
+            assert_streaming_residency(&cfg, &metrics);
+        }
+    });
 }
 
 fn assert_streaming_residency(cfg: &PipelineConfig, metrics: &genasm_pipeline::PipelineMetrics) {
@@ -623,106 +626,113 @@ fn assert_streaming_residency(cfg: &PipelineConfig, metrics: &genasm_pipeline::P
 
 #[test]
 fn metrics_report_every_stage() {
-    let (reference, reads) = workload(40_000, 8, 600);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        batch_bases: 4 * 1024,
-        queue_depth: 4,
-        dispatchers: 1,
-        shards: env_shards(),
-        params: CandidateParams::default(),
-        ..PipelineConfig::default()
-    };
-    let (out, m) = run_stream(&reads, &reference, &backend, &cfg);
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(40_000, 8, 600, contigs);
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 4 * 1024,
+            queue_depth: 4,
+            dispatchers: 1,
+            shards,
+            params: CandidateParams::default(),
+            ..PipelineConfig::default()
+        };
+        let (out, m) = run_stream(&reads, &reference, &backend, &cfg);
 
-    assert_eq!(m.reads_in, 8);
-    assert!(m.reads_mapped > 0, "no read mapped");
-    assert!(m.tasks_generated > 0);
-    assert!(m.task_bases > 0);
-    assert!(m.query_bases > 0);
-    assert!(m.batches > 0);
-    assert_eq!(m.batch_tasks, m.tasks_generated);
-    assert_eq!(m.batch_bases, m.task_bases);
-    assert_eq!(m.records_out as usize, out.lines().count());
-    assert!(m.records_out > 0);
-    // Histogram totals the dispatched batches.
-    assert_eq!(m.batch_size_bases.count, m.batches);
-    // Queues saw traffic.
-    assert_eq!(m.task_queue.pushed, m.tasks_generated);
-    assert_eq!(m.batch_queue.pushed, m.batches);
-    assert_eq!(m.result_queue.pushed, m.batches);
-    assert!(m.task_queue.high_water > 0);
-    // Shard telemetry matches the configured shard count (every contig
-    // gets at least one shard, so multi-contig runs may exceed the
-    // target).
-    assert_eq!(m.shard_index.contigs, env_contigs());
-    if env_contigs() == 1 {
-        assert_eq!(m.shard_index.shards.len(), env_shards());
-    } else {
-        assert!(m.shard_index.shards.len() >= env_shards().max(env_contigs()));
-    }
-    assert!(m.shard_index.reference_bytes > 0);
-    assert!(m.shard_index.shards.iter().all(|s| s.busy.as_nanos() > 0));
-    // Every stage did measurable work.
-    assert!(m.mapper_busy.as_nanos() > 0, "mapper busy time is zero");
-    assert!(
-        m.scheduler_busy.as_nanos() > 0,
-        "scheduler busy time is zero"
-    );
-    assert!(m.backend_busy.as_nanos() > 0, "backend busy time is zero");
-    assert!(m.sink_busy.as_nanos() > 0, "sink busy time is zero");
-    assert!(m.wall.as_nanos() > 0);
-    assert!(m.backend_utilization() > 0.0);
-    assert!(m.query_bases_per_sec() > 0.0);
-    // Nothing is left in flight after a clean finish.
-    assert!(m.max_inflight_tasks >= 1);
-    // The CPU backend surfaces its engine instrumentation, including
-    // the error-band counters.
-    let engine = m.engine.expect("CpuBackend must report engine stats");
-    assert!(engine.windows > 0, "no windows counted");
-    assert!(engine.rows_computed > 0);
-    assert!(
-        engine.peak_band_rows > 0,
-        "peak band width must be recorded"
-    );
-    assert!(
-        engine.band_cells_skipped > 0,
-        "early termination on low-error reads must skip band cells"
-    );
-    // The simulated GPU books them through the same code.
-    let gpu = GpuSimBackend::a6000();
-    let (gpu_out, gpu_m) = run_stream(&reads, &reference, &gpu, &cfg);
-    assert_eq!(gpu_out, out);
-    let gpu_engine = gpu_m
-        .engine
-        .expect("GpuSimBackend must report engine stats");
-    assert!(gpu_engine.peak_band_rows > 0, "gpu-sim peak band width");
-    assert!(gpu_engine.band_cells_skipped > 0, "gpu-sim skipped cells");
-    let summary = m.summary();
-    assert!(summary.contains("batches"), "{summary}");
-    assert!(summary.contains("band:"), "{summary}");
+        assert_eq!(m.reads_in, 8);
+        assert!(m.reads_mapped > 0, "no read mapped");
+        assert!(m.tasks_generated > 0);
+        assert!(m.task_bases > 0);
+        assert!(m.query_bases > 0);
+        assert!(m.batches > 0);
+        assert_eq!(m.batch_tasks, m.tasks_generated);
+        assert_eq!(m.batch_bases, m.task_bases);
+        assert_eq!(m.records_out as usize, out.lines().count());
+        assert!(m.records_out > 0);
+        // Histogram totals the dispatched batches.
+        assert_eq!(m.batch_size_bases.count, m.batches);
+        // Queues saw traffic.
+        assert_eq!(m.task_queue.pushed, m.tasks_generated);
+        assert_eq!(m.batch_queue.pushed, m.batches);
+        assert_eq!(m.result_queue.pushed, m.batches);
+        assert!(m.task_queue.high_water > 0);
+        // Shard telemetry matches the configured shard count (every contig
+        // gets at least one shard, so multi-contig runs may exceed the
+        // target).
+        assert_eq!(m.shard_index.contigs, contigs);
+        if contigs == 1 {
+            assert_eq!(m.shard_index.shards.len(), shards);
+        } else {
+            assert!(m.shard_index.shards.len() >= shards.max(contigs));
+        }
+        assert!(m.shard_index.reference_bytes > 0);
+        assert!(m.shard_index.shards.iter().all(|s| s.busy.as_nanos() > 0));
+        // Every stage did measurable work.
+        assert!(m.mapper_busy.as_nanos() > 0, "mapper busy time is zero");
+        assert!(
+            m.scheduler_busy.as_nanos() > 0,
+            "scheduler busy time is zero"
+        );
+        assert!(m.backend_busy.as_nanos() > 0, "backend busy time is zero");
+        assert!(m.sink_busy.as_nanos() > 0, "sink busy time is zero");
+        assert!(m.wall.as_nanos() > 0);
+        assert!(m.backend_utilization() > 0.0);
+        assert!(m.query_bases_per_sec() > 0.0);
+        // Nothing is left in flight after a clean finish.
+        assert!(m.max_inflight_tasks >= 1);
+        // The CPU backend surfaces its engine instrumentation, including
+        // the error-band counters.
+        let engine = m.engine.expect("CpuBackend must report engine stats");
+        assert!(engine.windows > 0, "no windows counted");
+        assert!(engine.rows_computed > 0);
+        assert!(
+            engine.peak_band_rows > 0,
+            "peak band width must be recorded"
+        );
+        assert!(
+            engine.band_cells_skipped > 0,
+            "early termination on low-error reads must skip band cells"
+        );
+        // The simulated GPU books them through the same code.
+        let gpu = GpuSimBackend::a6000();
+        let (gpu_out, gpu_m) = run_stream(&reads, &reference, &gpu, &cfg);
+        assert_eq!(gpu_out, out);
+        let gpu_engine = gpu_m
+            .engine
+            .expect("GpuSimBackend must report engine stats");
+        assert!(gpu_engine.peak_band_rows > 0, "gpu-sim peak band width");
+        assert!(gpu_engine.band_cells_skipped > 0, "gpu-sim skipped cells");
+        let summary = m.summary();
+        assert!(summary.contains("batches"), "{summary}");
+        assert!(summary.contains("band:"), "{summary}");
+    });
 }
 
 #[test]
 fn input_errors_propagate_and_unwind_cleanly() {
-    let (reference, reads) = workload(30_000, 3, 500);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig::default();
-    let stream = reads
-        .iter()
-        .map(|(name, seq)| {
-            Ok(ReadInput {
-                name: name.clone(),
-                seq: seq.clone(),
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(30_000, 3, 500, contigs);
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            shards,
+            ..PipelineConfig::default()
+        };
+        let stream = reads
+            .iter()
+            .map(|(name, seq)| {
+                Ok(ReadInput {
+                    name: name.clone(),
+                    seq: seq.clone(),
+                })
             })
-        })
-        .chain(std::iter::once(Err("disk on fire")));
-    let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(()))
-        .expect_err("input error must fail the run");
-    match err {
-        PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
-        other => panic!("unexpected error {other}"),
-    }
+            .chain(std::iter::once(Err("disk on fire")));
+        let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(()))
+            .expect_err("input error must fail the run");
+        match err {
+            PipelineError::Input(msg) => assert!(msg.contains("disk on fire"), "{msg}"),
+            other => panic!("unexpected error {other}"),
+        }
+    });
 }
 
 /// A panic on the ingest side (here: the caller's own iterator, with
@@ -732,50 +742,58 @@ fn input_errors_propagate_and_unwind_cleanly() {
 /// finish, and no worker is left waiting for a turn that never comes.
 #[test]
 fn a_panicking_input_iterator_propagates_instead_of_hanging() {
-    let (reference, mut reads) = workload(30_000, 8, 500);
-    reads[2] = workload(30_000, 1, 8_000).1.remove(0);
-    let outcome = within_a_minute(move || {
-        let backend = CpuBackend::improved();
-        let cfg = PipelineConfig::default();
-        with_pool(3, || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
-                    assert!(i < 5, "input iterator blew up");
-                    Ok::<_, std::convert::Infallible>(ReadInput {
-                        name: name.clone(),
-                        seq: seq.clone(),
-                    })
-                });
-                run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(())).map(|_| ())
-            }))
-        })
+    at_both_shapes(|shards, contigs| {
+        let (reference, mut reads) = workload(30_000, 8, 500, contigs);
+        reads[2] = workload(30_000, 1, 8_000, contigs).1.remove(0);
+        let outcome = within_a_minute(move || {
+            let backend = CpuBackend::improved();
+            let cfg = PipelineConfig {
+                shards,
+                ..PipelineConfig::default()
+            };
+            with_pool(3, || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let stream = reads.iter().enumerate().map(|(i, (name, seq))| {
+                        assert!(i < 5, "input iterator blew up");
+                        Ok::<_, std::convert::Infallible>(ReadInput {
+                            name: name.clone(),
+                            seq: seq.clone(),
+                        })
+                    });
+                    run_pipeline(stream, reference.clone(), &backend, &cfg, |_| Ok(())).map(|_| ())
+                }))
+            })
+        });
+        assert!(outcome.is_err(), "the panic was swallowed: {outcome:?}");
     });
-    assert!(outcome.is_err(), "the panic was swallowed: {outcome:?}");
 }
 
 #[test]
 fn sink_errors_propagate_and_unwind_cleanly() {
-    let (reference, reads) = workload(30_000, 3, 500);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        batch_bases: 1, // many small batches keep upstream stages busy
-        queue_depth: 1,
-        ..PipelineConfig::default()
-    };
-    let stream = reads.iter().map(|(name, seq)| {
-        Ok::<_, std::convert::Infallible>(ReadInput {
-            name: name.clone(),
-            seq: seq.clone(),
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(30_000, 3, 500, contigs);
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 1, // many small batches keep upstream stages busy
+            queue_depth: 1,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let stream = reads.iter().map(|(name, seq)| {
+            Ok::<_, std::convert::Infallible>(ReadInput {
+                name: name.clone(),
+                seq: seq.clone(),
+            })
+        });
+        let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |_| {
+            Err(std::io::Error::other("broken pipe"))
         })
+        .expect_err("sink error must fail the run");
+        match err {
+            PipelineError::Sink(e) => assert!(e.to_string().contains("broken pipe")),
+            other => panic!("unexpected error {other}"),
+        }
     });
-    let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |_| {
-        Err(std::io::Error::other("broken pipe"))
-    })
-    .expect_err("sink error must fail the run");
-    match err {
-        PipelineError::Sink(e) => assert!(e.to_string().contains("broken pipe")),
-        other => panic!("unexpected error {other}"),
-    }
 }
 
 /// A backend that fails every batch after the first: later batches
@@ -784,73 +802,75 @@ fn sink_errors_propagate_and_unwind_cleanly() {
 /// panic or a partially emitted read.
 #[test]
 fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
-    let (reference, reads) = workload(40_000, 10, 600);
-    let backend = FaultBackend::new("flaky", &[Fault::Ok], Fault::Error);
-    let cfg = PipelineConfig {
-        batch_bases: 2 * 1024, // several batches, so reads span the failure
-        queue_depth: 2,
-        dispatchers: 2,
-        ..PipelineConfig::default()
-    };
-    let stream = reads.iter().map(|(name, seq)| {
-        Ok::<_, std::convert::Infallible>(ReadInput {
-            name: name.clone(),
-            seq: seq.clone(),
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(40_000, 10, 600, contigs);
+        let backend = FaultBackend::new("flaky", &[Fault::Ok], Fault::Error);
+        let cfg = PipelineConfig {
+            batch_bases: 2 * 1024, // several batches, so reads span the failure
+            queue_depth: 2,
+            dispatchers: 2,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let stream = reads.iter().map(|(name, seq)| {
+            Ok::<_, std::convert::Infallible>(ReadInput {
+                name: name.clone(),
+                seq: seq.clone(),
+            })
+        });
+        let mut emitted: Vec<String> = Vec::new();
+        let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
+            emitted.push(rec.qname.clone());
+            Ok(())
         })
+        .expect_err("injected backend failure must fail the run");
+        match err {
+            PipelineError::Backend(e) => assert!(e.to_string().contains("injected failure")),
+            other => panic!("unexpected error {other}"),
+        }
+        // Any records that did get out are whole reads in input order
+        // (never a partially reported read).
+        let expected = one_shot_cpu(&reads, &reference, &CandidateParams::default());
+        let mut expected_per_read: Vec<(String, usize)> = Vec::new();
+        for line in expected.lines() {
+            let name = line.split('\t').next().unwrap().to_string();
+            match expected_per_read.last_mut() {
+                Some((n, c)) if *n == name => *c += 1,
+                _ => expected_per_read.push((name, 1)),
+            }
+        }
+        let mut got_per_read: Vec<(String, usize)> = Vec::new();
+        for name in &emitted {
+            match got_per_read.last_mut() {
+                Some((n, c)) if n == name => *c += 1,
+                _ => got_per_read.push((name.clone(), 1)),
+            }
+        }
+        assert!(
+            got_per_read.len() <= expected_per_read.len(),
+            "more reads than the workload has"
+        );
+        for (got, want) in got_per_read.iter().zip(&expected_per_read) {
+            assert_eq!(got, want, "partial read emitted on the abort path");
+        }
     });
-    let mut emitted: Vec<String> = Vec::new();
-    let err = run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
-        emitted.push(rec.qname.clone());
-        Ok(())
-    })
-    .expect_err("injected backend failure must fail the run");
-    match err {
-        PipelineError::Backend(e) => assert!(e.to_string().contains("injected failure")),
-        other => panic!("unexpected error {other}"),
-    }
-    // Any records that did get out are whole reads in input order
-    // (never a partially reported read).
-    let expected = one_shot_cpu(&reads, &reference, &CandidateParams::default());
-    let mut expected_per_read: Vec<(String, usize)> = Vec::new();
-    for line in expected.lines() {
-        let name = line.split('\t').next().unwrap().to_string();
-        match expected_per_read.last_mut() {
-            Some((n, c)) if *n == name => *c += 1,
-            _ => expected_per_read.push((name, 1)),
-        }
-    }
-    let mut got_per_read: Vec<(String, usize)> = Vec::new();
-    for name in &emitted {
-        match got_per_read.last_mut() {
-            Some((n, c)) if n == name => *c += 1,
-            _ => got_per_read.push((name.clone(), 1)),
-        }
-    }
-    assert!(
-        got_per_read.len() <= expected_per_read.len(),
-        "more reads than the workload has"
-    );
-    for (got, want) in got_per_read.iter().zip(&expected_per_read) {
-        assert_eq!(got, want, "partial read emitted on the abort path");
-    }
 }
 
 #[test]
 fn empty_input_completes_with_zero_records() {
-    let (reference, _) = workload(30_000, 1, 500);
-    let backend = CpuBackend::improved();
-    let stream = std::iter::empty::<Result<ReadInput, std::convert::Infallible>>();
-    let metrics = run_pipeline(
-        stream,
-        reference,
-        &backend,
-        &PipelineConfig::default(),
-        |_| Ok(()),
-    )
-    .unwrap();
-    assert_eq!(metrics.reads_in, 0);
-    assert_eq!(metrics.records_out, 0);
-    assert_eq!(metrics.batches, 0);
+    at_both_shapes(|shards, contigs| {
+        let (reference, _) = workload(30_000, 1, 500, contigs);
+        let backend = CpuBackend::improved();
+        let stream = std::iter::empty::<Result<ReadInput, std::convert::Infallible>>();
+        let cfg = PipelineConfig {
+            shards,
+            ..PipelineConfig::default()
+        };
+        let metrics = run_pipeline(stream, reference, &backend, &cfg, |_| Ok(())).unwrap();
+        assert_eq!(metrics.reads_in, 0);
+        assert_eq!(metrics.records_out, 0);
+        assert_eq!(metrics.batches, 0);
+    });
 }
 
 /// Telemetry is passive: running the identical workload with a Chrome
@@ -859,92 +879,94 @@ fn empty_input_completes_with_zero_records() {
 /// the byte-geometry contract of the telemetry layer.
 #[test]
 fn tracing_and_exposition_never_change_output_bytes() {
-    use genasm_pipeline::TraceRecorder;
-    use std::sync::Arc;
+    at_both_shapes(|shards, contigs| {
+        use genasm_pipeline::TraceRecorder;
+        use std::sync::Arc;
 
-    let (reference, reads) = workload(40_000, 8, 600);
-    let backend = CpuBackend::improved();
-    let plain_cfg = PipelineConfig {
-        batch_bases: 8 * 1024,
-        queue_depth: 2,
-        shards: env_shards(),
-        ..PipelineConfig::default()
-    };
-    let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
+        let (reference, reads) = workload(40_000, 8, 600, contigs);
+        let backend = CpuBackend::improved();
+        let plain_cfg = PipelineConfig {
+            batch_bases: 8 * 1024,
+            queue_depth: 2,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
 
-    // Shared buffer so the test can also sanity-check the emitted JSON.
-    #[derive(Clone)]
-    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
+        // Shared buffer so the test can also sanity-check the emitted JSON.
+        #[derive(Clone)]
+        struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+        impl std::io::Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
         }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
-    let trace = Arc::new(TraceRecorder::to_writer(Box::new(buf.clone())));
-    let traced_cfg = PipelineConfig {
-        trace: Some(Arc::clone(&trace)),
-        ..plain_cfg.clone()
-    };
-    let (traced, m) = with_pool(3, || run_stream(&reads, &reference, &backend, &traced_cfg));
-    trace.finish().unwrap();
+        let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
+        let trace = Arc::new(TraceRecorder::to_writer(Box::new(buf.clone())));
+        let traced_cfg = PipelineConfig {
+            trace: Some(Arc::clone(&trace)),
+            ..plain_cfg.clone()
+        };
+        let (traced, m) = with_pool(3, || run_stream(&reads, &reference, &backend, &traced_cfg));
+        trace.finish().unwrap();
 
-    assert_eq!(plain, traced, "tracing changed the output bytes");
-    // Rendering the expositions is also output-neutral by construction
-    // (they only read atomics), but exercise them so a panic or a
-    // malformed rendering fails here rather than in CI's smoke test.
-    assert!(m
-        .to_json()
-        .starts_with("{\"schema\":\"genasm-pipeline-metrics/v1\""));
-    assert!(m.to_prometheus().contains("genasm_reads_in_total 8"));
-    let trace_bytes = buf.0.lock().unwrap().clone();
-    let trace_text = String::from_utf8(trace_bytes).unwrap();
-    assert!(trace_text.trim_start().starts_with('['));
-    assert!(trace_text.trim_end().ends_with(']'));
-    assert!(trace_text.contains("\"name\":\"read\""), "no read spans");
-    assert!(
-        trace_text.contains("\"name\":\"execute\""),
-        "no execute spans"
-    );
-    assert!(trace_text.contains("\"ph\":\"M\""), "no thread metadata");
-    // Each map worker has a lane of its own, named, on which its map
-    // spans (one read at a time) never overlap.
-    let field = |line: &str, key: &str| -> f64 {
-        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
-        let end = line[at..].find([',', '}']).unwrap() + at;
-        line[at..end].parse().unwrap()
-    };
-    let mut lanes: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
-    for line in trace_text
-        .lines()
-        .filter(|l| l.contains("\"name\":\"map\""))
-    {
-        let span = (field(line, "\"ts\":"), field(line, "\"dur\":"));
-        lanes
-            .entry(field(line, "\"tid\":") as u64)
-            .or_default()
-            .push(span);
-    }
-    assert_eq!(lanes.values().map(Vec::len).sum::<usize>(), reads.len());
-    assert!(lanes.len() <= 3, "more map lanes than workers: {lanes:?}");
-    for (tid, spans) in &mut lanes {
-        let lane = tid - 16; // `tids::MAP0`, the lane of map worker 0
+        assert_eq!(plain, traced, "tracing changed the output bytes");
+        // Rendering the expositions is also output-neutral by construction
+        // (they only read atomics), but exercise them so a panic or a
+        // malformed rendering fails here rather than in CI's smoke test.
+        assert!(m
+            .to_json()
+            .starts_with("{\"schema\":\"genasm-pipeline-metrics/v1\""));
+        assert!(m.to_prometheus().contains("genasm_reads_in_total 8"));
+        let trace_bytes = buf.0.lock().unwrap().clone();
+        let trace_text = String::from_utf8(trace_bytes).unwrap();
+        assert!(trace_text.trim_start().starts_with('['));
+        assert!(trace_text.trim_end().ends_with(']'));
+        assert!(trace_text.contains("\"name\":\"read\""), "no read spans");
         assert!(
-            trace_text.contains(&format!("\"name\":\"map:{lane}\"")),
-            "map lane {tid} has no thread name"
+            trace_text.contains("\"name\":\"execute\""),
+            "no execute spans"
         );
-        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for pair in spans.windows(2) {
-            assert!(
-                pair[1].0 >= pair[0].0 + pair[0].1 - 0.002,
-                "map spans overlap on lane {tid}: {pair:?}"
-            );
+        assert!(trace_text.contains("\"ph\":\"M\""), "no thread metadata");
+        // Each map worker has a lane of its own, named, on which its map
+        // spans (one read at a time) never overlap.
+        let field = |line: &str, key: &str| -> f64 {
+            let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+            let end = line[at..].find([',', '}']).unwrap() + at;
+            line[at..end].parse().unwrap()
+        };
+        let mut lanes: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
+        for line in trace_text
+            .lines()
+            .filter(|l| l.contains("\"name\":\"map\""))
+        {
+            let span = (field(line, "\"ts\":"), field(line, "\"dur\":"));
+            lanes
+                .entry(field(line, "\"tid\":") as u64)
+                .or_default()
+                .push(span);
         }
-    }
+        assert_eq!(lanes.values().map(Vec::len).sum::<usize>(), reads.len());
+        assert!(lanes.len() <= 3, "more map lanes than workers: {lanes:?}");
+        for (tid, spans) in &mut lanes {
+            let lane = tid - 16; // `tids::MAP0`, the lane of map worker 0
+            assert!(
+                trace_text.contains(&format!("\"name\":\"map:{lane}\"")),
+                "map lane {tid} has no thread name"
+            );
+            spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for pair in spans.windows(2) {
+                assert!(
+                    pair[1].0 >= pair[0].0 + pair[0].1 - 0.002,
+                    "map spans overlap on lane {tid}: {pair:?}"
+                );
+            }
+        }
+    });
 }
 
 /// `--explain` is passive: the identical workload run with an explain
@@ -954,78 +976,80 @@ fn tracing_and_exposition_never_change_output_bytes() {
 /// funnel counters partition `reads_in` exactly.
 #[test]
 fn explain_stream_is_passive_and_covers_every_read() {
-    use genasm_pipeline::ExplainSink;
-    use std::sync::Arc;
+    at_both_shapes(|shards, contigs| {
+        use genasm_pipeline::ExplainSink;
+        use std::sync::Arc;
 
-    let (reference, mut reads) = workload(40_000, 8, 600);
-    // An empty read can never anchor: it must still get an explain
-    // line (disposition unmapped:no_anchors) despite emitting nothing.
-    reads.push(("lost \"read\"".to_string(), Seq::new()));
-    let backend = CpuBackend::improved();
-    let plain_cfg = PipelineConfig {
-        batch_bases: 8 * 1024,
-        queue_depth: 2,
-        shards: env_shards(),
-        ..PipelineConfig::default()
-    };
-    let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
+        let (reference, mut reads) = workload(40_000, 8, 600, contigs);
+        // An empty read can never anchor: it must still get an explain
+        // line (disposition unmapped:no_anchors) despite emitting nothing.
+        reads.push(("lost \"read\"".to_string(), Seq::new()));
+        let backend = CpuBackend::improved();
+        let plain_cfg = PipelineConfig {
+            batch_bases: 8 * 1024,
+            queue_depth: 2,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
 
-    #[derive(Clone)]
-    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
+        #[derive(Clone)]
+        struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+        impl std::io::Write for SharedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
         }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-    let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
-    let explained_cfg = PipelineConfig {
-        explain: Some(Arc::new(ExplainSink::new(Box::new(buf.clone())))),
-        ..plain_cfg.clone()
-    };
-    let (explained, m) = run_stream(&reads, &reference, &backend, &explained_cfg);
-    assert_eq!(plain, explained, "explain changed the output bytes");
+        let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
+        let explained_cfg = PipelineConfig {
+            explain: Some(Arc::new(ExplainSink::new(Box::new(buf.clone())))),
+            ..plain_cfg.clone()
+        };
+        let (explained, m) = run_stream(&reads, &reference, &backend, &explained_cfg);
+        assert_eq!(plain, explained, "explain changed the output bytes");
 
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(
-        lines.len(),
-        reads.len(),
-        "one explain line per read:\n{text}"
-    );
-    for line in &lines {
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines.len(),
+            reads.len(),
+            "one explain line per read:\n{text}"
+        );
+        for line in &lines {
+            assert!(
+                line.starts_with("{\"schema\":\"genasm-explain/v2\""),
+                "{line}"
+            );
+            assert_eq!(
+                line.matches('{').count(),
+                line.matches('}').count(),
+                "{line}"
+            );
+        }
+        // Every input read appears exactly once, hostile names escaped.
+        for (name, _) in &reads {
+            let esc = genasm_telemetry::json::escape(name);
+            let needle = format!("\"read\":\"{esc}\"");
+            assert_eq!(
+                lines.iter().filter(|l| l.contains(&needle)).count(),
+                1,
+                "read {name:?} not explained exactly once"
+            );
+        }
         assert!(
-            line.starts_with("{\"schema\":\"genasm-explain/v2\""),
-            "{line}"
+            text.contains("\"disposition\":\"unmapped:no_anchors\""),
+            "the empty read's disposition is missing:\n{text}"
         );
-        assert_eq!(
-            line.matches('{').count(),
-            line.matches('}').count(),
-            "{line}"
-        );
-    }
-    // Every input read appears exactly once, hostile names escaped.
-    for (name, _) in &reads {
-        let esc = genasm_telemetry::json::escape(name);
-        let needle = format!("\"read\":\"{esc}\"");
-        assert_eq!(
-            lines.iter().filter(|l| l.contains(&needle)).count(),
-            1,
-            "read {name:?} not explained exactly once"
-        );
-    }
-    assert!(
-        text.contains("\"disposition\":\"unmapped:no_anchors\""),
-        "the empty read's disposition is missing:\n{text}"
-    );
-    // The funnel partitions reads_in on the metrics surface too.
-    let f = m.funnel;
-    assert_eq!(f.reads_in, reads.len() as u64);
-    assert_eq!(f.reads_in, f.aligned + f.unmapped_total() + f.failed);
-    assert_eq!(f.unmapped_no_anchors, 1);
+        // The funnel partitions reads_in on the metrics surface too.
+        let f = m.funnel;
+        assert_eq!(f.reads_in, reads.len() as u64);
+        assert_eq!(f.reads_in, f.aligned + f.unmapped_total() + f.failed);
+        assert_eq!(f.unmapped_no_anchors, 1);
+    });
 }
 
 /// The latency histograms cover the full read lifecycle: every read
@@ -1034,28 +1058,30 @@ fn explain_stream_is_passive_and_covers_every_read() {
 /// global batch counters.
 #[test]
 fn latency_histograms_cover_the_read_lifecycle() {
-    let (reference, reads) = workload(40_000, 8, 600);
-    let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        batch_bases: 4 * 1024,
-        queue_depth: 4,
-        shards: env_shards(),
-        ..PipelineConfig::default()
-    };
-    let (_, m) = run_stream(&reads, &reference, &backend, &cfg);
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(40_000, 8, 600, contigs);
+        let backend = CpuBackend::improved();
+        let cfg = PipelineConfig {
+            batch_bases: 4 * 1024,
+            queue_depth: 4,
+            shards,
+            ..PipelineConfig::default()
+        };
+        let (_, m) = run_stream(&reads, &reference, &backend, &cfg);
 
-    assert_eq!(m.read_latency.count, m.reads_in, "one sample per read");
-    assert_eq!(m.task_queue_wait.count, m.tasks_generated);
-    assert_eq!(m.batch_build.count, m.batches);
-    assert_eq!(m.reorder_wait.count, m.batches);
-    assert!(m.read_latency.p50() <= m.read_latency.p99());
-    assert!(m.read_latency.sum > 0, "reads cannot take zero time");
-    // One backend, so the breakdown has one entry carrying every batch.
-    assert_eq!(m.backends.len(), 1, "backend breakdown");
-    let be = &m.backends[0];
-    assert_eq!(be.name, backend.name());
-    assert_eq!(be.batches, m.batches);
-    assert_eq!(be.tasks, m.batch_tasks);
-    assert_eq!(be.execute.count, m.batches);
-    assert_eq!(be.queue_wait.count, m.batches);
+        assert_eq!(m.read_latency.count, m.reads_in, "one sample per read");
+        assert_eq!(m.task_queue_wait.count, m.tasks_generated);
+        assert_eq!(m.batch_build.count, m.batches);
+        assert_eq!(m.reorder_wait.count, m.batches);
+        assert!(m.read_latency.p50() <= m.read_latency.p99());
+        assert!(m.read_latency.sum > 0, "reads cannot take zero time");
+        // One backend, so the breakdown has one entry carrying every batch.
+        assert_eq!(m.backends.len(), 1, "backend breakdown");
+        let be = &m.backends[0];
+        assert_eq!(be.name, backend.name());
+        assert_eq!(be.batches, m.batches);
+        assert_eq!(be.tasks, m.batch_tasks);
+        assert_eq!(be.execute.count, m.batches);
+        assert_eq!(be.queue_wait.count, m.batches);
+    });
 }
