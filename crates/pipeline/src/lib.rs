@@ -197,15 +197,17 @@ pub(crate) mod tids {
     /// First backend lane; backend `i` uses `BACKEND0 + i`.
     pub const BACKEND0: u64 = 8;
     /// First candidate-generation lane: one-shot map worker `i` uses
-    /// `MAP0 + i`, so spans on one lane never overlap; server sessions
-    /// map on their connection threads and share `MAP0`.
+    /// `MAP0 + i`, so spans on one lane never overlap.
     pub const MAP0: u64 = 16;
+    /// First session map lane, past any one-shot worker's: a session
+    /// that submits maps on its connection thread, on the lowest lane
+    /// `SESSION_MAP0 + i` no other open session holds.
+    pub const SESSION_MAP0: u64 = 1024;
 }
 
 /// Emit the lane-name metadata events every trace starts with.
 pub(crate) fn trace_lanes(trace: &TraceRecorder, backends: &[&str]) {
     trace.thread_name(tids::READS, "reads");
-    trace.thread_name(tids::MAP0, "map:0");
     trace.thread_name(tids::SCHED, "scheduler");
     trace.thread_name(tids::SINK, "sink");
     trace.thread_name(tids::SESSION, "sessions");
@@ -317,10 +319,10 @@ where
         pipeline: cfg.clone(),
         max_sessions: 1,
         // One-shot batch geometry: a building batch flushes only when
-        // it reaches its target — or at end of input, when shutdown
-        // closes the task queue — exactly like the historical inline
-        // scheduler. The linger is set far past any run length so the
-        // age flush can never fire mid-run.
+        // it reaches its target — or at end of input, when the session
+        // finishes — exactly like the historical inline scheduler. The
+        // linger is set far past any run length so the age flush can
+        // never fire mid-run.
         linger: Duration::from_secs(3600),
         // The caps exist for multi-tenant fairness; a one-shot run is
         // its own only tenant, and its memory is already bounded by
@@ -335,7 +337,7 @@ where
     // The map stage is as wide as the backend's own pool.
     let workers = genasm_cpu::worker_threads().max(1);
     if let Some(t) = &cfg.trace {
-        for lane in 1..workers {
+        for lane in 0..workers {
             t.thread_name(tids::MAP0 + lane as u64, &format!("map:{lane}"));
         }
     }
@@ -346,10 +348,11 @@ where
             // release the caller below, which waits for `End`; it
             // resumes after the join.
             let ingested = catch_unwind(AssertUnwindSafe(|| map_reads(&session, reads, workers)));
-            // Input over (or failed): release the session and close
-            // the task queue, which flushes the scheduler's partial
-            // batches — so `End` reaches the caller behind the last
-            // whole read, and the stages exit for the scope to join.
+            // Input over (or failed): finishing the session dispatches
+            // the scheduler's partial batch at once — so `End` reaches
+            // the caller behind the last whole read — and the shutdown
+            // closes the task queue, so the stages exit for the scope
+            // to join.
             session.finish();
             service.shutdown();
             ingested

@@ -12,6 +12,9 @@
 //! item (weight > capacity) is still admitted when the queue is empty
 //! — the pipeline must make progress on tasks larger than the
 //! configured batch target, it just cannot hold more than one of them.
+//! A weight-0 item is a *marker*: it takes no capacity and is not
+//! counted in [`BoundedQueue::total_pushed`], but it keeps its FIFO
+//! place (and so can still wait behind an oversized item).
 //!
 //! Closing: [`BoundedQueue::close`] wakes all blocked producers and
 //! consumers. Consumers drain the remaining items and then see `None`;
@@ -51,7 +54,7 @@ pub struct BoundedQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    /// Total items ever pushed.
+    /// Total items of nonzero weight ever pushed.
     pushed: AtomicU64,
     /// Highest observed `used` weight (backpressure telemetry).
     high_water: AtomicU64,
@@ -94,7 +97,9 @@ impl<T> BoundedQueue<T> {
         }
         st.used += weight;
         st.items.push_back((item, weight));
-        self.pushed.fetch_add(1, Ordering::Relaxed);
+        if weight > 0 {
+            self.pushed.fetch_add(1, Ordering::Relaxed);
+        }
         self.high_water.fetch_max(st.used as u64, Ordering::Relaxed);
         drop(st);
         self.not_empty.notify_one();
@@ -154,7 +159,7 @@ impl<T> BoundedQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Total items ever pushed.
+    /// Total items ever pushed, markers (weight 0) not included.
     pub fn total_pushed(&self) -> u64 {
         self.pushed.load(Ordering::Relaxed)
     }
@@ -176,6 +181,19 @@ mod tests {
         q.push(1, 10).unwrap();
         q.push(2, 10).unwrap();
         assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.total_pushed(), 2);
+        assert_eq!(q.high_water(), 20);
+    }
+
+    #[test]
+    fn a_marker_keeps_its_place_but_is_not_counted() {
+        let q = BoundedQueue::new(100);
+        q.push(1, 10).unwrap();
+        q.push(0, 0).unwrap();
+        q.push(2, 10).unwrap();
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.high_water(), 20);

@@ -35,12 +35,17 @@
 //! * **Per-backend batching.** Sessions may pick different backends;
 //!   the scheduler keeps one building batch per backend so a batch is
 //!   never mixed across engines, while batch sequence numbers stay
-//!   globally ordered for the sink's reorder buffer. A partial batch
-//!   is flushed once it is [`ServiceConfig::linger`] old — an *age*
-//!   bound, not an idle bound, so one session's small batch cannot be
-//!   starved by another session's steady traffic to a different
-//!   backend (flush timing never changes output — the pipeline is
-//!   batch-geometry deterministic).
+//!   globally ordered for the sink's reorder buffer. A batch is
+//!   dispatched when it reaches its base target; a partial one goes
+//!   when a session that has reads in it finishes ([`Session::finish`]
+//!   queues a marker behind the session's last task, and the scheduler
+//!   dispatches that backend's building batch on it), so a client that
+//!   has sent its last read does not wait out the linger. Otherwise a
+//!   partial batch is flushed once it is [`ServiceConfig::linger`] old
+//!   — an *age* bound, not an idle bound, so one session's small batch
+//!   cannot be starved by another session's steady traffic to a
+//!   different backend (flush timing never changes output — the
+//!   pipeline is batch-geometry deterministic).
 //! * **Failure isolation.** A task that exceeds its backend's edit
 //!   budget fails *that read for that session*
 //!   ([`SessionEvent::ReadFailed`]); a poisoned batch fails only the
@@ -90,7 +95,9 @@ pub struct ServiceConfig {
     pub max_sessions: usize,
     /// Maximum age of a building batch before the scheduler flushes it
     /// regardless of size (so a lightly-loaded session's batch is
-    /// never starved by other sessions' traffic). Only affects
+    /// never starved by other sessions' traffic). It bounds the wait of
+    /// a session that is still streaming: a session that finishes
+    /// releases its backend's building batch at once. Only affects
     /// latency; output is identical for every value.
     pub linger: Duration,
     /// Cap on one session's buffered, not-yet-received output, in
@@ -426,6 +433,21 @@ struct Ingest {
     next_session: u64,
     open_sessions: usize,
     draining: bool,
+    /// The sessions' map trace lanes: `map_lanes[i]` is true while a
+    /// session maps on `tids::SESSION_MAP0 + i`.
+    map_lanes: Vec<bool>,
+}
+
+/// One item of the shared task queue: a candidate task with its
+/// metadata, for its session's `backend` — or, with no task, the marker
+/// of a session that finished with reads in flight: dispatch
+/// `backend`'s building batch now. The marker is pushed at weight 0
+/// behind the session's last task, so it takes no capacity and is not
+/// counted as a task. (Not an enum: its large task variant would want
+/// a box, and a task pays no allocation for the marker's sake.)
+struct Work {
+    backend: BackendKind,
+    task: Option<(AlignTask, TaskMeta)>,
 }
 
 /// A batch travelling from dispatch to the sink.
@@ -449,7 +471,7 @@ pub(crate) struct Shared {
     /// only the stages see the table, so a dispatcher leaves them here
     /// after every batch for [`PipelineService::metrics`].
     engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
-    task_q: BoundedQueue<(AlignTask, TaskMeta, BackendKind)>,
+    task_q: BoundedQueue<Work>,
     batch_q: BoundedQueue<(Batch, BackendKind)>,
     result_q: BoundedQueue<SvcDone>,
     counters: StageCounters,
@@ -539,6 +561,7 @@ impl PipelineService {
                 next_session: 0,
                 open_sessions: 0,
                 draining: false,
+                map_lanes: Vec::new(),
             }),
             drained_cv: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
@@ -657,6 +680,7 @@ impl PipelineService {
                 id,
                 backend,
                 local_reads: 0,
+                map_lane: None,
                 closed: false,
             },
             SessionReceiver { rx, gate },
@@ -895,6 +919,9 @@ pub struct Session {
     id: u64,
     backend: BackendKind,
     local_reads: u64,
+    /// The session's map trace lane (an index into
+    /// `Ingest::map_lanes`), taken at its first submit.
+    map_lane: Option<usize>,
     closed: bool,
 }
 
@@ -917,7 +944,14 @@ impl Session {
     /// the number of tasks generated (0 = unmapped read; it completes
     /// immediately with no rows).
     pub fn submit(&mut self, read: ReadInput) -> Result<usize, SubmitError> {
-        let mapped = self.map(self.local_reads as u32, read, tids::MAP0);
+        let lane = *self
+            .map_lane
+            .get_or_insert_with(|| take_map_lane(&self.shared));
+        let mapped = self.map(
+            self.local_reads as u32,
+            read,
+            tids::SESSION_MAP0 + lane as u64,
+        );
         self.local_reads += 1;
         self.enqueue(mapped)
     }
@@ -1062,7 +1096,11 @@ impl Session {
             };
             sh.counters.task_in(bases);
             sh.counters.query_bases.add(task.query.len() as u64);
-            if sh.task_q.push((task, meta, self.backend), bases).is_err() {
+            let work = Work {
+                backend: self.backend,
+                task: Some((task, meta)),
+            };
+            if sh.task_q.push(work, bases).is_err() {
                 return Err(SubmitError::ServiceStopped);
             }
         }
@@ -1081,7 +1119,9 @@ impl Session {
 
     /// Declare the session finished: once its in-flight reads drain,
     /// the receiver gets [`SessionEvent::End`] and the session slot is
-    /// released for admission.
+    /// released for admission. Reads still in flight are not held
+    /// back for the linger: the session's backend dispatches its
+    /// building batch as soon as the scheduler reaches this call.
     pub fn finish(mut self) {
         self.close_inner();
     }
@@ -1092,19 +1132,36 @@ impl Session {
         }
         self.closed = true;
         let sh = &self.shared;
+        let mut in_flight = false;
         {
             let mut reg = sh.sessions.lock().unwrap();
             if let Some(st) = reg.get_mut(&self.id) {
                 st.finished = true;
-                if st.completed == st.mapped_submitted {
+                in_flight = st.completed < st.mapped_submitted;
+                if !in_flight {
                     let st = reg.remove(&self.id).unwrap();
                     trace_session_end(sh, self.id, &st);
                     let _ = st.tx.send((SessionEvent::End(st.metrics.clone()), 0));
                 }
             }
         }
+        // Pushed after the registry lock is dropped: the push can wait
+        // behind an oversized task, and making room for it ends in the
+        // sink, which takes `sessions`. Pushed before the session is
+        // counted out, so a shutdown closes the queue behind it; a
+        // queue already closed flushes every batch on its own.
+        if in_flight {
+            let marker = Work {
+                backend: self.backend,
+                task: None,
+            };
+            let _ = sh.task_q.push(marker, 0);
+        }
         let mut ing = sh.ingest.lock().unwrap();
         ing.open_sessions -= 1;
+        if let Some(lane) = self.map_lane.take() {
+            ing.map_lanes[lane] = false;
+        }
         drop(ing);
         sh.drained_cv.notify_all();
     }
@@ -1175,6 +1232,29 @@ pub enum RecvOutcome {
     Closed,
 }
 
+/// Take the lowest free session map lane, naming it in the trace the
+/// first time it is used: each open session maps on a lane of its own,
+/// so map spans on one lane never overlap.
+fn take_map_lane(sh: &Shared) -> usize {
+    let mut ing = sh.ingest.lock().unwrap();
+    let lane = match ing.map_lanes.iter().position(|taken| !taken) {
+        Some(lane) => lane,
+        None => {
+            ing.map_lanes.push(false);
+            let lane = ing.map_lanes.len() - 1;
+            if let Some(t) = sh.trace() {
+                t.thread_name(
+                    tids::SESSION_MAP0 + lane as u64,
+                    &format!("session-map:{lane}"),
+                );
+            }
+            lane
+        }
+    };
+    ing.map_lanes[lane] = true;
+    lane
+}
+
 /// Start the stages — scheduler, dispatchers, sink — on `scope`, over
 /// the backend table they borrow. The one place a stage thread is
 /// made: [`crate::run_pipeline`] calls it on the scope its run already
@@ -1193,9 +1273,22 @@ pub(crate) fn spawn_stages<'scope>(
     scope.spawn(move || sink_loop(sh));
 }
 
-/// Hand one finished batch to the dispatchers; false when the batch
-/// queue closed (service shutting down).
-fn dispatch_batch(sh: &Shared, kind: BackendKind, mut batch: Batch, next_seq: &mut u64) -> bool {
+/// Hand `batch`, if there is one, to the dispatchers, its
+/// `batch-build` trace span saying why it went: `full` (it reached its
+/// base target), `linger` (it reached the linger age), `finish` (a
+/// session with reads in it finished) or `close` (the task queue
+/// closed). The one place a batch leaves the scheduler; false when the
+/// batch queue closed (service shutting down).
+fn dispatch_batch(
+    sh: &Shared,
+    kind: BackendKind,
+    batch: Option<Batch>,
+    cause: &str,
+    next_seq: &mut u64,
+) -> bool {
+    let Some(mut batch) = batch else {
+        return true;
+    };
     batch.seq = *next_seq;
     *next_seq += 1;
     sh.counters.batch_dispatched(batch.tasks.len(), batch.bases);
@@ -1213,6 +1306,7 @@ fn dispatch_batch(sh: &Shared, kind: BackendKind, mut batch: Batch, next_seq: &m
                 ("backend", kind.to_string().into()),
                 ("tasks", batch.tasks.len().into()),
                 ("bases", batch.bases.into()),
+                ("cause", cause.into()),
             ],
         );
     }
@@ -1231,8 +1325,11 @@ fn scheduler_loop(sh: &Shared) {
     let mut slots: Vec<(BackendKind, BatchBuilder)> = Vec::new();
     let mut next_seq: u64 = 0;
     loop {
-        match sh.task_q.pop_timeout(linger) {
-            PopTimeout::Item((task, meta, kind)) => {
+        let sent = match sh.task_q.pop_timeout(linger) {
+            PopTimeout::Item(Work {
+                backend: kind,
+                task: Some((task, meta)),
+            }) => {
                 let t0 = Instant::now();
                 sh.counters
                     .task_queue_wait_ns
@@ -1244,16 +1341,27 @@ fn scheduler_loop(sh: &Shared) {
                         slots.len() - 1
                     }
                 };
-                let flushed = slots[idx].1.push(task, meta);
+                let full = slots[idx].1.push(task, meta);
                 StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
-                if let Some(batch) = flushed {
-                    if !dispatch_batch(sh, kind, batch, &mut next_seq) {
-                        return;
-                    }
-                }
+                dispatch_batch(sh, kind, full, "full", &mut next_seq)
             }
-            PopTimeout::TimedOut => {}
+            PopTimeout::Item(Work {
+                backend: kind,
+                task: None,
+            }) => {
+                // The finished session's last task is in this builder,
+                // or already dispatched; either way no more of its
+                // tasks are coming, so its rows need not wait out the
+                // linger.
+                let building = slots.iter_mut().find(|(k, _)| *k == kind);
+                let batch = building.and_then(|(_, builder)| builder.take());
+                dispatch_batch(sh, kind, batch, "finish", &mut next_seq)
+            }
+            PopTimeout::TimedOut => true,
             PopTimeout::Closed => break,
+        };
+        if !sent {
+            return;
         }
         // Age-based flush on every iteration: a partial batch waits at
         // most `linger` even while *other* backends' steady traffic
@@ -1261,20 +1369,16 @@ fn scheduler_loop(sh: &Shared) {
         // not be starved by another's throughput. Flush timing never
         // changes output (batch-geometry determinism).
         for (kind, builder) in &mut slots {
-            if builder.started().is_some_and(|t| t.elapsed() >= linger) {
-                if let Some(batch) = builder.take() {
-                    if !dispatch_batch(sh, *kind, batch, &mut next_seq) {
-                        return;
-                    }
-                }
+            if builder.started().is_some_and(|t| t.elapsed() >= linger)
+                && !dispatch_batch(sh, *kind, builder.take(), "linger", &mut next_seq)
+            {
+                return;
             }
         }
     }
     for (kind, builder) in &mut slots {
-        if let Some(batch) = builder.take() {
-            if !dispatch_batch(sh, *kind, batch, &mut next_seq) {
-                return;
-            }
+        if !dispatch_batch(sh, *kind, builder.take(), "close", &mut next_seq) {
+            return;
         }
     }
     sh.batch_q.close();

@@ -4,6 +4,7 @@
 #![allow(dead_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use align_core::{AlignTask, Alignment};
@@ -24,6 +25,36 @@ pub fn within_a_minute<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'sta
             std::panic::resume_unwind(worker.join().expect_err("the body dropped its sender"))
         }
     }
+}
+
+/// A writer whose bytes a test can read back while a trace recorder
+/// holds a clone of it.
+#[derive(Clone, Default)]
+pub struct SharedBuf(pub Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// Everything written so far, as text.
+    pub fn text(&self) -> String {
+        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+    }
+}
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One numeric field of a trace event line: the number after `key`
+/// (e.g. `"\"ts\":"`), up to the next `,` or `}`.
+pub fn trace_field(line: &str, key: &str) -> f64 {
+    let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+    let end = line[at..].find([',', '}']).unwrap() + at;
+    line[at..end].parse().unwrap()
 }
 
 /// What a [`FaultBackend`] does with one batch.

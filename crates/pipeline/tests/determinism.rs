@@ -28,7 +28,7 @@
 mod common;
 
 use align_core::{Reference, Seq};
-use common::{within_a_minute, Fault, FaultBackend};
+use common::{trace_field, within_a_minute, Fault, FaultBackend, SharedBuf};
 use genasm_pipeline::{
     run_pipeline, AlignRecord, Backend, CpuBackend, GpuSimBackend, PipelineConfig, PipelineError,
     ReadInput,
@@ -894,18 +894,7 @@ fn tracing_and_exposition_never_change_output_bytes() {
         let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
 
         // Shared buffer so the test can also sanity-check the emitted JSON.
-        #[derive(Clone)]
-        struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = SharedBuf(Arc::new(std::sync::Mutex::new(Vec::new())));
+        let buf = SharedBuf::default();
         let trace = Arc::new(TraceRecorder::to_writer(Box::new(buf.clone())));
         let traced_cfg = PipelineConfig {
             trace: Some(Arc::clone(&trace)),
@@ -922,8 +911,7 @@ fn tracing_and_exposition_never_change_output_bytes() {
             .to_json()
             .starts_with("{\"schema\":\"genasm-pipeline-metrics/v1\""));
         assert!(m.to_prometheus().contains("genasm_reads_in_total 8"));
-        let trace_bytes = buf.0.lock().unwrap().clone();
-        let trace_text = String::from_utf8(trace_bytes).unwrap();
+        let trace_text = buf.text();
         assert!(trace_text.trim_start().starts_with('['));
         assert!(trace_text.trim_end().ends_with(']'));
         assert!(trace_text.contains("\"name\":\"read\""), "no read spans");
@@ -934,19 +922,14 @@ fn tracing_and_exposition_never_change_output_bytes() {
         assert!(trace_text.contains("\"ph\":\"M\""), "no thread metadata");
         // Each map worker has a lane of its own, named, on which its map
         // spans (one read at a time) never overlap.
-        let field = |line: &str, key: &str| -> f64 {
-            let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
-            let end = line[at..].find([',', '}']).unwrap() + at;
-            line[at..end].parse().unwrap()
-        };
         let mut lanes: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
         for line in trace_text
             .lines()
             .filter(|l| l.contains("\"name\":\"map\""))
         {
-            let span = (field(line, "\"ts\":"), field(line, "\"dur\":"));
+            let span = (trace_field(line, "\"ts\":"), trace_field(line, "\"dur\":"));
             lanes
-                .entry(field(line, "\"tid\":") as u64)
+                .entry(trace_field(line, "\"tid\":") as u64)
                 .or_default()
                 .push(span);
         }

@@ -17,13 +17,14 @@
 mod common;
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use align_core::{Reference, Seq};
-use common::{within_a_minute, Fault, FaultBackend};
+use common::{trace_field, within_a_minute, Fault, FaultBackend, SharedBuf};
 use genasm_pipeline::{
     run_pipeline, AdmissionError, Backend, BackendKind, PipelineConfig, PipelineError,
-    PipelineService, ReadInput, RecvOutcome, ServiceConfig, SessionEvent, SessionMetrics,
-    SessionReceiver,
+    PipelineService, ReadInput, RecvOutcome, ServiceConfig, Session, SessionEvent, SessionMetrics,
+    SessionReceiver, TraceRecorder,
 };
 use readsim::{simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
 
@@ -97,6 +98,13 @@ fn run_session(
     reads: &[(String, Seq)],
 ) -> (String, SessionMetrics) {
     let (mut session, receiver) = service.open_session(backend).expect("admission");
+    submit_all(&mut session, reads);
+    session.finish();
+    drain_tsv(receiver.iter())
+}
+
+/// Submit `reads` to `session`, in order.
+fn submit_all(session: &mut Session, reads: &[(String, Seq)]) {
     for (name, seq) in reads {
         session
             .submit(ReadInput {
@@ -105,8 +113,6 @@ fn run_session(
             })
             .expect("submit");
     }
-    session.finish();
-    drain_tsv(receiver.iter())
 }
 
 /// Collect a session's rows as TSV up to its `End`, with the
@@ -374,9 +380,10 @@ fn graceful_drain_finishes_in_flight_sessions_and_refuses_new_ones() {
 fn lightly_loaded_session_is_not_starved_by_steady_traffic() {
     // Session A submits one small read to `cpu` while session B keeps
     // a steady task stream flowing to `edlib` with gaps shorter than
-    // the linger. The batch target is unreachable, so A's rows can
-    // only be released by the *age*-based linger flush — an idle-only
-    // flush would starve A for as long as B keeps talking.
+    // the linger. The batch target is unreachable and A stays open
+    // until its rows arrive, so they can only be released by the
+    // *age*-based linger flush — an idle-only flush would starve A for
+    // as long as B keeps talking.
     use std::sync::atomic::{AtomicBool, Ordering};
     let w = workload(60_000, 1, 600, 6);
     let reference = w.reference.clone();
@@ -440,26 +447,174 @@ fn lightly_loaded_session_is_not_starved_by_steady_traffic() {
             seq: seq.clone(),
         })
         .unwrap();
-    a_session.finish();
-    let mut got_rows = false;
+    // A finishes only once its rows are in: a finish would release its
+    // batch itself, and this test is about the age flush.
     let deadline = std::time::Duration::from_secs(20);
-    loop {
-        match a_receiver.recv_deadline(deadline) {
-            RecvOutcome::Event(SessionEvent::Rows(rows)) => got_rows = !rows.is_empty(),
-            RecvOutcome::Event(SessionEvent::ReadFailed { read }) => panic!("read {read} failed"),
-            RecvOutcome::Event(SessionEvent::Explain(_)) => {}
-            RecvOutcome::Event(SessionEvent::End(_)) => break,
-            RecvOutcome::TimedOut => {
-                panic!("session A starved: no event within {deadline:?} while B streams")
-            }
-            RecvOutcome::Closed => panic!("the service died before session A ended"),
+    match a_receiver.recv_deadline(deadline) {
+        RecvOutcome::Event(SessionEvent::Rows(rows)) => {
+            assert!(!rows.is_empty(), "session A's read produced no rows")
         }
+        RecvOutcome::TimedOut => {
+            panic!("session A starved: no event within {deadline:?} while B streams")
+        }
+        other => panic!("session A's first event is not its rows: {other:?}"),
     }
-    assert!(got_rows, "session A's read produced no rows");
+    a_session.finish();
+    match a_receiver.recv_deadline(deadline) {
+        RecvOutcome::Event(SessionEvent::End(_)) => {}
+        other => panic!("session A did not end after its rows: {other:?}"),
+    }
 
     stop.store(true, Ordering::Relaxed);
     b_thread.join().unwrap();
     service.shutdown();
+}
+
+/// A service whose batches can only leave by a session's finish: the
+/// base target is never reached and the linger is an hour.
+fn finish_only_service(reference: &Reference) -> PipelineService {
+    let cfg = ServiceConfig {
+        pipeline: PipelineConfig {
+            batch_bases: 1 << 30,
+            ..PipelineConfig::default()
+        },
+        linger: Duration::from_secs(3600),
+        ..ServiceConfig::default()
+    };
+    PipelineService::start("ref", reference.clone(), cfg)
+}
+
+/// The next event of `receiver`, failing the test when none comes
+/// within 20 s: far inside the hour-long linger of
+/// [`finish_only_service`].
+fn next_event(receiver: &SessionReceiver) -> Option<SessionEvent> {
+    match receiver.recv_deadline(Duration::from_secs(20)) {
+        RecvOutcome::Event(event) => Some(event),
+        RecvOutcome::TimedOut => panic!("no event within 20 s: a batch waits out the linger"),
+        RecvOutcome::Closed => None,
+    }
+}
+
+#[test]
+fn a_finished_session_does_not_wait_out_the_linger() {
+    let w = workload(60_000, 4, 600, 21);
+    let expected = one_shot(&w.reads, &w.reference, BackendKind::Cpu);
+    let service = finish_only_service(&w.reference);
+    let (mut session, receiver) = service.open_session(BackendKind::Cpu).unwrap();
+    submit_all(&mut session, &w.reads);
+    session.finish();
+    let (got, m) = drain_tsv(std::iter::from_fn(|| next_event(&receiver)));
+    assert_eq!(got, expected, "session output diverged from one-shot");
+    assert_eq!(m.reads_in, 4);
+    assert_eq!(service.metrics().batches, 1, "the finish sent one batch");
+    service.shutdown();
+}
+
+#[test]
+fn a_session_finishing_first_releases_the_batch_it_shares() {
+    // A and B feed one `cpu` building batch; A finishes while B stays
+    // open. A's finish sends the batch, B's reads in it included, and
+    // B's later reads leave by B's own finish.
+    let w = workload(60_000, 0, 0, 22);
+    let a_reads = extra_reads(&w.seq, 3, 600, 23);
+    let b_reads = extra_reads(&w.seq, 6, 600, 24);
+    let service = finish_only_service(&w.reference);
+    let (mut a, a_rx) = service.open_session(BackendKind::Cpu).unwrap();
+    let (mut b, b_rx) = service.open_session(BackendKind::Cpu).unwrap();
+    submit_all(&mut a, &a_reads);
+    submit_all(&mut b, &b_reads[..3]);
+    a.finish();
+    let (a_got, _) = drain_tsv(std::iter::from_fn(|| next_event(&a_rx)));
+    assert_eq!(a_got, one_shot(&a_reads, &w.reference, BackendKind::Cpu));
+    // B's first three reads came out of the batch A's finish sent.
+    let mut b_events: Vec<SessionEvent> = (0..3).map_while(|_| next_event(&b_rx)).collect();
+    assert!(
+        b_events.iter().all(|e| matches!(e, SessionEvent::Rows(_))),
+        "B's first reads did not leave with A's batch: {b_events:?}"
+    );
+    submit_all(&mut b, &b_reads[3..]);
+    b.finish();
+    b_events.extend(std::iter::from_fn(|| next_event(&b_rx)));
+    let (b_got, m) = drain_tsv(b_events.into_iter());
+    assert_eq!(b_got, one_shot(&b_reads, &w.reference, BackendKind::Cpu));
+    assert_eq!(m.reads_in, 6);
+    service.shutdown();
+}
+
+#[test]
+fn concurrent_sessions_map_on_lanes_of_their_own() {
+    // Two sessions map at once, each on a named trace lane of its own,
+    // so no two map spans on one lane overlap; a lane is free again
+    // once its session finishes.
+    let w = workload(60_000, 0, 0, 31);
+    let buf = SharedBuf::default();
+    let trace = Arc::new(TraceRecorder::to_writer(Box::new(buf.clone())));
+    let cfg = ServiceConfig {
+        pipeline: PipelineConfig {
+            trace: Some(Arc::clone(&trace)),
+            ..PipelineConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    let service = PipelineService::start("ref", w.reference.clone(), cfg);
+    let both_hold_a_lane = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for seed in [32, 33] {
+            let (service, barrier, seq) = (&service, &both_hold_a_lane, &w.seq);
+            scope.spawn(move || {
+                let reads = extra_reads(seq, 6, 600, seed);
+                let (mut session, receiver) = service.open_session(BackendKind::Cpu).unwrap();
+                submit_all(&mut session, &reads[..1]);
+                barrier.wait();
+                submit_all(&mut session, &reads[1..]);
+                session.finish();
+                drain_tsv(receiver.iter());
+            });
+        }
+    });
+    // Opened once both have finished, a third session takes the lowest
+    // lane again.
+    run_session(&service, BackendKind::Cpu, &extra_reads(&w.seq, 2, 600, 34));
+    service.shutdown();
+    trace.finish().unwrap();
+
+    let text = buf.text();
+    let lane_name = |tid: u64| -> String {
+        let head = format!("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},");
+        let line = text
+            .lines()
+            .find(|l| l.contains(&head))
+            .unwrap_or_else(|| panic!("lane {tid} has no thread name"));
+        let key = "\"args\":{\"name\":\"";
+        let at = line.find(key).unwrap() + key.len();
+        line[at..line[at..].find('"').unwrap() + at].to_string()
+    };
+    let mut lanes: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
+    let mut lane_of_session: std::collections::BTreeMap<u64, u64> = Default::default();
+    for line in text.lines().filter(|l| l.contains("\"name\":\"map\"")) {
+        let tid = trace_field(line, "\"tid\":") as u64;
+        let session = trace_field(line, "\"session\":") as u64;
+        assert_eq!(*lane_of_session.entry(session).or_insert(tid), tid);
+        let span = (trace_field(line, "\"ts\":"), trace_field(line, "\"dur\":"));
+        lanes.entry(tid).or_default().push(span);
+    }
+    assert_eq!(lanes.values().map(Vec::len).sum::<usize>(), 14);
+    let mut names: Vec<String> = lane_of_session
+        .values()
+        .map(|&tid| lane_name(tid))
+        .collect();
+    assert_eq!(names.pop().as_deref(), Some("session-map:0"));
+    names.sort();
+    assert_eq!(names, ["session-map:0", "session-map:1"]);
+    for (tid, spans) in &mut lanes {
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in spans.windows(2) {
+            assert!(
+                pair[1].0 >= pair[0].0 + pair[0].1 - 0.002,
+                "map spans overlap on lane {tid}: {pair:?}"
+            );
+        }
+    }
 }
 
 // NOTE: the historical `multi_contig_sessions_match_one_shot_and_name_contigs`

@@ -5,7 +5,9 @@
 //! **Client → server.** A preamble of control verbs, then `BEGIN`,
 //! then raw FASTA/FASTQ records, terminated by half-closing the write
 //! side of the socket (there is no in-band terminator, so record
-//! payloads can never collide with protocol framing):
+//! payloads can never collide with protocol framing). The half-close
+//! also releases the session's last batch at once: its final reads do
+//! not wait out the server's `--linger-ms`.
 //!
 //! ```text
 //! SET backend cpu|gpu-sim|edlib|ksw2          pick this session's backend
