@@ -72,12 +72,12 @@ impl Default for ChainParams {
 pub fn collect_anchors(read: &Seq, index: &MinimizerIndex) -> Vec<Anchor> {
     let mut anchors = Vec::new();
     for m in minimizers(read, index.w, index.k) {
-        for &(rpos, rflip) in index.lookup(m.hash) {
+        for hit in index.lookup(m.hash) {
             anchors.push(Anchor {
                 read_pos: m.pos,
-                ref_pos: rpos,
+                ref_pos: hit.pos(),
                 // Opposite canonical orientations = reverse-strand match.
-                reverse: m.flipped != rflip,
+                reverse: m.flipped != hit.flipped(),
             });
         }
     }

@@ -6,14 +6,19 @@
 //! read and its reverse complement sample the same positions, and an
 //! invertible 64-bit mix as the ordering hash, like minimap2.
 //!
-//! The index is flat, like minimap2's: every minimizer's `(pos,
-//! flipped)` sits in one array sorted by `(hash, pos)`, and a key table
-//! maps each hash to its run in that array — two allocations per index,
-//! not one per distinct hash.
+//! The index is flat, like minimap2's, and has no hash table: every
+//! minimizer's [`Hit`] (position and orientation in one `u32`) sits in
+//! one array, in one run per hash; the distinct hashes and their run
+//! starts sit in two more, and a directory over the hashes' low bits
+//! narrows a lookup to one slot of two to four hashes. The directory
+//! reads the *low* bits because a minimizer is the smallest hash of its
+//! window: minimizer hashes crowd toward zero, so their top bits are far
+//! from uniform, while their low bits are as uniform as [`hash64`]
+//! makes every bit. That is 4 bytes per occurrence, 12 per distinct
+//! hash and 1 to 2 per minimizer for the directory.
 
 use align_core::Seq;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 /// One extracted minimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,36 +125,34 @@ fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<M
     out
 }
 
-/// The key table's hasher: one multiply by an odd 64-bit constant.
-///
-/// Keys are [`hash64`] outputs masked to `2k` bits, already well mixed
-/// in their low bits but zero above bit `2k`. The identity would leave
-/// the top bits — the ones the table's probe control bytes read — zero
-/// for every key; one multiply spreads the key over all 64 bits, at a
-/// fraction of SipHash's cost. SipHash's protection is not needed: the
-/// table is filled once from the reference, and reads only probe it,
-/// so a client cannot lengthen a probe chain.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct MulHasher(u64);
+/// One indexed occurrence in one word: a reference position and
+/// whether the canonical k-mer there is the reverse complement, packed
+/// as `pos << 1 | flipped`. Positions must be below 2^31.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hit(u32);
 
-impl Hasher for MulHasher {
-    fn finish(&self) -> u64 {
-        self.0
+impl Hit {
+    /// Pack `pos` and `flipped`.
+    ///
+    /// # Panics
+    /// Panics if `pos >= 2^31`.
+    pub(crate) fn new(pos: u32, flipped: bool) -> Hit {
+        assert!(pos < 1 << 31, "position {pos} does not fit in 31 bits");
+        Hit(pos << 1 | flipped as u32)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ b as u64);
-        }
+    /// Start position of the k-mer in the indexed sequence.
+    #[inline]
+    pub fn pos(self) -> u32 {
+        self.0 >> 1
     }
 
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// True when the canonical form is the reverse complement.
+    #[inline]
+    pub fn flipped(self) -> bool {
+        self.0 & 1 != 0
     }
 }
-
-/// A set of minimizer hashes, hashed with [`MulHasher`].
-pub(crate) type HashKeySet = HashSet<u64, BuildHasherDefault<MulHasher>>;
 
 /// A minimizer index over a reference sequence.
 #[derive(Debug)]
@@ -160,11 +163,20 @@ pub struct MinimizerIndex {
     pub k: usize,
     /// Reference length.
     pub ref_len: usize,
-    /// Every minimizer's position/orientation, sorted by `(hash, pos)`:
-    /// each hash owns one contiguous, position-ascending run.
-    hits: Vec<(u32, bool)>,
-    /// hash -> `(start, len)` of its run in `hits`.
-    keys: HashMap<u64, (u32, u32), BuildHasherDefault<MulHasher>>,
+    /// Every minimizer's position/orientation, grouped by directory
+    /// slot and sorted by `(hash, pos)` within it: each hash owns one
+    /// contiguous, position-ascending run.
+    hits: Vec<Hit>,
+    /// The distinct hashes, in the order of their runs in `hits`.
+    keys: Vec<u64>,
+    /// `keys.len() + 1` run starts: the hits of `keys[i]` are
+    /// `hits[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    /// Directory over the hashes' low `bits` bits: the keys of slot `t`
+    /// are `keys[dir[t]..dir[t + 1]]`.
+    dir: Vec<u32>,
+    /// Width of the directory in bits.
+    bits: u32,
     /// Occurrence cutoff: hashes hit more often than this are masked
     /// (minimap2's high-frequency filter, `-f`).
     pub max_occ: usize,
@@ -178,12 +190,18 @@ impl MinimizerIndex {
     }
 
     /// Build with explicit parameters.
+    ///
+    /// # Panics
+    /// Panics if `reference` is `2^31` bases or longer.
     pub fn build_params(reference: &Seq, w: usize, k: usize, max_occ: usize) -> MinimizerIndex {
         MinimizerIndex::from_minimizers(minimizers(reference, w, k), w, k, reference.len(), max_occ)
     }
 
     /// Build from a precomputed minimizer list (the sharded build path,
     /// where slices are extracted with [`minimizers_windowed`]).
+    ///
+    /// # Panics
+    /// Panics if a position is `2^31` or more.
     pub fn from_minimizers(
         mut ms: Vec<Minimizer>,
         w: usize,
@@ -191,23 +209,45 @@ impl MinimizerIndex {
         ref_len: usize,
         max_occ: usize,
     ) -> MinimizerIndex {
-        // Positions are unique, so the unstable sort is deterministic.
-        ms.sort_unstable_by_key(|m| (m.hash, m.pos));
+        assert!((1..=31).contains(&k), "k must be in 1..=31");
+        assert!(u32::try_from(ms.len()).is_ok(), "more than 2^32 minimizers");
+        // Two to four minimizers per slot, so at most two to four keys
+        // to scan after the directory read; no more slots than the 4^k
+        // possible hashes.
+        let bits = (ms.len() / 2)
+            .checked_ilog2()
+            .unwrap_or(0)
+            .min(2 * k as u32);
+        // By slot, then hash, then position: rotating the slot bits to
+        // the top orders by `(slot, hash)`. Positions are unique, so the
+        // unstable sort is deterministic.
+        ms.sort_unstable_by_key(|m| (m.hash.rotate_right(bits), m.pos));
+        let hits: Vec<Hit> = ms.iter().map(|m| Hit::new(m.pos, m.flipped)).collect();
         let runs = || ms.chunk_by(|a, b| a.hash == b.hash);
-        let mut keys = HashMap::with_capacity_and_hasher(runs().count(), Default::default());
-        let mut start = 0u32;
+        let distinct = runs().count();
+        let mut keys = Vec::with_capacity(distinct);
+        let mut starts = Vec::with_capacity(distinct + 1);
+        let mut dir = vec![0u32; (1 << bits) + 1];
+        let mut start = 0;
         for run in runs() {
-            let len = run.len() as u32;
-            keys.insert(run[0].hash, (start, len));
-            start += len;
+            dir[(run[0].hash & ((1 << bits) - 1)) as usize + 1] += 1;
+            keys.push(run[0].hash);
+            starts.push(start);
+            start += run.len() as u32;
         }
-        let hits = ms.iter().map(|m| (m.pos, m.flipped)).collect();
+        starts.push(start);
+        for t in 1..dir.len() {
+            dir[t] += dir[t - 1];
+        }
         MinimizerIndex {
             w,
             k,
             ref_len,
             hits,
             keys,
+            starts,
+            dir,
+            bits,
             max_occ,
         }
     }
@@ -218,7 +258,7 @@ impl MinimizerIndex {
     }
 
     /// Look up a hash; respects the occurrence cutoff.
-    pub fn lookup(&self, hash: u64) -> &[(u32, bool)] {
+    pub fn lookup(&self, hash: u64) -> &[Hit] {
         match self.occurrences(hash) {
             v if v.len() <= self.max_occ => v,
             _ => &[],
@@ -228,18 +268,23 @@ impl MinimizerIndex {
     /// Occurrence list for a hash, **ignoring** the cutoff. Positions
     /// are ascending (minimizers are extracted left to right). The
     /// sharded index uses this and applies its own *global* cutoff.
-    pub fn occurrences(&self, hash: u64) -> &[(u32, bool)] {
-        self.keys.get(&hash).map_or(&[], |&run| self.run(run))
+    pub fn occurrences(&self, hash: u64) -> &[Hit] {
+        let t = (hash & ((1 << self.bits) - 1)) as usize;
+        let (lo, hi) = (self.dir[t] as usize, self.dir[t + 1] as usize);
+        match self.keys[lo..hi].iter().position(|&h| h == hash) {
+            Some(i) => &self.hits[self.starts[lo + i] as usize..self.starts[lo + i + 1] as usize],
+            None => &[],
+        }
     }
 
     /// Iterate every `(hash, occurrences)` bucket, ignoring the cutoff.
     /// Iteration order is unspecified (callers must not depend on it).
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, &[(u32, bool)])> {
-        self.keys.iter().map(|(&h, &run)| (h, self.run(run)))
-    }
-
-    fn run(&self, (start, len): (u32, u32)) -> &[(u32, bool)] {
-        &self.hits[start as usize..(start + len) as usize]
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, &[Hit])> {
+        let runs = self.starts.windows(2);
+        self.keys
+            .iter()
+            .zip(runs)
+            .map(|(&h, s)| (h, &self.hits[s[0] as usize..s[1] as usize]))
     }
 }
 
@@ -309,7 +354,7 @@ mod tests {
         // Every extracted minimizer must be findable at its position.
         for m in &ms {
             let hits = idx.lookup(m.hash);
-            assert!(hits.iter().any(|&(p, _)| p == m.pos));
+            assert!(hits.iter().any(|h| h.pos() == m.pos));
         }
     }
 
@@ -325,5 +370,133 @@ mod tests {
                 assert!(idx.lookup(h).is_empty());
             }
         }
+    }
+
+    /// Pseudo-random but dependency-free test sequence.
+    fn mixed_seq(len: usize, salt: u64) -> Seq {
+        let mut state = salt | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                align_core::Base::from_code((state >> 33) as u8 & 3)
+            })
+            .collect()
+    }
+
+    /// Every minimizer of `ms` is found at its position, every run is
+    /// position-ascending, and probes above the `2k`-bit mask find
+    /// nothing.
+    fn assert_index_holds(idx: &MinimizerIndex, ms: &[Minimizer]) {
+        let mut distinct: Vec<u64> = ms.iter().map(|m| m.hash).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(idx.distinct_minimizers(), distinct.len());
+        for &h in &distinct {
+            let want: Vec<Hit> = ms
+                .iter()
+                .filter(|m| m.hash == h)
+                .map(|m| Hit::new(m.pos, m.flipped))
+                .collect();
+            assert_eq!(idx.occurrences(h), want.as_slice(), "hash {h:#x}");
+        }
+        let mask = (1u64 << (2 * idx.k)) - 1;
+        for probe in [mask + 1, u64::MAX] {
+            assert!(idx.occurrences(probe).is_empty(), "probe {probe:#x}");
+            assert!(idx.lookup(probe).is_empty(), "probe {probe:#x}");
+        }
+    }
+
+    #[test]
+    fn empty_index_answers_every_probe_with_nothing() {
+        let idx = MinimizerIndex::build_params(&seq("ACG"), 5, 7, 10);
+        assert_eq!(idx.distinct_minimizers(), 0);
+        assert_eq!(idx.buckets().count(), 0);
+        assert_eq!(idx.dir, [0, 0]);
+        for probe in [0, 1, (1 << 14) - 1, 1 << 14, u64::MAX] {
+            assert!(idx.occurrences(probe).is_empty());
+        }
+    }
+
+    #[test]
+    fn k_1_directory_covers_the_whole_key_space() {
+        // ~100 hits would want a 5-bit directory; 2k = 2 caps it.
+        let s = mixed_seq(300, 5);
+        let idx = MinimizerIndex::build_params(&s, 3, 1, 1_000);
+        assert_eq!(idx.bits, 2);
+        assert_index_holds(&idx, &minimizers(&s, 3, 1));
+    }
+
+    #[test]
+    fn k_31_keys_are_found_in_small_and_large_directories() {
+        // 40 bases at k = 31 are 10 k-mers, short of one window of 20:
+        // the fallback keeps one minimizer, in a one-slot directory.
+        let s = mixed_seq(40, 9);
+        let idx = MinimizerIndex::build_params(&s, 20, 31, 1_000);
+        assert_eq!((idx.distinct_minimizers(), idx.bits), (1, 0));
+        assert_index_holds(&idx, &minimizers(&s, 20, 31));
+
+        let s = mixed_seq(3_000, 11);
+        let idx = MinimizerIndex::build_params(&s, 5, 31, 1_000);
+        assert!(idx.bits > 0);
+        assert_index_holds(&idx, &minimizers(&s, 5, 31));
+    }
+
+    #[test]
+    fn directory_slots_hold_two_to_four_keys_where_probes_land() {
+        let s = mixed_seq(50_000, 3);
+        let idx = MinimizerIndex::build(&s);
+        let ms = minimizers(&s, 10, 15);
+        let per_slot = idx.keys.len() as f64 / (idx.dir.len() - 1) as f64;
+        assert!((2.0..4.0).contains(&per_slot), "{per_slot} keys per slot");
+        // Weighted by where minimizers land, a slot over the low bits
+        // holds 3.3 keys here, as uniform slots of mean 2.3 do.
+        // Minimizers crowd toward small hashes, so a slot over the top
+        // bits would hold 9.0.
+        let seen = |slot: &dyn Fn(u64) -> usize| {
+            let mut size = vec![0; idx.dir.len() - 1];
+            for &h in &idx.keys {
+                size[slot(h)] += 1;
+            }
+            ms.iter().map(|m| size[slot(m.hash)] as f64).sum::<f64>() / ms.len() as f64
+        };
+        let low = seen(&|h| (h & ((1 << idx.bits) - 1)) as usize);
+        let top = seen(&|h| (h >> (30 - idx.bits)) as usize);
+        assert!(low < 2.0 * per_slot, "{low} keys per probed slot");
+        assert!(
+            top > 2.0 * low,
+            "{top} keys per probed slot over the top bits"
+        );
+        assert_index_holds(&idx, &ms);
+    }
+
+    #[test]
+    fn a_repeat_run_is_one_key_in_its_slot() {
+        let s = seq(&"ACGTTGCAG".repeat(300));
+        let ms = minimizers(&s, 4, 8);
+        let idx = MinimizerIndex::build_params(&s, 4, 8, 1_000);
+        assert!(idx.buckets().any(|(_, hits)| hits.len() > 16));
+        assert!(idx.dir.windows(2).all(|d| d[1] - d[0] <= 4));
+        assert_index_holds(&idx, &ms);
+    }
+
+    #[test]
+    fn hit_round_trips_the_largest_position() {
+        for flipped in [false, true] {
+            let hit = Hit::new((1 << 31) - 1, flipped);
+            assert_eq!((hit.pos(), hit.flipped()), ((1 << 31) - 1, flipped));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 31 bits")]
+    fn a_position_of_2_pow_31_is_refused_at_build() {
+        let m = Minimizer {
+            pos: 1 << 31,
+            hash: 0,
+            flipped: false,
+        };
+        MinimizerIndex::from_minimizers(vec![m], 10, 15, 1 << 31, 400);
     }
 }

@@ -44,9 +44,9 @@
 //!    a local cutoff). The build counts each distinct reference
 //!    position once — overlap duplicates are detected against earlier
 //!    shards — by sorting the hashes of the shards' own tables in one
-//!    transient array, keeps the set of hashes over the cutoff, and
-//!    lookups consult that set. No genome-wide hash map exists, not
-//!    even during the build.
+//!    transient array, keeps the hashes over the cutoff as a sorted
+//!    list, and lookups binary-search that list. No genome-wide hash
+//!    map exists, not even during the build.
 //! 3. **The merge is canonical.** Per-shard anchors are translated to
 //!    global coordinates, concatenated in shard order, sorted by
 //!    `(read_pos, ref_pos, strand)` and deduplicated, which reproduces
@@ -63,7 +63,7 @@ use align_core::{AlignTask, Reference, Seq};
 
 use crate::candidates::{chain_window, CandidateParams};
 use crate::chain::{chain_anchors, Anchor, Chain, ChainParams};
-use crate::index::{minimizers, minimizers_windowed, HashKeySet, MinimizerIndex};
+use crate::index::{minimizers, minimizers_windowed, MinimizerIndex};
 
 /// One reference shard: a slice of a single contig with its own
 /// minimizer index and the only copy of the slice's bases.
@@ -102,7 +102,7 @@ impl Shard {
         };
         self.index
             .occurrences(hash)
-            .binary_search_by_key(&(local as u32), |&(p, _)| p)
+            .binary_search_by_key(&(local as u32), |h| h.pos())
             .is_ok()
     }
 }
@@ -114,11 +114,11 @@ fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer], out: &mut Vec<An
     let t0 = Instant::now();
     let before = out.len();
     for m in read_mins {
-        for &(pos, rflip) in shard.index.occurrences(m.hash) {
+        for hit in shard.index.occurrences(m.hash) {
             out.push(Anchor {
                 read_pos: m.pos,
-                ref_pos: (shard.start + pos as usize) as u32,
-                reverse: m.flipped != rflip,
+                ref_pos: (shard.start + hit.pos() as usize) as u32,
+                reverse: m.flipped != hit.flipped(),
             });
         }
     }
@@ -128,6 +128,16 @@ fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer], out: &mut Vec<An
     shard
         .busy_ns
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
+/// Most bases in one shard slice: [`crate::Hit`] holds 31-bit
+/// positions.
+const MAX_SLICE: usize = 1 << 31;
+
+/// The tile stride for `total` bases in a target of `shards` shards,
+/// short enough that a tile plus `overlap` fits in [`MAX_SLICE`].
+fn slice_stride(total: usize, shards: usize, overlap: usize) -> usize {
+    total.div_ceil(shards.max(1)).clamp(1, MAX_SLICE - overlap)
 }
 
 /// One contig's identity inside the index: the sequence itself lives
@@ -221,8 +231,8 @@ pub struct ShardedIndex {
     contig_shards: Vec<std::ops::Range<usize>>,
     shards: Vec<Shard>,
     /// Hashes whose genome-wide occurrence count (overlap-deduplicated,
-    /// across every contig) exceeds `max_occ`.
-    masked: HashKeySet,
+    /// across every contig) exceeds `max_occ`, ascending.
+    masked: Vec<u64>,
     /// Number of distinct hashes, genome-wide.
     distinct: usize,
     /// Duplicate anchors removed by the merge, across all queries.
@@ -249,7 +259,10 @@ impl ShardedIndex {
     /// at least 1 and `overlap` to at least `w + k` bases (one
     /// winnowing window plus slack — below that, windows spanning a
     /// shard boundary would fit in no shard and anchors would be
-    /// lost).
+    /// lost). A shard's index packs its positions into 31 bits
+    /// ([`crate::Hit`]), so `overlap` is capped at 2^30 bases and the
+    /// stride at 2^31 bases less the overlap: a longer contig gets more
+    /// shards than requested.
     pub fn build_params(
         reference: Reference,
         shards: usize,
@@ -258,10 +271,8 @@ impl ShardedIndex {
         k: usize,
         max_occ: usize,
     ) -> ShardedIndex {
-        let total = reference.total_len();
-        let shards = shards.max(1);
-        let overlap = overlap.max(w + k);
-        let slice_len = total.div_ceil(shards).max(1);
+        let overlap = overlap.max(w + k).min(MAX_SLICE / 2);
+        let slice_len = slice_stride(reference.total_len(), shards, overlap);
 
         let mut built: Vec<Shard> = Vec::new();
         let mut contigs: Vec<ContigMeta> = Vec::new();
@@ -322,7 +333,7 @@ impl ShardedIndex {
         // classes, so the array holds about an eighth of the hits at a
         // time instead of adding 8 bytes per hit to the build's peak.
         const PARTS: u64 = 8;
-        let mut masked = HashKeySet::default();
+        let mut masked = Vec::new();
         let mut distinct = 0;
         let mut hashes: Vec<u64> = Vec::new();
         for part in 0..PARTS {
@@ -332,8 +343,8 @@ impl ShardedIndex {
                     if hash % PARTS != part {
                         continue;
                     }
-                    for &(pos, _) in hits {
-                        let gpos = (shard.start + pos as usize) as u32;
+                    for hit in hits {
+                        let gpos = (shard.start + hit.pos() as usize) as u32;
                         let dup = built[..si]
                             .iter()
                             .rev()
@@ -349,10 +360,11 @@ impl ShardedIndex {
             for run in hashes.chunk_by(|a, b| a == b) {
                 distinct += 1;
                 if run.len() > max_occ {
-                    masked.insert(run[0]);
+                    masked.push(run[0]);
                 }
             }
         }
+        masked.sort_unstable();
 
         ShardedIndex {
             w,
@@ -473,7 +485,7 @@ impl ShardedIndex {
 
     /// Is this hash masked by the **global** occurrence cutoff?
     pub fn is_masked(&self, hash: u64) -> bool {
-        self.masked.contains(&hash)
+        self.masked.binary_search(&hash).is_ok()
     }
 
     /// Collect the anchors of `read` against every shard and merge
@@ -673,6 +685,16 @@ mod tests {
             assert!(pair[1].0 < pair[0].1);
             assert_eq!(pair[1].0 - pair[0].0, 2_500);
         }
+    }
+
+    #[test]
+    fn no_slice_outgrows_31_bit_positions() {
+        // A 3.2 Gbp contig at `--shards 1`: the stride shrinks so
+        // every slice, overlap included, stays within 2^31 bases.
+        let stride = slice_stride(3 << 30, 1, 256);
+        assert_eq!(stride + 256, MAX_SLICE);
+        assert_eq!(slice_stride(3 << 30, 4, 256), 3 << 28);
+        assert_eq!(slice_stride(0, 0, 256), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use align_core::{Base, Seq};
 use mapper::{
     chain_anchors, collect_anchors, hash64, minimizers, minimizers_windowed, CandidateParams,
-    ChainParams, Minimizer, MinimizerIndex,
+    ChainParams, Hit, Minimizer, MinimizerIndex,
 };
 use proptest::prelude::*;
 
@@ -80,10 +80,10 @@ proptest! {
 
     /// The old index — one `Vec` per hash in a `HashMap` — is the flat
     /// index's oracle: same occurrence slice for every hash (order
-    /// included), same cutoff, same distinct count, nothing for an
-    /// absent hash. Half the sequences are tandem repeats of a short
-    /// unit, whose minimizers pile up on a few hashes and cross any
-    /// `max_occ`.
+    /// included, hits unpacked to `(pos, flipped)`), same cutoff, same
+    /// distinct count, nothing for an absent hash. Half the sequences
+    /// are tandem repeats of a short unit, whose minimizers pile up on
+    /// a few hashes and cross any `max_occ`.
     #[test]
     fn flat_index_equals_the_hashmap_of_vecs(
         random in arb_seq(0, 3_000),
@@ -114,17 +114,29 @@ proptest! {
             old.entry(m.hash).or_default().push((m.pos, m.flipped));
         }
         let idx = MinimizerIndex::build_params(&s, w, k, max_occ);
+        let unpack = |hits: &[Hit]| -> Vec<(u32, bool)> {
+            hits.iter().map(|h| (h.pos(), h.flipped())).collect()
+        };
         prop_assert_eq!(idx.distinct_minimizers(), old.len());
         for (&hash, hits) in &old {
-            prop_assert_eq!(idx.occurrences(hash), hits.as_slice());
+            prop_assert_eq!(unpack(idx.occurrences(hash)), hits.clone());
             let expected: &[(u32, bool)] = if hits.len() <= max_occ { hits } else { &[] };
-            prop_assert_eq!(idx.lookup(hash), expected);
+            prop_assert_eq!(unpack(idx.lookup(hash)), expected);
         }
         let buckets: HashMap<u64, Vec<(u32, bool)>> =
-            idx.buckets().map(|(h, hits)| (h, hits.to_vec())).collect();
+            idx.buckets().map(|(h, hits)| (h, unpack(hits))).collect();
         prop_assert_eq!(&buckets, &old);
+        // Absent hashes: a sample of the key space, plus the neighbours
+        // of every present hash (past the mask or below zero, too). A
+        // neighbour one bit apart at or above the directory's width
+        // shares the hash's slot, so it reaches the key scan.
         let mask = (1u64 << (2 * k)) - 1;
-        for absent in (0..64).map(|x| hash64(x, mask)).filter(|h| !old.contains_key(h)) {
+        let sampled = (0..64).map(|x| hash64(x, mask));
+        let neighbours = old.keys().flat_map(|&h| {
+            let flips = (0..2 * k).map(move |j| h ^ (1 << j));
+            [h.wrapping_add(1), h.wrapping_sub(1)].into_iter().chain(flips)
+        });
+        for absent in sampled.chain(neighbours).filter(|h| !old.contains_key(h)) {
             prop_assert!(idx.occurrences(absent).is_empty());
             prop_assert!(idx.lookup(absent).is_empty());
         }
