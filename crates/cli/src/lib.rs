@@ -96,13 +96,13 @@ pub const FLAGS: [(&str, &str); 9] = [
     ),
     (
         "pipeline",
-        "ref reads backend batch-bases queue-depth dispatchers max-per-read threads shards \
-         shard-overlap format metrics trace explain",
+        "ref reads backend batch-bases queue-depth max-per-read threads shards shard-overlap \
+         format metrics trace explain",
     ),
     (
         "serve",
-        "ref listen backend format max-sessions linger-ms batch-bases queue-depth dispatchers \
-         max-per-read threads shards shard-overlap metrics trace explain session-output-cap \
+        "ref listen backend format max-sessions linger-ms batch-bases queue-depth max-per-read \
+         threads shards shard-overlap metrics trace explain session-output-cap \
          session-inflight-reads idle-timeout-ms",
     ),
     ("submit", "to reads backend format explain"),
@@ -208,12 +208,12 @@ pub const USAGE: &str = "usage:
                   [--threads N] [--shards N] [--shard-overlap BASES] [--format tsv|paf]
                   [--explain FILE]
   genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--batch-bases N]
-                  [--queue-depth N] [--dispatchers N] [--max-per-read N] [--threads N]
-                  [--shards N] [--shard-overlap BASES] [--format tsv|paf]
+                  [--queue-depth N] [--max-per-read N] [--threads N] [--shards N]
+                  [--shard-overlap BASES] [--format tsv|paf]
                   [--metrics off|on|json] [--trace FILE] [--explain FILE]
   genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--max-sessions N] [--linger-ms N] [--batch-bases N] [--queue-depth N]
-                  [--dispatchers N] [--max-per-read N] [--threads N] [--shards N]
+                  [--max-per-read N] [--threads N] [--shards N]
                   [--shard-overlap BASES] [--metrics off|on|json] [--trace FILE] [--explain FILE]
                   [--session-output-cap BYTES] [--session-inflight-reads N] [--idle-timeout-ms N]
   genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
@@ -233,6 +233,11 @@ stderr; `--trace FILE` records a Chrome trace-event timeline (open in
 Perfetto or about://tracing). `--explain FILE` streams one
 genasm-explain/v2 JSON line per read (funnel counts, edits per
 candidate, final disposition) without changing record output.
+`--threads N` sizes the map stage and each batch's fan-out; the CPU
+backends run a second batch beside the first, so the next batch starts
+on the core the last one's longest task leaves idle (`--metrics on`
+shows the mean batches in flight). References over 2^32 - 1 bases are
+refused.
 `ctl stats-json` / `ctl stats-prom` print a live server snapshot as
 JSON / Prometheus text on stdout; `ctl top` streams one
 genasm-stat-frame/v1 JSON object per line (every --interval-ms,
@@ -248,11 +253,16 @@ fn load_fastx(path: &str) -> Result<Vec<FastxRecord>, CliError> {
 }
 
 /// Load a (possibly multi-contig) reference: every FASTA record
-/// becomes one named contig. Zero records or duplicate contig names
-/// are errors.
+/// becomes one named contig. Zero records, duplicate contig names and
+/// more than [`mapper::MAX_REFERENCE_BASES`] bases in all
+/// ([`mapper::ReferenceTooLong`]) are errors.
 fn load_reference(path: &str) -> Result<Reference, CliError> {
     let f = File::open(path).map_err(|e| CliError::runtime(format!("cannot open {path}: {e}")))?;
-    read_multi_fastx(BufReader::new(f)).map_err(|e| CliError::runtime(format!("{path}: {e}")))
+    let reference = read_multi_fastx(BufReader::new(f))
+        .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+    ShardedIndex::check_len(reference.total_len())
+        .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
+    Ok(reference)
 }
 
 /// Load an input that must be a single sequence (the `filter` text).
@@ -492,12 +502,12 @@ fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
     Ok(PipelineConfig {
         batch_bases: flags.num("batch-bases", 256 * 1024)?,
         queue_depth: flags.num("queue-depth", 8)?,
-        dispatchers: flags.num("dispatchers", 1)?,
         shards,
         shard_overlap,
         params: candidate_params(flags)?,
         trace: trace_recorder(flags)?,
         explain: explain_sink(flags)?,
+        ..PipelineConfig::default()
     })
 }
 

@@ -27,4 +27,7 @@ pub mod shard;
 pub use candidates::{candidates_for_read, chain_window, task_from_chain, CandidateParams};
 pub use chain::{chain_anchors, collect_anchors, Anchor, Chain, ChainParams};
 pub use index::{hash64, minimizers, minimizers_windowed, Hit, Minimizer, MinimizerIndex};
-pub use shard::{ReadMapStats, ShardIndexMetrics, ShardMetrics, ShardedIndex};
+pub use shard::{
+    ReadMapStats, ReferenceTooLong, ShardIndexMetrics, ShardMetrics, ShardedIndex,
+    MAX_REFERENCE_BASES,
+};

@@ -134,6 +134,30 @@ fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer], out: &mut Vec<An
 /// positions.
 const MAX_SLICE: usize = 1 << 31;
 
+/// Most bases in a reference, `2^32 - 1`: anchors and tasks carry
+/// global positions as `u32`, and so does the end of the last contig.
+pub const MAX_REFERENCE_BASES: usize = u32::MAX as usize;
+
+/// A reference over [`MAX_REFERENCE_BASES`], whose global positions
+/// would wrap around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReferenceTooLong {
+    /// The reference's total length, in bases.
+    pub bases: usize,
+}
+
+impl core::fmt::Display for ReferenceTooLong {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "reference has {} bases; positions are 32-bit, so the limit is {} (2^32 - 1)",
+            self.bases, MAX_REFERENCE_BASES
+        )
+    }
+}
+
+impl std::error::Error for ReferenceTooLong {}
+
 /// The tile stride for `total` bases in a target of `shards` shards,
 /// short enough that a tile plus `overlap` fits in [`MAX_SLICE`].
 fn slice_stride(total: usize, shards: usize, overlap: usize) -> usize {
@@ -246,6 +270,16 @@ impl ShardedIndex {
         ShardedIndex::build_params(reference, shards, overlap, 10, 15, 400)
     }
 
+    /// Whether a reference of `bases` bases fits the index's 32-bit
+    /// global positions ([`MAX_REFERENCE_BASES`]). A loader checks this
+    /// and reports the error; the build asserts it.
+    pub fn check_len(bases: usize) -> Result<(), ReferenceTooLong> {
+        if bases > MAX_REFERENCE_BASES {
+            return Err(ReferenceTooLong { bases });
+        }
+        Ok(())
+    }
+
     /// Build with explicit parameters, consuming the reference:
     /// each contig sequence is dropped once its shards have copied
     /// their slices, so the only resident reference bytes after the
@@ -263,6 +297,11 @@ impl ShardedIndex {
     /// ([`crate::Hit`]), so `overlap` is capped at 2^30 bases and the
     /// stride at 2^31 bases less the overlap: a longer contig gets more
     /// shards than requested.
+    ///
+    /// # Panics
+    ///
+    /// If the reference is over [`MAX_REFERENCE_BASES`]
+    /// ([`ShardedIndex::check_len`]).
     pub fn build_params(
         reference: Reference,
         shards: usize,
@@ -271,6 +310,9 @@ impl ShardedIndex {
         k: usize,
         max_occ: usize,
     ) -> ShardedIndex {
+        if let Err(e) = ShardedIndex::check_len(reference.total_len()) {
+            panic!("{e}");
+        }
         let overlap = overlap.max(w + k).min(MAX_SLICE / 2);
         let slice_len = slice_stride(reference.total_len(), shards, overlap);
 
@@ -669,6 +711,23 @@ mod tests {
                 align_core::Base::from_code((state >> 33) as u8 & 3)
             })
             .collect()
+    }
+
+    /// The last length whose positions fit 32 bits passes; one base
+    /// more is refused with both the length and the limit in the
+    /// message. (On the arithmetic: a 4 Gbp test input is out of reach.)
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_reference_over_2_pow_32_minus_1_bases_is_refused() {
+        assert_eq!(ShardedIndex::check_len((1 << 32) - 1), Ok(()));
+        assert_eq!(ShardedIndex::check_len(0), Ok(()));
+        let err = ShardedIndex::check_len(1 << 32).unwrap_err();
+        assert_eq!(err, ReferenceTooLong { bases: 1 << 32 });
+        assert_eq!(
+            err.to_string(),
+            "reference has 4294967296 bases; positions are 32-bit, so the limit is \
+             4294967295 (2^32 - 1)"
+        );
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! backend launches one block per task), but they must be pure: the
 //! alignment of a task depends only on that task, never on batch
 //! composition — that is what makes pipeline output independent of
-//! batch geometry.
+//! batch geometry. A backend also says how many of its batches may run
+//! at once ([`Backend::in_flight`]): the CPU engines take two, so the
+//! next batch starts on the worker the last one's longest task leaves
+//! idle.
 
 use std::sync::Mutex;
 
@@ -45,6 +48,21 @@ pub trait Backend: Send + Sync {
     /// counters (the baselines) return `None`.
     fn engine_stats(&self) -> Option<MemStats> {
         None
+    }
+
+    /// How many of this backend's batches may run at once: the
+    /// dispatch stage never has more than this many
+    /// [`Backend::align_batch`] calls open on the instance. At `1` (the
+    /// default) the calls come one at a time, in the order the
+    /// scheduler cut the batches, so a backend whose state is not safe
+    /// to overlap — a device model that assumes it owns the whole
+    /// device per launch — needs nothing else. Above `1` the calls may
+    /// overlap, and still *start* in cut order. Each slot has a trace
+    /// lane of its own, and a service's backend table has eight in all
+    /// (the shipped table takes seven): starting a service over more
+    /// panics.
+    fn in_flight(&self) -> usize {
+        1
     }
 }
 
@@ -109,9 +127,19 @@ impl Backend for CpuBackend {
     fn engine_stats(&self) -> Option<MemStats> {
         Some(*self.stats.lock().expect("stats mutex poisoned"))
     }
+
+    /// One batch running and one starting on the worker the first
+    /// batch's tail frees: a batch of ~14 uneven 10 kb tasks on two
+    /// workers ends with one of them idle while the longest task runs.
+    /// The only shared state is `stats`, merged once per batch.
+    fn in_flight(&self) -> usize {
+        2
+    }
 }
 
-/// The simulated-GPU GenASM kernel (one block per task).
+/// The simulated-GPU GenASM kernel (one block per task). One launch at
+/// a time ([`Backend::in_flight`] keeps its default): the model has one
+/// device, and each launch's modelled timing assumes it owns all of it.
 pub struct GpuSimBackend {
     gpu: GpuAligner,
     stats: Mutex<MemStats>,
@@ -170,6 +198,11 @@ impl<A: GlobalAligner + Send + Sync> Backend for BaselineBackend<A> {
 
     fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
         Ok(align_batch_with(tasks, &self.0).alignments)
+    }
+
+    /// Two, as [`CpuBackend`]: the aligners are stateless.
+    fn in_flight(&self) -> usize {
+        2
     }
 }
 
@@ -335,6 +368,19 @@ mod tests {
             cpu.iter().all(|&c| c > 0),
             "every counter exercised: {cpu:?}"
         );
+    }
+
+    #[test]
+    fn cpu_engines_overlap_two_batches_and_the_device_model_none() {
+        let in_flight: Vec<(&str, usize)> = BackendKind::ALL
+            .iter()
+            .map(|(kind, name)| (*name, kind.create().in_flight()))
+            .collect();
+        assert_eq!(
+            in_flight,
+            [("cpu", 2), ("gpu-sim", 1), ("edlib", 2), ("ksw2", 2)]
+        );
+        assert_eq!(CpuBackend::baseline().in_flight(), 2);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //!
 //! ```text
 //!  session(s) ──► candidate generation ──► batch scheduler ──► dispatchers ──► ordered sink
-//!  (submit, or    (sharded index; mapped   (one building      (N threads,     (global reorder,
-//!   N one-shot     ≤ 4 reads per thread     batch per          any Backend)    per-session rows)
-//!   map workers)   ahead, enqueued in order) backend in use)       │
-//!                     │                          │             result queue
-//!                 task queue                     ▼             (bounded)
-//!                (bounded, weighted          batch queue
+//!  (submit, or    (sharded index; mapped   (one building      (≤ in_flight    (global reorder,
+//!   N one-shot     ≤ 4 reads per thread     batch per          batches of a    per-session rows)
+//!   map workers)   ahead, enqueued in order) backend in use)   backend at once)
+//!                     │                          │                  │
+//!                 task queue                     ▼             result queue
+//!                (bounded, weighted          batch queue        (bounded)
 //!                 by bases)                   (bounded)
 //! ```
 //!
@@ -35,7 +35,11 @@
 //! thread, over the caller's `&dyn Backend` as it came; a resident
 //! service calls it on one host thread that owns its boxed table.
 //! Engine work — a CPU batch, the simulated GPU's blocks — fans out on
-//! the `--threads` pool, the dispatcher being one of its workers.
+//! the `--threads` pool, the dispatcher being one of its workers. A
+//! backend says how many of its batches may run at once
+//! ([`Backend::in_flight`]): the CPU engines take two, so while one
+//! batch's last and longest task runs, the next batch's fan-out takes
+//! the core it leaves idle.
 //!
 //! The paper's evaluation drives GenASM as a one-shot batch: load every
 //! read, generate every candidate, align, print. This crate gives the
@@ -138,8 +142,10 @@ pub struct PipelineConfig {
     /// `queue_depth × batch_bases` bases, the batch and result queues
     /// `queue_depth` batches each.
     pub queue_depth: usize,
-    /// Backend dispatch workers. 1 is right for backends that
-    /// parallelize internally (CPU/Rayon, GPU); more overlaps batches.
+    /// Ignored. The dispatch stage runs as many batches of a backend at
+    /// once as its [`Backend::in_flight`] says, on as many dispatcher
+    /// threads as the largest of those. The field stays so that code
+    /// which builds this struct field by field still compiles.
     pub dispatchers: usize,
     /// Reference shards for the candidate-generation stage: the
     /// reference index is split into this many overlapping slices,
@@ -194,7 +200,9 @@ pub(crate) mod tids {
     pub const SINK: u64 = 3;
     /// Session lifecycle (service only).
     pub const SESSION: u64 = 4;
-    /// First backend lane; backend `i` uses `BACKEND0 + i`.
+    /// First backend lane: each backend has one lane per batch it may
+    /// run at once ([`crate::Backend::in_flight`]), in table order, so
+    /// `execute` spans on one lane never overlap.
     pub const BACKEND0: u64 = 8;
     /// First candidate-generation lane: one-shot map worker `i` uses
     /// `MAP0 + i`, so spans on one lane never overlap.
@@ -205,33 +213,36 @@ pub(crate) mod tids {
     pub const SESSION_MAP0: u64 = 1024;
 }
 
-/// Emit the lane-name metadata events every trace starts with.
-pub(crate) fn trace_lanes(trace: &TraceRecorder, backends: &[&str]) {
+/// Emit the lane-name metadata events of the fixed lanes every trace
+/// starts with (the service names its backend lanes).
+pub(crate) fn trace_lanes(trace: &TraceRecorder) {
     trace.thread_name(tids::READS, "reads");
     trace.thread_name(tids::SCHED, "scheduler");
     trace.thread_name(tids::SINK, "sink");
     trace.thread_name(tids::SESSION, "sessions");
-    for (i, name) in backends.iter().enumerate() {
-        trace.thread_name(tids::BACKEND0 + i as u64, &format!("backend:{name}"));
-    }
 }
 
 impl PipelineConfig {
     /// Upper bound on bases resident in the pipeline at once, given the
-    /// largest single task observed. Every stage holds at most one
-    /// batch (plus the batch in construction and the reorder backlog),
-    /// so residency is linear in `queue_depth × batch_bases` and
-    /// independent of workload size — the property the streaming test
-    /// asserts. The map stage in front of the task queue is not a
+    /// largest single task observed and `in_flight`, the batches the
+    /// dispatch stage holds at once: one per dispatcher thread, as many
+    /// as the largest [`Backend::in_flight`] of the backend table
+    /// ([`PipelineMetrics::in_flight_lanes`]). Every other stage holds
+    /// at most one batch (plus the batch in construction and the
+    /// reorder backlog, which the dispatch stage keeps within
+    /// `2 × queue_depth + in_flight` batches however long one batch
+    /// straggles), so residency is linear in `queue_depth × batch_bases`
+    /// and independent of workload size — the property the streaming
+    /// test asserts. The map stage in front of the task queue is not a
     /// queue and is not counted: it holds the candidate tasks of the
     /// reads being mapped or parked for the ordered hand-off — four
     /// reads per worker (`AHEAD`) — at most
     /// `threads × 4 × max_per_read × max_task_bases` more, and
     /// `threads × max_per_read × max_task_bases` while the task queue
     /// is full.
-    pub fn resident_bases_bound(&self, max_task_bases: usize) -> usize {
+    pub fn resident_bases_bound(&self, max_task_bases: usize, in_flight: usize) -> usize {
         let q = self.queue_depth.max(1);
-        let d = self.dispatchers.max(1);
+        let d = in_flight.max(1);
         // A batch flushes when it *reaches* the target, so it can
         // overshoot by one task.
         let per_batch = self.batch_bases + max_task_bases;
@@ -241,8 +252,8 @@ impl PipelineConfig {
             + per_batch
             // batch queue + batches inside dispatchers + result queue
             + per_batch * (q + d + q)
-            // reorder backlog: everything past the scheduler can be
-            // waiting on one straggler batch
+            // reorder backlog: a batch starts only within `2q + d`
+            // batches of the oldest one the sink has not released
             + per_batch * (2 * q + d)
     }
 }

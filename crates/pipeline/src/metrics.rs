@@ -425,8 +425,15 @@ pub struct PipelineMetrics {
     pub map_workers: usize,
     /// Busy time of the batch scheduler stage.
     pub scheduler_busy: Duration,
-    /// Busy time inside backend `align_batch` calls.
+    /// Busy time inside backend `align_batch` calls, summed over
+    /// batches — with more than one batch in flight it can exceed
+    /// `wall`.
     pub backend_busy: Duration,
+    /// The most batches that run at once: the dispatcher threads, one
+    /// per slot of the backend with the largest
+    /// [`crate::Backend::in_flight`] (0 in a snapshot no service
+    /// filled in).
+    pub in_flight_lanes: usize,
     /// Busy time of the reorder/format sink stage.
     pub sink_busy: Duration,
     /// End-to-end wall clock of the run.
@@ -459,12 +466,24 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// Fraction of wall-clock the backend stage was busy, in `[0, 1]`.
+    /// Fraction of the in-flight lanes' time (`in_flight_lanes ×
+    /// wall`) spent inside `align_batch`, in `[0, 1]`: what is missing
+    /// from 1 is a slot waiting for a batch.
     pub fn backend_utilization(&self) -> f64 {
+        let lanes = self.in_flight_lanes as f64 * self.wall.as_secs_f64();
+        if lanes == 0.0 {
+            return 0.0;
+        }
+        (self.backend_busy.as_secs_f64() / lanes).min(1.0)
+    }
+
+    /// Mean number of batches inside `align_batch` over the run
+    /// (`backend_busy ÷ wall`): above 1 only when batches overlapped.
+    pub fn mean_batches_in_flight(&self) -> f64 {
         if self.wall.as_nanos() == 0 {
             return 0.0;
         }
-        (self.backend_busy.as_secs_f64() / self.wall.as_secs_f64()).min(1.0)
+        self.backend_busy.as_secs_f64() / self.wall.as_secs_f64()
     }
 
     /// Fraction of the map lanes' time (`map_workers × wall`) spent
@@ -617,12 +636,14 @@ impl PipelineMetrics {
         let _ = writeln!(
             s,
             "busy:     map {:.1?} (map_workers={}, {:.0}% util), schedule {:.1?}, backend {:.1?} \
-             ({:.0}% util), sink {:.1?}, wall {:.1?}",
+             ({:.2} batches in flight of {}, {:.0}% util), sink {:.1?}, wall {:.1?}",
             self.mapper_busy,
             self.map_workers,
             100.0 * self.map_utilization(),
             self.scheduler_busy,
             self.backend_busy,
+            self.mean_batches_in_flight(),
+            self.in_flight_lanes,
             100.0 * self.backend_utilization(),
             self.sink_busy,
             self.wall
@@ -651,7 +672,7 @@ impl PipelineMetrics {
              \"max_inflight_bases\":{},\"max_inflight_tasks\":{},\
              \"wall_ns\":{},\
              \"query_bases_per_sec\":{},\"backend_utilization\":{},\
-             \"map_utilization\":{}",
+             \"batches_in_flight\":{},\"in_flight_lanes\":{},\"map_utilization\":{}",
             self.reads_in,
             self.reads_mapped,
             self.tasks_generated,
@@ -668,6 +689,8 @@ impl PipelineMetrics {
             self.wall.as_nanos(),
             genasm_telemetry::json::number(self.query_bases_per_sec()),
             genasm_telemetry::json::number(self.backend_utilization()),
+            genasm_telemetry::json::number(self.mean_batches_in_flight()),
+            self.in_flight_lanes,
             genasm_telemetry::json::number(self.map_utilization()),
         );
         let _ = write!(s, ",\"funnel\":{}", self.funnel.to_json());
@@ -864,6 +887,7 @@ impl PipelineMetrics {
             shard_index,
             mapper_busy: Duration::from_nanos(n("mapper_busy_ns")),
             map_workers: 0,
+            in_flight_lanes: 0,
             scheduler_busy: Duration::from_nanos(n("scheduler_busy_ns")),
             backend_busy: Duration::from_nanos(n("backend_busy_ns")),
             sink_busy: Duration::from_nanos(n("sink_busy_ns")),
@@ -961,7 +985,14 @@ mod tests {
         let q = q1();
         let mut m =
             PipelineMetrics::snapshot(&c, Duration::from_secs(2), no_shards(), q, q, q, None);
+        // 10 s of batches in 2 s: five in flight on average, which
+        // fills one lane or two and five eighths of eight.
+        assert_eq!(m.mean_batches_in_flight(), 5.0);
+        assert_eq!(m.backend_utilization(), 0.0);
+        m.in_flight_lanes = 2;
         assert_eq!(m.backend_utilization(), 1.0);
+        m.in_flight_lanes = 8;
+        assert_eq!(m.backend_utilization(), 0.625);
         // A service snapshot has no map lanes; 3 s of mapping is all of
         // one lane's 2 s and three eighths of four lanes'.
         assert_eq!(m.map_utilization(), 0.0);
@@ -1290,6 +1321,7 @@ mod tests {
             }),
         );
         m.map_workers = 2;
+        m.in_flight_lanes = 2;
         m
     }
 
@@ -1322,11 +1354,11 @@ mod tests {
         .map(|s| (s.len(), fnv1a(s)))
         .collect();
         let want = [
-            (1038, 16816805822447170167),
-            (2545, 13473555210379143951),
+            (1067, 16813611187089783548),
+            (2591, 3839998667391796991),
             (13927, 3881250364738899186),
-            (595, 18072272378923627135),
-            (1316, 7034534145494408574),
+            (624, 342918388075188215),
+            (1362, 6270742666377306785),
             (3515, 3928322599079546661),
         ];
         assert_eq!(

@@ -5,8 +5,8 @@
 //! ```text
 //!  session A ──┐                                       ┌──► session A rows
 //!  session B ──┼─► shared task queue ─► scheduler ─► dispatchers ─► ordered sink ─┼──► session B rows
-//!  session C ──┘   (bounded, weighted    (per-backend     (N threads,  (global reorder,└──► session C rows
-//!                   by bases)             batches)         any Backend) per-session routing)
+//!  session C ──┘   (bounded, weighted    (per-backend     (each backend (global reorder,└──► session C rows
+//!                   by bases)             batches)         ≤ in_flight)  per-session routing)
 //! ```
 //!
 //! [`run_pipeline`](crate::run_pipeline) spins up stages per call and
@@ -51,6 +51,15 @@
 //!   ([`SessionEvent::ReadFailed`]); a poisoned batch fails only the
 //!   reads it contained. The service itself keeps running — unlike the
 //!   one-shot pipeline, where the first failure aborts the run.
+//! * **Batches in flight.** Each backend says how many of its batches
+//!   may run at once ([`Backend::in_flight`]); there are as many
+//!   dispatcher threads as the largest of those, and a per-backend gate
+//!   admits a popped batch only while fewer are running — in the order
+//!   the scheduler cut them, and no further ahead of the sink's reorder
+//!   buffer than the queues and dispatchers can hold, so a straggling
+//!   batch cannot let the buffer grow. The CPU engines take two, so the next
+//!   batch starts on the worker that the last batch's longest task
+//!   leaves idle; the simulated GPU takes one.
 //! * **Graceful drain.** [`PipelineService::shutdown`] stops admitting
 //!   sessions, waits for the open ones to finish, drains every queue,
 //!   joins the stages, and returns the final [`PipelineMetrics`].
@@ -63,7 +72,7 @@
 //! own stack over the backend its caller lent, so no backend has to be
 //! `'static`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -136,10 +145,17 @@ impl ServiceConfig {
     /// [`PipelineConfig::resident_bases_bound`] carries over unchanged
     /// — except that the scheduler keeps one building batch per
     /// *distinct backend in use* (`active_backends`), each able to
-    /// hold up to a batch target plus one oversized task.
-    pub fn resident_bases_bound(&self, max_task_bases: usize, active_backends: usize) -> usize {
+    /// hold up to a batch target plus one oversized task. `in_flight`
+    /// is the service's [`PipelineMetrics::in_flight_lanes`].
+    pub fn resident_bases_bound(
+        &self,
+        max_task_bases: usize,
+        active_backends: usize,
+        in_flight: usize,
+    ) -> usize {
         let per_batch = self.pipeline.batch_bases + max_task_bases;
-        self.pipeline.resident_bases_bound(max_task_bases)
+        self.pipeline
+            .resident_bases_bound(max_task_bases, in_flight)
             + active_backends.saturating_sub(1) * per_batch
     }
 
@@ -450,6 +466,106 @@ struct Work {
     task: Option<(AlignTask, TaskMeta)>,
 }
 
+/// One backend's door into the dispatch stage: at most its
+/// [`Backend::in_flight`] batches run at once, one per slot, and they start
+/// in the order the scheduler cut them. The scheduler books each batch
+/// here before any dispatcher can pop it, so the gate knows the order
+/// even when a dispatcher that has just finished a batch pops a later
+/// one while another, holding an earlier one, is still waking up.
+struct DispatchGate {
+    kind: BackendKind,
+    /// The trace lane of slot 0; slot `i` runs its batches on
+    /// `lane0 + i`, so `execute` spans on one lane never overlap.
+    lane0: u64,
+    st: Mutex<SlotState>,
+    cv: Condvar,
+}
+
+struct SlotState {
+    /// Sequence numbers of the backend's batches cut and not yet
+    /// started, in cut order.
+    cut: VecDeque<u64>,
+    /// `busy[i]`: slot `i` is running a batch.
+    busy: Vec<bool>,
+}
+
+impl DispatchGate {
+    fn new(kind: BackendKind, in_flight: usize, lane0: u64) -> DispatchGate {
+        DispatchGate {
+            kind,
+            lane0,
+            st: Mutex::new(SlotState {
+                cut: VecDeque::new(),
+                busy: vec![false; in_flight],
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// The scheduler cut batch `seq` for this backend.
+    fn cut(&self, seq: u64) {
+        self.st.lock().unwrap().cut.push_back(seq);
+    }
+
+    /// Wait until batch `seq` is the earliest one cut and not started
+    /// and a slot is free, then take the lowest free slot.
+    fn enter(&self, seq: u64) -> usize {
+        let mut st = self.st.lock().unwrap();
+        loop {
+            let free = st.busy.iter().position(|busy| !busy);
+            if let (Some(slot), Some(&first)) = (free, st.cut.front()) {
+                if first == seq {
+                    st.cut.pop_front();
+                    st.busy[slot] = true;
+                    drop(st);
+                    // The batch cut next may be waiting for a slot
+                    // that is still free.
+                    self.cv.notify_all();
+                    return slot;
+                }
+            }
+            st = self.cv.wait(st).unwrap();
+        }
+    }
+
+    /// The batch in `slot` returned.
+    fn leave(&self, slot: usize) {
+        self.st.lock().unwrap().busy[slot] = false;
+        self.cv.notify_all();
+    }
+}
+
+/// How far the dispatchers may run ahead of the sink: batch `seq`
+/// starts only once fewer than `width` batches from the oldest one the
+/// sink has not yet released lie before it. Without it, while one batch
+/// straggles the other slots run on and park every later result in the
+/// reorder buffer, so residency would grow with the workload. The
+/// oldest unreleased batch is always admitted, and the dispatchers pop
+/// in cut order, so a dispatcher that waits here never holds up the one
+/// batch the sink is waiting on.
+struct ReleaseWindow {
+    width: u64,
+    /// The sequence number of the oldest batch not yet released.
+    released: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl ReleaseWindow {
+    /// Wait until batch `seq` is inside the window.
+    fn admit(&self, seq: u64) {
+        let mut released = self.released.lock().unwrap();
+        while seq >= *released + self.width {
+            released = self.cv.wait(released).unwrap();
+        }
+    }
+
+    /// The sink released every batch before `next`.
+    fn release(&self, next: u64) {
+        *self.released.lock().unwrap() = next;
+        self.cv.notify_all();
+    }
+}
+
 /// A batch travelling from dispatch to the sink.
 struct SvcDone {
     seq: u64,
@@ -471,6 +587,14 @@ pub(crate) struct Shared {
     /// only the stages see the table, so a dispatcher leaves them here
     /// after every batch for [`PipelineService::metrics`].
     engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
+    /// Each backend's [`DispatchGate`], in table order.
+    gates: Vec<DispatchGate>,
+    /// Bounds the reorder buffer: `batch queue + result queue +
+    /// dispatchers` batches past the oldest one not yet released.
+    window: ReleaseWindow,
+    /// Dispatcher threads: the largest [`Backend::in_flight`] of the
+    /// table, so every backend can fill its slots.
+    dispatchers: usize,
     task_q: BoundedQueue<Work>,
     batch_q: BoundedQueue<(Batch, BackendKind)>,
     result_q: BoundedQueue<SvcDone>,
@@ -547,7 +671,30 @@ impl PipelineService {
         assert!(!backends.is_empty(), "service needs at least one backend");
         let pcfg = &cfg.pipeline;
         let index = ShardedIndex::build(reference, pcfg.shards, pcfg.shard_overlap);
-        let lane_names: Vec<&str> = backends.iter().map(|(_, b)| b.name()).collect();
+        let trace = pcfg.trace.as_deref();
+        if let Some(t) = trace {
+            trace_lanes(t);
+        }
+        // One trace lane per slot, `backend:NAME:SLOT`, in table order.
+        let (mut gates, mut lane, mut dispatchers) = (Vec::new(), tids::BACKEND0, 1);
+        for (kind, backend) in backends {
+            let in_flight = backend.in_flight().max(1);
+            for slot in 0..in_flight {
+                if let Some(t) = trace {
+                    let name = format!("backend:{}:{slot}", backend.name());
+                    t.thread_name(lane + slot as u64, &name);
+                }
+            }
+            gates.push(DispatchGate::new(*kind, in_flight, lane));
+            lane += in_flight as u64;
+            dispatchers = dispatchers.max(in_flight);
+        }
+        assert!(
+            lane <= tids::MAP0,
+            "the backend table runs {} batches at once; the trace has lanes for {}",
+            lane - tids::BACKEND0,
+            tids::MAP0 - tids::BACKEND0
+        );
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
             index,
@@ -565,15 +712,19 @@ impl PipelineService {
             }),
             drained_cv: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
-            live_dispatchers: AtomicU64::new(pcfg.dispatchers.max(1) as u64),
+            gates,
+            window: ReleaseWindow {
+                width: (2 * pcfg.queue_depth.max(1) + dispatchers) as u64,
+                released: Mutex::new(0),
+                cv: Condvar::new(),
+            },
+            dispatchers,
+            live_dispatchers: AtomicU64::new(dispatchers as u64),
             backend_errors: AtomicU64::new(0),
             last_backend_error: Mutex::new(None),
             started: Instant::now(),
             cfg,
         });
-        if let Some(t) = shared.trace() {
-            trace_lanes(t, &lane_names);
-        }
         PipelineService {
             shared,
             host: Mutex::new(None),
@@ -691,7 +842,7 @@ impl PipelineService {
     /// `wall` is the service uptime).
     pub fn metrics(&self) -> PipelineMetrics {
         let sh = &self.shared;
-        PipelineMetrics::snapshot(
+        let mut m = PipelineMetrics::snapshot(
             &sh.counters,
             sh.started.elapsed(),
             sh.index.metrics(),
@@ -716,7 +867,9 @@ impl PipelineService {
                 all.merge(&engine);
                 all
             }),
-        )
+        );
+        m.in_flight_lanes = sh.dispatchers;
+        m
     }
 
     /// Per-session live counters for every open session, id-sorted.
@@ -1256,18 +1409,21 @@ fn take_map_lane(sh: &Shared) -> usize {
 }
 
 /// Start the stages — scheduler, dispatchers, sink — on `scope`, over
-/// the backend table they borrow. The one place a stage thread is
-/// made: [`crate::run_pipeline`] calls it on the scope its run already
-/// lives in, over the caller's `&dyn Backend` as it came, a resident
-/// service on the host thread that owns its boxed table. The stages
-/// exit once the task queue is closed and drained.
+/// the backend table they borrow: as many dispatchers as the table's
+/// largest [`Backend::in_flight`], so 2 for a server and for a one-shot
+/// run on a CPU engine, 1 for a one-shot run on a backend that keeps
+/// the default. The one place a stage thread is made:
+/// [`crate::run_pipeline`] calls it on the scope its run already lives
+/// in, over the caller's `&dyn Backend` as it came, a resident service
+/// on the host thread that owns its boxed table. The stages exit once
+/// the task queue is closed and drained.
 pub(crate) fn spawn_stages<'scope>(
     scope: &'scope Scope<'scope, '_>,
     sh: &'scope Shared,
     backends: &'scope [(BackendKind, &'scope dyn Backend)],
 ) {
     scope.spawn(move || scheduler_loop(sh));
-    for _ in 0..sh.cfg.pipeline.dispatchers.max(1) {
+    for _ in 0..sh.dispatchers {
         scope.spawn(move || dispatch_loop(sh, backends));
     }
     scope.spawn(move || sink_loop(sh));
@@ -1310,6 +1466,13 @@ fn dispatch_batch(
             ],
         );
     }
+    // Booked before any dispatcher can pop it: the gate admits the
+    // backend's batches in this order.
+    sh.gates
+        .iter()
+        .find(|g| g.kind == kind)
+        .expect("every BackendKind is instantiated at start")
+        .cut(batch.seq);
     sh.batch_q.push((batch, kind), 1).is_ok()
 }
 
@@ -1417,15 +1580,22 @@ fn align_isolated(
     }
 }
 
+/// One dispatcher: pop a batch, wait at its backend's [`DispatchGate`]
+/// for a slot, run it, hand the results to the sink. The wait at the gate is
+/// the batch's queue wait; a batch holds its slot for exactly its
+/// `align_batch` call.
 fn dispatch_loop(sh: &Shared, backends: &[(BackendKind, &dyn Backend)]) {
     let mut lats: Vec<(BackendKind, BackendLat)> = Vec::new();
     while let Some((batch, kind)) = sh.batch_q.pop() {
-        let t0 = Instant::now();
         let row = backends
             .iter()
             .position(|(k, _)| *k == kind)
             .expect("every BackendKind is instantiated at start");
         let backend = backends[row].1;
+        let gate = &sh.gates[row];
+        sh.window.admit(batch.seq);
+        let slot = gate.enter(batch.seq);
+        let t0 = Instant::now();
         let lat_idx = match lats.iter().position(|(k, _)| *k == kind) {
             Some(i) => i,
             None => {
@@ -1449,13 +1619,14 @@ fn dispatch_loop(sh: &Shared, backends: &[(BackendKind, &dyn Backend)]) {
             }
         };
         let execute = t0.elapsed();
+        gate.leave(slot);
         StageCounters::add_ns(&sh.counters.backend_ns, execute);
         lat.execute_ns.record_duration(execute);
         lat.batches.inc();
         lat.tasks.add(batch.tasks.len() as u64);
         lat.bases.add(batch.bases as u64);
         if let Some(t) = sh.trace() {
-            let tid = tids::BACKEND0 + row as u64;
+            let tid = gate.lane0 + slot as u64;
             let args = [
                 ("batch", batch.seq.into()),
                 ("tasks", batch.tasks.len().into()),
@@ -1666,6 +1837,7 @@ fn sink_loop(sh: &Shared) {
                     finalize_read(sh, acc);
                 }
             }
+            sh.window.release(batch_seq + 1);
             StageCounters::add_ns(&sh.counters.sink_ns, t0.elapsed());
             if let Some(t) = sh.trace() {
                 t.span(

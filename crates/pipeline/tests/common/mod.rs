@@ -57,6 +57,32 @@ pub fn trace_field(line: &str, key: &str) -> f64 {
     line[at..end].parse().unwrap()
 }
 
+/// `inner` with `in_flight` of its batches at once, whatever its own
+/// [`Backend::in_flight`] says: the dispatch stage overlaps batches of a
+/// backend only when it asks for that.
+pub struct InFlight<B> {
+    pub in_flight: usize,
+    pub inner: B,
+}
+
+impl<B: Backend> Backend for InFlight<B> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn align_batch(&self, tasks: &[AlignTask]) -> Result<Vec<Option<Alignment>>, BackendError> {
+        self.inner.align_batch(tasks)
+    }
+
+    fn engine_stats(&self) -> Option<genasm_core::MemStats> {
+        self.inner.engine_stats()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+}
+
 /// What a [`FaultBackend`] does with one batch.
 #[derive(Debug, Clone, Copy)]
 pub enum Fault {
@@ -75,7 +101,9 @@ pub enum Fault {
 
 /// The CPU backend under a per-batch script: the `i`-th batch it is
 /// handed does what `script[i]` says, and every batch past the end of
-/// the script does what `then` says.
+/// the script does what `then` says. One batch at a time (the default
+/// [`Backend::in_flight`]), so the `i`-th call is the `i`-th batch cut;
+/// wrap it in [`InFlight`] to overlap them.
 pub struct FaultBackend {
     name: &'static str,
     inner: CpuBackend,

@@ -1,8 +1,8 @@
 //! Integration properties of the streaming pipeline:
 //!
 //! 1. **Determinism** — output is byte-identical across every batching
-//!    geometry (batch size in bases, queue depth, dispatcher count,
-//!    Rayon thread count) and identical to the one-shot
+//!    geometry (batch size in bases, queue depth, one batch in flight
+//!    or two, Rayon thread count) and identical to the one-shot
 //!    `genasm-cpu` batch path.
 //! 2. **Bounded memory** — peak resident task bases stay within
 //!    [`PipelineConfig::resident_bases_bound`] even when the workload
@@ -28,7 +28,7 @@
 mod common;
 
 use align_core::{Reference, Seq};
-use common::{trace_field, within_a_minute, Fault, FaultBackend, SharedBuf};
+use common::{trace_field, within_a_minute, Fault, FaultBackend, InFlight, SharedBuf};
 use genasm_pipeline::{
     run_pipeline, AlignRecord, Backend, CpuBackend, GpuSimBackend, PipelineConfig, PipelineError,
     ReadInput,
@@ -249,21 +249,23 @@ fn golden(contigs: usize) -> (Reference, Vec<(String, Seq)>, String) {
 }
 
 /// Every batch size, at every configuration of the matrix. The queue
-/// depth follows the thread count and the dispatcher count the shard
+/// depth follows the thread count and the batches in flight the shard
 /// count, so each of the 12 geometries runs at two configurations.
 #[test]
 fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
     at_every_config(golden, |(reference, reads, expected), shards, threads| {
-        let backend = CpuBackend::improved();
+        let in_flight = if shards == 1 { 1 } else { 2 };
+        let backend = InFlight {
+            in_flight,
+            inner: CpuBackend::improved(),
+        };
         let queue_depth = if threads == 1 { 1 } else { 8 };
-        let dispatchers = if shards == 1 { 1 } else { 3 };
         // batch_bases = 1 degenerates to one task per batch; 1 MiB puts
         // the whole workload in one or two batches.
         for batch_bases in [1usize, 4 * 1024, 1024 * 1024] {
             let cfg = PipelineConfig {
                 batch_bases,
                 queue_depth,
-                dispatchers,
                 shards,
                 ..PipelineConfig::default()
             };
@@ -271,8 +273,9 @@ fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
             assert_eq!(
                 &got, expected,
                 "diverged at batch_bases={batch_bases} queue_depth={queue_depth} \
-                 dispatchers={dispatchers}"
+                 in_flight={in_flight}"
             );
+            assert_eq!(metrics.in_flight_lanes, in_flight);
             assert_eq!(metrics.records_out as usize, expected.lines().count());
             if batch_bases == 1 {
                 // Degenerate batching really happened: one task per batch.
@@ -285,18 +288,19 @@ fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
 /// The golden shard-determinism suite: `shards ∈ {1, 2, 7}` and the
 /// matrix's 4, at every configuration, plus overlap settings, must all
 /// be byte-identical to the unsharded one-shot seed path. The batch
-/// size follows the thread count and the dispatcher count the contig
-/// count, so the matrix covers every pair of them.
+/// size follows the thread count and the batches in flight (one or
+/// two) the contig count, so the matrix covers every pair of them.
 #[test]
 fn output_is_byte_identical_across_shard_counts_and_overlaps() {
     at_every_config(golden, |(reference, reads, expected), shards, threads| {
-        let backend = CpuBackend::improved();
+        let backend = InFlight {
+            in_flight: if reference.num_contigs() == 1 { 1 } else { 2 },
+            inner: CpuBackend::improved(),
+        };
         let batch_bases = if threads == 1 { 4 * 1024 } else { 1024 * 1024 };
-        let dispatchers = if reference.num_contigs() == 1 { 1 } else { 3 };
         for shards in [shards, 2, 7] {
             let cfg = PipelineConfig {
                 batch_bases,
-                dispatchers,
                 shards,
                 ..PipelineConfig::default()
             };
@@ -441,7 +445,6 @@ fn output_is_independent_of_rayon_thread_count() {
         let cfg = PipelineConfig {
             batch_bases: 8 * 1024,
             queue_depth: 2,
-            dispatchers: 2,
             shards,
             ..PipelineConfig::default()
         };
@@ -584,7 +587,6 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
         let cfg = PipelineConfig {
             batch_bases: 2 * 1024,
             queue_depth: 1,
-            dispatchers: 1,
             shards,
             params: CandidateParams::default(),
             ..PipelineConfig::default()
@@ -598,8 +600,34 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
     });
 }
 
+/// Two batches in flight and the first one stalls: the other slot must
+/// not run on and park the rest of the workload in the sink's reorder
+/// buffer behind it.
+#[test]
+fn a_straggling_batch_does_not_let_the_reorder_backlog_grow() {
+    at_both_shapes(|shards, contigs| {
+        let (reference, reads) = workload(50_000, 150, 500, contigs);
+        let backend = InFlight {
+            in_flight: 2,
+            inner: FaultBackend::new("straggler", &[Fault::Stall(500)], Fault::Ok),
+        };
+        let cfg = PipelineConfig {
+            batch_bases: 2 * 1024,
+            queue_depth: 1,
+            shards,
+            params: CandidateParams::default(),
+            ..PipelineConfig::default()
+        };
+        let (out, metrics) = with_pool(2, || run_stream(&reads, &reference, &backend, &cfg));
+        assert!(!out.is_empty());
+        assert_eq!(metrics.in_flight_lanes, 2);
+        assert_streaming_residency(&cfg, &metrics);
+    });
+}
+
 fn assert_streaming_residency(cfg: &PipelineConfig, metrics: &genasm_pipeline::PipelineMetrics) {
-    let bound = cfg.resident_bases_bound(metrics.max_task_bases as usize) as u64;
+    let bound =
+        cfg.resident_bases_bound(metrics.max_task_bases as usize, metrics.in_flight_lanes) as u64;
     assert!(
         metrics.max_inflight_bases <= bound,
         "peak {} bases in flight exceeds the configured bound {}",
@@ -632,7 +660,6 @@ fn metrics_report_every_stage() {
         let cfg = PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            dispatchers: 1,
             shards,
             params: CandidateParams::default(),
             ..PipelineConfig::default()
@@ -804,11 +831,13 @@ fn sink_errors_propagate_and_unwind_cleanly() {
 fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
     at_both_shapes(|shards, contigs| {
         let (reference, reads) = workload(40_000, 10, 600, contigs);
-        let backend = FaultBackend::new("flaky", &[Fault::Ok], Fault::Error);
+        let backend = InFlight {
+            in_flight: 2,
+            inner: FaultBackend::new("flaky", &[Fault::Ok], Fault::Error),
+        };
         let cfg = PipelineConfig {
             batch_bases: 2 * 1024, // several batches, so reads span the failure
             queue_depth: 2,
-            dispatchers: 2,
             shards,
             ..PipelineConfig::default()
         };

@@ -210,7 +210,6 @@ fn concurrent_sessions_each_match_one_shot_across_backends() {
         pipeline: PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            dispatchers: 2,
             ..PipelineConfig::default()
         },
         ..ServiceConfig::default()
@@ -251,7 +250,6 @@ fn server_wide_residency_stays_within_the_configured_bound() {
         pipeline: PipelineConfig {
             batch_bases: 2 * 1024,
             queue_depth: 2,
-            dispatchers: 1,
             ..PipelineConfig::default()
         },
         ..ServiceConfig::default()
@@ -291,7 +289,8 @@ fn server_wide_residency_stays_within_the_configured_bound() {
     });
     let metrics = service.shutdown();
     assert_eq!(metrics.reads_in, 60);
-    let bound = cfg.resident_bases_bound(metrics.max_task_bases as usize, 1);
+    let bound =
+        cfg.resident_bases_bound(metrics.max_task_bases as usize, 1, metrics.in_flight_lanes);
     assert!(
         metrics.max_inflight_bases as usize <= bound,
         "peak {} bases exceeded the server-wide bound {bound} \
@@ -717,7 +716,6 @@ fn interleaved_session_counters_sum_to_global_and_snapshots_are_monotonic() {
         pipeline: PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            dispatchers: 2,
             ..PipelineConfig::default()
         },
         ..ServiceConfig::default()
@@ -885,7 +883,6 @@ fn greedy_slow_reader_does_not_starve_a_light_session() {
         pipeline: PipelineConfig {
             batch_bases: 2 * 1024,
             queue_depth: 2,
-            dispatchers: 1,
             ..PipelineConfig::default()
         },
         max_session_output_bytes: 4 * 1024,
@@ -1007,7 +1004,6 @@ fn funnel_partitions_reads_under_adversarial_concurrent_sessions() {
         pipeline: PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            dispatchers: 2,
             ..PipelineConfig::default()
         },
         ..ServiceConfig::default()
@@ -1416,4 +1412,248 @@ fn one_shot_runs_a_backend_that_borrows_from_its_caller() {
     );
     // The engine's counters come home from the borrowed table too.
     assert!(metrics.engine.expect("cpu counts its windows").windows > 0);
+}
+
+/// The CPU backend, recording how the dispatch stage called it: the
+/// read ids of every call's tasks, in the order the calls began, and
+/// the most calls it ever had open at once. Each call sleeps 0–3 ms,
+/// drawn from its first read id, so batches take times of their own
+/// and a later one may finish first. Above one batch in flight, the
+/// first call holds on until a second one opens beside it (or ten
+/// seconds pass), so an overlap the dispatch stage allows is forced,
+/// not left to timing.
+struct Recorder {
+    in_flight: usize,
+    inner: genasm_pipeline::CpuBackend,
+    calls: std::sync::Mutex<Vec<Vec<u32>>>,
+    open: std::sync::Mutex<usize>,
+    opened: std::sync::Condvar,
+    most_open: std::sync::atomic::AtomicUsize,
+}
+
+impl Recorder {
+    fn new(in_flight: usize) -> Recorder {
+        Recorder {
+            in_flight,
+            inner: genasm_pipeline::CpuBackend::improved(),
+            calls: Default::default(),
+            open: Default::default(),
+            opened: Default::default(),
+            most_open: Default::default(),
+        }
+    }
+}
+
+impl Backend for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+
+    fn align_batch(
+        &self,
+        tasks: &[align_core::AlignTask],
+    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
+        let ids: Vec<u32> = tasks.iter().map(|t| t.read_id).collect();
+        let first = ids.first().copied().unwrap_or(0) as u64;
+        let first_call = {
+            let mut calls = self.calls.lock().unwrap();
+            calls.push(ids);
+            calls.len() == 1
+        };
+        {
+            let mut open = self.open.lock().unwrap();
+            *open += 1;
+            self.most_open
+                .fetch_max(*open, std::sync::atomic::Ordering::SeqCst);
+            self.opened.notify_all();
+            if first_call && self.in_flight > 1 {
+                let _ = self
+                    .opened
+                    .wait_timeout_while(open, Duration::from_secs(10), |open| *open < 2)
+                    .unwrap();
+            }
+        }
+        let ms = first.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62;
+        std::thread::sleep(Duration::from_millis(ms));
+        let out = self.inner.align_batch(tasks);
+        *self.open.lock().unwrap() -= 1;
+        out
+    }
+
+    fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+}
+
+/// One candidate per read and one task per batch: the read ids of the
+/// batches, in the order the scheduler cut them, ascend strictly.
+fn one_task_batches() -> PipelineConfig {
+    PipelineConfig {
+        batch_bases: 1,
+        params: mapper::CandidateParams {
+            max_per_read: 1,
+            ..mapper::CandidateParams::default()
+        },
+        ..PipelineConfig::default()
+    }
+}
+
+/// `reads` through a one-shot run of the CPU backend on `cfg`.
+fn one_shot_cpu(reads: &[(String, Seq)], reference: &Reference, cfg: &PipelineConfig) -> String {
+    let stream = reads.iter().map(|(name, seq)| {
+        Ok::<_, std::convert::Infallible>(ReadInput {
+            name: name.clone(),
+            seq: seq.clone(),
+        })
+    });
+    let mut out = String::new();
+    let backend = genasm_pipeline::CpuBackend::improved();
+    run_pipeline(stream, reference.clone(), &backend, cfg, |rec| {
+        out.push_str(&rec.to_tsv());
+        out.push('\n');
+        Ok(())
+    })
+    .expect("one-shot pipeline failed");
+    out
+}
+
+/// A backend that keeps the default `in_flight` of 1 gets its calls
+/// one at a time and in the order the scheduler cut its batches, even
+/// with two dispatchers popping them: the service's other backend
+/// takes two batches at once, and every batch sleeps a time of its
+/// own. 40-odd one-task batches on a 2-thread pool.
+#[test]
+fn a_serial_backend_sees_its_batches_one_at_a_time_in_cut_order() {
+    within_a_minute(|| {
+        let w = workload(80_000, 48, 500, 41);
+        let cfg = one_task_batches();
+        let want = one_shot_cpu(&w.reads, &w.reference, &cfg);
+        let recorder = Arc::new(Recorder::new(1));
+        struct Lent(Arc<Recorder>);
+        impl Backend for Lent {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn align_batch(
+                &self,
+                tasks: &[align_core::AlignTask],
+            ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError>
+            {
+                self.0.align_batch(tasks)
+            }
+            fn in_flight(&self) -> usize {
+                self.0.in_flight()
+            }
+        }
+        let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![
+            (BackendKind::Cpu, Box::new(Lent(Arc::clone(&recorder)))),
+            (
+                BackendKind::Edlib,
+                Box::new(genasm_pipeline::CpuBackend::improved()),
+            ),
+        ];
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build_global()
+            .unwrap();
+        let service = PipelineService::start_with_backends(
+            "ref",
+            w.reference.clone(),
+            ServiceConfig {
+                pipeline: cfg,
+                ..ServiceConfig::default()
+            },
+            backends,
+        );
+        let (got, _) = run_session(&service, BackendKind::Cpu, &w.reads);
+        let m = service.shutdown();
+        assert_eq!(got, want);
+        assert_eq!(m.in_flight_lanes, 2, "two dispatchers pop the batches");
+        let calls = recorder.calls.lock().unwrap();
+        assert!(calls.len() >= 40, "{} batches", calls.len());
+        assert_eq!(calls.len() as u64, m.batches);
+        let ids: Vec<u32> = calls.iter().flatten().copied().collect();
+        assert!(
+            ids.windows(2).all(|pair| pair[0] < pair[1]),
+            "batches called out of cut order: {calls:?}"
+        );
+        assert_eq!(
+            recorder.most_open.load(std::sync::atomic::Ordering::SeqCst),
+            1
+        );
+    });
+}
+
+/// A backend that takes two batches at once gets at most two calls
+/// open at a time, and at least once two, with one execute lane per
+/// slot: `backend:recorder:0` and `backend:recorder:1`, and execute
+/// spans on one lane never overlap.
+#[test]
+fn a_backend_with_two_in_flight_overlaps_two_batches_on_two_lanes() {
+    within_a_minute(|| {
+        let w = workload(80_000, 48, 500, 43);
+        let buf = SharedBuf::default();
+        let trace = Arc::new(TraceRecorder::to_writer(Box::new(buf.clone())));
+        let cfg = one_task_batches();
+        let want = one_shot_cpu(&w.reads, &w.reference, &cfg);
+        let recorder = Recorder::new(2);
+        let stream = w.reads.iter().map(|(name, seq)| {
+            Ok::<_, std::convert::Infallible>(ReadInput {
+                name: name.clone(),
+                seq: seq.clone(),
+            })
+        });
+        let mut got = String::new();
+        let traced = PipelineConfig {
+            trace: Some(Arc::clone(&trace)),
+            ..cfg
+        };
+        let m = run_pipeline(stream, w.reference.clone(), &recorder, &traced, |rec| {
+            got.push_str(&rec.to_tsv());
+            got.push('\n');
+            Ok(())
+        })
+        .expect("one-shot pipeline failed");
+        trace.finish().unwrap();
+        assert_eq!(got, want);
+        assert_eq!(m.in_flight_lanes, 2);
+        assert!(m.batches >= 40, "{} batches", m.batches);
+        assert_eq!(
+            recorder.most_open.load(std::sync::atomic::Ordering::SeqCst),
+            2
+        );
+        assert!(m.mean_batches_in_flight() <= 2.0);
+
+        let text = buf.text();
+        for (tid, name) in [(8, "backend:recorder:0"), (9, "backend:recorder:1")] {
+            let head = format!("\"ph\":\"M\",\"pid\":1,\"tid\":{tid},");
+            assert!(
+                text.lines()
+                    .any(|l| l.contains(&head) && l.contains(&format!("\"name\":\"{name}\""))),
+                "lane {tid} is not named {name}"
+            );
+        }
+        let mut lanes: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
+        for line in text.lines().filter(|l| l.contains("\"name\":\"execute\"")) {
+            let span = (trace_field(line, "\"ts\":"), trace_field(line, "\"dur\":"));
+            lanes
+                .entry(trace_field(line, "\"tid\":") as u64)
+                .or_default()
+                .push(span);
+        }
+        assert_eq!(lanes.keys().copied().collect::<Vec<_>>(), [8, 9]);
+        assert_eq!(
+            lanes.values().map(Vec::len).sum::<usize>() as u64,
+            m.batches
+        );
+        for (tid, spans) in &mut lanes {
+            spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for pair in spans.windows(2) {
+                assert!(
+                    pair[1].0 >= pair[0].0 + pair[0].1 - 0.002,
+                    "execute spans overlap on lane {tid}: {pair:?}"
+                );
+            }
+        }
+    });
 }

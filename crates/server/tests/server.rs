@@ -241,7 +241,6 @@ fn concurrent_clients_each_get_one_shot_bytes() {
         pipeline: PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            dispatchers: 2,
             ..PipelineConfig::default()
         },
         ..ServiceConfig::default()
@@ -644,7 +643,6 @@ fn dead_client_does_not_get_all_its_reads_aligned() {
             pipeline: PipelineConfig {
                 batch_bases: 2 * 1024,
                 queue_depth: 2,
-                dispatchers: 1,
                 ..PipelineConfig::default()
             },
             // A tight output budget: with no one reading, the session

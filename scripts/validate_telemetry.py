@@ -10,14 +10,17 @@ Five modes, one per exposition surface:
   one ``execute`` span (the per-read end-to-end span and the backend
   execute span — if either is missing, the pipeline ran untraced).
   ``map`` spans must not overlap on a lane: every map worker maps one
-  read at a time on a lane of its own.
+  read at a time on a lane of its own. Nor may ``execute`` spans: each
+  batch a backend may run at once has a lane of its own
+  (``backend:NAME:SLOT``).
 
 * ``metrics FILE`` — the stderr of ``--metrics json``: the last
   non-empty line must be one ``genasm-pipeline-metrics/v1`` JSON
   object whose latency histograms are internally consistent (bucket
   counts sum to ``count``, quantiles ordered), whose read-latency
-  count matches ``reads_in`` and whose ``backend_utilization`` and
-  ``map_utilization`` are shares in ``[0, 1]``.
+  count matches ``reads_in``, whose ``backend_utilization`` and
+  ``map_utilization`` are shares in ``[0, 1]`` and whose mean
+  ``batches_in_flight`` is no more than its ``in_flight_lanes``.
 
 * ``stats-json FILE`` — the stdout of ``genasm ctl stats-json``: one
   ``genasm-stats/v1`` object embedding a server block, a session list,
@@ -95,12 +98,18 @@ def check_pipeline_metrics(m, require_read_count=True):
         fail(f"unexpected metrics schema {m.get('schema')!r}")
     for key in ("reads_in", "records_out", "latency", "backends", "funnel",
                 "slow_reads", "busy_ns", "backend_utilization",
-                "map_utilization"):
+                "batches_in_flight", "in_flight_lanes", "map_utilization"):
         if key not in m:
             fail(f"metrics object missing {key!r}")
     for key in ("backend_utilization", "map_utilization"):
         if not 0 <= m[key] <= 1:
             fail(f"{key} {m[key]} outside [0, 1]")
+    # A live snapshot's wall can lag its busy counters by a hair.
+    if not 0 <= m["batches_in_flight"] <= m["in_flight_lanes"] + 0.01:
+        fail(
+            f"batches_in_flight {m['batches_in_flight']} outside "
+            f"[0, in_flight_lanes {m['in_flight_lanes']}]"
+        )
     check_funnel(m["funnel"], "pipeline", at_rest=require_read_count)
     lat = m["latency"]
     for key in ("read", "task_queue_wait", "batch_build", "reorder_wait"):
@@ -124,7 +133,9 @@ def mode_trace(path):
         events = json.load(fh)
     if not isinstance(events, list) or not events:
         fail("trace is not a non-empty JSON array")
-    span_names, meta, map_lanes = set(), 0, {}
+    span_names, meta = set(), 0
+    # Per span kind that must not overlap on a lane: tid -> spans.
+    lanes = {"map": {}, "execute": {}}
     for i, ev in enumerate(events):
         if not isinstance(ev, dict) or "ph" not in ev:
             fail(f"event {i} is not an object with 'ph'")
@@ -137,8 +148,8 @@ def mode_trace(path):
             if not isinstance(ev.get("tid"), int):
                 fail(f"span {i} ({ev.get('name')!r}) has no numeric tid")
             span_names.add(ev.get("name"))
-            if ev.get("name") == "map":
-                map_lanes.setdefault(ev["tid"], []).append((ev["ts"], ev["dur"]))
+            if ev.get("name") in lanes:
+                lanes[ev["name"]].setdefault(ev["tid"], []).append((ev["ts"], ev["dur"]))
         elif ph != "i":
             fail(f"event {i} has unknown phase {ph!r}")
     if meta == 0:
@@ -146,15 +157,17 @@ def mode_trace(path):
     missing = EXPECTED_SPANS - span_names
     if missing:
         fail(f"missing expected span kinds: {sorted(missing)}")
-    for tid, spans in map_lanes.items():
-        spans.sort()
-        for (ts, dur), (nxt, _) in zip(spans, spans[1:]):
-            # ts/dur are printed to the nanosecond; allow the rounding.
-            if nxt < ts + dur - 0.002:
-                fail(f"map spans overlap on lane {tid}: {ts}+{dur} > {nxt}")
+    for name, by_lane in lanes.items():
+        for tid, spans in by_lane.items():
+            spans.sort()
+            for (ts, dur), (nxt, _) in zip(spans, spans[1:]):
+                # ts/dur are printed to the nanosecond; allow the rounding.
+                if nxt < ts + dur - 0.002:
+                    fail(f"{name} spans overlap on lane {tid}: {ts}+{dur} > {nxt}")
     print(
         f"validate-telemetry: trace OK: {len(events)} events, "
-        f"span kinds {sorted(span_names)}, {len(map_lanes)} map lane(s)"
+        f"span kinds {sorted(span_names)}, {len(lanes['map'])} map lane(s), "
+        f"{len(lanes['execute'])} execute lane(s)"
     )
 
 
