@@ -6,6 +6,16 @@
 //! we keep *every* chain above the score floor, not just the primary —
 //! that is what produced the paper's 138,929 candidate locations from
 //! 500 reads.
+//!
+//! Each strand's anchors are packed one per word, `ref_pos << 32 |
+//! read_pos` (read positions flipped on the reverse strand), and sorted
+//! as integers. The DP visits up to `lookback` predecessors per anchor
+//! but scores only those that could win: a predecessor adds at most
+//! `k` to its chain's score and pays a cost of at least 0, so one whose
+//! `score + k` does not beat the best found so far is skipped. The skip
+//! is exact, not a heuristic — `f64` rounding is monotone, so the
+//! computed extension never exceeds the computed `score + k` — and
+//! every score, predecessor and chain is the one the full loop gives.
 
 use std::sync::OnceLock;
 
@@ -84,155 +94,172 @@ pub fn collect_anchors(read: &Seq, index: &MinimizerIndex) -> Vec<Anchor> {
     anchors
 }
 
-/// An anchor prepared for the chaining DP: `sort_pos` is the read
-/// coordinate used for collinearity (flipped for reverse strand),
-/// `orig_pos` the original read coordinate for reporting.
-#[derive(Debug, Clone, Copy)]
-struct DpAnchor {
-    sort_pos: u32,
-    orig_pos: u32,
-    ref_pos: u32,
-}
+/// The `pred` of an anchor that starts its chain.
+const NO_PRED: u32 = u32::MAX;
 
 /// Chain anchors with the minimap2 gap cost; returns all chains with
 /// `-P` semantics (every chain above the floor, best first).
 pub fn chain_anchors(anchors: &[Anchor], k: usize, params: &ChainParams) -> Vec<Chain> {
+    assert!(
+        u32::try_from(anchors.len()).is_ok(),
+        "2^32 anchors or more"
+    );
+    let log2 = log2_table();
     let mut chains = Vec::new();
+    let mut keys = Vec::with_capacity(anchors.len());
     for strand in [false, true] {
-        let strand_anchors: Vec<Anchor> = anchors
-            .iter()
-            .copied()
-            .filter(|a| a.reverse == strand)
-            .collect();
-        if strand_anchors.is_empty() {
+        let on_strand = anchors.iter().filter(|a| a.reverse == strand);
+        let Some(max_rp) = on_strand.clone().map(|a| a.read_pos).max() else {
             continue;
-        }
+        };
         // For reverse-strand chains, collinearity means read position
         // decreasing as ref position increases; flip read coords so the
-        // same DP applies.
-        let max_rp = strand_anchors.iter().map(|a| a.read_pos).max().unwrap();
-        let mut subset: Vec<DpAnchor> = strand_anchors
-            .iter()
-            .map(|a| DpAnchor {
-                sort_pos: if strand {
-                    max_rp - a.read_pos
-                } else {
-                    a.read_pos
-                },
-                orig_pos: a.read_pos,
-                ref_pos: a.ref_pos,
-            })
-            .collect();
-        subset.sort_unstable_by_key(|a| (a.ref_pos, a.sort_pos));
-        chains.extend(chain_one_strand(&subset, k, params, strand));
+        // same DP applies (the flip is its own inverse). One word per
+        // anchor, `ref_pos << 32 | sort_pos`, sorts as the pair does,
+        // and equal words are equal anchors.
+        let flip = |pos: u32| if strand { max_rp - pos } else { pos };
+        keys.clear();
+        keys.extend(on_strand.map(|a| u64::from(a.ref_pos) << 32 | u64::from(flip(a.read_pos))));
+        keys.sort_unstable();
+        chain_one_strand(&keys, k, params, log2, strand, flip, &mut chains);
     }
     chains.sort_by(|a, b| b.score.total_cmp(&a.score));
     chains
 }
 
+/// The reference and (strand-flipped) read position of a packed key.
+#[inline]
+fn unpack(key: u64) -> (u32, u32) {
+    ((key >> 32) as u32, key as u32)
+}
+
 /// Gap-cost score of extending the chain ending at `anchors[j]` with
 /// `anchors[i]`, given that chain's score (`dr`, `dq` both positive
-/// and within `max_gap`).
-fn extend_score(prev: f64, dr: i64, dq: i64, k: usize) -> f64 {
+/// and within `max_gap`). `log2` is [`log2_table`].
+#[inline]
+fn extend_score(prev: f64, dr: i64, dq: i64, k: usize, log2: &[f64]) -> f64 {
     let dd = (dr - dq).unsigned_abs();
     let gain = (dq.min(dr) as f64).min(k as f64);
-    let cost = 0.01 * k as f64 * dd as f64 + 0.5 * gap_log2(dd);
+    let cost = 0.01 * k as f64 * dd as f64 + 0.5 * gap_log2(log2, dd);
     prev + gain - cost
 }
 
-/// `log2(max(dd, 1))`. A gap difference is a small integer (below
-/// `max_gap`), so the common ones are read from a table filled by the
-/// same `f64::log2` that computes the rest: every score is the `f64`
-/// the closed formula gives.
-fn gap_log2(dd: u64) -> f64 {
-    const TABLE: usize = 8192;
+/// `log2(max(dd, 1))` for every `dd` below 8192, filled once by the
+/// same `f64::log2` that [`gap_log2`] falls back to past its end.
+fn log2_table() -> &'static [f64] {
     static LOG2: OnceLock<Vec<f64>> = OnceLock::new();
-    let log2 = |x: u64| (x.max(1) as f64).log2();
-    let table = LOG2.get_or_init(|| (0..TABLE as u64).map(log2).collect());
-    table.get(dd as usize).copied().unwrap_or_else(|| log2(dd))
+    LOG2.get_or_init(|| (0..8192).map(closed_log2).collect())
+}
+
+fn closed_log2(dd: u64) -> f64 {
+    (dd.max(1) as f64).log2()
+}
+
+/// `log2(max(dd, 1))`. A gap difference is a small integer (below
+/// `max_gap`), so the common ones are read from `table`; `max_gap` is
+/// a parameter, so larger ones are computed: every score is the `f64`
+/// the closed formula gives.
+#[inline]
+fn gap_log2(table: &[f64], dd: u64) -> f64 {
+    match table.get(dd as usize) {
+        Some(&v) => v,
+        None => closed_log2(dd),
+    }
 }
 
 /// The chaining DP: best score of a chain ending at each anchor and
-/// its predecessor. `anchors` is sorted by `(ref_pos, sort_pos)`.
-fn chain_dp(
-    anchors: &[DpAnchor],
-    k: usize,
-    params: &ChainParams,
-) -> (Vec<f64>, Vec<Option<usize>>) {
-    let n = anchors.len();
+/// its predecessor ([`NO_PRED`] for none). `keys` are packed anchors,
+/// sorted.
+///
+/// A predecessor `j` whose `score[j] + k` does not beat the best score
+/// found so far is skipped unscored, and the skip is exact: its
+/// extension adds a gain of at most `k` and subtracts a cost of at
+/// least 0, and `f64` rounding is monotone, so the computed
+/// `(score[j] + gain) - cost` is at most the computed `score[j] + k`
+/// and cannot win the strict `>`.
+fn chain_dp(keys: &[u64], k: usize, params: &ChainParams, log2: &[f64]) -> (Vec<f64>, Vec<u32>) {
+    let n = keys.len();
+    let kf = k as f64;
     let mut score = vec![0f64; n];
-    let mut pred: Vec<Option<usize>> = vec![None; n];
+    let mut pred = vec![NO_PRED; n];
     for i in 0..n {
-        score[i] = k as f64;
+        let (ri, qi) = unpack(keys[i]);
+        let (mut best, mut best_j) = (kf, NO_PRED);
         let lo = i.saturating_sub(params.lookback);
         for j in (lo..i).rev() {
-            let dr = anchors[i].ref_pos as i64 - anchors[j].ref_pos as i64;
+            let (rj, qj) = unpack(keys[j]);
+            let dr = i64::from(ri) - i64::from(rj);
             // `ref_pos` ascends with the index and `j` walks down, so
             // `dr` only grows: once it passes the gap limit no earlier
             // predecessor can qualify.
             if dr as usize > params.max_gap {
                 break;
             }
-            let dq = anchors[i].sort_pos as i64 - anchors[j].sort_pos as i64;
+            let dq = i64::from(qi) - i64::from(qj);
             if dr <= 0 || dq <= 0 || dq as usize > params.max_gap {
                 continue; // not collinear, or too far apart on the read
             }
-            let s = extend_score(score[j], dr, dq, k);
-            if s > score[i] {
-                score[i] = s;
-                pred[i] = Some(j);
+            if score[j] + kf <= best {
+                continue; // cannot win, see above
+            }
+            let s = extend_score(score[j], dr, dq, k, log2);
+            if s > best {
+                (best, best_j) = (s, j as u32);
             }
         }
+        score[i] = best;
+        pred[i] = best_j;
     }
     (score, pred)
 }
 
+/// Chain one strand's sorted `keys`, pushing every chain onto `out`.
+/// `orig_pos` maps a key's read position back to forward read
+/// coordinates.
 fn chain_one_strand(
-    anchors: &[DpAnchor],
+    keys: &[u64],
     k: usize,
     params: &ChainParams,
+    log2: &[f64],
     strand: bool,
-) -> Vec<Chain> {
-    let n = anchors.len();
-    let (score, pred) = chain_dp(anchors, k, params);
+    orig_pos: impl Fn(u32) -> u32,
+    out: &mut Vec<Chain>,
+) {
+    let (score, pred) = chain_dp(keys, k, params, log2);
     // Peel chains best-first; each anchor belongs to at most one chain,
     // but every chain above the floor is reported (the -P behaviour).
     // Only ends above the floor start a chain; the stable sort visits
     // them in the order a sort of all `n` would.
-    let mut order: Vec<usize> = (0..n).filter(|&i| score[i] >= params.min_score).collect();
-    order.sort_by(|&a, &b| score[b].total_cmp(&score[a]));
-    let mut used = vec![false; n];
-    let mut out = Vec::new();
+    let mut order: Vec<u32> = (0..keys.len() as u32)
+        .filter(|&i| score[i as usize] >= params.min_score)
+        .collect();
+    order.sort_by(|&a, &b| score[b as usize].total_cmp(&score[a as usize]));
+    let mut used = vec![false; keys.len()];
     for &end in &order {
-        if used[end] {
+        if used[end as usize] {
             continue;
         }
-        let mut members = Vec::new();
-        let mut cur = Some(end);
-        while let Some(i) = cur {
-            if used[i] {
-                break; // ran into an anchor claimed by a better chain
-            }
-            members.push(i);
-            used[i] = true;
-            cur = pred[i];
-        }
-        if members.len() < params.min_anchors {
-            continue;
-        }
-        // Report original (unflipped) read coordinates.
         let (mut q_lo, mut q_hi) = (u32::MAX, 0u32);
         let (mut t_lo, mut t_hi) = (u32::MAX, 0u32);
-        for &i in &members {
-            let a = &anchors[i];
-            t_lo = t_lo.min(a.ref_pos);
-            t_hi = t_hi.max(a.ref_pos);
-            q_lo = q_lo.min(a.orig_pos);
-            q_hi = q_hi.max(a.orig_pos);
+        let mut members = 0;
+        let mut cur = end;
+        // Stop at a chain's start or at an anchor claimed by a better
+        // chain.
+        while cur != NO_PRED && !used[cur as usize] {
+            used[cur as usize] = true;
+            members += 1;
+            let (r, q) = unpack(keys[cur as usize]);
+            let q = orig_pos(q); // report original (unflipped) read coordinates
+            (t_lo, t_hi) = (t_lo.min(r), t_hi.max(r));
+            (q_lo, q_hi) = (q_lo.min(q), q_hi.max(q));
+            cur = pred[cur as usize];
+        }
+        if members < params.min_anchors {
+            continue;
         }
         out.push(Chain {
-            score: score[end],
-            anchors: members.len(),
+            score: score[end as usize],
+            anchors: members,
             read_start: q_lo as usize,
             read_end: q_hi as usize + k,
             ref_start: t_lo as usize,
@@ -240,7 +267,6 @@ fn chain_one_strand(
             reverse: strand,
         });
     }
-    out
 }
 
 #[cfg(test)]
@@ -248,28 +274,165 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The DP loop as it was before the `dr > max_gap` early exit:
-    /// every predecessor in the lookback window is examined.
-    fn chain_dp_reference(
-        anchors: &[DpAnchor],
+    /// The chainer before packed keys and the skip, kept as its oracle:
+    /// copied anchors under a tuple-key sort, a DP that scores every
+    /// collinear predecessor, and a members `Vec` per peeled chain.
+    mod oracle {
+        use super::super::{closed_log2, Anchor, Chain, ChainParams};
+
+        #[derive(Debug, Clone, Copy)]
+        struct DpAnchor {
+            sort_pos: u32,
+            orig_pos: u32,
+            ref_pos: u32,
+        }
+
+        pub(super) fn chain_anchors(
+            anchors: &[Anchor],
+            k: usize,
+            params: &ChainParams,
+        ) -> Vec<Chain> {
+            let mut chains = Vec::new();
+            for strand in [false, true] {
+                let strand_anchors: Vec<Anchor> = anchors
+                    .iter()
+                    .copied()
+                    .filter(|a| a.reverse == strand)
+                    .collect();
+                if strand_anchors.is_empty() {
+                    continue;
+                }
+                let max_rp = strand_anchors.iter().map(|a| a.read_pos).max().unwrap();
+                let mut subset: Vec<DpAnchor> = strand_anchors
+                    .iter()
+                    .map(|a| DpAnchor {
+                        sort_pos: if strand {
+                            max_rp - a.read_pos
+                        } else {
+                            a.read_pos
+                        },
+                        orig_pos: a.read_pos,
+                        ref_pos: a.ref_pos,
+                    })
+                    .collect();
+                subset.sort_unstable_by_key(|a| (a.ref_pos, a.sort_pos));
+                chains.extend(chain_one_strand(&subset, k, params, strand));
+            }
+            chains.sort_by(|a, b| b.score.total_cmp(&a.score));
+            chains
+        }
+
+        pub(super) fn extend_score(prev: f64, dr: i64, dq: i64, k: usize) -> f64 {
+            let dd = (dr - dq).unsigned_abs();
+            let gain = (dq.min(dr) as f64).min(k as f64);
+            prev + gain - (0.01 * k as f64 * dd as f64 + 0.5 * closed_log2(dd))
+        }
+
+        /// The DP with the `dr > max_gap` early exit and no skip.
+        fn chain_dp(
+            anchors: &[DpAnchor],
+            k: usize,
+            params: &ChainParams,
+        ) -> (Vec<f64>, Vec<Option<usize>>) {
+            let n = anchors.len();
+            let mut score = vec![0f64; n];
+            let mut pred: Vec<Option<usize>> = vec![None; n];
+            for i in 0..n {
+                score[i] = k as f64;
+                for j in (i.saturating_sub(params.lookback)..i).rev() {
+                    let dr = anchors[i].ref_pos as i64 - anchors[j].ref_pos as i64;
+                    if dr as usize > params.max_gap {
+                        break;
+                    }
+                    let dq = anchors[i].sort_pos as i64 - anchors[j].sort_pos as i64;
+                    if dr <= 0 || dq <= 0 || dq as usize > params.max_gap {
+                        continue;
+                    }
+                    let s = extend_score(score[j], dr, dq, k);
+                    if s > score[i] {
+                        score[i] = s;
+                        pred[i] = Some(j);
+                    }
+                }
+            }
+            (score, pred)
+        }
+
+        fn chain_one_strand(
+            anchors: &[DpAnchor],
+            k: usize,
+            params: &ChainParams,
+            strand: bool,
+        ) -> Vec<Chain> {
+            let n = anchors.len();
+            let (score, pred) = chain_dp(anchors, k, params);
+            let mut order: Vec<usize> = (0..n).filter(|&i| score[i] >= params.min_score).collect();
+            order.sort_by(|&a, &b| score[b].total_cmp(&score[a]));
+            let mut used = vec![false; n];
+            let mut out = Vec::new();
+            for &end in &order {
+                if used[end] {
+                    continue;
+                }
+                let mut members = Vec::new();
+                let mut cur = Some(end);
+                while let Some(i) = cur {
+                    if used[i] {
+                        break;
+                    }
+                    members.push(i);
+                    used[i] = true;
+                    cur = pred[i];
+                }
+                if members.len() < params.min_anchors {
+                    continue;
+                }
+                let (mut q_lo, mut q_hi) = (u32::MAX, 0u32);
+                let (mut t_lo, mut t_hi) = (u32::MAX, 0u32);
+                for &i in &members {
+                    let a = &anchors[i];
+                    t_lo = t_lo.min(a.ref_pos);
+                    t_hi = t_hi.max(a.ref_pos);
+                    q_lo = q_lo.min(a.orig_pos);
+                    q_hi = q_hi.max(a.orig_pos);
+                }
+                out.push(Chain {
+                    score: score[end],
+                    anchors: members.len(),
+                    read_start: q_lo as usize,
+                    read_end: q_hi as usize + k,
+                    ref_start: t_lo as usize,
+                    ref_end: t_hi as usize + k,
+                    reverse: strand,
+                });
+            }
+            out
+        }
+    }
+
+    /// The DP loop before the `dr > max_gap` early exit and the skip:
+    /// every predecessor in the lookback window is scored.
+    fn chain_dp_exhaustive(
+        keys: &[u64],
         k: usize,
         params: &ChainParams,
     ) -> (Vec<f64>, Vec<Option<usize>>) {
-        let n = anchors.len();
+        let n = keys.len();
         let mut score = vec![0f64; n];
         let mut pred: Vec<Option<usize>> = vec![None; n];
         for i in 0..n {
             score[i] = k as f64;
             for j in (i.saturating_sub(params.lookback)..i).rev() {
-                let dr = anchors[i].ref_pos as i64 - anchors[j].ref_pos as i64;
-                let dq = anchors[i].sort_pos as i64 - anchors[j].sort_pos as i64;
+                let ((ri, qi), (rj, qj)) = (unpack(keys[i]), unpack(keys[j]));
+                let dr = ri as i64 - rj as i64;
+                let dq = qi as i64 - qj as i64;
                 if dr <= 0 || dq <= 0 {
                     continue;
                 }
                 if dr as usize > params.max_gap || dq as usize > params.max_gap {
                     continue;
                 }
-                let s = extend_score(score[j], dr, dq, k);
+                let s = oracle::extend_score(score[j], dr, dq, k);
                 if s > score[i] {
                     score[i] = s;
                     pred[i] = Some(j);
@@ -282,9 +445,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The early exit is exact: same scores, same predecessors, on
-        /// random anchor clouds and on periodic (tandem-repeat-like)
-        /// sets whose ref gaps straddle `max_gap`.
+        /// The early exit and the skip are exact: same scores (bit for
+        /// bit), same predecessors, on random anchor clouds and on
+        /// periodic (tandem-repeat-like) sets whose ref gaps straddle
+        /// `max_gap`.
         #[test]
         fn early_exit_dp_equals_the_exhaustive_loop(
             cloud in prop::collection::vec((0u32..600, 0u32..4_000), 0..120),
@@ -293,23 +457,122 @@ mod tests {
             max_gap in 1usize..1_500,
             lookback in 1usize..60,
         ) {
-            let mut anchors: Vec<DpAnchor> = cloud
-                .iter()
-                .map(|&(q, r)| DpAnchor { sort_pos: q, orig_pos: q, ref_pos: r })
-                .collect();
+            let mut keys: Vec<u64> = cloud.iter().map(|&(q, r)| u64::from(r) << 32 | u64::from(q)).collect();
             // Periodic part: the same read positions recur every
             // `period` reference bases.
             for c in 0..copies {
                 for q in (0..200).step_by(25) {
-                    anchors.push(DpAnchor { sort_pos: q, orig_pos: q, ref_pos: c * period + q });
+                    keys.push(u64::from(c * period + q) << 32 | u64::from(q));
                 }
             }
-            anchors.sort_unstable_by_key(|a| (a.ref_pos, a.sort_pos));
+            keys.sort_unstable();
             let params = ChainParams { lookback, max_gap, ..ChainParams::default() };
-            prop_assert_eq!(
-                chain_dp(&anchors, 15, &params),
-                chain_dp_reference(&anchors, 15, &params)
-            );
+            let (score, pred) = chain_dp(&keys, 15, &params, log2_table());
+            let (want_score, want_pred) = chain_dp_exhaustive(&keys, 15, &params);
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&score), bits(&want_score));
+            let pred: Vec<Option<usize>> =
+                pred.iter().map(|&p| (p != NO_PRED).then_some(p as usize)).collect();
+            prop_assert_eq!(pred, want_pred);
+        }
+    }
+
+    /// A chain as a comparable value, its score as bits.
+    fn exact(chains: &[Chain]) -> Vec<(u64, usize, usize, usize, usize, usize, bool)> {
+        chains
+            .iter()
+            .map(|c| {
+                let ends = (c.read_start, c.read_end, c.ref_start, c.ref_end);
+                (
+                    c.score.to_bits(),
+                    c.anchors,
+                    ends.0,
+                    ends.1,
+                    ends.2,
+                    ends.3,
+                    c.reverse,
+                )
+            })
+            .collect()
+    }
+
+    /// The chainer equals its oracle on one generated case: a random
+    /// cloud on both strands, spread up to 250× on the reference so
+    /// gap differences pass the 8192-entry log2 table, plus `copies`
+    /// of one noisy diagonal `period` bases apart on one strand, where
+    /// predecessors compete.
+    #[allow(clippy::too_many_arguments)]
+    fn chainer_matches_the_oracle(
+        cloud: &[(u32, u32, bool)],
+        spread: u32,
+        walk: &[(u32, u32)],
+        (period, copies): (u32, u32),
+        repeat_strand: bool,
+        k: usize,
+        params: ChainParams,
+    ) {
+        let mut anchors: Vec<Anchor> = cloud
+            .iter()
+            .map(|&(read_pos, r, reverse)| Anchor {
+                read_pos,
+                ref_pos: r * spread,
+                reverse,
+            })
+            .collect();
+        for c in 0..copies {
+            let (mut q, mut r) = (0u32, c * period);
+            for &(step, jitter) in walk {
+                q += step;
+                r = (r + step + jitter).saturating_sub(6);
+                let read_pos = if repeat_strand { 4_000 - q } else { q };
+                anchors.push(Anchor {
+                    read_pos,
+                    ref_pos: r,
+                    reverse: repeat_strand,
+                });
+            }
+        }
+        let got = chain_anchors(&anchors, k, &params);
+        let want = oracle::chain_anchors(&anchors, k, &params);
+        assert_eq!(exact(&got), exact(&want), "params {params:?}, k {k}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn chain_anchors_equals_the_tuple_sort_oracle(
+            cloud in prop::collection::vec((0u32..2_000, 0u32..4_000, any::<bool>()), 0..160),
+            spread in 1u32..250,
+            walk in prop::collection::vec((1u32..40, 0u32..13), 0..80),
+            repeats in (1u32..3_000, 1u32..12),
+            repeat_strand in any::<bool>(),
+            k in 5usize..28,
+            (lookback, max_gap) in (1usize..60, 1usize..20_000),
+            (min_score, min_anchors) in (0u32..80, 0usize..6),
+        ) {
+            let params = ChainParams { lookback, max_gap, min_score: min_score as f64, min_anchors };
+            chainer_matches_the_oracle(&cloud, spread, &walk, repeats, repeat_strand, k, params);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1_280))]
+
+        #[test]
+        #[ignore = "10x the cases of chain_anchors_equals_the_tuple_sort_oracle; CI runs it in the --ignored job"]
+        fn chain_anchors_equals_the_tuple_sort_oracle_10x(
+            cloud in prop::collection::vec((0u32..2_000, 0u32..4_000, any::<bool>()), 0..160),
+            spread in 1u32..250,
+            walk in prop::collection::vec((1u32..40, 0u32..13), 0..80),
+            repeats in (1u32..3_000, 1u32..12),
+            repeat_strand in any::<bool>(),
+            k in 5usize..28,
+            (lookback, max_gap) in (1usize..60, 1usize..20_000),
+            (min_score, min_anchors) in (0u32..80, 0usize..6),
+        ) {
+            let params = ChainParams { lookback, max_gap, min_score: min_score as f64, min_anchors };
+            chainer_matches_the_oracle(&cloud, spread, &walk, repeats, repeat_strand, k, params);
         }
     }
 
@@ -325,7 +588,7 @@ mod tests {
                     let d = (dr - dq).unsigned_abs() as f64;
                     let closed = prev + (dq.min(dr) as f64).min(k as f64)
                         - (0.01 * k as f64 * d + 0.5 * (d.max(1.0)).log2());
-                    let got = extend_score(prev, dr, dq, k);
+                    let got = extend_score(prev, dr, dq, k, log2_table());
                     assert_eq!(got.to_bits(), closed.to_bits(), "dd={dd} k={k}");
                 }
             }

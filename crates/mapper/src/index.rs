@@ -5,6 +5,10 @@
 //! k-mers (the smaller of the k-mer and its reverse complement) so a
 //! read and its reverse complement sample the same positions, and an
 //! invertible 64-bit mix as the ordering hash, like minimap2.
+//! Extraction keeps the last `w` keys in a ring (minimap2's circular
+//! buffer) and rescans it only when the window's minimum leaves it, so
+//! its scratch is `w` words whatever the sequence length, and a random
+//! hash costs one compare, not a deque's unpredictable pops.
 //!
 //! The index is flat, like minimap2's, and has no hash table: every
 //! minimizer's [`Hit`] (position and orientation in one `u32`) sits in
@@ -18,7 +22,10 @@
 //! hash and 1 to 2 per minimizer for the directory.
 
 use align_core::Seq;
-use std::collections::VecDeque;
+
+/// Bit 63 of a ring key: the canonical k-mer is the reverse complement.
+/// Hashes use at most 62 bits, so the flag never reaches the order.
+const FLIPPED: u64 = 1 << 63;
 
 /// One extracted minimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +56,8 @@ pub fn hash64(key: u64, mask: u64) -> u64 {
 ///
 /// Ties within a window keep the rightmost k-mer (robust winnowing).
 /// Sequences shorter than one full window still yield their global
-/// minimum so short sequences stay indexable.
+/// minimum so short sequences stay indexable. Besides the returned
+/// `Vec`, extraction allocates one ring of `w` words.
 pub fn minimizers(seq: &Seq, w: usize, k: usize) -> Vec<Minimizer> {
     minimizers_impl(seq, w, k, true)
 }
@@ -78,15 +86,21 @@ fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<M
     let shift = 2 * (k - 1) as u64;
     let mut fwd: u64 = 0;
     let mut rev: u64 = 0;
-    // Winnowing with a monotone deque over windows of `w` k-mers, fed by
-    // the rolling hash: a k-mer's hash lives only while it sits in the
-    // deque, so extraction keeps at most `w` of them, not one per base.
+    // Winnowing over a ring of the last `w` keys, fed by the rolling
+    // hash (minimap2's circular buffer): k-mer `j` sits in slot
+    // `j % w` as its hash with `flipped` in bit 63, so extraction keeps
+    // `w` words of scratch, not one per base. `min_j` is the window's
+    // minimum, the rightmost of equal hashes.
+    let mut ring = vec![0u64; w];
+    let (mut slot, mut min_j, mut min_hash) = (0usize, 0usize, u64::MAX);
     let mut out: Vec<Minimizer> = Vec::new();
-    let mut deque: VecDeque<Minimizer> = VecDeque::with_capacity(w);
-    let push_out = |out: &mut Vec<Minimizer>, m: Minimizer| {
-        if out.last() != Some(&m) {
-            out.push(m);
-        }
+    let emit = |out: &mut Vec<Minimizer>, ring: &[u64], j: usize| {
+        let key = ring[j % w];
+        out.push(Minimizer {
+            pos: j as u32,
+            hash: key & !FLIPPED,
+            flipped: key & FLIPPED != 0,
+        });
     };
     for i in 0..n {
         let c = seq.get_code(i) as u64;
@@ -95,32 +109,32 @@ fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<M
         let Some(j) = (i + 1).checked_sub(k) else {
             continue;
         };
-        let (canon, flipped) = if fwd <= rev {
-            (fwd, false)
-        } else {
-            (rev, true)
-        };
-        let m = Minimizer {
-            pos: j as u32,
-            hash: hash64(canon, mask),
-            flipped,
-        };
-        // `>=` keeps the rightmost minimum on ties.
-        while deque.back().is_some_and(|b| b.hash >= m.hash) {
-            deque.pop_back();
-        }
-        deque.push_back(m);
-        if j + 1 >= w {
-            while deque[0].pos as usize + w <= j {
-                deque.pop_front();
+        let hash = hash64(fwd.min(rev), mask);
+        ring[slot] = hash | (u64::from(rev < fwd) << 63);
+        let last_min = min_j;
+        if hash <= min_hash {
+            // `<=` keeps the rightmost minimum on ties.
+            (min_j, min_hash) = (j, hash);
+        } else if min_j + w <= j {
+            // The minimum left the window: rescan it oldest to newest.
+            min_hash = u64::MAX;
+            for (t, &key) in ring[slot + 1..].iter().chain(&ring[..=slot]).enumerate() {
+                if key & !FLIPPED <= min_hash {
+                    (min_j, min_hash) = (j + 1 - w + t, key & !FLIPPED);
+                }
             }
-            push_out(&mut out, deque[0]);
+        }
+        slot = if slot + 1 == w { 0 } else { slot + 1 };
+        // The first full window emits its minimum; later ones emit only
+        // a new one.
+        if j + 1 == w || (j + 1 > w && min_j != last_min) {
+            emit(&mut out, &ring, min_j);
         }
     }
     if n - k + 1 < w && short_fallback {
         // Sequence shorter than one full window: keep its global minimum
         // so short sequences are still indexable.
-        push_out(&mut out, deque[0]);
+        emit(&mut out, &ring, min_j);
     }
     out
 }

@@ -546,7 +546,11 @@ impl ShardedIndex {
         for shard in &self.shards {
             shard_anchors(shard, &read_mins, &mut anchors);
         }
-        anchors.sort_unstable_by_key(|a| (a.read_pos, a.ref_pos, a.reverse));
+        // Each shard's anchors come out sorted (read minimizers ascend
+        // in position, bucket hits in reference position), so the
+        // stable sort finds one run per shard and merges them in
+        // linear time.
+        anchors.sort_by_key(|a| (a.read_pos, a.ref_pos, a.reverse));
         let before = anchors.len();
         anchors.dedup();
         self.dup_anchors
@@ -631,6 +635,8 @@ impl ShardedIndex {
     ) -> (Vec<AlignTask>, ReadMapStats) {
         let anchors = self.collect_anchors(read);
         let chains = self.chains_from_anchors(&anchors, &params.chain);
+        // Built on the first reverse chain, cloned for the rest.
+        let mut rc_read: Option<Seq> = None;
         let tasks: Vec<AlignTask> = chains
             .iter()
             .take(params.max_per_read)
@@ -639,7 +645,9 @@ impl ShardedIndex {
                 let (start, end) = chain_window(chain, read.len(), limit, params.flank);
                 let target = self.window(*ci, start, end);
                 let query = if chain.reverse {
-                    read.reverse_complement()
+                    rc_read
+                        .get_or_insert_with(|| read.reverse_complement())
+                        .clone()
                 } else {
                     read.clone()
                 };

@@ -143,6 +143,65 @@ proptest! {
     }
 }
 
+/// The sketch against its oracle on a sequence holding a one-letter run
+/// longer than a window: every k-mer of the run has the same hash, so
+/// each window's minimum is a tie that the rightmost k-mer must win.
+fn one_letter_run_matches_the_oracle(
+    prefix: &Seq,
+    letter: u8,
+    run: usize,
+    suffix: &Seq,
+    w: usize,
+    k: usize,
+) {
+    let s: Seq = prefix
+        .iter()
+        .chain(std::iter::repeat_n(Base::from_code(letter), run + w + k))
+        .chain(suffix.iter())
+        .collect();
+    assert_eq!(
+        minimizers(&s, w, k),
+        collect_every_hash_minimizers(&s, w, k, true)
+    );
+    assert_eq!(
+        minimizers_windowed(&s, w, k),
+        collect_every_hash_minimizers(&s, w, k, false)
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn one_letter_runs_keep_the_rightmost_tie(
+        prefix in arb_seq(0, 60),
+        letter in 0u8..4,
+        run in 0usize..200,
+        suffix in arb_seq(0, 60),
+        w in 1usize..24,
+        k in 1usize..=31,
+    ) {
+        one_letter_run_matches_the_oracle(&prefix, letter, run, &suffix, w, k);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(960))]
+
+    #[test]
+    #[ignore = "10x the cases of one_letter_runs_keep_the_rightmost_tie; CI runs it in the --ignored job"]
+    fn one_letter_runs_keep_the_rightmost_tie_10x(
+        prefix in arb_seq(0, 60),
+        letter in 0u8..4,
+        run in 0usize..200,
+        suffix in arb_seq(0, 60),
+        w in 1usize..24,
+        k in 1usize..=31,
+    ) {
+        one_letter_run_matches_the_oracle(&prefix, letter, run, &suffix, w, k);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
