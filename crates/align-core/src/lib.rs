@@ -17,7 +17,7 @@
 //! * [`task`] — batch containers describing candidate (read, reference)
 //!   pairs flowing from the mapper into the aligners.
 //! * [`mod@reference`] — multi-contig references ([`Reference`]): named
-//!   contigs with the global-coordinate layout the sharded index uses.
+//!   contigs with the global-coordinate layout the genome index uses.
 //!
 //! The crate is deliberately dependency-light; anything random or
 //! parallel lives in the crates that need it.

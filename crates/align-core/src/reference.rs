@@ -3,12 +3,12 @@
 //! Real references are not one sequence: a genome assembly is a set of
 //! named contigs (chromosomes, scaffolds), and mapping output reports
 //! *contig names and contig-local coordinates*. [`Reference`] is that
-//! set, plus the global-coordinate map the sharded index uses
+//! set, plus the global-coordinate map the genome index uses
 //! internally: contigs are laid out back to back in file order, contig
 //! `i` occupying the global interval `[offset(i), offset(i) + len_i)`,
 //! and [`Reference::locate`] inverts a global position back to
 //! `(contig, local)`. No sequence ever spans two contigs — windows,
-//! shards, and chains are all clamped to contig boundaries by the
+//! minimizers and chains are all clamped to contig boundaries by the
 //! consumers of this type.
 
 use std::sync::Arc;
@@ -138,9 +138,8 @@ impl Reference {
     }
 
     /// Consume the reference, yielding its contigs in file order. The
-    /// sharded index uses this to take ownership of the contig
-    /// sequences so it can drop each one after slicing it — the
-    /// monolithic per-contig `Seq`s do not outlive the index build.
+    /// genome index uses this to take ownership of the contig
+    /// sequences, so they stay the only copy of the reference.
     pub fn into_contigs(self) -> Vec<Contig> {
         self.contigs
     }

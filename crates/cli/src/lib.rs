@@ -89,21 +89,21 @@ pub const FLAGS: [(&str, &str); 9] = [
         "simulate",
         "genome-len reads read-len contigs error seed ref out",
     ),
-    ("map", "ref reads max-per-read threads shards shard-overlap"),
+    ("map", "ref reads max-per-read threads"),
     (
         "align",
-        "ref reads aligner max-per-read threads shards shard-overlap format explain",
+        "ref reads aligner max-per-read threads format explain",
     ),
     (
         "pipeline",
-        "ref reads backend batch-bases queue-depth max-per-read threads shards shard-overlap \
-         format metrics trace explain",
+        "ref reads backend batch-bases queue-depth max-per-read threads format metrics trace \
+         explain",
     ),
     (
         "serve",
         "ref listen backend format max-sessions linger-ms batch-bases queue-depth max-per-read \
-         threads shards shard-overlap metrics trace explain session-output-cap \
-         session-inflight-reads idle-timeout-ms",
+         threads shards metrics trace explain session-output-cap session-inflight-reads \
+         idle-timeout-ms",
     ),
     ("submit", "to reads backend format explain"),
     ("ctl", "to"),
@@ -202,19 +202,16 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 pub const USAGE: &str = "usage:
   genasm simulate --genome-len N --reads N --read-len N [--contigs N] [--error R] [--seed S]
                   --ref FILE --out FILE
-  genasm map      --ref FILE --reads FILE [--max-per-read N] [--threads N] [--shards N]
-                  [--shard-overlap BASES]
+  genasm map      --ref FILE --reads FILE [--max-per-read N] [--threads N]
   genasm align    --ref FILE --reads FILE [--aligner genasm|genasm-base|edlib|ksw2] [--max-per-read N]
-                  [--threads N] [--shards N] [--shard-overlap BASES] [--format tsv|paf]
-                  [--explain FILE]
+                  [--threads N] [--format tsv|paf] [--explain FILE]
   genasm pipeline --ref FILE --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--batch-bases N]
-                  [--queue-depth N] [--max-per-read N] [--threads N] [--shards N]
-                  [--shard-overlap BASES] [--format tsv|paf]
+                  [--queue-depth N] [--max-per-read N] [--threads N] [--format tsv|paf]
                   [--metrics off|on|json] [--trace FILE] [--explain FILE]
   genasm serve    --ref FILE --listen ENDPOINT [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--max-sessions N] [--linger-ms N] [--batch-bases N] [--queue-depth N]
                   [--max-per-read N] [--threads N] [--shards N]
-                  [--shard-overlap BASES] [--metrics off|on|json] [--trace FILE] [--explain FILE]
+                  [--metrics off|on|json] [--trace FILE] [--explain FILE]
                   [--session-output-cap BYTES] [--session-inflight-reads N] [--idle-timeout-ms N]
   genasm submit   --to ENDPOINT --reads FILE [--backend cpu|gpu-sim|edlib|ksw2] [--format tsv|paf]
                   [--explain FILE]
@@ -226,8 +223,10 @@ ENDPOINT is unix:PATH, tcp:HOST:PORT, or HOST:PORT. `serve` runs until a
 client sends `genasm ctl shutdown`; record lines from `submit` are
 byte-identical to `align` on the same reads (status goes to stderr).
 A flag a subcommand does not read is an error (exit 2).
-References may be multi-contig FASTA: records report contig names and
-contig-local coordinates, and shards never straddle contig boundaries.
+References may be multi-contig FASTA: one minimizer index covers every
+contig, records report contig names and contig-local coordinates, and
+no chain spans two contigs. `serve --shards N` (N >= 1) is accepted and
+ignored.
 `--metrics json` prints a single-line machine-readable snapshot to
 stderr; `--trace FILE` records a Chrome trace-event timeline (open in
 Perfetto or about://tracing). `--explain FILE` streams one
@@ -478,32 +477,18 @@ fn explain_sink(flags: &Flags) -> Result<Option<std::sync::Arc<ExplainSink>>, Cl
     }
 }
 
-/// `--shards N` / `--shard-overlap BASES` for `align` and `pipeline`.
-/// Defaults (1 shard, 256-base overlap) reproduce the unsharded path.
-fn shard_params(flags: &Flags) -> Result<(usize, usize), CliError> {
-    let shards: usize = flags.num("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::usage("--shards must be at least 1"));
-    }
-    let overlap: usize = flags.num("shard-overlap", 256)?;
-    Ok((shards, overlap))
-}
-
 /// `--backend` for `pipeline` and `serve` (default cpu).
 fn backend_kind(flags: &Flags) -> Result<BackendKind, CliError> {
     let name = flags.get("backend").unwrap_or("cpu");
     name.parse().map_err(|e| CliError::usage(format!("{e}")))
 }
 
-/// The [`PipelineConfig`] of `pipeline` and `serve`: the batching and
-/// sharding flags, `--max-per-read`, `--trace` and `--explain`.
+/// The [`PipelineConfig`] of `pipeline` and `serve`: the batching
+/// flags, `--max-per-read`, `--trace` and `--explain`.
 fn pipeline_config(flags: &Flags) -> Result<PipelineConfig, CliError> {
-    let (shards, shard_overlap) = shard_params(flags)?;
     Ok(PipelineConfig {
         batch_bases: flags.num("batch-bases", 256 * 1024)?,
         queue_depth: flags.num("queue-depth", 8)?,
-        shards,
-        shard_overlap,
         params: candidate_params(flags)?,
         trace: trace_recorder(flags)?,
         explain: explain_sink(flags)?,
@@ -515,9 +500,8 @@ fn cmd_map(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let reference = load_reference(flags.req("ref")?)?;
     let reads = load_fastx(flags.req("reads")?)?;
     let params = candidate_params(flags)?;
-    let (shards, shard_overlap) = shard_params(flags)?;
     configure_threads(flags)?;
-    let index = ShardedIndex::build(reference, shards, shard_overlap);
+    let index = ShardedIndex::build(reference, 1, 0);
     for r in &reads {
         let chains = index.chains_for_read(&r.seq, &params.chain);
         for (contig, c) in chains.iter().take(params.max_per_read) {
@@ -574,15 +558,14 @@ fn cmd_align(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
         })?;
     let format = output_format(flags)?;
     let params = candidate_params(flags)?;
-    let (shards, shard_overlap) = shard_params(flags)?;
     let explain = explain_sink(flags)?;
     configure_threads(flags)?;
     let reference = load_reference(flags.req("ref")?)?;
     let reads = load_fastx(flags.req("reads")?)?;
     let backend = create_backend();
     // The build consumes the reference: candidate windows are cut from
-    // the index's shard-local storage.
-    let index = ShardedIndex::build(reference, shards, shard_overlap);
+    // the contigs the index took.
+    let index = ShardedIndex::build(reference, 1, 0);
 
     // Generate all candidates up front (the one-shot shape), keeping
     // each read's funnel counts and mapping time for `--explain`.
@@ -700,6 +683,11 @@ fn cmd_serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let default_backend = backend_kind(flags)?;
     let default_format = output_format(flags)?;
     let metrics_out = metrics_mode(flags)?;
+    // Accepted for callers written for the tiled index; one index
+    // covers the reference whatever it says.
+    if flags.num("shards", 1usize)? == 0 {
+        return Err(CliError::usage("--shards must be at least 1"));
+    }
     configure_threads(flags)?;
     let pipeline = pipeline_config(flags)?;
     let trace = pipeline.trace.clone();

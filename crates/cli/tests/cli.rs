@@ -359,60 +359,35 @@ fn threads_flag_sizes_the_global_pool() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Only `serve` still takes `--shards` (one index covers the reference
+/// whatever it says; `multi_contig_serve_and_submit_match_align` runs
+/// `serve --shards 4` against `align`), and it must be at least 1.
+/// `--shard-overlap` is gone everywhere.
 #[test]
-fn shard_count_and_overlap_never_change_output() {
-    let dir = tmpdir("shards");
-    let (ref_path, reads_path) = simulate_workload(&dir, 4, 800);
-
-    let golden = run_ok(&["align", "--ref", &ref_path, "--reads", &reads_path]);
-    assert!(!golden.is_empty(), "align produced no records");
-    for shards in ["1", "2", "7"] {
-        for overlap in ["64", "512"] {
-            let sharded_align = run_ok(&[
-                "align",
-                "--ref",
-                &ref_path,
-                "--reads",
-                &reads_path,
-                "--shards",
-                shards,
-                "--shard-overlap",
-                overlap,
-            ]);
-            assert_eq!(
-                sharded_align, golden,
-                "align --shards {shards} --shard-overlap {overlap} diverged"
-            );
-            let sharded_pipeline = run_ok(&[
-                "pipeline",
-                "--ref",
-                &ref_path,
-                "--reads",
-                &reads_path,
-                "--shards",
-                shards,
-                "--shard-overlap",
-                overlap,
-            ]);
-            assert_eq!(
-                sharded_pipeline, golden,
-                "pipeline --shards {shards} --shard-overlap {overlap} diverged"
-            );
-        }
-    }
-
+fn serve_alone_accepts_shards_and_no_subcommand_takes_an_overlap() {
     let e = run_err(&[
-        "pipeline",
-        "--ref",
-        &ref_path,
-        "--reads",
-        &reads_path,
-        "--shards",
-        "0",
+        "serve", "--ref", "r.fa", "--listen", "unix:x", "--shards", "0",
     ]);
     assert_eq!(e.code, 2);
-    assert!(e.message.contains("--shards"), "{}", e.message);
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        e.message.contains("--shards must be at least 1"),
+        "{}",
+        e.message
+    );
+    for cmd in ["map", "align", "pipeline"] {
+        let e = run_err(&[cmd, "--ref", "r.fa", "--reads", "q.fa", "--shards", "2"]);
+        assert_eq!(e.code, 2, "{cmd}");
+        assert!(e.message.contains("unknown flag --shards"), "{}", e.message);
+    }
+    for cmd in ["map", "align", "pipeline", "serve"] {
+        let e = run_err(&[cmd, "--shard-overlap", "64"]);
+        assert_eq!(e.code, 2, "{cmd}");
+        assert!(
+            e.message.contains("unknown flag --shard-overlap"),
+            "{}",
+            e.message
+        );
+    }
 }
 
 #[test]
@@ -570,13 +545,13 @@ fn simulate_multi_contig_workload(
 }
 
 /// The end-to-end multi-contig acceptance test: a 3-contig FASTA
-/// aligns through `align` and `pipeline` with byte-identical output
-/// across shard counts {1, 2, 7}, contig names and contig-local
-/// coordinates in TSV, and the *contig* length (not the whole
-/// reference) as PAF column 7 — with unequal contig sizes so a
-/// whole-reference length could never masquerade as a contig length.
+/// aligns through `align` and `pipeline` with byte-identical output,
+/// contig names and contig-local coordinates in TSV, and the *contig*
+/// length (not the whole reference) as PAF column 7 — with unequal
+/// contig sizes so a whole-reference length could never masquerade as
+/// a contig length.
 #[test]
-fn multi_contig_reference_aligns_end_to_end_and_is_shard_invariant() {
+fn multi_contig_reference_aligns_end_to_end() {
     let dir = tmpdir("multi-contig");
     let (ref_path, reads_path) = simulate_multi_contig_workload(&dir, 6, 900);
 
@@ -594,28 +569,8 @@ fn multi_contig_reference_aligns_end_to_end_and_is_shard_invariant() {
 
     let golden = run_ok(&["align", "--ref", &ref_path, "--reads", &reads_path]);
     assert!(!golden.is_empty(), "multi-contig align produced no records");
-    for shards in ["1", "2", "7"] {
-        let a = run_ok(&[
-            "align",
-            "--ref",
-            &ref_path,
-            "--reads",
-            &reads_path,
-            "--shards",
-            shards,
-        ]);
-        assert_eq!(a, golden, "align --shards {shards} diverged");
-        let p = run_ok(&[
-            "pipeline",
-            "--ref",
-            &ref_path,
-            "--reads",
-            &reads_path,
-            "--shards",
-            shards,
-        ]);
-        assert_eq!(p, golden, "pipeline --shards {shards} diverged");
-    }
+    let p = run_ok(&["pipeline", "--ref", &ref_path, "--reads", &reads_path]);
+    assert_eq!(p, golden, "pipeline diverged from align");
 
     // TSV rows name real contigs and stay inside them; the read name
     // encodes the source contig, and the best row must land on it.

@@ -78,16 +78,19 @@ impl Default for ChainParams {
     }
 }
 
-/// Collect anchors of `read` against the index.
+/// Collect anchors of `read` against the index, one probe per read
+/// minimizer. They come out sorted by `(read_pos, ref_pos)`: read
+/// minimizers ascend in position and every hit run in reference
+/// position.
 pub fn collect_anchors(read: &Seq, index: &MinimizerIndex) -> Vec<Anchor> {
     let mut anchors = Vec::new();
     for m in minimizers(read, index.w, index.k) {
         for hit in index.lookup(m.hash) {
             anchors.push(Anchor {
                 read_pos: m.pos,
-                ref_pos: hit.pos(),
+                ref_pos: hit.pos,
                 // Opposite canonical orientations = reverse-strand match.
-                reverse: m.flipped != hit.flipped(),
+                reverse: m.flipped != hit.flipped,
             });
         }
     }
@@ -100,10 +103,7 @@ const NO_PRED: u32 = u32::MAX;
 /// Chain anchors with the minimap2 gap cost; returns all chains with
 /// `-P` semantics (every chain above the floor, best first).
 pub fn chain_anchors(anchors: &[Anchor], k: usize, params: &ChainParams) -> Vec<Chain> {
-    assert!(
-        u32::try_from(anchors.len()).is_ok(),
-        "2^32 anchors or more"
-    );
+    assert!(u32::try_from(anchors.len()).is_ok(), "2^32 anchors or more");
     let log2 = log2_table();
     let mut chains = Vec::new();
     let mut keys = Vec::with_capacity(anchors.len());

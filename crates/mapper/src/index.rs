@@ -11,15 +11,25 @@
 //! hash costs one compare, not a deque's unpredictable pops.
 //!
 //! The index is flat, like minimap2's, and has no hash table: every
-//! minimizer's [`Hit`] (position and orientation in one `u32`) sits in
-//! one array, in one run per hash; the distinct hashes and their run
-//! starts sit in two more, and a directory over the hashes' low bits
-//! narrows a lookup to one slot of two to four hashes. The directory
-//! reads the *low* bits because a minimizer is the smallest hash of its
-//! window: minimizer hashes crowd toward zero, so their top bits are far
-//! from uniform, while their low bits are as uniform as [`hash64`]
-//! makes every bit. That is 4 bytes per occurrence, 12 per distinct
-//! hash and 1 to 2 per minimizer for the directory.
+//! minimizer's position sits in one array, in one run per hash, with
+//! its orientation in a parallel bitset; the distinct hashes and their
+//! run starts sit in two more, and a directory over the hashes' low
+//! bits narrows a lookup to one slot of two to four hashes. The
+//! directory reads the *low* bits because a minimizer is the smallest
+//! hash of its window: minimizer hashes crowd toward zero, so their top
+//! bits are far from uniform, while their low bits are as uniform as
+//! [`hash64`] makes every bit. That is 4 bytes and a bit per
+//! occurrence, 12 bytes per distinct hash and 1 to 2 per minimizer for
+//! the directory.
+//!
+//! One index covers every contig of a reference, laid end to end at
+//! 32-bit global positions ([`MinimizerIndex::build_contigs`]); each
+//! contig is sketched on its own, so no window spans two contigs. The
+//! build never holds the genome's minimizers as one list: it sketches
+//! the contigs once, counting the minimizers of each directory slot
+//! and marking their positions in a bitset, then keys the k-mer at each
+//! mark again and scatters it into its slot, and sorts each slot, a few
+//! entries, by hash.
 
 use align_core::Seq;
 
@@ -59,28 +69,19 @@ pub fn hash64(key: u64, mask: u64) -> u64 {
 /// minimum so short sequences stay indexable. Besides the returned
 /// `Vec`, extraction allocates one ring of `w` words.
 pub fn minimizers(seq: &Seq, w: usize, k: usize) -> Vec<Minimizer> {
-    minimizers_impl(seq, w, k, true)
+    let mut out = Vec::new();
+    sketch(seq, w, k, |m| out.push(m));
+    out
 }
 
-/// Like [`minimizers`], but only emits minimizers selected by *full*
-/// windows of `w` k-mers — no short-sequence fallback.
-///
-/// Shard slices use this: every window of a slice is also a window of
-/// the full reference and selects the same k-mer, so a slice's
-/// full-window minimizers are exactly the reference minimizers whose
-/// selecting window fits in the slice. The fallback would instead
-/// invent minimizers from truncated windows that the unsharded index
-/// does not have, breaking shard-count invariance.
-pub fn minimizers_windowed(seq: &Seq, w: usize, k: usize) -> Vec<Minimizer> {
-    minimizers_impl(seq, w, k, false)
-}
-
-fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<Minimizer> {
+/// Hand the minimizers of [`minimizers`] to `emit`, left to right,
+/// without collecting them.
+fn sketch(seq: &Seq, w: usize, k: usize, mut emit: impl FnMut(Minimizer)) {
     assert!((1..=31).contains(&k), "k must be in 1..=31");
     assert!(w >= 1, "w must be positive");
     let n = seq.len();
     if n < k {
-        return Vec::new();
+        return;
     }
     let mask: u64 = (1u64 << (2 * k)) - 1;
     let shift = 2 * (k - 1) as u64;
@@ -93,14 +94,13 @@ fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<M
     // minimum, the rightmost of equal hashes.
     let mut ring = vec![0u64; w];
     let (mut slot, mut min_j, mut min_hash) = (0usize, 0usize, u64::MAX);
-    let mut out: Vec<Minimizer> = Vec::new();
-    let emit = |out: &mut Vec<Minimizer>, ring: &[u64], j: usize| {
+    let at = |ring: &[u64], j: usize| {
         let key = ring[j % w];
-        out.push(Minimizer {
+        Minimizer {
             pos: j as u32,
             hash: key & !FLIPPED,
             flipped: key & FLIPPED != 0,
-        });
+        }
     };
     for i in 0..n {
         let c = seq.get_code(i) as u64;
@@ -128,63 +128,108 @@ fn minimizers_impl(seq: &Seq, w: usize, k: usize, short_fallback: bool) -> Vec<M
         // The first full window emits its minimum; later ones emit only
         // a new one.
         if j + 1 == w || (j + 1 > w && min_j != last_min) {
-            emit(&mut out, &ring, min_j);
+            emit(at(&ring, min_j));
         }
     }
-    if n - k + 1 < w && short_fallback {
+    if n - k + 1 < w {
         // Sequence shorter than one full window: keep its global minimum
         // so short sequences are still indexable.
-        emit(&mut out, &ring, min_j);
+        emit(at(&ring, min_j));
     }
-    out
 }
 
-/// One indexed occurrence in one word: a reference position and
-/// whether the canonical k-mer there is the reverse complement, packed
-/// as `pos << 1 | flipped`. Positions must be below 2^31.
+/// The canonical k-mer at `pos` of `seq` keyed as the sketch keys it:
+/// its hash, with `flipped` in bit 63.
+fn key_at(seq: &Seq, pos: usize, k: usize) -> u64 {
+    let mask: u64 = (1u64 << (2 * k)) - 1;
+    let shift = 2 * (k - 1) as u64;
+    let (mut fwd, mut rev) = (0u64, 0u64);
+    for i in pos..pos + k {
+        let c = seq.get_code(i) as u64;
+        fwd = ((fwd << 2) | c) & mask;
+        rev = (rev >> 2) | ((3 - c) << shift);
+    }
+    hash64(fwd.min(rev), mask) | (u64::from(rev < fwd) << 63)
+}
+
+/// Turn counts into running totals, in place.
+fn prefix_sum(v: &mut [u32]) {
+    for t in 1..v.len() {
+        v[t] += v[t - 1];
+    }
+}
+
+/// One indexed occurrence: a global reference position and whether the
+/// canonical k-mer there is the reverse complement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hit(u32);
-
-impl Hit {
-    /// Pack `pos` and `flipped`.
-    ///
-    /// # Panics
-    /// Panics if `pos >= 2^31`.
-    pub(crate) fn new(pos: u32, flipped: bool) -> Hit {
-        assert!(pos < 1 << 31, "position {pos} does not fit in 31 bits");
-        Hit(pos << 1 | flipped as u32)
-    }
-
-    /// Start position of the k-mer in the indexed sequence.
-    #[inline]
-    pub fn pos(self) -> u32 {
-        self.0 >> 1
-    }
-
+pub struct Hit {
+    /// Start position of the k-mer in the indexed reference.
+    pub pos: u32,
     /// True when the canonical form is the reverse complement.
-    #[inline]
-    pub fn flipped(self) -> bool {
-        self.0 & 1 != 0
+    pub flipped: bool,
+}
+
+/// The occurrences of one hash, in ascending position: a run of the
+/// index's position array read with the matching bits of its
+/// orientation bitset. Iterating yields each [`Hit`].
+#[derive(Debug, Clone)]
+pub struct Hits<'a> {
+    pos: &'a [u32],
+    flips: &'a [u64],
+    /// Index of `pos[0]` in the bitset.
+    first: usize,
+}
+
+impl Hits<'_> {
+    /// True when no occurrence is left.
+    pub fn is_empty(&self) -> bool {
+        self.pos.is_empty()
     }
 }
 
-/// A minimizer index over a reference sequence.
+impl Iterator for Hits<'_> {
+    type Item = Hit;
+
+    #[inline]
+    fn next(&mut self) -> Option<Hit> {
+        let (&pos, rest) = self.pos.split_first()?;
+        let b = self.first;
+        self.pos = rest;
+        self.first += 1;
+        Some(Hit {
+            pos,
+            flipped: self.flips[b / 64] >> (b % 64) & 1 != 0,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.pos.len(), Some(self.pos.len()))
+    }
+}
+
+impl ExactSizeIterator for Hits<'_> {}
+
+/// A minimizer index over a reference: one contig or many, at global
+/// positions.
 #[derive(Debug)]
 pub struct MinimizerIndex {
     /// Window length in k-mers.
     pub w: usize,
     /// k-mer length.
     pub k: usize,
-    /// Reference length.
+    /// Reference length, every contig included.
     pub ref_len: usize,
-    /// Every minimizer's position/orientation, grouped by directory
-    /// slot and sorted by `(hash, pos)` within it: each hash owns one
-    /// contiguous, position-ascending run.
-    hits: Vec<Hit>,
-    /// The distinct hashes, in the order of their runs in `hits`.
+    /// Every minimizer's global position, grouped by directory slot and
+    /// sorted by `(hash, pos)` within it: each hash owns one contiguous,
+    /// position-ascending run.
+    pos: Vec<u32>,
+    /// Bit `i` is set when the canonical k-mer at `pos[i]` is the
+    /// reverse complement.
+    flips: Vec<u64>,
+    /// The distinct hashes, in the order of their runs in `pos`.
     keys: Vec<u64>,
     /// `keys.len() + 1` run starts: the hits of `keys[i]` are
-    /// `hits[starts[i]..starts[i + 1]]`.
+    /// `pos[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
     /// Directory over the hashes' low `bits` bits: the keys of slot `t`
     /// are `keys[dir[t]..dir[t + 1]]`.
@@ -203,61 +248,146 @@ impl MinimizerIndex {
         MinimizerIndex::build_params(reference, 10, 15, 400)
     }
 
-    /// Build with explicit parameters.
-    ///
-    /// # Panics
-    /// Panics if `reference` is `2^31` bases or longer.
+    /// Build with explicit parameters: the one-contig case of
+    /// [`MinimizerIndex::build_contigs`].
     pub fn build_params(reference: &Seq, w: usize, k: usize, max_occ: usize) -> MinimizerIndex {
-        MinimizerIndex::from_minimizers(minimizers(reference, w, k), w, k, reference.len(), max_occ)
+        MinimizerIndex::build_contigs([reference], w, k, max_occ)
     }
 
-    /// Build from a precomputed minimizer list (the sharded build path,
-    /// where slices are extracted with [`minimizers_windowed`]).
+    /// Build one index over `contigs` laid end to end: a contig's
+    /// minimizers sit at its offset, the summed lengths of the contigs
+    /// before it, plus their own position. Every contig is sketched on
+    /// its own, so a contig shorter than one window keeps its minimum.
+    ///
+    /// Besides the finished index, the build holds a bit per base until
+    /// the minimizers are placed, 4 bytes per minimizer until the
+    /// distinct hashes are compacted, and a sort buffer of 16 bytes per
+    /// entry of the largest directory slot.
     ///
     /// # Panics
-    /// Panics if a position is `2^31` or more.
-    pub fn from_minimizers(
-        mut ms: Vec<Minimizer>,
-        w: usize,
-        k: usize,
-        ref_len: usize,
-        max_occ: usize,
-    ) -> MinimizerIndex {
+    /// Panics if the contigs hold more than `2^32 - 1` bases in all.
+    pub fn build_contigs<'a, I>(contigs: I, w: usize, k: usize, max_occ: usize) -> MinimizerIndex
+    where
+        I: IntoIterator<Item = &'a Seq>,
+        I::IntoIter: Clone,
+    {
         assert!((1..=31).contains(&k), "k must be in 1..=31");
-        assert!(u32::try_from(ms.len()).is_ok(), "more than 2^32 minimizers");
-        // Two to four minimizers per slot, so at most two to four keys
-        // to scan after the directory read; no more slots than the 4^k
-        // possible hashes.
-        let bits = (ms.len() / 2)
+        let contigs = contigs.into_iter();
+        let ref_len: usize = contigs.clone().map(Seq::len).sum();
+        assert!(
+            u32::try_from(ref_len).is_ok(),
+            "reference of {ref_len} bases: positions are 32-bit"
+        );
+        // A sequence has about 2 / (w + 1) minimizers per base, so this
+        // gives two to four per slot; no more slots than the 4^k
+        // possible hashes. No lookup depends on the width.
+        let bits = (ref_len / (w + 1))
             .checked_ilog2()
             .unwrap_or(0)
             .min(2 * k as u32);
-        // By slot, then hash, then position: rotating the slot bits to
-        // the top orders by `(slot, hash)`. Positions are unique, so the
-        // unstable sort is deterministic.
-        ms.sort_unstable_by_key(|m| (m.hash.rotate_right(bits), m.pos));
-        let hits: Vec<Hit> = ms.iter().map(|m| Hit::new(m.pos, m.flipped)).collect();
-        let runs = || ms.chunk_by(|a, b| a.hash == b.hash);
-        let distinct = runs().count();
-        let mut keys = Vec::with_capacity(distinct);
+        let slot_of = |hash: u64| (hash & ((1 << bits) - 1)) as usize;
+        let slots = 1usize << bits;
+
+        // Pass 1 sketches the contigs, counts each slot's minimizers
+        // and marks their global positions in a bitset; the prefix sum
+        // leaves `dir[t]` at the first entry of slot `t`.
+        let mut dir = vec![0u32; slots + 1];
+        let mut marks = vec![0u64; ref_len.div_ceil(64)];
+        let mut offset = 0;
+        for seq in contigs.clone() {
+            sketch(seq, w, k, |m| {
+                let gpos = offset + m.pos as usize;
+                dir[slot_of(m.hash) + 1] += 1;
+                marks[gpos / 64] |= 1 << (gpos % 64);
+            });
+            offset += seq.len();
+        }
+        prefix_sum(&mut dir);
+        let n = dir[slots] as usize;
+        // The sketch emits a position at most once, so a mark is a
+        // minimizer.
+        debug_assert_eq!(
+            marks.iter().map(|b| b.count_ones() as usize).sum::<usize>(),
+            n
+        );
+
+        // Pass 2 keys the k-mer at each mark again, in reference order,
+        // and scatters it into its slot: the hash with `flipped` in bit
+        // 63, and the position. So every slot's positions ascend, and
+        // `dir[t]` ends at the end of slot `t`.
+        let mut keys = vec![0u64; n];
+        let mut pos = vec![0u32; n];
+        let mut spans = contigs.scan(0, |end: &mut usize, seq| {
+            *end += seq.len();
+            Some((*end, seq))
+        });
+        let (mut end, mut seq) = (0, &Seq::new());
+        for (word, &bits) in marks.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let gpos = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                while gpos >= end {
+                    (end, seq) = spans.next().expect("a mark lies in a contig");
+                }
+                let key = key_at(seq, gpos + seq.len() - end, k);
+                let i = &mut dir[slot_of(key)];
+                (keys[*i as usize], pos[*i as usize]) = (key, gpos as u32);
+                *i += 1;
+            }
+        }
+        drop(marks);
+
+        // Sort each slot by hash. Its positions ascend, so the order by
+        // `(hash, pos)` is the stable one: each hash's run stays
+        // position-ascending. The flags move to the bitset.
+        let mut flips = vec![0u64; n.div_ceil(64)];
+        let mut slot: Vec<(u64, u32)> = Vec::new();
+        let mut lo = 0;
+        for &hi in &dir[..slots] {
+            let hi = hi as usize;
+            slot.clear();
+            slot.extend(
+                keys[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(pos[lo..hi].iter().copied()),
+            );
+            slot.sort_unstable_by_key(|&(key, p)| (key & !FLIPPED, p));
+            for (i, (key, p)) in (lo..hi).zip(slot.iter().copied()) {
+                keys[i] = key & !FLIPPED;
+                pos[i] = p;
+                flips[i / 64] |= (key >> 63) << (i % 64);
+            }
+            lo = hi;
+        }
+        drop(slot);
+
+        // Equal hashes share a slot, so each hash's run is adjacent:
+        // record the run starts, then keep one key per run and count
+        // the keys of each slot into the directory.
+        let distinct = keys.chunk_by(|a, b| a == b).count();
         let mut starts = Vec::with_capacity(distinct + 1);
-        let mut dir = vec![0u32; (1 << bits) + 1];
-        let mut start = 0;
-        for run in runs() {
-            dir[(run[0].hash & ((1 << bits) - 1)) as usize + 1] += 1;
-            keys.push(run[0].hash);
-            starts.push(start);
-            start += run.len() as u32;
+        starts.extend(
+            (0..n)
+                .filter(|&i| i == 0 || keys[i] != keys[i - 1])
+                .map(|i| i as u32),
+        );
+        starts.push(n as u32);
+        keys.dedup();
+        keys.shrink_to_fit();
+        dir.fill(0);
+        for &key in &keys {
+            dir[slot_of(key) + 1] += 1;
         }
-        starts.push(start);
-        for t in 1..dir.len() {
-            dir[t] += dir[t - 1];
-        }
+        prefix_sum(&mut dir);
+
         MinimizerIndex {
             w,
             k,
             ref_len,
-            hits,
+            pos,
+            flips,
             keys,
             starts,
             dir,
@@ -271,34 +401,53 @@ impl MinimizerIndex {
         self.keys.len()
     }
 
-    /// Look up a hash; respects the occurrence cutoff.
-    pub fn lookup(&self, hash: u64) -> &[Hit] {
+    /// Heap bytes the index holds.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.pos.as_slice())
+            + size_of_val(self.flips.as_slice())
+            + size_of_val(self.keys.as_slice())
+            + size_of_val(self.starts.as_slice())
+            + size_of_val(self.dir.as_slice())
+    }
+
+    /// Look up a hash; respects the occurrence cutoff, which counts
+    /// the hash's occurrences over the whole reference.
+    pub fn lookup(&self, hash: u64) -> Hits<'_> {
         match self.occurrences(hash) {
             v if v.len() <= self.max_occ => v,
-            _ => &[],
+            _ => self.run(0, 0),
         }
     }
 
     /// Occurrence list for a hash, **ignoring** the cutoff. Positions
-    /// are ascending (minimizers are extracted left to right). The
-    /// sharded index uses this and applies its own *global* cutoff.
-    pub fn occurrences(&self, hash: u64) -> &[Hit] {
+    /// ascend.
+    pub fn occurrences(&self, hash: u64) -> Hits<'_> {
         let t = (hash & ((1 << self.bits) - 1)) as usize;
         let (lo, hi) = (self.dir[t] as usize, self.dir[t + 1] as usize);
         match self.keys[lo..hi].iter().position(|&h| h == hash) {
-            Some(i) => &self.hits[self.starts[lo + i] as usize..self.starts[lo + i + 1] as usize],
-            None => &[],
+            Some(i) => self.run(self.starts[lo + i], self.starts[lo + i + 1]),
+            None => self.run(0, 0),
         }
     }
 
     /// Iterate every `(hash, occurrences)` bucket, ignoring the cutoff.
     /// Iteration order is unspecified (callers must not depend on it).
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, &[Hit])> {
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, Hits<'_>)> {
         let runs = self.starts.windows(2);
         self.keys
             .iter()
             .zip(runs)
-            .map(|(&h, s)| (h, &self.hits[s[0] as usize..s[1] as usize]))
+            .map(|(&h, s)| (h, self.run(s[0], s[1])))
+    }
+
+    /// The hits `start..end` of the position array.
+    fn run(&self, start: u32, end: u32) -> Hits<'_> {
+        Hits {
+            pos: &self.pos[start as usize..end as usize],
+            flips: &self.flips,
+            first: start as usize,
+        }
     }
 }
 
@@ -367,8 +516,7 @@ mod tests {
         let ms = minimizers(&s, 5, 9);
         // Every extracted minimizer must be findable at its position.
         for m in &ms {
-            let hits = idx.lookup(m.hash);
-            assert!(hits.iter().any(|h| h.pos() == m.pos));
+            assert!(idx.lookup(m.hash).any(|h| h.pos == m.pos));
         }
     }
 
@@ -411,9 +559,12 @@ mod tests {
             let want: Vec<Hit> = ms
                 .iter()
                 .filter(|m| m.hash == h)
-                .map(|m| Hit::new(m.pos, m.flipped))
+                .map(|m| Hit {
+                    pos: m.pos,
+                    flipped: m.flipped,
+                })
                 .collect();
-            assert_eq!(idx.occurrences(h), want.as_slice(), "hash {h:#x}");
+            assert_eq!(idx.occurrences(h).collect::<Vec<_>>(), want, "hash {h:#x}");
         }
         let mask = (1u64 << (2 * idx.k)) - 1;
         for probe in [mask + 1, u64::MAX] {
@@ -497,20 +648,39 @@ mod tests {
 
     #[test]
     fn hit_round_trips_the_largest_position() {
-        for flipped in [false, true] {
-            let hit = Hit::new((1 << 31) - 1, flipped);
-            assert_eq!((hit.pos(), hit.flipped()), ((1 << 31) - 1, flipped));
-        }
+        // A run that starts at bit 62 of the bitset and crosses into
+        // the next word, ending on the largest 32-bit position.
+        let pos = [5, 9, 12, u32::MAX];
+        let flips = [0b10 << 62, 0b10];
+        let hits = Hits {
+            pos: &pos,
+            flips: &flips,
+            first: 62,
+        };
+        assert_eq!(hits.len(), 4);
+        let got: Vec<(u32, bool)> = hits.map(|h| (h.pos, h.flipped)).collect();
+        assert_eq!(got, [(5, false), (9, true), (12, false), (u32::MAX, true)]);
     }
 
     #[test]
-    #[should_panic(expected = "does not fit in 31 bits")]
-    fn a_position_of_2_pow_31_is_refused_at_build() {
-        let m = Minimizer {
-            pos: 1 << 31,
-            hash: 0,
-            flipped: false,
-        };
-        MinimizerIndex::from_minimizers(vec![m], 10, 15, 1 << 31, 400);
+    fn contigs_index_at_their_offsets_and_keep_their_own_minimizers() {
+        // Contig `b` is shorter than one window and keeps its minimum;
+        // the empty contig adds nothing and shifts nothing.
+        let (a, b, c) = (
+            mixed_seq(3_000, 21),
+            mixed_seq(20, 22),
+            mixed_seq(2_000, 23),
+        );
+        let empty = Seq::new();
+        let idx = MinimizerIndex::build_contigs([&a, &empty, &b, &c], 10, 15, 1_000);
+        assert_eq!(idx.ref_len, 5_020);
+        let mut ms = Vec::new();
+        for (s, offset) in [(&a, 0), (&b, 3_000), (&c, 3_020)] {
+            ms.extend(minimizers(s, 10, 15).into_iter().map(|m| Minimizer {
+                pos: m.pos + offset,
+                ..m
+            }));
+        }
+        assert_index_holds(&idx, &ms);
     }
 }

@@ -10,12 +10,11 @@
 //! minimizers, a chaining DP with minimap2's gap cost, no primary-chain
 //! filtering, and flanked reference windows ready for global alignment.
 //!
-//! For genome-scale, multi-contig references, [`shard`] splits the
-//! reference into overlapping slices — never straddling a contig
-//! boundary — with one `MinimizerIndex` *and the only copy of the
-//! slice's bases* each; a query scans the shards on its own thread
-//! (`&self`, so callers parallelize across reads), and the merged
-//! candidate stream is guaranteed identical for every shard count.
+//! For genome-scale, multi-contig references, [`shard`] builds one
+//! minimizer index over every contig at global positions and keeps the
+//! contigs' packed bases for candidate windows; a read probes each of
+//! its minimizers once (`&self`, so callers parallelize across reads),
+//! and chains never span two contigs.
 
 #![forbid(unsafe_code)]
 
@@ -26,8 +25,5 @@ pub mod shard;
 
 pub use candidates::{candidates_for_read, chain_window, task_from_chain, CandidateParams};
 pub use chain::{chain_anchors, collect_anchors, Anchor, Chain, ChainParams};
-pub use index::{hash64, minimizers, minimizers_windowed, Hit, Minimizer, MinimizerIndex};
-pub use shard::{
-    ReadMapStats, ReferenceTooLong, ShardIndexMetrics, ShardMetrics, ShardedIndex,
-    MAX_REFERENCE_BASES,
-};
+pub use index::{hash64, minimizers, Hit, Hits, Minimizer, MinimizerIndex};
+pub use shard::{IndexMetrics, ReadMapStats, ReferenceTooLong, ShardedIndex, MAX_REFERENCE_BASES};

@@ -1,138 +1,30 @@
-//! Contig-aware sharded reference index with shard-local sequence
-//! storage.
+//! The genome index: one [`MinimizerIndex`] over every contig of a
+//! reference, and the contigs' packed bases that candidate windows are
+//! cut from.
 //!
-//! [`ShardedIndex`] splits a multi-contig [`Reference`] into
-//! overlapping slices — **never straddling a contig boundary** —
-//! builds one `MinimizerIndex` per slice, collects a read's anchors
-//! shard by shard on the calling thread, and merges the per-shard hits
-//! deterministically (global coordinate translation, stable sort,
-//! overlap dedup) before the chaining DP runs per contig over the
-//! merged set. Queries take `&self` and share nothing mutable but
-//! relaxed telemetry counters, so the way to use more cores is to map
-//! *different reads* on different threads (the pipeline's map
-//! workers), never to split one read.
+//! [`ShardedIndex`] lays the contigs end to end at 32-bit global
+//! positions ([`MAX_REFERENCE_BASES`]), as minimap2 indexes every
+//! sequence of a reference at once. A read probes each of its
+//! minimizers once; the hits of a hash ascend in position, so the
+//! anchors come out in `(read_pos, ref_pos)` order with nothing to
+//! merge, and the occurrence cutoff (`max_occ`) counts a hash over the
+//! whole genome. Chaining then runs per contig (a chain can never span
+//! two contigs), and chains merge by score with contig order as the
+//! stable tiebreak. Queries take `&self` and share nothing mutable, so
+//! the way to use more cores is to map *different reads* on different
+//! threads (the pipeline's map workers), never to split one read.
 //!
-//! **Shard-local residency.** Each shard owns the only copy of its
-//! slice of the reference (`tile + overlap` bases). The build consumes
-//! the [`Reference`] and drops every contig sequence after slicing it,
-//! so no monolithic reference `Seq` survives the build — candidate
-//! windows are stitched from shard-local storage
-//! ([`ShardedIndex::window`]), and total resident reference bytes are
-//! `Σ (tile + overlap)` ([`ShardedIndex::resident_reference_bytes`]).
-//!
-//! The load-bearing guarantee is **shard-count invariance**: for any
-//! shard count and any overlap of at least one winnowing window
-//! ([`ShardedIndex::min_overlap`] bases, enforced by the constructor),
-//! the merged anchor stream — and therefore every chain, candidate
-//! task, and output byte downstream — is *identical* for every shard
-//! count (and, on a single contig, identical to the unsharded
-//! [`MinimizerIndex`] path). Three properties make that hold:
-//!
-//! 1. **Slice minimizers are contig minimizers.** Every full winnowing
-//!    window of a slice is a window of its contig and selects the same
-//!    k-mer, so slices are extracted with [`minimizers_windowed`] (no
-//!    short-sequence fallback, which would invent minimizers from
-//!    truncated windows). With overlap ≥ one window span, every contig
-//!    window fits inside the shard owning its start, so the union over
-//!    shards is the exact per-contig set. A shard that covers its
-//!    *whole* contig keeps the fallback so short contigs stay
-//!    indexable — and such a contig is never split, so the rule is
-//!    shard-count invariant.
-//! 2. **The occurrence cutoff is global.** `max_occ` masking must see
-//!    genome-wide occurrence counts across every contig, not per-shard
-//!    counts (a repeat spread over shards or contigs could slip under
-//!    a local cutoff). The build counts each distinct reference
-//!    position once — overlap duplicates are detected against earlier
-//!    shards — by sorting the hashes of the shards' own tables in one
-//!    transient array, keeps the hashes over the cutoff as a sorted
-//!    list, and lookups binary-search that list. No genome-wide hash
-//!    map exists, not even during the build.
-//! 3. **The merge is canonical.** Per-shard anchors are translated to
-//!    global coordinates, concatenated in shard order, sorted by
-//!    `(read_pos, ref_pos, strand)` and deduplicated, which reproduces
-//!    the unsharded anchor order exactly (read minimizers ascend in
-//!    position; bucket hits ascend in reference position). Chaining
-//!    then runs per contig (a chain can never span two contigs) and
-//!    chains merge by score with contig order as the stable tiebreak.
+//! The type keeps the name, and its builders the `shards` and `overlap`
+//! arguments, of the tiled index it replaced: callers still pass them,
+//! and they change nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use align_core::{AlignTask, Reference, Seq};
 
 use crate::candidates::{chain_window, CandidateParams};
-use crate::chain::{chain_anchors, Anchor, Chain, ChainParams};
-use crate::index::{minimizers, minimizers_windowed, MinimizerIndex};
-
-/// One reference shard: a slice of a single contig with its own
-/// minimizer index and the only copy of the slice's bases.
-///
-/// The shard *owns* the contig-local tile `[tile_start, tile_end)` and
-/// *stores* `[tile_start, tile_start + slice.len())` — the tile plus
-/// up to `overlap` trailing bases (clamped to the contig end).
-#[derive(Debug)]
-struct Shard {
-    /// Index of the contig this shard slices.
-    contig: u32,
-    /// Global start of the stored slice.
-    start: usize,
-    /// Global end of the stored slice (exclusive; includes overlap).
-    end: usize,
-    /// Contig-local start of the ownership tile (== slice start).
-    tile_start: usize,
-    /// Contig-local end of the ownership tile (exclusive, no overlap).
-    tile_end: usize,
-    /// The shard-local reference bases (tile + overlap).
-    slice: Seq,
-    /// Minimizer index over the slice (positions local to the slice).
-    index: MinimizerIndex,
-    /// Busy time spent collecting anchors in this shard, nanoseconds.
-    busy_ns: AtomicU64,
-    /// Anchors this shard contributed (before overlap dedup).
-    anchors_found: AtomicU64,
-}
-
-impl Shard {
-    /// Does this shard's bucket for `hash` contain global position
-    /// `gpos`? (Bucket positions are ascending, so binary search.)
-    fn contains(&self, hash: u64, gpos: u32) -> bool {
-        let Some(local) = (gpos as usize).checked_sub(self.start) else {
-            return false;
-        };
-        self.index
-            .occurrences(hash)
-            .binary_search_by_key(&(local as u32), |h| h.pos())
-            .is_ok()
-    }
-}
-
-/// One shard's share of a query: scan the read's (already
-/// mask-filtered) minimizers against the shard index, appending hits
-/// translated to global coordinates.
-fn shard_anchors(shard: &Shard, read_mins: &[crate::Minimizer], out: &mut Vec<Anchor>) {
-    let t0 = Instant::now();
-    let before = out.len();
-    for m in read_mins {
-        for hit in shard.index.occurrences(m.hash) {
-            out.push(Anchor {
-                read_pos: m.pos,
-                ref_pos: (shard.start + hit.pos() as usize) as u32,
-                reverse: m.flipped != hit.flipped(),
-            });
-        }
-    }
-    shard
-        .anchors_found
-        .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
-    shard
-        .busy_ns
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-}
-
-/// Most bases in one shard slice: [`crate::Hit`] holds 31-bit
-/// positions.
-const MAX_SLICE: usize = 1 << 31;
+use crate::chain::{chain_anchors, collect_anchors, Anchor, Chain, ChainParams};
+use crate::index::MinimizerIndex;
 
 /// Most bases in a reference, `2^32 - 1`: anchors and tasks carry
 /// global positions as `u32`, and so does the end of the last contig.
@@ -158,49 +50,24 @@ impl core::fmt::Display for ReferenceTooLong {
 
 impl std::error::Error for ReferenceTooLong {}
 
-/// The tile stride for `total` bases in a target of `shards` shards,
-/// short enough that a tile plus `overlap` fits in [`MAX_SLICE`].
-fn slice_stride(total: usize, shards: usize, overlap: usize) -> usize {
-    total.div_ceil(shards.max(1)).clamp(1, MAX_SLICE - overlap)
-}
-
-/// One contig's identity inside the index: the sequence itself lives
-/// only in the shard slices.
-#[derive(Debug, Clone)]
-struct ContigMeta {
+/// One contig: its name, global start and packed bases.
+#[derive(Debug)]
+struct Contig {
     name: Arc<str>,
     offset: usize,
-    len: usize,
+    seq: Seq,
 }
 
-/// Telemetry for one shard of a [`ShardedIndex`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMetrics {
-    /// Index of the contig this shard slices.
-    pub contig: u32,
-    /// Global span of the shard's slice.
-    pub start: usize,
-    /// End of the span (exclusive).
-    pub end: usize,
-    /// Time spent collecting anchors in this shard.
-    pub busy: Duration,
-    /// Anchors contributed before the overlap dedup.
-    pub anchors: u64,
-}
-
-/// Telemetry snapshot of a [`ShardedIndex`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardIndexMetrics {
-    /// Per-shard spans, busy time, and anchor counts.
-    pub shards: Vec<ShardMetrics>,
+/// What a [`ShardedIndex`] holds, for telemetry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IndexMetrics {
     /// Number of reference contigs.
     pub contigs: usize,
-    /// Duplicate anchors removed by the overlap merge.
-    pub dup_anchors_merged: u64,
-    /// Effective overlap in bases (after the exactness clamp).
-    pub overlap: usize,
-    /// Resident shard-local reference storage, in packed bytes
-    /// (the monolithic reference is dropped at build).
+    /// Distinct minimizer hashes, genome-wide.
+    pub distinct_minimizers: usize,
+    /// Heap bytes of the minimizer index.
+    pub index_bytes: usize,
+    /// Packed bytes of the contigs' bases.
     pub reference_bytes: usize,
 }
 
@@ -212,7 +79,7 @@ pub struct ShardIndexMetrics {
 /// stage is the reason it went unmapped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadMapStats {
-    /// Merged, deduplicated anchors across all shards.
+    /// Anchors of the read's minimizers in the genome index.
     pub anchors: u64,
     /// Chains produced by the per-contig chaining DP.
     pub chains: u64,
@@ -237,35 +104,24 @@ impl ReadMapStats {
     }
 }
 
-/// A minimizer index split into overlapping, contig-aware reference
-/// shards that own their slice of the reference.
+/// One minimizer index over a multi-contig reference, which owns the
+/// contigs' bases (see the module docs for the name).
 #[derive(Debug)]
 pub struct ShardedIndex {
     /// Window length in k-mers.
     pub w: usize,
     /// k-mer length.
     pub k: usize,
-    /// Global occurrence cutoff (see [`MinimizerIndex::max_occ`]).
+    /// Genome-wide occurrence cutoff (see [`MinimizerIndex::max_occ`]).
     pub max_occ: usize,
-    /// Effective overlap between consecutive shards, in bases.
-    pub overlap: usize,
-    contigs: Vec<ContigMeta>,
-    /// `contig_shards[c]` is the range of shard indices slicing contig
-    /// `c` (shards are laid out contig by contig, in order).
-    contig_shards: Vec<std::ops::Range<usize>>,
-    shards: Vec<Shard>,
-    /// Hashes whose genome-wide occurrence count (overlap-deduplicated,
-    /// across every contig) exceeds `max_occ`, ascending.
-    masked: Vec<u64>,
-    /// Number of distinct hashes, genome-wide.
-    distinct: usize,
-    /// Duplicate anchors removed by the merge, across all queries.
-    dup_anchors: AtomicU64,
+    contigs: Vec<Contig>,
+    index: MinimizerIndex,
 }
 
 impl ShardedIndex {
     /// Build with minimap2-ish long-read defaults (`w = 10`, `k = 15`,
-    /// `max_occ = 400`), matching [`MinimizerIndex::build`].
+    /// `max_occ = 400`), matching [`MinimizerIndex::build`]. `shards`
+    /// and `overlap` are ignored.
     pub fn build(reference: Reference, shards: usize, overlap: usize) -> ShardedIndex {
         ShardedIndex::build_params(reference, shards, overlap, 10, 15, 400)
     }
@@ -280,23 +136,9 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Build with explicit parameters, consuming the reference:
-    /// each contig sequence is dropped once its shards have copied
-    /// their slices, so the only resident reference bytes after the
-    /// build are shard-local.
-    ///
-    /// `shards` is a *target*: the slice stride is `⌈total/shards⌉`
-    /// and every contig is tiled independently at that stride, so
-    /// boundaries never straddle contigs and every non-empty contig
-    /// gets at least one shard (a multi-contig reference can therefore
-    /// have a few more shards than requested). `shards` is clamped to
-    /// at least 1 and `overlap` to at least `w + k` bases (one
-    /// winnowing window plus slack — below that, windows spanning a
-    /// shard boundary would fit in no shard and anchors would be
-    /// lost). A shard's index packs its positions into 31 bits
-    /// ([`crate::Hit`]), so `overlap` is capped at 2^30 bases and the
-    /// stride at 2^31 bases less the overlap: a longer contig gets more
-    /// shards than requested.
+    /// Build with explicit parameters, consuming the reference: its
+    /// contigs' bases are the index's, and the only copy. `_shards`
+    /// and `_overlap` are ignored.
     ///
     /// # Panics
     ///
@@ -304,8 +146,8 @@ impl ShardedIndex {
     /// ([`ShardedIndex::check_len`]).
     pub fn build_params(
         reference: Reference,
-        shards: usize,
-        overlap: usize,
+        _shards: usize,
+        _overlap: usize,
         w: usize,
         k: usize,
         max_occ: usize,
@@ -313,123 +155,27 @@ impl ShardedIndex {
         if let Err(e) = ShardedIndex::check_len(reference.total_len()) {
             panic!("{e}");
         }
-        let overlap = overlap.max(w + k).min(MAX_SLICE / 2);
-        let slice_len = slice_stride(reference.total_len(), shards, overlap);
-
-        let mut built: Vec<Shard> = Vec::new();
-        let mut contigs: Vec<ContigMeta> = Vec::new();
-        let mut contig_shards: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut offset = 0usize;
-        for (ci, contig) in reference.into_contigs().into_iter().enumerate() {
-            let len = contig.seq.len();
-            let first = built.len();
-            let mut tile_start = 0usize;
-            while tile_start < len {
-                let tile_end = (tile_start + slice_len).min(len);
-                let slice_end = (tile_start + slice_len + overlap).min(len);
-                let slice = contig.seq.slice(tile_start, slice_end - tile_start);
-                // A shard covering its whole contig keeps the
-                // short-sequence winnowing fallback so short contigs
-                // (and `shards = 1` single-contig references) index
-                // bit-identically to the unsharded path; every other
-                // shard emits full-window minimizers only (see module
-                // docs). A contig short enough to need the fallback is
-                // never split, so this is shard-count invariant.
-                let ms = if tile_start == 0 && slice_end == len {
-                    minimizers(&slice, w, k)
-                } else {
-                    minimizers_windowed(&slice, w, k)
-                };
-                built.push(Shard {
-                    contig: ci as u32,
-                    start: offset + tile_start,
-                    end: offset + slice_end,
-                    tile_start,
-                    tile_end,
-                    index: MinimizerIndex::from_minimizers(ms, w, k, slice.len(), max_occ),
-                    slice,
-                    busy_ns: AtomicU64::new(0),
-                    anchors_found: AtomicU64::new(0),
-                });
-                tile_start += slice_len;
-            }
-            contig_shards.push(first..built.len());
-            contigs.push(ContigMeta {
-                name: contig.name,
-                offset,
-                len,
-            });
-            offset += len;
-            // `contig.seq` drops here: from this point on the only
-            // copy of these bases is the shard slices above.
-        }
-
-        // The global cutoff and the distinct count, from the shards' own
-        // tables: each distinct reference position puts its hash in a
-        // transient array, which sorts into one run per hash. A position
-        // inside an overlap appears in more than one shard; it is counted
-        // by the first shard that holds it and skipped when a later shard
-        // sees it again. (Shards of different contigs never overlap, so
-        // the backward walk stops at the contig boundary by
-        // construction.) The hashes go through in `PARTS` residue
-        // classes, so the array holds about an eighth of the hits at a
-        // time instead of adding 8 bytes per hit to the build's peak.
-        const PARTS: u64 = 8;
-        let mut masked = Vec::new();
-        let mut distinct = 0;
-        let mut hashes: Vec<u64> = Vec::new();
-        for part in 0..PARTS {
-            hashes.clear();
-            for (si, shard) in built.iter().enumerate() {
-                for (hash, hits) in shard.index.buckets() {
-                    if hash % PARTS != part {
-                        continue;
-                    }
-                    for hit in hits {
-                        let gpos = (shard.start + hit.pos() as usize) as u32;
-                        let dup = built[..si]
-                            .iter()
-                            .rev()
-                            .take_while(|earlier| earlier.end > gpos as usize)
-                            .any(|earlier| earlier.contains(hash, gpos));
-                        if !dup {
-                            hashes.push(hash);
-                        }
-                    }
+        let mut offset = 0;
+        let contigs: Vec<Contig> = reference
+            .into_contigs()
+            .into_iter()
+            .map(|c| {
+                offset += c.seq.len();
+                Contig {
+                    name: c.name,
+                    offset: offset - c.seq.len(),
+                    seq: c.seq,
                 }
-            }
-            hashes.sort_unstable();
-            for run in hashes.chunk_by(|a, b| a == b) {
-                distinct += 1;
-                if run.len() > max_occ {
-                    masked.push(run[0]);
-                }
-            }
-        }
-        masked.sort_unstable();
-
+            })
+            .collect();
+        let index = MinimizerIndex::build_contigs(contigs.iter().map(|c| &c.seq), w, k, max_occ);
         ShardedIndex {
             w,
             k,
             max_occ,
-            overlap,
             contigs,
-            contig_shards,
-            shards: built,
-            masked,
-            distinct,
-            dup_anchors: AtomicU64::new(0),
+            index,
         }
-    }
-
-    /// Number of reference shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Global `[start, end)` span of each shard's stored slice.
-    pub fn shard_spans(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| (s.start, s.end)).collect()
     }
 
     /// Number of reference contigs.
@@ -450,7 +196,7 @@ impl ShardedIndex {
 
     /// Length of contig `c` in bases.
     pub fn contig_len(&self, c: u32) -> usize {
-        self.contigs[c as usize].len
+        self.contigs[c as usize].seq.len()
     }
 
     /// Global start of contig `c`.
@@ -460,7 +206,7 @@ impl ShardedIndex {
 
     /// Total reference length across all contigs.
     pub fn total_len(&self) -> usize {
-        self.contigs.last().map_or(0, |c| c.offset + c.len)
+        self.index.ref_len
     }
 
     /// Map a global position to `(contig, contig-local position)`.
@@ -474,100 +220,57 @@ impl ShardedIndex {
             "global position {gpos} out of range (total {})",
             self.total_len()
         );
-        let i = self.contigs.partition_point(|c| c.offset + c.len <= gpos);
+        let i = self
+            .contigs
+            .partition_point(|c| c.offset + c.seq.len() <= gpos);
         (i as u32, gpos - self.contigs[i].offset)
     }
 
-    /// Packed bytes of shard-local reference storage currently
-    /// resident — the *only* reference bases the index holds (the
-    /// monolithic `Seq`s were consumed by the build).
+    /// Packed bytes of the contigs' bases — the only reference bases
+    /// the index holds (the build consumed the [`Reference`]).
     pub fn resident_reference_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.slice.packed_bytes()).sum()
+        self.contigs.iter().map(|c| c.seq.packed_bytes()).sum()
     }
 
-    /// Copy the window `[start, end)` of contig `c` out of shard-local
-    /// storage. The ownership tiles of a contig's shards partition it,
-    /// so any window — including one spanning several shards — is
-    /// stitched exactly; bytes are identical to slicing the original
-    /// contig.
+    /// Copy the window `[start, end)` of contig `c`.
     ///
     /// # Panics
     /// Panics if `end` exceeds the contig length.
     pub fn window(&self, c: u32, start: usize, end: usize) -> Seq {
+        let seq = &self.contigs[c as usize].seq;
         assert!(
-            end <= self.contigs[c as usize].len,
+            end <= seq.len(),
             "window end {end} exceeds contig length {}",
-            self.contigs[c as usize].len
+            seq.len()
         );
-        let mut out = Seq::with_capacity(end.saturating_sub(start));
-        for si in self.contig_shards[c as usize].clone() {
-            let sh = &self.shards[si];
-            if sh.tile_end <= start {
-                continue;
-            }
-            if sh.tile_start >= end {
-                break;
-            }
-            let lo = start.max(sh.tile_start);
-            let hi = end.min(sh.tile_end);
-            // Packed-word append: copies whole 2-bit-packed bytes with
-            // boundary masking instead of one base at a time.
-            out.extend_from(&sh.slice, lo - sh.tile_start, hi - lo);
-        }
-        out
+        seq.slice(start, end.saturating_sub(start))
     }
 
     /// Number of distinct indexed minimizer hashes, genome-wide
     /// (on a single contig this equals
-    /// [`MinimizerIndex::distinct_minimizers`] of the unsharded index
+    /// [`MinimizerIndex::distinct_minimizers`] of a [`MinimizerIndex`]
     /// over the same sequence).
     pub fn distinct_minimizers(&self) -> usize {
-        self.distinct
+        self.index.distinct_minimizers()
     }
 
-    /// Is this hash masked by the **global** occurrence cutoff?
-    pub fn is_masked(&self, hash: u64) -> bool {
-        self.masked.binary_search(&hash).is_ok()
-    }
-
-    /// Collect the anchors of `read` against every shard and merge
-    /// them into the canonical global anchor stream (on a single
-    /// contig, identical to [`crate::collect_anchors`] against the
-    /// unsharded index).
-    ///
-    /// The shards are scanned in order on the calling thread; the
-    /// method is `&self` and safe to call from many threads at once.
+    /// Collect the anchors of `read` at global positions, sorted by
+    /// `(read_pos, ref_pos)` ([`crate::collect_anchors`] against the
+    /// genome index).
     pub fn collect_anchors(&self, read: &Seq) -> Vec<Anchor> {
-        // Apply the global occurrence mask once, up front, so the
-        // per-shard scans don't repeat the mask lookups per minimizer.
-        let mut read_mins = minimizers(read, self.w, self.k);
-        read_mins.retain(|m| !self.is_masked(m.hash));
-        let mut anchors = Vec::new();
-        for shard in &self.shards {
-            shard_anchors(shard, &read_mins, &mut anchors);
-        }
-        // Each shard's anchors come out sorted (read minimizers ascend
-        // in position, bucket hits in reference position), so the
-        // stable sort finds one run per shard and merges them in
-        // linear time.
-        anchors.sort_by_key(|a| (a.read_pos, a.ref_pos, a.reverse));
-        let before = anchors.len();
-        anchors.dedup();
-        self.dup_anchors
-            .fetch_add((before - anchors.len()) as u64, Ordering::Relaxed);
-        anchors
+        collect_anchors(read, &self.index)
     }
 
-    /// Chain `read`'s merged anchors, per contig, and return every
-    /// chain as `(contig, chain)` with **contig-local** coordinates,
-    /// best score first (contig order breaks score ties, stably).
-    /// A chain never spans two contigs.
+    /// Chain `read`'s anchors, per contig, and return every chain as
+    /// `(contig, chain)` with **contig-local** coordinates, best score
+    /// first (contig order breaks score ties, stably). A chain never
+    /// spans two contigs.
     pub fn chains_for_read(&self, read: &Seq, params: &ChainParams) -> Vec<(u32, Chain)> {
         let anchors = self.collect_anchors(read);
         self.chains_from_anchors(&anchors, params)
     }
 
-    /// Chain an already-merged anchor stream (the body of
+    /// Chain an already-collected anchor stream (the body of
     /// [`ShardedIndex::chains_for_read`], split out so the provenance
     /// path can observe the anchor count without re-collecting).
     fn chains_from_anchors(&self, anchors: &[Anchor], params: &ChainParams) -> Vec<(u32, Chain)> {
@@ -600,17 +303,15 @@ impl ShardedIndex {
             );
         }
         // Stable: equal scores keep contig order, so the merged chain
-        // list is deterministic and shard-count invariant.
+        // list is deterministic.
         merged.sort_by(|a, b| b.1.score.total_cmp(&a.1.score));
         merged
     }
 
-    /// Map one read against every shard: merged anchors,
-    /// per-contig chaining, candidate tasks in contig-local
-    /// coordinates with targets stitched from shard-local storage.
-    /// Output is shard-count invariant, and on a single contig
-    /// identical to [`crate::candidates_for_read`] on the unsharded
-    /// index.
+    /// Map one read: anchors, per-contig chaining, candidate tasks in
+    /// contig-local coordinates with targets cut from the contigs. On
+    /// a single contig identical to [`crate::candidates_for_read`] on a
+    /// [`MinimizerIndex`] of that contig.
     pub fn candidates_for_read(
         &self,
         read_id: u32,
@@ -621,10 +322,10 @@ impl ShardedIndex {
     }
 
     /// [`ShardedIndex::candidates_for_read`] plus the per-read funnel
-    /// counts the provenance layer records: how many merged anchors
-    /// the read produced, how many chains survived the DP, and how
-    /// many candidate tasks were emitted (after the per-read cap).
-    /// The tasks are built by exactly the same code path, so they are
+    /// counts the provenance layer records: how many anchors the read
+    /// produced, how many chains survived the DP, and how many
+    /// candidate tasks were emitted (after the per-read cap). The
+    /// tasks are built by exactly the same code path, so they are
     /// identical to [`ShardedIndex::candidates_for_read`]'s — the
     /// counts are observations, never inputs.
     pub fn candidates_for_read_stats(
@@ -641,7 +342,7 @@ impl ShardedIndex {
             .iter()
             .take(params.max_per_read)
             .map(|(ci, chain)| {
-                let limit = self.contigs[*ci as usize].len;
+                let limit = self.contig_len(*ci);
                 let (start, end) = chain_window(chain, read.len(), limit, params.flank);
                 let target = self.window(*ci, start, end);
                 let query = if chain.reverse {
@@ -664,32 +365,15 @@ impl ShardedIndex {
         (tasks, stats)
     }
 
-    /// Snapshot the per-shard telemetry accumulated so far.
-    pub fn metrics(&self) -> ShardIndexMetrics {
-        ShardIndexMetrics {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardMetrics {
-                    contig: s.contig,
-                    start: s.start,
-                    end: s.end,
-                    busy: Duration::from_nanos(s.busy_ns.load(Ordering::Relaxed)),
-                    anchors: s.anchors_found.load(Ordering::Relaxed),
-                })
-                .collect(),
+    /// What the index holds: contigs, distinct minimizers and resident
+    /// bytes.
+    pub fn metrics(&self) -> IndexMetrics {
+        IndexMetrics {
             contigs: self.contigs.len(),
-            dup_anchors_merged: self.dup_anchors.load(Ordering::Relaxed),
-            overlap: self.overlap,
+            distinct_minimizers: self.distinct_minimizers(),
+            index_bytes: self.index.heap_bytes(),
             reference_bytes: self.resident_reference_bytes(),
         }
-    }
-
-    /// Smallest overlap in bases that preserves shard-count invariance
-    /// for `(w, k)` winnowing parameters;
-    /// [`ShardedIndex::build_params`] clamps to it.
-    pub fn min_overlap(w: usize, k: usize) -> usize {
-        w + k
     }
 }
 
@@ -739,50 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_spans_tile_the_reference_with_overlap() {
-        let s = mixed_seq(10_000, 7);
-        let idx = ShardedIndex::build_params(single(&s), 4, 100, 10, 15, 400);
-        let spans = idx.shard_spans();
-        assert_eq!(spans.len(), 4);
-        assert_eq!(spans[0].0, 0);
-        assert_eq!(spans.last().unwrap().1, 10_000);
-        for pair in spans.windows(2) {
-            // Next shard starts before the previous ends (overlap) and
-            // slices advance by a fixed stride.
-            assert!(pair[1].0 < pair[0].1);
-            assert_eq!(pair[1].0 - pair[0].0, 2_500);
-        }
-    }
-
-    #[test]
-    fn no_slice_outgrows_31_bit_positions() {
-        // A 3.2 Gbp contig at `--shards 1`: the stride shrinks so
-        // every slice, overlap included, stays within 2^31 bases.
-        let stride = slice_stride(3 << 30, 1, 256);
-        assert_eq!(stride + 256, MAX_SLICE);
-        assert_eq!(slice_stride(3 << 30, 4, 256), 3 << 28);
-        assert_eq!(slice_stride(0, 0, 256), 1);
-    }
-
-    #[test]
-    fn overlap_is_clamped_to_exactness_floor() {
-        let s = mixed_seq(5_000, 9);
-        let idx = ShardedIndex::build_params(single(&s), 3, 0, 10, 15, 400);
-        assert_eq!(idx.overlap, ShardedIndex::min_overlap(10, 15));
-    }
-
-    #[test]
     fn distinct_minimizers_match_unsharded_index() {
         let s = mixed_seq(30_000, 3);
         let flat = MinimizerIndex::build_params(&s, 10, 15, 400);
-        for shards in [1, 2, 3, 5, 8] {
-            let idx = ShardedIndex::build_params(single(&s), shards, 64, 10, 15, 400);
-            assert_eq!(
-                idx.distinct_minimizers(),
-                flat.distinct_minimizers(),
-                "distinct hash count diverged at {shards} shards"
-            );
-        }
+        let idx = ShardedIndex::build_params(single(&s), 2, 256, 10, 15, 400);
+        assert_eq!(idx.distinct_minimizers(), flat.distinct_minimizers());
     }
 
     #[test]
@@ -803,25 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_duplicates_are_merged_and_counted() {
-        let s = mixed_seq(20_000, 13);
-        // A read straddling the shard boundary at 10_000 hits both
-        // shards' overlap copies of the same positions.
-        let read = s.slice(9_000, 2_000);
-        let idx = ShardedIndex::build_params(single(&s), 2, 2_000, 10, 15, 400);
-        let flat = MinimizerIndex::build_params(&s, 10, 15, 400);
-        assert_eq!(idx.collect_anchors(&read), collect_anchors(&read, &flat));
-        let m = idx.metrics();
-        assert!(
-            m.dup_anchors_merged > 0,
-            "a 2 kb overlap straddle must produce duplicate hits"
-        );
-        assert_eq!(m.shards.len(), 2);
-        assert_eq!(m.contigs, 1);
-        assert!(m.shards.iter().all(|sm| sm.busy.as_nanos() > 0));
-    }
-
-    #[test]
     fn global_occurrence_cutoff_matches_unsharded_masking() {
         // Periodic reference: the dominant minimizer occurs far more
         // often globally than in any single shard, so a *local* cutoff
@@ -829,15 +455,8 @@ mod tests {
         let s = seq(&"ACGTACGTACGTACGTACGTACGT".repeat(50));
         let flat = MinimizerIndex::build_params(&s, 4, 8, 2);
         let read = s.slice(100, 300);
-        let expected = collect_anchors(&read, &flat);
-        for shards in [2, 5] {
-            let idx = ShardedIndex::build_params(single(&s), shards, 64, 4, 8, 2);
-            assert_eq!(
-                idx.collect_anchors(&read),
-                expected,
-                "masking diverged at {shards} shards"
-            );
-        }
+        let idx = ShardedIndex::build_params(single(&s), 2, 256, 4, 8, 2);
+        assert_eq!(idx.collect_anchors(&read), collect_anchors(&read, &flat));
     }
 
     #[test]
@@ -848,21 +467,15 @@ mod tests {
         let params = CandidateParams::default();
         let expected = crate::candidates_for_read(3, &read, &s, &flat, &params);
         assert!(!expected.is_empty());
-        for shards in [1, 3, 7] {
-            let idx = ShardedIndex::build(single(&s), shards, 256);
-            assert_eq!(
-                idx.candidates_for_read(3, &read, &params),
-                expected,
-                "candidate tasks diverged at {shards} shards"
-            );
-        }
+        let idx = ShardedIndex::build(single(&s), 2, 256);
+        assert_eq!(idx.candidates_for_read(3, &read, &params), expected);
     }
 
     #[test]
     fn stats_variant_returns_identical_tasks_and_consistent_counts() {
         let s = mixed_seq(40_000, 23);
         let params = CandidateParams::default();
-        let idx = ShardedIndex::build(single(&s), 3, 256);
+        let idx = ShardedIndex::build(single(&s), 2, 256);
         // Mappable read: counts populate every stage, tasks match the
         // plain path bit for bit.
         let read = s.slice(9_000, 1_200);
@@ -910,8 +523,8 @@ mod tests {
 
     #[test]
     fn tiny_reference_survives_many_shards() {
-        // Shorter than one winnowing window: the whole-contig shard
-        // keeps the fallback minimizer; extra shards must not add any.
+        // Shorter than one winnowing window: the contig keeps its
+        // fallback minimizer, whatever the shards argument says.
         let s = seq("ACGTACGTACGTACGTACG"); // 19 bases < w + k - 1
         let flat = MinimizerIndex::build_params(&s, 10, 15, 400);
         let read = s.clone();
@@ -925,13 +538,17 @@ mod tests {
     #[test]
     fn empty_reference_yields_no_shards_and_no_anchors() {
         let idx = ShardedIndex::build(Reference::new(), 4, 64);
-        assert_eq!(idx.num_shards(), 0);
+        assert_eq!(idx.num_contigs(), 0);
         assert!(idx.collect_anchors(&mixed_seq(100, 1)).is_empty());
         assert_eq!(idx.distinct_minimizers(), 0);
         assert_eq!(idx.total_len(), 0);
 
         let empty_contig = ShardedIndex::build(Reference::single("ref", Seq::new()), 4, 64);
-        assert_eq!(empty_contig.num_shards(), 0);
+        let m = empty_contig.metrics();
+        assert_eq!(
+            (m.contigs, m.distinct_minimizers, m.reference_bytes),
+            (1, 0, 0)
+        );
         assert!(empty_contig.collect_anchors(&mixed_seq(100, 1)).is_empty());
     }
 
@@ -944,32 +561,6 @@ mod tests {
         r.push("chrB", mixed_seq(30_000, salt ^ 0xBEEF));
         r.push("chrC", mixed_seq(5_000, salt ^ 0xCAFE));
         r
-    }
-
-    #[test]
-    fn shards_never_straddle_contig_boundaries() {
-        for shards in [1, 2, 4, 7, 13] {
-            let idx = ShardedIndex::build(multi(21), shards, 128);
-            assert_eq!(idx.num_contigs(), 3);
-            // Every non-empty contig has at least one shard, and every
-            // shard's stored span lies inside exactly one contig.
-            let m = idx.metrics();
-            let mut seen = [false; 3];
-            for sm in &m.shards {
-                let off = idx.contig_offset(sm.contig);
-                let len = idx.contig_len(sm.contig);
-                assert!(
-                    sm.start >= off && sm.end <= off + len,
-                    "shard [{}, {}) leaks outside contig {} [{off}, {})",
-                    sm.start,
-                    sm.end,
-                    sm.contig,
-                    off + len
-                );
-                seen[sm.contig as usize] = true;
-            }
-            assert_eq!(seen, [true; 3], "a contig got no shard at {shards}");
-        }
     }
 
     #[test]
@@ -1031,7 +622,7 @@ mod tests {
 
         // A read covering the shared block maps to both contigs.
         let read = shared.slice(500, 2_000);
-        let idx = ShardedIndex::build(r, 4, 64);
+        let idx = ShardedIndex::build(r, 2, 256);
         let chains = idx.chains_for_read(&read, &crate::ChainParams::default());
         assert!(chains.len() >= 2, "shared block must chain on both contigs");
         for (ci, c) in &chains {
@@ -1053,7 +644,7 @@ mod tests {
     fn window_stitches_across_shard_boundaries_exactly() {
         let r = multi(91);
         let originals: Vec<Seq> = r.contigs().iter().map(|c| c.seq.clone()).collect();
-        let idx = ShardedIndex::build(r, 6, 64);
+        let idx = ShardedIndex::build(r, 2, 256);
         for (ci, orig) in originals.iter().enumerate() {
             let len = orig.len();
             for (start, end) in [
@@ -1074,7 +665,7 @@ mod tests {
 
     #[test]
     fn locate_inverts_the_global_layout() {
-        let idx = ShardedIndex::build(multi(13), 3, 64);
+        let idx = ShardedIndex::build(multi(13), 2, 256);
         assert_eq!(idx.locate(0), (0, 0));
         assert_eq!(idx.locate(11_999), (0, 11_999));
         assert_eq!(idx.locate(12_000), (1, 0));
@@ -1088,7 +679,7 @@ mod tests {
     #[test]
     fn concurrent_queries_on_one_index_get_the_serial_answers() {
         let s = mixed_seq(30_000, 5);
-        let idx = ShardedIndex::build_params(single(&s), 5, 64, 10, 15, 400);
+        let idx = ShardedIndex::build_params(single(&s), 2, 256, 10, 15, 400);
         let read_at = |t: usize, i: usize| s.slice((t * 7 + i) * 997 % 25_000, 900);
         let serial: Vec<Vec<Vec<Anchor>>> = (0..4)
             .map(|t| {

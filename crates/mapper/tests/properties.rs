@@ -5,8 +5,8 @@ use std::collections::HashMap;
 
 use align_core::{Base, Seq};
 use mapper::{
-    chain_anchors, collect_anchors, hash64, minimizers, minimizers_windowed, CandidateParams,
-    ChainParams, Hit, Minimizer, MinimizerIndex,
+    chain_anchors, collect_anchors, hash64, minimizers, CandidateParams, ChainParams, Hits,
+    Minimizer, MinimizerIndex,
 };
 use proptest::prelude::*;
 
@@ -17,12 +17,7 @@ fn arb_seq(min: usize, max: usize) -> impl Strategy<Value = Seq> {
 
 /// The extraction the flat index replaced, kept as its oracle: hash
 /// every k-mer into one vector first, then winnow over it.
-fn collect_every_hash_minimizers(
-    seq: &Seq,
-    w: usize,
-    k: usize,
-    short_fallback: bool,
-) -> Vec<Minimizer> {
+fn collect_every_hash_minimizers(seq: &Seq, w: usize, k: usize) -> Vec<Minimizer> {
     let n = seq.len();
     if n < k {
         return Vec::new();
@@ -69,7 +64,7 @@ fn collect_every_hash_minimizers(
             push_out(&mut out, deque[0]);
         }
     }
-    if nk < w && short_fallback {
+    if nk < w {
         push_out(&mut out, deque[0]);
     }
     out
@@ -80,10 +75,13 @@ proptest! {
 
     /// The old index — one `Vec` per hash in a `HashMap` — is the flat
     /// index's oracle: same occurrence slice for every hash (order
-    /// included, hits unpacked to `(pos, flipped)`), same cutoff, same
-    /// distinct count, nothing for an absent hash. Half the sequences
-    /// are tandem repeats of a short unit, whose minimizers pile up on
-    /// a few hashes and cross any `max_occ`.
+    /// included, hits as `(pos, flipped)`), same cutoff, same distinct
+    /// count, nothing for an absent hash. Half the sequences are tandem
+    /// repeats of a short unit, whose minimizers pile up on a few hashes
+    /// and cross any `max_occ`. The sequence is cut into contigs at
+    /// `cuts`, some empty or shorter than one window: the index holds
+    /// each contig's own minimizers at its offset, and a hash's run
+    /// lists them in contig order.
     #[test]
     fn flat_index_equals_the_hashmap_of_vecs(
         random in arb_seq(0, 3_000),
@@ -94,6 +92,7 @@ proptest! {
         w in 1usize..16,
         k in 1usize..=31,
         max_occ in 0usize..40,
+        mut cuts in prop::collection::vec(0usize..3_000, 0..5),
     ) {
         let s: Seq = if periodic {
             let period = unit.iter().map(|&c| Base::from_code(c));
@@ -102,20 +101,22 @@ proptest! {
             random
         };
         let (w, k, max_occ) = [(10, 15, 400), (4, 8, 2), (5, 9, 1), (w, k, max_occ)][preset];
-        let ms = minimizers(&s, w, k);
-        prop_assert_eq!(&ms, &collect_every_hash_minimizers(&s, w, k, true));
-        prop_assert_eq!(
-            minimizers_windowed(&s, w, k),
-            collect_every_hash_minimizers(&s, w, k, false)
-        );
+        prop_assert_eq!(minimizers(&s, w, k), collect_every_hash_minimizers(&s, w, k));
 
+        cuts.iter_mut().for_each(|c| *c = (*c).min(s.len()));
+        cuts.sort_unstable();
+        let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([s.len()]).collect();
+        let contigs: Vec<Seq> = bounds.windows(2).map(|b| s.slice(b[0], b[1] - b[0])).collect();
         let mut old: HashMap<u64, Vec<(u32, bool)>> = HashMap::new();
-        for m in &ms {
-            old.entry(m.hash).or_default().push((m.pos, m.flipped));
+        for (contig, &offset) in contigs.iter().zip(&bounds) {
+            for m in minimizers(contig, w, k) {
+                old.entry(m.hash).or_default().push((offset as u32 + m.pos, m.flipped));
+            }
         }
-        let idx = MinimizerIndex::build_params(&s, w, k, max_occ);
-        let unpack = |hits: &[Hit]| -> Vec<(u32, bool)> {
-            hits.iter().map(|h| (h.pos(), h.flipped())).collect()
+        let idx = MinimizerIndex::build_contigs(&contigs, w, k, max_occ);
+        prop_assert_eq!(idx.ref_len, s.len());
+        let unpack = |hits: Hits| -> Vec<(u32, bool)> {
+            hits.map(|h| (h.pos, h.flipped)).collect()
         };
         prop_assert_eq!(idx.distinct_minimizers(), old.len());
         for (&hash, hits) in &old {
@@ -161,11 +162,7 @@ fn one_letter_run_matches_the_oracle(
         .collect();
     assert_eq!(
         minimizers(&s, w, k),
-        collect_every_hash_minimizers(&s, w, k, true)
-    );
-    assert_eq!(
-        minimizers_windowed(&s, w, k),
-        collect_every_hash_minimizers(&s, w, k, false)
+        collect_every_hash_minimizers(&s, w, k)
     );
 }
 

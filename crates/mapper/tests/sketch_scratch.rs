@@ -1,10 +1,14 @@
-//! Counting-allocator proof that the sketch keeps O(w) scratch.
+//! Counting-allocator proofs that the sketch keeps O(w) scratch and
+//! that the index build holds little more than the finished index.
 //!
 //! This test binary installs a global allocator that tracks the calling
 //! thread's live heap bytes and their peak, then runs [`minimizers`]
-//! and [`minimizers_windowed`] over a 1 Mbp sequence. Besides the
-//! returned `Vec`, extraction may hold only its ring of `w` keys: a
-//! buffer of every k-mer's hash (8 bytes per base, ~8 MB here) fails.
+//! over a 1 Mbp sequence and builds a [`ShardedIndex`] over a 1.2 Mbp,
+//! 2-contig reference. Besides the returned `Vec`, extraction may hold
+//! only its ring of `w` keys: a buffer of every k-mer's hash (8 bytes
+//! per base, ~8 MB here) fails. The build may add a quarter of the
+//! finished index to it: collecting the genome's minimizers in one
+//! list (16 bytes each, about as much as the index) fails.
 //!
 //! The counts are per thread: the harness runs the tests of this binary
 //! concurrently, and a process-wide counter would book one test's
@@ -14,8 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
 
-use align_core::{Base, Seq};
-use mapper::{minimizers, minimizers_windowed, Minimizer};
+use align_core::{Base, Reference, Seq};
+use mapper::{minimizers, Minimizer, ShardedIndex};
 
 struct PeakAlloc;
 
@@ -86,20 +90,31 @@ const SCRATCH_BYTES: isize = 4096;
 fn the_sketch_holds_its_output_and_a_ring_of_w_keys() {
     let s = mixed_seq(1 << 20, 7);
     for (w, k) in [(10, 15), (5, 31), (200, 19)] {
-        for (name, sketch) in [
-            (
-                "minimizers",
-                minimizers as fn(&Seq, usize, usize) -> Vec<Minimizer>,
-            ),
-            ("minimizers_windowed", minimizers_windowed),
-        ] {
-            let (ms, peak) = peak_added(|| sketch(&s, w, k));
-            assert!(ms.len() > s.len() / (w + 1), "{name}: too few minimizers");
-            let output = (ms.capacity() * size_of::<Minimizer>()) as isize;
-            assert!(
-                peak <= output + SCRATCH_BYTES,
-                "{name}(w={w}, k={k}) peaked at {peak} live bytes over a {output}-byte output"
-            );
-        }
+        let (ms, peak) = peak_added(|| minimizers(&s, w, k));
+        assert!(ms.len() > s.len() / (w + 1), "too few minimizers");
+        let output = (ms.capacity() * size_of::<Minimizer>()) as isize;
+        assert!(
+            peak <= output + SCRATCH_BYTES,
+            "minimizers(w={w}, k={k}) peaked at {peak} live bytes over a {output}-byte output"
+        );
     }
+}
+
+#[test]
+fn the_index_build_holds_the_reference_and_a_quarter_more_than_the_index() {
+    let mut reference = Reference::new();
+    reference.push("chrA", mixed_seq(800_000, 3));
+    reference.push("chrB", mixed_seq(400_000, 5));
+    // The reference is live before the build starts, so the peak the
+    // build adds is the index and its transient alone.
+    let (idx, peak) = peak_added(|| ShardedIndex::build(reference, 2, 256));
+    let m = idx.metrics();
+    assert!(m.distinct_minimizers > 200_000, "{m:?}");
+    let bound = (m.index_bytes + m.index_bytes / 4) as isize + SCRATCH_BYTES;
+    assert!(
+        peak <= bound,
+        "the build peaked at {peak} live bytes beside the reference; the index holds {} \
+         (bound {bound})",
+        m.index_bytes
+    );
 }

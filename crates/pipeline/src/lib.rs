@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!  session(s) ──► candidate generation ──► batch scheduler ──► dispatchers ──► ordered sink
-//!  (submit, or    (sharded index; mapped   (one building      (≤ in_flight    (global reorder,
+//!  (submit, or    (genome index; mapped    (one building      (≤ in_flight    (global reorder,
 //!   N one-shot     ≤ 4 reads per thread     batch per          batches of a    per-session rows)
 //!   map workers)   ahead, enqueued in order) backend in use)   backend at once)
 //!                     │                          │                  │
@@ -61,20 +61,16 @@
 //!   path.
 //! * **Observable stages.** [`metrics::PipelineMetrics`] reports
 //!   per-stage busy time and throughput, queue depths, the batch-size
-//!   histogram, backend utilization, peak in-flight bases, and
-//!   per-shard busy time / merge dedup counts of the sharded index.
+//!   histogram, backend utilization, peak in-flight bases, and what
+//!   the genome index holds (contigs, distinct minimizers, bytes).
 //!
 //! The candidate-generation stage maps each read against a
 //! [`mapper::ShardedIndex`] built from a multi-contig
-//! [`align_core::Reference`]: the reference is split into
-//! `PipelineConfig::shards` overlapping slices — never straddling a
-//! contig boundary — each with its own minimizer index *and the only
-//! copy of its slice of the reference* (the monolithic reference is
-//! dropped after the build, so `resident_bases_bound` extends to the
-//! reference itself). A read's anchors are collected shard by shard on
-//! the thread that maps it, and the merged stream is deterministic —
-//! output stays byte-identical across shard counts, overlap settings
-//! and map-worker counts.
+//! [`align_core::Reference`]: one minimizer index over every contig at
+//! global positions, which takes the contigs' bases as the only copy
+//! of the reference. A read probes each of its minimizers once on the
+//! thread that maps it, and chains never span two contigs; output is
+//! byte-identical across map-worker counts.
 //! Records report contig names and contig-local coordinates.
 //!
 //! Backends implement [`backend::Backend`] — the one seam an engine
@@ -147,14 +143,11 @@ pub struct PipelineConfig {
     /// threads as the largest of those. The field stays so that code
     /// which builds this struct field by field still compiles.
     pub dispatchers: usize,
-    /// Reference shards for the candidate-generation stage: the
-    /// reference index is split into this many overlapping slices,
-    /// each owning its part of the reference
-    /// ([`mapper::ShardedIndex`]). Output is byte-identical for every
-    /// shard count.
+    /// Ignored. One minimizer index covers the whole reference
+    /// ([`mapper::ShardedIndex`]). The field stays so that code which
+    /// builds this struct field by field still compiles.
     pub shards: usize,
-    /// Overlap between consecutive reference shards, in bases (clamped
-    /// up to the exactness floor `w + k` by the index build).
+    /// Ignored, like [`PipelineConfig::shards`].
     pub shard_overlap: usize,
     /// Candidate-generation parameters for the mapper stage.
     pub params: CandidateParams,
@@ -302,10 +295,9 @@ impl std::error::Error for PipelineError {}
 /// identical to a server session over the same reads.
 ///
 /// `reads` is consumed incrementally — the whole read set is never
-/// materialized. The `reference` is consumed: the sharded index takes
-/// ownership of the contig sequences and drops everything but its
-/// shard-local slices, so reference residency is bounded by the shard
-/// geometry for the whole run. Records are delivered to `on_record`
+/// materialized. The `reference` is consumed: the genome index takes
+/// ownership of the contig sequences, the only copy of the reference
+/// for the whole run. Records are delivered to `on_record`
 /// in deterministic order (input read order; within a read, best
 /// alignment first — see [`AlignRecord::cmp_best_first`]) and report contig
 /// names and contig-local coordinates. The first failure (input error,

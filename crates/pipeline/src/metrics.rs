@@ -42,7 +42,7 @@ use std::time::Duration;
 use genasm_telemetry::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, SlowRead, SlowReads, Snapshot,
 };
-use mapper::{ReadMapStats, ShardIndexMetrics};
+use mapper::{IndexMetrics, ReadMapStats};
 
 /// Entries retained by the slow-read ring (name, latency, disposition
 /// of the slowest reads seen so far), surfaced in `STATS JSON` and the
@@ -364,7 +364,7 @@ pub struct BackendMetrics {
 }
 
 /// Immutable snapshot of a pipeline run: a thin view over the metric
-/// registry plus run-scoped context (queues, shards, engine stats,
+/// registry plus run-scoped context (queues, index, engine stats,
 /// wall clock). Taken at run end by `run_pipeline`, or live at any
 /// moment by [`crate::PipelineService::metrics`].
 #[derive(Debug, Clone)]
@@ -413,10 +413,9 @@ pub struct PipelineMetrics {
     pub max_inflight_bases: u64,
     /// Peak tasks resident in the pipeline at once.
     pub max_inflight_tasks: u64,
-    /// Sharded-index telemetry: per-shard span/busy-time/anchor
-    /// counts, plus how many duplicate anchors the overlap merge
-    /// removed (see [`mapper::ShardedIndex`]).
-    pub shard_index: ShardIndexMetrics,
+    /// What the genome index holds: contigs, distinct minimizers and
+    /// resident bytes (see [`mapper::ShardedIndex`]).
+    pub index: IndexMetrics,
     /// Time spent mapping, summed over reads — with more than one map
     /// worker it can exceed `wall`.
     pub mapper_busy: Duration,
@@ -616,22 +615,14 @@ impl PipelineMetrics {
                 e.windows, e.windows_early_terminated, e.band_cells_skipped, e.peak_band_rows
             );
         }
-        let shard_busy: Vec<String> = self
-            .shard_index
-            .shards
-            .iter()
-            .map(|sm| format!("{:.1?}", sm.busy))
-            .collect();
         let _ = writeln!(
             s,
-            "shards:   {} over {} contig(s) (overlap {} bases, {} resident ref bytes), \
-             busy [{}], {} duplicate anchors merged",
-            self.shard_index.shards.len(),
-            self.shard_index.contigs,
-            self.shard_index.overlap,
-            self.shard_index.reference_bytes,
-            shard_busy.join(" "),
-            self.shard_index.dup_anchors_merged
+            "index:    {} distinct minimizers over {} contig(s) \
+             ({} index bytes, {} resident ref bytes)",
+            self.index.distinct_minimizers,
+            self.index.contigs,
+            self.index.index_bytes,
+            self.index.reference_bytes
         );
         let _ = writeln!(
             s,
@@ -722,13 +713,12 @@ impl PipelineMetrics {
         );
         let _ = write!(
             s,
-            ",\"shards\":{{\"count\":{},\"contigs\":{},\"overlap\":{},\
-             \"reference_bytes\":{},\"dup_anchors_merged\":{}}}",
-            self.shard_index.shards.len(),
-            self.shard_index.contigs,
-            self.shard_index.overlap,
-            self.shard_index.reference_bytes,
-            self.shard_index.dup_anchors_merged
+            ",\"index\":{{\"contigs\":{},\"distinct_minimizers\":{},\
+             \"index_bytes\":{},\"reference_bytes\":{}}}",
+            self.index.contigs,
+            self.index.distinct_minimizers,
+            self.index.index_bytes,
+            self.index.reference_bytes
         );
         match &self.engine {
             Some(e) => {
@@ -767,7 +757,7 @@ impl PipelineMetrics {
     }
 
     /// Prometheus text exposition: every registry metric under the
-    /// `genasm_` prefix, plus run-scoped context (queues, shards,
+    /// `genasm_` prefix, plus run-scoped context (queues, index,
     /// engine counters, wall clock) rendered as gauges/counters.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
@@ -800,12 +790,17 @@ impl PipelineMetrics {
                 q.capacity
             );
         }
-        line(
-            &mut out,
-            "genasm_shards",
-            "gauge",
-            self.shard_index.shards.len() as u64,
-        );
+        for (name, v) in [
+            ("genasm_index_contigs", self.index.contigs),
+            (
+                "genasm_index_distinct_minimizers",
+                self.index.distinct_minimizers,
+            ),
+            ("genasm_index_bytes", self.index.index_bytes),
+            ("genasm_index_reference_bytes", self.index.reference_bytes),
+        ] {
+            line(&mut out, name, "gauge", v as u64);
+        }
         if let Some(e) = &self.engine {
             line(
                 &mut out,
@@ -838,7 +833,7 @@ impl PipelineMetrics {
     pub(crate) fn snapshot(
         c: &StageCounters,
         wall: Duration,
-        shard_index: ShardIndexMetrics,
+        index: IndexMetrics,
         task_queue: QueueMetrics,
         batch_queue: QueueMetrics,
         result_queue: QueueMetrics,
@@ -884,7 +879,7 @@ impl PipelineMetrics {
             sessions_timed_out: n("sessions_timed_out"),
             max_inflight_bases: n("max_inflight_bases"),
             max_inflight_tasks: n("max_inflight_tasks"),
-            shard_index,
+            index,
             mapper_busy: Duration::from_nanos(n("mapper_busy_ns")),
             map_workers: 0,
             in_flight_lanes: 0,
@@ -920,16 +915,6 @@ impl PipelineMetrics {
 mod tests {
     use super::*;
 
-    fn no_shards() -> ShardIndexMetrics {
-        ShardIndexMetrics {
-            shards: Vec::new(),
-            contigs: 0,
-            dup_anchors_merged: 0,
-            overlap: 0,
-            reference_bytes: 0,
-        }
-    }
-
     fn q1() -> QueueMetrics {
         QueueMetrics {
             capacity: 1,
@@ -949,7 +934,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),
@@ -983,8 +968,15 @@ mod tests {
         StageCounters::add_ns(&c.backend_ns, Duration::from_secs(10));
         StageCounters::add_ns(&c.mapper_ns, Duration::from_secs(3));
         let q = q1();
-        let mut m =
-            PipelineMetrics::snapshot(&c, Duration::from_secs(2), no_shards(), q, q, q, None);
+        let mut m = PipelineMetrics::snapshot(
+            &c,
+            Duration::from_secs(2),
+            IndexMetrics::default(),
+            q,
+            q,
+            q,
+            None,
+        );
         // 10 s of batches in 2 s: five in flight on average, which
         // fills one lane or two and five eighths of eight.
         assert_eq!(m.mean_batches_in_flight(), 5.0);
@@ -1019,7 +1011,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
-            no_shards(),
+            IndexMetrics::default(),
             q,
             q,
             q,
@@ -1034,39 +1026,35 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_shard_telemetry() {
+    fn summary_reports_index_telemetry() {
         let c = StageCounters::default();
         let q = q1();
-        let shard_index = ShardIndexMetrics {
-            shards: vec![
-                mapper::ShardMetrics {
-                    contig: 0,
-                    start: 0,
-                    end: 600,
-                    busy: Duration::from_millis(3),
-                    anchors: 11,
-                },
-                mapper::ShardMetrics {
-                    contig: 0,
-                    start: 500,
-                    end: 1_000,
-                    busy: Duration::from_millis(2),
-                    anchors: 7,
-                },
-            ],
-            contigs: 1,
-            dup_anchors_merged: 4,
-            overlap: 100,
+        let index = IndexMetrics {
+            contigs: 3,
+            distinct_minimizers: 1_234,
+            index_bytes: 20_480,
             reference_bytes: 250,
         };
-        let m = PipelineMetrics::snapshot(&c, Duration::from_secs(1), shard_index, q, q, q, None);
+        let m = PipelineMetrics::snapshot(&c, Duration::from_secs(1), index, q, q, q, None);
         let s = m.summary();
         assert!(
-            s.contains("shards:   2 over 1 contig(s) (overlap 100 bases, 250 resident ref bytes)"),
+            s.contains(
+                "index:    1234 distinct minimizers over 3 contig(s) \
+                 (20480 index bytes, 250 resident ref bytes)"
+            ),
             "{s}"
         );
-        assert!(s.contains("4 duplicate anchors merged"), "{s}");
-        assert_eq!(m.shard_index.shards.len(), 2);
+        let json = m.to_json();
+        assert!(
+            json.contains(
+                "\"index\":{\"contigs\":3,\"distinct_minimizers\":1234,\
+                 \"index_bytes\":20480,\"reference_bytes\":250}"
+            ),
+            "{json}"
+        );
+        let prom = m.to_prometheus();
+        assert!(prom.contains("genasm_index_bytes 20480\n"), "{prom}");
+        assert!(!prom.contains("genasm_shards"), "{prom}");
     }
 
     #[test]
@@ -1083,7 +1071,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),
@@ -1114,7 +1102,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),
@@ -1173,7 +1161,7 @@ mod tests {
         let m = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),
@@ -1280,13 +1268,6 @@ mod tests {
         gpu.bases.add(2_400);
         gpu.queue_wait_ns.record(7_000);
         gpu.execute_ns.record(200_000);
-        let shard = |start, end, busy, anchors| mapper::ShardMetrics {
-            contig: 0,
-            start,
-            end,
-            busy: Duration::from_micros(busy),
-            anchors,
-        };
         let queue = |capacity, pushed, high_water| QueueMetrics {
             capacity,
             pushed,
@@ -1295,11 +1276,10 @@ mod tests {
         let mut m = PipelineMetrics::snapshot(
             &c,
             Duration::from_micros(2_500),
-            ShardIndexMetrics {
-                shards: vec![shard(0, 600, 1_300, 11), shard(500, 1_000, 900, 7)],
-                contigs: 1,
-                dup_anchors_merged: 4,
-                overlap: 100,
+            IndexMetrics {
+                contigs: 2,
+                distinct_minimizers: 1_234,
+                index_bytes: 20_480,
                 reference_bytes: 250,
             },
             queue(8_192, 3, 4_200),
@@ -1335,7 +1315,7 @@ mod tests {
         let empty = PipelineMetrics::snapshot(
             &StageCounters::default(),
             Duration::ZERO,
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),
@@ -1354,12 +1334,12 @@ mod tests {
         .map(|s| (s.len(), fnv1a(s)))
         .collect();
         let want = [
-            (1067, 16813611187089783548),
-            (2591, 3839998667391796991),
-            (13927, 3881250364738899186),
-            (624, 342918388075188215),
-            (1362, 6270742666377306785),
-            (3515, 3928322599079546661),
+            (1039, 16186980739395067317),
+            (2590, 10186027370345580339),
+            (14157, 916115500807100767),
+            (605, 5770003253152216605),
+            (1356, 410499874811798199),
+            (3736, 13938684713246875713),
         ];
         assert_eq!(
             got, want,
@@ -1375,7 +1355,7 @@ mod tests {
         let a = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(1),
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),
@@ -1387,7 +1367,7 @@ mod tests {
         let b = PipelineMetrics::snapshot(
             &c,
             Duration::from_secs(2),
-            no_shards(),
+            IndexMetrics::default(),
             q1(),
             q1(),
             q1(),

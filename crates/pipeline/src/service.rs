@@ -96,7 +96,7 @@ use crate::{tids, trace_lanes, PipelineConfig, ReadInput};
 /// Tuning for the long-lived service.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The shared pipeline geometry (queues, batching, sharding).
+    /// The shared pipeline geometry (queues, batching).
     pub pipeline: PipelineConfig,
     /// Maximum concurrently open sessions; further
     /// [`PipelineService::open_session`] calls get
@@ -627,7 +627,7 @@ pub struct PipelineService {
 impl PipelineService {
     /// Build the index once — consuming the reference, so the only
     /// resident reference bytes for the service's whole lifetime are
-    /// the index's shard-local slices — spawn the resident stages, and
+    /// the contigs the index took — spawn the resident stages, and
     /// return the running service.
     pub fn start(ref_label: &str, reference: Reference, cfg: ServiceConfig) -> PipelineService {
         let backends: Vec<(BackendKind, Box<dyn Backend>)> = BackendKind::ALL

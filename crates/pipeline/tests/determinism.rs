@@ -9,9 +9,10 @@
 //!    is far larger than the configured queue capacity.
 //! 3. **Observability** — a real run reports non-zero counters for
 //!    every stage.
-//! 4. **Shard invariance** — sharding the reference index
-//!    (`PipelineConfig::shards`) never changes a single output byte,
-//!    for any shard count × overlap × batching geometry.
+//! 4. **Shard-field invariance** — one minimizer index covers the
+//!    reference, and the ignored `PipelineConfig::shards` and
+//!    `shard_overlap` fields never change a single output byte, for
+//!    any value × batching geometry.
 //!
 //! 5. **Map-worker invariance** — the number of threads mapping reads
 //!    in parallel (`--threads`) never changes output bytes, funnel
@@ -21,8 +22,8 @@
 //! The configuration matrix runs in process: the byte-identity
 //! goldens sweep shards {1, 4} × contigs {1, 3} × threads {1, 4}
 //! ([`at_every_config`]), and every other test runs at the default
-//! index shape and at 4 shards over 3 contigs ([`at_both_shapes`]), so
-//! every determinism property is exercised against a sharded index, a
+//! shape and at 4 shards over 3 contigs ([`at_both_shapes`]), so every
+//! determinism property is exercised against a one-contig and a
 //! multi-contig index, and one and several map workers.
 
 mod common;
@@ -285,9 +286,9 @@ fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
     });
 }
 
-/// The golden shard-determinism suite: `shards ∈ {1, 2, 7}` and the
-/// matrix's 4, at every configuration, plus overlap settings, must all
-/// be byte-identical to the unsharded one-shot seed path. The batch
+/// The golden shard-field suite: `shards ∈ {1, 2, 7}` and the matrix's
+/// 4, at every configuration, plus overlap settings, must all be
+/// byte-identical to the one-shot seed path. The batch
 /// size follows the thread count and the batches in flight (one or
 /// two) the contig count, so the matrix covers every pair of them.
 #[test]
@@ -306,22 +307,10 @@ fn output_is_byte_identical_across_shard_counts_and_overlaps() {
             };
             let (got, metrics) = run_stream(reads, reference, &backend, &cfg);
             assert_eq!(&got, expected, "diverged at shards={shards}");
-            // Contig-aware sharding gives every contig at least one
-            // shard, so the target is exact only for one contig.
-            assert_eq!(metrics.shard_index.contigs, reference.num_contigs());
-            assert!(
-                metrics.shard_index.shards.len() >= shards.max(reference.num_contigs())
-                    || reference.num_contigs() == 1,
-                "shard metrics missing at shards={shards}"
-            );
-            if reference.num_contigs() == 1 {
-                assert_eq!(metrics.shard_index.shards.len(), shards);
-            }
+            assert_eq!(metrics.index.contigs, reference.num_contigs());
         }
 
-        // Overlap settings (including one below the exactness floor,
-        // which the build clamps) must not change output either: once
-        // per contig count.
+        // Nor must overlap settings: once per contig count.
         if (shards, threads) == (1, 1) {
             for shard_overlap in [0usize, 40, 999] {
                 let cfg = PipelineConfig {
@@ -406,35 +395,31 @@ fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
 }
 
 #[test]
-fn sharded_runs_report_per_shard_metrics() {
-    // Pinned to one contig: the consecutive-span overlap assertions
-    // below only hold within a contig.
-    let (reference, reads) = workload(50_000, 8, 700, 1);
+fn runs_report_index_metrics() {
+    let (reference, reads) = workload(50_000, 8, 700, 3);
+    let packed: usize = reference
+        .contigs()
+        .iter()
+        .map(|c| c.seq.packed_bytes())
+        .sum();
+    let flat =
+        MinimizerIndex::build_contigs(reference.contigs().iter().map(|c| &c.seq), 10, 15, 400);
     let backend = CpuBackend::improved();
-    let cfg = PipelineConfig {
-        shards: 4,
-        shard_overlap: 2_048,
-        ..PipelineConfig::default()
-    };
-    let (out, m) = run_stream(&reads, &reference, &backend, &cfg);
+    let (out, m) = run_stream(&reads, &reference, &backend, &PipelineConfig::default());
     assert!(!out.is_empty());
-    assert_eq!(m.shard_index.shards.len(), 4);
-    assert_eq!(m.shard_index.overlap, 2_048);
-    for sm in &m.shard_index.shards {
-        assert!(sm.end > sm.start, "degenerate shard span");
-        assert!(sm.busy.as_nanos() > 0, "shard did no work: {sm:?}");
-    }
-    // Consecutive spans overlap, and a fat overlap on a small genome
-    // guarantees the merge saw (and removed) duplicate anchors.
-    for pair in m.shard_index.shards.windows(2) {
-        assert!(pair[1].start < pair[0].end, "shards do not overlap");
-    }
+    assert_eq!(m.index.contigs, 3);
+    assert_eq!(m.index.distinct_minimizers, flat.distinct_minimizers());
+    assert_eq!(m.index.index_bytes, flat.heap_bytes());
+    assert_eq!(m.index.reference_bytes, packed);
+    // The index line shows up in the --metrics rendering.
+    let summary = m.summary();
     assert!(
-        m.shard_index.dup_anchors_merged > 0,
-        "2 kb overlaps on a 50 kb genome must produce duplicate anchors"
+        summary.contains(&format!(
+            "index:    {} distinct minimizers over 3 contig(s)",
+            flat.distinct_minimizers()
+        )),
+        "{summary}"
     );
-    // The per-shard telemetry shows up in the --metrics rendering.
-    assert!(m.summary().contains("shards:   4"), "{}", m.summary());
 }
 
 #[test]
@@ -683,17 +668,10 @@ fn metrics_report_every_stage() {
         assert_eq!(m.batch_queue.pushed, m.batches);
         assert_eq!(m.result_queue.pushed, m.batches);
         assert!(m.task_queue.high_water > 0);
-        // Shard telemetry matches the configured shard count (every contig
-        // gets at least one shard, so multi-contig runs may exceed the
-        // target).
-        assert_eq!(m.shard_index.contigs, contigs);
-        if contigs == 1 {
-            assert_eq!(m.shard_index.shards.len(), shards);
-        } else {
-            assert!(m.shard_index.shards.len() >= shards.max(contigs));
-        }
-        assert!(m.shard_index.reference_bytes > 0);
-        assert!(m.shard_index.shards.iter().all(|s| s.busy.as_nanos() > 0));
+        // The index telemetry covers every contig.
+        assert_eq!(m.index.contigs, contigs);
+        assert!(m.index.distinct_minimizers > 0);
+        assert!(m.index.index_bytes > 0 && m.index.reference_bytes > 0);
         // Every stage did measurable work.
         assert!(m.mapper_busy.as_nanos() > 0, "mapper busy time is zero");
         assert!(

@@ -1,7 +1,7 @@
 //! # genasm-server
 //!
 //! The long-lived alignment service: load the reference and its
-//! sharded minimizer index **once**, keep the streaming pipeline's
+//! genome minimizer index **once**, keep the streaming pipeline's
 //! stages resident, and serve any number of concurrent client
 //! sessions over a TCP or Unix-domain socket.
 //!
@@ -119,7 +119,7 @@ pub struct Server {
 impl Server {
     /// Bind the endpoint, start the resident pipeline service —
     /// consuming the (possibly multi-contig) reference, whose only
-    /// resident copy becomes the index's shard-local slices — and
+    /// resident copy becomes the index's contigs — and
     /// begin accepting connections.
     pub fn start(cfg: ServerConfig, ref_label: &str, reference: Reference) -> io::Result<Server> {
         let (listener, actual) = endpoint::Listener::bind(&cfg.endpoint)?;
