@@ -50,17 +50,16 @@ pub trait Backend: Send + Sync {
         None
     }
 
-    /// How many of this backend's batches may run at once: the
-    /// dispatch stage never has more than this many
+    /// How many of this backend's batches may run at once: the threads
+    /// of its dispatch lane, which pop its batches in the order the
+    /// scheduler cut them, so there are never more than this many
     /// [`Backend::align_batch`] calls open on the instance. At `1` (the
-    /// default) the calls come one at a time, in the order the
-    /// scheduler cut the batches, so a backend whose state is not safe
-    /// to overlap — a device model that assumes it owns the whole
-    /// device per launch — needs nothing else. Above `1` the calls may
-    /// overlap, and still *start* in cut order. Each slot has a trace
-    /// lane of its own, and a service's backend table has eight in all
-    /// (the shipped table takes seven): starting a service over more
-    /// panics.
+    /// default) the calls come one at a time, in cut order, so a
+    /// backend whose state is not safe to overlap — a device model
+    /// that assumes it owns the whole device per launch — needs nothing
+    /// else. Each thread has a trace lane of its own, and a service's
+    /// backend table has eight in all (the shipped table takes seven):
+    /// starting a service over more panics.
     fn in_flight(&self) -> usize {
         1
     }

@@ -4,14 +4,14 @@
 //! core — the resident [`service::PipelineService`]:
 //!
 //! ```text
-//!  session(s) ──► candidate generation ──► batch scheduler ──► dispatchers ──► ordered sink
-//!  (submit, or    (genome index; mapped    (one building      (≤ in_flight    (global reorder,
-//!   N one-shot     ≤ 4 reads per thread     batch per          batches of a    per-session rows)
-//!   map workers)   ahead, enqueued in order) backend in use)   backend at once)
+//!  session(s) ──► candidate generation ──► batch scheduler ──► dispatch lanes ──► ordered sink
+//!  (submit, or    (genome index; mapped    (one building      (one per backend:  (global reorder,
+//!   N one-shot     ≤ 4 reads per thread     batch per          a batch queue,     per-session rows)
+//!   map workers)   ahead, enqueued in order) backend)          in_flight threads)
 //!                     │                          │                  │
 //!                 task queue                     ▼             result queue
-//!                (bounded, weighted          batch queue        (bounded)
-//!                 by bases)                   (bounded)
+//!                (bounded, weighted       each lane's batch     (bounded)
+//!                 by bases)               queue (bounded)
 //! ```
 //!
 //! [`run_pipeline`] — the one-shot batch entry point — is a thin
@@ -39,7 +39,9 @@
 //! backend says how many of its batches may run at once
 //! ([`Backend::in_flight`]): the CPU engines take two, so while one
 //! batch's last and longest task runs, the next batch's fan-out takes
-//! the core it leaves idle.
+//! the core it leaves idle. Each backend has a lane of its own — a
+//! batch queue and that many threads popping it — so no batch waits to
+//! start behind another backend's.
 //!
 //! The paper's evaluation drives GenASM as a one-shot batch: load every
 //! read, generate every candidate, align, print. This crate gives the
@@ -135,13 +137,12 @@ pub struct PipelineConfig {
     /// Target total bases (query + target) per dispatched batch.
     pub batch_bases: usize,
     /// Depth of each inter-stage queue: the task queue admits
-    /// `queue_depth × batch_bases` bases, the batch and result queues
-    /// `queue_depth` batches each.
+    /// `queue_depth × batch_bases` bases, each backend's batch queue and
+    /// the result queue `queue_depth` batches each.
     pub queue_depth: usize,
-    /// Ignored. The dispatch stage runs as many batches of a backend at
-    /// once as its [`Backend::in_flight`] says, on as many dispatcher
-    /// threads as the largest of those. The field stays so that code
-    /// which builds this struct field by field still compiles.
+    /// Ignored. Each backend's dispatch lane has as many threads as its
+    /// [`Backend::in_flight`] says. The field stays so that code which
+    /// builds this struct field by field still compiles.
     pub dispatchers: usize,
     /// Ignored. One minimizer index covers the whole reference
     /// ([`mapper::ShardedIndex`]). The field stays so that code which
@@ -216,10 +217,10 @@ pub(crate) fn trace_lanes(trace: &TraceRecorder) {
 }
 
 impl PipelineConfig {
-    /// Upper bound on bases resident in the pipeline at once, given the
-    /// largest single task observed and `in_flight`, the batches the
-    /// dispatch stage holds at once: one per dispatcher thread, as many
-    /// as the largest [`Backend::in_flight`] of the backend table
+    /// Upper bound on bases resident in the pipeline at once with one
+    /// backend in use, given the largest single task observed and
+    /// `in_flight`, the batches its dispatch lane holds at once: one per
+    /// lane thread, its [`Backend::in_flight`]
     /// ([`PipelineMetrics::in_flight_lanes`]). Every other stage holds
     /// at most one batch (plus the batch in construction and the
     /// reorder backlog, which the dispatch stage keeps within
@@ -243,7 +244,7 @@ impl PipelineConfig {
         q * self.batch_bases + max_task_bases
             // the scheduler's batch under construction
             + per_batch
-            // batch queue + batches inside dispatchers + result queue
+            // lane's batch queue + batches inside its threads + result queue
             + per_batch * (q + d + q)
             // reorder backlog: a batch starts only within `2q + d`
             // batches of the oldest one the sink has not released

@@ -428,10 +428,11 @@ pub struct PipelineMetrics {
     /// batches — with more than one batch in flight it can exceed
     /// `wall`.
     pub backend_busy: Duration,
-    /// The most batches that run at once: the dispatcher threads, one
-    /// per slot of the backend with the largest
-    /// [`crate::Backend::in_flight`] (0 in a snapshot no service
-    /// filled in).
+    /// The most batches that run at once: the threads of the dispatch
+    /// lanes some session has opened, Σ [`crate::Backend::in_flight`]
+    /// over their backends — a one-shot run's backend's value (0 in a
+    /// snapshot no service filled in, or before a service's first
+    /// session).
     pub in_flight_lanes: usize,
     /// Busy time of the reorder/format sink stage.
     pub sink_busy: Duration,
@@ -439,7 +440,9 @@ pub struct PipelineMetrics {
     pub wall: Duration,
     /// Task queue telemetry (weighted in bases).
     pub task_queue: QueueMetrics,
-    /// Batch queue telemetry (weighted per batch).
+    /// Batch queue telemetry (weighted per batch), summed over the
+    /// backends' dispatch lanes: capacity, pushes and each lane's
+    /// high-water mark.
     pub batch_queue: QueueMetrics,
     /// Result queue telemetry (weighted per batch).
     pub result_queue: QueueMetrics,

@@ -10,9 +10,10 @@
 //! Capacity is bounded by the dispatch stage, not here: a dispatcher
 //! starts a batch only within `batch_queue_depth + result_queue_depth +
 //! in_flight` batches of the oldest one not yet released (`in_flight`
-//! being the dispatcher threads, the largest `Backend::in_flight` of the
-//! backend table), so the buffer never holds more than that many
-//! out-of-order entries, however long one batch straggles.
+//! being the largest `Backend::in_flight` of the backend table, the
+//! threads of its widest dispatch lane), so the buffer never holds more
+//! than that many out-of-order entries, however long one batch
+//! straggles.
 
 use std::collections::BTreeMap;
 

@@ -3,10 +3,11 @@
 //! alignment engine.
 //!
 //! ```text
-//!  session A ──┐                                       ┌──► session A rows
-//!  session B ──┼─► shared task queue ─► scheduler ─► dispatchers ─► ordered sink ─┼──► session B rows
-//!  session C ──┘   (bounded, weighted    (per-backend     (each backend (global reorder,└──► session C rows
-//!                   by bases)             batches)         ≤ in_flight)  per-session routing)
+//!  session A ──┐                                    ┌► lane cpu ─────┐                 ┌──► session A rows
+//!  session B ──┼─► shared task queue ─► scheduler ──┼► lane gpu-sim ─┼─► ordered sink ─┼──► session B rows
+//!  session C ──┘   (bounded, weighted    (per-backend └► lane …  ─────┘  (global reorder,└──► session C rows
+//!                   by bases)             batches)    (queue + in_flight  per-session routing)
+//!                                                      threads each)
 //! ```
 //!
 //! [`run_pipeline`](crate::run_pipeline) spins up stages per call and
@@ -51,15 +52,17 @@
 //!   ([`SessionEvent::ReadFailed`]); a poisoned batch fails only the
 //!   reads it contained. The service itself keeps running — unlike the
 //!   one-shot pipeline, where the first failure aborts the run.
-//! * **Batches in flight.** Each backend says how many of its batches
-//!   may run at once ([`Backend::in_flight`]); there are as many
-//!   dispatcher threads as the largest of those, and a per-backend gate
-//!   admits a popped batch only while fewer are running — in the order
-//!   the scheduler cut them, and no further ahead of the sink's reorder
-//!   buffer than the queues and dispatchers can hold, so a straggling
-//!   batch cannot let the buffer grow. The CPU engines take two, so the next
-//!   batch starts on the worker that the last batch's longest task
-//!   leaves idle; the simulated GPU takes one.
+//! * **Batches in flight.** Each backend of the table has a lane: a
+//!   bounded batch queue and as many dispatcher threads as it says may
+//!   run its batches at once ([`Backend::in_flight`]). The scheduler
+//!   pushes each batch into its backend's lane and the lane's threads
+//!   pop them in the order it cut them, so no backend has more calls
+//!   open than its `in_flight`, and no batch waits to start behind
+//!   another backend's. A thread starts a batch only within a window
+//!   of the oldest one the sink has not released, so a straggling
+//!   batch cannot let the reorder buffer grow. The CPU engines take
+//!   two, so the next batch starts on the worker that the last batch's
+//!   longest task leaves idle; the simulated GPU takes one.
 //! * **Graceful drain.** [`PipelineService::shutdown`] stops admitting
 //!   sessions, waits for the open ones to finish, drains every queue,
 //!   joins the stages, and returns the final [`PipelineMetrics`].
@@ -72,9 +75,9 @@
 //! own stack over the backend its caller lent, so no backend has to be
 //! `'static`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Scope};
@@ -141,12 +144,13 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Server-wide upper bound on bases resident in the service at
-    /// once. Sessions share every queue, so the one-shot bound of
-    /// [`PipelineConfig::resident_bases_bound`] carries over unchanged
-    /// — except that the scheduler keeps one building batch per
-    /// *distinct backend in use* (`active_backends`), each able to
-    /// hold up to a batch target plus one oversized task. `in_flight`
-    /// is the service's [`PipelineMetrics::in_flight_lanes`].
+    /// once. Sessions share the task and result queues, so the one-shot
+    /// bound of [`PipelineConfig::resident_bases_bound`] carries over
+    /// for one backend in use — and each further *distinct backend in
+    /// use* (`active_backends`) adds its building batch and its lane's
+    /// batch queue, each batch able to hold up to a batch target plus
+    /// one oversized task. `in_flight` is the service's
+    /// [`PipelineMetrics::in_flight_lanes`].
     pub fn resident_bases_bound(
         &self,
         max_task_bases: usize,
@@ -154,9 +158,10 @@ impl ServiceConfig {
         in_flight: usize,
     ) -> usize {
         let per_batch = self.pipeline.batch_bases + max_task_bases;
+        let per_lane = (1 + self.pipeline.queue_depth.max(1)) * per_batch;
         self.pipeline
             .resident_bases_bound(max_task_bases, in_flight)
-            + active_backends.saturating_sub(1) * per_batch
+            + active_backends.saturating_sub(1) * per_lane
     }
 
     /// Upper bound on one session's buffered output bytes, given the
@@ -193,6 +198,8 @@ pub enum AdmissionError {
         /// The configured cap.
         max: usize,
     },
+    /// The requested backend is not in the service's backend table.
+    NotInTable(BackendKind),
 }
 
 impl core::fmt::Display for AdmissionError {
@@ -201,6 +208,9 @@ impl core::fmt::Display for AdmissionError {
             AdmissionError::Draining => write!(f, "service is draining"),
             AdmissionError::Busy { active, max } => {
                 write!(f, "service is busy: {active} sessions active (max {max})")
+            }
+            AdmissionError::NotInTable(kind) => {
+                write!(f, "backend {kind} is not in this service's backend table")
             }
         }
     }
@@ -455,93 +465,43 @@ struct Ingest {
 }
 
 /// One item of the shared task queue: a candidate task with its
-/// metadata, for its session's `backend` — or, with no task, the marker
-/// of a session that finished with reads in flight: dispatch
-/// `backend`'s building batch now. The marker is pushed at weight 0
-/// behind the session's last task, so it takes no capacity and is not
-/// counted as a task. (Not an enum: its large task variant would want
-/// a box, and a task pays no allocation for the marker's sake.)
+/// metadata, for its session's `lane` (an index into `Shared::lanes`)
+/// — or, with no task, the marker of a session that finished with
+/// reads in flight: dispatch `lane`'s building batch now. The marker is
+/// pushed at weight 0 behind the session's last task, so it takes no
+/// capacity and is not counted as a task. (Not an enum: its large task
+/// variant would want a box, and a task pays no allocation for the
+/// marker's sake.)
 struct Work {
-    backend: BackendKind,
+    lane: usize,
     task: Option<(AlignTask, TaskMeta)>,
 }
 
-/// One backend's door into the dispatch stage: at most its
-/// [`Backend::in_flight`] batches run at once, one per slot, and they start
-/// in the order the scheduler cut them. The scheduler books each batch
-/// here before any dispatcher can pop it, so the gate knows the order
-/// even when a dispatcher that has just finished a batch pops a later
-/// one while another, holding an earlier one, is still waking up.
-struct DispatchGate {
+/// One backend's dispatch lane: the scheduler pushes the backend's
+/// batches into `queue` in the order it cuts them, and `threads`
+/// dispatcher threads — the backend's [`Backend::in_flight`] — pop them
+/// FIFO. So the backend never has more calls open than that, at 1 it
+/// sees them one at a time in cut order, and no batch waits to start
+/// behind another backend's.
+struct Lane {
     kind: BackendKind,
-    /// The trace lane of slot 0; slot `i` runs its batches on
-    /// `lane0 + i`, so `execute` spans on one lane never overlap.
-    lane0: u64,
-    st: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-struct SlotState {
-    /// Sequence numbers of the backend's batches cut and not yet
-    /// started, in cut order.
-    cut: VecDeque<u64>,
-    /// `busy[i]`: slot `i` is running a batch.
-    busy: Vec<bool>,
-}
-
-impl DispatchGate {
-    fn new(kind: BackendKind, in_flight: usize, lane0: u64) -> DispatchGate {
-        DispatchGate {
-            kind,
-            lane0,
-            st: Mutex::new(SlotState {
-                cut: VecDeque::new(),
-                busy: vec![false; in_flight],
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// The scheduler cut batch `seq` for this backend.
-    fn cut(&self, seq: u64) {
-        self.st.lock().unwrap().cut.push_back(seq);
-    }
-
-    /// Wait until batch `seq` is the earliest one cut and not started
-    /// and a slot is free, then take the lowest free slot.
-    fn enter(&self, seq: u64) -> usize {
-        let mut st = self.st.lock().unwrap();
-        loop {
-            let free = st.busy.iter().position(|busy| !busy);
-            if let (Some(slot), Some(&first)) = (free, st.cut.front()) {
-                if first == seq {
-                    st.cut.pop_front();
-                    st.busy[slot] = true;
-                    drop(st);
-                    // The batch cut next may be waiting for a slot
-                    // that is still free.
-                    self.cv.notify_all();
-                    return slot;
-                }
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// The batch in `slot` returned.
-    fn leave(&self, slot: usize) {
-        self.st.lock().unwrap().busy[slot] = false;
-        self.cv.notify_all();
-    }
+    threads: usize,
+    /// The trace lane of thread 0; thread `i` runs its batches on
+    /// `tid0 + i`, so `execute` spans on one trace lane never overlap.
+    tid0: u64,
+    queue: BoundedQueue<Batch>,
+    /// Some session has opened this lane: its threads count in
+    /// [`PipelineMetrics::in_flight_lanes`].
+    opened: AtomicBool,
 }
 
 /// How far the dispatchers may run ahead of the sink: batch `seq`
 /// starts only once fewer than `width` batches from the oldest one the
 /// sink has not yet released lie before it. Without it, while one batch
-/// straggles the other slots run on and park every later result in the
-/// reorder buffer, so residency would grow with the workload. The
-/// oldest unreleased batch is always admitted, and the dispatchers pop
-/// in cut order, so a dispatcher that waits here never holds up the one
+/// straggles the other threads run on and park every later result in
+/// the reorder buffer, so residency would grow with the workload. The
+/// oldest unreleased batch is always admitted, and each lane pops in
+/// cut order, so a dispatcher that waits here never holds up the one
 /// batch the sink is waiting on.
 struct ReleaseWindow {
     width: u64,
@@ -587,16 +547,13 @@ pub(crate) struct Shared {
     /// only the stages see the table, so a dispatcher leaves them here
     /// after every batch for [`PipelineService::metrics`].
     engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
-    /// Each backend's [`DispatchGate`], in table order.
-    gates: Vec<DispatchGate>,
-    /// Bounds the reorder buffer: `batch queue + result queue +
-    /// dispatchers` batches past the oldest one not yet released.
+    /// Each backend's [`Lane`], in table order.
+    lanes: Vec<Lane>,
+    /// Bounds the reorder buffer: `batch queue + result queue + the
+    /// largest lane's threads` batches past the oldest one not yet
+    /// released.
     window: ReleaseWindow,
-    /// Dispatcher threads: the largest [`Backend::in_flight`] of the
-    /// table, so every backend can fill its slots.
-    dispatchers: usize,
     task_q: BoundedQueue<Work>,
-    batch_q: BoundedQueue<(Batch, BackendKind)>,
     result_q: BoundedQueue<SvcDone>,
     counters: StageCounters,
     ingest: Mutex<Ingest>,
@@ -675,33 +632,40 @@ impl PipelineService {
         if let Some(t) = trace {
             trace_lanes(t);
         }
-        // One trace lane per slot, `backend:NAME:SLOT`, in table order.
-        let (mut gates, mut lane, mut dispatchers) = (Vec::new(), tids::BACKEND0, 1);
+        let depth = pcfg.queue_depth.max(1);
+        // One trace lane per thread, `backend:NAME:SLOT`, in table order.
+        let (mut lanes, mut tid) = (Vec::new(), tids::BACKEND0);
         for (kind, backend) in backends {
-            let in_flight = backend.in_flight().max(1);
-            for slot in 0..in_flight {
+            let threads = backend.in_flight().max(1);
+            for slot in 0..threads {
                 if let Some(t) = trace {
                     let name = format!("backend:{}:{slot}", backend.name());
-                    t.thread_name(lane + slot as u64, &name);
+                    t.thread_name(tid + slot as u64, &name);
                 }
             }
-            gates.push(DispatchGate::new(*kind, in_flight, lane));
-            lane += in_flight as u64;
-            dispatchers = dispatchers.max(in_flight);
+            lanes.push(Lane {
+                kind: *kind,
+                threads,
+                tid0: tid,
+                queue: BoundedQueue::new(depth),
+                opened: AtomicBool::new(false),
+            });
+            tid += threads as u64;
         }
         assert!(
-            lane <= tids::MAP0,
+            tid <= tids::MAP0,
             "the backend table runs {} batches at once; the trace has lanes for {}",
-            lane - tids::BACKEND0,
+            tid - tids::BACKEND0,
             tids::MAP0 - tids::BACKEND0
         );
+        let widest = lanes.iter().map(|lane| lane.threads).max().unwrap_or(1);
+        let threads: usize = lanes.iter().map(|lane| lane.threads).sum();
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
             index,
             engines: Mutex::new(backends.iter().map(|(_, b)| b.engine_stats()).collect()),
-            task_q: BoundedQueue::new(pcfg.queue_depth.max(1) * pcfg.batch_bases.max(1)),
-            batch_q: BoundedQueue::new(pcfg.queue_depth.max(1)),
-            result_q: BoundedQueue::new(pcfg.queue_depth.max(1)),
+            task_q: BoundedQueue::new(depth * pcfg.batch_bases.max(1)),
+            result_q: BoundedQueue::new(depth),
             counters: StageCounters::default(),
             ingest: Mutex::new(Ingest {
                 next_read_seq: 0,
@@ -712,14 +676,13 @@ impl PipelineService {
             }),
             drained_cv: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
-            gates,
+            lanes,
             window: ReleaseWindow {
-                width: (2 * pcfg.queue_depth.max(1) + dispatchers) as u64,
+                width: (2 * depth + widest) as u64,
                 released: Mutex::new(0),
                 cv: Condvar::new(),
             },
-            dispatchers,
-            live_dispatchers: AtomicU64::new(dispatchers as u64),
+            live_dispatchers: AtomicU64::new(threads as u64),
             backend_errors: AtomicU64::new(0),
             last_backend_error: Mutex::new(None),
             started: Instant::now(),
@@ -783,7 +746,8 @@ impl PipelineService {
         self.shared.counters.sessions_timed_out.inc();
     }
 
-    /// Open a session. Admission control: fails while draining or when
+    /// Open a session. Admission control: fails when `backend` is not
+    /// in the service's backend table, while draining, or when
     /// [`ServiceConfig::max_sessions`] sessions are already open. The
     /// returned halves are independent — submit from one thread while
     /// another drains the receiver.
@@ -791,6 +755,9 @@ impl PipelineService {
         &self,
         backend: BackendKind,
     ) -> Result<(Session, SessionReceiver), AdmissionError> {
+        let lane = (self.shared.lanes.iter())
+            .position(|lane| lane.kind == backend)
+            .ok_or(AdmissionError::NotInTable(backend))?;
         let id = {
             let mut ing = self.shared.ingest.lock().unwrap();
             if ing.draining {
@@ -808,6 +775,9 @@ impl PipelineService {
             ing.next_session += 1;
             id
         };
+        self.shared.lanes[lane]
+            .opened
+            .store(true, Ordering::Relaxed);
         let (tx, rx) = channel();
         let gate = Arc::new(SessionGate::new(&self.shared.cfg, &self.shared.counters));
         self.shared.sessions.lock().unwrap().insert(
@@ -829,7 +799,7 @@ impl PipelineService {
                 shared: Arc::clone(&self.shared),
                 gate: Arc::clone(&gate),
                 id,
-                backend,
+                lane,
                 local_reads: 0,
                 map_lane: None,
                 closed: false,
@@ -851,10 +821,11 @@ impl PipelineService {
                 pushed: sh.task_q.total_pushed(),
                 high_water: sh.task_q.high_water(),
             },
+            // Summed over the lanes.
             QueueMetrics {
-                capacity: sh.batch_q.capacity(),
-                pushed: sh.batch_q.total_pushed(),
-                high_water: sh.batch_q.high_water(),
+                capacity: sh.lanes.iter().map(|lane| lane.queue.capacity()).sum(),
+                pushed: sh.lanes.iter().map(|lane| lane.queue.total_pushed()).sum(),
+                high_water: sh.lanes.iter().map(|lane| lane.queue.high_water()).sum(),
             },
             QueueMetrics {
                 capacity: sh.result_q.capacity(),
@@ -868,7 +839,10 @@ impl PipelineService {
                 all
             }),
         );
-        m.in_flight_lanes = sh.dispatchers;
+        m.in_flight_lanes = (sh.lanes.iter())
+            .filter(|lane| lane.opened.load(Ordering::Relaxed))
+            .map(|lane| lane.threads)
+            .sum();
         m
     }
 
@@ -1070,7 +1044,8 @@ pub struct Session {
     shared: Arc<Shared>,
     gate: Arc<SessionGate>,
     id: u64,
-    backend: BackendKind,
+    /// The session's backend's lane (an index into `Shared::lanes`).
+    lane: usize,
     local_reads: u64,
     /// The session's map trace lane (an index into
     /// `Ingest::map_lanes`), taken at its first submit.
@@ -1086,7 +1061,7 @@ impl Session {
 
     /// The backend this session's tasks are dispatched to.
     pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.shared.lanes[self.lane].kind
     }
 
     /// Map one read and push its candidate tasks into the shared
@@ -1250,7 +1225,7 @@ impl Session {
             sh.counters.task_in(bases);
             sh.counters.query_bases.add(task.query.len() as u64);
             let work = Work {
-                backend: self.backend,
+                lane: self.lane,
                 task: Some((task, meta)),
             };
             if sh.task_q.push(work, bases).is_err() {
@@ -1305,7 +1280,7 @@ impl Session {
         // queue already closed flushes every batch on its own.
         if in_flight {
             let marker = Work {
-                backend: self.backend,
+                lane: self.lane,
                 task: None,
             };
             let _ = sh.task_q.push(marker, 0);
@@ -1408,43 +1383,40 @@ fn take_map_lane(sh: &Shared) -> usize {
     lane
 }
 
-/// Start the stages — scheduler, dispatchers, sink — on `scope`, over
-/// the backend table they borrow: as many dispatchers as the table's
-/// largest [`Backend::in_flight`], so 2 for a server and for a one-shot
-/// run on a CPU engine, 1 for a one-shot run on a backend that keeps
-/// the default. The one place a stage thread is made:
-/// [`crate::run_pipeline`] calls it on the scope its run already lives
-/// in, over the caller's `&dyn Backend` as it came, a resident service
-/// on the host thread that owns its boxed table. The stages exit once
-/// the task queue is closed and drained.
+/// Start the stages — scheduler, each lane's dispatchers, sink — on
+/// `scope`, over the backend table they borrow: `backends[i]` gets
+/// `lanes[i]`'s [`Backend::in_flight`] threads, so a server runs 7 of
+/// them (2 for each CPU engine, 1 for the simulated GPU), most idle on
+/// their lane's queue, and a one-shot run on a CPU engine 2. The one
+/// place a stage thread is made: [`crate::run_pipeline`] calls it on
+/// the scope its run already lives in, over the caller's `&dyn Backend`
+/// as it came, a resident service on the host thread that owns its
+/// boxed table. The stages exit once the task queue is closed and
+/// drained.
 pub(crate) fn spawn_stages<'scope>(
     scope: &'scope Scope<'scope, '_>,
     sh: &'scope Shared,
     backends: &'scope [(BackendKind, &'scope dyn Backend)],
 ) {
     scope.spawn(move || scheduler_loop(sh));
-    for _ in 0..sh.dispatchers {
-        scope.spawn(move || dispatch_loop(sh, backends));
+    for (row, (lane, &(_, backend))) in sh.lanes.iter().zip(backends).enumerate() {
+        for slot in 0..lane.threads {
+            scope.spawn(move || dispatch_loop(sh, row, slot, backend));
+        }
     }
     scope.spawn(move || sink_loop(sh));
 }
 
-/// Hand `batch`, if there is one, to the dispatchers, its
-/// `batch-build` trace span saying why it went: `full` (it reached its
-/// base target), `linger` (it reached the linger age), `finish` (a
-/// session with reads in it finished) or `close` (the task queue
-/// closed). The one place a batch leaves the scheduler; false when the
-/// batch queue closed (service shutting down).
-fn dispatch_batch(
-    sh: &Shared,
-    kind: BackendKind,
-    batch: Option<Batch>,
-    cause: &str,
-    next_seq: &mut u64,
-) -> bool {
+/// Push `batch`, if there is one, into lane `lane`, its `batch-build`
+/// trace span saying why it went: `full` (it reached its base target),
+/// `linger` (it reached the linger age), `finish` (a session with reads
+/// in it finished) or `close` (the task queue closed). The one place a
+/// batch leaves the scheduler.
+fn dispatch_batch(sh: &Shared, lane: usize, batch: Option<Batch>, cause: &str, next_seq: &mut u64) {
     let Some(mut batch) = batch else {
-        return true;
+        return;
     };
+    let lane = &sh.lanes[lane];
     batch.seq = *next_seq;
     *next_seq += 1;
     sh.counters.batch_dispatched(batch.tasks.len(), batch.bases);
@@ -1459,92 +1431,72 @@ fn dispatch_batch(
             build,
             &[
                 ("batch", batch.seq.into()),
-                ("backend", kind.to_string().into()),
+                ("backend", lane.kind.to_string().into()),
                 ("tasks", batch.tasks.len().into()),
                 ("bases", batch.bases.into()),
                 ("cause", cause.into()),
             ],
         );
     }
-    // Booked before any dispatcher can pop it: the gate admits the
-    // backend's batches in this order.
-    sh.gates
-        .iter()
-        .find(|g| g.kind == kind)
-        .expect("every BackendKind is instantiated at start")
-        .cut(batch.seq);
-    sh.batch_q.push((batch, kind), 1).is_ok()
+    lane.queue
+        .push(batch, 1)
+        .expect("only the scheduler closes a lane, after its last push");
 }
 
 fn scheduler_loop(sh: &Shared) {
     let target = sh.cfg.pipeline.batch_bases.max(1);
     // A zero linger would busy-spin pop_timeout on an idle queue.
     let linger = sh.cfg.linger.max(Duration::from_millis(1));
-    // One building batch per backend in use; the linger flush reads
-    // its age off the builder. A read's tasks all go to its session's
-    // backend, so they occupy one FIFO building batch and complete in
-    // submission order. Batch sequence numbers are assigned globally at
-    // dispatch so the sink's reorder buffer sees one ordered stream.
-    let mut slots: Vec<(BackendKind, BatchBuilder)> = Vec::new();
+    // One building batch per lane; the linger flush reads its age off
+    // the builder. A read's tasks all go to its session's lane, so they
+    // occupy one FIFO building batch and complete in submission order.
+    // Batch sequence numbers are assigned globally at dispatch so the
+    // sink's reorder buffer sees one ordered stream.
+    let mut builders: Vec<BatchBuilder> =
+        sh.lanes.iter().map(|_| BatchBuilder::new(target)).collect();
     let mut next_seq: u64 = 0;
     loop {
-        let sent = match sh.task_q.pop_timeout(linger) {
+        match sh.task_q.pop_timeout(linger) {
             PopTimeout::Item(Work {
-                backend: kind,
+                lane,
                 task: Some((task, meta)),
             }) => {
                 let t0 = Instant::now();
                 sh.counters
                     .task_queue_wait_ns
                     .record_duration(t0.duration_since(meta.enqueued_at));
-                let idx = match slots.iter().position(|(k, _)| *k == kind) {
-                    Some(i) => i,
-                    None => {
-                        slots.push((kind, BatchBuilder::new(target)));
-                        slots.len() - 1
-                    }
-                };
-                let full = slots[idx].1.push(task, meta);
+                let full = builders[lane].push(task, meta);
                 StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
-                dispatch_batch(sh, kind, full, "full", &mut next_seq)
+                dispatch_batch(sh, lane, full, "full", &mut next_seq);
             }
-            PopTimeout::Item(Work {
-                backend: kind,
-                task: None,
-            }) => {
+            PopTimeout::Item(Work { lane, task: None }) => {
                 // The finished session's last task is in this builder,
                 // or already dispatched; either way no more of its
                 // tasks are coming, so its rows need not wait out the
                 // linger.
-                let building = slots.iter_mut().find(|(k, _)| *k == kind);
-                let batch = building.and_then(|(_, builder)| builder.take());
-                dispatch_batch(sh, kind, batch, "finish", &mut next_seq)
+                let batch = builders[lane].take();
+                dispatch_batch(sh, lane, batch, "finish", &mut next_seq);
             }
-            PopTimeout::TimedOut => true,
+            PopTimeout::TimedOut => {}
             PopTimeout::Closed => break,
-        };
-        if !sent {
-            return;
         }
         // Age-based flush on every iteration: a partial batch waits at
         // most `linger` even while *other* backends' steady traffic
         // keeps the queue from ever going idle — one slow session must
         // not be starved by another's throughput. Flush timing never
         // changes output (batch-geometry determinism).
-        for (kind, builder) in &mut slots {
-            if builder.started().is_some_and(|t| t.elapsed() >= linger)
-                && !dispatch_batch(sh, *kind, builder.take(), "linger", &mut next_seq)
-            {
-                return;
+        for (lane, builder) in builders.iter_mut().enumerate() {
+            if builder.started().is_some_and(|t| t.elapsed() >= linger) {
+                dispatch_batch(sh, lane, builder.take(), "linger", &mut next_seq);
             }
         }
     }
-    for (kind, builder) in &mut slots {
-        if !dispatch_batch(sh, *kind, builder.take(), "close", &mut next_seq) {
-            return;
-        }
+    for (lane, builder) in builders.iter_mut().enumerate() {
+        dispatch_batch(sh, lane, builder.take(), "close", &mut next_seq);
     }
-    sh.batch_q.close();
+    for lane in &sh.lanes {
+        lane.queue.close();
+    }
 }
 
 /// Run one batch through `backend`, turning a panic inside it, or a
@@ -1580,30 +1532,19 @@ fn align_isolated(
     }
 }
 
-/// One dispatcher: pop a batch, wait at its backend's [`DispatchGate`]
-/// for a slot, run it, hand the results to the sink. The wait at the gate is
-/// the batch's queue wait; a batch holds its slot for exactly its
-/// `align_batch` call.
-fn dispatch_loop(sh: &Shared, backends: &[(BackendKind, &dyn Backend)]) {
-    let mut lats: Vec<(BackendKind, BackendLat)> = Vec::new();
-    while let Some((batch, kind)) = sh.batch_q.pop() {
-        let row = backends
-            .iter()
-            .position(|(k, _)| *k == kind)
-            .expect("every BackendKind is instantiated at start");
-        let backend = backends[row].1;
-        let gate = &sh.gates[row];
+/// Thread `slot` of lane `row`: pop the lane's batches in cut order,
+/// run each on `backend`, hand the results to the sink. A batch's
+/// queue wait runs from its cut to its `align_batch` call.
+fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
+    let lane = &sh.lanes[row];
+    let tid = lane.tid0 + slot as u64;
+    // Made at the first batch, so the metrics list only the backends
+    // that ran, and an idle thread allocates nothing.
+    let mut lat: Option<BackendLat> = None;
+    while let Some(batch) = lane.queue.pop() {
         sh.window.admit(batch.seq);
-        let slot = gate.enter(batch.seq);
         let t0 = Instant::now();
-        let lat_idx = match lats.iter().position(|(k, _)| *k == kind) {
-            Some(i) => i,
-            None => {
-                lats.push((kind, sh.counters.backend_lat(backend.name())));
-                lats.len() - 1
-            }
-        };
-        let lat = &lats[lat_idx].1;
+        let lat = lat.get_or_insert_with(|| sh.counters.backend_lat(backend.name()));
         let queue_wait = t0.duration_since(batch.ready_at);
         lat.queue_wait_ns.record_duration(queue_wait);
         let alignments = match align_isolated(backend, &batch.tasks) {
@@ -1619,14 +1560,12 @@ fn dispatch_loop(sh: &Shared, backends: &[(BackendKind, &dyn Backend)]) {
             }
         };
         let execute = t0.elapsed();
-        gate.leave(slot);
         StageCounters::add_ns(&sh.counters.backend_ns, execute);
         lat.execute_ns.record_duration(execute);
         lat.batches.inc();
         lat.tasks.add(batch.tasks.len() as u64);
         lat.bases.add(batch.bases as u64);
         if let Some(t) = sh.trace() {
-            let tid = gate.lane0 + slot as u64;
             let args = [
                 ("batch", batch.seq.into()),
                 ("tasks", batch.tasks.len().into()),

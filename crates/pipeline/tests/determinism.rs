@@ -9,18 +9,18 @@
 //!    is far larger than the configured queue capacity.
 //! 3. **Observability** — a real run reports non-zero counters for
 //!    every stage.
-//! 4. **Shard-field invariance** — one minimizer index covers the
-//!    reference, and the ignored `PipelineConfig::shards` and
-//!    `shard_overlap` fields never change a single output byte, for
-//!    any value × batching geometry.
+//! 4. **Ignored-field invariance** — one minimizer index covers the
+//!    reference and each backend's `in_flight` sizes its dispatch, so
+//!    the ignored `PipelineConfig::shards`, `shard_overlap` and
+//!    `dispatchers` fields never change a single output byte.
 //!
 //! 5. **Map-worker invariance** — the number of threads mapping reads
 //!    in parallel (`--threads`) never changes output bytes, funnel
 //!    counters or session totals, and never lets the map stage run
 //!    ahead of the residency bound.
 //!
-//! The configuration matrix runs in process: the byte-identity
-//! goldens sweep shards {1, 4} × contigs {1, 3} × threads {1, 4}
+//! The configuration matrix runs in process: the byte-identity golden
+//! sweeps batches in flight {1, 2} × contigs {1, 3} × threads {1, 4}
 //! ([`at_every_config`]), and every other test runs at the default
 //! shape and at 4 shards over 3 contigs ([`at_both_shapes`]), so every
 //! determinism property is exercised against a one-contig and a
@@ -69,18 +69,19 @@ fn at_both_shapes(test: impl Fn(usize, usize)) {
     }
 }
 
-/// Run `test(fixture, shards, threads)` at every shards {1, 4} ×
-/// contigs {1, 3} × threads {1, 4} configuration, the pool sized to
-/// `threads`, on `fixture(contigs)` made once per contig count. A
-/// failure names the configuration.
+/// Run `test(fixture, in_flight, threads)` at every batches in flight
+/// {1, 2} × contigs {1, 3} × threads {1, 4} configuration, the pool
+/// sized to `threads`, on `fixture(contigs)` made once per contig
+/// count. A failure names the configuration.
 fn at_every_config<F>(fixture: impl Fn(usize) -> F, test: impl Fn(&F, usize, usize)) {
     for contigs in [1, 3] {
         let fixture = fixture(contigs);
-        for shards in [1, 4] {
+        for in_flight in [1, 2] {
             for threads in [1, 4] {
-                let config = format!("{shards} shard(s), {contigs} contig(s), {threads} thread(s)");
+                let config =
+                    format!("{in_flight} in flight, {contigs} contig(s), {threads} thread(s)");
                 named(&config, || {
-                    with_pool(threads, || test(&fixture, shards, threads))
+                    with_pool(threads, || test(&fixture, in_flight, threads))
                 });
             }
         }
@@ -250,86 +251,67 @@ fn golden(contigs: usize) -> (Reference, Vec<(String, Seq)>, String) {
 }
 
 /// Every batch size, at every configuration of the matrix. The queue
-/// depth follows the thread count and the batches in flight the shard
-/// count, so each of the 12 geometries runs at two configurations.
+/// depth follows the thread count, so each of the 12 geometries runs
+/// at two configurations.
 #[test]
 fn output_is_identical_across_batching_geometry_and_matches_one_shot() {
-    at_every_config(golden, |(reference, reads, expected), shards, threads| {
-        let in_flight = if shards == 1 { 1 } else { 2 };
-        let backend = InFlight {
-            in_flight,
-            inner: CpuBackend::improved(),
-        };
-        let queue_depth = if threads == 1 { 1 } else { 8 };
-        // batch_bases = 1 degenerates to one task per batch; 1 MiB puts
-        // the whole workload in one or two batches.
-        for batch_bases in [1usize, 4 * 1024, 1024 * 1024] {
-            let cfg = PipelineConfig {
-                batch_bases,
-                queue_depth,
-                shards,
-                ..PipelineConfig::default()
+    at_every_config(
+        golden,
+        |(reference, reads, expected), in_flight, threads| {
+            let backend = InFlight {
+                in_flight,
+                inner: CpuBackend::improved(),
             };
-            let (got, metrics) = run_stream(reads, reference, &backend, &cfg);
-            assert_eq!(
-                &got, expected,
-                "diverged at batch_bases={batch_bases} queue_depth={queue_depth} \
-                 in_flight={in_flight}"
-            );
-            assert_eq!(metrics.in_flight_lanes, in_flight);
-            assert_eq!(metrics.records_out as usize, expected.lines().count());
-            if batch_bases == 1 {
-                // Degenerate batching really happened: one task per batch.
-                assert_eq!(metrics.batches, metrics.tasks_generated);
-            }
-        }
-    });
-}
-
-/// The golden shard-field suite: `shards ∈ {1, 2, 7}` and the matrix's
-/// 4, at every configuration, plus overlap settings, must all be
-/// byte-identical to the one-shot seed path. The batch
-/// size follows the thread count and the batches in flight (one or
-/// two) the contig count, so the matrix covers every pair of them.
-#[test]
-fn output_is_byte_identical_across_shard_counts_and_overlaps() {
-    at_every_config(golden, |(reference, reads, expected), shards, threads| {
-        let backend = InFlight {
-            in_flight: if reference.num_contigs() == 1 { 1 } else { 2 },
-            inner: CpuBackend::improved(),
-        };
-        let batch_bases = if threads == 1 { 4 * 1024 } else { 1024 * 1024 };
-        for shards in [shards, 2, 7] {
-            let cfg = PipelineConfig {
-                batch_bases,
-                shards,
-                ..PipelineConfig::default()
-            };
-            let (got, metrics) = run_stream(reads, reference, &backend, &cfg);
-            assert_eq!(&got, expected, "diverged at shards={shards}");
-            assert_eq!(metrics.index.contigs, reference.num_contigs());
-        }
-
-        // Nor must overlap settings: once per contig count.
-        if (shards, threads) == (1, 1) {
-            for shard_overlap in [0usize, 40, 999] {
+            let queue_depth = if threads == 1 { 1 } else { 8 };
+            // batch_bases = 1 degenerates to one task per batch; 1 MiB puts
+            // the whole workload in one or two batches.
+            for batch_bases in [1usize, 4 * 1024, 1024 * 1024] {
                 let cfg = PipelineConfig {
-                    shards: 7,
-                    shard_overlap,
+                    batch_bases,
+                    queue_depth,
                     ..PipelineConfig::default()
                 };
-                let (got, _) = run_stream(reads, reference, &backend, &cfg);
-                assert_eq!(&got, expected, "diverged at shard_overlap={shard_overlap}");
+                let (got, metrics) = run_stream(reads, reference, &backend, &cfg);
+                assert_eq!(
+                    &got, expected,
+                    "diverged at batch_bases={batch_bases} queue_depth={queue_depth} \
+                 in_flight={in_flight}"
+                );
+                assert_eq!(metrics.in_flight_lanes, in_flight);
+                assert_eq!(metrics.records_out as usize, expected.lines().count());
+                if batch_bases == 1 {
+                    // Degenerate batching really happened: one task per batch.
+                    assert_eq!(metrics.batches, metrics.tasks_generated);
+                }
             }
-        }
-    });
+        },
+    );
+}
+
+/// The ignored public fields — `shards`, `shard_overlap` and
+/// `dispatchers` — set far from their defaults leave the output
+/// byte-identical to the one-shot seed path, once per contig count.
+#[test]
+fn output_is_byte_identical_across_shard_counts_and_overlaps() {
+    for contigs in [1, 3] {
+        let (reference, reads, expected) = golden(contigs);
+        let cfg = PipelineConfig {
+            shards: 7,
+            shard_overlap: 999,
+            dispatchers: 3,
+            ..PipelineConfig::default()
+        };
+        let (got, metrics) = run_stream(&reads, &reference, &CpuBackend::improved(), &cfg);
+        assert_eq!(got, expected, "diverged at {contigs} contig(s)");
+        assert_eq!(metrics.index.contigs, contigs);
+    }
 }
 
 /// Multi-contig end-to-end, at its own fixed shape: a 3-contig
 /// reference with unequal contig sizes must (a) match the per-contig
-/// one-shot oracle, (b) be byte-identical across shard counts 1/2/7,
-/// and (c) report contig names, contig-local coordinates, and the
-/// *contig* length as PAF column 7 in every record.
+/// one-shot oracle and (b) report contig names, contig-local
+/// coordinates, and the *contig* length as PAF column 7 in every
+/// record.
 #[test]
 fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
     let (reference, reads) = workload(90_000, 9, 800, 3);
@@ -343,30 +325,26 @@ fn multi_contig_runs_are_shard_invariant_and_contig_correct() {
         .map(|c| (c.name.to_string(), c.len()))
         .collect();
     let backend = CpuBackend::improved();
-    let mut recs: Vec<AlignRecord> = Vec::new();
-    for shards in [1usize, 2, 7] {
-        let cfg = PipelineConfig {
-            shards,
-            params,
-            ..PipelineConfig::default()
-        };
-        let stream = reads.iter().map(|(name, seq)| {
-            Ok::<_, std::convert::Infallible>(ReadInput {
-                name: name.clone(),
-                seq: seq.clone(),
-            })
-        });
-        let mut buf = String::new();
-        recs.clear();
-        run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
-            buf.push_str(&rec.to_tsv());
-            buf.push('\n');
-            recs.push(rec.clone());
-            Ok(())
+    let cfg = PipelineConfig {
+        params,
+        ..PipelineConfig::default()
+    };
+    let stream = reads.iter().map(|(name, seq)| {
+        Ok::<_, std::convert::Infallible>(ReadInput {
+            name: name.clone(),
+            seq: seq.clone(),
         })
-        .expect("pipeline run failed");
-        assert_eq!(buf, expected, "diverged from the oracle at shards={shards}");
-    }
+    });
+    let mut buf = String::new();
+    let mut recs: Vec<AlignRecord> = Vec::new();
+    run_pipeline(stream, reference.clone(), &backend, &cfg, |rec| {
+        buf.push_str(&rec.to_tsv());
+        buf.push('\n');
+        recs.push(rec.clone());
+        Ok(())
+    })
+    .expect("pipeline run failed");
+    assert_eq!(buf, expected, "diverged from the oracle");
     // Every record names a real contig, stays inside it, and carries
     // its length (not the whole-reference length) as PAF column 7.
     let total: usize = reference.total_len();

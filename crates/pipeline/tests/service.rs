@@ -330,6 +330,35 @@ fn session_cap_refuses_with_busy() {
     service.shutdown();
 }
 
+/// A session on a backend the table does not have is refused with the
+/// kind named, and the service goes on serving the ones it has.
+#[test]
+fn a_session_on_a_backend_missing_from_the_table_is_refused() {
+    within_a_minute(|| {
+        let w = workload(60_000, 6, 500, 29);
+        let want = one_shot(&w.reads, &w.reference, BackendKind::Cpu);
+        let service = PipelineService::start_with_backends(
+            "ref",
+            w.reference.clone(),
+            ServiceConfig::default(),
+            vec![(BackendKind::Cpu, BackendKind::Cpu.create())],
+        );
+        let refused = service.open_session(BackendKind::GpuSim).err();
+        assert_eq!(
+            refused,
+            Some(AdmissionError::NotInTable(BackendKind::GpuSim))
+        );
+        assert_eq!(
+            refused.unwrap().to_string(),
+            "backend gpu-sim is not in this service's backend table"
+        );
+        assert_eq!(service.active_sessions(), 0);
+        let (got, _) = run_session(&service, BackendKind::Cpu, &w.reads);
+        assert_eq!(got, want);
+        service.shutdown();
+    });
+}
+
 #[test]
 fn graceful_drain_finishes_in_flight_sessions_and_refuses_new_ones() {
     let w = workload(80_000, 5, 800, 4);
@@ -1518,10 +1547,10 @@ fn one_shot_cpu(reads: &[(String, Seq)], reference: &Reference, cfg: &PipelineCo
 }
 
 /// A backend that keeps the default `in_flight` of 1 gets its calls
-/// one at a time and in the order the scheduler cut its batches, even
-/// with two dispatchers popping them: the service's other backend
-/// takes two batches at once, and every batch sleeps a time of its
-/// own. 40-odd one-task batches on a 2-thread pool.
+/// one at a time and in the order the scheduler cut its batches: the
+/// service's other backend takes two batches at once, and every batch
+/// sleeps a time of its own. 40-odd one-task batches on a 2-thread
+/// pool.
 #[test]
 fn a_serial_backend_sees_its_batches_one_at_a_time_in_cut_order() {
     within_a_minute(|| {
@@ -1568,7 +1597,7 @@ fn a_serial_backend_sees_its_batches_one_at_a_time_in_cut_order() {
         let (got, _) = run_session(&service, BackendKind::Cpu, &w.reads);
         let m = service.shutdown();
         assert_eq!(got, want);
-        assert_eq!(m.in_flight_lanes, 2, "two dispatchers pop the batches");
+        assert_eq!(m.in_flight_lanes, 1, "one lane thread pops the batches");
         let calls = recorder.calls.lock().unwrap();
         assert!(calls.len() >= 40, "{} batches", calls.len());
         assert_eq!(calls.len() as u64, m.batches);
@@ -1655,5 +1684,122 @@ fn a_backend_with_two_in_flight_overlaps_two_batches_on_two_lanes() {
                 );
             }
         }
+    });
+}
+
+/// What [`WaitsForCpu`] and [`RaisesOnEntry`] share: whether the CPU
+/// backend has entered `align_batch`, and whether the blocked backend
+/// saw it while it waited.
+#[derive(Default)]
+struct Handoff {
+    entered: std::sync::Mutex<bool>,
+    raised: std::sync::Condvar,
+    calls: std::sync::atomic::AtomicUsize,
+    saw_cpu: std::sync::atomic::AtomicBool,
+}
+
+/// The CPU backend, one batch at a time, except that its first call
+/// waits — up to 20 s — until [`RaisesOnEntry`] has entered
+/// `align_batch`, and records whether it did.
+struct WaitsForCpu(Arc<Handoff>, genasm_pipeline::CpuBackend);
+
+impl Backend for WaitsForCpu {
+    fn name(&self) -> &'static str {
+        "blocked"
+    }
+
+    fn align_batch(
+        &self,
+        tasks: &[align_core::AlignTask],
+    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
+        let h = &self.0;
+        if h.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+            let entered = h.entered.lock().unwrap();
+            let (entered, _) = h
+                .raised
+                .wait_timeout_while(entered, Duration::from_secs(20), |up| !*up)
+                .unwrap();
+            h.saw_cpu
+                .store(*entered, std::sync::atomic::Ordering::SeqCst);
+        }
+        self.1.align_batch(tasks)
+    }
+}
+
+/// The CPU backend, raising [`Handoff::entered`] on every call.
+struct RaisesOnEntry(Arc<Handoff>, genasm_pipeline::CpuBackend);
+
+impl Backend for RaisesOnEntry {
+    fn name(&self) -> &'static str {
+        self.1.name()
+    }
+
+    fn align_batch(
+        &self,
+        tasks: &[align_core::AlignTask],
+    ) -> Result<Vec<Option<align_core::Alignment>>, genasm_pipeline::BackendError> {
+        *self.0.entered.lock().unwrap() = true;
+        self.0.raised.notify_all();
+        self.1.align_batch(tasks)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.1.in_flight()
+    }
+}
+
+/// No batch waits to start behind another backend's: with a
+/// `gpu-sim`-kind backend stuck in its first batch and more of its
+/// batches cut behind it, a `cpu` session's batches still start — the
+/// stuck call only returns early once one has.
+#[test]
+fn a_blocked_backend_does_not_hold_up_another_backends_batches() {
+    within_a_minute(|| {
+        let w = workload(80_000, 12, 500, 47);
+        let cfg = one_task_batches();
+        let (blocked_reads, cpu_reads) = w.reads.split_at(6);
+        let want_blocked = one_shot_cpu(blocked_reads, &w.reference, &cfg);
+        let want_cpu = one_shot_cpu(cpu_reads, &w.reference, &cfg);
+        let handoff = Arc::new(Handoff::default());
+        let cpu = || genasm_pipeline::CpuBackend::improved();
+        let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![
+            (
+                BackendKind::GpuSim,
+                Box::new(WaitsForCpu(Arc::clone(&handoff), cpu())),
+            ),
+            (
+                BackendKind::Cpu,
+                Box::new(RaisesOnEntry(Arc::clone(&handoff), cpu())),
+            ),
+        ];
+        let service = PipelineService::start_with_backends(
+            "ref",
+            w.reference.clone(),
+            ServiceConfig {
+                pipeline: cfg,
+                ..ServiceConfig::default()
+            },
+            backends,
+        );
+        let (mut blocked, blocked_rx) = service.open_session(BackendKind::GpuSim).unwrap();
+        submit_all(&mut blocked, blocked_reads);
+        let (mut session, cpu_rx) = service.open_session(BackendKind::Cpu).unwrap();
+        submit_all(&mut session, cpu_reads);
+        blocked.finish();
+        session.finish();
+        let (got_blocked, _) = drain_tsv(blocked_rx.iter());
+        let (got_cpu, _) = drain_tsv(cpu_rx.iter());
+        let m = service.shutdown();
+        assert!(
+            handoff.calls.load(std::sync::atomic::Ordering::SeqCst) >= 2,
+            "the blocked backend needs a batch cut behind its first"
+        );
+        assert!(
+            handoff.saw_cpu.load(std::sync::atomic::Ordering::SeqCst),
+            "no cpu batch started while the blocked backend held its first"
+        );
+        assert_eq!(got_blocked, want_blocked);
+        assert_eq!(got_cpu, want_cpu);
+        assert_eq!(m.in_flight_lanes, 1 + 2);
     });
 }

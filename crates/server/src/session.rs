@@ -31,8 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use genasm_pipeline::{
-    escape_name, AdmissionError, OutputFormat, ReadInput, RecvOutcome, SessionEvent,
-    SessionReceiver,
+    escape_name, OutputFormat, ReadInput, RecvOutcome, SessionEvent, SessionReceiver,
 };
 use readsim::{FastxError, FastxReader};
 
@@ -157,7 +156,7 @@ pub(crate) fn handle_conn(conn: Conn, srv: &ServerShared) -> io::Result<ConnOutc
     // Streaming phase: admission, then records in / rows out.
     let (mut session, receiver) = match srv.service.open_session(backend) {
         Ok(pair) => pair,
-        Err(e @ AdmissionError::Draining) | Err(e @ AdmissionError::Busy { .. }) => {
+        Err(e) => {
             writeln!(writer, "# err {e}")?;
             writer.flush()?;
             return Ok(ConnOutcome::Done);
