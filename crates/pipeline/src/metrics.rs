@@ -429,10 +429,13 @@ pub struct PipelineMetrics {
     /// `wall`.
     pub backend_busy: Duration,
     /// The most batches that run at once: the threads of the dispatch
-    /// lanes some session has opened, Σ [`crate::Backend::in_flight`]
-    /// over their backends — a one-shot run's backend's value (0 in a
-    /// snapshot no service filled in, or before a service's first
-    /// session).
+    /// lanes that have started, Σ [`crate::Backend::in_flight`] over
+    /// their backends. A lane starts at its first batch, so this is
+    /// also the number of lane threads that exist: a one-shot run's
+    /// backend's value once a batch ran, 0 before a service's first
+    /// batch (an open session that has sent nothing starts no lane),
+    /// and never the lanes of backends no session used. 0 in a
+    /// snapshot no service filled in.
     pub in_flight_lanes: usize,
     /// Busy time of the reorder/format sink stage.
     pub sink_busy: Duration,

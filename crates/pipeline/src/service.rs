@@ -58,11 +58,13 @@
 //!   pushes each batch into its backend's lane and the lane's threads
 //!   pop them in the order it cut them, so no backend has more calls
 //!   open than its `in_flight`, and no batch waits to start behind
-//!   another backend's. A thread starts a batch only within a window
-//!   of the oldest one the sink has not released, so a straggling
-//!   batch cannot let the reorder buffer grow. The CPU engines take
-//!   two, so the next batch starts on the worker that the last batch's
-//!   longest task leaves idle; the simulated GPU takes one.
+//!   another backend's. A lane's threads start when the scheduler cuts
+//!   its first batch, so a backend that no session uses costs no
+//!   thread. A thread starts a batch only within a window of the
+//!   oldest one the sink has not released, so a straggling batch
+//!   cannot let the reorder buffer grow. The CPU engines take two, so
+//!   the next batch starts on the worker that the last batch's longest
+//!   task leaves idle; the simulated GPU takes one.
 //! * **Graceful drain.** [`PipelineService::shutdown`] stops admitting
 //!   sessions, waits for the open ones to finish, drains every queue,
 //!   joins the stages, and returns the final [`PipelineMetrics`].
@@ -482,7 +484,8 @@ struct Work {
 /// dispatcher threads — the backend's [`Backend::in_flight`] — pop them
 /// FIFO. So the backend never has more calls open than that, at 1 it
 /// sees them one at a time in cut order, and no batch waits to start
-/// behind another backend's.
+/// behind another backend's. The threads start with the lane's first
+/// batch, so a backend that no session uses costs no thread.
 struct Lane {
     kind: BackendKind,
     threads: usize,
@@ -490,9 +493,10 @@ struct Lane {
     /// `tid0 + i`, so `execute` spans on one trace lane never overlap.
     tid0: u64,
     queue: BoundedQueue<Batch>,
-    /// Some session has opened this lane: its threads count in
-    /// [`PipelineMetrics::in_flight_lanes`].
-    opened: AtomicBool,
+    /// The scheduler has started this lane's threads: they count in
+    /// [`PipelineMetrics::in_flight_lanes`]. Only the scheduler writes
+    /// it.
+    started: AtomicBool,
 }
 
 /// How far the dispatchers may run ahead of the sink: batch `seq`
@@ -559,6 +563,10 @@ pub(crate) struct Shared {
     ingest: Mutex<Ingest>,
     drained_cv: Condvar,
     sessions: Mutex<HashMap<u64, SessionState>>,
+    /// The started lanes' threads still running, plus 1, the
+    /// scheduler's own share until it has closed every lane queue:
+    /// whoever brings it to 0 closes `result_q`, so a service on which
+    /// no lane ever started still shuts down.
     live_dispatchers: AtomicU64,
     backend_errors: AtomicU64,
     last_backend_error: Mutex<Option<BackendError>>,
@@ -633,22 +641,17 @@ impl PipelineService {
             trace_lanes(t);
         }
         let depth = pcfg.queue_depth.max(1);
-        // One trace lane per thread, `backend:NAME:SLOT`, in table order.
+        // One trace lane per thread, in table order; each is named
+        // when its lane starts.
         let (mut lanes, mut tid) = (Vec::new(), tids::BACKEND0);
         for (kind, backend) in backends {
             let threads = backend.in_flight().max(1);
-            for slot in 0..threads {
-                if let Some(t) = trace {
-                    let name = format!("backend:{}:{slot}", backend.name());
-                    t.thread_name(tid + slot as u64, &name);
-                }
-            }
             lanes.push(Lane {
                 kind: *kind,
                 threads,
                 tid0: tid,
                 queue: BoundedQueue::new(depth),
-                opened: AtomicBool::new(false),
+                started: AtomicBool::new(false),
             });
             tid += threads as u64;
         }
@@ -659,7 +662,6 @@ impl PipelineService {
             tids::MAP0 - tids::BACKEND0
         );
         let widest = lanes.iter().map(|lane| lane.threads).max().unwrap_or(1);
-        let threads: usize = lanes.iter().map(|lane| lane.threads).sum();
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
             index,
@@ -682,7 +684,7 @@ impl PipelineService {
                 released: Mutex::new(0),
                 cv: Condvar::new(),
             },
-            live_dispatchers: AtomicU64::new(threads as u64),
+            live_dispatchers: AtomicU64::new(1),
             backend_errors: AtomicU64::new(0),
             last_backend_error: Mutex::new(None),
             started: Instant::now(),
@@ -775,9 +777,6 @@ impl PipelineService {
             ing.next_session += 1;
             id
         };
-        self.shared.lanes[lane]
-            .opened
-            .store(true, Ordering::Relaxed);
         let (tx, rx) = channel();
         let gate = Arc::new(SessionGate::new(&self.shared.cfg, &self.shared.counters));
         self.shared.sessions.lock().unwrap().insert(
@@ -840,7 +839,7 @@ impl PipelineService {
             }),
         );
         m.in_flight_lanes = (sh.lanes.iter())
-            .filter(|lane| lane.opened.load(Ordering::Relaxed))
+            .filter(|lane| lane.started.load(Ordering::Relaxed))
             .map(|lane| lane.threads)
             .sum();
         m
@@ -1383,40 +1382,81 @@ fn take_map_lane(sh: &Shared) -> usize {
     lane
 }
 
-/// Start the stages — scheduler, each lane's dispatchers, sink — on
-/// `scope`, over the backend table they borrow: `backends[i]` gets
-/// `lanes[i]`'s [`Backend::in_flight`] threads, so a server runs 7 of
-/// them (2 for each CPU engine, 1 for the simulated GPU), most idle on
-/// their lane's queue, and a one-shot run on a CPU engine 2. The one
-/// place a stage thread is made: [`crate::run_pipeline`] calls it on
-/// the scope its run already lives in, over the caller's `&dyn Backend`
-/// as it came, a resident service on the host thread that owns its
-/// boxed table. The stages exit once the task queue is closed and
+/// Start the stages on `scope`, over the backend table they borrow:
+/// the scheduler and the sink here, and `backends[i]`'s lane of
+/// [`Backend::in_flight`] dispatcher threads when the scheduler cuts
+/// that lane's first batch. So an idle service runs no dispatcher, a
+/// CPU-only one 2 (the simulated GPU's lane 1), and a backend that no
+/// session uses costs no thread. The one place a stage thread is made,
+/// directly or through the scheduler: [`crate::run_pipeline`] calls it
+/// on the scope its run already lives in, over the caller's `&dyn
+/// Backend` as it came, a resident service on the host thread that owns
+/// its boxed table. The stages exit once the task queue is closed and
 /// drained.
 pub(crate) fn spawn_stages<'scope>(
     scope: &'scope Scope<'scope, '_>,
     sh: &'scope Shared,
     backends: &'scope [(BackendKind, &'scope dyn Backend)],
 ) {
-    scope.spawn(move || scheduler_loop(sh));
-    for (row, (lane, &(_, backend))) in sh.lanes.iter().zip(backends).enumerate() {
-        for slot in 0..lane.threads {
-            scope.spawn(move || dispatch_loop(sh, row, slot, backend));
-        }
-    }
+    scope.spawn(move || {
+        scheduler_loop(&Stages {
+            sh,
+            scope,
+            backends,
+        })
+    });
     scope.spawn(move || sink_loop(sh));
 }
 
-/// Push `batch`, if there is one, into lane `lane`, its `batch-build`
-/// trace span saying why it went: `full` (it reached its base target),
-/// `linger` (it reached the linger age), `finish` (a session with reads
-/// in it finished) or `close` (the task queue closed). The one place a
-/// batch leaves the scheduler.
-fn dispatch_batch(sh: &Shared, lane: usize, batch: Option<Batch>, cause: &str, next_seq: &mut u64) {
+/// What the scheduler needs to start a lane: the scope the stages run
+/// on and the backend table they borrow.
+struct Stages<'scope, 'env> {
+    sh: &'scope Shared,
+    scope: &'scope Scope<'scope, 'env>,
+    backends: &'scope [(BackendKind, &'scope dyn Backend)],
+}
+
+/// Start lane `row`'s threads and name their trace lanes
+/// `backend:NAME:SLOT`. They join the live count before they exist, so
+/// it cannot reach 0 while one is still to start.
+fn start_lane(st: &Stages, row: usize) {
+    let (sh, backend) = (st.sh, st.backends[row].1);
+    let lane = &sh.lanes[row];
+    lane.started.store(true, Ordering::Relaxed);
+    sh.live_dispatchers
+        .fetch_add(lane.threads as u64, Ordering::AcqRel);
+    for slot in 0..lane.threads {
+        if let Some(t) = sh.trace() {
+            let name = format!("backend:{}:{slot}", backend.name());
+            t.thread_name(lane.tid0 + slot as u64, &name);
+        }
+        st.scope
+            .spawn(move || dispatch_loop(sh, row, slot, backend));
+    }
+}
+
+/// One share of [`Shared::live_dispatchers`] is done — a dispatcher's,
+/// or the scheduler's own: the last one closes the result queue.
+fn dispatcher_done(sh: &Shared) {
+    if sh.live_dispatchers.fetch_sub(1, Ordering::AcqRel) == 1 {
+        sh.result_q.close();
+    }
+}
+
+/// Push `batch`, if there is one, into lane `row`, starting the lane at
+/// its first batch; its `batch-build` trace span says why it went:
+/// `full` (it reached its base target), `linger` (it reached the linger
+/// age), `finish` (a session with reads in it finished) or `close` (the
+/// task queue closed). The one place a batch leaves the scheduler.
+fn dispatch_batch(st: &Stages, row: usize, batch: Option<Batch>, cause: &str, next_seq: &mut u64) {
     let Some(mut batch) = batch else {
         return;
     };
-    let lane = &sh.lanes[lane];
+    let (sh, lane) = (st.sh, &st.sh.lanes[row]);
+    // Only the scheduler sets the flag, so reading it takes no lock.
+    if !lane.started.load(Ordering::Relaxed) {
+        start_lane(st, row);
+    }
     batch.seq = *next_seq;
     *next_seq += 1;
     sh.counters.batch_dispatched(batch.tasks.len(), batch.bases);
@@ -1443,7 +1483,8 @@ fn dispatch_batch(sh: &Shared, lane: usize, batch: Option<Batch>, cause: &str, n
         .expect("only the scheduler closes a lane, after its last push");
 }
 
-fn scheduler_loop(sh: &Shared) {
+fn scheduler_loop(st: &Stages) {
+    let sh = st.sh;
     let target = sh.cfg.pipeline.batch_bases.max(1);
     // A zero linger would busy-spin pop_timeout on an idle queue.
     let linger = sh.cfg.linger.max(Duration::from_millis(1));
@@ -1467,7 +1508,7 @@ fn scheduler_loop(sh: &Shared) {
                     .record_duration(t0.duration_since(meta.enqueued_at));
                 let full = builders[lane].push(task, meta);
                 StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
-                dispatch_batch(sh, lane, full, "full", &mut next_seq);
+                dispatch_batch(st, lane, full, "full", &mut next_seq);
             }
             PopTimeout::Item(Work { lane, task: None }) => {
                 // The finished session's last task is in this builder,
@@ -1475,7 +1516,7 @@ fn scheduler_loop(sh: &Shared) {
                 // tasks are coming, so its rows need not wait out the
                 // linger.
                 let batch = builders[lane].take();
-                dispatch_batch(sh, lane, batch, "finish", &mut next_seq);
+                dispatch_batch(st, lane, batch, "finish", &mut next_seq);
             }
             PopTimeout::TimedOut => {}
             PopTimeout::Closed => break,
@@ -1487,16 +1528,17 @@ fn scheduler_loop(sh: &Shared) {
         // changes output (batch-geometry determinism).
         for (lane, builder) in builders.iter_mut().enumerate() {
             if builder.started().is_some_and(|t| t.elapsed() >= linger) {
-                dispatch_batch(sh, lane, builder.take(), "linger", &mut next_seq);
+                dispatch_batch(st, lane, builder.take(), "linger", &mut next_seq);
             }
         }
     }
     for (lane, builder) in builders.iter_mut().enumerate() {
-        dispatch_batch(sh, lane, builder.take(), "close", &mut next_seq);
+        dispatch_batch(st, lane, builder.take(), "close", &mut next_seq);
     }
     for lane in &sh.lanes {
         lane.queue.close();
     }
+    dispatcher_done(sh);
 }
 
 /// Run one batch through `backend`, turning a panic inside it, or a
@@ -1599,9 +1641,7 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
             return;
         }
     }
-    if sh.live_dispatchers.fetch_sub(1, Ordering::AcqRel) == 1 {
-        sh.result_q.close();
-    }
+    dispatcher_done(sh);
 }
 
 /// A read whose tasks are still arriving at the sink.

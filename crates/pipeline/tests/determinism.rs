@@ -21,8 +21,8 @@
 //!
 //! The configuration matrix runs in process: the byte-identity golden
 //! sweeps batches in flight {1, 2} × contigs {1, 3} × threads {1, 4}
-//! ([`at_every_config`]), and every other test runs at the default
-//! shape and at 4 shards over 3 contigs ([`at_both_shapes`]), so every
+//! ([`at_every_config`]), and every other test runs over one contig
+//! and over 3 ([`at_both_shapes`]), so every
 //! determinism property is exercised against a one-contig and a
 //! multi-contig index, and one and several map workers.
 
@@ -58,14 +58,11 @@ fn with_pool<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Run `test(shards, contigs)` at the default index shape, one shard
-/// of one contig, and at a sharded multi-contig one: 4 shards over 3
-/// contigs. A failure names the shape.
-fn at_both_shapes(test: impl Fn(usize, usize)) {
-    for (shards, contigs) in [(1, 1), (4, 3)] {
-        named(&format!("{shards} shard(s), {contigs} contig(s)"), || {
-            test(shards, contigs)
-        });
+/// Run `test(contigs)` over a one-contig reference and over a
+/// 3-contig one. A failure names the shape.
+fn at_both_shapes(test: impl Fn(usize)) {
+    for contigs in [1, 3] {
+        named(&format!("{contigs} contig(s)"), || test(contigs));
     }
 }
 
@@ -402,13 +399,12 @@ fn runs_report_index_metrics() {
 
 #[test]
 fn output_is_independent_of_rayon_thread_count() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(40_000, 6, 700, contigs);
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
             batch_bases: 8 * 1024,
             queue_depth: 2,
-            shards,
             ..PipelineConfig::default()
         };
         let (many, _) = run_stream(&reads, &reference, &backend, &cfg);
@@ -438,9 +434,9 @@ fn run_facts(m: &genasm_pipeline::PipelineMetrics) -> (genasm_pipeline::FunnelCo
 
 #[test]
 fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
-    // Both index shapes: 4 shards over 3 contigs here, one shard of
-    // one contig in the skewed fixture below. An empty read keeps an
-    // unmapped disposition in the funnel.
+    // Both reference shapes: 3 contigs here, one contig in the skewed
+    // fixture below. An empty read keeps an unmapped disposition in
+    // the funnel.
     let fixed = workload(90_000, 24, 700, 3);
     // Skewed lengths: every 7th read is 30× longer than its
     // neighbours, which park behind it while it maps.
@@ -453,13 +449,12 @@ fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
         }
         (reference, reads)
     };
-    for ((reference, mut reads), shards) in [(fixed, 4), (skewed, 1)] {
+    for (reference, mut reads) in [fixed, skewed] {
         reads.insert(5, ("empty".to_string(), Seq::new()));
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
             batch_bases: 6 * 1024,
             queue_depth: 2,
-            shards,
             ..PipelineConfig::default()
         };
         let run =
@@ -488,7 +483,7 @@ fn output_and_counters_are_identical_for_1_2_and_5_map_workers() {
 /// whole-reads-in-input-order prefix of the full output.
 #[test]
 fn input_error_mid_stream_leaves_an_ordered_whole_read_prefix() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, mut reads) = workload(50_000, 16, 500, contigs);
         reads[8] = workload(50_000, 1, 8_000, contigs).1.remove(0);
         reads[8].0 = "long".to_string();
@@ -496,7 +491,6 @@ fn input_error_mid_stream_leaves_an_ordered_whole_read_prefix() {
         let cfg = PipelineConfig {
             batch_bases: 2 * 1024,
             queue_depth: 1,
-            shards,
             ..PipelineConfig::default()
         };
         let (full, _) = run_stream(&reads, &reference, &backend, &cfg);
@@ -542,7 +536,7 @@ fn input_error_mid_stream_leaves_an_ordered_whole_read_prefix() {
 
 #[test]
 fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         // Workload far larger than the queue capacity: 150 reads stream
         // through a pipeline configured to hold ~one 2 KB batch per stage.
         let (reference, reads) = workload(50_000, 150, 500, contigs);
@@ -550,7 +544,6 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
         let cfg = PipelineConfig {
             batch_bases: 2 * 1024,
             queue_depth: 1,
-            shards,
             params: CandidateParams::default(),
             ..PipelineConfig::default()
         };
@@ -568,7 +561,7 @@ fn resident_memory_is_bounded_by_queue_capacity_not_workload_size() {
 /// buffer behind it.
 #[test]
 fn a_straggling_batch_does_not_let_the_reorder_backlog_grow() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(50_000, 150, 500, contigs);
         let backend = InFlight {
             in_flight: 2,
@@ -577,7 +570,6 @@ fn a_straggling_batch_does_not_let_the_reorder_backlog_grow() {
         let cfg = PipelineConfig {
             batch_bases: 2 * 1024,
             queue_depth: 1,
-            shards,
             params: CandidateParams::default(),
             ..PipelineConfig::default()
         };
@@ -617,13 +609,12 @@ fn assert_streaming_residency(cfg: &PipelineConfig, metrics: &genasm_pipeline::P
 
 #[test]
 fn metrics_report_every_stage() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(40_000, 8, 600, contigs);
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            shards,
             params: CandidateParams::default(),
             ..PipelineConfig::default()
         };
@@ -693,11 +684,10 @@ fn metrics_report_every_stage() {
 
 #[test]
 fn input_errors_propagate_and_unwind_cleanly() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(30_000, 3, 500, contigs);
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
-            shards,
             ..PipelineConfig::default()
         };
         let stream = reads
@@ -725,13 +715,12 @@ fn input_errors_propagate_and_unwind_cleanly() {
 /// finish, and no worker is left waiting for a turn that never comes.
 #[test]
 fn a_panicking_input_iterator_propagates_instead_of_hanging() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, mut reads) = workload(30_000, 8, 500, contigs);
         reads[2] = workload(30_000, 1, 8_000, contigs).1.remove(0);
         let outcome = within_a_minute(move || {
             let backend = CpuBackend::improved();
             let cfg = PipelineConfig {
-                shards,
                 ..PipelineConfig::default()
             };
             with_pool(3, || {
@@ -753,13 +742,12 @@ fn a_panicking_input_iterator_propagates_instead_of_hanging() {
 
 #[test]
 fn sink_errors_propagate_and_unwind_cleanly() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(30_000, 3, 500, contigs);
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
             batch_bases: 1, // many small batches keep upstream stages busy
             queue_depth: 1,
-            shards,
             ..PipelineConfig::default()
         };
         let stream = reads.iter().map(|(name, seq)| {
@@ -785,7 +773,7 @@ fn sink_errors_propagate_and_unwind_cleanly() {
 /// panic or a partially emitted read.
 #[test]
 fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(40_000, 10, 600, contigs);
         let backend = InFlight {
             in_flight: 2,
@@ -794,7 +782,6 @@ fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
         let cfg = PipelineConfig {
             batch_bases: 2 * 1024, // several batches, so reads span the failure
             queue_depth: 2,
-            shards,
             ..PipelineConfig::default()
         };
         let stream = reads.iter().map(|(name, seq)| {
@@ -843,12 +830,11 @@ fn backend_errors_mid_run_unwind_without_panicking_or_partial_reads() {
 
 #[test]
 fn empty_input_completes_with_zero_records() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, _) = workload(30_000, 1, 500, contigs);
         let backend = CpuBackend::improved();
         let stream = std::iter::empty::<Result<ReadInput, std::convert::Infallible>>();
         let cfg = PipelineConfig {
-            shards,
             ..PipelineConfig::default()
         };
         let metrics = run_pipeline(stream, reference, &backend, &cfg, |_| Ok(())).unwrap();
@@ -864,7 +850,7 @@ fn empty_input_completes_with_zero_records() {
 /// the byte-geometry contract of the telemetry layer.
 #[test]
 fn tracing_and_exposition_never_change_output_bytes() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         use genasm_pipeline::TraceRecorder;
         use std::sync::Arc;
 
@@ -873,7 +859,6 @@ fn tracing_and_exposition_never_change_output_bytes() {
         let plain_cfg = PipelineConfig {
             batch_bases: 8 * 1024,
             queue_depth: 2,
-            shards,
             ..PipelineConfig::default()
         };
         let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
@@ -944,7 +929,7 @@ fn tracing_and_exposition_never_change_output_bytes() {
 /// funnel counters partition `reads_in` exactly.
 #[test]
 fn explain_stream_is_passive_and_covers_every_read() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         use genasm_pipeline::ExplainSink;
         use std::sync::Arc;
 
@@ -956,7 +941,6 @@ fn explain_stream_is_passive_and_covers_every_read() {
         let plain_cfg = PipelineConfig {
             batch_bases: 8 * 1024,
             queue_depth: 2,
-            shards,
             ..PipelineConfig::default()
         };
         let (plain, _) = run_stream(&reads, &reference, &backend, &plain_cfg);
@@ -1026,13 +1010,12 @@ fn explain_stream_is_passive_and_covers_every_read() {
 /// global batch counters.
 #[test]
 fn latency_histograms_cover_the_read_lifecycle() {
-    at_both_shapes(|shards, contigs| {
+    at_both_shapes(|contigs| {
         let (reference, reads) = workload(40_000, 8, 600, contigs);
         let backend = CpuBackend::improved();
         let cfg = PipelineConfig {
             batch_bases: 4 * 1024,
             queue_depth: 4,
-            shards,
             ..PipelineConfig::default()
         };
         let (_, m) = run_stream(&reads, &reference, &backend, &cfg);

@@ -359,6 +359,60 @@ fn a_session_on_a_backend_missing_from_the_table_is_refused() {
     });
 }
 
+/// A lane's threads start with its first batch, so a service may shut
+/// down with none started: the scheduler's own share of the live
+/// dispatcher count must close the result queue for the sink to exit.
+#[test]
+fn a_service_on_which_no_lane_started_still_shuts_down() {
+    within_a_minute(|| {
+        let w = workload(30_000, 0, 0, 3);
+        // No session at all, on the full table.
+        let service = PipelineService::start("ref", w.reference.clone(), ServiceConfig::default());
+        let m = service.shutdown();
+        assert_eq!((m.batches, m.in_flight_lanes), (0, 0));
+        // Only a refused session.
+        let service = PipelineService::start_with_backends(
+            "ref",
+            w.reference,
+            ServiceConfig::default(),
+            vec![(BackendKind::Cpu, BackendKind::Cpu.create())],
+        );
+        assert_eq!(
+            service.open_session(BackendKind::GpuSim).err(),
+            Some(AdmissionError::NotInTable(BackendKind::GpuSim))
+        );
+        let m = service.shutdown();
+        assert_eq!((m.batches, m.in_flight_lanes), (0, 0));
+    });
+}
+
+/// `in_flight_lanes` is the threads of the lanes that have started:
+/// none for a session that has sent nothing, and never the lanes of
+/// backends that no session used.
+#[test]
+fn in_flight_lanes_counts_the_lane_threads_that_exist() {
+    within_a_minute(|| {
+        let w = workload(60_000, 4, 600, 31);
+        let service = PipelineService::start("ref", w.reference.clone(), ServiceConfig::default());
+        let (mut session, receiver) = service.open_session(BackendKind::Cpu).unwrap();
+        assert_eq!(
+            service.metrics().in_flight_lanes,
+            0,
+            "an open session with no batch starts no thread"
+        );
+        submit_all(&mut session, &w.reads);
+        session.finish();
+        let (got, _) = drain_tsv(receiver.iter());
+        assert!(!got.is_empty());
+        assert_eq!(service.metrics().in_flight_lanes, 2, "the cpu lane");
+        let (got, _) = run_session(&service, BackendKind::GpuSim, &w.reads);
+        assert!(!got.is_empty());
+        assert_eq!(service.metrics().in_flight_lanes, 2 + 1, "and gpu-sim's");
+        // edlib and ksw2 never ran, so they never count.
+        assert_eq!(service.shutdown().in_flight_lanes, 2 + 1);
+    });
+}
+
 #[test]
 fn graceful_drain_finishes_in_flight_sessions_and_refuses_new_ones() {
     let w = workload(80_000, 5, 800, 4);
