@@ -6,12 +6,12 @@
 //! ```text
 //!  session(s) ──► candidate generation ──► batch scheduler ──► dispatch lanes ──► ordered sink
 //!  (submit, or    (genome index; mapped    (one building      (one per backend:  (global reorder,
-//!   N one-shot     ≤ 4 reads per thread     batch per          a batch queue,     per-session rows)
-//!   map workers)   ahead, enqueued in order) backend)          in_flight threads)
-//!                     │                          │                  │
-//!                 task queue                     ▼             result queue
-//!                (bounded, weighted       each lane's batch     (bounded)
-//!                 by bases)               queue (bounded)
+//!   N one-shot     ≤ 4 reads per thread     batch per          in_flight          per-session rows)
+//!   map workers)   ahead, enqueued in order) backend)          threads)
+//!                     │                          └───────── Dispatch ──────────┘
+//!                 task queue                   each lane's cut batches (queue_depth),
+//!                (bounded, weighted            the release window, the reorder buffer
+//!                 by bases)
 //! ```
 //!
 //! [`run_pipeline`] — the one-shot batch entry point — is a thin
@@ -24,8 +24,8 @@
 //! ones behind it, in input order). That hand-off is one private
 //! value, `HandOff`, with no lock or thread inside: its methods are
 //! the only transitions, and a unit test runs them over every
-//! schedule of up to 3 workers and 6 reads. The
-//! scheduler/dispatch/sink stages exist exactly once, in [`service`],
+//! schedule of up to 3 workers and 6 reads; so is the batch path's,
+//! `Dispatch`. The scheduler/dispatch/sink stages exist once, in [`service`],
 //! so the one-shot path and the server share them *structurally*
 //! rather than by byte-equivalence testing.
 //!
@@ -39,9 +39,9 @@
 //! backend says how many of its batches may run at once
 //! ([`Backend::in_flight`]): the CPU engines take two, so while one
 //! batch's last and longest task runs, the next batch's fan-out takes
-//! the core it leaves idle. Each backend has a lane of its own — a
-//! batch queue and that many threads popping it — so no batch waits to
-//! start behind another backend's.
+//! the core it leaves idle. Each backend has a lane of its own — its
+//! batches and that many threads taking them in cut order — so no
+//! batch waits to start behind another backend's.
 //!
 //! The paper's evaluation drives GenASM as a one-shot batch: load every
 //! read, generate every candidate, align, print. This crate gives the
@@ -49,14 +49,14 @@
 //! of alignment work fed to whichever backend is fastest — with three
 //! invariants:
 //!
-//! * **Bounded memory.** Stages communicate over bounded queues
-//!   ([`queue::BoundedQueue`]); the task queue is weighted by bases so
-//!   peak resident task memory is `O(queue_depth × batch_bases)`
+//! * **Bounded memory.** The task queue ([`queue::BoundedQueue`]) is
+//!   weighted by bases and each batch lane and window counts batches,
+//!   so peak resident task memory is `O(queue_depth × batch_bases)`
 //!   regardless of input size ([`PipelineConfig::resident_bases_bound`]).
-//!   A full queue blocks the producer (backpressure) instead of
+//!   A full stage blocks the producer (backpressure) instead of
 //!   buffering.
-//! * **Deterministic output.** The scheduler numbers batches, a
-//!   [`reorder::ReorderBuffer`] restores that order at the sink, and
+//! * **Deterministic output.** The scheduler numbers batches, the sink
+//!   takes them in that order from the reorder buffer, and
 //!   per-read rows are sorted by [`record::AlignRecord::cmp_best_first`] —
 //!   so output is byte-identical for every batch size, queue depth and
 //!   thread count, and byte-identical to the one-shot `genasm align`
@@ -87,11 +87,11 @@
 
 pub mod backend;
 pub mod batcher;
+mod dispatch;
 pub mod explain;
 pub mod metrics;
 pub mod queue;
 pub mod record;
-pub mod reorder;
 pub mod service;
 
 use std::collections::BTreeMap;
@@ -116,7 +116,6 @@ pub use metrics::{
 };
 pub use queue::BoundedQueue;
 pub use record::{escape_name, unescape_name, AlignRecord, OutputFormat, ParseFormatError};
-pub use reorder::ReorderBuffer;
 pub use service::{
     AdmissionError, PipelineService, RecvOutcome, ServiceConfig, Session, SessionEvent,
     SessionMetrics, SessionReceiver, SessionStat, SubmitError,
@@ -136,9 +135,10 @@ pub struct ReadInput {
 pub struct PipelineConfig {
     /// Target total bases (query + target) per dispatched batch.
     pub batch_bases: usize,
-    /// Depth of each inter-stage queue: the task queue admits
-    /// `queue_depth × batch_bases` bases, each backend's batch queue and
-    /// the result queue `queue_depth` batches each.
+    /// Depth of the stages: the task queue admits `queue_depth ×
+    /// batch_bases` bases, each backend's lane `queue_depth` batches not
+    /// yet started, and a batch starts only within `2 × queue_depth +`
+    /// the widest lane's threads of the oldest one not yet released.
     pub queue_depth: usize,
     /// Ignored. Each backend's dispatch lane has as many threads as its
     /// [`Backend::in_flight`] says. The field stays so that code which
@@ -221,11 +221,11 @@ impl PipelineConfig {
     /// backend in use, given the largest single task observed and
     /// `in_flight`, the batches its dispatch lane holds at once: one per
     /// lane thread, its [`Backend::in_flight`]
-    /// ([`PipelineMetrics::in_flight_lanes`]). Every other stage holds
-    /// at most one batch (plus the batch in construction and the
-    /// reorder backlog, which the dispatch stage keeps within
-    /// `2 × queue_depth + in_flight` batches however long one batch
-    /// straggles), so residency is linear in `queue_depth × batch_bases`
+    /// ([`PipelineMetrics::in_flight_lanes`]). The lane holds
+    /// `queue_depth` batches, and the batches started and not released
+    /// stay within a window of `2 × queue_depth + in_flight` however
+    /// long one straggles, so residency is linear in
+    /// `queue_depth × batch_bases`
     /// and independent of workload size — the property the streaming
     /// test asserts. The map stage in front of the task queue is not a
     /// queue and is not counted: it holds the candidate tasks of the
@@ -244,10 +244,10 @@ impl PipelineConfig {
         q * self.batch_bases + max_task_bases
             // the scheduler's batch under construction
             + per_batch
-            // lane's batch queue + batches inside its threads + result queue
+            // the lane's batches (q), plus q + d of slack: the threads'
+            // batches are already inside the window below
             + per_batch * (q + d + q)
-            // reorder backlog: a batch starts only within `2q + d`
-            // batches of the oldest one the sink has not released
+            // batches started, not released: the window of `2q + d`
             + per_batch * (2 * q + d)
     }
 }

@@ -443,11 +443,10 @@ pub struct PipelineMetrics {
     pub wall: Duration,
     /// Task queue telemetry (weighted in bases).
     pub task_queue: QueueMetrics,
-    /// Batch queue telemetry (weighted per batch), summed over the
-    /// backends' dispatch lanes: capacity, pushes and each lane's
-    /// high-water mark.
+    /// The lanes' batches cut and not yet started, summed over the
+    /// lanes: capacity `queue_depth` each, pushed = batches cut.
     pub batch_queue: QueueMetrics,
-    /// Result queue telemetry (weighted per batch).
+    /// Finished batches the sink has not taken (capacity: the window).
     pub result_queue: QueueMetrics,
     /// Alignment-engine instrumentation drained from the backend after
     /// the run (`None` for backends that collect none, e.g. the

@@ -1,10 +1,11 @@
 //! Bounded MPMC queues with weighted capacity and backpressure.
 //!
-//! Every stage boundary in the pipeline is one of these queues. The
-//! capacity is a *weight* budget, not an item count: the task queue
-//! weighs items by their total bases so the resident-memory bound is
-//! expressed in the same unit the batch scheduler targets, while the
-//! batch and result queues use weight 1 per item (plain depth).
+//! The task queue, between the sessions and the batch scheduler, is
+//! one of these. The capacity is a *weight* budget, not an item count:
+//! the task queue weighs items by their total bases so the
+//! resident-memory bound is expressed in the same unit the batch
+//! scheduler targets. (Past the scheduler, batches travel through
+//! `dispatch`, whose lanes and window count batches.)
 //!
 //! Backpressure semantics: [`BoundedQueue::push`] blocks while the
 //! queue is at capacity, so a slow downstream stage stalls the upstream
@@ -106,10 +107,10 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Like [`BoundedQueue::pop`] but gives up after `timeout` when the
-    /// queue is empty and still open. The long-lived service's
-    /// scheduler uses this to flush partial batches instead of letting
-    /// them linger while traffic is idle.
+    /// Take the oldest item, waiting while the queue is empty and
+    /// still open, but give up after `timeout`. The long-lived
+    /// service's scheduler uses the timeout to flush partial batches
+    /// instead of letting them linger while traffic is idle.
     pub fn pop_timeout(&self, timeout: std::time::Duration) -> PopTimeout<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.state.lock().unwrap();
@@ -129,24 +130,6 @@ impl<T> BoundedQueue<T> {
             }
             let (guard, _) = self.not_empty.wait_timeout(st, deadline - now).unwrap();
             st = guard;
-        }
-    }
-
-    /// Block until an item is available; `None` once the queue is
-    /// closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some((item, weight)) = st.items.pop_front() {
-                st.used -= weight;
-                drop(st);
-                self.not_full.notify_all();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
         }
     }
 
@@ -175,13 +158,22 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Wait for an item; `None` once the queue is closed and drained.
+    fn pop<T>(q: &BoundedQueue<T>) -> Option<T> {
+        match q.pop_timeout(std::time::Duration::from_secs(60)) {
+            PopTimeout::Item(item) => Some(item),
+            PopTimeout::Closed => None,
+            PopTimeout::TimedOut => panic!("nothing came in 60 s"),
+        }
+    }
+
     #[test]
     fn fifo_order_and_accounting() {
         let q = BoundedQueue::new(100);
         q.push(1, 10).unwrap();
         q.push(2, 10).unwrap();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(2));
         assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.high_water(), 20);
     }
@@ -192,9 +184,9 @@ mod tests {
         q.push(1, 10).unwrap();
         q.push(0, 0).unwrap();
         q.push(2, 10).unwrap();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(0));
+        assert_eq!(pop(&q), Some(2));
         assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.high_water(), 20);
     }
@@ -204,8 +196,8 @@ mod tests {
         let q = BoundedQueue::new(10);
         q.push(7, 1).unwrap();
         q.close();
-        assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&q), Some(7));
+        assert_eq!(pop(&q), None);
         assert_eq!(q.push(8, 1), Err(PushError));
     }
 
@@ -218,9 +210,9 @@ mod tests {
         // A second push must block until the big item is popped.
         let h = std::thread::spawn(move || q2.push("next", 1).unwrap());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some("big"));
+        assert_eq!(pop(&q), Some("big"));
         h.join().unwrap();
-        assert_eq!(q.pop(), Some("next"));
+        assert_eq!(pop(&q), Some("next"));
     }
 
     #[test]
@@ -234,11 +226,11 @@ mod tests {
             q2.high_water()
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0));
+        assert_eq!(pop(&q), Some(0));
         let hw = h.join().unwrap();
         assert!(hw <= 2, "capacity was never exceeded, saw {hw}");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(2));
     }
 
     #[test]

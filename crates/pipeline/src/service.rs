@@ -6,8 +6,8 @@
 //!  session A ──┐                                    ┌► lane cpu ─────┐                 ┌──► session A rows
 //!  session B ──┼─► shared task queue ─► scheduler ──┼► lane gpu-sim ─┼─► ordered sink ─┼──► session B rows
 //!  session C ──┘   (bounded, weighted    (per-backend └► lane …  ─────┘  (global reorder,└──► session C rows
-//!                   by bases)             batches)    (queue + in_flight  per-session routing)
-//!                                                      threads each)
+//!                   by bases)             batches)    (queue_depth + in_  per-session routing)
+//!                                                      flight threads each)
 //! ```
 //!
 //! [`run_pipeline`](crate::run_pipeline) spins up stages per call and
@@ -52,19 +52,18 @@
 //!   ([`SessionEvent::ReadFailed`]); a poisoned batch fails only the
 //!   reads it contained. The service itself keeps running — unlike the
 //!   one-shot pipeline, where the first failure aborts the run.
-//! * **Batches in flight.** Each backend of the table has a lane: a
-//!   bounded batch queue and as many dispatcher threads as it says may
-//!   run its batches at once ([`Backend::in_flight`]). The scheduler
-//!   pushes each batch into its backend's lane and the lane's threads
-//!   pop them in the order it cut them, so no backend has more calls
-//!   open than its `in_flight`, and no batch waits to start behind
-//!   another backend's. A lane's threads start when the scheduler cuts
-//!   its first batch, so a backend that no session uses costs no
-//!   thread. A thread starts a batch only within a window of the
-//!   oldest one the sink has not released, so a straggling batch
-//!   cannot let the reorder buffer grow. The CPU engines take two, so
-//!   the next batch starts on the worker that the last batch's longest
-//!   task leaves idle; the simulated GPU takes one.
+//! * **Batches in flight.** Each backend of the table has a lane of
+//!   `queue_depth` batches and as many threads as it says may run its
+//!   batches at once ([`Backend::in_flight`]), taking them in cut order:
+//!   no backend has more calls open than that, and no batch waits to
+//!   start behind another backend's. A lane's threads start with its
+//!   first batch, so a backend that no session uses costs no thread. A
+//!   batch starts only within a window of the oldest one the sink has
+//!   not released, so a straggler cannot let the reorder buffer grow.
+//!   The CPU engines take two, so the next batch starts on the worker
+//!   that the last batch's longest task leaves idle; the simulated GPU
+//!   takes one. The lanes, the window and the reorder buffer are one
+//!   proven value, `dispatch::Dispatch`, under one mutex.
 //! * **Graceful drain.** [`PipelineService::shutdown`] stops admitting
 //!   sessions, waits for the open ones to finish, drains every queue,
 //!   joins the stages, and returns the final [`PipelineMetrics`].
@@ -79,7 +78,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Scope};
@@ -91,11 +90,11 @@ use mapper::ShardedIndex;
 
 use crate::backend::{Backend, BackendError, BackendKind};
 use crate::batcher::{Batch, BatchBuilder, TaskMeta};
+use crate::dispatch::{Dispatch, Next};
 use crate::explain::{disposition, ExplainRecord, ReadProvenance, TaskExplain};
 use crate::metrics::{BackendLat, PipelineMetrics, QueueMetrics, StageCounters};
 use crate::queue::{BoundedQueue, PopTimeout};
 use crate::record::AlignRecord;
-use crate::reorder::ReorderBuffer;
 use crate::{tids, trace_lanes, PipelineConfig, ReadInput};
 
 /// Tuning for the long-lived service.
@@ -146,13 +145,12 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Server-wide upper bound on bases resident in the service at
-    /// once. Sessions share the task and result queues, so the one-shot
-    /// bound of [`PipelineConfig::resident_bases_bound`] carries over
-    /// for one backend in use — and each further *distinct backend in
-    /// use* (`active_backends`) adds its building batch and its lane's
-    /// batch queue, each batch able to hold up to a batch target plus
-    /// one oversized task. `in_flight` is the service's
-    /// [`PipelineMetrics::in_flight_lanes`].
+    /// once. Sessions share the task queue and the release window, so
+    /// the one-shot bound of [`PipelineConfig::resident_bases_bound`]
+    /// carries over for one backend in use — and each further *distinct
+    /// backend in use* (`active_backends`) adds its building batch and
+    /// its lane's batches, each up to a batch target plus one oversized
+    /// task. `in_flight` is [`PipelineMetrics::in_flight_lanes`].
     pub fn resident_bases_bound(
         &self,
         max_task_bases: usize,
@@ -479,55 +477,16 @@ struct Work {
     task: Option<(AlignTask, TaskMeta)>,
 }
 
-/// One backend's dispatch lane: the scheduler pushes the backend's
-/// batches into `queue` in the order it cuts them, and `threads`
-/// dispatcher threads — the backend's [`Backend::in_flight`] — pop them
-/// FIFO. So the backend never has more calls open than that, at 1 it
-/// sees them one at a time in cut order, and no batch waits to start
-/// behind another backend's. The threads start with the lane's first
-/// batch, so a backend that no session uses costs no thread.
+/// One backend's dispatch lane: `threads` threads — the backend's
+/// [`Backend::in_flight`] — that take its batches from
+/// [`Shared::dispatch`] in cut order, so at 1 it sees them one at a
+/// time in that order. They start with the lane's first batch.
 struct Lane {
     kind: BackendKind,
     threads: usize,
     /// The trace lane of thread 0; thread `i` runs its batches on
     /// `tid0 + i`, so `execute` spans on one trace lane never overlap.
     tid0: u64,
-    queue: BoundedQueue<Batch>,
-    /// The scheduler has started this lane's threads: they count in
-    /// [`PipelineMetrics::in_flight_lanes`]. Only the scheduler writes
-    /// it.
-    started: AtomicBool,
-}
-
-/// How far the dispatchers may run ahead of the sink: batch `seq`
-/// starts only once fewer than `width` batches from the oldest one the
-/// sink has not yet released lie before it. Without it, while one batch
-/// straggles the other threads run on and park every later result in
-/// the reorder buffer, so residency would grow with the workload. The
-/// oldest unreleased batch is always admitted, and each lane pops in
-/// cut order, so a dispatcher that waits here never holds up the one
-/// batch the sink is waiting on.
-struct ReleaseWindow {
-    width: u64,
-    /// The sequence number of the oldest batch not yet released.
-    released: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl ReleaseWindow {
-    /// Wait until batch `seq` is inside the window.
-    fn admit(&self, seq: u64) {
-        let mut released = self.released.lock().unwrap();
-        while seq >= *released + self.width {
-            released = self.cv.wait(released).unwrap();
-        }
-    }
-
-    /// The sink released every batch before `next`.
-    fn release(&self, next: u64) {
-        *self.released.lock().unwrap() = next;
-        self.cv.notify_all();
-    }
 }
 
 /// A batch travelling from dispatch to the sink.
@@ -553,21 +512,18 @@ pub(crate) struct Shared {
     engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
     /// Each backend's [`Lane`], in table order.
     lanes: Vec<Lane>,
-    /// Bounds the reorder buffer: `batch queue + result queue + the
-    /// largest lane's threads` batches past the oldest one not yet
-    /// released.
-    window: ReleaseWindow,
     task_q: BoundedQueue<Work>,
-    result_q: BoundedQueue<SvcDone>,
+    /// The batch path from cut to release. The scheduler sleeps on
+    /// `room`, the lane threads on `turn`, the sink on `ready`. Never
+    /// take `sessions` or a session gate while holding it.
+    dispatch: Mutex<Dispatch<Batch, SvcDone>>,
+    room: Condvar,
+    turn: Condvar,
+    ready: Condvar,
     counters: StageCounters,
     ingest: Mutex<Ingest>,
     drained_cv: Condvar,
     sessions: Mutex<HashMap<u64, SessionState>>,
-    /// The started lanes' threads still running, plus 1, the
-    /// scheduler's own share until it has closed every lane queue:
-    /// whoever brings it to 0 closes `result_q`, so a service on which
-    /// no lane ever started still shuts down.
-    live_dispatchers: AtomicU64,
     backend_errors: AtomicU64,
     last_backend_error: Mutex<Option<BackendError>>,
     started: Instant,
@@ -650,8 +606,6 @@ impl PipelineService {
                 kind: *kind,
                 threads,
                 tid0: tid,
-                queue: BoundedQueue::new(depth),
-                started: AtomicBool::new(false),
             });
             tid += threads as u64;
         }
@@ -661,13 +615,19 @@ impl PipelineService {
             tid - tids::BACKEND0,
             tids::MAP0 - tids::BACKEND0
         );
-        let widest = lanes.iter().map(|lane| lane.threads).max().unwrap_or(1);
+        // A lane holds `depth` batches; a batch starts within `2 × depth
+        // + widest` of the oldest one not released. Keep the two apart.
+        let widest = lanes.iter().map(|lane| lane.threads).max().unwrap_or(1) as u64;
+        let threads = lanes.iter().map(|lane| lane.threads);
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
             index,
             engines: Mutex::new(backends.iter().map(|(_, b)| b.engine_stats()).collect()),
             task_q: BoundedQueue::new(depth * pcfg.batch_bases.max(1)),
-            result_q: BoundedQueue::new(depth),
+            dispatch: Mutex::new(Dispatch::new(threads, depth, 2 * depth as u64 + widest)),
+            room: Condvar::new(),
+            turn: Condvar::new(),
+            ready: Condvar::new(),
             counters: StageCounters::default(),
             ingest: Mutex::new(Ingest {
                 next_read_seq: 0,
@@ -679,12 +639,6 @@ impl PipelineService {
             drained_cv: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
             lanes,
-            window: ReleaseWindow {
-                width: (2 * depth + widest) as u64,
-                released: Mutex::new(0),
-                cv: Condvar::new(),
-            },
-            live_dispatchers: AtomicU64::new(1),
             backend_errors: AtomicU64::new(0),
             last_backend_error: Mutex::new(None),
             started: Instant::now(),
@@ -811,6 +765,9 @@ impl PipelineService {
     /// `wall` is the service uptime).
     pub fn metrics(&self) -> PipelineMetrics {
         let sh = &self.shared;
+        let d = sh.dispatch.lock().unwrap();
+        let ((batches, results), lanes) = (d.queues(), d.started_threads());
+        drop(d);
         let mut m = PipelineMetrics::snapshot(
             &sh.counters,
             sh.started.elapsed(),
@@ -820,17 +777,8 @@ impl PipelineService {
                 pushed: sh.task_q.total_pushed(),
                 high_water: sh.task_q.high_water(),
             },
-            // Summed over the lanes.
-            QueueMetrics {
-                capacity: sh.lanes.iter().map(|lane| lane.queue.capacity()).sum(),
-                pushed: sh.lanes.iter().map(|lane| lane.queue.total_pushed()).sum(),
-                high_water: sh.lanes.iter().map(|lane| lane.queue.high_water()).sum(),
-            },
-            QueueMetrics {
-                capacity: sh.result_q.capacity(),
-                pushed: sh.result_q.total_pushed(),
-                high_water: sh.result_q.high_water(),
-            },
+            batches,
+            results,
             // Engine instrumentation merged across the backend table
             // (sessions may use different ones).
             (sh.engines.lock().unwrap().iter().flatten().copied()).reduce(|mut all, engine| {
@@ -838,10 +786,7 @@ impl PipelineService {
                 all
             }),
         );
-        m.in_flight_lanes = (sh.lanes.iter())
-            .filter(|lane| lane.started.load(Ordering::Relaxed))
-            .map(|lane| lane.threads)
-            .sum();
+        m.in_flight_lanes = lanes;
         m
     }
 
@@ -1416,47 +1361,17 @@ struct Stages<'scope, 'env> {
     backends: &'scope [(BackendKind, &'scope dyn Backend)],
 }
 
-/// Start lane `row`'s threads and name their trace lanes
-/// `backend:NAME:SLOT`. They join the live count before they exist, so
-/// it cannot reach 0 while one is still to start.
-fn start_lane(st: &Stages, row: usize) {
-    let (sh, backend) = (st.sh, st.backends[row].1);
-    let lane = &sh.lanes[row];
-    lane.started.store(true, Ordering::Relaxed);
-    sh.live_dispatchers
-        .fetch_add(lane.threads as u64, Ordering::AcqRel);
-    for slot in 0..lane.threads {
-        if let Some(t) = sh.trace() {
-            let name = format!("backend:{}:{slot}", backend.name());
-            t.thread_name(lane.tid0 + slot as u64, &name);
-        }
-        st.scope
-            .spawn(move || dispatch_loop(sh, row, slot, backend));
-    }
-}
-
-/// One share of [`Shared::live_dispatchers`] is done — a dispatcher's,
-/// or the scheduler's own: the last one closes the result queue.
-fn dispatcher_done(sh: &Shared) {
-    if sh.live_dispatchers.fetch_sub(1, Ordering::AcqRel) == 1 {
-        sh.result_q.close();
-    }
-}
-
-/// Push `batch`, if there is one, into lane `row`, starting the lane at
-/// its first batch; its `batch-build` trace span says why it went:
-/// `full` (it reached its base target), `linger` (it reached the linger
-/// age), `finish` (a session with reads in it finished) or `close` (the
-/// task queue closed). The one place a batch leaves the scheduler.
+/// Cut `batch`, if there is one, into lane `row` once it has room,
+/// starting the lane at its first batch; its `batch-build` trace span
+/// says why it went: `full` (it reached its base target), `linger` (it
+/// reached the linger age), `finish` (a session with reads in it
+/// finished) or `close` (the task queue closed). The one place a batch
+/// leaves the scheduler.
 fn dispatch_batch(st: &Stages, row: usize, batch: Option<Batch>, cause: &str, next_seq: &mut u64) {
     let Some(mut batch) = batch else {
         return;
     };
     let (sh, lane) = (st.sh, &st.sh.lanes[row]);
-    // Only the scheduler sets the flag, so reading it takes no lock.
-    if !lane.started.load(Ordering::Relaxed) {
-        start_lane(st, row);
-    }
     batch.seq = *next_seq;
     *next_seq += 1;
     sh.counters.batch_dispatched(batch.tasks.len(), batch.bases);
@@ -1478,9 +1393,26 @@ fn dispatch_batch(st: &Stages, row: usize, batch: Option<Batch>, cause: &str, ne
             ],
         );
     }
-    lane.queue
-        .push(batch, 1)
-        .expect("only the scheduler closes a lane, after its last push");
+    let mut dispatch = sh.dispatch.lock().unwrap();
+    let first = loop {
+        match dispatch.cut(row, batch) {
+            Ok(first) => break first,
+            Err(refused) => (batch, dispatch) = (refused, sh.room.wait(dispatch).unwrap()),
+        }
+    };
+    drop(dispatch);
+    sh.turn.notify_all();
+    // At the lane's first batch, start its threads, each on a trace
+    // lane `backend:NAME:SLOT`; after it, start none.
+    let backend = st.backends[row].1;
+    for slot in (0..lane.threads).filter(|_| first) {
+        if let Some(t) = sh.trace() {
+            let name = format!("backend:{}:{slot}", backend.name());
+            t.thread_name(lane.tid0 + slot as u64, &name);
+        }
+        st.scope
+            .spawn(move || dispatch_loop(sh, row, slot, backend));
+    }
 }
 
 fn scheduler_loop(st: &Stages) {
@@ -1535,18 +1467,16 @@ fn scheduler_loop(st: &Stages) {
     for (lane, builder) in builders.iter_mut().enumerate() {
         dispatch_batch(st, lane, builder.take(), "close", &mut next_seq);
     }
-    for lane in &sh.lanes {
-        lane.queue.close();
-    }
-    dispatcher_done(sh);
+    sh.dispatch.lock().unwrap().close();
+    sh.turn.notify_all();
+    sh.ready.notify_one();
 }
 
 /// Run one batch through `backend`, turning a panic inside it, or a
 /// result vector that is not one entry per task, into the batch's
-/// [`BackendError`]. An unwinding dispatcher would never push the
-/// batch's results: the reorder buffer would wait on its sequence
-/// number forever and `shutdown` would never return. A short vector
-/// would leave the reads of its missing tasks waiting for them at the
+/// [`BackendError`]. An unwinding dispatcher would never finish the
+/// batch: the sink would wait on it forever and `shutdown` would never
+/// return. A short vector would leave the reads of its missing tasks waiting for them at the
 /// sink, and their sessions would never end.
 fn align_isolated(
     backend: &dyn Backend,
@@ -1574,17 +1504,25 @@ fn align_isolated(
     }
 }
 
-/// Thread `slot` of lane `row`: pop the lane's batches in cut order,
-/// run each on `backend`, hand the results to the sink. A batch's
-/// queue wait runs from its cut to its `align_batch` call.
+/// Thread `slot` of lane `row`: take the lane's batches in cut order,
+/// run each on `backend`, hand the results to the sink. A batch's queue
+/// wait runs from its cut to its `align_batch` call.
 fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
-    let lane = &sh.lanes[row];
-    let tid = lane.tid0 + slot as u64;
+    let tid = sh.lanes[row].tid0 + slot as u64;
     // Made at the first batch, so the metrics list only the backends
     // that ran, and an idle thread allocates nothing.
     let mut lat: Option<BackendLat> = None;
-    while let Some(batch) = lane.queue.pop() {
-        sh.window.admit(batch.seq);
+    loop {
+        let mut dispatch = sh.dispatch.lock().unwrap();
+        let batch = loop {
+            match dispatch.next(row) {
+                Next::Run(batch) => break batch,
+                Next::Wait => dispatch = sh.turn.wait(dispatch).unwrap(),
+                Next::Exit => return,
+            }
+        };
+        drop(dispatch);
+        sh.room.notify_one();
         let t0 = Instant::now();
         let lat = lat.get_or_insert_with(|| sh.counters.backend_lat(backend.name()));
         let queue_wait = t0.duration_since(batch.ready_at);
@@ -1593,8 +1531,8 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
             Ok(a) => a,
             Err(e) => {
                 // Poisoned batch: fail its reads individually, keep
-                // serving everyone else. Stored before the results are
-                // pushed so a consumer that sees a failed read always
+                // serving everyone else. Stored before the batch
+                // finishes so a consumer that sees a failed read always
                 // finds the error that caused it.
                 sh.backend_errors.fetch_add(1, Ordering::Relaxed);
                 *sh.last_backend_error.lock().unwrap() = Some(e);
@@ -1625,8 +1563,8 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
         }
         {
             // Read under the lock, so a later reading is never
-            // overwritten by an earlier one, and before the results are
-            // pushed, so whoever sees a batch's rows finds it counted.
+            // overwritten by an earlier one, and before the batch
+            // finishes, so whoever sees a batch's rows finds it counted.
             let mut engines = sh.engines.lock().unwrap();
             engines[row] = backend.engine_stats();
         }
@@ -1637,11 +1575,9 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
             backend_name: backend.name(),
             completed_at: Instant::now(),
         };
-        if sh.result_q.push(done, 1).is_err() {
-            return;
-        }
+        sh.dispatch.lock().unwrap().finish(done.seq, done);
+        sh.ready.notify_one();
     }
-    dispatcher_done(sh);
 }
 
 /// A read whose tasks are still arriving at the sink.
@@ -1763,8 +1699,9 @@ fn trace_session_end(sh: &Shared, id: u64, st: &SessionState) {
     }
 }
 
+/// Take each batch in cut order once it has finished, deliver its
+/// reads outside the dispatch lock, then release it.
 fn sink_loop(sh: &Shared) {
-    let mut reorder: ReorderBuffer<SvcDone> = ReorderBuffer::new();
     // Keyed by global read sequence: with per-backend batches, another
     // backend's batch can land between two batches carrying one read's
     // tasks, so (unlike the one-shot sink) a single "current read"
@@ -1772,64 +1709,73 @@ fn sink_loop(sh: &Shared) {
     // submission order — one session means one backend, so its tasks
     // flow FIFO through one building batch.
     let mut accs: HashMap<u64, ReadAcc> = HashMap::new();
-    while let Some(done) = sh.result_q.pop() {
-        for batch in reorder.push(done.seq, done) {
-            let t0 = Instant::now();
-            let batch_seq = batch.seq;
-            let backend_name = batch.backend_name;
-            sh.counters
-                .reorder_wait_ns
-                .record_duration(t0.duration_since(batch.completed_at));
-            for (meta, aln) in batch.metas.iter().zip(batch.alignments) {
-                sh.counters.task_out(meta.qlen + meta.tlen);
-                let acc = accs.entry(meta.read_seq).or_insert_with(|| ReadAcc {
-                    session: meta.session,
-                    qname: Arc::clone(&meta.qname),
-                    expected: meta.read_tasks,
-                    got: 0,
-                    rows: Vec::with_capacity(meta.read_tasks as usize),
-                    tasks: Vec::with_capacity(meta.read_tasks as usize),
-                    failed: false,
-                    submitted_at: meta.submitted_at,
-                    provenance: Arc::clone(&meta.provenance),
-                    backend: backend_name,
-                });
-                match aln {
-                    Some(aln) => {
-                        acc.tasks.push(TaskExplain::new(&aln));
-                        acc.rows.push(AlignRecord::from_alignment(
-                            &meta.qname,
-                            meta.qlen,
-                            &meta.tname,
-                            meta.tsize,
-                            meta.tstart,
-                            meta.tlen,
-                            meta.reverse,
-                            aln,
-                        ))
-                    }
-                    None => acc.failed = true,
-                }
-                acc.got += 1;
-                if acc.got == acc.expected {
-                    let acc = accs.remove(&meta.read_seq).unwrap();
-                    finalize_read(sh, acc);
-                }
+    loop {
+        let mut dispatch = sh.dispatch.lock().unwrap();
+        let batch = loop {
+            if let Some(batch) = dispatch.ready() {
+                break batch;
             }
-            sh.window.release(batch_seq + 1);
-            StageCounters::add_ns(&sh.counters.sink_ns, t0.elapsed());
-            if let Some(t) = sh.trace() {
-                t.span(
-                    "sink",
-                    "service",
-                    tids::SINK,
-                    t0,
-                    t0.elapsed(),
-                    &[("batch", batch_seq.into())],
-                );
+            if dispatch.drained() {
+                debug_assert!(accs.is_empty(), "no partial reads left at shutdown");
+                return;
+            }
+            dispatch = sh.ready.wait(dispatch).unwrap();
+        };
+        drop(dispatch);
+        let t0 = Instant::now();
+        let batch_seq = batch.seq;
+        let backend_name = batch.backend_name;
+        sh.counters
+            .reorder_wait_ns
+            .record_duration(t0.duration_since(batch.completed_at));
+        for (meta, aln) in batch.metas.iter().zip(batch.alignments) {
+            sh.counters.task_out(meta.qlen + meta.tlen);
+            let acc = accs.entry(meta.read_seq).or_insert_with(|| ReadAcc {
+                session: meta.session,
+                qname: Arc::clone(&meta.qname),
+                expected: meta.read_tasks,
+                got: 0,
+                rows: Vec::with_capacity(meta.read_tasks as usize),
+                tasks: Vec::with_capacity(meta.read_tasks as usize),
+                failed: false,
+                submitted_at: meta.submitted_at,
+                provenance: Arc::clone(&meta.provenance),
+                backend: backend_name,
+            });
+            match aln {
+                Some(aln) => {
+                    acc.tasks.push(TaskExplain::new(&aln));
+                    acc.rows.push(AlignRecord::from_alignment(
+                        &meta.qname,
+                        meta.qlen,
+                        &meta.tname,
+                        meta.tsize,
+                        meta.tstart,
+                        meta.tlen,
+                        meta.reverse,
+                        aln,
+                    ))
+                }
+                None => acc.failed = true,
+            }
+            acc.got += 1;
+            if acc.got == acc.expected {
+                let acc = accs.remove(&meta.read_seq).unwrap();
+                finalize_read(sh, acc);
             }
         }
+        sh.dispatch.lock().unwrap().release();
+        sh.turn.notify_all();
+        StageCounters::add_ns(&sh.counters.sink_ns, t0.elapsed());
+        if let Some(t) = sh.trace() {
+            t.span(
+                "sink",
+                "service",
+                tids::SINK,
+                t0,
+                t0.elapsed(),
+                &[("batch", batch_seq.into())],
+            );
+        }
     }
-    debug_assert!(reorder.is_empty(), "reorder buffer drained at shutdown");
-    debug_assert!(accs.is_empty(), "no partial reads left at shutdown");
 }

@@ -19,13 +19,22 @@ Five modes, one per exposition surface:
   object whose latency histograms are internally consistent (bucket
   counts sum to ``count``, quantiles ordered), whose read-latency
   count matches ``reads_in``, whose ``backend_utilization`` and
-  ``map_utilization`` are shares in ``[0, 1]`` and whose mean
-  ``batches_in_flight`` is no more than its ``in_flight_lanes``.
+  ``map_utilization`` are shares in ``[0, 1]``, whose mean
+  ``batches_in_flight`` is no more than its ``in_flight_lanes``, and
+  whose queues kept their bounds: ``queues.batch`` (the lanes' batches
+  not yet started) and ``queues.result`` (finished batches waiting for
+  the sink) never above their capacity, ``queues.task`` never above
+  its capacity plus one oversized task (``max_task_bases``), and every
+  batch cut and finished: ``queues.batch.pushed ==
+  queues.result.pushed == batches``.
 
 * ``stats-json FILE`` — the stdout of ``genasm ctl stats-json``: one
   ``genasm-stats/v1`` object embedding a server block, a session list,
   and a full pipeline metrics object (validated as above, except the
-  read-count check — a live server may be mid-stream).
+  checks that need a run at rest — a live server may be mid-stream:
+  reads are not all counted yet, and batches may be cut and not yet
+  finished, so only ``queues.result.pushed <= queues.batch.pushed <=
+  batches`` is required).
 
 * ``explain FILE`` — a ``--explain`` JSONL stream: every line is one
   ``genasm-explain/v2`` object with the full funnel/task key set and
@@ -93,6 +102,37 @@ def check_funnel(f, where, at_rest):
         fail(f"{where}: funnel accounts for more reads than entered: {f}")
 
 
+def check_queues(m, at_rest):
+    queues = m.get("queues")
+    if not isinstance(queues, dict):
+        fail("metrics object missing 'queues'")
+    for name in ("task", "batch", "result"):
+        for key in ("capacity", "pushed", "high_water"):
+            if key not in queues.get(name, {}):
+                fail(f"queues.{name} missing {key!r}")
+    for name in ("batch", "result"):
+        q = queues[name]
+        if q["high_water"] > q["capacity"]:
+            fail(f"queues.{name} high_water {q['high_water']} > capacity {q['capacity']}")
+    task = queues["task"]
+    if task["high_water"] > task["capacity"] + m["max_task_bases"]:
+        fail(
+            f"queues.task high_water {task['high_water']} > capacity "
+            f"{task['capacity']} + max_task_bases {m['max_task_bases']}"
+        )
+    cut, finished = queues["batch"]["pushed"], queues["result"]["pushed"]
+    if at_rest and not cut == finished == m["batches"]:
+        fail(
+            f"at rest, batches cut {cut}, finished {finished} and "
+            f"dispatched {m['batches']} differ"
+        )
+    if not finished <= cut <= m["batches"]:
+        fail(
+            f"batches finished {finished} > cut {cut} or cut > "
+            f"dispatched {m['batches']}"
+        )
+
+
 def check_pipeline_metrics(m, require_read_count=True):
     if m.get("schema") != "genasm-pipeline-metrics/v1":
         fail(f"unexpected metrics schema {m.get('schema')!r}")
@@ -111,6 +151,7 @@ def check_pipeline_metrics(m, require_read_count=True):
             f"[0, in_flight_lanes {m['in_flight_lanes']}]"
         )
     check_funnel(m["funnel"], "pipeline", at_rest=require_read_count)
+    check_queues(m, at_rest=require_read_count)
     lat = m["latency"]
     for key in ("read", "task_queue_wait", "batch_build", "reorder_wait"):
         if key not in lat:
