@@ -1,4 +1,6 @@
-//! The batch scheduler: coalesces tasks into size-targeted batches.
+//! A lane's building batch: coalesces tasks into size-targeted batches.
+//! Each backend's lane in `dispatch` keeps one, and the push that
+//! reaches the target cuts the batch.
 //!
 //! Batches are sized by **total aligned bases** (query + target), not
 //! task count — alignment cost scales with bases, so base-targeted
@@ -47,17 +49,13 @@ pub struct TaskMeta {
     /// When the owning read entered the pipeline (read-latency
     /// telemetry origin; identical across a read's tasks).
     pub submitted_at: Instant,
-    /// When this task was pushed onto the task queue (task-queue-wait
-    /// telemetry origin).
-    pub enqueued_at: Instant,
 }
 
 /// A scheduled batch: a contiguous run of tasks plus their metadata.
+/// Its number, the sink's reorder key, is given at the cut, across
+/// every backend's builder.
 #[derive(Debug)]
 pub struct Batch {
-    /// Sequence number, the sink's reorder key: the scheduler assigns
-    /// it at dispatch, across every backend's builder (0 until then).
-    pub seq: u64,
     /// The alignment tasks, contiguous for backend dispatch.
     pub tasks: Vec<AlignTask>,
     /// `metas[i]` describes `tasks[i]`.
@@ -66,8 +64,8 @@ pub struct Batch {
     pub bases: usize,
     /// When the first task entered the builder (batch-build telemetry).
     pub build_started: Instant,
-    /// When the batch was flushed — the scheduler dispatch moment, the
-    /// origin for per-backend queue-wait telemetry.
+    /// When the batch was cut — the origin for per-backend queue-wait
+    /// telemetry.
     pub ready_at: Instant,
 }
 
@@ -125,13 +123,25 @@ impl BatchBuilder {
         }
         let now = Instant::now();
         Some(Batch {
-            seq: 0,
             tasks: std::mem::take(&mut self.tasks),
             metas: std::mem::take(&mut self.metas),
             bases: std::mem::replace(&mut self.bases, 0),
             build_started: self.started.take().unwrap_or(now),
             ready_at: now,
         })
+    }
+}
+
+impl crate::dispatch::Build for BatchBuilder {
+    type Task = (AlignTask, TaskMeta);
+    type Batch = Batch;
+
+    fn push(&mut self, (task, meta): (AlignTask, TaskMeta)) -> Option<Batch> {
+        BatchBuilder::push(self, task, meta)
+    }
+
+    fn take(&mut self) -> Option<Batch> {
+        BatchBuilder::take(self)
     }
 }
 
@@ -158,7 +168,6 @@ mod tests {
                 reverse: false,
                 provenance: Arc::new(crate::explain::ReadProvenance::default()),
                 submitted_at: Instant::now(),
-                enqueued_at: Instant::now(),
             },
         )
     }

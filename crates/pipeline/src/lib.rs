@@ -4,14 +4,12 @@
 //! core — the resident [`service::PipelineService`]:
 //!
 //! ```text
-//!  session(s) ──► candidate generation ──► batch scheduler ──► dispatch lanes ──► ordered sink
-//!  (submit, or    (genome index; mapped    (one building      (one per backend:  (global reorder,
-//!   N one-shot     ≤ 4 reads per thread     batch per          in_flight          per-session rows)
-//!   map workers)   ahead, enqueued in order) backend)          threads)
-//!                     │                          └───────── Dispatch ──────────┘
-//!                 task queue                   each lane's cut batches (queue_depth),
-//!                (bounded, weighted            the release window, the reorder buffer
-//!                 by bases)
+//!  session(s) ──► candidate generation ──push──► dispatch lanes ──────────► ordered sink
+//!  (submit, or    (genome index; mapped          (one per backend: a        (global reorder,
+//!   N one-shot     ≤ 4 reads per thread           building batch, queue_     per-session rows)
+//!   map workers)   ahead, enqueued in order)      depth cut, in_flight threads)
+//!                                                └──────────── Dispatch ────────────┘
+//!                                    building batches, lanes, release window, reorder buffer
 //! ```
 //!
 //! [`run_pipeline`] — the one-shot batch entry point — is a thin
@@ -19,21 +17,23 @@
 //! the read iterator through it — on as many map workers as the CPU
 //! backend has threads, each mapping one read at a time and parking it
 //! for a bounded, ordered hand-off (a worker runs at most four reads
-//! per worker ahead of the read whose turn it is, one while the task
-//! queue is full; whoever holds that read enqueues it and the parked
-//! ones behind it, in input order). That hand-off is one private
-//! value, `HandOff`, with no lock or thread inside: its methods are
-//! the only transitions, and a unit test runs them over every
+//! per worker ahead of the read whose turn it is, one while a push
+//! waits for room in the lane; whoever holds that read enqueues it and
+//! the parked ones behind it, in input order). That hand-off is one
+//! private value, `HandOff`, with no lock or thread inside: its methods
+//! are the only transitions, and a unit test runs them over every
 //! schedule of up to 3 workers and 6 reads; so is the batch path's,
-//! `Dispatch`. The scheduler/dispatch/sink stages exist once, in [`service`],
-//! so the one-shot path and the server share them *structurally*
-//! rather than by byte-equivalence testing.
+//! `Dispatch`, from the push to the release. The scheduler/dispatch/sink
+//! stages exist once, in [`service`], so the one-shot path and the
+//! server share them *structurally* rather than by byte-equivalence
+//! testing.
 //!
-//! Who spawns the stages: one function in [`service`], on a
-//! [`std::thread::Scope`], over a backend table the stages only borrow.
-//! [`run_pipeline`] calls it on the scope it opens for its ingest
-//! thread, over the caller's `&dyn Backend` as it came; a resident
-//! service calls it on one host thread that owns its boxed table.
+//! Who runs the stages: one function in [`service`], on a
+//! [`std::thread::Scope`], over a backend table the stages only borrow;
+//! the scheduler runs on the thread that calls it. [`run_pipeline`]
+//! calls it on a thread of the scope it opens for its ingest thread,
+//! over the caller's `&dyn Backend` as it came; a resident service
+//! calls it on one host thread that owns its boxed table.
 //! Engine work — a CPU batch, the simulated GPU's blocks — fans out on
 //! the `--threads` pool, the dispatcher being one of its workers. A
 //! backend says how many of its batches may run at once
@@ -49,11 +49,11 @@
 //! of alignment work fed to whichever backend is fastest — with three
 //! invariants:
 //!
-//! * **Bounded memory.** The task queue ([`queue::BoundedQueue`]) is
-//!   weighted by bases and each batch lane and window counts batches,
+//! * **Bounded memory.** A task goes from its push into its backend's
+//!   building batch, and a lane and the release window count batches,
 //!   so peak resident task memory is `O(queue_depth × batch_bases)`
 //!   regardless of input size ([`PipelineConfig::resident_bases_bound`]).
-//!   A full stage blocks the producer (backpressure) instead of
+//!   A full lane blocks the pushes into it (backpressure) instead of
 //!   buffering.
 //! * **Deterministic output.** The scheduler numbers batches, the sink
 //!   takes them in that order from the reorder buffer, and
@@ -90,7 +90,6 @@ pub mod batcher;
 mod dispatch;
 pub mod explain;
 pub mod metrics;
-pub mod queue;
 pub mod record;
 pub mod service;
 
@@ -114,7 +113,6 @@ pub use metrics::{
     BackendLat, BackendMetrics, FunnelCounts, PipelineMetrics, QueueMetrics, StageCounters,
     SLOW_READS_CAPACITY,
 };
-pub use queue::BoundedQueue;
 pub use record::{escape_name, unescape_name, AlignRecord, OutputFormat, ParseFormatError};
 pub use service::{
     AdmissionError, PipelineService, RecvOutcome, ServiceConfig, Session, SessionEvent,
@@ -135,10 +133,11 @@ pub struct ReadInput {
 pub struct PipelineConfig {
     /// Target total bases (query + target) per dispatched batch.
     pub batch_bases: usize,
-    /// Depth of the stages: the task queue admits `queue_depth ×
-    /// batch_bases` bases, each backend's lane `queue_depth` batches not
-    /// yet started, and a batch starts only within `2 × queue_depth +`
-    /// the widest lane's threads of the oldest one not yet released.
+    /// Depth of the stages: each backend's lane holds `queue_depth`
+    /// batches cut and not yet started — a push into its building batch
+    /// waits while it does — and a batch starts only within
+    /// `2 × queue_depth` plus the started lanes' threads of the oldest
+    /// one not yet released.
     pub queue_depth: usize,
     /// Ignored. Each backend's dispatch lane has as many threads as its
     /// [`Backend::in_flight`] says. The field stays so that code which
@@ -219,36 +218,25 @@ pub(crate) fn trace_lanes(trace: &TraceRecorder) {
 impl PipelineConfig {
     /// Upper bound on bases resident in the pipeline at once with one
     /// backend in use, given the largest single task observed and
-    /// `in_flight`, the batches its dispatch lane holds at once: one per
-    /// lane thread, its [`Backend::in_flight`]
-    /// ([`PipelineMetrics::in_flight_lanes`]). The lane holds
-    /// `queue_depth` batches, and the batches started and not released
-    /// stay within a window of `2 × queue_depth + in_flight` however
-    /// long one straggles, so residency is linear in
-    /// `queue_depth × batch_bases`
-    /// and independent of workload size — the property the streaming
-    /// test asserts. The map stage in front of the task queue is not a
-    /// queue and is not counted: it holds the candidate tasks of the
-    /// reads being mapped or parked for the ordered hand-off — four
-    /// reads per worker (`AHEAD`) — at most
-    /// `threads × 4 × max_per_read × max_task_bases` more, and
-    /// `threads × max_per_read × max_task_bases` while the task queue
-    /// is full.
+    /// `in_flight`, its lane's threads, [`Backend::in_flight`]
+    /// ([`PipelineMetrics::in_flight_lanes`]). A task counts from its
+    /// push: in the building batch, in the lane's `queue_depth`
+    /// batches, then in the window of `2 × queue_depth + in_flight`
+    /// batches started and not released, however long one straggles —
+    /// linear in `queue_depth × batch_bases` and independent of
+    /// workload size, the property the streaming test asserts. The map
+    /// stage in front of the lanes is not a queue and is not counted:
+    /// the reads being mapped or parked for the ordered hand-off hold
+    /// at most `threads × 4 × max_per_read × max_task_bases` more
+    /// (`AHEAD`), and `threads × max_per_read × max_task_bases` while a
+    /// push waits for room.
     pub fn resident_bases_bound(&self, max_task_bases: usize, in_flight: usize) -> usize {
-        let q = self.queue_depth.max(1);
-        let d = in_flight.max(1);
-        // A batch flushes when it *reaches* the target, so it can
+        let (q, d) = (self.queue_depth.max(1), in_flight.max(1));
+        // A batch is cut when it *reaches* the target, so it can
         // overshoot by one task.
         let per_batch = self.batch_bases + max_task_bases;
-        // task queue (weighted capacity + one oversized admission)
-        q * self.batch_bases + max_task_bases
-            // the scheduler's batch under construction
-            + per_batch
-            // the lane's batches (q), plus q + d of slack: the threads'
-            // batches are already inside the window below
-            + per_batch * (q + d + q)
-            // batches started, not released: the window of `2q + d`
-            + per_batch * (2 * q + d)
+        // the building batch, the lane, and the window
+        per_batch * (1 + q + 2 * q + d)
     }
 }
 
@@ -346,17 +334,16 @@ where
         }
     }
     let (ingested, delivered) = std::thread::scope(|scope| {
-        service::spawn_stages(scope, &service.shared, backends);
+        scope.spawn(|| service::run_stages(scope, &service.shared, backends));
         let ingest = scope.spawn(|| {
             // A panic in here (the caller's iterator, say) must still
             // release the caller below, which waits for `End`; it
             // resumes after the join.
             let ingested = catch_unwind(AssertUnwindSafe(|| map_reads(&session, reads, workers)));
             // Input over (or failed): finishing the session dispatches
-            // the scheduler's partial batch at once — so `End` reaches
-            // the caller behind the last whole read — and the shutdown
-            // closes the task queue, so the stages exit for the scope
-            // to join.
+            // its partial batch at once — so `End` reaches the caller
+            // behind the last whole read — and the shutdown closes the
+            // batch path, so the stages exit for the scope to join.
             session.finish();
             service.shutdown();
             ingested
@@ -444,7 +431,7 @@ impl<T> HandOff<T> {
 
     /// May a worker pull input read number `pulled`? Inside the
     /// run-ahead window, yes — unless a drainer is inside `enqueue`,
-    /// which is where a full task queue holds it: then the bound is
+    /// which is where a full lane holds it: then the bound is
     /// one read per worker, as it was before there was a window (why:
     /// see [`map_reads`]). A question, not a transition: it wakes
     /// nobody.
@@ -514,13 +501,13 @@ impl<T> HandOff<T> {
 /// decision about the hand-off is a [`HandOff`] method; this function
 /// only adds the threads, the locks and the condvar.
 ///
-/// Two bounds hold between the input and the task queue
+/// Two bounds hold between the input and the lane
 /// ([`HandOff::may_pull`]). Never more than `workers ×` [`AHEAD`] reads are
 /// pulled and not yet enqueued: map time is heavy-tailed (p50 62 µs,
 /// p95 590 µs on 300 bp reads), and with one read per worker the lanes
 /// ran in lock step at the pace of the slower read, each busy half the
 /// time. And never more than `workers` reads while a drainer is inside
-/// `enqueue`, i.e. blocked behind a full task queue: the backend is
+/// `enqueue`, i.e. blocked behind a full lane: the backend is
 /// the bottleneck then, and running ahead of it buys no throughput and
 /// costs latency — without this clause `clr-long` read
 /// `latency_p95_ms` went 210 → 248 and 210 → 246 ms (+18%) for the

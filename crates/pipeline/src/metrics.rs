@@ -60,8 +60,8 @@ pub struct BackendLat {
     pub tasks: Arc<Counter>,
     /// Bases across those batches.
     pub bases: Arc<Counter>,
-    /// Nanoseconds each batch waited between scheduler dispatch and
-    /// the backend picking it up.
+    /// Nanoseconds each batch waited between its cut and the backend
+    /// picking it up.
     pub queue_wait_ns: Arc<Histogram>,
     /// Nanoseconds inside `align_batch` per batch.
     pub execute_ns: Arc<Histogram>,
@@ -422,7 +422,7 @@ pub struct PipelineMetrics {
     /// Map workers of a one-shot run (`--threads`); 0 in a service
     /// snapshot, whose sessions map on their submitting threads.
     pub map_workers: usize,
-    /// Busy time of the batch scheduler stage.
+    /// Busy time of building and cutting batches, on whichever thread.
     pub scheduler_busy: Duration,
     /// Busy time inside backend `align_batch` calls, summed over
     /// batches — with more than one batch in flight it can exceed
@@ -441,7 +441,8 @@ pub struct PipelineMetrics {
     pub sink_busy: Duration,
     /// End-to-end wall clock of the run.
     pub wall: Duration,
-    /// Task queue telemetry (weighted in bases).
+    /// The lanes' building batches in bases (capacity `batch_bases` per
+    /// lane, pushed = tasks; the push that fills a batch counts).
     pub task_queue: QueueMetrics,
     /// The lanes' batches cut and not yet started, summed over the
     /// lanes: capacity `queue_depth` each, pushed = batches cut.
@@ -456,9 +457,10 @@ pub struct PipelineMetrics {
     pub engine: Option<genasm_core::MemStats>,
     /// Per-read end-to-end latency (submit → last record emitted), ns.
     pub read_latency: HistogramSnapshot,
-    /// Task wait between mapper push and scheduler pop, ns.
+    /// A task's wait for room in its lane before its push, ns (0 when
+    /// the lane had room).
     pub task_queue_wait: HistogramSnapshot,
-    /// Batch build time (first task in → dispatch), ns.
+    /// Batch build time (first task in → cut), ns.
     pub batch_build: HistogramSnapshot,
     /// Result wait between backend completion and sink pickup, ns.
     pub reorder_wait: HistogramSnapshot,
@@ -492,7 +494,7 @@ impl PipelineMetrics {
 
     /// Fraction of the map lanes' time (`map_workers × wall`) spent
     /// mapping, in `[0, 1]`: what is missing from 1 is lanes waiting —
-    /// for the hand-off window, a full task queue or the input. 0 for a
+    /// for the hand-off window, a full lane or the input. 0 for a
     /// service snapshot, which has no map workers of its own.
     pub fn map_utilization(&self) -> f64 {
         let lanes = self.map_workers as f64 * self.wall.as_secs_f64();

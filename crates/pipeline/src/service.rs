@@ -3,11 +3,11 @@
 //! alignment engine.
 //!
 //! ```text
-//!  session A ──┐                                    ┌► lane cpu ─────┐                 ┌──► session A rows
-//!  session B ──┼─► shared task queue ─► scheduler ──┼► lane gpu-sim ─┼─► ordered sink ─┼──► session B rows
-//!  session C ──┘   (bounded, weighted    (per-backend └► lane …  ─────┘  (global reorder,└──► session C rows
-//!                   by bases)             batches)    (queue_depth + in_  per-session routing)
-//!                                                      flight threads each)
+//!  session A ──┐  push   ┌► lane cpu: building batch, ─────┐                 ┌──► session A rows
+//!  session B ──┼────────►┼► lane gpu-sim: cut batches  ────┼─► ordered sink ─┼──► session B rows
+//!  session C ──┘ (its    └► lane …  (queue_depth) ─────────┘  (global reorder,└──► session C rows
+//!                backend's    in_flight threads each           per-session routing)
+//!                lane)
 //! ```
 //!
 //! [`run_pipeline`](crate::run_pipeline) spins up stages per call and
@@ -16,16 +16,16 @@
 //! must span clients* — ten greedy sessions must share one memory
 //! budget, not multiply it. [`PipelineService`] therefore keeps the
 //! stages for its whole lifetime and lets any number of concurrent
-//! [`Session`]s feed the same bounded task queue:
+//! [`Session`]s push into the same bounded lanes:
 //!
 //! * **Shared ingest.** [`Session::submit`] runs candidate generation
 //!   on the calling thread (against one shared [`ShardedIndex`]) and
-//!   pushes the read's tasks contiguously into the shared task queue
-//!   under a global sequence number. The queue's weighted capacity is
-//!   the *server-wide* admission valve: when it is full, every
-//!   submitting session blocks, so peak resident bases obey
-//!   [`ServiceConfig::resident_bases_bound`] no matter how many
-//!   clients are connected.
+//!   pushes the read's tasks, under a global read sequence number, into
+//!   its backend's building batch; the push that fills it cuts it. A
+//!   lane holding `queue_depth` cut batches is the *server-wide*
+//!   admission valve: every submit to that backend, and none other,
+//!   blocks until the lane starts one, so peak resident bases obey
+//!   [`ServiceConfig::resident_bases_bound`] however many clients.
 //! * **Per-session determinism.** Each session has a fixed backend and
 //!   its reads keep their submission order in the global sequence, so
 //!   the sink (global reorder by batch sequence, per-read completion,
@@ -34,19 +34,18 @@
 //!   — that a one-shot `genasm align` over that session's reads would
 //!   produce.
 //! * **Per-backend batching.** Sessions may pick different backends;
-//!   the scheduler keeps one building batch per backend so a batch is
-//!   never mixed across engines, while batch sequence numbers stay
-//!   globally ordered for the sink's reorder buffer. A batch is
-//!   dispatched when it reaches its base target; a partial one goes
-//!   when a session that has reads in it finishes ([`Session::finish`]
-//!   queues a marker behind the session's last task, and the scheduler
-//!   dispatches that backend's building batch on it), so a client that
-//!   has sent its last read does not wait out the linger. Otherwise a
-//!   partial batch is flushed once it is [`ServiceConfig::linger`] old
-//!   — an *age* bound, not an idle bound, so one session's small batch
-//!   cannot be starved by another session's steady traffic to a
-//!   different backend (flush timing never changes output — the
-//!   pipeline is batch-geometry deterministic).
+//!   each backend's lane has one building batch so a batch is never
+//!   mixed across engines, while batch sequence numbers, given at the
+//!   cut, stay globally ordered for the sink's reorder buffer. A batch
+//!   is cut when it reaches its base target; a partial one goes when a
+//!   session that has reads in it finishes ([`Session::finish`] cuts
+//!   its backend's building batch), so a client that has sent its last
+//!   read does not wait out the linger. Otherwise the scheduler cuts a
+//!   partial batch once it is [`ServiceConfig::linger`] old — an *age*
+//!   bound, not an idle bound, so one session's small batch cannot be
+//!   starved by another session's steady traffic to a different
+//!   backend (flush timing never changes output — the pipeline is
+//!   batch-geometry deterministic).
 //! * **Failure isolation.** A task that exceeds its backend's edit
 //!   budget fails *that read for that session*
 //!   ([`SessionEvent::ReadFailed`]); a poisoned batch fails only the
@@ -62,19 +61,22 @@
 //!   not released, so a straggler cannot let the reorder buffer grow.
 //!   The CPU engines take two, so the next batch starts on the worker
 //!   that the last batch's longest task leaves idle; the simulated GPU
-//!   takes one. The lanes, the window and the reorder buffer are one
-//!   proven value, `dispatch::Dispatch`, under one mutex.
+//!   takes one. The building batches, the lanes, the window and the
+//!   reorder buffer are one proven value, `dispatch::Dispatch`, under
+//!   one mutex, from the push to the release.
 //! * **Graceful drain.** [`PipelineService::shutdown`] stops admitting
 //!   sessions, waits for the open ones to finish, drains every queue,
 //!   joins the stages, and returns the final [`PipelineMetrics`].
 //!
-//! The stages are scoped threads started by one function
-//! (`spawn_stages`): they borrow the shared state and the backend table
-//! (`&[(BackendKind, &dyn Backend)]`) and are joined by their scope. A
-//! resident service keeps that scope on one host thread, which owns the
-//! boxed table; [`run_pipeline`](crate::run_pipeline) opens it on its
-//! own stack over the backend its caller lent, so no backend has to be
-//! `'static`.
+//! The stages run in one function (`run_stages`): the scheduler on the
+//! calling thread, the sink and the lane threads on a scope, borrowing
+//! the shared state and the backend table (`&[(BackendKind, &dyn
+//! Backend)]`). A resident service calls it on one host thread, which
+//! owns the boxed table; [`run_pipeline`](crate::run_pipeline) calls it
+//! on a thread of the scope it opens on its own stack, over the backend
+//! its caller lent, so no backend has to be `'static`. The scheduler
+//! never sees a task: it starts lanes, cuts batches for their age, and
+//! flushes what is built when the service closes.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,11 +91,10 @@ use genasm_telemetry::TraceRecorder;
 use mapper::ShardedIndex;
 
 use crate::backend::{Backend, BackendError, BackendKind};
-use crate::batcher::{Batch, BatchBuilder, TaskMeta};
-use crate::dispatch::{Dispatch, Next};
+use crate::batcher::{BatchBuilder, TaskMeta};
+use crate::dispatch::{Chore, Dispatch, Next, Refused, Wake};
 use crate::explain::{disposition, ExplainRecord, ReadProvenance, TaskExplain};
-use crate::metrics::{BackendLat, PipelineMetrics, QueueMetrics, StageCounters};
-use crate::queue::{BoundedQueue, PopTimeout};
+use crate::metrics::{BackendLat, PipelineMetrics, StageCounters};
 use crate::record::AlignRecord;
 use crate::{tids, trace_lanes, PipelineConfig, ReadInput};
 
@@ -119,14 +120,14 @@ pub struct ServiceConfig {
     /// [`Session::submit`] blocks until the receiver catches up. In the
     /// server, the blocked submit stops the connection thread reading
     /// the socket, so backpressure reaches the client's TCP window —
-    /// the same path a full task queue uses. The sink itself never
+    /// the same path a full lane uses. The sink itself never
     /// blocks on a slow receiver, and buffered bytes stay within
     /// [`ServiceConfig::session_output_bound`]. `0` means unlimited.
     pub max_session_output_bytes: usize,
     /// Cap on one session's in-flight reads (submitted, not yet fully
     /// delivered). [`Session::submit`] blocks the submitting thread —
     /// and only it — while the session is at the cap, so a greedy
-    /// client cannot monopolize the shared task queue. `0` means
+    /// client cannot monopolize its backend's lane. `0` means
     /// unlimited.
     pub max_session_inflight_reads: usize,
 }
@@ -145,8 +146,8 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Server-wide upper bound on bases resident in the service at
-    /// once. Sessions share the task queue and the release window, so
-    /// the one-shot bound of [`PipelineConfig::resident_bases_bound`]
+    /// once. Sessions share the lanes and the release window, so the
+    /// one-shot bound of [`PipelineConfig::resident_bases_bound`]
     /// carries over for one backend in use — and each further *distinct
     /// backend in use* (`active_backends`) adds its building batch and
     /// its lane's batches, each up to a batch target plus one oversized
@@ -464,19 +465,6 @@ struct Ingest {
     map_lanes: Vec<bool>,
 }
 
-/// One item of the shared task queue: a candidate task with its
-/// metadata, for its session's `lane` (an index into `Shared::lanes`)
-/// — or, with no task, the marker of a session that finished with
-/// reads in flight: dispatch `lane`'s building batch now. The marker is
-/// pushed at weight 0 behind the session's last task, so it takes no
-/// capacity and is not counted as a task. (Not an enum: its large task
-/// variant would want a box, and a task pays no allocation for the
-/// marker's sake.)
-struct Work {
-    lane: usize,
-    task: Option<(AlignTask, TaskMeta)>,
-}
-
 /// One backend's dispatch lane: `threads` threads — the backend's
 /// [`Backend::in_flight`] — that take its batches from
 /// [`Shared::dispatch`] in cut order, so at 1 it sees them one at a
@@ -488,6 +476,9 @@ struct Lane {
     /// `tid0 + i`, so `execute` spans on one trace lane never overlap.
     tid0: u64,
 }
+
+/// The batch path, from the push to the release.
+type Path = Dispatch<BatchBuilder, SvcDone>;
 
 /// A batch travelling from dispatch to the sink.
 struct SvcDone {
@@ -512,12 +503,14 @@ pub(crate) struct Shared {
     engines: Mutex<Vec<Option<genasm_core::MemStats>>>,
     /// Each backend's [`Lane`], in table order.
     lanes: Vec<Lane>,
-    task_q: BoundedQueue<Work>,
-    /// The batch path from cut to release. The scheduler sleeps on
-    /// `room`, the lane threads on `turn`, the sink on `ready`. Never
-    /// take `sessions` or a session gate while holding it.
-    dispatch: Mutex<Dispatch<Batch, SvcDone>>,
+    /// The batch path from the push to the release. Submitters waiting
+    /// for room in a lane sleep on `room`, the scheduler on `sched`, the
+    /// lane threads on `turn`, the sink on `ready`; [`Shared::wake`]
+    /// notifies whom a transition names. Never take `sessions` or a
+    /// session gate while holding it.
+    dispatch: Mutex<Path>,
     room: Condvar,
+    sched: Condvar,
     turn: Condvar,
     ready: Condvar,
     counters: StageCounters,
@@ -532,6 +525,18 @@ pub(crate) struct Shared {
 impl Shared {
     fn trace(&self) -> Option<&TraceRecorder> {
         self.cfg.pipeline.trace.as_deref()
+    }
+
+    /// Notify the sleepers `w` names (the scheduler and the sink are
+    /// one thread each).
+    fn wake(&self, w: Wake) {
+        let roles = [Wake::ROOM, Wake::SCHED, Wake::TURN, Wake::READY];
+        let condvars = [&self.room, &self.sched, &self.turn, &self.ready];
+        for (role, condvar) in roles.into_iter().zip(condvars) {
+            if w.has(role) {
+                condvar.notify_all();
+            }
+        }
     }
 }
 
@@ -575,14 +580,14 @@ impl PipelineService {
         let sh = Arc::clone(&service.shared);
         let host = std::thread::spawn(move || {
             let table = lend(&backends);
-            std::thread::scope(|scope| spawn_stages(scope, &sh, &table));
+            std::thread::scope(|scope| run_stages(scope, &sh, &table));
         });
         service.host = Mutex::new(Some(host));
         service
     }
 
     /// Everything of a service over `backends` but its stages, which
-    /// whoever holds the table starts with [`spawn_stages`].
+    /// whoever holds the table runs with [`run_stages`].
     pub(crate) fn stopped(
         ref_label: &str,
         reference: Reference,
@@ -615,17 +620,17 @@ impl PipelineService {
             tid - tids::BACKEND0,
             tids::MAP0 - tids::BACKEND0
         );
-        // A lane holds `depth` batches; a batch starts within `2 × depth
-        // + widest` of the oldest one not released. Keep the two apart.
-        let widest = lanes.iter().map(|lane| lane.threads).max().unwrap_or(1) as u64;
-        let threads = lanes.iter().map(|lane| lane.threads);
+        // A lane holds `depth` batches; a batch starts within `2 × depth`
+        // plus the started lanes' threads of the oldest one not
+        // released. Keep the two apart.
+        let path = (lanes.iter()).map(|lane| (lane.threads, BatchBuilder::new(pcfg.batch_bases)));
         let shared = Arc::new(Shared {
             ref_label: ref_label.to_string(),
             index,
             engines: Mutex::new(backends.iter().map(|(_, b)| b.engine_stats()).collect()),
-            task_q: BoundedQueue::new(depth * pcfg.batch_bases.max(1)),
-            dispatch: Mutex::new(Dispatch::new(threads, depth, 2 * depth as u64 + widest)),
+            dispatch: Mutex::new(Dispatch::new(path, depth, 2 * depth as u64)),
             room: Condvar::new(),
+            sched: Condvar::new(),
             turn: Condvar::new(),
             ready: Condvar::new(),
             counters: StageCounters::default(),
@@ -765,18 +770,15 @@ impl PipelineService {
     /// `wall` is the service uptime).
     pub fn metrics(&self) -> PipelineMetrics {
         let sh = &self.shared;
+        let building = sh.lanes.len() * sh.cfg.pipeline.batch_bases.max(1);
         let d = sh.dispatch.lock().unwrap();
-        let ((batches, results), lanes) = (d.queues(), d.started_threads());
+        let ([tasks, batches, results], lanes) = (d.queues(building), d.started_threads());
         drop(d);
         let mut m = PipelineMetrics::snapshot(
             &sh.counters,
             sh.started.elapsed(),
             sh.index.metrics(),
-            QueueMetrics {
-                capacity: sh.task_q.capacity(),
-                pushed: sh.task_q.total_pushed(),
-                high_water: sh.task_q.high_water(),
-            },
+            tasks,
             batches,
             results,
             // Engine instrumentation merged across the backend table
@@ -951,10 +953,20 @@ impl PipelineService {
         self.metrics()
     }
 
-    /// Close the task queue — the stages flush what they hold and exit
-    /// — and join the host thread, if this service has one.
+    /// Close the batch path — cut what is built; the stages exit once
+    /// it has all run — and join the host thread, if this service has
+    /// one.
     fn close(&self) {
-        self.shared.task_q.close();
+        let sh = &self.shared;
+        let mut d = sh.dispatch.lock().unwrap();
+        for row in 0..sh.lanes.len() {
+            if d.cut(row).is_some() {
+                note_cut(sh, &d, row, "close");
+            }
+        }
+        let w = d.close();
+        drop(d);
+        sh.wake(w);
         if let Some(host) = self.host.lock().unwrap().take() {
             let _ = host.join();
         }
@@ -1009,9 +1021,9 @@ impl Session {
     }
 
     /// Map one read and push its candidate tasks into the shared
-    /// pipeline. Blocks while the task queue is full (the server-wide
-    /// admission valve) or while this session is at one of its own
-    /// caps (in-flight reads, or buffered output) — per-session
+    /// pipeline. Blocks while its backend's lane is full (the
+    /// server-wide admission valve) or while this session is at one of
+    /// its own caps (in-flight reads, or buffered output) — per-session
     /// backpressure that blocks only the submitting thread. Returns
     /// the number of tasks generated (0 = unmapped read; it completes
     /// immediately with no rows).
@@ -1067,9 +1079,9 @@ impl Session {
     }
 
     /// The ordered half of [`Session::submit`]: admission, funnel and
-    /// session bookkeeping, and the contiguous task pushes under the
-    /// next global read sequence number. Reads of one session must be
-    /// enqueued one at a time, in submission order.
+    /// session bookkeeping, and the task pushes under the next global
+    /// read sequence number. Reads of one session must be enqueued one
+    /// at a time, in submission order.
     pub(crate) fn enqueue(&self, mapped: MappedRead) -> Result<usize, SubmitError> {
         self.gate.admit()?;
         let sh = &self.shared;
@@ -1078,7 +1090,7 @@ impl Session {
             qlen,
             tasks,
             stats: map_stats,
-            started: t0,
+            started: submitted_at,
             map_ns,
         } = mapped;
         sh.counters.reads_in.inc();
@@ -1136,21 +1148,26 @@ impl Session {
             return Ok(0);
         }
         // Registered before the pushes so the read counts against the
-        // session's in-flight cap from the moment it can occupy queue
+        // session's in-flight cap from the moment it can occupy lane
         // space; the sink's `read_done` is the matching credit.
         self.gate.register_read();
         let qname: Arc<str> = Arc::from(name);
-        // Hold the ingest lock across all pushes: a read's tasks must
-        // be contiguous in the shared task stream (the sink's per-read
-        // accumulation depends on it), and the global read sequence
-        // must match push order. Backpressure from a full task queue
-        // therefore stalls every submitting session — that is the
-        // shared admission control working as intended.
-        let mut ing = sh.ingest.lock().unwrap();
-        let read_seq = ing.next_read_seq;
-        ing.next_read_seq += 1;
+        // The sink gathers a read's tasks by `read_seq`, so they need not
+        // be contiguous among other sessions' pushes; and a session
+        // enqueues one read at a time into its one lane, so its reads
+        // still complete in its order.
+        let read_seq = {
+            let mut ing = sh.ingest.lock().unwrap();
+            ing.next_read_seq += 1;
+            ing.next_read_seq - 1
+        };
+        // One lock for the read's pushes, unless its lane is full. A
+        // cut's wakes go out at once, under the lock: a lane to start
+        // must not wait behind this thread's sleep for room.
+        let (mut d, t0, mut asleep) = (sh.dispatch.lock().unwrap(), Instant::now(), Duration::ZERO);
         for task in tasks {
             let bases = task.bases();
+            let query_bases = task.query.len() as u64;
             let meta = TaskMeta {
                 read_seq,
                 session: self.id,
@@ -1163,19 +1180,35 @@ impl Session {
                 tlen: task.target.len(),
                 reverse: task.reverse,
                 provenance: Arc::clone(&provenance),
-                submitted_at: t0,
-                enqueued_at: Instant::now(),
+                submitted_at,
             };
-            sh.counters.task_in(bases);
-            sh.counters.query_bases.add(task.query.len() as u64);
-            let work = Work {
-                lane: self.lane,
-                task: Some((task, meta)),
-            };
-            if sh.task_q.push(work, bases).is_err() {
-                return Err(SubmitError::ServiceStopped);
+            let (mut item, mut waited) = ((task, meta), Duration::ZERO);
+            loop {
+                match d.push(self.lane, item, bases) {
+                    Ok(None) => break,
+                    Ok(Some(w)) => {
+                        note_cut(sh, &d, self.lane, "full");
+                        sh.wake(w);
+                        break;
+                    }
+                    Err(Refused::Full(back)) => {
+                        let t = Instant::now();
+                        (item, d) = (back, sh.room.wait(d).unwrap());
+                        waited += t.elapsed();
+                    }
+                    Err(Refused::Closed(_)) => return Err(SubmitError::ServiceStopped),
+                }
             }
+            asleep += waited;
+            sh.counters.task_in(bases);
+            sh.counters.query_bases.add(query_bases);
+            sh.counters.task_queue_wait_ns.record_duration(waited);
         }
+        drop(d);
+        StageCounters::add_ns(
+            &sh.counters.scheduler_ns,
+            t0.elapsed().saturating_sub(asleep),
+        );
         Ok(n)
     }
 
@@ -1192,8 +1225,8 @@ impl Session {
     /// Declare the session finished: once its in-flight reads drain,
     /// the receiver gets [`SessionEvent::End`] and the session slot is
     /// released for admission. Reads still in flight are not held
-    /// back for the linger: the session's backend dispatches its
-    /// building batch as soon as the scheduler reaches this call.
+    /// back for the linger: this call cuts the session's backend's
+    /// building batch.
     pub fn finish(mut self) {
         self.close_inner();
     }
@@ -1217,17 +1250,16 @@ impl Session {
                 }
             }
         }
-        // Pushed after the registry lock is dropped: the push can wait
-        // behind an oversized task, and making room for it ends in the
-        // sink, which takes `sessions`. Pushed before the session is
-        // counted out, so a shutdown closes the queue behind it; a
-        // queue already closed flushes every batch on its own.
+        // Cut before the session is counted out, so a shutdown closes
+        // the path behind it; a closed path has cut the batch itself.
         if in_flight {
-            let marker = Work {
-                lane: self.lane,
-                task: None,
-            };
-            let _ = sh.task_q.push(marker, 0);
+            let (t0, mut d) = (Instant::now(), sh.dispatch.lock().unwrap());
+            if let Some(w) = d.cut(self.lane) {
+                note_cut(sh, &d, self.lane, "finish");
+                drop(d);
+                sh.wake(w);
+            }
+            StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
         }
         let mut ing = sh.ingest.lock().unwrap();
         ing.open_sessions -= 1;
@@ -1327,53 +1359,76 @@ fn take_map_lane(sh: &Shared) -> usize {
     lane
 }
 
-/// Start the stages on `scope`, over the backend table they borrow:
-/// the scheduler and the sink here, and `backends[i]`'s lane of
-/// [`Backend::in_flight`] dispatcher threads when the scheduler cuts
-/// that lane's first batch. So an idle service runs no dispatcher, a
-/// CPU-only one 2 (the simulated GPU's lane 1), and a backend that no
-/// session uses costs no thread. The one place a stage thread is made,
-/// directly or through the scheduler: [`crate::run_pipeline`] calls it
-/// on the scope its run already lives in, over the caller's `&dyn
-/// Backend` as it came, a resident service on the host thread that owns
-/// its boxed table. The stages exit once the task queue is closed and
-/// drained.
-pub(crate) fn spawn_stages<'scope>(
+/// Run the stages over the backend table they borrow: the sink on a
+/// thread of `scope`, the scheduler on this one, and `backends[i]`'s
+/// lane of [`Backend::in_flight`] dispatcher threads on `scope` after
+/// the lane's first cut — so a backend that no session uses costs no
+/// thread. The one place a stage thread is made: [`crate::run_pipeline`]
+/// calls it on a thread of the scope its run lives in, over the
+/// caller's `&dyn Backend` as it came, a resident service on the host
+/// thread that owns its boxed table.
+///
+/// The scheduler never sees a task. It starts each lane after its first
+/// cut, made on whichever thread; cuts a building batch once it is
+/// [`ServiceConfig::linger`] old — an age bound, so a partial batch
+/// waits at most `linger` whatever other backends' traffic does, and
+/// flush timing never changes output. It returns once the service has
+/// closed and every lane with a batch has started.
+pub(crate) fn run_stages<'scope>(
     scope: &'scope Scope<'scope, '_>,
     sh: &'scope Shared,
     backends: &'scope [(BackendKind, &'scope dyn Backend)],
 ) {
-    scope.spawn(move || {
-        scheduler_loop(&Stages {
-            sh,
-            scope,
-            backends,
-        })
-    });
     scope.spawn(move || sink_loop(sh));
+    // A zero linger would spin the scheduler while nothing is built.
+    let linger = sh.cfg.linger.max(Duration::from_millis(1));
+    let mut d = sh.dispatch.lock().unwrap();
+    loop {
+        let t0 = Instant::now();
+        let mut due = t0 + linger;
+        for row in 0..sh.lanes.len() {
+            let Some(started) = d.building(row).started() else {
+                continue;
+            };
+            if started + linger > t0 {
+                due = due.min(started + linger);
+            } else if let Some(w) = d.cut(row) {
+                note_cut(sh, &d, row, "linger");
+                sh.wake(w);
+            }
+        }
+        StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
+        match d.chore() {
+            Chore::Start(row, w) => {
+                drop(d);
+                sh.wake(w);
+                // Each thread on a trace lane `backend:NAME:SLOT`.
+                let (lane, backend) = (&sh.lanes[row], backends[row].1);
+                for slot in 0..lane.threads {
+                    if let Some(t) = sh.trace() {
+                        let name = format!("backend:{}:{slot}", backend.name());
+                        t.thread_name(lane.tid0 + slot as u64, &name);
+                    }
+                    scope.spawn(move || dispatch_loop(sh, row, slot, backend));
+                }
+                d = sh.dispatch.lock().unwrap();
+            }
+            Chore::Wait => {
+                let sleep = due.saturating_duration_since(Instant::now());
+                d = sh.sched.wait_timeout(d, sleep).unwrap().0;
+            }
+            Chore::Exit => return,
+        }
+    }
 }
 
-/// What the scheduler needs to start a lane: the scope the stages run
-/// on and the backend table they borrow.
-struct Stages<'scope, 'env> {
-    sh: &'scope Shared,
-    scope: &'scope Scope<'scope, 'env>,
-    backends: &'scope [(BackendKind, &'scope dyn Backend)],
-}
-
-/// Cut `batch`, if there is one, into lane `row` once it has room,
-/// starting the lane at its first batch; its `batch-build` trace span
-/// says why it went: `full` (it reached its base target), `linger` (it
-/// reached the linger age), `finish` (a session with reads in it
-/// finished) or `close` (the task queue closed). The one place a batch
-/// leaves the scheduler.
-fn dispatch_batch(st: &Stages, row: usize, batch: Option<Batch>, cause: &str, next_seq: &mut u64) {
-    let Some(mut batch) = batch else {
-        return;
-    };
-    let (sh, lane) = (st.sh, &st.sh.lanes[row]);
-    batch.seq = *next_seq;
-    *next_seq += 1;
+/// Count the batch just cut into lane `row` — under the lock, so that a
+/// metrics snapshot never reads more batches cut than counted — and
+/// trace its `batch-build` span, whose `cause` says why it went: `full`
+/// (it reached its base target), `linger`, `finish` (a session with
+/// reads in it finished) or `close`. Every cut passes here.
+fn note_cut(sh: &Shared, d: &Path, row: usize, cause: &str) {
+    let (seq, batch) = d.newest(row);
     sh.counters.batch_dispatched(batch.tasks.len(), batch.bases);
     let build = batch.ready_at.duration_since(batch.build_started);
     sh.counters.batch_build_ns.record_duration(build);
@@ -1385,91 +1440,14 @@ fn dispatch_batch(st: &Stages, row: usize, batch: Option<Batch>, cause: &str, ne
             batch.build_started,
             build,
             &[
-                ("batch", batch.seq.into()),
-                ("backend", lane.kind.to_string().into()),
+                ("batch", seq.into()),
+                ("backend", sh.lanes[row].kind.to_string().into()),
                 ("tasks", batch.tasks.len().into()),
                 ("bases", batch.bases.into()),
                 ("cause", cause.into()),
             ],
         );
     }
-    let mut dispatch = sh.dispatch.lock().unwrap();
-    let first = loop {
-        match dispatch.cut(row, batch) {
-            Ok(first) => break first,
-            Err(refused) => (batch, dispatch) = (refused, sh.room.wait(dispatch).unwrap()),
-        }
-    };
-    drop(dispatch);
-    sh.turn.notify_all();
-    // At the lane's first batch, start its threads, each on a trace
-    // lane `backend:NAME:SLOT`; after it, start none.
-    let backend = st.backends[row].1;
-    for slot in (0..lane.threads).filter(|_| first) {
-        if let Some(t) = sh.trace() {
-            let name = format!("backend:{}:{slot}", backend.name());
-            t.thread_name(lane.tid0 + slot as u64, &name);
-        }
-        st.scope
-            .spawn(move || dispatch_loop(sh, row, slot, backend));
-    }
-}
-
-fn scheduler_loop(st: &Stages) {
-    let sh = st.sh;
-    let target = sh.cfg.pipeline.batch_bases.max(1);
-    // A zero linger would busy-spin pop_timeout on an idle queue.
-    let linger = sh.cfg.linger.max(Duration::from_millis(1));
-    // One building batch per lane; the linger flush reads its age off
-    // the builder. A read's tasks all go to its session's lane, so they
-    // occupy one FIFO building batch and complete in submission order.
-    // Batch sequence numbers are assigned globally at dispatch so the
-    // sink's reorder buffer sees one ordered stream.
-    let mut builders: Vec<BatchBuilder> =
-        sh.lanes.iter().map(|_| BatchBuilder::new(target)).collect();
-    let mut next_seq: u64 = 0;
-    loop {
-        match sh.task_q.pop_timeout(linger) {
-            PopTimeout::Item(Work {
-                lane,
-                task: Some((task, meta)),
-            }) => {
-                let t0 = Instant::now();
-                sh.counters
-                    .task_queue_wait_ns
-                    .record_duration(t0.duration_since(meta.enqueued_at));
-                let full = builders[lane].push(task, meta);
-                StageCounters::add_ns(&sh.counters.scheduler_ns, t0.elapsed());
-                dispatch_batch(st, lane, full, "full", &mut next_seq);
-            }
-            PopTimeout::Item(Work { lane, task: None }) => {
-                // The finished session's last task is in this builder,
-                // or already dispatched; either way no more of its
-                // tasks are coming, so its rows need not wait out the
-                // linger.
-                let batch = builders[lane].take();
-                dispatch_batch(st, lane, batch, "finish", &mut next_seq);
-            }
-            PopTimeout::TimedOut => {}
-            PopTimeout::Closed => break,
-        }
-        // Age-based flush on every iteration: a partial batch waits at
-        // most `linger` even while *other* backends' steady traffic
-        // keeps the queue from ever going idle — one slow session must
-        // not be starved by another's throughput. Flush timing never
-        // changes output (batch-geometry determinism).
-        for (lane, builder) in builders.iter_mut().enumerate() {
-            if builder.started().is_some_and(|t| t.elapsed() >= linger) {
-                dispatch_batch(st, lane, builder.take(), "linger", &mut next_seq);
-            }
-        }
-    }
-    for (lane, builder) in builders.iter_mut().enumerate() {
-        dispatch_batch(st, lane, builder.take(), "close", &mut next_seq);
-    }
-    sh.dispatch.lock().unwrap().close();
-    sh.turn.notify_all();
-    sh.ready.notify_one();
 }
 
 /// Run one batch through `backend`, turning a panic inside it, or a
@@ -1513,16 +1491,18 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
     // that ran, and an idle thread allocates nothing.
     let mut lat: Option<BackendLat> = None;
     loop {
-        let mut dispatch = sh.dispatch.lock().unwrap();
-        let batch = loop {
-            match dispatch.next(row) {
-                Next::Run(batch) => break batch,
-                Next::Wait => dispatch = sh.turn.wait(dispatch).unwrap(),
+        let mut d = sh.dispatch.lock().unwrap();
+        let (seq, batch) = loop {
+            match d.next(row) {
+                Next::Run(seq, batch, w) => {
+                    drop(d);
+                    sh.wake(w);
+                    break (seq, batch);
+                }
+                Next::Wait => d = sh.turn.wait(d).unwrap(),
                 Next::Exit => return,
             }
         };
-        drop(dispatch);
-        sh.room.notify_one();
         let t0 = Instant::now();
         let lat = lat.get_or_insert_with(|| sh.counters.backend_lat(backend.name()));
         let queue_wait = t0.duration_since(batch.ready_at);
@@ -1547,7 +1527,7 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
         lat.bases.add(batch.bases as u64);
         if let Some(t) = sh.trace() {
             let args = [
-                ("batch", batch.seq.into()),
+                ("batch", seq.into()),
                 ("tasks", batch.tasks.len().into()),
                 ("bases", batch.bases.into()),
             ];
@@ -1569,14 +1549,14 @@ fn dispatch_loop(sh: &Shared, row: usize, slot: usize, backend: &dyn Backend) {
             engines[row] = backend.engine_stats();
         }
         let done = SvcDone {
-            seq: batch.seq,
+            seq,
             metas: batch.metas,
             alignments,
             backend_name: backend.name(),
             completed_at: Instant::now(),
         };
-        sh.dispatch.lock().unwrap().finish(done.seq, done);
-        sh.ready.notify_one();
+        let w = sh.dispatch.lock().unwrap().finish(seq, done);
+        sh.wake(w);
     }
 }
 
@@ -1764,8 +1744,8 @@ fn sink_loop(sh: &Shared) {
                 finalize_read(sh, acc);
             }
         }
-        sh.dispatch.lock().unwrap().release();
-        sh.turn.notify_all();
+        let w = sh.dispatch.lock().unwrap().release();
+        sh.wake(w);
         StageCounters::add_ns(&sh.counters.sink_ns, t0.elapsed());
         if let Some(t) = sh.trace() {
             t.span(

@@ -1857,3 +1857,69 @@ fn a_blocked_backend_does_not_hold_up_another_backends_batches() {
         assert_eq!(m.in_flight_lanes, 1 + 2);
     });
 }
+
+/// A full lane holds up only its own backend's submits: with the
+/// `gpu-sim`-kind backend stuck in its first batch and its lane full
+/// behind it, a helper's next `gpu-sim` submit waits for room, and a
+/// `cpu` session still submits, cuts and runs its batches — the stuck
+/// call only returns early once one has.
+#[test]
+fn a_full_lane_does_not_hold_up_another_backends_submits() {
+    within_a_minute(|| {
+        let w = workload(80_000, 18, 500, 53);
+        let cfg = one_task_batches();
+        let depth = cfg.queue_depth as u64;
+        let (held_reads, cpu_reads) = w.reads.split_at(14);
+        let want_held = one_shot_cpu(held_reads, &w.reference, &cfg);
+        let want_cpu = one_shot_cpu(cpu_reads, &w.reference, &cfg);
+        let handoff = Arc::new(Handoff::default());
+        let cpu = || genasm_pipeline::CpuBackend::improved();
+        let backends: Vec<(BackendKind, Box<dyn Backend>)> = vec![
+            (
+                BackendKind::GpuSim,
+                Box::new(WaitsForCpu(Arc::clone(&handoff), cpu())),
+            ),
+            (
+                BackendKind::Cpu,
+                Box::new(RaisesOnEntry(Arc::clone(&handoff), cpu())),
+            ),
+        ];
+        let service = PipelineService::start_with_backends(
+            "ref",
+            w.reference.clone(),
+            ServiceConfig {
+                pipeline: cfg,
+                ..ServiceConfig::default()
+            },
+            backends,
+        );
+        let (got_held, got_cpu) = std::thread::scope(|scope| {
+            let helper = scope.spawn(|| run_session(&service, BackendKind::GpuSim, held_reads));
+            // One batch held in the backend and `depth` cut behind it:
+            // the lane is full, and the helper's next push waits.
+            let deadline = std::time::Instant::now() + Duration::from_secs(20);
+            while service.metrics().batch_queue.pushed < depth + 1 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the held lane never filled"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let got_cpu = run_session(&service, BackendKind::Cpu, cpu_reads);
+            (helper.join().unwrap(), got_cpu)
+        });
+        let m = service.shutdown();
+        assert!(
+            handoff.saw_cpu.load(std::sync::atomic::Ordering::SeqCst),
+            "no cpu batch started while the held lane was full"
+        );
+        assert_eq!(got_held.0, want_held);
+        assert_eq!(got_cpu.0, want_cpu);
+        assert!(
+            got_held.1.tasks > depth + 1,
+            "{} tasks cannot fill the lane",
+            got_held.1.tasks
+        );
+        assert_eq!(m.in_flight_lanes, 1 + 2);
+    });
+}

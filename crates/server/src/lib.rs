@@ -12,14 +12,14 @@
 //!             ┌─ conn thread ─ ...                                        ▼
 //!  client B ──┤                                    ┌──────────────────────────────┐
 //!             └─ writer thread ◄───────────────────┤  PipelineService (resident)  │
-//!                                                  │  shared task queue → batches │
+//!                                                  │  per-backend lanes → batches │
 //!  genasm submit ──► SET/BEGIN/records ──────────► │  → backends → ordered sink   │
 //!                                                  └──────────────────────────────┘
 //! ```
 //!
 //! The heavy lifting lives in [`genasm_pipeline::PipelineService`]:
-//! one bounded task queue shared by every session gives *server-wide*
-//! admission control (peak resident bases obey
+//! one bounded lane per backend, shared by every session on that
+//! backend, gives *server-wide* admission control (peak resident bases obey
 //! [`genasm_pipeline::ServiceConfig::resident_bases_bound`] no matter
 //! how many clients connect), and one global reorder at the sink, with
 //! each completed read routed to its session, keeps each client's

@@ -6,8 +6,8 @@
 //! [`genasm_pipeline::PipelineService`], while a writer thread drains
 //! the session's events back to the client. The two halves are
 //! independent, so responses stream while the client is still
-//! uploading, and both directions are backpressured: a full shared
-//! task queue blocks `submit`, and so does this session reaching
+//! uploading, and both directions are backpressured: a full lane of
+//! the session's backend blocks `submit`, and so does this session reaching
 //! `ServiceConfig::max_session_inflight_reads` or falling behind its
 //! reader by more than `ServiceConfig::max_session_output_bytes`. A
 //! blocked `submit` stops this thread reading the socket, which

@@ -23,7 +23,9 @@ Five modes, one per exposition surface:
   ``batches_in_flight`` is no more than its ``in_flight_lanes``, and
   whose queues kept their bounds: ``queues.batch`` (the lanes' batches
   not yet started) and ``queues.result`` (finished batches waiting for
-  the sink) never above their capacity, ``queues.task`` never above
+  the sink) never above their capacity, ``queues.task`` (the bases in
+  the lanes' building batches: ``batch_bases`` per lane, pushed = tasks,
+  its high water counting the push that fills a batch) never above
   its capacity plus one oversized task (``max_task_bases``), and every
   batch cut and finished: ``queues.batch.pushed ==
   queues.result.pushed == batches``.
