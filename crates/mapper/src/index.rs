@@ -12,15 +12,18 @@
 //!
 //! The index is flat, like minimap2's, and has no hash table: every
 //! minimizer's position sits in one array, in one run per hash, with
-//! its orientation in a parallel bitset; the distinct hashes and their
-//! run starts sit in two more, and a directory over the hashes' low
-//! bits narrows a lookup to one slot of two to four hashes. The
-//! directory reads the *low* bits because a minimizer is the smallest
-//! hash of its window: minimizer hashes crowd toward zero, so their top
-//! bits are far from uniform, while their low bits are as uniform as
-//! [`hash64`] makes every bit. That is 4 bytes and a bit per
-//! occurrence, 12 bytes per distinct hash and 1 to 2 per minimizer for
-//! the directory.
+//! its orientation in a parallel bitset and its key — the hash's bits
+//! above the directory's — in a parallel `u32` array. A directory over
+//! the hashes' low bits narrows a lookup to one slot, two to four
+//! occurrences on average, which it scans for the hash's run; a slot
+//! that a repeat's run makes long, it binary-searches. The directory
+//! reads the *low* bits because a minimizer is the smallest hash of its
+//! window: minimizer hashes crowd toward zero, so their top bits are
+//! far from uniform, while their low bits are as uniform as [`hash64`]
+//! makes every bit. That is 8 bytes and a bit per occurrence, 2 to 4
+//! bytes per minimizer for the directory, and nothing per distinct
+//! hash. A key wider than 32 bits (`2k > 32` plus the directory's
+//! width; never at `k ≤ 16`) keeps its top in a third parallel array.
 //!
 //! One index covers every contig of a reference, laid end to end at
 //! 32-bit global positions ([`MinimizerIndex::build_contigs`]); each
@@ -29,12 +32,15 @@
 //! the contigs once, counting the minimizers of each directory slot
 //! and marking their positions in a bitset, then keys the k-mer at each
 //! mark again and scatters it into its slot, and sorts each slot, a few
-//! entries, by hash.
+//! entries, by hash. The counts' prefix sums are the directory.
+
+use std::ops::Range;
 
 use align_core::Seq;
 
-/// Bit 63 of a ring key: the canonical k-mer is the reverse complement.
-/// Hashes use at most 62 bits, so the flag never reaches the order.
+/// Bit 63 of a ring key, and of a slot entry the build sorts: the
+/// canonical k-mer is the reverse complement. Hashes use at most 62
+/// bits, so the flag never reaches the order.
 const FLIPPED: u64 = 1 << 63;
 
 /// One extracted minimizer.
@@ -226,19 +232,53 @@ pub struct MinimizerIndex {
     /// Bit `i` is set when the canonical k-mer at `pos[i]` is the
     /// reverse complement.
     flips: Vec<u64>,
-    /// The distinct hashes, in the order of their runs in `pos`.
-    keys: Vec<u64>,
-    /// `keys.len() + 1` run starts: the hits of `keys[i]` are
-    /// `pos[starts[i]..starts[i + 1]]`.
-    starts: Vec<u32>,
-    /// Directory over the hashes' low `bits` bits: the keys of slot `t`
-    /// are `keys[dir[t]..dir[t + 1]]`.
+    /// `keys[i]` is the low 32 bits of the hash at `pos[i]` shifted
+    /// right by `bits`: its slot holds the bits below.
+    keys: Vec<u32>,
+    /// The bits of the shifted hash above those 32, parallel to `keys`;
+    /// empty unless a hash can have them (`2k > 32 + bits`).
+    wide: Vec<u32>,
+    /// Directory over the hashes' low `bits` bits: the occurrences of
+    /// slot `t` are `pos[dir[t]..dir[t + 1]]`.
     dir: Vec<u32>,
     /// Width of the directory in bits.
     bits: u32,
+    /// Number of distinct hashes.
+    distinct: usize,
     /// Occurrence cutoff: hashes hit more often than this are masked
     /// (minimap2's high-frequency filter, `-f`).
     pub max_occ: usize,
+}
+
+/// Entry `i`'s hash shifted right by the directory's width: `wide[i]`
+/// above `keys[i]`, or `keys[i]` alone while `wide` is empty.
+fn key_of(keys: &[u32], wide: &[u32], i: usize) -> u64 {
+    wide.get(i).map_or(0, |&top| u64::from(top) << 32) | u64::from(keys[i])
+}
+
+/// Longest slot that [`equal_range`] scans: 64 keys are four cache
+/// lines, read in order, which beats a binary search's scattered
+/// probes. On the `accurate-short` reference (one process, 2-vCPU VM)
+/// `collect_anchors` took 1.16× the time of the layout with one key per
+/// distinct hash when every slot was binary-searched, 1.01× when up to
+/// 16 keys were scanned, and 0.98× with 64.
+const SCAN: usize = 64;
+
+/// The indices of `run` where the ascending `v` equals `x`: a scan
+/// over a slot's few entries, a binary search where a repeat's run
+/// makes them many.
+fn equal_range(v: &[u32], run: Range<usize>, x: u32) -> Range<usize> {
+    let v = &v[run.clone()];
+    let (a, b) = if v.len() <= SCAN {
+        let a = v.iter().take_while(|&&y| y < x).count();
+        (a, a + v[a..].iter().take_while(|&&y| y == x).count())
+    } else {
+        (
+            v.partition_point(|&y| y < x),
+            v.partition_point(|&y| y <= x),
+        )
+    };
+    run.start + a..run.start + b
 }
 
 impl MinimizerIndex {
@@ -260,8 +300,7 @@ impl MinimizerIndex {
     /// its own, so a contig shorter than one window keeps its minimum.
     ///
     /// Besides the finished index, the build holds a bit per base until
-    /// the minimizers are placed, 4 bytes per minimizer until the
-    /// distinct hashes are compacted, and a sort buffer of 16 bytes per
+    /// the minimizers are placed and a sort buffer of 16 bytes per
     /// entry of the largest directory slot.
     ///
     /// # Panics
@@ -312,75 +351,70 @@ impl MinimizerIndex {
         );
 
         // Pass 2 keys the k-mer at each mark again, in reference order,
-        // and scatters it into its slot: the hash with `flipped` in bit
-        // 63, and the position. So every slot's positions ascend, and
-        // `dir[t]` ends at the end of slot `t`.
-        let mut keys = vec![0u64; n];
+        // and scatters its key, position and orientation bit to the
+        // next free entry of its slot. So every slot's positions
+        // ascend, and `dir[t]` ends at the end of slot `t`: shifted up
+        // one slot, it is the occurrence directory.
+        let mut keys = vec![0u32; n];
+        let mut wide = vec![0u32; if 2 * k as u32 > 32 + bits { n } else { 0 }];
         let mut pos = vec![0u32; n];
+        let mut flips = vec![0u64; n.div_ceil(64)];
         let mut spans = contigs.scan(0, |end: &mut usize, seq| {
             *end += seq.len();
             Some((*end, seq))
         });
         let (mut end, mut seq) = (0, &Seq::new());
-        for (word, &bits) in marks.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let gpos = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+        for (word, &set) in marks.iter().enumerate() {
+            let mut set = set;
+            while set != 0 {
+                let gpos = word * 64 + set.trailing_zeros() as usize;
+                set &= set - 1;
                 while gpos >= end {
                     (end, seq) = spans.next().expect("a mark lies in a contig");
                 }
                 let key = key_at(seq, gpos + seq.len() - end, k);
-                let i = &mut dir[slot_of(key)];
-                (keys[*i as usize], pos[*i as usize]) = (key, gpos as u32);
-                *i += 1;
+                let next = &mut dir[slot_of(key)];
+                let i = *next as usize;
+                *next += 1;
+                let shifted = (key & !FLIPPED) >> bits;
+                keys[i] = shifted as u32;
+                if let Some(top) = wide.get_mut(i) {
+                    *top = (shifted >> 32) as u32;
+                }
+                pos[i] = gpos as u32;
+                flips[i / 64] |= (key >> 63) << (i % 64);
             }
         }
         drop(marks);
+        dir.copy_within(..slots, 1);
+        dir[0] = 0;
 
-        // Sort each slot by hash. Its positions ascend, so the order by
-        // `(hash, pos)` is the stable one: each hash's run stays
-        // position-ascending. The flags move to the bitset.
-        let mut flips = vec![0u64; n.div_ceil(64)];
+        // Sort each slot by hash, moving each entry's key, position and
+        // orientation (in bit 63 of the key) together. A slot's
+        // positions ascend, so the order by `(hash, pos)` is the stable
+        // one: each hash's run stays position-ascending. Count the runs
+        // on the way.
+        let mut distinct = 0;
         let mut slot: Vec<(u64, u32)> = Vec::new();
-        let mut lo = 0;
-        for &hi in &dir[..slots] {
-            let hi = hi as usize;
+        for d in dir.windows(2) {
+            let (lo, hi) = (d[0] as usize, d[1] as usize);
             slot.clear();
-            slot.extend(
-                keys[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(pos[lo..hi].iter().copied()),
-            );
+            slot.extend((lo..hi).map(|i| {
+                let flip = flips[i / 64] >> (i % 64) << 63;
+                (key_of(&keys, &wide, i) | flip, pos[i])
+            }));
             slot.sort_unstable_by_key(|&(key, p)| (key & !FLIPPED, p));
+            distinct += slot.chunk_by(|a, b| (a.0 ^ b.0) & !FLIPPED == 0).count();
             for (i, (key, p)) in (lo..hi).zip(slot.iter().copied()) {
-                keys[i] = key & !FLIPPED;
+                keys[i] = key as u32;
+                if let Some(top) = wide.get_mut(i) {
+                    *top = ((key & !FLIPPED) >> 32) as u32;
+                }
                 pos[i] = p;
-                flips[i / 64] |= (key >> 63) << (i % 64);
+                let word = &mut flips[i / 64];
+                *word = *word & !(1 << (i % 64)) | (key >> 63) << (i % 64);
             }
-            lo = hi;
         }
-        drop(slot);
-
-        // Equal hashes share a slot, so each hash's run is adjacent:
-        // record the run starts, then keep one key per run and count
-        // the keys of each slot into the directory.
-        let distinct = keys.chunk_by(|a, b| a == b).count();
-        let mut starts = Vec::with_capacity(distinct + 1);
-        starts.extend(
-            (0..n)
-                .filter(|&i| i == 0 || keys[i] != keys[i - 1])
-                .map(|i| i as u32),
-        );
-        starts.push(n as u32);
-        keys.dedup();
-        keys.shrink_to_fit();
-        dir.fill(0);
-        for &key in &keys {
-            dir[slot_of(key) + 1] += 1;
-        }
-        prefix_sum(&mut dir);
 
         MinimizerIndex {
             w,
@@ -389,16 +423,17 @@ impl MinimizerIndex {
             pos,
             flips,
             keys,
-            starts,
+            wide,
             dir,
             bits,
+            distinct,
             max_occ,
         }
     }
 
     /// Number of distinct indexed minimizer hashes.
     pub fn distinct_minimizers(&self) -> usize {
-        self.keys.len()
+        self.distinct
     }
 
     /// Heap bytes the index holds.
@@ -407,7 +442,7 @@ impl MinimizerIndex {
         size_of_val(self.pos.as_slice())
             + size_of_val(self.flips.as_slice())
             + size_of_val(self.keys.as_slice())
-            + size_of_val(self.starts.as_slice())
+            + size_of_val(self.wide.as_slice())
             + size_of_val(self.dir.as_slice())
     }
 
@@ -416,37 +451,50 @@ impl MinimizerIndex {
     pub fn lookup(&self, hash: u64) -> Hits<'_> {
         match self.occurrences(hash) {
             v if v.len() <= self.max_occ => v,
-            _ => self.run(0, 0),
+            _ => self.run(0..0),
         }
     }
 
     /// Occurrence list for a hash, **ignoring** the cutoff. Positions
     /// ascend.
     pub fn occurrences(&self, hash: u64) -> Hits<'_> {
-        let t = (hash & ((1 << self.bits) - 1)) as usize;
-        let (lo, hi) = (self.dir[t] as usize, self.dir[t + 1] as usize);
-        match self.keys[lo..hi].iter().position(|&h| h == hash) {
-            Some(i) => self.run(self.starts[lo + i], self.starts[lo + i + 1]),
-            None => self.run(0, 0),
+        // The keys hold `2k`-bit hashes: a probe above them would alias.
+        if hash >> (2 * self.k) != 0 {
+            return self.run(0..0);
         }
+        // The slot holds every occurrence of its hashes: find the run.
+        let t = (hash & ((1 << self.bits) - 1)) as usize;
+        let mut run = self.dir[t] as usize..self.dir[t + 1] as usize;
+        let key = hash >> self.bits;
+        if !self.wide.is_empty() {
+            run = equal_range(&self.wide, run, (key >> 32) as u32);
+        }
+        self.run(equal_range(&self.keys, run, key as u32))
     }
 
     /// Iterate every `(hash, occurrences)` bucket, ignoring the cutoff.
     /// Iteration order is unspecified (callers must not depend on it).
     pub fn buckets(&self) -> impl Iterator<Item = (u64, Hits<'_>)> {
-        let runs = self.starts.windows(2);
-        self.keys
-            .iter()
-            .zip(runs)
-            .map(|(&h, s)| (h, self.run(s[0], s[1])))
+        let key = move |i| key_of(&self.keys, &self.wide, i);
+        let slots = self.dir.windows(2).enumerate();
+        slots.flat_map(move |(t, d)| {
+            let (mut i, end) = (d[0] as usize, d[1] as usize);
+            std::iter::from_fn(move || {
+                let (start, run) = (i, (i < end).then(|| key(i))?);
+                while i < end && key(i) == run {
+                    i += 1;
+                }
+                Some((run << self.bits | t as u64, self.run(start..i)))
+            })
+        })
     }
 
-    /// The hits `start..end` of the position array.
-    fn run(&self, start: u32, end: u32) -> Hits<'_> {
+    /// The hits `run` of the position array.
+    fn run(&self, run: Range<usize>) -> Hits<'_> {
         Hits {
-            pos: &self.pos[start as usize..end as usize],
+            first: run.start,
+            pos: &self.pos[run],
             flips: &self.flips,
-            first: start as usize,
         }
     }
 }
@@ -608,12 +656,23 @@ mod tests {
         assert_index_holds(&idx, &minimizers(&s, 5, 31));
     }
 
+    /// The distinct hashes of each directory slot with their run
+    /// lengths, read through [`MinimizerIndex::buckets`].
+    fn slots(idx: &MinimizerIndex) -> Vec<Vec<(u64, usize)>> {
+        let mut slots = vec![Vec::new(); idx.dir.len() - 1];
+        for (h, hits) in idx.buckets() {
+            slots[(h & ((1 << idx.bits) - 1)) as usize].push((h, hits.len()));
+        }
+        slots
+    }
+
     #[test]
     fn directory_slots_hold_two_to_four_keys_where_probes_land() {
         let s = mixed_seq(50_000, 3);
         let idx = MinimizerIndex::build(&s);
         let ms = minimizers(&s, 10, 15);
-        let per_slot = idx.keys.len() as f64 / (idx.dir.len() - 1) as f64;
+        let hashes: Vec<u64> = slots(&idx).concat().iter().map(|&(h, _)| h).collect();
+        let per_slot = hashes.len() as f64 / (idx.dir.len() - 1) as f64;
         assert!((2.0..4.0).contains(&per_slot), "{per_slot} keys per slot");
         // Weighted by where minimizers land, a slot over the low bits
         // holds 3.3 keys here, as uniform slots of mean 2.3 do.
@@ -621,7 +680,7 @@ mod tests {
         // bits would hold 9.0.
         let seen = |slot: &dyn Fn(u64) -> usize| {
             let mut size = vec![0; idx.dir.len() - 1];
-            for &h in &idx.keys {
+            for &h in &hashes {
                 size[slot(h)] += 1;
             }
             ms.iter().map(|m| size[slot(m.hash)] as f64).sum::<f64>() / ms.len() as f64
@@ -638,12 +697,57 @@ mod tests {
 
     #[test]
     fn a_repeat_run_is_one_key_in_its_slot() {
-        let s = seq(&"ACGTTGCAG".repeat(300));
-        let ms = minimizers(&s, 4, 8);
-        let idx = MinimizerIndex::build_params(&s, 4, 8, 1_000);
-        assert!(idx.buckets().any(|(_, hits)| hits.len() > 16));
-        assert!(idx.dir.windows(2).all(|d| d[1] - d[0] <= 4));
+        let repeat = seq(&"ACGTTGCAG".repeat(300));
+        let idx = MinimizerIndex::build_params(&repeat, 4, 8, 1_000);
+        assert!(idx.buckets().any(|(_, hits)| hits.len() > SCAN));
+        assert!(slots(&idx).iter().all(|slot| slot.len() <= 4));
+        assert_index_holds(&idx, &minimizers(&repeat, 4, 8));
+
+        // Beside a random contig, the repeat's runs share their slots
+        // with other hashes, too many to scan: the binary search finds
+        // each run's bounds exactly, and the keys next to a slot's
+        // hashes miss.
+        let random = mixed_seq(4_000, 13);
+        let idx = MinimizerIndex::build_contigs([&random, &repeat], 4, 8, 1_000);
+        let shared: Vec<_> = (slots(&idx).into_iter())
+            .filter(|slot| slot.len() > 1 && slot.iter().any(|&(_, n)| n > SCAN))
+            .collect();
+        assert!(!shared.is_empty(), "no long run shares its slot");
+        let step = 1 << idx.bits;
+        for slot in &shared {
+            for &(h, n) in slot {
+                assert_eq!(idx.occurrences(h).len(), n, "hash {h:#x}");
+                for probe in [h.wrapping_sub(step), h + step] {
+                    if slot.iter().all(|&(g, _)| g != probe) {
+                        assert!(idx.occurrences(probe).is_empty(), "probe {probe:#x}");
+                    }
+                }
+            }
+        }
+        let mut ms = minimizers(&random, 4, 8);
+        ms.extend(minimizers(&repeat, 4, 8).into_iter().map(|m| Minimizer {
+            pos: m.pos + 4_000,
+            ..m
+        }));
         assert_index_holds(&idx, &ms);
+    }
+
+    /// Two words and a bit per occurrence and a word per directory slot,
+    /// and a third word per occurrence where a key needs its wide half:
+    /// nothing is kept per distinct hash.
+    #[test]
+    fn the_index_holds_two_words_and_a_bit_per_occurrence() {
+        let s = mixed_seq(20_000, 17);
+        for (w, k, words) in [(10, 15, 2), (5, 31, 3)] {
+            let idx = MinimizerIndex::build_params(&s, w, k, 1_000);
+            let n = minimizers(&s, w, k).len();
+            assert_eq!(idx.wide.is_empty(), words == 2, "k = {k}");
+            assert_eq!(
+                idx.heap_bytes(),
+                4 * words * n + 8 * n.div_ceil(64) + 4 * ((1 << idx.bits) + 1),
+                "k = {k}"
+            );
+        }
     }
 
     #[test]

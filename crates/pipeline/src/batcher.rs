@@ -140,6 +140,10 @@ impl crate::dispatch::Build for BatchBuilder {
         BatchBuilder::push(self, task, meta)
     }
 
+    fn is_empty(&self) -> bool {
+        BatchBuilder::is_empty(self)
+    }
+
     fn take(&mut self) -> Option<Batch> {
         BatchBuilder::take(self)
     }

@@ -24,6 +24,8 @@ pub(crate) trait Build {
     type Batch;
     /// Add `task`; the batch, if this push reached the target.
     fn push(&mut self, task: Self::Task) -> Option<Self::Batch>;
+    /// True while it holds no task.
+    fn is_empty(&self) -> bool;
     /// The batch built so far; `None` while it holds no task.
     fn take(&mut self) -> Option<Self::Batch>;
 }
@@ -50,6 +52,17 @@ impl Wake {
     }
 }
 
+/// What [`Dispatch::push`] did with the task it took.
+#[cfg_attr(test, derive(Debug, PartialEq, Eq))]
+pub(crate) enum Pushed {
+    /// It joined the building batch. Wakes the scheduler when it opened
+    /// the first batch since the scheduler went to sleep with no
+    /// timeout, so that it times the batch's linger.
+    Joined(Wake),
+    /// It filled the batch, which was cut.
+    Cut(Wake),
+}
+
 /// Why [`Dispatch::push`] handed its task back.
 #[cfg_attr(test, derive(Debug, PartialEq, Eq))]
 pub(crate) enum Refused<T> {
@@ -64,7 +77,8 @@ pub(crate) enum Refused<T> {
 pub(crate) enum Chore {
     /// Start lane `l`'s threads, wake, and ask again.
     Start(usize, Wake),
-    /// Sleep until woken, or until a building batch is due its linger.
+    /// Sleep until woken, or until a building batch is due its linger;
+    /// with no batch building, only until woken.
     Wait,
     /// Closed, and every lane with a batch has started: end.
     Exit,
@@ -108,6 +122,9 @@ pub(crate) struct Dispatch<W: Build, R> {
     done: BTreeMap<u64, R>,
     /// No batch will be cut again.
     closed: bool,
+    /// The scheduler's last [`Chore::Wait`] found no batch building, so
+    /// it sleeps with no timeout until a push opens one.
+    untimed: bool,
     pushed: u64,
     weight: usize,
     weight_high_water: usize,
@@ -141,6 +158,7 @@ impl<W: Build, R> Dispatch<W, R> {
             released: 0,
             done: BTreeMap::new(),
             closed: false,
+            untimed: false,
             pushed: 0,
             weight: 0,
             weight_high_water: 0,
@@ -150,15 +168,16 @@ impl<W: Build, R> Dispatch<W, R> {
     }
 
     /// A submitter pushes `task`, of `weight` bases, into `lane`'s
-    /// building batch; the push that fills the batch cuts it. Refused
-    /// while the lane holds `depth` batches, and once closed.
-    /// `Ok(Some(wake))`: a batch was cut.
+    /// building batch; the push that fills the batch cuts it, and the
+    /// push that opens one while the scheduler sleeps with no timeout
+    /// wakes it to time the linger. Refused while the lane holds
+    /// `depth` batches, and once closed.
     pub(crate) fn push(
         &mut self,
         lane: usize,
         task: W::Task,
         weight: usize,
-    ) -> Result<Option<Wake>, Refused<W::Task>> {
+    ) -> Result<Pushed, Refused<W::Task>> {
         if self.closed {
             return Err(Refused::Closed(task));
         }
@@ -170,7 +189,12 @@ impl<W: Build, R> Dispatch<W, R> {
         self.weight_high_water = self.weight_high_water.max(self.weight);
         let l = &mut self.lanes[lane];
         l.weight += weight;
-        Ok(l.building.push(task).map(|batch| self.enter(lane, batch)))
+        Ok(match l.building.push(task) {
+            Some(batch) => Pushed::Cut(self.enter(lane, batch)),
+            // No batch builds while `untimed`: this push opened one.
+            None if std::mem::take(&mut self.untimed) => Pushed::Joined(Wake::SCHED),
+            None => Pushed::Joined(Wake::default()),
+        })
     }
 
     /// Cut `lane`'s building batch before it is full: a session with
@@ -218,7 +242,8 @@ impl<W: Build, R> Dispatch<W, R> {
     }
 
     /// The scheduler asks what to do: start a lane that holds a batch
-    /// and no threads, end once closed, or sleep.
+    /// and no threads, end once closed, or sleep — with no timeout when
+    /// no batch builds.
     pub(crate) fn chore(&mut self) -> Chore {
         let start = (self.lanes.iter()).position(|l| !l.started && !l.queued.is_empty());
         if let Some(lane) = start {
@@ -230,6 +255,7 @@ impl<W: Build, R> Dispatch<W, R> {
         } else if self.closed {
             Chore::Exit
         } else {
+            self.untimed = self.lanes.iter().all(|l| l.building.is_empty());
             Chore::Wait
         }
     }
@@ -332,6 +358,10 @@ mod tests {
             }
         }
 
+        fn is_empty(&self) -> bool {
+            self.0.is_empty()
+        }
+
         fn take(&mut self) -> Option<Vec<u64>> {
             (!self.0.is_empty()).then(|| std::mem::take(&mut self.0))
         }
@@ -362,13 +392,24 @@ mod tests {
             let same = |(a, b): (&Lane<W>, &Lane<W>)| {
                 (&a.building, a.started, &a.queued) == (&b.building, b.started, &b.queued)
             };
-            self.lanes.iter().zip(&o.lanes).all(same)
-                && (self.cut, self.released, &self.done, self.closed)
-                    == (o.cut, o.released, &o.done, o.closed)
+            self.lanes.iter().zip(&o.lanes).all(same) && self.rest() == o.rest()
         }
     }
 
     impl<W: Build + Eq, R: Eq> Eq for Dispatch<W, R> where W::Batch: Eq {}
+
+    impl<W: Build, R> Dispatch<W, R> {
+        /// What the steps read besides the lanes.
+        fn rest(&self) -> (u64, u64, &BTreeMap<u64, R>, bool, bool) {
+            (
+                self.cut,
+                self.released,
+                &self.done,
+                self.closed,
+                self.untimed,
+            )
+        }
+    }
 
     impl<W: Build + Hash, R: Hash> Hash for Dispatch<W, R>
     where
@@ -378,7 +419,7 @@ mod tests {
             for lane in &self.lanes {
                 (&lane.building, lane.started, &lane.queued).hash(h);
             }
-            (self.cut, self.released, &self.done, self.closed).hash(h);
+            self.rest().hash(h);
         }
     }
 
@@ -387,7 +428,7 @@ mod tests {
     fn running(n: u64) -> Dispatch<Pair, char> {
         let mut d = Dispatch::new([(1, Pair::default())], n as usize, n - 1);
         for task in 0..n {
-            assert_eq!(d.push(0, task, 1), Ok(None));
+            assert_eq!(d.push(0, task, 1), Ok(Pushed::Joined(Wake::default())));
             assert!(d.cut(0).is_some());
         }
         assert!(matches!(d.chore(), Chore::Start(0, _)));
@@ -463,11 +504,11 @@ mod tests {
     #[test]
     fn a_push_into_a_full_lane_is_refused_until_a_run_makes_room() {
         let mut d: Dispatch<Pair, char> = Dispatch::new([(2, Pair::default())], 1, 3);
-        assert_eq!(d.push(0, 0, 1), Ok(None));
+        assert_eq!(d.push(0, 0, 1), Ok(Pushed::Joined(Wake::default())));
         let first = d.push(0, 1, 1);
         assert_eq!(
             first,
-            Ok(Some(Wake::SCHED)),
+            Ok(Pushed::Cut(Wake::SCHED)),
             "a first cut wakes the scheduler"
         );
         let before = d.clone();
@@ -476,9 +517,18 @@ mod tests {
         assert!(d == before);
         assert_eq!(d.chore(), Chore::Start(0, Wake::TURN));
         assert_eq!(d.next(0), Next::Run(0, vec![0, 1], Wake::ROOM));
-        assert_eq!(d.push(0, 2, 1), Ok(None), "room once the lane started one");
+        let room = d.push(0, 2, 1);
+        assert_eq!(
+            room,
+            Ok(Pushed::Joined(Wake::default())),
+            "room once the lane started one"
+        );
         let later = d.push(0, 3, 1);
-        assert_eq!(later, Ok(Some(Wake::TURN)), "a later cut wakes the lane");
+        assert_eq!(
+            later,
+            Ok(Pushed::Cut(Wake::TURN)),
+            "a later cut wakes the lane"
+        );
     }
 
     /// The closing service cuts what is built; close then refuses every
@@ -492,7 +542,7 @@ mod tests {
         for task in 0..3 {
             let _ = d.push(0, task, 1);
         }
-        assert_eq!(d.push(1, 0, 1), Ok(None));
+        assert_eq!(d.push(1, 0, 1), Ok(Pushed::Joined(Wake::default())));
         assert_eq!(d.cut(0), None, "lane 0 is full, so it builds nothing");
         assert_eq!(d.cut(1), Some(Wake::SCHED));
         assert_eq!(d.close(), Wake(15));
@@ -503,6 +553,29 @@ mod tests {
         assert_eq!(d.next(0), Next::Run(0, vec![0, 1], Wake::ROOM));
         assert_eq!(d.next(1), Next::Run(1, vec![0], Wake::ROOM));
         assert_eq!((d.next(0), d.next(1), d.cut), (Next::Exit, Next::Exit, 2));
+    }
+
+    /// The scheduler sleeps with no timeout while no batch builds, and
+    /// the push that opens one wakes it; while a batch builds, its
+    /// sleep is timed by the oldest batch, and an opening push wakes
+    /// nobody.
+    #[test]
+    fn the_push_that_opens_a_batch_wakes_a_scheduler_with_no_timeout() {
+        let lanes = [1, 1].map(|threads| (threads, Pair::default()));
+        let mut d: Dispatch<Pair, char> = Dispatch::new(lanes, 2, 1);
+        assert_eq!(d.chore(), Chore::Wait, "nothing builds: no timeout");
+        assert_eq!(d.push(0, 0, 1), Ok(Pushed::Joined(Wake::SCHED)));
+        assert_eq!(d.chore(), Chore::Wait, "lane 0 builds: a timed sleep");
+        let opening = d.push(1, 0, 1);
+        assert_eq!(
+            opening,
+            Ok(Pushed::Joined(Wake::default())),
+            "lane 0's linger comes first"
+        );
+        let _ = (d.cut(0), d.cut(1));
+        let start = |lane| Chore::Start(lane, Wake::TURN);
+        assert_eq!(chores(&mut d), [start(0), start(1), Chore::Wait]);
+        assert_eq!(d.push(0, 1, 1), Ok(Pushed::Joined(Wake::SCHED)));
     }
 
     #[test]
@@ -572,7 +645,11 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     enum Sched {
         Awake,
-        Asleep,
+        /// Asleep; `timed` when a lane was building as it slept, so the
+        /// linger's timeout wakes it.
+        Asleep {
+            timed: bool,
+        },
         Done,
     }
 
@@ -626,9 +703,15 @@ mod tests {
         !matches!(d.clone().push(l, i, 1), Err(Refused::Full(_)))
     }
 
-    /// The same for the scheduler.
-    fn scheduler_stirs(d: &Dispatch<Pair, u64>) -> bool {
-        d.clone().chore() != Chore::Wait
+    /// Whether a lane has a building batch.
+    fn building(d: &Dispatch<Pair, u64>) -> bool {
+        d.lanes.iter().any(|lane| !lane.building.0.is_empty())
+    }
+
+    /// The same for the scheduler, asleep `timed` or not: it has a
+    /// chore, or a batch builds that no timeout will cut.
+    fn scheduler_stirs(d: &Dispatch<Pair, u64>, timed: bool) -> bool {
+        d.clone().chore() != Chore::Wait || !timed && building(d)
     }
 
     /// The same for lane `l`'s threads.
@@ -663,8 +746,10 @@ mod tests {
                 }
             }
         }
-        if w.has(Wake::SCHED) && s.sched == Sched::Asleep && scheduler_stirs(&s.d) {
-            s.sched = Sched::Awake;
+        if let Sched::Asleep { timed } = s.sched {
+            if w.has(Wake::SCHED) && scheduler_stirs(&s.d, timed) {
+                s.sched = Sched::Awake;
+            }
         }
         if w.has(Wake::READY) && s.sink == At::Asleep && sink_stirs(&s.d) {
             s.sink = At::Awake;
@@ -682,12 +767,14 @@ mod tests {
             let accepted = if i < self.tasks[l] {
                 let (fills, cut) = (s.d.lanes[l].building.0.len() == 1, s.d.cut);
                 match s.d.push(l, i, 1) {
-                    Ok(w) => {
-                        if fills != (s.d.cut == cut + 1) {
+                    Ok(pushed) => {
+                        let cuts = matches!(pushed, Pushed::Cut(_));
+                        if fills != cuts || cuts != (s.d.cut == cut + 1) {
                             return Err(format!("lane {l}'s push {i} cut {}", s.d.cut - cut));
                         }
                         s.pushed[l] += 1;
                         s.subs[l] = Sub::Next(i + 1);
+                        let (Pushed::Joined(w) | Pushed::Cut(w)) = pushed;
                         Some(w)
                     }
                     Err(Refused::Full(_)) => {
@@ -701,7 +788,7 @@ mod tests {
                 }
             } else {
                 s.subs[l] = Sub::Done;
-                s.d.cut(l).map(Some)
+                s.d.cut(l)
             };
             if let Some(w) = accepted {
                 if closed {
@@ -709,7 +796,7 @@ mod tests {
                         "lane {l} took its submitter's step {i} after close"
                     ));
                 }
-                wake(&mut s, w.unwrap_or_default());
+                wake(&mut s, w);
             }
             Ok(s)
         }
@@ -735,16 +822,21 @@ mod tests {
                         wake(&mut s, w);
                         s.threads[lane] = vec![At::Awake; self.in_flight[lane]];
                     }
-                    Chore::Wait => s.sched = Sched::Asleep,
+                    Chore::Wait => {
+                        s.sched = Sched::Asleep {
+                            timed: building(&s.d),
+                        }
+                    }
                     Chore::Exit => s.sched = Sched::Done,
                 },
-                Sched::Asleep | Sched::Done => unreachable!("the scheduler cannot step"),
+                Sched::Asleep { .. } | Sched::Done => unreachable!("the scheduler cannot step"),
             }
             s
         }
 
         /// The scheduler, awake or woken by its timeout, cuts lane `l`'s
-        /// building batch for its age; `None` when nothing was cut.
+        /// building batch for its age; `None` when nothing was cut. Only
+        /// a scheduler that slept timed has a timeout.
         fn linger(&self, s: &World, l: usize) -> Option<World> {
             let mut s = s.clone();
             let w = s.d.cut(l)?;
@@ -841,7 +933,7 @@ mod tests {
                     return lost("lane thread");
                 }
             }
-            if s.sched == Sched::Asleep && scheduler_stirs(&s.d) {
+            if matches!(s.sched, Sched::Asleep { timed } if scheduler_stirs(&s.d, timed)) {
                 return lost("scheduler");
             }
             if s.sink == At::Asleep && sink_stirs(&s.d) {
@@ -890,7 +982,7 @@ mod tests {
             if s.sched == Sched::Awake {
                 next.push(self.sched(s));
             }
-            if matches!(s.sched, Sched::Awake | Sched::Asleep) {
+            if matches!(s.sched, Sched::Awake | Sched::Asleep { timed: true }) {
                 for l in (0..2).filter(|&l| !s.d.lanes[l].building.0.is_empty()) {
                     next.extend(self.linger(s, l));
                 }
@@ -1004,9 +1096,11 @@ mod tests {
     /// taken from a submitter after close, nor cut once the path has
     /// closed; and a sleeper whose question has another answer is an
     /// error, so a lane with a batch cut and no threads wakes the
-    /// scheduler. At the end: every role is done, every batch is
-    /// released, every task taken has run, every started thread has
-    /// exited, and a lane never cut has no threads.
+    /// scheduler, and so does the push that opens a batch while the
+    /// scheduler sleeps with no timeout (no lane was building). At the
+    /// end: every role is done, every batch is released, every task
+    /// taken has run, every started thread has exited, and a lane never
+    /// cut has no threads.
     #[test]
     fn the_batch_path_is_proven_over_every_schedule() {
         let states = prove(&[[1, 2]], &[1], &[0], 3) + prove(&[[2, 1]], &[2], &[0], 3);

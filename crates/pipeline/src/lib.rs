@@ -665,7 +665,7 @@ mod tests {
     }
 
     /// Map `reads` (exact slices of `genome`) on `workers` threads in
-    /// front of a task queue of one 2 kb batch and a [`SlowBackend`];
+    /// front of a lane of one 2 kb batch and a [`SlowBackend`];
     /// returns the most reads ever pulled from the input and not yet
     /// enqueued, sampled at every pull, with the run's metrics.
     fn max_pulled_ahead(genome: &Seq, reads: Vec<Seq>, workers: usize) -> (u64, PipelineMetrics) {
@@ -709,19 +709,20 @@ mod tests {
 
     /// The hard bound of the hand-off: counted at every pull, never
     /// more than `workers × AHEAD` reads are out of the iterator and
-    /// not yet enqueued, with the task queue full for the whole run —
-    /// backpressure reaches the input after a fixed number of reads.
+    /// not yet enqueued, with the backend's lane full — backpressure
+    /// reaches the input after a fixed number of reads.
     #[test]
     fn map_stage_never_pulls_more_than_the_window_ahead() {
         let genome = random_genome(40_000);
         for workers in [1, 3] {
             let reads = (0..120).map(|i| genome.slice(300 * i, 400)).collect();
             let (max_ahead, m) = max_pulled_ahead(&genome, reads, workers);
-            // Full = the next task did not fit.
-            assert!(
-                m.task_queue.high_water + m.max_task_bases > m.task_queue.capacity as u64,
-                "the task queue never filled: {:?}",
-                m.task_queue
+            // Full = the lane held `queue_depth` batches cut and not
+            // started, so the next push waited for room.
+            assert_eq!(
+                m.batch_queue.high_water, m.batch_queue.capacity as u64,
+                "the lane never filled: {:?}",
+                m.batch_queue
             );
             assert!(
                 (1..=workers as u64 * AHEAD).contains(&max_ahead),

@@ -92,7 +92,7 @@ use mapper::ShardedIndex;
 
 use crate::backend::{Backend, BackendError, BackendKind};
 use crate::batcher::{BatchBuilder, TaskMeta};
-use crate::dispatch::{Chore, Dispatch, Next, Refused, Wake};
+use crate::dispatch::{Chore, Dispatch, Next, Pushed, Refused, Wake};
 use crate::explain::{disposition, ExplainRecord, ReadProvenance, TaskExplain};
 use crate::metrics::{BackendLat, PipelineMetrics, StageCounters};
 use crate::record::AlignRecord;
@@ -1162,8 +1162,9 @@ impl Session {
             ing.next_read_seq - 1
         };
         // One lock for the read's pushes, unless its lane is full. A
-        // cut's wakes go out at once, under the lock: a lane to start
-        // must not wait behind this thread's sleep for room.
+        // push's wakes go out at once, under the lock: a lane to start,
+        // or a linger to time, must not wait behind this thread's sleep
+        // for room.
         let (mut d, t0, mut asleep) = (sh.dispatch.lock().unwrap(), Instant::now(), Duration::ZERO);
         for task in tasks {
             let bases = task.bases();
@@ -1185,8 +1186,11 @@ impl Session {
             let (mut item, mut waited) = ((task, meta), Duration::ZERO);
             loop {
                 match d.push(self.lane, item, bases) {
-                    Ok(None) => break,
-                    Ok(Some(w)) => {
+                    Ok(Pushed::Joined(w)) => {
+                        sh.wake(w);
+                        break;
+                    }
+                    Ok(Pushed::Cut(w)) => {
                         note_cut(sh, &d, self.lane, "full");
                         sh.wake(w);
                         break;
@@ -1372,26 +1376,30 @@ fn take_map_lane(sh: &Shared) -> usize {
 /// cut, made on whichever thread; cuts a building batch once it is
 /// [`ServiceConfig::linger`] old — an age bound, so a partial batch
 /// waits at most `linger` whatever other backends' traffic does, and
-/// flush timing never changes output. It returns once the service has
-/// closed and every lane with a batch has started.
+/// flush timing never changes output. While no batch builds it sleeps
+/// with no timeout, and the push that opens a batch wakes it, so an
+/// idle service's scheduler never ticks. It returns once the service
+/// has closed and every lane with a batch has started.
 pub(crate) fn run_stages<'scope>(
     scope: &'scope Scope<'scope, '_>,
     sh: &'scope Shared,
     backends: &'scope [(BackendKind, &'scope dyn Backend)],
 ) {
     scope.spawn(move || sink_loop(sh));
-    // A zero linger would spin the scheduler while nothing is built.
+    // A zero linger would spin the scheduler while a batch builds.
     let linger = sh.cfg.linger.max(Duration::from_millis(1));
     let mut d = sh.dispatch.lock().unwrap();
     loop {
         let t0 = Instant::now();
-        let mut due = t0 + linger;
+        // The oldest building batch's linger; none while nothing builds.
+        let mut due = None::<Instant>;
         for row in 0..sh.lanes.len() {
             let Some(started) = d.building(row).started() else {
                 continue;
             };
-            if started + linger > t0 {
-                due = due.min(started + linger);
+            let until = started + linger;
+            if until > t0 {
+                due = Some(due.map_or(until, |due| due.min(until)));
             } else if let Some(w) = d.cut(row) {
                 note_cut(sh, &d, row, "linger");
                 sh.wake(w);
@@ -1413,10 +1421,14 @@ pub(crate) fn run_stages<'scope>(
                 }
                 d = sh.dispatch.lock().unwrap();
             }
-            Chore::Wait => {
-                let sleep = due.saturating_duration_since(Instant::now());
-                d = sh.sched.wait_timeout(d, sleep).unwrap().0;
-            }
+            // The push that opens a batch wakes this wait.
+            Chore::Wait => match due {
+                Some(due) => {
+                    let sleep = due.saturating_duration_since(Instant::now());
+                    d = sh.sched.wait_timeout(d, sleep).unwrap().0;
+                }
+                None => d = sh.sched.wait(d).unwrap(),
+            },
             Chore::Exit => return,
         }
     }
