@@ -23,10 +23,11 @@
 //! private value, `HandOff`, with no lock or thread inside: its methods
 //! are the only transitions, and a unit test runs them over every
 //! schedule of up to 3 workers and 6 reads; so is the batch path's,
-//! `Dispatch`, from the push to the release. The scheduler/dispatch/sink
-//! stages exist once, in [`service`], so the one-shot path and the
-//! server share them *structurally* rather than by byte-equivalence
-//! testing.
+//! `Dispatch`, from the push to the release, and a session's delivery
+//! state's, `Outbox`, from admission to the receiver. The
+//! scheduler/dispatch/sink stages exist once, in [`service`], so the
+//! one-shot path and the server share them *structurally* rather than
+//! by byte-equivalence testing.
 //!
 //! Who runs the stages: one function in [`service`], on a
 //! [`std::thread::Scope`], over a backend table the stages only borrow;
@@ -90,6 +91,7 @@ pub mod batcher;
 mod dispatch;
 pub mod explain;
 pub mod metrics;
+mod outbox;
 pub mod record;
 pub mod service;
 
@@ -348,8 +350,8 @@ where
             service.shutdown();
             ingested
         });
-        // The caller only streams rows out. The session channel is
-        // unbounded, so the stages never wait on `on_record`.
+        // The caller only streams rows out. A one-shot session has no
+        // caps, so the stages never wait on `on_record`.
         let mut delivered = Ok(());
         while let Some(event) = rx.recv() {
             match deliver(&service, event, &mut on_record) {

@@ -102,8 +102,8 @@ pub struct StageCounters {
     pub batch_size_bases: Arc<Histogram>,
     // Sink.
     pub records_out: Arc<Counter>,
-    // Per-session output buffering (service only): bytes delivered to
-    // session event channels but not yet consumed by the receivers,
+    // Per-session output buffering: bytes queued in session outboxes
+    // and not yet taken by the receivers,
     // its high water, and how often submitters were throttled or
     // connections timed out by the serving layer.
     pub session_output_buffered: Arc<Gauge>,
@@ -398,11 +398,10 @@ pub struct PipelineMetrics {
     pub batch_size_bases: HistogramSnapshot,
     /// Records emitted by the sink.
     pub records_out: u64,
-    /// Bytes buffered in session output channels right now (service
-    /// only; the one-shot pipeline writes straight to its sink).
+    /// Bytes queued in session outboxes right now, not yet taken by
+    /// their receivers.
     pub session_output_buffered_bytes: u64,
-    /// Peak bytes buffered in any moment across session output
-    /// channels (service only).
+    /// Peak bytes queued at any moment across session outboxes.
     pub max_session_output_buffered_bytes: u64,
     /// Times a session's `submit` blocked on one of its per-session
     /// caps: in-flight reads or buffered output bytes (service only).
@@ -696,6 +695,15 @@ impl PipelineMetrics {
             s,
             ",\"slow_reads\":{}",
             genasm_telemetry::slow::to_json(&self.slow_reads)
+        );
+        let _ = write!(
+            s,
+            ",\"sessions\":{{\"output_buffered_bytes\":{},\"max_output_buffered_bytes\":{},\
+             \"throttled\":{},\"timed_out\":{}}}",
+            self.session_output_buffered_bytes,
+            self.max_session_output_buffered_bytes,
+            self.sessions_throttled,
+            self.sessions_timed_out
         );
         let _ = write!(
             s,
@@ -1342,10 +1350,10 @@ mod tests {
         .collect();
         let want = [
             (1039, 16186980739395067317),
-            (2590, 10186027370345580339),
+            (2692, 18031709127712077190),
             (14157, 916115500807100767),
             (605, 5770003253152216605),
-            (1356, 410499874811798199),
+            (1453, 12581765053040343833),
             (3736, 13938684713246875713),
         ];
         assert_eq!(

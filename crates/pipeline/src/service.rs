@@ -19,12 +19,15 @@
 //! [`Session`]s push into the same bounded lanes:
 //!
 //! * **Shared ingest.** [`Session::submit`] runs candidate generation
-//!   on the calling thread (against one shared [`ShardedIndex`]) and
-//!   pushes the read's tasks, under a global read sequence number, into
-//!   its backend's building batch; the push that fills it cuts it. A
-//!   lane holding `queue_depth` cut batches is the *server-wide*
-//!   admission valve: every submit to that backend, and none other,
-//!   blocks until the lane starts one, so peak resident bases obey
+//!   on the calling thread (against one shared [`ShardedIndex`]), is
+//!   admitted by the session's `outbox::Outbox` — one proven value,
+//!   under the session's own lock, holding its caps, its reads in flight
+//!   and the events queued for its receiver — and pushes the read's
+//!   tasks, under a global read sequence number, into its backend's
+//!   building batch; the push that fills it cuts it. A lane holding
+//!   `queue_depth` cut batches is the *server-wide* admission valve:
+//!   every submit to that backend, and none other, blocks until the
+//!   lane starts one, so peak resident bases obey
 //!   [`ServiceConfig::resident_bases_bound`] however many clients.
 //! * **Per-session determinism.** Each session has a fixed backend and
 //!   its reads keep their submission order in the global sequence, so
@@ -49,8 +52,11 @@
 //! * **Failure isolation.** A task that exceeds its backend's edit
 //!   budget fails *that read for that session*
 //!   ([`SessionEvent::ReadFailed`]); a poisoned batch fails only the
-//!   reads it contained. The service itself keeps running — unlike the
-//!   one-shot pipeline, where the first failure aborts the run.
+//!   reads it contained; a slow receiver throttles only its own
+//!   session's submits (the sink never waits on it), and a dropped one
+//!   fails its session's next submit. The service itself keeps running
+//!   — unlike the one-shot pipeline, where the first failure aborts the
+//!   run.
 //! * **Batches in flight.** Each backend of the table has a lane of
 //!   `queue_depth` batches and as many threads as it says may run its
 //!   batches at once ([`Backend::in_flight`]), taking them in cut order:
@@ -81,7 +87,6 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
@@ -95,6 +100,7 @@ use crate::batcher::{BatchBuilder, TaskMeta};
 use crate::dispatch::{Chore, Dispatch, Next, Pushed, Refused, Wake};
 use crate::explain::{disposition, ExplainRecord, ReadProvenance, TaskExplain};
 use crate::metrics::{BackendLat, PipelineMetrics, StageCounters};
+use crate::outbox::{self, Admit, Outbox, Taken};
 use crate::record::AlignRecord;
 use crate::{tids, trace_lanes, PipelineConfig, ReadInput};
 
@@ -166,11 +172,10 @@ impl ServiceConfig {
     }
 
     /// Upper bound on one session's buffered output bytes, given the
-    /// largest rendered output of any single read. The throttle gate
-    /// admits a read only while buffered output is *below* the cap,
-    /// and at most
+    /// largest rendered output of any single read. A session admits a
+    /// read only while buffered output is *below* the cap, and at most
     /// [`ServiceConfig::max_session_inflight_reads`] already-admitted
-    /// reads can still deliver after the gate closes, so:
+    /// reads can still deliver once it is reached, so:
     ///
     /// ```text
     /// peak buffered ≤ max_session_output_bytes
@@ -178,7 +183,7 @@ impl ServiceConfig {
     /// ```
     ///
     /// Unbounded (`usize::MAX`) when either cap is disabled (`0`) —
-    /// the bound needs both the gate and the in-flight read cap.
+    /// the bound needs both the output cap and the in-flight read cap.
     pub fn session_output_bound(&self, max_read_output_bytes: usize) -> usize {
         if self.max_session_output_bytes == 0 || self.max_session_inflight_reads == 0 {
             return usize::MAX;
@@ -266,6 +271,7 @@ pub struct SessionMetrics {
 
 /// What the sink delivers to a session's receiver.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub enum SessionEvent {
     /// One completed read's records, already in deterministic order.
     Rows(Vec<AlignRecord>),
@@ -286,158 +292,31 @@ pub enum SessionEvent {
     End(SessionMetrics),
 }
 
-/// Per-session flow-control gate, shared by the submitter (admission),
-/// the sink (output accounting — never blocking), and the receiver
-/// (drain credits). This is what turns the formerly unbounded event
-/// channel into a budgeted one: the channel itself stays unbounded,
-/// but every byte in it is debited here, and the *ingest* side blocks
-/// when the budget runs out. It is the one place that decides what
-/// happens to a session whose reader falls behind: its submits wait,
-/// and none of its output is dropped while the receiver is there.
-struct SessionGate {
-    st: Mutex<GateState>,
-    cv: Condvar,
-    /// Byte cap on buffered output (0 = unlimited).
-    out_cap: u64,
-    /// In-flight read cap (0 = unlimited).
-    read_cap: u64,
-    /// Service-wide gauge of buffered output bytes (all sessions).
-    buffered_gauge: Arc<genasm_telemetry::Gauge>,
-    /// High water of `buffered_gauge`.
-    max_buffered_gauge: Arc<genasm_telemetry::Gauge>,
-    /// Service-wide count of submits that blocked on a session cap.
-    throttled: Arc<genasm_telemetry::Counter>,
-}
-
-#[derive(Default)]
-struct GateState {
-    buffered_bytes: u64,
-    inflight_reads: u64,
-    receiver_gone: bool,
-}
-
-impl SessionGate {
-    fn new(cfg: &ServiceConfig, counters: &StageCounters) -> SessionGate {
-        SessionGate {
-            st: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
-            out_cap: cfg.max_session_output_bytes as u64,
-            read_cap: cfg.max_session_inflight_reads as u64,
-            buffered_gauge: Arc::clone(&counters.session_output_buffered),
-            max_buffered_gauge: Arc::clone(&counters.max_session_output_buffered),
-            throttled: Arc::clone(&counters.sessions_throttled),
-        }
-    }
-
-    /// Submit-side admission: block the submitting thread (only) while
-    /// the session is at either of its caps. Errors once the receiver
-    /// is gone — which also wakes any blocked waiter, so a dead client
-    /// cannot deadlock a drain.
-    fn admit(&self) -> Result<(), SubmitError> {
-        let mut st = self.st.lock().unwrap();
-        let mut waited = false;
-        loop {
-            if st.receiver_gone {
-                return Err(SubmitError::ReceiverGone);
-            }
-            let at_cap = (self.read_cap > 0 && st.inflight_reads >= self.read_cap)
-                || (self.out_cap > 0 && st.buffered_bytes >= self.out_cap);
-            if !at_cap {
-                return Ok(());
-            }
-            if !waited {
-                waited = true;
-                self.throttled.inc();
-            }
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    /// A mapped read passed admission and is entering the pipeline.
-    fn register_read(&self) {
-        self.st.lock().unwrap().inflight_reads += 1;
-    }
-
-    /// A registered read fully completed (its delivery, if any, was
-    /// already debited — ordering matters for the output bound).
-    fn read_done(&self) {
-        let mut st = self.st.lock().unwrap();
-        st.inflight_reads = st.inflight_reads.saturating_sub(1);
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Sink-side accounting for one delivery of `bytes`: debit it and
-    /// return true, or return false when the receiver is gone and there
-    /// is no one to deliver to. Takes the brief gate mutex but never
-    /// waits: the shared reorder path must not stall on one slow
-    /// receiver.
-    fn buffer(&self, bytes: u64) -> bool {
-        let mut st = self.st.lock().unwrap();
-        if st.receiver_gone {
-            return false;
-        }
-        st.buffered_bytes += bytes;
-        drop(st);
-        let total = self.buffered_gauge.add(bytes);
-        self.max_buffered_gauge.set_max(total);
-        true
-    }
-
-    /// Receiver-side: one event of `bytes` payload was consumed.
-    fn drained(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let mut st = self.st.lock().unwrap();
-        if st.receiver_gone {
-            return; // already written off by receiver_dropped
-        }
-        st.buffered_bytes = st.buffered_bytes.saturating_sub(bytes);
-        drop(st);
-        self.buffered_gauge.sub(bytes);
-        self.cv.notify_all();
-    }
-
-    /// The receiver was dropped: write off whatever it never consumed
-    /// and unblock any throttled submitter (which will then get
-    /// [`SubmitError::ReceiverGone`]).
-    fn receiver_dropped(&self) {
-        let mut st = self.st.lock().unwrap();
-        st.receiver_gone = true;
-        let orphaned = std::mem::take(&mut st.buffered_bytes);
-        drop(st);
-        self.buffered_gauge.sub(orphaned);
-        self.cv.notify_all();
-    }
-
-    /// Bytes currently buffered for this session (status reporting).
-    fn buffered_bytes(&self) -> u64 {
-        self.st.lock().unwrap().buffered_bytes
-    }
-}
-
-/// Per-session bookkeeping shared between submitters and the sink.
-/// Channel items carry their accounted byte weight so the receiver can
-/// credit the gate on consumption.
-struct SessionState {
-    tx: Sender<(SessionEvent, u64)>,
-    /// Flow control shared with the session's submitter and receiver.
-    gate: Arc<SessionGate>,
+/// One open session, shared by its [`Session`], its [`SessionReceiver`]
+/// and the registry: its [`Outbox`] under the session's one mutex, and
+/// a condvar for each role that sleeps on it.
+struct SessionCell {
+    outbox: Mutex<Outbox>,
+    /// The submitter sleeps here while the session is at a cap.
+    room: Condvar,
+    /// The receiver sleeps here while nothing is queued.
+    ready: Condvar,
     /// The backend this session dispatches to (status reporting).
     backend: BackendKind,
     /// When the session was admitted (session-span telemetry).
     opened_at: Instant,
-    /// Mapped reads submitted (reads with ≥ 1 task).
-    mapped_submitted: u64,
-    /// Mapped reads whose rows the sink has delivered.
-    completed: u64,
-    /// The submit side called finish (no more reads coming).
-    finished: bool,
-    /// The session opted into per-read [`SessionEvent::Explain`]
-    /// events ([`Session::set_explain`]).
-    explain_on: bool,
-    metrics: SessionMetrics,
+}
+
+impl SessionCell {
+    /// Notify the sleepers `w` names.
+    fn wake(&self, w: outbox::Wake) {
+        if w.room {
+            self.room.notify_all();
+        }
+        if w.ready {
+            self.ready.notify_all();
+        }
+    }
 }
 
 /// One open session's identity and counters, reported by
@@ -507,7 +386,7 @@ pub(crate) struct Shared {
     /// for room in a lane sleep on `room`, the scheduler on `sched`, the
     /// lane threads on `turn`, the sink on `ready`; [`Shared::wake`]
     /// notifies whom a transition names. Never take `sessions` or a
-    /// session gate while holding it.
+    /// session's lock while holding it.
     dispatch: Mutex<Path>,
     room: Condvar,
     sched: Condvar,
@@ -516,7 +395,10 @@ pub(crate) struct Shared {
     counters: StageCounters,
     ingest: Mutex<Ingest>,
     drained_cv: Condvar,
-    sessions: Mutex<HashMap<u64, SessionState>>,
+    /// The open sessions, by id: found here at open, at `End`, for
+    /// stats, and by the sink for a read's session. A session's lock
+    /// may be taken while holding this one, never the other way round.
+    sessions: Mutex<HashMap<u64, Arc<SessionCell>>>,
     backend_errors: AtomicU64,
     last_backend_error: Mutex<Option<BackendError>>,
     started: Instant,
@@ -536,6 +418,17 @@ impl Shared {
             if w.has(role) {
                 condvar.notify_all();
             }
+        }
+    }
+}
+
+impl Drop for Shared {
+    fn drop(&mut self) {
+        // A session still open here will never end: its receiver hears
+        // that nothing more comes.
+        for cell in self.sessions.get_mut().unwrap().values() {
+            let w = cell.outbox.lock().unwrap().abandon();
+            cell.wake(w);
         }
     }
 }
@@ -736,34 +629,31 @@ impl PipelineService {
             ing.next_session += 1;
             id
         };
-        let (tx, rx) = channel();
-        let gate = Arc::new(SessionGate::new(&self.shared.cfg, &self.shared.counters));
-        self.shared.sessions.lock().unwrap().insert(
+        let cfg = &self.shared.cfg;
+        let cell = Arc::new(SessionCell {
+            outbox: Mutex::new(Outbox::new(
+                cfg.max_session_output_bytes,
+                cfg.max_session_inflight_reads,
+            )),
+            room: Condvar::new(),
+            ready: Condvar::new(),
+            backend,
+            opened_at: Instant::now(),
+        });
+        (self.shared.sessions.lock().unwrap()).insert(id, Arc::clone(&cell));
+        let receiver = SessionReceiver {
+            cell: Arc::clone(&cell),
+            buffered: Arc::clone(&self.shared.counters.session_output_buffered),
+        };
+        let session = Session {
+            shared: Arc::clone(&self.shared),
+            cell,
             id,
-            SessionState {
-                tx,
-                gate: Arc::clone(&gate),
-                backend,
-                opened_at: Instant::now(),
-                mapped_submitted: 0,
-                completed: 0,
-                finished: false,
-                explain_on: false,
-                metrics: SessionMetrics::default(),
-            },
-        );
-        Ok((
-            Session {
-                shared: Arc::clone(&self.shared),
-                gate: Arc::clone(&gate),
-                id,
-                lane,
-                local_reads: 0,
-                map_lane: None,
-                closed: false,
-            },
-            SessionReceiver { rx, gate },
-        ))
+            lane,
+            local_reads: 0,
+            map_lane: None,
+        };
+        Ok((session, receiver))
     }
 
     /// Live service-wide metrics snapshot (the counters keep running;
@@ -797,11 +687,16 @@ impl PipelineService {
         let reg = self.shared.sessions.lock().unwrap();
         let mut out: Vec<SessionStat> = reg
             .iter()
-            .map(|(&id, st)| SessionStat {
-                id,
-                backend: st.backend,
-                metrics: st.metrics.clone(),
-                buffered_out_bytes: st.gate.buffered_bytes(),
+            .filter_map(|(&id, cell)| {
+                // A session that queued its `End` is over, even before
+                // it leaves the registry.
+                let ob = cell.outbox.lock().unwrap();
+                (!ob.closed()).then(|| SessionStat {
+                    id,
+                    backend: cell.backend,
+                    metrics: ob.metrics().clone(),
+                    buffered_out_bytes: ob.buffered(),
+                })
             })
             .collect();
         out.sort_by_key(|s| s.id);
@@ -998,7 +893,7 @@ pub(crate) struct MappedRead {
 /// [`Session::finish`] finishes it implicitly.
 pub struct Session {
     shared: Arc<Shared>,
-    gate: Arc<SessionGate>,
+    cell: Arc<SessionCell>,
     id: u64,
     /// The session's backend's lane (an index into `Shared::lanes`).
     lane: usize,
@@ -1006,7 +901,6 @@ pub struct Session {
     /// The session's map trace lane (an index into
     /// `Ingest::map_lanes`), taken at its first submit.
     map_lane: Option<usize>,
-    closed: bool,
 }
 
 impl Session {
@@ -1083,7 +977,6 @@ impl Session {
     /// read sequence number. Reads of one session must be enqueued one
     /// at a time, in submission order.
     pub(crate) fn enqueue(&self, mapped: MappedRead) -> Result<usize, SubmitError> {
-        self.gate.admit()?;
         let sh = &self.shared;
         let MappedRead {
             name,
@@ -1093,6 +986,22 @@ impl Session {
             started: submitted_at,
             map_ns,
         } = mapped;
+        // Admission and the session's books, in one critical section of
+        // the session's own lock.
+        let mut ob = self.cell.outbox.lock().unwrap();
+        let mut waited = false;
+        loop {
+            match ob.admit() {
+                Admit::Go => break,
+                Admit::Wait => {
+                    if !std::mem::replace(&mut waited, true) {
+                        sh.counters.sessions_throttled.inc();
+                    }
+                    ob = self.cell.room.wait(ob).unwrap();
+                }
+                Admit::Gone => return Err(SubmitError::ReceiverGone),
+            }
+        }
         sh.counters.reads_in.inc();
         let unmapped_reason = sh.counters.note_funnel(&map_stats);
         let provenance = Arc::new(ReadProvenance {
@@ -1102,55 +1011,30 @@ impl Session {
             map_ns: map_ns.as_nanos() as u64,
         });
         let n = tasks.len();
-        let total_bases: usize = tasks.iter().map(AlignTask::bases).sum();
-        {
-            let mut reg = sh.sessions.lock().unwrap();
-            let st = reg.get_mut(&self.id).expect("open session is registered");
-            st.metrics.reads_in += 1;
-            if n > 0 {
-                st.metrics.reads_mapped += 1;
-                st.metrics.tasks += n as u64;
-                st.metrics.task_bases += total_bases as u64;
-                // Counted before the push so the sink can never observe
-                // completed > mapped_submitted.
-                st.mapped_submitted += 1;
-            } else {
-                // Zero-candidate reads used to vanish without a trace;
-                // now they are accounted per session and per reason,
-                // and get their explain line like every other read.
-                st.metrics.reads_unmapped += 1;
-                let reason = unmapped_reason.unwrap_or("no_candidates");
-                let disp = disposition::unmapped(reason);
-                // The read never reaches the sink, so record its
-                // end-to-end latency (= mapping time) here to keep the
-                // one-sample-per-read histogram invariant.
-                sh.counters.read_latency_ns.record(provenance.map_ns);
-                sh.counters
-                    .slow_reads
-                    .observe(&name, provenance.map_ns, &disp);
-                let rec = ExplainRecord {
-                    read: &name,
-                    disposition: &disp,
-                    backend: None,
-                    provenance: *provenance,
-                    tasks: &[],
-                    align_ns: 0,
-                };
-                if let Some(x) = sh.cfg.pipeline.explain.as_deref() {
-                    x.emit(&rec);
-                }
-                if st.explain_on {
-                    let _ = st.tx.send((SessionEvent::Explain(rec.to_json()), 0));
-                }
-            }
-        }
         if n == 0 {
+            let disp = disposition::unmapped(unmapped_reason.unwrap_or("no_candidates"));
+            let rec = ExplainRecord {
+                read: &name,
+                disposition: &disp,
+                backend: None,
+                provenance: *provenance,
+                tasks: &[],
+                align_ns: 0,
+            };
+            // The read never reaches the sink: its end-to-end latency is
+            // its mapping time.
+            note_read(sh, &rec, provenance.map_ns);
+            let w = ob.unmapped(|| rec.to_json());
+            drop(ob);
+            self.cell.wake(w);
             return Ok(0);
         }
-        // Registered before the pushes so the read counts against the
-        // session's in-flight cap from the moment it can occupy lane
-        // space; the sink's `read_done` is the matching credit.
-        self.gate.register_read();
+        // In flight from before the pushes, so the read counts against
+        // the session's cap from the moment it can occupy lane space;
+        // its delivery frees the slot.
+        let total_bases: usize = tasks.iter().map(AlignTask::bases).sum();
+        ob.register(n as u64, total_bases as u64);
+        drop(ob);
         let qname: Arc<str> = Arc::from(name);
         // The sink gathers a read's tasks by `read_seq`, so they need not
         // be contiguous among other sessions' pushes; and a session
@@ -1221,9 +1105,7 @@ impl Session {
     /// carrying its `genasm-explain/v2` JSON line. Strictly passive —
     /// record delivery and ordering are unchanged.
     pub fn set_explain(&mut self, on: bool) {
-        if let Some(st) = self.shared.sessions.lock().unwrap().get_mut(&self.id) {
-            st.explain_on = on;
-        }
+        self.cell.outbox.lock().unwrap().set_explain(on);
     }
 
     /// Declare the session finished: once its in-flight reads drain,
@@ -1231,32 +1113,22 @@ impl Session {
     /// released for admission. Reads still in flight are not held
     /// back for the linger: this call cuts the session's backend's
     /// building batch.
-    pub fn finish(mut self) {
-        self.close_inner();
+    pub fn finish(self) {
+        // Dropping the session finishes it.
     }
+}
 
-    fn close_inner(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
+impl Drop for Session {
+    fn drop(&mut self) {
         let sh = &self.shared;
-        let mut in_flight = false;
-        {
-            let mut reg = sh.sessions.lock().unwrap();
-            if let Some(st) = reg.get_mut(&self.id) {
-                st.finished = true;
-                in_flight = st.completed < st.mapped_submitted;
-                if !in_flight {
-                    let st = reg.remove(&self.id).unwrap();
-                    trace_session_end(sh, self.id, &st);
-                    let _ = st.tx.send((SessionEvent::End(st.metrics.clone()), 0));
-                }
-            }
-        }
-        // Cut before the session is counted out, so a shutdown closes
-        // the path behind it; a closed path has cut the batch itself.
-        if in_flight {
+        let (w, ended) = self.cell.outbox.lock().unwrap().finish();
+        self.cell.wake(w);
+        // With reads in flight, cut before the session is counted out, so
+        // a shutdown closes the path behind it; a closed path has cut the
+        // batch itself.
+        if ended {
+            end_session(sh, self.id);
+        } else {
             let (t0, mut d) = (Instant::now(), sh.dispatch.lock().unwrap());
             if let Some(w) = d.cut(self.lane) {
                 note_cut(sh, &d, self.lane, "finish");
@@ -1275,12 +1147,6 @@ impl Session {
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        self.close_inner();
-    }
-}
-
 /// The receiving half of a session: completed reads stream out in
 /// submission order, closed by [`SessionEvent::End`]. Consuming an
 /// event credits the session's output budget; dropping the receiver
@@ -1288,43 +1154,60 @@ impl Drop for Session {
 /// with [`SubmitError::ReceiverGone`] — a vanished consumer must not
 /// pin buffered output or deadlock a throttled submitter.
 pub struct SessionReceiver {
-    rx: Receiver<(SessionEvent, u64)>,
-    gate: Arc<SessionGate>,
+    cell: Arc<SessionCell>,
+    /// The service-wide gauge of buffered session output.
+    buffered: Arc<genasm_telemetry::Gauge>,
 }
 
 impl SessionReceiver {
-    fn credit(&self, (event, bytes): (SessionEvent, u64)) -> SessionEvent {
-        self.gate.drained(bytes);
-        event
+    /// Take the next event, sleeping until it comes or, with a
+    /// `deadline`, until then.
+    fn take(&self, deadline: Option<Instant>) -> RecvOutcome {
+        let mut ob = self.cell.outbox.lock().unwrap();
+        loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            match (ob.take(), left) {
+                (Taken::Event(event, bytes, w), _) => {
+                    drop(ob);
+                    self.buffered.sub(bytes);
+                    self.cell.wake(w);
+                    return RecvOutcome::Event(event);
+                }
+                (Taken::Closed, _) => return RecvOutcome::Closed,
+                (Taken::Wait, None) => ob = self.cell.ready.wait(ob).unwrap(),
+                (Taken::Wait, Some(Duration::ZERO)) => return RecvOutcome::TimedOut,
+                (Taken::Wait, Some(left)) => ob = self.cell.ready.wait_timeout(ob, left).unwrap().0,
+            }
+        }
     }
 
     /// Next event; `None` if the service died before the session ended
     /// (after [`SessionEvent::End`] this also returns `None`).
     pub fn recv(&self) -> Option<SessionEvent> {
-        self.rx.recv().ok().map(|item| self.credit(item))
+        match self.take(None) {
+            RecvOutcome::Event(event) => Some(event),
+            _ => None,
+        }
     }
 
     /// Like [`SessionReceiver::recv`] with a deadline, telling a quiet
     /// session from a dead service — what a serving loop needs to
     /// choose between emitting a heartbeat and giving up.
     pub fn recv_deadline(&self, timeout: Duration) -> RecvOutcome {
-        use std::sync::mpsc::RecvTimeoutError;
-        match self.rx.recv_timeout(timeout) {
-            Ok(item) => RecvOutcome::Event(self.credit(item)),
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
-        }
+        self.take(Instant::now().checked_add(timeout))
     }
 
     /// Iterate events until `End` (inclusive) or service death.
     pub fn iter(&self) -> impl Iterator<Item = SessionEvent> + '_ {
-        self.rx.iter().map(move |item| self.credit(item))
+        std::iter::from_fn(|| self.recv())
     }
 }
 
 impl Drop for SessionReceiver {
     fn drop(&mut self) {
-        self.gate.receiver_dropped();
+        let (w, orphaned) = self.cell.outbox.lock().unwrap().drop_receiver();
+        self.buffered.sub(orphaned);
+        self.cell.wake(w);
     }
 }
 
@@ -1594,18 +1477,14 @@ struct ReadAcc {
 /// accounting (possibly emitting the session's `End`).
 fn finalize_read(sh: &Shared, acc: ReadAcc) {
     let latency = acc.submitted_at.elapsed();
-    sh.counters.read_latency_ns.record_duration(latency);
     // Funnel disposition is global telemetry: it runs even when the
-    // session (and its receiver) is already gone.
+    // session's receiver is already gone.
     let disp = disposition::of(None, acc.failed);
     if acc.failed {
         sh.counters.reads_failed.inc();
     } else {
         sh.counters.reads_aligned.inc();
     }
-    sh.counters
-        .slow_reads
-        .observe(&acc.qname, latency.as_nanos() as u64, &disp);
     let rec = ExplainRecord {
         read: &acc.qname,
         disposition: &disp,
@@ -1614,9 +1493,7 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
         tasks: &acc.tasks,
         align_ns: latency.as_nanos() as u64,
     };
-    if let Some(x) = sh.cfg.pipeline.explain.as_deref() {
-        x.emit(&rec);
-    }
+    note_read(sh, &rec, rec.align_ns);
     if let Some(t) = sh.trace() {
         t.span(
             "read",
@@ -1630,65 +1507,68 @@ fn finalize_read(sh: &Shared, acc: ReadAcc) {
             ],
         );
     }
-    // Sorted and sized before the registry lock: other sessions'
-    // submitters wait on it, and a long read's rows carry ~12 kB of
-    // CIGAR each. Accounted as the TSV rendering plus a newline per row
-    // — the bytes a server would buffer for this delivery.
-    let mut rows = acc.rows;
-    rows.sort_by(AlignRecord::cmp_best_first);
-    let bytes: u64 = rows.iter().map(|r| r.tsv_len() as u64 + 1).sum();
-    let mut reg = sh.sessions.lock().unwrap();
-    let Some(st) = reg.get_mut(&acc.session) else {
-        return; // receiver side vanished; nothing to deliver to
+    // Sorted and sized before the session's lock, which its submitter
+    // waits on: a long read's rows carry ~12 kB of CIGAR each. Accounted
+    // as the TSV rendering plus a newline per row — the bytes a server
+    // would buffer for this delivery.
+    let (event, bytes, records) = if acc.failed {
+        let read = acc.qname.to_string();
+        (SessionEvent::ReadFailed { read }, 0, 0)
+    } else {
+        let mut rows = acc.rows;
+        rows.sort_by(AlignRecord::cmp_best_first);
+        let bytes = rows.iter().map(|r| r.tsv_len() as u64 + 1).sum();
+        let records = rows.len() as u64;
+        (SessionEvent::Rows(rows), bytes, records)
     };
-    st.completed += 1;
-    if acc.failed {
-        st.metrics.reads_failed += 1;
-        // Zero bytes, nothing to debit; a send to a dropped receiver
-        // is a no-op.
-        let _ = st.tx.send((
-            SessionEvent::ReadFailed {
-                read: acc.qname.to_string(),
-            },
-            0,
-        ));
-    } else if st.gate.buffer(bytes) {
-        st.metrics.records_out += rows.len() as u64;
-        sh.counters.records_out.add(rows.len() as u64);
-        let _ = st.tx.send((SessionEvent::Rows(rows), bytes));
+    let Some(cell) = sh.sessions.lock().unwrap().get(&acc.session).cloned() else {
+        return; // a read in flight keeps its session open
+    };
+    let mut ob = cell.outbox.lock().unwrap();
+    let d = ob.deliver(event, bytes, || rec.to_json());
+    if d.queued {
+        // Counted before the receiver can take the rows and credit them.
+        let total = sh.counters.session_output_buffered.add(bytes);
+        sh.counters.max_session_output_buffered.set_max(total);
+        sh.counters.records_out.add(records);
     }
-    if st.explain_on {
-        let _ = st.tx.send((SessionEvent::Explain(rec.to_json()), 0));
-    }
-    // Debit before credit: the read's output is on the books before
-    // its in-flight slot frees, so a throttled submitter can never be
-    // admitted in a window where completed output is unaccounted —
-    // that ordering is what makes `session_output_bound` exact.
-    st.gate.read_done();
-    if st.finished && st.completed == st.mapped_submitted {
-        let st = reg.remove(&acc.session).unwrap();
-        trace_session_end(sh, acc.session, &st);
-        let _ = st.tx.send((SessionEvent::End(st.metrics.clone()), 0));
+    drop(ob);
+    cell.wake(d.wake);
+    if d.ended {
+        end_session(sh, acc.session);
     }
 }
 
-/// Emit the session-lifecycle span when a session fully drains.
-fn trace_session_end(sh: &Shared, id: u64, st: &SessionState) {
-    if let Some(t) = sh.trace() {
-        t.span(
-            "session",
-            "service",
-            tids::SESSION,
-            st.opened_at,
-            st.opened_at.elapsed(),
-            &[
-                ("session", id.into()),
-                ("backend", st.backend.to_string().into()),
-                ("reads", st.metrics.reads_in.into()),
-                ("records", st.metrics.records_out.into()),
-            ],
-        );
+/// Count a read done `latency_ns` after it entered — one latency sample
+/// per read — and emit its explain record to the configured sink.
+fn note_read(sh: &Shared, rec: &ExplainRecord, latency_ns: u64) {
+    sh.counters.read_latency_ns.record(latency_ns);
+    (sh.counters.slow_reads).observe(rec.read, latency_ns, rec.disposition);
+    if let Some(x) = sh.cfg.pipeline.explain.as_deref() {
+        x.emit(rec);
     }
+}
+
+/// Session `id` queued its `End`: forget it, and trace its span.
+fn end_session(sh: &Shared, id: u64) {
+    let cell = sh.sessions.lock().unwrap().remove(&id);
+    let (Some(t), Some(cell)) = (sh.trace(), cell) else {
+        return;
+    };
+    let m = cell.outbox.lock().unwrap().metrics().clone();
+    t.span(
+        "session",
+        "service",
+        tids::SESSION,
+        cell.opened_at,
+        cell.opened_at.elapsed(),
+        &[
+            ("session", id.into()),
+            ("backend", cell.backend.to_string().into()),
+            ("reads", m.reads_in.into()),
+            ("records", m.records_out.into()),
+        ],
+    );
 }
 
 /// Take each batch in cut order once it has finished, deliver its

@@ -953,6 +953,52 @@ fn slow_receiver_buffered_output_stays_within_the_session_bound() {
 }
 
 #[test]
+fn a_dropped_receiver_releases_a_throttled_submitter() {
+    // A one-byte output cap and a receiver that never reads: once a
+    // read's rows are buffered, the next submit blocks. Dropping the
+    // receiver must fail that submit, write the buffered bytes off,
+    // and leave a service that still shuts down.
+    let w = workload(60_000, 4, 600, 23);
+    let cfg = ServiceConfig {
+        max_session_output_bytes: 1,
+        ..ServiceConfig::default()
+    };
+    let service = Arc::new(PipelineService::start("ref", w.reference, cfg));
+    let (mut session, receiver) = service.open_session(BackendKind::Cpu).unwrap();
+    let (tx, failed) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        for (name, seq) in w.reads.iter().cycle() {
+            let read = ReadInput {
+                name: name.clone(),
+                seq: seq.clone(),
+            };
+            if let Err(e) = session.submit(read) {
+                let _ = tx.send(e);
+                return;
+            }
+        }
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while service.metrics().sessions_throttled == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the submitter was never throttled"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(service.metrics().session_output_buffered_bytes > 0);
+    drop(receiver);
+    let err = failed
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the throttled submit never returned");
+    assert_eq!(err, genasm_pipeline::SubmitError::ReceiverGone);
+    submitter.join().unwrap();
+    assert_eq!(service.metrics().session_output_buffered_bytes, 0);
+    let service = Arc::clone(&service);
+    within_a_minute(move || service.shutdown());
+}
+
+#[test]
 fn greedy_slow_reader_does_not_starve_a_light_session() {
     // A greedy session that uploads fast but reads nothing must be
     // throttled by its own caps — not by hogging the shared queues —

@@ -7,8 +7,8 @@
 //!
 //! ```text
 //!             ┌─ conn thread ── verb loop ─ BEGIN ─ FASTX parse ─┐ submit
-//!  client A ──┤                                                  ├────────┐
-//!             └─ writer thread ◄─ session events ◄───────────────┘        │
+//!  client A ──┤  joins the writer, then writes `# err`, `# done` ├────────┐
+//!             └─ writer thread ◄─ rows, until End ◄─ outbox ◄────┘        │
 //!             ┌─ conn thread ─ ...                                        ▼
 //!  client B ──┤                                    ┌──────────────────────────────┐
 //!             └─ writer thread ◄───────────────────┤  PipelineService (resident)  │

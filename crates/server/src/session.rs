@@ -22,16 +22,20 @@
 //! one that goes silent mid-upload has its session aborted
 //! (`# err input: idle timeout …`, then the usual `# done` framing),
 //! and one that stops *reading* kills the writer thread via the write
-//! timeout — which this thread notices and stops submitting, so a dead
-//! client cannot keep burning backend time on work no one will see.
+//! timeout. The dead writer drops the session's receiver, so this
+//! thread's next submit fails and it stops: a dead client cannot keep
+//! burning backend time on work no one will see.
+//!
+//! The writer thread streams every row and returns at `End` with the
+//! session's metrics; this thread joins it, then writes the input
+//! error, if the upload failed, and `# done`, the response's last line.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use genasm_pipeline::{
-    escape_name, OutputFormat, ReadInput, RecvOutcome, SessionEvent, SessionReceiver,
+    escape_name, OutputFormat, ReadInput, RecvOutcome, SessionEvent, SessionMetrics,
+    SessionReceiver,
 };
 use readsim::{FastxError, FastxReader};
 
@@ -168,66 +172,48 @@ pub(crate) fn handle_conn(conn: Conn, srv: &ServerShared) -> io::Result<ConnOutc
     writeln!(writer, "# ok begin backend={backend} format={format}")?;
     writer.flush()?;
 
-    // The input-error slot: set by this thread *before* finish(), read
-    // by the writer thread *at* the End event — so the error line is
-    // emitted before `# done`, keeping the documented framing (the
-    // response always ends with `# done`, then the connection closes).
-    let input_err: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    // Raised by the writer thread when its socket writes fail: the
-    // client stopped reading (or vanished), so submitting the rest of
-    // the upload would burn backend time on work no one will see.
-    let writer_dead = Arc::new(AtomicBool::new(false));
-    let err_slot = Arc::clone(&input_err);
-    let dead_flag = Arc::clone(&writer_dead);
     let heartbeat = srv.idle_timeout;
-    let writer_thread = std::thread::spawn(move || {
-        let res = drain_events(receiver, writer, format, &err_slot, heartbeat);
-        if res.is_err() {
-            dead_flag.store(true, Ordering::SeqCst);
-        }
-        res
-    });
+    let writer_thread =
+        std::thread::spawn(move || drain_events(receiver, writer, format, heartbeat));
 
-    // Parse records off the socket until the client half-closes.
-    for rec in FastxReader::new(&mut reader) {
-        if writer_dead.load(Ordering::SeqCst) {
-            *input_err.lock().unwrap() =
-                Some("client stopped reading; aborting session".to_string());
-            break;
+    // Parse records off the socket until the client half-closes, the
+    // upload fails, or a dead writer drops the receiver.
+    let input_err = FastxReader::new(&mut reader).find_map(|rec| match rec {
+        Ok(r) => {
+            let read = ReadInput {
+                name: r.name,
+                seq: r.seq,
+            };
+            session.submit(read).err().map(|e| e.to_string())
         }
-        match rec {
-            Ok(r) => {
-                let read = ReadInput {
-                    name: r.name,
-                    seq: r.seq,
-                };
-                if let Err(e) = session.submit(read) {
-                    *input_err.lock().unwrap() = Some(e.to_string());
-                    break;
-                }
-            }
-            Err(FastxError::Io(ref e)) if is_timeout(e) => {
-                // The client went silent mid-upload: abort the session
-                // rather than pin its slot (and its buffered state)
-                // forever. The drain still completes normally.
-                srv.service.note_session_timeout();
-                let ms = srv.idle_timeout.map_or(0, |t| t.as_millis());
-                *input_err.lock().unwrap() = Some(format!(
-                    "idle timeout: no data for {ms}ms; aborting session"
-                ));
-                break;
-            }
-            Err(e) => {
-                *input_err.lock().unwrap() = Some(e.to_string());
-                break;
-            }
+        Err(FastxError::Io(ref e)) if is_timeout(e) => {
+            // The client went silent mid-upload: abort the session
+            // rather than pin its slot (and its buffered state)
+            // forever. The drain still completes normally.
+            srv.service.note_session_timeout();
+            let ms = srv.idle_timeout.map_or(0, |t| t.as_millis());
+            Some(format!(
+                "idle timeout: no data for {ms}ms; aborting session"
+            ))
         }
-    }
+        Err(e) => Some(e.to_string()),
+    });
     session.finish();
 
-    let mut writer = writer_thread
+    let (mut writer, end) = writer_thread
         .join()
         .expect("session writer thread panicked")?;
+    // No `End`: the service died first, and nothing more is said.
+    if let Some(m) = end {
+        if let Some(msg) = input_err {
+            writeln!(writer, "# err input: {}", escape_name(&msg))?;
+        }
+        writeln!(
+            writer,
+            "# done reads={} mapped={} tasks={} records={} failed={}",
+            m.reads_in, m.reads_mapped, m.tasks, m.records_out, m.reads_failed
+        )?;
+    }
     writer.flush()?;
     Ok(ConnOutcome::Done)
 }
@@ -334,19 +320,18 @@ fn stream_stats(
     }
 }
 
-/// Drain session events to the client until `End` (which always closes
-/// the response: any input error is written just before `# done`).
-/// With a heartbeat interval, quiet stretches emit `# hb` — doubling
-/// as a liveness probe of the client's read side: once writes time out
-/// or fail, the returned error marks the writer dead and the reader
-/// loop aborts the session.
+/// Drain session events to the client until `End`, and return the
+/// writer with the session's metrics (`None`: the service died first).
+/// With a heartbeat interval, quiet stretches emit `# hb` — doubling as
+/// a liveness probe of the client's read side: once writes time out or
+/// fail, the error returns and drops the receiver, which fails the
+/// session's next submit.
 fn drain_events(
     receiver: SessionReceiver,
     mut writer: BufWriter<Conn>,
     format: OutputFormat,
-    input_err: &Mutex<Option<String>>,
     heartbeat: Option<Duration>,
-) -> io::Result<BufWriter<Conn>> {
+) -> io::Result<(BufWriter<Conn>, Option<SessionMetrics>)> {
     loop {
         let event = match heartbeat {
             Some(hb) => match receiver.recv_deadline(hb) {
@@ -360,45 +345,24 @@ fn drain_events(
             },
             None => receiver.recv(),
         };
-        let Some(event) = event else {
-            break; // service died before End; nothing more will come
-        };
         match event {
-            SessionEvent::Rows(rows) => {
+            None => return Ok((writer, None)),
+            Some(SessionEvent::Rows(rows)) => {
                 for row in &rows {
                     writeln!(writer, "{}", format.line(row))?;
                 }
-                writer.flush()?;
             }
-            SessionEvent::ReadFailed { read } => {
-                writeln!(writer, "{}", status_err_read(&read))?;
-                writer.flush()?;
+            Some(SessionEvent::ReadFailed { read }) => {
+                writeln!(writer, "{}", status_err_read(&read))?
             }
-            SessionEvent::Explain(json) => {
-                // Provenance is opt-in (`SET explain on`); the JSON is
-                // a single line by construction, safe to frame as a
-                // status line.
-                writeln!(writer, "# explain {json}")?;
-                writer.flush()?;
-            }
-            SessionEvent::End(m) => {
-                // End is sent only after the conn thread called
-                // finish(), which happens after it stored any input
-                // error — safe to read the slot here.
-                if let Some(msg) = input_err.lock().unwrap().take() {
-                    writeln!(writer, "# err input: {}", escape_name(&msg))?;
-                }
-                writeln!(
-                    writer,
-                    "# done reads={} mapped={} tasks={} records={} failed={}",
-                    m.reads_in, m.reads_mapped, m.tasks, m.records_out, m.reads_failed
-                )?;
-                writer.flush()?;
-                break;
-            }
+            // Provenance is opt-in (`SET explain on`); the JSON is a
+            // single line by construction, safe to frame as a status
+            // line.
+            Some(SessionEvent::Explain(json)) => writeln!(writer, "# explain {json}")?,
+            Some(SessionEvent::End(m)) => return Ok((writer, Some(m))),
         }
+        writer.flush()?;
     }
-    Ok(writer)
 }
 
 #[cfg(test)]

@@ -28,15 +28,19 @@ Five modes, one per exposition surface:
   its high water counting the push that fills a batch) never above
   its capacity plus one oversized task (``max_task_bases``), and every
   batch cut and finished: ``queues.batch.pushed ==
-  queues.result.pushed == batches``.
+  queues.result.pushed == batches``. Its ``sessions`` object (buffered
+  session output now and at its peak, throttled submits, timed-out
+  sessions) must read no output still buffered, and a peak no lower
+  than that.
 
 * ``stats-json FILE`` — the stdout of ``genasm ctl stats-json``: one
   ``genasm-stats/v1`` object embedding a server block, a session list,
   and a full pipeline metrics object (validated as above, except the
   checks that need a run at rest — a live server may be mid-stream:
-  reads are not all counted yet, and batches may be cut and not yet
-  finished, so only ``queues.result.pushed <= queues.batch.pushed <=
-  batches`` is required).
+  reads are not all counted yet, batches may be cut and not yet
+  finished, and output may be buffered, so only
+  ``queues.result.pushed <= queues.batch.pushed <= batches`` and a
+  ``sessions`` object are required).
 
 * ``explain FILE`` — a ``--explain`` JSONL stream: every line is one
   ``genasm-explain/v2`` object with the full funnel/task key set and
@@ -135,6 +139,21 @@ def check_queues(m, at_rest):
         )
 
 
+def check_sessions(m, at_rest):
+    s = m.get("sessions")
+    if not isinstance(s, dict):
+        fail("metrics object missing 'sessions'")
+    for key in ("output_buffered_bytes", "max_output_buffered_bytes",
+                "throttled", "timed_out"):
+        if not isinstance(s.get(key), int) or s[key] < 0:
+            fail(f"sessions.{key} is not a count: {s.get(key)!r}")
+    if at_rest and s["output_buffered_bytes"] != 0:
+        fail(f"at rest, {s['output_buffered_bytes']} session output bytes still buffered")
+    if at_rest and s["max_output_buffered_bytes"] < s["output_buffered_bytes"]:
+        fail(f"sessions peak {s['max_output_buffered_bytes']} below current "
+             f"{s['output_buffered_bytes']}")
+
+
 def check_pipeline_metrics(m, require_read_count=True):
     if m.get("schema") != "genasm-pipeline-metrics/v1":
         fail(f"unexpected metrics schema {m.get('schema')!r}")
@@ -154,6 +173,7 @@ def check_pipeline_metrics(m, require_read_count=True):
         )
     check_funnel(m["funnel"], "pipeline", at_rest=require_read_count)
     check_queues(m, at_rest=require_read_count)
+    check_sessions(m, at_rest=require_read_count)
     lat = m["latency"]
     for key in ("read", "task_queue_wait", "batch_build", "reorder_wait"):
         if key not in lat:
