@@ -16,6 +16,27 @@
 //! is exact, not a heuristic — `f64` rounding is monotone, so the
 //! computed extension never exceeds the computed `score + k` — and
 //! every score, predecessor and chain is the one the full loop gives.
+//!
+//! One DP chains a whole genome, as minimap2 chains a multi-sequence
+//! index: `chain_contigs` takes anchors at global positions and the
+//! contigs' global starts, and the lookback of an anchor never reaches
+//! before the first key of its contig. [`chain_anchors`] is its
+//! one-contig case. The result is exactly that of chaining each contig
+//! on its own and merging the chains stably by score:
+//!
+//! - Keys sort by reference position, so an anchor's same-contig
+//!   predecessors are exactly the keys between its contig's first key
+//!   and itself: the floored lookback visits the set a per-contig DP
+//!   visits, in the same order.
+//! - The reverse-strand flip `max_rp - pos` reverses order and keeps
+//!   every `dq` whatever the constant, so a genome-wide `max_rp` changes
+//!   no key order and no score.
+//! - Predecessors never cross contigs, so neither do claims: the peel
+//!   order (score descending, then index), restricted to one contig, is
+//!   that contig's own peel order.
+//! - Per-contig chaining ordered equal scores by contig, then strand,
+//!   then peel rank. The chains are pushed in (strand, peel) order, so
+//!   one stable sort by (score descending, contig) gives that order.
 
 use std::sync::OnceLock;
 
@@ -101,10 +122,33 @@ pub fn collect_anchors(read: &Seq, index: &MinimizerIndex) -> Vec<Anchor> {
 const NO_PRED: u32 = u32::MAX;
 
 /// Chain anchors with the minimap2 gap cost; returns all chains with
-/// `-P` semantics (every chain above the floor, best first).
+/// `-P` semantics (every chain above the floor, best first). The
+/// one-contig case of `chain_contigs`.
 pub fn chain_anchors(anchors: &[Anchor], k: usize, params: &ChainParams) -> Vec<Chain> {
+    chain_contigs(anchors, &[0], k, params)
+        .into_iter()
+        .map(|(_, chain)| chain)
+        .collect()
+}
+
+/// The contig that owns global position `pos`, given the contigs'
+/// global starts in order: the last start at or before `pos`, so an
+/// empty contig (whose start is the next one's) owns nothing.
+pub(crate) fn contig_of(starts: &[u32], pos: u32) -> usize {
+    starts.partition_point(|&s| s <= pos) - 1
+}
+
+/// Chain anchors at global positions over contigs that start at
+/// `starts`; returns every chain as `(contig, chain)` in contig-local
+/// coordinates, best score first, contig order breaking ties. A chain
+/// never spans two contigs (see the module docs).
+pub(crate) fn chain_contigs(
+    anchors: &[Anchor],
+    starts: &[u32],
+    k: usize,
+    params: &ChainParams,
+) -> Vec<(u32, Chain)> {
     assert!(u32::try_from(anchors.len()).is_ok(), "2^32 anchors or more");
-    let log2 = log2_table();
     let mut chains = Vec::new();
     let mut keys = Vec::with_capacity(anchors.len());
     for strand in [false, true] {
@@ -121,9 +165,9 @@ pub fn chain_anchors(anchors: &[Anchor], k: usize, params: &ChainParams) -> Vec<
         keys.clear();
         keys.extend(on_strand.map(|a| u64::from(a.ref_pos) << 32 | u64::from(flip(a.read_pos))));
         keys.sort_unstable();
-        chain_one_strand(&keys, k, params, log2, strand, flip, &mut chains);
+        chain_one_strand(&keys, starts, k, params, strand, flip, &mut chains);
     }
-    chains.sort_by(|a, b| b.score.total_cmp(&a.score));
+    chains.sort_by(|a, b| b.1.score.total_cmp(&a.1.score).then(a.0.cmp(&b.0)));
     chains
 }
 
@@ -169,7 +213,8 @@ fn gap_log2(table: &[f64], dd: u64) -> f64 {
 
 /// The chaining DP: best score of a chain ending at each anchor and
 /// its predecessor ([`NO_PRED`] for none). `keys` are packed anchors,
-/// sorted.
+/// sorted, over contigs that start at `starts`; no predecessor comes
+/// from another contig.
 ///
 /// A predecessor `j` whose `score[j] + k` does not beat the best score
 /// found so far is skipped unscored, and the skip is exact: its
@@ -177,15 +222,28 @@ fn gap_log2(table: &[f64], dd: u64) -> f64 {
 /// least 0, and `f64` rounding is monotone, so the computed
 /// `(score[j] + gain) - cost` is at most the computed `score[j] + k`
 /// and cannot win the strict `>`.
-fn chain_dp(keys: &[u64], k: usize, params: &ChainParams, log2: &[f64]) -> (Vec<f64>, Vec<u32>) {
+fn chain_dp(
+    keys: &[u64],
+    starts: &[u32],
+    k: usize,
+    params: &ChainParams,
+    log2: &[f64],
+) -> (Vec<f64>, Vec<u32>) {
     let n = keys.len();
     let kf = k as f64;
     let mut score = vec![0f64; n];
     let mut pred = vec![NO_PRED; n];
+    // `keys[floor]` is the first key of the current contig, and `next`
+    // the global start of the contig after it.
+    let (mut floor, mut next) = (0, 0u64);
     for i in 0..n {
         let (ri, qi) = unpack(keys[i]);
+        if u64::from(ri) >= next {
+            let c = contig_of(starts, ri);
+            (floor, next) = (i, starts.get(c + 1).map_or(u64::MAX, |&s| s.into()));
+        }
         let (mut best, mut best_j) = (kf, NO_PRED);
-        let lo = i.saturating_sub(params.lookback);
+        let lo = i.saturating_sub(params.lookback).max(floor);
         for j in (lo..i).rev() {
             let (rj, qj) = unpack(keys[j]);
             let dr = i64::from(ri) - i64::from(rj);
@@ -213,19 +271,19 @@ fn chain_dp(keys: &[u64], k: usize, params: &ChainParams, log2: &[f64]) -> (Vec<
     (score, pred)
 }
 
-/// Chain one strand's sorted `keys`, pushing every chain onto `out`.
-/// `orig_pos` maps a key's read position back to forward read
-/// coordinates.
+/// Chain one strand's sorted `keys`, pushing every chain onto `out`
+/// with its contig, in contig-local coordinates. `orig_pos` maps a
+/// key's read position back to forward read coordinates.
 fn chain_one_strand(
     keys: &[u64],
+    starts: &[u32],
     k: usize,
     params: &ChainParams,
-    log2: &[f64],
     strand: bool,
     orig_pos: impl Fn(u32) -> u32,
-    out: &mut Vec<Chain>,
+    out: &mut Vec<(u32, Chain)>,
 ) {
-    let (score, pred) = chain_dp(keys, k, params, log2);
+    let (score, pred) = chain_dp(keys, starts, k, params, log2_table());
     // Peel chains best-first; each anchor belongs to at most one chain,
     // but every chain above the floor is reported (the -P behaviour).
     // Only ends above the floor start a chain; the stable sort visits
@@ -257,15 +315,20 @@ fn chain_one_strand(
         if members < params.min_anchors {
             continue;
         }
-        out.push(Chain {
-            score: score[end as usize],
-            anchors: members,
-            read_start: q_lo as usize,
-            read_end: q_hi as usize + k,
-            ref_start: t_lo as usize,
-            ref_end: t_hi as usize + k,
-            reverse: strand,
-        });
+        let c = contig_of(starts, t_lo);
+        let start = starts[c];
+        out.push((
+            c as u32,
+            Chain {
+                score: score[end as usize],
+                anchors: members,
+                read_start: q_lo as usize,
+                read_end: q_hi as usize + k,
+                ref_start: (t_lo - start) as usize,
+                ref_end: (t_hi - start) as usize + k,
+                reverse: strand,
+            },
+        ));
     }
 }
 
@@ -467,7 +530,7 @@ mod tests {
             }
             keys.sort_unstable();
             let params = ChainParams { lookback, max_gap, ..ChainParams::default() };
-            let (score, pred) = chain_dp(&keys, 15, &params, log2_table());
+            let (score, pred) = chain_dp(&keys, &[0], 15, &params, log2_table());
             let (want_score, want_pred) = chain_dp_exhaustive(&keys, 15, &params);
             let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&score), bits(&want_score));
@@ -593,6 +656,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Chain `anchors` over contigs that start at `starts`, and check
+    /// the result against each contig chained on its own by the oracle
+    /// chainer, in local coordinates, merged stably by score. A contig
+    /// owns `[starts[c], starts[c + 1])`.
+    fn chain_checked(anchors: &[Anchor], starts: &[u32]) -> Vec<(u32, Chain)> {
+        let params = ChainParams::default();
+        let mut want = Vec::new();
+        for (c, &start) in starts.iter().enumerate() {
+            let end = starts.get(c + 1).map_or(u32::MAX, |&e| e);
+            let local: Vec<Anchor> = anchors
+                .iter()
+                .filter(|a| (start..end).contains(&a.ref_pos))
+                .map(|a| Anchor {
+                    ref_pos: a.ref_pos - start,
+                    ..*a
+                })
+                .collect();
+            let chains = oracle::chain_anchors(&local, 15, &params);
+            want.extend(chains.into_iter().map(|chain| (c as u32, chain)));
+        }
+        want.sort_by(|a, b| b.1.score.total_cmp(&a.1.score));
+        let got = chain_contigs(anchors, starts, 15, &params);
+        let split = |v: &[(u32, Chain)]| -> (Vec<u32>, Vec<Chain>) { v.iter().cloned().unzip() };
+        let ((got_c, got_ch), (want_c, want_ch)) = (split(&got), split(&want));
+        assert_eq!(got_c, want_c, "contigs");
+        assert_eq!(exact(&got_ch), exact(&want_ch), "chains");
+        got
+    }
+
+    /// `(contig, strand, anchors, score)` of each chain, in order.
+    fn shape(chains: &[(u32, Chain)]) -> Vec<(u32, bool, usize, f64)> {
+        let key = |(c, ch): &(u32, Chain)| (*c, ch.reverse, ch.anchors, ch.score);
+        chains.iter().map(key).collect()
+    }
+
+    /// Twenty anchors 20 bases apart on one diagonal from reference
+    /// position `from`, on `strand`. Every step scores `k` = 15.
+    fn diagonal(from: u32, strand: bool) -> Vec<Anchor> {
+        let at = |i: u32| Anchor {
+            read_pos: if strand { (19 - i) * 20 } else { i * 20 },
+            ref_pos: from + i * 20,
+            reverse: strand,
+        };
+        (0..20).map(at).collect()
+    }
+
+    /// A diagonal that crosses a contig start, its gaps far inside
+    /// `max_gap`, chains into one on one contig and into two halves
+    /// across the boundary, on either strand.
+    #[test]
+    fn collinear_anchors_across_a_contig_start_do_not_chain() {
+        for strand in [false, true] {
+            let anchors = diagonal(800, strand);
+            assert_eq!(
+                shape(&chain_checked(&anchors, &[0])),
+                [(0, strand, 20, 300.0)]
+            );
+            let got = chain_checked(&anchors, &[0, 1_000]);
+            assert_eq!(
+                shape(&got),
+                [(0, strand, 10, 150.0), (1, strand, 10, 150.0)]
+            );
+            assert_eq!((got[1].1.ref_start, got[1].1.ref_end), (0, 195));
+        }
+    }
+
+    /// Empty contigs — first, between two others and last — own no
+    /// anchor, and the contigs around them keep their indices.
+    #[test]
+    fn empty_contigs_first_between_and_last_own_nothing() {
+        let starts = [0, 0, 1_000, 1_000, 2_000];
+        let owners = [0, 999, 1_000, 1_999].map(|pos| contig_of(&starts, pos));
+        assert_eq!(owners, [1, 1, 3, 3]);
+        for strand in [false, true] {
+            let got = chain_checked(&diagonal(800, strand), &starts);
+            assert_eq!(
+                shape(&got),
+                [(1, strand, 10, 150.0), (3, strand, 10, 150.0)]
+            );
+        }
+    }
+
+    /// Chains of one score come out by contig, then strand: the
+    /// forward chains, one on each side of a contig start that they
+    /// would chain across, bracket a reverse chain of contig 0.
+    #[test]
+    fn equal_score_chains_on_two_contigs_come_out_in_contig_order() {
+        let mut anchors = diagonal(800, false);
+        anchors.extend(diagonal(100, true).into_iter().take(10));
+        let got = chain_checked(&anchors, &[0, 1_000]);
+        let want = [
+            (0, false, 10, 150.0),
+            (0, true, 10, 150.0),
+            (1, false, 10, 150.0),
+        ];
+        assert_eq!(shape(&got), want);
     }
 
     fn mk(read_pos: u32, ref_pos: u32) -> Anchor {

@@ -8,9 +8,10 @@
 //! minimizers once; the hits of a hash ascend in position, so the
 //! anchors come out in `(read_pos, ref_pos)` order with nothing to
 //! merge, and the occurrence cutoff (`max_occ`) counts a hash over the
-//! whole genome. Chaining then runs per contig (a chain can never span
-//! two contigs), and chains merge by score with contig order as the
-//! stable tiebreak. Queries take `&self` and share nothing mutable, so
+//! whole genome. One chaining DP then runs over the genome's anchors,
+//! and no predecessor comes from another contig, so a chain never spans
+//! two (see [`crate::chain`]); chains come out best score first, contig
+//! order breaking ties. Queries take `&self` and share nothing mutable, so
 //! the way to use more cores is to map *different reads* on different
 //! threads (the pipeline's map workers), never to split one read.
 //!
@@ -20,10 +21,10 @@
 
 use std::sync::Arc;
 
-use align_core::{AlignTask, Reference, Seq};
+use align_core::{AlignTask, Contig, Reference, Seq};
 
 use crate::candidates::{chain_window, CandidateParams};
-use crate::chain::{chain_anchors, collect_anchors, Anchor, Chain, ChainParams};
+use crate::chain::{chain_contigs, collect_anchors, contig_of, Anchor, Chain, ChainParams};
 use crate::index::MinimizerIndex;
 
 /// Most bases in a reference, `2^32 - 1`: anchors and tasks carry
@@ -50,14 +51,6 @@ impl core::fmt::Display for ReferenceTooLong {
 
 impl std::error::Error for ReferenceTooLong {}
 
-/// One contig: its name, global start and packed bases.
-#[derive(Debug)]
-struct Contig {
-    name: Arc<str>,
-    offset: usize,
-    seq: Seq,
-}
-
 /// What a [`ShardedIndex`] holds, for telemetry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexMetrics {
@@ -81,7 +74,7 @@ pub struct IndexMetrics {
 pub struct ReadMapStats {
     /// Anchors of the read's minimizers in the genome index.
     pub anchors: u64,
-    /// Chains produced by the per-contig chaining DP.
+    /// Chains produced by the genome's chaining DP.
     pub chains: u64,
     /// Candidate tasks emitted (after the per-read cap).
     pub candidates: u64,
@@ -115,6 +108,8 @@ pub struct ShardedIndex {
     /// Genome-wide occurrence cutoff (see [`MinimizerIndex::max_occ`]).
     pub max_occ: usize,
     contigs: Vec<Contig>,
+    /// Each contig's global start, ascending.
+    starts: Vec<u32>,
     index: MinimizerIndex,
 }
 
@@ -155,25 +150,17 @@ impl ShardedIndex {
         if let Err(e) = ShardedIndex::check_len(reference.total_len()) {
             panic!("{e}");
         }
-        let mut offset = 0;
-        let contigs: Vec<Contig> = reference
-            .into_contigs()
-            .into_iter()
-            .map(|c| {
-                offset += c.seq.len();
-                Contig {
-                    name: c.name,
-                    offset: offset - c.seq.len(),
-                    seq: c.seq,
-                }
-            })
+        let starts = (0..reference.num_contigs())
+            .map(|c| reference.offset(c) as u32)
             .collect();
+        let contigs = reference.into_contigs();
         let index = MinimizerIndex::build_contigs(contigs.iter().map(|c| &c.seq), w, k, max_occ);
         ShardedIndex {
             w,
             k,
             max_occ,
             contigs,
+            starts,
             index,
         }
     }
@@ -201,7 +188,7 @@ impl ShardedIndex {
 
     /// Global start of contig `c`.
     pub fn contig_offset(&self, c: u32) -> usize {
-        self.contigs[c as usize].offset
+        self.starts[c as usize] as usize
     }
 
     /// Total reference length across all contigs.
@@ -220,10 +207,8 @@ impl ShardedIndex {
             "global position {gpos} out of range (total {})",
             self.total_len()
         );
-        let i = self
-            .contigs
-            .partition_point(|c| c.offset + c.seq.len() <= gpos);
-        (i as u32, gpos - self.contigs[i].offset)
+        let c = contig_of(&self.starts, gpos as u32);
+        (c as u32, gpos - self.starts[c] as usize)
     }
 
     /// Packed bytes of the contigs' bases — the only reference bases
@@ -261,55 +246,17 @@ impl ShardedIndex {
         collect_anchors(read, &self.index)
     }
 
-    /// Chain `read`'s anchors, per contig, and return every chain as
-    /// `(contig, chain)` with **contig-local** coordinates, best score
-    /// first (contig order breaks score ties, stably). A chain never
-    /// spans two contigs.
+    /// Chain `read`'s anchors in one pass over the genome and return
+    /// every chain as `(contig, chain)` with **contig-local**
+    /// coordinates, best score first (contig order breaks score ties,
+    /// stably). A chain never spans two contigs.
     pub fn chains_for_read(&self, read: &Seq, params: &ChainParams) -> Vec<(u32, Chain)> {
-        let anchors = self.collect_anchors(read);
-        self.chains_from_anchors(&anchors, params)
+        chain_contigs(&self.collect_anchors(read), &self.starts, self.k, params)
     }
 
-    /// Chain an already-collected anchor stream (the body of
-    /// [`ShardedIndex::chains_for_read`], split out so the provenance
-    /// path can observe the anchor count without re-collecting).
-    fn chains_from_anchors(&self, anchors: &[Anchor], params: &ChainParams) -> Vec<(u32, Chain)> {
-        let mut merged: Vec<(u32, Chain)> = Vec::new();
-        if self.contigs.len() <= 1 {
-            // Single contig: local == global; skip the partition.
-            merged.extend(
-                chain_anchors(anchors, self.k, params)
-                    .into_iter()
-                    .map(|c| (0u32, c)),
-            );
-            return merged; // chain_anchors already sorts by score
-        }
-        let mut per_contig: Vec<Vec<Anchor>> = vec![Vec::new(); self.contigs.len()];
-        for a in anchors {
-            let (ci, local) = self.locate(a.ref_pos as usize);
-            per_contig[ci as usize].push(Anchor {
-                ref_pos: local as u32,
-                ..*a
-            });
-        }
-        for (ci, list) in per_contig.iter().enumerate() {
-            if list.is_empty() {
-                continue;
-            }
-            merged.extend(
-                chain_anchors(list, self.k, params)
-                    .into_iter()
-                    .map(|c| (ci as u32, c)),
-            );
-        }
-        // Stable: equal scores keep contig order, so the merged chain
-        // list is deterministic.
-        merged.sort_by(|a, b| b.1.score.total_cmp(&a.1.score));
-        merged
-    }
-
-    /// Map one read: anchors, per-contig chaining, candidate tasks in
-    /// contig-local coordinates with targets cut from the contigs. On
+    /// Map one read: anchors, one chaining pass over the genome,
+    /// candidate tasks in contig-local coordinates with targets cut
+    /// from the contigs. On
     /// a single contig identical to [`crate::candidates_for_read`] on a
     /// [`MinimizerIndex`] of that contig.
     pub fn candidates_for_read(
@@ -335,7 +282,7 @@ impl ShardedIndex {
         params: &CandidateParams,
     ) -> (Vec<AlignTask>, ReadMapStats) {
         let anchors = self.collect_anchors(read);
-        let chains = self.chains_from_anchors(&anchors, &params.chain);
+        let chains = chain_contigs(&anchors, &self.starts, self.k, &params.chain);
         // Built on the first reverse chain, cloned for the rest.
         let mut rc_read: Option<Seq> = None;
         let tasks: Vec<AlignTask> = chains

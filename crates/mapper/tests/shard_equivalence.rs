@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use align_core::{Base, Reference, Seq};
-use mapper::{collect_anchors, minimizers, CandidateParams, MinimizerIndex, ShardedIndex};
+use mapper::{collect_anchors, minimizers, CandidateParams, Chain, MinimizerIndex, ShardedIndex};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -192,6 +192,73 @@ proptest! {
         let got = ShardedIndex::build(reference, 2, 256).candidates_for_read(4, &read, &params);
         prop_assert_eq!(got, per_contig_oracle(&contigs, &read, &params, 4));
     }
+
+    /// Multi-contig, at the chain level: the genome's chains equal each
+    /// contig's flat `chain_anchors`, merged stably by score — the
+    /// whole `(contig, chain)` list in order, scores as bits. One
+    /// contig is empty, and two neighbours share the junction's
+    /// sequence, so a read from there chains on both with equal
+    /// scores and the order of ties is checked too.
+    #[test]
+    fn multi_contig_chains_equal_per_contig_oracle(
+        mut contigs in prop::collection::vec(arb_seq(1_500, 4_000), 2..=4),
+        junction in 0usize..3,
+        empty in 0usize..5,
+        from in 0usize..6,
+        rc in proptest::any::<bool>(),
+    ) {
+        // Contig `j + 1` starts with contig `j`'s last 1 000 bases.
+        let j = junction % (contigs.len() - 1);
+        let shared = contigs[j].slice(contigs[j].len() - 1_000, 1_000);
+        let mut head = shared.to_bases();
+        head.extend(contigs[j + 1].iter());
+        contigs[j + 1] = head.into_iter().collect();
+        contigs.insert(empty % (contigs.len() + 1), Seq::new());
+
+        // A read from one contig, or (past the last) from the junction.
+        let src = contigs.iter().filter(|s| !s.is_empty()).nth(from);
+        let mut read = match src {
+            Some(s) => s.slice(s.len() / 3, 500),
+            None => shared.slice(200, 600),
+        };
+        if rc {
+            read = read.reverse_complement();
+        }
+        let mut reference = Reference::new();
+        for (i, s) in contigs.iter().enumerate() {
+            reference.push(&format!("c{i}"), s.clone());
+        }
+        let params = CandidateParams::default();
+        let got = ShardedIndex::build(reference, 2, 256).chains_for_read(&read, &params.chain);
+        let want = per_contig_chains(&contigs, &read, &params);
+        let exact = |chains: &[(u32, Chain)]| -> Vec<_> {
+            chains
+                .iter()
+                .map(|(ci, c)| {
+                    let ends = (c.read_start, c.read_end, c.ref_start, c.ref_end);
+                    (*ci, c.score.to_bits(), c.anchors, ends, c.reverse)
+                })
+                .collect()
+        };
+        prop_assert!(!want.is_empty(), "the read must chain");
+        prop_assert_eq!(exact(&got), exact(&want));
+    }
+}
+
+/// Each contig's anchors against its own flat index, chained by
+/// `chain_anchors` and merged by score (stable, contig order breaking
+/// ties).
+fn per_contig_chains(contigs: &[Seq], read: &Seq, params: &CandidateParams) -> Vec<(u32, Chain)> {
+    let mut merged: Vec<(u32, Chain)> = Vec::new();
+    for (ci, seq) in contigs.iter().enumerate() {
+        let flat = MinimizerIndex::build(seq);
+        let anchors = collect_anchors(read, &flat);
+        for chain in mapper::chain_anchors(&anchors, flat.k, &params.chain) {
+            merged.push((ci as u32, chain));
+        }
+    }
+    merged.sort_by(|a, b| b.1.score.total_cmp(&a.1.score));
+    merged
 }
 
 /// Independent multi-contig oracle built only from the single-sequence
@@ -204,16 +271,7 @@ fn per_contig_oracle(
     params: &CandidateParams,
     read_id: u32,
 ) -> Vec<align_core::AlignTask> {
-    let mut merged: Vec<(u32, mapper::Chain)> = Vec::new();
-    for (ci, seq) in contigs.iter().enumerate() {
-        let flat = MinimizerIndex::build(seq);
-        let anchors = collect_anchors(read, &flat);
-        for chain in mapper::chain_anchors(&anchors, flat.k, &params.chain) {
-            merged.push((ci as u32, chain));
-        }
-    }
-    merged.sort_by(|a, b| b.1.score.total_cmp(&a.1.score));
-    merged
+    per_contig_chains(contigs, read, params)
         .iter()
         .take(params.max_per_read)
         .map(|(ci, chain)| {

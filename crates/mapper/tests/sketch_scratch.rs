@@ -8,7 +8,10 @@
 //! only its ring of `w` keys: a buffer of every k-mer's hash (8 bytes
 //! per base, ~8 MB here) fails. The build may add a quarter of the
 //! finished index to it: collecting the genome's minimizers in one
-//! list (16 bytes each, about as much as the index) fails.
+//! list (16 bytes each, about as much as the index) fails. Mapping a
+//! read on a reference of 20 000 contigs may hold a few words per
+//! anchor: anything kept per contig (24 bytes each, ~480 kB here)
+//! fails.
 //!
 //! The counts are per thread: the harness runs the tests of this binary
 //! concurrently, and a process-wide counter would book one test's
@@ -19,7 +22,7 @@ use std::cell::Cell;
 use std::mem::size_of;
 
 use align_core::{Base, Reference, Seq};
-use mapper::{minimizers, Minimizer, ShardedIndex};
+use mapper::{minimizers, ChainParams, Minimizer, ShardedIndex};
 
 struct PeakAlloc;
 
@@ -116,5 +119,35 @@ fn the_index_build_holds_the_reference_and_a_quarter_more_than_the_index() {
         "the build peaked at {peak} live bytes beside the reference; the index holds {} \
          (bound {bound})",
         m.index_bytes
+    );
+}
+
+/// Live bytes one anchor may cost while its read is chained: the
+/// anchor, its key, score, predecessor, peel slot and claim, and a
+/// chain, in `Vec`s that may have doubled.
+const BYTES_PER_ANCHOR: isize = 256;
+
+#[test]
+fn mapping_a_read_holds_nothing_per_contig() {
+    const CONTIGS: usize = 20_000;
+    let genome = mixed_seq(CONTIGS * 60, 9);
+    let mut reference = Reference::new();
+    for c in 0..CONTIGS {
+        reference.push(&format!("c{c}"), genome.slice(c * 60, 60));
+    }
+    let idx = ShardedIndex::build(reference, 2, 256);
+    let read = genome.slice(12_345 * 60, 60);
+    let params = ChainParams::default();
+    // The first call fills the chainer's 64 KiB table of logarithms.
+    let warm = idx.chains_for_read(&read, &params);
+    let (chains, peak) = peak_added(|| idx.chains_for_read(&read, &params));
+    assert_eq!(chains, warm);
+    assert_eq!(chains.first().map(|(c, _)| *c), Some(12_345), "{chains:?}");
+    let anchors = idx.collect_anchors(&read).len() as isize;
+    let bound = SCRATCH_BYTES + BYTES_PER_ANCHOR * anchors;
+    assert!(
+        peak <= bound,
+        "chaining a read of {anchors} anchors over {CONTIGS} contigs peaked at {peak} live \
+         bytes (bound {bound})"
     );
 }

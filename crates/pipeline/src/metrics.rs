@@ -421,7 +421,10 @@ pub struct PipelineMetrics {
     /// Map workers of a one-shot run (`--threads`); 0 in a service
     /// snapshot, whose sessions map on their submitting threads.
     pub map_workers: usize,
-    /// Busy time of building and cutting batches, on whichever thread.
+    /// Busy time of building and cutting batches, on whichever thread:
+    /// the pushes, the finish cuts and the scheduler's linger scans,
+    /// each timed under the dispatch lock, so neither the wait for that
+    /// lock nor a push's wait for room in its lane counts.
     pub scheduler_busy: Duration,
     /// Busy time inside backend `align_batch` calls, summed over
     /// batches — with more than one batch in flight it can exceed

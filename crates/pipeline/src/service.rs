@@ -1129,7 +1129,7 @@ impl Drop for Session {
         if ended {
             end_session(sh, self.id);
         } else {
-            let (t0, mut d) = (Instant::now(), sh.dispatch.lock().unwrap());
+            let (mut d, t0) = (sh.dispatch.lock().unwrap(), Instant::now());
             if let Some(w) = d.cut(self.lane) {
                 note_cut(sh, &d, self.lane, "finish");
                 drop(d);
