@@ -7,15 +7,70 @@
 //! that is what produced the paper's 138,929 candidate locations from
 //! 500 reads.
 //!
-//! Each strand's anchors are packed one per word, `ref_pos << 32 |
-//! read_pos` (read positions flipped on the reverse strand), and sorted
-//! as integers. The DP visits up to `lookback` predecessors per anchor
-//! but scores only those that could win: a predecessor adds at most
-//! `k` to its chain's score and pays a cost of at least 0, so one whose
-//! `score + k` does not beat the best found so far is skipped. The skip
-//! is exact, not a heuristic — `f64` rounding is monotone, so the
-//! computed extension never exceeds the computed `score + k` — and
-//! every score, predecessor and chain is the one the full loop gives.
+//! One pass over the anchors splits them by strand, packed one per
+//! word, `ref_pos << 32 | read_pos`, with read positions flipped to
+//! `u32::MAX - read_pos` on the reverse strand. Each strand's words are
+//! sorted as integers and split once into two `u32` arrays, `rs` and
+//! `qs`, which the DP and the peel read.
+//!
+//! # The DP
+//!
+//! Each anchor `i` walks its predecessors `j` downwards, at most
+//! `lookback` of them. Keys are sorted, so `dr = rs[i] - rs[j] >= 0`
+//! always, and `dr` only grows as `j` walks down: past `max_gap` no
+//! earlier predecessor qualifies, and the walk ends. A predecessor is
+//! collinear when `dr != 0` and `1 <= dq <= max_gap`, with `dq = qs[i] -
+//! qs[j]` tested as `qs[j] < qs[i]` before it is subtracted, so a
+//! negative `dq` never wraps into range whatever `max_gap` is (it is
+//! compared saturated to `u32::MAX`, which no `u32` difference
+//! exceeds). Of the collinear ones only those that could win are
+//! scored:
+//!
+//! - **The skip.** A predecessor `j` whose `score[j] + k` does not beat
+//!   the best score found so far is skipped unscored. Its extension adds
+//!   a gain of at most `k` and subtracts a cost of at least 0, and `f64`
+//!   rounding is monotone, so the computed `(score[j] + gain) - cost` is
+//!   at most the computed `score[j] + k` and cannot win the strict `>`.
+//! - **The run-max walk end.** A *run* starts at the contig's first key
+//!   and wherever `rs[j] - rs[j - 1] > max_gap`; `run_max[j]` is the
+//!   largest score from the start of `j`'s run to `j`. The walk ends
+//!   once `run_max[j] + k <= best`. That drops no scored predecessor:
+//!   every predecessor from the run's start to `j` scores at most
+//!   `run_max[j]`, so it fails the skip against this `best` and against
+//!   every later one (`best` only grows); every predecessor before the
+//!   run's start is in another contig, or more than `max_gap` away on
+//!   the reference (`dr` is at least the gap that started the run), so
+//!   the walk would have ended there anyway.
+//!
+//! So every score, predecessor and chain is the one the full loop
+//! gives: the *scored* set is the loop's, and only unscored visits are
+//! dropped. On the `accurate-short` benchmark's reads (seed 1, the first
+//! 4 000) a read scores 972 predecessors, and the walk end takes its
+//! visits, the one that ends a walk included, from 6 098 to 2 880.
+//!
+//! # The peel
+//!
+//! Chains are peeled best-first: an end starts a walk along `pred`
+//! that claims anchors until it meets one a better chain claimed, and
+//! every walk long enough is a chain. The order is score descending,
+//! then index ascending (what a stable sort by score gives), over the
+//! ends above the floor, with two exact reductions:
+//!
+//! - **Tips only.** An end `j` with a successor `i` (`pred[i] == j`)
+//!   that scores strictly more is left out: `i` comes before `j` in the
+//!   order, and by `i`'s turn `i` is claimed, by its own walk or by an
+//!   earlier one; either walk goes on from `i` to `j`, so `j` is claimed
+//!   before its turn, which would do nothing. (An equal score does not
+//!   drop `j`: `j < i` puts `j` first.) On the `accurate-short` reads
+//!   this takes the ends to sort from 256 to 31 per read.
+//! - **One packed sort.** The kept ends sort by one `sort_unstable` on
+//!   `!score.to_bits() << 32 | index`. Every score is finite and at
+//!   least `+0.0` (the best starts at `k` and only a strictly larger
+//!   score replaces it), and for such `f64`s the bits order as the
+//!   values do; equal keys are equal ends, so the unstable sort gives
+//!   the stable sort's order.
+//!
+//! # Over the genome
 //!
 //! One DP chains a whole genome, as minimap2 chains a multi-sequence
 //! index: `chain_contigs` takes anchors at global positions and the
@@ -28,9 +83,10 @@
 //!   predecessors are exactly the keys between its contig's first key
 //!   and itself: the floored lookback visits the set a per-contig DP
 //!   visits, in the same order.
-//! - The reverse-strand flip `max_rp - pos` reverses order and keeps
-//!   every `dq` whatever the constant, so a genome-wide `max_rp` changes
-//!   no key order and no score.
+//! - The reverse-strand flip `c - pos` reverses order and keeps every
+//!   `dq` whatever the constant `c`, so `u32::MAX` in place of a read's
+//!   or the genome's largest read position changes no key order and no
+//!   score.
 //! - Predecessors never cross contigs, so neither do claims: the peel
 //!   order (score descending, then index), restricted to one contig, is
 //!   that contig's own peel order.
@@ -148,43 +204,56 @@ pub(crate) fn chain_contigs(
     k: usize,
     params: &ChainParams,
 ) -> Vec<(u32, Chain)> {
-    assert!(u32::try_from(anchors.len()).is_ok(), "2^32 anchors or more");
+    let (rs, qs, fwd) = split_strands(anchors);
     let mut chains = Vec::new();
-    let mut keys = Vec::with_capacity(anchors.len());
-    for strand in [false, true] {
-        let on_strand = anchors.iter().filter(|a| a.reverse == strand);
-        let Some(max_rp) = on_strand.clone().map(|a| a.read_pos).max() else {
-            continue;
-        };
-        // For reverse-strand chains, collinearity means read position
-        // decreasing as ref position increases; flip read coords so the
-        // same DP applies (the flip is its own inverse). One word per
-        // anchor, `ref_pos << 32 | sort_pos`, sorts as the pair does,
-        // and equal words are equal anchors.
-        let flip = |pos: u32| if strand { max_rp - pos } else { pos };
-        keys.clear();
-        keys.extend(on_strand.map(|a| u64::from(a.ref_pos) << 32 | u64::from(flip(a.read_pos))));
-        keys.sort_unstable();
-        chain_one_strand(&keys, starts, k, params, strand, flip, &mut chains);
+    for (strand, range) in [(false, 0..fwd), (true, fwd..rs.len())] {
+        let (rs, qs) = (&rs[range.clone()], &qs[range]);
+        chain_one_strand(rs, qs, starts, k, params, strand, &mut chains);
     }
     chains.sort_by(|a, b| b.1.score.total_cmp(&a.1.score).then(a.0.cmp(&b.0)));
     chains
 }
 
-/// The reference and (strand-flipped) read position of a packed key.
-#[inline]
-fn unpack(key: u64) -> (u32, u32) {
-    ((key >> 32) as u32, key as u32)
+/// Split `anchors` by strand in one pass and sort each strand: returns
+/// `(rs, qs, fwd)`, the reference and (strand-flipped) read positions,
+/// forward strand in `..fwd` and reverse strand in `fwd..`.
+fn split_strands(anchors: &[Anchor]) -> (Vec<u32>, Vec<u32>, usize) {
+    let n = anchors.len();
+    assert!(u32::try_from(n).is_ok(), "2^32 anchors or more");
+    // Each anchor is packed into its strand's part of `keys`: the
+    // forward strand from the front, the reverse strand from the back.
+    // For reverse-strand chains, collinearity means read position
+    // decreasing as ref position increases; the flip `!pos` (its own
+    // inverse) lets the same DP apply. One word per anchor sorts as the
+    // pair does, and equal words are equal anchors.
+    let mut keys = vec![0u64; n];
+    let (mut fwd, mut rev) = (0, n);
+    for a in anchors {
+        let (slot, q) = if a.reverse {
+            rev -= 1;
+            (rev, !a.read_pos)
+        } else {
+            fwd += 1;
+            (fwd - 1, a.read_pos)
+        };
+        keys[slot] = u64::from(a.ref_pos) << 32 | u64::from(q);
+    }
+    let (fwd_keys, rev_keys) = keys.split_at_mut(fwd);
+    fwd_keys.sort_unstable();
+    rev_keys.sort_unstable();
+    let rs = keys.iter().map(|&key| (key >> 32) as u32).collect();
+    let qs = keys.iter().map(|&key| key as u32).collect();
+    (rs, qs, fwd)
 }
 
 /// Gap-cost score of extending the chain ending at `anchors[j]` with
 /// `anchors[i]`, given that chain's score (`dr`, `dq` both positive
 /// and within `max_gap`). `log2` is [`log2_table`].
 #[inline]
-fn extend_score(prev: f64, dr: i64, dq: i64, k: usize, log2: &[f64]) -> f64 {
-    let dd = (dr - dq).unsigned_abs();
-    let gain = (dq.min(dr) as f64).min(k as f64);
-    let cost = 0.01 * k as f64 * dd as f64 + 0.5 * gap_log2(log2, dd);
+fn extend_score(prev: f64, dr: u32, dq: u32, k: usize, log2: &[f64]) -> f64 {
+    let dd = dr.abs_diff(dq);
+    let gain = f64::from(dq.min(dr)).min(k as f64);
+    let cost = 0.01 * k as f64 * f64::from(dd) + 0.5 * gap_log2(log2, dd);
     prev + gain - cost
 }
 
@@ -204,40 +273,52 @@ fn closed_log2(dd: u64) -> f64 {
 /// a parameter, so larger ones are computed: every score is the `f64`
 /// the closed formula gives.
 #[inline]
-fn gap_log2(table: &[f64], dd: u64) -> f64 {
+fn gap_log2(table: &[f64], dd: u32) -> f64 {
     match table.get(dd as usize) {
         Some(&v) => v,
-        None => closed_log2(dd),
+        None => closed_log2(dd.into()),
     }
 }
 
-/// The chaining DP: best score of a chain ending at each anchor and
-/// its predecessor ([`NO_PRED`] for none). `keys` are packed anchors,
-/// sorted, over contigs that start at `starts`; no predecessor comes
-/// from another contig.
-///
-/// A predecessor `j` whose `score[j] + k` does not beat the best score
-/// found so far is skipped unscored, and the skip is exact: its
-/// extension adds a gain of at most `k` and subtracts a cost of at
-/// least 0, and `f64` rounding is monotone, so the computed
-/// `(score[j] + gain) - cost` is at most the computed `score[j] + k`
-/// and cannot win the strict `>`.
+/// One strand's DP: the best score of a chain ending at each anchor,
+/// its predecessor ([`NO_PRED`] for none), and the work done.
+struct Dp {
+    score: Vec<f64>,
+    pred: Vec<u32>,
+    /// Predecessors the walks visited, and of those the ones scored.
+    visits: u64,
+    scored: u64,
+}
+
+/// The chaining DP over one strand's sorted anchors `rs`/`qs` (see the
+/// module docs: the skip and the run-max walk end are exact), over
+/// contigs that start at `starts`; no predecessor comes from another
+/// contig.
 fn chain_dp(
-    keys: &[u64],
+    rs: &[u32],
+    qs: &[u32],
     starts: &[u32],
     k: usize,
     params: &ChainParams,
     log2: &[f64],
-) -> (Vec<f64>, Vec<u32>) {
-    let n = keys.len();
-    let kf = k as f64;
-    let mut score = vec![0f64; n];
-    let mut pred = vec![NO_PRED; n];
-    // `keys[floor]` is the first key of the current contig, and `next`
+) -> Dp {
+    let n = rs.len();
+    let (qs, kf) = (&qs[..n], k as f64);
+    // Every `dr` and `dq` fits a `u32`, so no `u32` exceeds a larger gap.
+    let gap = u32::try_from(params.max_gap).unwrap_or(u32::MAX);
+    let mut dp = Dp {
+        score: vec![0f64; n],
+        pred: vec![NO_PRED; n],
+        visits: 0,
+        scored: 0,
+    };
+    let score = &mut dp.score;
+    let mut run_max = vec![0f64; n];
+    // `rs[floor]` is the first key of the current contig, and `next`
     // the global start of the contig after it.
     let (mut floor, mut next) = (0, 0u64);
     for i in 0..n {
-        let (ri, qi) = unpack(keys[i]);
+        let (ri, qi) = (rs[i], qs[i]);
         if u64::from(ri) >= next {
             let c = contig_of(starts, ri);
             (floor, next) = (i, starts.get(c + 1).map_or(u64::MAX, |&s| s.into()));
@@ -245,55 +326,64 @@ fn chain_dp(
         let (mut best, mut best_j) = (kf, NO_PRED);
         let lo = i.saturating_sub(params.lookback).max(floor);
         for j in (lo..i).rev() {
-            let (rj, qj) = unpack(keys[j]);
-            let dr = i64::from(ri) - i64::from(rj);
-            // `ref_pos` ascends with the index and `j` walks down, so
-            // `dr` only grows: once it passes the gap limit no earlier
-            // predecessor can qualify.
-            if dr as usize > params.max_gap {
-                break;
+            dp.visits += 1;
+            let dr = ri - rs[j];
+            if dr > gap || run_max[j] + kf <= best {
+                break; // no predecessor from here down can win
             }
-            let dq = i64::from(qi) - i64::from(qj);
-            if dr <= 0 || dq <= 0 || dq as usize > params.max_gap {
-                continue; // not collinear, or too far apart on the read
+            let qj = qs[j];
+            let collinear = (dr != 0) & (qj < qi) & (qi.wrapping_sub(qj) <= gap);
+            if !collinear || score[j] + kf <= best {
+                continue; // not collinear, or cannot win
             }
-            if score[j] + kf <= best {
-                continue; // cannot win, see above
-            }
-            let s = extend_score(score[j], dr, dq, k, log2);
+            dp.scored += 1;
+            let s = extend_score(score[j], dr, qi - qj, k, log2);
             if s > best {
                 (best, best_j) = (s, j as u32);
             }
         }
         score[i] = best;
-        pred[i] = best_j;
+        dp.pred[i] = best_j;
+        run_max[i] = if i == floor || ri - rs[i - 1] > gap {
+            best
+        } else {
+            run_max[i - 1].max(best)
+        };
     }
-    (score, pred)
+    dp
 }
 
-/// Chain one strand's sorted `keys`, pushing every chain onto `out`
-/// with its contig, in contig-local coordinates. `orig_pos` maps a
-/// key's read position back to forward read coordinates.
+/// Chain one strand's sorted anchors `rs`/`qs`, pushing every chain
+/// onto `out` with its contig, in contig-local coordinates and forward
+/// read coordinates.
 fn chain_one_strand(
-    keys: &[u64],
+    rs: &[u32],
+    qs: &[u32],
     starts: &[u32],
     k: usize,
     params: &ChainParams,
     strand: bool,
-    orig_pos: impl Fn(u32) -> u32,
     out: &mut Vec<(u32, Chain)>,
 ) {
-    let (score, pred) = chain_dp(keys, starts, k, params, log2_table());
+    let n = rs.len();
+    let Dp { score, pred, .. } = chain_dp(rs, qs, starts, k, params, log2_table());
     // Peel chains best-first; each anchor belongs to at most one chain,
     // but every chain above the floor is reported (the -P behaviour).
-    // Only ends above the floor start a chain; the stable sort visits
-    // them in the order a sort of all `n` would.
-    let mut order: Vec<u32> = (0..keys.len() as u32)
-        .filter(|&i| score[i as usize] >= params.min_score)
+    // Only tips above the floor start a walk, in the packed order (see
+    // the module docs).
+    let mut beaten = vec![false; n];
+    for (i, &j) in pred.iter().enumerate() {
+        if j != NO_PRED && score[i] > score[j as usize] {
+            beaten[j as usize] = true;
+        }
+    }
+    let mut order: Vec<u128> = (0..n)
+        .filter(|&i| !beaten[i] && score[i] >= params.min_score)
+        .map(|i| u128::from(!score[i].to_bits()) << 32 | i as u128)
         .collect();
-    order.sort_by(|&a, &b| score[b as usize].total_cmp(&score[a as usize]));
-    let mut used = vec![false; keys.len()];
-    for &end in &order {
+    order.sort_unstable();
+    let mut used = vec![false; n];
+    for end in order.into_iter().map(|key| key as u32) {
         if used[end as usize] {
             continue;
         }
@@ -306,8 +396,8 @@ fn chain_one_strand(
         while cur != NO_PRED && !used[cur as usize] {
             used[cur as usize] = true;
             members += 1;
-            let (r, q) = unpack(keys[cur as usize]);
-            let q = orig_pos(q); // report original (unflipped) read coordinates
+            let (r, q) = (rs[cur as usize], qs[cur as usize]);
+            let q = if strand { !q } else { q }; // report unflipped read coordinates
             (t_lo, t_hi) = (t_lo.min(r), t_hi.max(r));
             (q_lo, q_hi) = (q_lo.min(q), q_hi.max(q));
             cur = pred[cur as usize];
@@ -336,6 +426,11 @@ fn chain_one_strand(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The reference and (strand-flipped) read position of a packed key.
+    fn unpack(key: u64) -> (u32, u32) {
+        ((key >> 32) as u32, key as u32)
+    }
 
     /// The chainer before packed keys and the skip, kept as its oracle:
     /// copied anchors under a tuple-key sort, a DP that scores every
@@ -530,7 +625,8 @@ mod tests {
             }
             keys.sort_unstable();
             let params = ChainParams { lookback, max_gap, ..ChainParams::default() };
-            let (score, pred) = chain_dp(&keys, &[0], 15, &params, log2_table());
+            let (rs, qs): (Vec<u32>, Vec<u32>) = keys.iter().map(|&key| unpack(key)).unzip();
+            let Dp { score, pred, .. } = chain_dp(&rs, &qs, &[0], 15, &params, log2_table());
             let (want_score, want_pred) = chain_dp_exhaustive(&keys, 15, &params);
             let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&score), bits(&want_score));
@@ -639,6 +735,200 @@ mod tests {
         }
     }
 
+    /// The DP equals the exhaustive loop on each strand (scores as
+    /// bits, predecessors) and the chainer equals its oracle, at
+    /// extreme parameters and positions: a random cloud on both strands
+    /// plus one noisy diagonal on each, near 0 or up to `u32::MAX` on
+    /// the reference and on the read.
+    fn extremes_match_the_exhaustive_dp_and_the_oracle(
+        cloud: &[(u32, u32, bool)],
+        walk: &[(u32, u32)],
+        (high_ref, high_read): (bool, bool),
+        k: usize,
+        params: ChainParams,
+    ) {
+        let base = |high: bool| if high { u32::MAX - 7_999 } else { 0 };
+        let (ref_base, read_base) = (base(high_ref), base(high_read));
+        let at = |q: u32, r: u32, reverse: bool| Anchor {
+            read_pos: read_base + q,
+            ref_pos: ref_base + r,
+            reverse,
+        };
+        let mut anchors: Vec<Anchor> = cloud.iter().map(|&(q, r, rev)| at(q, r, rev)).collect();
+        for (c, reverse) in [(0, false), (1, true)] {
+            let (mut q, mut r) = (0u32, c * 600);
+            for &(step, jitter) in walk {
+                (q, r) = (q + step, r + step + jitter);
+                anchors.push(at(if reverse { 3_000 - q } else { q }, r, reverse));
+            }
+        }
+        let (rs, qs, fwd) = split_strands(&anchors);
+        for range in [0..fwd, fwd..rs.len()] {
+            let (rs, qs) = (&rs[range.clone()], &qs[range]);
+            let Dp { score, pred, .. } = chain_dp(rs, qs, &[0], k, &params, log2_table());
+            let keys: Vec<u64> = rs
+                .iter()
+                .zip(qs)
+                .map(|(&r, &q)| u64::from(r) << 32 | u64::from(q))
+                .collect();
+            let (want_score, want_pred) = chain_dp_exhaustive(&keys, k, &params);
+            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&score), bits(&want_score), "params {params:?}, k {k}");
+            let pred: Vec<Option<usize>> = pred
+                .iter()
+                .map(|&p| (p != NO_PRED).then_some(p as usize))
+                .collect();
+            assert_eq!(pred, want_pred, "params {params:?}, k {k}");
+        }
+        let got = chain_anchors(&anchors, k, &params);
+        let want = oracle::chain_anchors(&anchors, k, &params);
+        assert_eq!(exact(&got), exact(&want), "params {params:?}, k {k}");
+    }
+
+    /// `max_gap` at 0, around `u32::MAX` and at `usize::MAX` (and the
+    /// default); `lookback` at 0, 1 and `usize::MAX` (and the default).
+    fn extreme_params(
+        (gap, look): (usize, usize),
+        k: usize,
+        (floor, min_anchors): (usize, usize),
+    ) -> ChainParams {
+        let max_gap = [
+            0,
+            u32::MAX as usize - 1,
+            u32::MAX as usize,
+            usize::MAX,
+            5_000,
+        ][gap];
+        ChainParams {
+            lookback: [0, 1, usize::MAX, 50][look],
+            max_gap,
+            min_score: floor.min(k - 1) as f64, // below `k`
+            min_anchors,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn extreme_params_equal_the_exhaustive_dp_and_the_oracle(
+            cloud in prop::collection::vec((0u32..3_000, 0u32..8_000, any::<bool>()), 0..120),
+            walk in prop::collection::vec((1u32..40, 0u32..13), 0..60),
+            high in (any::<bool>(), any::<bool>()),
+            k in 5usize..28,
+            choice in (0usize..5, 0usize..4),
+            floors in (0usize..28, 0usize..4),
+        ) {
+            let params = extreme_params(choice, k, floors);
+            extremes_match_the_exhaustive_dp_and_the_oracle(&cloud, &walk, high, k, params);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(640))]
+
+        #[test]
+        #[ignore = "10x the cases of extreme_params_equal_the_exhaustive_dp_and_the_oracle; CI runs it in the --ignored job"]
+        fn extreme_params_equal_the_exhaustive_dp_and_the_oracle_10x(
+            cloud in prop::collection::vec((0u32..3_000, 0u32..8_000, any::<bool>()), 0..120),
+            walk in prop::collection::vec((1u32..40, 0u32..13), 0..60),
+            high in (any::<bool>(), any::<bool>()),
+            k in 5usize..28,
+            choice in (0usize..5, 0usize..4),
+            floors in (0usize..28, 0usize..4),
+        ) {
+            let params = extreme_params(choice, k, floors);
+            extremes_match_the_exhaustive_dp_and_the_oracle(&cloud, &walk, high, k, params);
+        }
+    }
+
+    /// Fixed inputs of the DP's work: each read's anchors against a
+    /// seeded 100 kbp human-like genome (its repeat families planted),
+    /// 30 × 300 bp reads at 0.5% error and 6 × 2 kbp reads at 10%, then
+    /// a tandem-repeat set (12 copies of a 400 bp diagonal, 150 bases
+    /// apart) on each strand as one more read.
+    fn work_inputs() -> (Vec<Vec<Anchor>>, usize) {
+        use readsim::{simulate_reads, ErrorModel, Genome, GenomeConfig, ReadConfig};
+        let genome = Genome::generate(&GenomeConfig::human_like(100_000, 47));
+        let index = MinimizerIndex::build(&genome.seq);
+        let mut sets = Vec::new();
+        for (count, length, error, seed) in [(30, 300, 0.005, 48), (6, 2_000, 0.10, 49)] {
+            let cfg = ReadConfig {
+                count,
+                length,
+                errors: ErrorModel::pacbio_clr(error),
+                rc_fraction: 0.5,
+                seed,
+            };
+            let reads = simulate_reads(&genome, &cfg);
+            sets.extend(reads.iter().map(|r| collect_anchors(&r.seq, &index)));
+        }
+        let tandem = (0..12u32)
+            .flat_map(|c| {
+                (0..400u32).step_by(20).flat_map(move |q| {
+                    let ref_pos = c * 150 + q + (7 * q + 3 * c) % 5;
+                    let at = |read_pos, reverse| Anchor {
+                        read_pos,
+                        ref_pos,
+                        reverse,
+                    };
+                    [at(q, false), at(400 - q, true)]
+                })
+            })
+            .collect();
+        sets.push(tandem);
+        (sets, index.k)
+    }
+
+    /// The DP's work is pinned on fixed inputs, per strand, reads and
+    /// tandem set apart: the scored predecessors are the full loop's
+    /// (the counts of the chainer before the run-max walk end, which
+    /// scored the same set), and the visits are the walk end's. A
+    /// change to the scored set fails here, and so does losing the walk
+    /// end (the visits rise) or the skip (the scored count rises).
+    #[test]
+    fn dp_work_is_pinned() {
+        let (sets, k) = work_inputs();
+        let params = ChainParams::default();
+        // [reads forward, reads reverse, tandem forward, tandem reverse]
+        let (mut scored, mut visits) = ([0u64; 4], [0u64; 4]);
+        for (i, anchors) in sets.iter().enumerate() {
+            let (rs, qs, fwd) = split_strands(anchors);
+            for (strand, range) in [(0, 0..fwd), (1, fwd..rs.len())] {
+                let (rs, qs) = (&rs[range.clone()], &qs[range]);
+                let dp = chain_dp(rs, qs, &[0], k, &params, log2_table());
+                let slot = strand + if i + 1 == sets.len() { 2 } else { 0 };
+                scored[slot] += dp.scored;
+                visits[slot] += dp.visits;
+            }
+        }
+        assert_eq!(scored, [5_439, 2_666, 370, 370], "the scored set moved");
+        // The full loop with the skip visited 53 227, 35 250, 10 725
+        // and 10 725.
+        assert_eq!(visits, [19_246, 4_474, 10_115, 10_115], "the visits moved");
+    }
+
+    /// An end whose successor only ties its score still starts its own
+    /// walk, first (the lower index): with `k` = 25 the last anchor
+    /// extends the diagonal's end by a gain of 1 at a cost of exactly 1.
+    /// The diagonal is the chain, and the tie's walk of one anchor is
+    /// too short; had the tie dropped the end from the order, one chain
+    /// of 4 anchors would come out.
+    #[test]
+    fn an_end_tied_by_its_successor_starts_its_own_walk() {
+        let anchors = [mk(0, 0), mk(30, 30), mk(60, 60), mk(61, 63)];
+        let (rs, qs, _) = split_strands(&anchors);
+        let params = ChainParams::default();
+        let Dp { score, pred, .. } = chain_dp(&rs, &qs, &[0], 25, &params, log2_table());
+        assert_eq!((score[3], pred[3]), (score[2], 2), "the tie");
+        let got = chain_anchors(&anchors, 25, &params);
+        assert_eq!(
+            exact(&got),
+            exact(&oracle::chain_anchors(&anchors, 25, &params))
+        );
+        assert_eq!((got.len(), got[0].anchors, got[0].score), (1, 3, 75.0));
+    }
+
     /// The table changes where `log2` is computed, not what it
     /// returns: bit for bit the closed formula, on both sides of the
     /// table's end.
@@ -651,7 +941,7 @@ mod tests {
                     let d = (dr - dq).unsigned_abs() as f64;
                     let closed = prev + (dq.min(dr) as f64).min(k as f64)
                         - (0.01 * k as f64 * d + 0.5 * (d.max(1.0)).log2());
-                    let got = extend_score(prev, dr, dq, k, log2_table());
+                    let got = extend_score(prev, dr as u32, dq as u32, k, log2_table());
                     assert_eq!(got.to_bits(), closed.to_bits(), "dd={dd} k={k}");
                 }
             }
